@@ -312,6 +312,10 @@ def _gradcheck_battery(seed: int):
     return checks
 
 
+def _scaled(grads: tuple) -> tuple:
+    return tuple(None if gi is None else 1.01 * gi for gi in grads)
+
+
 def _corrupt_op(name: str) -> None:
     """Test hook: scale one op's backward by 1.01 so gradcheck must fail."""
     if name == "gelu":
@@ -323,7 +327,7 @@ def _corrupt_op(name: str) -> None:
                 rec = out.op_record
                 out.op_record = OpRecord(rec.name, rec.parents,
                                          lambda g, _b=rec.backward:
-                                         tuple(1.01 * gi for gi in _b(g)))
+                                         _scaled(_b(g)))
             return out
 
         T.activation = tampered
@@ -337,7 +341,7 @@ def _corrupt_op(name: str) -> None:
                 rec = out.op_record
                 out.op_record = OpRecord(rec.name, rec.parents,
                                          lambda g, _b=rec.backward:
-                                         tuple(1.01 * gi for gi in _b(g)))
+                                         _scaled(_b(g)))
             return out
 
         T.matmul = tampered_mm

@@ -3,9 +3,10 @@
 Every operation below builds the value eagerly with numpy and, when any
 input participates in gradient tracking, attaches an ``OpRecord`` holding
 the parent tensors and a closure that maps the output gradient to parent
-gradients.  ``backward`` walks the records in reverse topological order and
-accumulates into ``Tensor.grad`` (a flat view is never used: grads share
-the value's shape).
+gradients (``None`` for a parent that is not tracked).  ``backward`` walks
+the records in reverse topological order and accumulates into the
+``Tensor.grad`` of the leaves only; interior gradients are dropped as soon
+as their parents have them.  Grads share the value's shape.
 
 The op set is intentionally small: exactly what the model needs, with
 numpy-style broadcasting supported for add/mul and matmul batch dims.
@@ -97,8 +98,12 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
+def _needs_grad(t: Tensor) -> bool:
+    return t.requires_grad or t.op_record is not None
+
+
 def _tracked(parents: Sequence[Tensor]) -> bool:
-    return any(p.requires_grad or p.op_record is not None for p in parents)
+    return any(_needs_grad(p) for p in parents)
 
 
 def _make(data: np.ndarray, name: str, parents: tuple[Tensor, ...], backward) -> Tensor:
@@ -139,7 +144,9 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        ga = _unbroadcast(g * b.data, a.shape) if _needs_grad(a) else None
+        gb = _unbroadcast(g * a.data, b.shape) if _needs_grad(b) else None
+        return ga, gb
 
     return _make(data, "mul", (a, b), backward)
 
@@ -249,18 +256,20 @@ def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """
     x = _as_tensor(x)
     if mask is None:
-        m = x.data.max(axis=-1, keepdims=True)
-        e = np.exp(x.data - m)
+        e = x.data - x.data.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
     else:
         mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
         m = np.where(mask, x.data, -np.inf).max(axis=-1, keepdims=True)
         # clamp masked entries before exp so no overflow leaks through
         e = np.where(mask, np.exp(np.where(mask, x.data, m) - m), 0.0)
-    y = e / e.sum(axis=-1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
+    y = e
 
     def backward(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - inner),)
+        gx = g - (g * y).sum(axis=-1, keepdims=True)
+        gx *= y
+        return (gx,)
 
     return _make(y, "softmax", (x,), backward)
 
@@ -305,13 +314,13 @@ def activation(x: Tensor, kind: str, slope: float = 0.01) -> Tensor:
         def backward(g):
             return (g * (v > 0.0),)
     elif kind == "gelu":
-        u = _GELU_C * (v + _GELU_A * v**3)
-        t = np.tanh(u)
+        # products, not ``**``: numpy routes v**3 through the slow libm pow
+        t = np.tanh(_GELU_C * (v + _GELU_A * (v * v * v)))
         data = 0.5 * v * (1.0 + t)
 
         def backward(g):
-            du = _GELU_C * (1.0 + 3.0 * _GELU_A * v**2)
-            return (g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t**2) * du),)
+            du = _GELU_C * (1.0 + 3.0 * _GELU_A * (v * v))
+            return (g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du),)
     elif kind == "leaky_relu":
         data = np.where(v > 0.0, v, slope * v)
 
@@ -377,27 +386,40 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
             f"conv2d geometry invalid: input {H}x{W}, kernel {kh}x{kw}, "
             f"stride {stride}, padding {padding} gives non-integer output extent")
     Hh, Ww = num_h // stride + 1, num_w // stride + 1
+    Hp, Wp = H + 2 * padding, W + 2 * padding
+    K, N = kh * kw * C, B * Hh * Ww
 
+    # im2col (Chellapilla et al. 2006) in an offset-major layout: row
+    # (u, v, c) of ``cols`` holds input channel c at window offset (u, v) for
+    # every output position (b, i, j), so each offset is one contiguous slab
+    # and the copy below runs along the output width, not along the kernel
     if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((C, B, Hp, Wp))
+        xp[:, :, padding:padding + H, padding:padding + W] = x.data.transpose(1, 0, 2, 3)
     else:
-        xp = x.data
+        xp = x.data.transpose(1, 0, 2, 3)
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (B, C, H', W', kh, kw)
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(B * Hh * Ww, C * kh * kw)
-    wmat = w.data.reshape(F, C * kh * kw)
-    out = (cols @ wmat.T).reshape(B, Hh, Ww, F).transpose(0, 3, 1, 2) + bias.data[None, :, None, None]
+    windows = windows[:, :, ::stride, ::stride]  # (C, B, H', W', kh, kw)
+    cols = np.ascontiguousarray(windows.transpose(4, 5, 0, 1, 2, 3)).reshape(K, N)
+    wmat = w.data.transpose(0, 2, 3, 1).reshape(F, K)
+    out = wmat @ cols
+    out += bias.data[:, None]
+    # (F, B, H', W') in memory; the next conv reads it without a copy
+    out = out.reshape(F, B, Hh, Ww).transpose(1, 0, 2, 3)
+    x_tracked = _needs_grad(x)
 
     def backward(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(B * Hh * Ww, F)
-        gb = g.sum(axis=(0, 2, 3))
-        gw = (g2.T @ cols).reshape(F, C, kh, kw)
-        gcols = (g2 @ wmat).reshape(B, Hh, Ww, C, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-        gxp = np.zeros_like(xp)
+        g2 = g.transpose(1, 0, 2, 3).reshape(F, N)
+        gb = g2.sum(axis=1)
+        gw = (g2 @ cols.T).reshape(F, kh, kw, C).transpose(0, 3, 1, 2)
+        if not x_tracked:
+            return None, gw, gb
+        gcols = (wmat.T @ g2).reshape(kh, kw, C, B, Hh, Ww)
+        gxp = np.zeros((C, B, Hp, Wp))
         for u in range(kh):
             for v in range(kw):
-                gxp[:, :, u:u + stride * Hh:stride, v:v + stride * Ww:stride] += gcols[:, :, :, :, u, v]
-        gx = gxp[:, :, padding:padding + H, padding:padding + W] if padding else gxp
+                gxp[:, :, u:u + stride * Hh:stride, v:v + stride * Ww:stride] += gcols[u, v]
+        gx = gxp[:, :, padding:padding + H, padding:padding + W].transpose(1, 0, 2, 3)
         return gx, gw, gb
 
     return _make(out, "conv2d", (x, w, bias), backward)
@@ -409,26 +431,30 @@ def max_pool2d(x: Tensor, k: int, stride: int) -> Tensor:
     x = _as_tensor(x)
     if x.ndim != 4:
         raise ShapeError(f"max_pool2d expects 4-d input, got {x.shape}")
-    B, C, H, W = x.shape
+    H, W = x.shape[2:]
     if k < 1 or stride < 1:
         raise ShapeError(f"max_pool2d window/stride must be >= 1, got k={k}, stride={stride}")
     if k > H or k > W:
         raise ShapeError(f"max_pool2d window {k} larger than input {H}x{W}")
     Hh = (H - k) // stride + 1
     Ww = (W - k) // stride + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, (k, k), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride].reshape(B, C, Hh, Ww, k * k)
-    idx = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    v = x.data
+    # one strided view per window offset, in row-major window order
+    windows = [(slice(None), slice(None), slice(u, u + stride * Hh, stride),
+                slice(w, w + stride * Ww, stride)) for u in range(k) for w in range(k)]
+    out = v[windows[0]].copy(order="K")
+    for win in windows[1:]:
+        np.maximum(out, v[win], out=out)
 
     def backward(g):
-        rows = (np.arange(Hh) * stride)[None, None, :, None] + idx // k
-        cols = (np.arange(Ww) * stride)[None, None, None, :] + idx % k
-        flat = rows * W + cols
-        gx = np.zeros((B, C, H * W))
-        np.add.at(gx, (np.arange(B)[:, None, None, None],
-                       np.arange(C)[None, :, None, None], flat), g)
-        return (gx.reshape(B, C, H, W),)
+        gx = np.zeros_like(v)
+        pending = np.ones(out.shape, dtype=bool)  # outputs whose max is not yet found
+        for win in windows:
+            hit = v[win] == out
+            hit &= pending
+            pending &= ~hit
+            gx[win] += g * hit
+        return (gx,)
 
     return _make(out, "max_pool2d", (x,), backward)
 
@@ -438,9 +464,12 @@ def max_pool2d(x: Tensor, k: int, stride: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad ancestor of a scalar loss.
+    """Populate ``grad`` on every leaf ancestor (a tensor created with
+    ``requires_grad=True``) of a scalar loss.
 
     Gradients from multiple uses of the same tensor accumulate by summation.
+    Interior tensors keep ``grad`` as ``None``: their gradients live only
+    until the walk has passed them on to their parents.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -461,7 +490,7 @@ def backward(loss: Tensor) -> None:
         stack.append((node, True))
         if node.op_record is not None:
             for parent in node.op_record.parents:
-                if id(parent) not in seen and (parent.requires_grad or parent.op_record is not None):
+                if id(parent) not in seen and _needs_grad(parent):
                     stack.append((parent, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
@@ -469,21 +498,17 @@ def backward(loss: Tensor) -> None:
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad and node.op_record is None:
-            # leaf parameter/input: accumulate into the public slot
-            node.grad = g if node.grad is None else node.grad + g
-            continue
         if node.op_record is None:
+            if node.requires_grad:
+                # leaf parameter/input: accumulate into the public slot
+                node.grad = g if node.grad is None else node.grad + g
             continue
         parent_grads = node.op_record.backward(g)
         for parent, pg in zip(node.op_record.parents, parent_grads):
-            if not (parent.requires_grad or parent.op_record is not None):
+            if not _needs_grad(parent):
                 continue
             key = id(parent)
             if key in grads:
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
-        if node.requires_grad and node is not loss:
-            # interior tensor explicitly marked: expose its gradient too
-            node.grad = g if node.grad is None else node.grad + g

@@ -185,37 +185,48 @@ def train_epoch(params: dict[str, Tensor], model_cfg: ModelConfig,
         raise DataError("cannot train on an empty dataset")
     root = RngStream(seed=train_cfg.seed)
     order = root.derive("shuffle", epoch).shuffle(list(range(len(samples))))
-    lam = model_cfg.rotation_loss_weight
     total_loss = 0.0
     correct = 0
     for step, start in enumerate(range(0, len(order), train_cfg.batch_size)):
         batch = [samples[i] for i in order[start:start + train_cfg.batch_size]]
-        x, labels, rot_labels = prepare_batch(batch, policy, stats, model_cfg, root, epoch)
-        b = len(batch)
-        drop_rng = root.derive("drop", epoch, step)
-        cls_all, rot_all = model_forward(x, model_cfg, params, training=True, rng=drop_rng)
-        if rot_labels is None:
-            cls = cls_all
-            loss = combined_loss(cls, labels, None, None, 0.0)
-        else:
-            cls = T.take_rows(cls_all, 0, b)
-            rot = T.take_rows(rot_all, b, 2 * b)
-            loss = combined_loss(cls, labels, rot, rot_labels, lam)
-        for p in params.values():
-            p.zero_grad()
-        T.backward(loss)
-        adam.t += 1
-        adam_step(params, adam, adam.t, train_cfg)
-        total_loss += loss.item() * b
-        correct += int((np.argmax(cls.data, axis=1) == labels).sum())
+        loss, hits = _train_step(params, model_cfg, train_cfg, batch, stats, policy,
+                                 adam, root, epoch, step)
+        total_loss += loss * len(batch)
+        correct += hits
     return total_loss / len(samples), correct / len(samples)
+
+
+def _train_step(params, model_cfg, train_cfg, batch, stats, policy, adam, root,
+                epoch, step) -> tuple[float, int]:
+    """Forward, backward and Adam on one batch; returns the loss and the
+    number of correct predictions.  The step's graph dies with this frame,
+    before the next step builds its own."""
+    x, labels, rot_labels = prepare_batch(batch, policy, stats, model_cfg, root, epoch)
+    b = len(batch)
+    drop_rng = root.derive("drop", epoch, step)
+    cls_all, rot_all = model_forward(x, model_cfg, params, training=True, rng=drop_rng)
+    if rot_labels is None:
+        cls = cls_all
+        loss = combined_loss(cls, labels, None, None, 0.0)
+    else:
+        cls = T.take_rows(cls_all, 0, b)
+        rot = T.take_rows(rot_all, b, 2 * b)
+        loss = combined_loss(cls, labels, rot, rot_labels, model_cfg.rotation_loss_weight)
+    for p in params.values():
+        p.zero_grad()
+    T.backward(loss)
+    adam.t += 1
+    adam_step(params, adam, adam.t, train_cfg)
+    return loss.item(), int((np.argmax(cls.data, axis=1) == labels).sum())
 
 
 def _eval_one_batch(params, model_cfg, stats, batch):
     size = model_cfg.image_size
     x = Tensor(np.stack([
         normalize(resize_bilinear(s, size, size), stats).data for s in batch]))
-    cls, _ = model_forward(x, model_cfg, params, training=False)
+    # untracked views of the parameters: the forward records no graph
+    frozen = {name: Tensor(p.data) for name, p in params.items()}
+    cls, _ = model_forward(x, model_cfg, frozen, training=False)
     z = cls.data
     m = z.max(axis=1, keepdims=True)
     ez = np.exp(z - m)

@@ -150,6 +150,12 @@ class TestConvPoolGrads:
         w = T.Tensor(RngStream(seed=104).normal(2 * 2 * 3 * 3).reshape(2, 2, 3, 3))
         _assert_grads(lambda ps: T.tsum(T.max_pool2d(ps[0], 2, 2) * w), [x])
 
+    def test_max_pool_overlapping_windows(self):
+        (x,) = _params((1, 2, 5, 5), seed=25)
+        x.data = np.argsort(np.argsort(x.data.reshape(-1))).astype(float).reshape(x.shape)
+        w = T.Tensor(RngStream(seed=105).normal(2 * 3 * 3).reshape(1, 2, 3, 3))
+        _assert_grads(lambda ps: T.tsum(T.max_pool2d(ps[0], 3, 1) * w), [x])
+
     def test_max_pool_tie_routes_to_first(self):
         x = T.Tensor(np.zeros((1, 1, 2, 2)), requires_grad=True)
         out = T.max_pool2d(x, 2, 2)

@@ -246,6 +246,16 @@ class TestGradcheckCommand:
         assert "gelu" in proc.stdout
         assert "FAIL" in proc.stdout
 
+    def test_corruption_hook_passes_missing_gradients_through(self, monkeypatch):
+        from hgtnet import cli
+        from hgtnet import tensor as T
+        # a stand-in op whose scalar operand gets no gradient; restored afterwards
+        monkeypatch.setattr(T, "matmul", T.mul)
+        cli._corrupt_op("matmul")
+        x = T.Tensor(np.ones(3), requires_grad=True)
+        T.backward(T.tsum(T.matmul(x, 2.0)))
+        assert np.allclose(x.grad, 2.02)
+
 
 class TestSynthCommand:
     def test_tree_layout_and_count(self, tmp_path):

@@ -240,6 +240,53 @@ class TestConv2d:
             T.conv2d(T.Tensor(np.ones((1, 2, 4, 4))), T.Tensor(np.ones((1, 3, 3, 3))),
                      T.Tensor(np.zeros(1)))
 
+    @pytest.mark.parametrize("hw,k,stride,padding", [(6, 3, 1, 1), (8, 4, 4, 0)],
+                             ids=["3x3-pad1", "patch-embed-4"])
+    def test_forward_and_backward_match_direct_loop(self, hw, k, stride, padding):
+        rng = RngStream(seed=31)
+        B, C, F = 2, 3, 4
+        x = rng.derive("x").normal(B * C * hw * hw).reshape(B, C, hw, hw)
+        w = rng.derive("w").normal(F * C * k * k).reshape(F, C, k, k)
+        b = rng.derive("b").normal(F)
+        xt, wt, bt = (T.Tensor(a, requires_grad=True) for a in (x, w, b))
+        out = T.conv2d(xt, wt, bt, stride=stride, padding=padding)
+        Ho = (hw + 2 * padding - k) // stride + 1
+        g = rng.derive("g").normal(B * F * Ho * Ho).reshape(B, F, Ho, Ho)
+        gx, gw, gb = out.op_record.backward(g)
+
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        ref = np.zeros((B, F, Ho, Ho))
+        ref_gxp = np.zeros_like(xp)
+        ref_gw = np.zeros_like(w)
+        for i in range(Ho):
+            for j in range(Ho):
+                rows = slice(i * stride, i * stride + k)
+                cols = slice(j * stride, j * stride + k)
+                patch = xp[:, :, rows, cols]
+                ref[:, :, i, j] = np.einsum("bcuv,fcuv->bf", patch, w) + b
+                ref_gxp[:, :, rows, cols] += np.einsum("bf,fcuv->bcuv", g[:, :, i, j], w)
+                ref_gw += np.einsum("bf,bcuv->fcuv", g[:, :, i, j], patch)
+        ref_gx = ref_gxp[:, :, padding:padding + hw, padding:padding + hw]
+        # the column layout sums in another order than the loop: float64 slack
+        for got, want in ((out.data, ref), (gx, ref_gx), (gw, ref_gw),
+                          (gb, g.sum(axis=(0, 2, 3)))):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_untracked_input_gets_no_gradient(self):
+        rng = RngStream(seed=32)
+        x = rng.derive("x").normal(2 * 3 * 6 * 6).reshape(2, 3, 6, 6)
+        w = T.Tensor(rng.derive("w").normal(4 * 3 * 3 * 3).reshape(4, 3, 3, 3),
+                     requires_grad=True)
+        b = T.Tensor(rng.derive("b").normal(4), requires_grad=True)
+        g = rng.derive("g").normal(2 * 4 * 6 * 6).reshape(2, 4, 6, 6)
+        tracked = T.conv2d(T.Tensor(x, requires_grad=True), w, b, padding=1)
+        untracked = T.conv2d(T.Tensor(x), w, b, padding=1)
+        _, gw, gb = tracked.op_record.backward(g)
+        gx_u, gw_u, gb_u = untracked.op_record.backward(g)
+        assert gx_u is None
+        assert np.array_equal(gw, gw_u) and np.array_equal(gb, gb_u)
+
 
 class TestMaxPool:
     def test_basic_2x2(self):
@@ -260,6 +307,33 @@ class TestMaxPool:
     def test_window_too_large(self):
         with pytest.raises(ShapeError):
             T.max_pool2d(T.Tensor(np.ones((1, 1, 2, 2))), 3, 1)
+
+    @pytest.mark.parametrize("k,stride", [(2, 2), (2, 1), (3, 1), (3, 2)])
+    def test_ties_forward_and_backward_match_loop(self, k, stride):
+        # ReLU output: about half the entries are tied zeros
+        rng = RngStream(seed=33)
+        x = np.maximum(rng.derive("x").normal(2 * 3 * 7 * 7).reshape(2, 3, 7, 7), 0.0)
+        x[0, 0] = 0.0  # whole windows of ties
+        xt = T.Tensor(x, requires_grad=True)
+        out = T.max_pool2d(xt, k, stride)
+        Ho = (7 - k) // stride + 1
+        g = rng.derive("g").normal(2 * 3 * Ho * Ho).reshape(2, 3, Ho, Ho)
+        (gx,) = out.op_record.backward(g)
+
+        ref = np.zeros((2, 3, Ho, Ho))
+        ref_gx = np.zeros_like(x)
+        for b in range(2):
+            for c in range(3):
+                for i in range(Ho):
+                    for j in range(Ho):
+                        window = x[b, c, i * stride:i * stride + k, j * stride:j * stride + k]
+                        first = int(np.argmax(window.reshape(-1)))  # first maximum
+                        ref[b, c, i, j] = window.max()
+                        ref_gx[b, c, i * stride + first // k,
+                               j * stride + first % k] += g[b, c, i, j]
+        assert np.array_equal(out.data, ref)
+        # overlapping windows add their shares in another order than the loop
+        np.testing.assert_allclose(gx, ref_gx, rtol=1e-12, atol=1e-12)
 
 
 class TestBackwardContract:
@@ -282,6 +356,22 @@ class TestBackwardContract:
         assert np.allclose(x.grad, [6.0])
         x.zero_grad()
         assert x.grad is None
+
+    def test_grad_kept_on_leaves_only(self):
+        x = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        w = T.Tensor(np.array([3.0, -1.0]), requires_grad=True)
+        h = x * w
+        y = T.relu(h)
+        loss = T.tsum(y)
+        T.backward(loss)
+        assert np.array_equal(x.grad, [3.0, 0.0])
+        assert np.array_equal(w.grad, [1.0, 0.0])
+        assert h.grad is None and y.grad is None and loss.grad is None
+
+    def test_mul_gives_no_gradient_to_untracked_operand(self):
+        x = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        gx, gscale = (x * 0.5).op_record.backward(np.ones(2))
+        assert np.array_equal(gx, [0.5, 0.5]) and gscale is None
 
     def test_untracked_graph_has_no_records(self):
         a = T.Tensor(np.ones(4))

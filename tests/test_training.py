@@ -330,6 +330,26 @@ class TestEvaluate:
                                  num_threads=4)
         assert l1 == l4 and a1 == a4 and r1 == r4
 
+    def test_records_no_graph_and_matches_tracked_forward(self, monkeypatch):
+        samples, train, test, stats, cfg, tcfg, names = _synth_setup()
+        params = init_params(cfg, RngStream(seed=4))
+        x = Tensor(np.stack([data.normalize(data.resize_bilinear(s, 32, 32), stats).data
+                             for s in test]))
+        cls, _ = model_forward(x, cfg, params)
+        assert cls.op_record is not None  # the trainable params do record a graph
+        z = cls.data
+        ez = np.exp(z - z.max(axis=1, keepdims=True))
+        probs = ez / ez.sum(axis=1, keepdims=True)
+        labels = [s.label for s in test]
+        losses = (z.max(axis=1) + np.log(ez.sum(axis=1))) - z[np.arange(len(test)), labels]
+
+        built = []
+        monkeypatch.setattr(T, "OpRecord", lambda *args: built.append(args))
+        loss, _, records = tr.evaluate(params, cfg, test, stats, batch_size=len(test))
+        assert built == []
+        assert loss == float(losses.sum()) / len(test)
+        assert [r.scores for r in records] == [tuple(float(v) for v in row) for row in probs]
+
     def test_duplicate_samples_give_two_records(self):
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         params = init_params(cfg, RngStream(seed=4))
