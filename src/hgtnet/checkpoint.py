@@ -17,6 +17,7 @@ a crash never leaves a partial checkpoint at the target path.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .kvtext import parse_kv, render_kv
 
 MAGIC = b"HGTN"
@@ -75,18 +76,31 @@ class _Reader:
     def u8(self) -> int:
         return self.take(1)[0]
 
+    def text(self, what: str) -> str:
+        raw = self.take(self.u64())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{self.path}: {what} is not UTF-8 ({exc})") from None
+
 
 def _unpack_table(r: _Reader) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     count = r.u64()
     for _ in range(count):
-        name = r.take(r.u64()).decode("utf-8")
+        name = r.text("entry name")
         if name in out:
             raise CheckpointError(f"{r.path}: duplicate entry {name!r}")
         rank = r.u8()
         shape = tuple(r.u64() for _ in range(rank))
-        size = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(r.take(size * 8), dtype="<f8").reshape(shape)
+        # Python ints: a product of u64 extents can overflow int64
+        size = math.prod(shape)
+        payload = r.take(size * 8)
+        try:
+            data = np.frombuffer(payload, dtype="<f8").reshape(shape)
+        except ValueError as exc:  # an extent numpy cannot index, beside a zero one
+            raise CheckpointError(f"{r.path}: entry {name!r} has invalid extents "
+                                  f"{shape} ({exc})") from None
         out[name] = data.astype(np.float64)
     return out
 
@@ -129,7 +143,10 @@ def load_checkpoint(path) -> Checkpoint:
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version} "
                               f"(expected {FORMAT_VERSION})")
-    metadata = parse_kv(r.take(r.u64()).decode("utf-8"), source=path)
+    try:
+        metadata = parse_kv(r.text("metadata"), source=path)
+    except ConfigError as exc:
+        raise CheckpointError(f"malformed metadata: {exc}") from None
     params = _unpack_table(r)
     moments = _unpack_table(r)
     if r.pos != len(buf):

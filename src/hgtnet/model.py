@@ -110,11 +110,11 @@ def _uniform_init(rng: RngStream, shape: tuple[int, ...], fan_in: int) -> np.nda
     return (rng.uniform(int(np.prod(shape))) * 2.0 - 1.0).reshape(shape) * bound
 
 
-def init_params(cfg: ModelConfig, rng: RngStream) -> dict[str, Tensor]:
-    """Seeded parameter dictionary: uniform +-1/sqrt(fan_in) weights, zero
-    biases, zero positional embedding, unit layer-norm gains."""
+def _param_spec(cfg: ModelConfig) -> dict[str, tuple[tuple[int, ...], int | str | None]]:
+    """Name -> (shape, init) for every parameter, in creation order; init is
+    a fan-in for a uniform weight, "ones", or None for zeros."""
     d = cfg.embed_dim
-    spec: dict[str, tuple[tuple[int, ...], int | None]] = {}
+    spec: dict[str, tuple[tuple[int, ...], int | str | None]] = {}
 
     spec["patch_embed.weight"] = ((d, 3, cfg.patch_size, cfg.patch_size),
                                   3 * cfg.patch_size ** 2)
@@ -161,9 +161,20 @@ def init_params(cfg: ModelConfig, rng: RngStream) -> dict[str, Tensor]:
     spec["head.b"] = ((cfg.num_classes,), None)
     spec["rot.w"] = ((d, cfg.num_rotations), d)
     spec["rot.b"] = ((cfg.num_rotations,), None)
+    return spec
 
+
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The name and shape of every parameter ``init_params`` creates, without
+    drawing any random numbers."""
+    return {name: shape for name, (shape, _) in _param_spec(cfg).items()}
+
+
+def init_params(cfg: ModelConfig, rng: RngStream) -> dict[str, Tensor]:
+    """Seeded parameter dictionary: uniform +-1/sqrt(fan_in) weights, zero
+    biases, zero positional embedding, unit layer-norm gains."""
     params: dict[str, Tensor] = {}
-    for name, (shape, fan_in) in spec.items():
+    for name, (shape, fan_in) in _param_spec(cfg).items():
         if fan_in == "ones":
             data = np.ones(shape)
         elif fan_in is None:
@@ -261,7 +272,12 @@ def transformer_encoder(tokens: Tensor, cfg: ModelConfig, params: dict[str, Tens
 
 def cnn_branch(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
                training: bool = False, rng: RngStream | None = None) -> Tensor:
-    """conv(3x3, pad 1) -> relu -> max_pool(2,2) -> dropout per channel stage."""
+    """conv(3x3, pad 1) -> max_pool(2,2) -> relu -> dropout per channel stage.
+
+    Pooling before the ReLU gives the same outputs and parameter gradients
+    as the usual conv -> relu -> pool order (ReLU is monotone, and a window
+    whose maximum is <= 0 passes no gradient either way) while the ReLU runs
+    on a quarter of the entries."""
     if x.shape[-1] != cfg.image_size or x.shape[-2] != cfg.image_size:
         raise ShapeError(f"input {x.shape} does not match image size {cfg.image_size}")
     out = x
@@ -270,8 +286,8 @@ def cnn_branch(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
         if extent < 2 or extent % 2:
             raise ShapeError(f"spatial extent {extent} cannot be pooled in half at stage {j}")
         out = T.conv2d(out, params[f"cnn{j}.weight"], params[f"cnn{j}.bias"], padding=1)
-        out = T.relu(out)
         out = T.max_pool2d(out, 2, 2)
+        out = T.relu(out)
         out = T.dropout(out, cfg.dropout_p, training, rng)
     return out
 

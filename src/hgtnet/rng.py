@@ -29,11 +29,16 @@ def _mix(z: int) -> int:
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        z = z + np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+    """The xor-shift-multiply rounds of ``_mix``, in place on a uint64 array
+    whose entries already include ``_mix``'s ``+ _GAMMA`` step."""
+    scratch = np.empty_like(z)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        z ^= scratch
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
+    return z
 
 
 def _absorb(h: int, token) -> int:
@@ -77,11 +82,14 @@ class RngStream:
         return RngStream(self.seed, _mix(h))
 
     def _raw(self, n: int) -> np.ndarray:
-        counters = np.arange(self.counter, self.counter + n, dtype=np.uint64)
+        # draw i mixes key + GAMMA * (counter + i) + GAMMA; starting the
+        # range at counter + 1 folds the last GAMMA into the multiply
+        start = (self.counter + 1) & _MASK
+        z = np.arange(start, start + n, dtype=np.uint64)
         self.counter = (self.counter + n) & _MASK
-        with np.errstate(over="ignore"):
-            state = np.uint64(self._key) + np.uint64(_GAMMA) * counters
-        return _mix_array(state)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._key)
+        return _mix_array(z)
 
     def uniform(self, n: int | None = None):
         """Floats in [0, 1): scalar when n is None, else a float64 array."""
@@ -90,6 +98,12 @@ class RngStream:
             self.counter = (self.counter + 1) & _MASK
             return (value >> 11) * 2.0**-53
         return (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+    def keep_mask(self, n: int, p: float) -> np.ndarray:
+        """Boolean array equal to ``uniform(n) >= p``, compared on the raw
+        draws: ``(r >> 11) * 2**-53 >= p`` holds exactly when
+        ``r >= ceil(p * 2**53) << 11``."""
+        return self._raw(n) >= np.uint64(math.ceil(p * 2.0**53) << 11)
 
     def normal(self, n: int | None = None):
         """Standard normal draws via Box-Muller (two uniforms per value)."""

@@ -14,12 +14,49 @@ numpy-style broadcasting supported for add/mul and matmul batch dims.
 
 from __future__ import annotations
 
+import ctypes
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError
 from .rng import RngStream
+
+
+# glibc mallopt parameters; the values are C ints, so keep them below 2**31
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_RETAIN_BYTES = 1 << 30
+
+
+def keep_freed_memory(libc=None) -> bool:
+    """Have glibc serve arrays of up to 1 GB from the heap and keep freed
+    heap memory in the process.
+
+    By default glibc gives every block above 32 MB its own ``mmap`` and
+    unmaps it on free, so each 224 px training step has the kernel fault in
+    and zero the same pages again.  With both thresholds raised, freed
+    blocks are reused by the next step and resident memory stays near its
+    peak.  The settings are process-wide and idempotent.  Returns whether
+    both took effect; off Linux, or when ``libc`` (default: the C library
+    of this process) has no ``mallopt``, it does nothing and returns False.
+    """
+    if libc is None:
+        if not sys.platform.startswith("linux"):
+            return False
+        try:
+            libc = ctypes.CDLL(None)
+        except OSError:
+            return False
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_ok = mallopt(_M_MMAP_THRESHOLD, _HEAP_RETAIN_BYTES)
+    trim_ok = mallopt(_M_TRIM_THRESHOLD, _HEAP_RETAIN_BYTES)
+    return bool(mmap_ok and trim_ok)
 
 
 class OpRecord:
@@ -353,7 +390,7 @@ def dropout(x: Tensor, p: float, training: bool, rng: RngStream) -> Tensor:
     x = _as_tensor(x)
     if not training or p == 0.0:
         return x
-    mask = (rng.uniform(x.size).reshape(x.shape) >= p) / (1.0 - p)
+    mask = rng.keep_mask(x.size, p).reshape(x.shape) / (1.0 - p)
     data = x.data * mask
 
     def backward(g):
@@ -446,14 +483,22 @@ def max_pool2d(x: Tensor, k: int, stride: int) -> Tensor:
     for win in windows[1:]:
         np.maximum(out, v[win], out=out)
 
+    # when the windows tile the input, each input entry lies in exactly one
+    # window, so the backward writes every entry once and needs no zero fill
+    tiled = k == stride and H == k * Hh and W == k * Ww
+
     def backward(g):
-        gx = np.zeros_like(v)
+        gx = np.empty_like(v) if tiled else np.zeros_like(v)
         pending = np.ones(out.shape, dtype=bool)  # outputs whose max is not yet found
+        hit = np.empty(out.shape, dtype=bool)
         for win in windows:
-            hit = v[win] == out
+            np.equal(v[win], out, out=hit)
             hit &= pending
-            pending &= ~hit
-            gx[win] += g * hit
+            pending ^= hit
+            if tiled:
+                np.multiply(g, hit, out=gx[win])
+            else:
+                gx[win] += g * hit
         return (gx,)
 
     return _make(out, "max_pool2d", (x,), backward)

@@ -19,7 +19,7 @@ from .data import (DatasetStats, ImageSample, apply_policy, normalize,
                    resize_bilinear, rotation_pretext_sample, train_policy)
 from .errors import CheckpointError, ConfigError, ContractError, DataError, ShapeError
 from .metrics import PredictionRecord
-from .model import ModelConfig, init_params, model_forward
+from .model import ModelConfig, init_params, model_forward, param_shapes
 from .rng import RngStream
 from .tensor import OpRecord, Tensor
 
@@ -183,6 +183,7 @@ def train_epoch(params: dict[str, Tensor], model_cfg: ModelConfig,
     mean combined loss and the classification accuracy."""
     if not samples:
         raise DataError("cannot train on an empty dataset")
+    T.keep_freed_memory()
     root = RngStream(seed=train_cfg.seed)
     order = root.derive("shuffle", epoch).shuffle(list(range(len(samples))))
     total_loss = 0.0
@@ -250,6 +251,7 @@ def evaluate(params: dict[str, Tensor], model_cfg: ModelConfig,
     worker threads since parameters are read-only here."""
     if not samples:
         raise DataError("cannot evaluate an empty dataset")
+    T.keep_freed_memory()
     batches = [samples[i:i + batch_size] for i in range(0, len(samples), batch_size)]
     run = lambda b: _eval_one_batch(params, model_cfg, stats, b)
     if num_threads > 1 and len(batches) > 1:
@@ -398,25 +400,45 @@ def load_state(path) -> TrainerState:
     snap = ckpt.load_checkpoint(path)
     kv = snap.metadata
     from .kvtext import get_float, get_floats, get_int
-    model_cfg = model_config_from_kv(kv)
-    train_cfg = train_config_from_kv(kv)
-    params = {n: Tensor(arr, requires_grad=True) for n, arr in snap.params.items()}
-    m, v = {}, {}
-    for name in params:
+    try:
+        model_cfg = model_config_from_kv(kv)
+        train_cfg = train_config_from_kv(kv)
+        adam_t = get_int(kv, "trainer.adam_t")
+        epoch = get_int(kv, "trainer.epoch")
+        best_epoch = get_int(kv, "trainer.best_epoch")
+        bad_epochs = get_int(kv, "trainer.bad_epochs")
+        best_test_loss = get_float(kv, "trainer.best_test_loss")
+        stats = DatasetStats(mean=np.array(get_floats(kv, "stats.mean")),
+                             std=np.array(get_floats(kv, "stats.std")))
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: metadata lacks {exc.args[0]!r}") from None
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: bad metadata ({exc})") from None
+    # checked here so that a file that does not fit its config fails on
+    # load, not with a KeyError in the first forward pass
+    expected = param_shapes(model_cfg)
+    if set(snap.params) != set(expected):
+        raise CheckpointError(
+            f"{path}: parameters do not match the model config (missing "
+            f"{sorted(set(expected) - set(snap.params))}, unexpected "
+            f"{sorted(set(snap.params) - set(expected))})")
+    params, m, v = {}, {}, {}
+    for name, shape in expected.items():
         if f"m.{name}" not in snap.moments or f"v.{name}" not in snap.moments:
             raise CheckpointError(f"{path}: missing optimizer moments for {name!r}")
-        m[name] = snap.moments[f"m.{name}"].copy()
-        v[name] = snap.moments[f"v.{name}"].copy()
-    adam = AdamState(m=m, v=v, t=get_int(kv, "trainer.adam_t"))
-    stats = DatasetStats(mean=np.array(get_floats(kv, "stats.mean")),
-                         std=np.array(get_floats(kv, "stats.std")))
+        arrays = (snap.params[name], snap.moments[f"m.{name}"], snap.moments[f"v.{name}"])
+        if any(a.shape != shape for a in arrays):
+            raise CheckpointError(f"{path}: {name!r} or its optimizer moments do not "
+                                  f"have the shape {shape} that the model config needs")
+        params[name] = Tensor(arrays[0], requires_grad=True)
+        m[name] = arrays[1].copy()
+        v[name] = arrays[2].copy()
     return TrainerState(
-        model_cfg=model_cfg, train_cfg=train_cfg, params=params, adam=adam,
-        stats=stats, class_names=kv.get("data.class_names", "").split(","),
-        epoch=get_int(kv, "trainer.epoch"),
-        best_test_loss=get_float(kv, "trainer.best_test_loss"),
-        best_epoch=get_int(kv, "trainer.best_epoch"),
-        bad_epochs=get_int(kv, "trainer.bad_epochs"))
+        model_cfg=model_cfg, train_cfg=train_cfg, params=params,
+        adam=AdamState(m=m, v=v, t=adam_t), stats=stats,
+        class_names=kv.get("data.class_names", "").split(","),
+        epoch=epoch, best_test_loss=best_test_loss, best_epoch=best_epoch,
+        bad_epochs=bad_epochs)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,16 @@ import sys
 import numpy as np
 import pytest
 
+from hgtnet import checkpoint as ckpt
 from hgtnet import data
+from hgtnet import training as tr
 from hgtnet.cli import main
 from hgtnet.config import (default_run_config, load_run_config,
                            render_run_config, run_config_from_kv,
                            run_config_to_kv)
 from hgtnet.errors import ConfigError
 from hgtnet.metrics import PredictionRecord, write_predictions
+from hgtnet.model import tiny_config
 
 TRAIN_ARGS = ["train", "--synth", "--per-class", "8", "--tiny",
               "--image-size", "32", "--epochs", "2", "--lr", "3e-3",
@@ -156,6 +159,23 @@ class TestEvalCommand:
                      "--out", str(tmp_path / "x")])
         assert code == 5
         assert "magic" in capsys.readouterr().err
+
+
+    def test_checkpoint_missing_a_parameter_exit_5(self, tmp_path, capsys):
+        state = tr.init_state(tiny_config(32), tr.TrainConfig(seed=7),
+                              data.DatasetStats(mean=np.full(3, 0.5), std=np.full(3, 0.2)),
+                              [f"class{k}" for k in range(5)])
+        tr.save_state(state, tmp_path / "full.ckpt")
+        snap = ckpt.load_checkpoint(tmp_path / "full.ckpt")
+        for table, key in ((snap.params, "gat.w"), (snap.moments, "m.gat.w"),
+                           (snap.moments, "v.gat.w")):
+            del table[key]
+        partial = tmp_path / "partial.ckpt"
+        ckpt.save_checkpoint(partial, snap.metadata, snap.params, snap.moments)
+        code = main(["eval", "--checkpoint", str(partial), "--synth",
+                     "--out", str(tmp_path / "x")])
+        assert code == 5
+        assert "gat.w" in capsys.readouterr().err
 
 
 class TestMetricsCommand:

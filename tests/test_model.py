@@ -229,6 +229,43 @@ class TestCnnBranch:
         with pytest.raises(ShapeError):
             cnn_branch(Tensor(np.zeros((1, 3, 30, 30))), cfg, params)
 
+    @pytest.mark.parametrize("training", [False, True])
+    def test_pool_before_relu_matches_relu_before_pool_bitwise(self, training):
+        cfg = tiny_config(16, cnn_channels=(4, 6), dropout_p=0.25)
+        params = init_params(cfg, RngStream(seed=36))
+        # negative biases and flat image regions: many windows tie at 0 after
+        # the ReLU, and many have a maximum <= 0
+        params["cnn0.bias"].data[:] = [-0.4, -0.1, 0.0, 0.2]
+        params["cnn1.bias"].data[:] = [-0.3, -0.2, -0.1, 0.0, 0.1, 0.2]
+        rng = RngStream(seed=37)
+        x = rng.derive("x").normal(3 * 3 * 16 * 16).reshape(3, 3, 16, 16)
+        x[0] = 0.0
+        x[1, :, 4:12, 2:10] = 0.5
+        g = rng.derive("g").normal(3 * 6 * 4 * 4).reshape(3, 6, 4, 4)
+
+        def run(branch):
+            for p in params.values():
+                p.zero_grad()
+            out = branch(Tensor(x), cfg, params, training, RngStream(seed=38))
+            T.backward(T.tsum(out * g))
+            return out.data, {n: p.grad for n, p in params.items() if n.startswith("cnn")}
+
+        def relu_first(x, cfg, params, training, rng):
+            out = x
+            for j in range(len(cfg.cnn_channels)):
+                out = T.conv2d(out, params[f"cnn{j}.weight"], params[f"cnn{j}.bias"], padding=1)
+                out = T.max_pool2d(T.relu(out), 2, 2)
+                out = T.dropout(out, cfg.dropout_p, training, rng)
+            return out
+
+        out, grads = run(cnn_branch)
+        ref_out, ref_grads = run(relu_first)
+        assert (out == 0.0).mean() > 0.2
+        assert out.tobytes() == ref_out.tobytes()
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+
 
 class TestCrossAttentionFuse:
     def test_zero_queries_attend_uniformly(self):

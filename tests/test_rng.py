@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,33 @@ def test_clone_preserves_position():
     s.uniform(10)
     c = s.clone()
     assert np.array_equal(s.uniform(10), c.uniform(10))
+
+
+@pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 0.9])
+def test_keep_mask_equals_uniform_threshold(p):
+    a = RngStream(seed=17, stream_id=4, counter=5)
+    b = a.clone()
+    mask = a.keep_mask(10007, p)
+    assert mask.dtype == np.bool_
+    assert mask.tobytes() == (b.uniform(10007) >= p).tobytes()
+    assert a.counter == b.counter
+    assert np.array_equal(a.uniform(8), b.uniform(8))
+
+
+class _FixedDraws(RngStream):
+    """Stream whose raw draws are given, to probe values next to a threshold."""
+
+    __slots__ = ("draws",)
+
+    def _raw(self, n):
+        return self.draws[:n].copy()
+
+
+@pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 0.9, 1.0 - 2.0**-53, 2.0**-60])
+def test_keep_mask_threshold_is_exact_at_the_boundary(p):
+    t = math.ceil(p * 2.0**53) << 11
+    near = [t - 2049, t - 2048, t - 1, t, t + 1, t + 2047, t + 2048, 0, 2**64 - 1]
+    s = _FixedDraws(seed=1)
+    s.draws = np.array([v for v in near if 0 <= v < 2**64], dtype=np.uint64)
+    n = len(s.draws)
+    assert s.keep_mask(n, p).tobytes() == (s.uniform(n) >= p).tobytes()

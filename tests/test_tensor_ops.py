@@ -5,6 +5,10 @@ closed form, or computed with an independent numpy expression written
 directly in the test.
 """
 
+import platform
+import sys
+import types
+
 import numpy as np
 import pytest
 
@@ -288,6 +292,42 @@ class TestConv2d:
         assert np.array_equal(gw, gw_u) and np.array_equal(gb, gb_u)
 
 
+_POOL_CASES = [(2, 2), (2, 1), (3, 1), (3, 2), (3, 3)]
+
+
+def _check_pool_against_loop(k, stride, hw):
+    # ReLU output: about half the entries are tied zeros
+    rng = RngStream(seed=33)
+    x = np.maximum(rng.derive("x").normal(2 * 3 * hw * hw).reshape(2, 3, hw, hw), 0.0)
+    x[0, 0] = 0.0  # whole windows of ties
+    xt = T.Tensor(x, requires_grad=True)
+    out = T.max_pool2d(xt, k, stride)
+    Ho = (hw - k) // stride + 1
+    g = rng.derive("g").normal(2 * 3 * Ho * Ho).reshape(2, 3, Ho, Ho)
+    (gx,) = out.op_record.backward(g)
+
+    ref = np.zeros((2, 3, Ho, Ho))
+    ref_gx = np.zeros_like(x)
+    for b in range(2):
+        for c in range(3):
+            for i in range(Ho):
+                for j in range(Ho):
+                    window = x[b, c, i * stride:i * stride + k, j * stride:j * stride + k]
+                    first = int(np.argmax(window.reshape(-1)))  # first maximum
+                    ref[b, c, i, j] = window.max()
+                    ref_gx[b, c, i * stride + first // k,
+                           j * stride + first % k] += g[b, c, i, j]
+    assert np.array_equal(out.data, ref)
+    if k <= stride:
+        # each entry takes at most one share, so no sum is reordered; a tiled
+        # backward writes g * 0 off the maxima, which is -0.0 where g < 0, so
+        # zeros are compared by value, not by sign
+        assert np.array_equal(gx, ref_gx)
+    else:
+        # overlapping windows add their shares in another order than the loop
+        np.testing.assert_allclose(gx, ref_gx, rtol=1e-12, atol=1e-12)
+
+
 class TestMaxPool:
     def test_basic_2x2(self):
         x = T.Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
@@ -308,32 +348,26 @@ class TestMaxPool:
         with pytest.raises(ShapeError):
             T.max_pool2d(T.Tensor(np.ones((1, 1, 2, 2))), 3, 1)
 
-    @pytest.mark.parametrize("k,stride", [(2, 2), (2, 1), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("k,stride", _POOL_CASES)
     def test_ties_forward_and_backward_match_loop(self, k, stride):
-        # ReLU output: about half the entries are tied zeros
-        rng = RngStream(seed=33)
-        x = np.maximum(rng.derive("x").normal(2 * 3 * 7 * 7).reshape(2, 3, 7, 7), 0.0)
-        x[0, 0] = 0.0  # whole windows of ties
-        xt = T.Tensor(x, requires_grad=True)
-        out = T.max_pool2d(xt, k, stride)
-        Ho = (7 - k) // stride + 1
-        g = rng.derive("g").normal(2 * 3 * Ho * Ho).reshape(2, 3, Ho, Ho)
-        (gx,) = out.op_record.backward(g)
+        _check_pool_against_loop(k, stride, 7)
 
-        ref = np.zeros((2, 3, Ho, Ho))
-        ref_gx = np.zeros_like(x)
-        for b in range(2):
-            for c in range(3):
-                for i in range(Ho):
-                    for j in range(Ho):
-                        window = x[b, c, i * stride:i * stride + k, j * stride:j * stride + k]
-                        first = int(np.argmax(window.reshape(-1)))  # first maximum
-                        ref[b, c, i, j] = window.max()
-                        ref_gx[b, c, i * stride + first // k,
-                               j * stride + first % k] += g[b, c, i, j]
-        assert np.array_equal(out.data, ref)
-        # overlapping windows add their shares in another order than the loop
-        np.testing.assert_allclose(gx, ref_gx, rtol=1e-12, atol=1e-12)
+    # on 6 x 6 the k = stride cases tile the input, which takes the backward
+    # path without a zero fill
+    @pytest.mark.parametrize("k,stride", _POOL_CASES)
+    def test_ties_on_six_by_six_match_loop(self, k, stride):
+        _check_pool_against_loop(k, stride, 6)
+
+
+class TestKeepFreedMemory:
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or platform.libc_ver()[0] != "glibc", reason="needs glibc")
+    def test_takes_effect_on_glibc_and_is_idempotent(self):
+        assert T.keep_freed_memory()
+        assert T.keep_freed_memory()
+
+    def test_no_op_without_mallopt(self):
+        assert T.keep_freed_memory(libc=types.SimpleNamespace()) is False
 
 
 class TestBackwardContract:

@@ -448,6 +448,41 @@ class TestPersistence:
         with pytest.raises(CheckpointError, match="moments"):
             tr.load_state(path)
 
+    @pytest.mark.parametrize("name,change", [
+        ("gat.w", "drop"), ("gat.w", "reshape"), ("extra.w", "add")])
+    def test_params_not_matching_the_config_rejected_on_load(self, tmp_path, name, change):
+        samples, train, test, stats, cfg, tcfg, names = _synth_setup()
+        state = tr.init_state(cfg, tcfg, stats, names)
+        path = tmp_path / "state.ckpt"
+        tr.save_state(state, path)
+        snap = ckpt.load_checkpoint(path)
+        if change == "drop":
+            for table in (snap.params, snap.moments):
+                for key in (name, f"m.{name}", f"v.{name}"):
+                    table.pop(key, None)
+        elif change == "reshape":
+            snap.params[name] = snap.params[name].reshape(-1)
+        else:
+            snap.params[name] = np.zeros(3)
+        ckpt.save_checkpoint(path, snap.metadata, snap.params, snap.moments)
+        with pytest.raises(CheckpointError, match=name.replace(".", r"\.")):
+            tr.load_state(path)
+
+    @pytest.mark.parametrize("key,value", [
+        ("trainer.adam_t", None), ("trainer.epoch", "two"), ("model.embed_dim", "7")])
+    def test_bad_metadata_rejected_on_load(self, tmp_path, key, value):
+        samples, train, test, stats, cfg, tcfg, names = _synth_setup()
+        path = tmp_path / "state.ckpt"
+        tr.save_state(tr.init_state(cfg, tcfg, stats, names), path)
+        snap = ckpt.load_checkpoint(path)
+        if value is None:
+            del snap.metadata[key]
+        else:
+            snap.metadata[key] = value
+        ckpt.save_checkpoint(path, snap.metadata, snap.params, snap.moments)
+        with pytest.raises(CheckpointError, match="metadata"):
+            tr.load_state(path)
+
     def test_config_kv_round_trip(self):
         cfg = tiny_config(32, rotation_loss_weight=0.25)
         assert tr.model_config_from_kv(tr.model_config_to_kv(cfg)) == cfg
