@@ -13,13 +13,15 @@ Subpackage map:
 """
 
 from .errors import (CheckpointError, ConfigError, ContractError, DataError,
-                     DegenerateInputError, FormatError, HgtnetError, ShapeError)
+                     DegenerateInputError, DivergenceError, FormatError,
+                     HgtnetError, ShapeError)
 from .rng import RngStream
 from .tensor import Tensor
 
 __all__ = [
     "CheckpointError", "ConfigError", "ContractError", "DataError",
-    "DegenerateInputError", "FormatError", "HgtnetError", "ShapeError",
+    "DegenerateInputError", "DivergenceError", "FormatError", "HgtnetError",
+    "ShapeError",
     "RngStream", "Tensor",
 ]
 

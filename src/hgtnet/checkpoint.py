@@ -22,6 +22,7 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -105,6 +106,21 @@ def _unpack_table(r: _Reader) -> dict[str, np.ndarray]:
     return out
 
 
+def atomic_write(path, write_fn) -> None:
+    """Run ``write_fn(tmp_path)`` on a fresh file beside ``path``, then rename
+    it over ``path``; on any failure the temp file is removed and ``path``
+    is left as it was."""
+    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=os.path.dirname(os.fspath(path)) or ".")
+    os.close(fd)
+    try:
+        write_fn(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(path, metadata: dict[str, str], params: dict[str, np.ndarray],
                     moments: dict[str, np.ndarray]) -> None:
     meta_bytes = render_kv(metadata).encode("utf-8")
@@ -116,17 +132,7 @@ def save_checkpoint(path, metadata: dict[str, str], params: dict[str, np.ndarray
         _pack_table(params),
         _pack_table(moments),
     ])
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".ckpt-", dir=directory)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, lambda tmp: Path(tmp).write_bytes(blob))
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -11,6 +11,7 @@ diagnostic and a code identifying the failure class:
     3  data error (malformed dataset tree or CSV contents)
     4  I/O error (unreadable/unwritable paths)
     5  checkpoint missing or malformed
+    6  training diverged (a non-finite train or test loss)
 """
 
 from __future__ import annotations
@@ -18,17 +19,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
 from . import data
 from . import tensor as T
 from . import training as tr
+from .checkpoint import atomic_write
 from .config import RunConfig, default_run_config, load_run_config, render_run_config
 from .errors import (CheckpointError, ConfigError, ContractError, DataError,
-                     HgtnetError, ShapeError)
+                     DivergenceError, HgtnetError, ShapeError)
 from .gradcheck import check_gradients
 from .metrics import (build_report, read_predictions, render_report,
                       write_predictions, write_roc)
@@ -43,40 +45,18 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_IO = 4
 EXIT_CHECKPOINT = 5
+EXIT_DIVERGED = 6
 
 
-def _atomic_write_text(path, text: str) -> None:
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_via(path, write_fn) -> None:
-    """Run ``write_fn(tmp_path)`` then rename tmp over ``path``."""
-    directory = os.path.dirname(os.fspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
-    os.close(fd)
-    try:
-        write_fn(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _write_text(path, text: str) -> None:
+    atomic_write(path, lambda p: Path(p).write_text(text, encoding="utf-8", newline=""))
 
 
 def _write_confusion(path, confusion, class_names) -> None:
     lines = ["actual\\predicted," + ",".join(class_names)]
     for name, row in zip(class_names, confusion):
         lines.append(name + "," + ",".join(str(int(v)) for v in row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -159,19 +139,22 @@ def _load_training_data(cfg: RunConfig, args):
 
 def _emit_eval_artifacts(out_dir, records, class_names) -> None:
     report = build_report(records, len(class_names), class_names=class_names)
-    _atomic_write_via(os.path.join(out_dir, "predictions.csv"),
-                      lambda p: write_predictions(p, records))
-    _atomic_write_text(os.path.join(out_dir, "report.txt"), render_report(report))
+    atomic_write(os.path.join(out_dir, "predictions.csv"),
+                 lambda p: write_predictions(p, records))
+    _write_text(os.path.join(out_dir, "report.txt"), render_report(report))
     _write_confusion(os.path.join(out_dir, "confusion.csv"), report.confusion,
                      class_names)
     for k, curve in enumerate(report.roc):
         if curve is not None:
-            _atomic_write_via(os.path.join(out_dir, f"roc_class{k}.csv"),
-                              lambda p, c=curve: write_roc(p, c))
+            atomic_write(os.path.join(out_dir, f"roc_class{k}.csv"),
+                         lambda p, c=curve: write_roc(p, c))
 
 
 def cmd_train(args) -> int:
     cfg = _resolve(args)
+    if cfg.checkpoint is not None:
+        raise ConfigError("train starts a new run and does not read run.checkpoint; "
+                          "remove the key")
     if _maybe_print_config(args, cfg):
         return EXIT_OK
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -181,8 +164,8 @@ def cmd_train(args) -> int:
     history = tr.fit(state, train_samples, test_samples, policy=cfg.train_aug,
                      out_dir=cfg.out_dir, eval_threads=args.eval_threads,
                      log=lambda msg: print(msg))
-    _atomic_write_via(os.path.join(cfg.out_dir, "history.csv"),
-                      lambda p: tr.write_history(p, history))
+    atomic_write(os.path.join(cfg.out_dir, "history.csv"),
+                 lambda p: tr.write_history(p, history))
     # final artifacts come from the best checkpoint so that a later
     # `eval --checkpoint best.ckpt` reproduces them bitwise
     best = tr.load_state(os.path.join(cfg.out_dir, "best.ckpt"))
@@ -242,8 +225,8 @@ def cmd_metrics(args) -> int:
                          report.confusion, report.class_names)
         for idx, curve in enumerate(report.roc):
             if curve is not None:
-                _atomic_write_via(os.path.join(args.out, f"roc_class{idx}.csv"),
-                                  lambda p, c=curve: write_roc(p, c))
+                atomic_write(os.path.join(args.out, f"roc_class{idx}.csv"),
+                             lambda p, c=curve: write_roc(p, c))
     return EXIT_OK
 
 
@@ -312,39 +295,28 @@ def _gradcheck_battery(seed: int):
     return checks
 
 
-def _scaled(grads: tuple) -> tuple:
-    return tuple(None if gi is None else 1.01 * gi for gi in grads)
+def _scale_backward(out: Tensor) -> Tensor:
+    """Wrap ``out``'s backward so every gradient it returns is 1.01x too big."""
+    if out.op_record is not None:
+        rec = out.op_record
+        out.op_record = OpRecord(
+            rec.name, rec.parents,
+            lambda g: tuple(None if gi is None else 1.01 * gi for gi in rec.backward(g)))
+    return out
 
 
 def _corrupt_op(name: str) -> None:
-    """Test hook: scale one op's backward by 1.01 so gradcheck must fail."""
+    """Test hook: scale one op's backward by 1.01 so gradcheck must fail.
+    ``tensor.gelu`` reaches ``activation`` through the module globals, so
+    replacing ``activation`` covers it."""
     if name == "gelu":
-        original = T.activation
-
-        def tampered(x, kind, **kw):
-            out = original(x, kind, **kw)
-            if kind == "gelu" and out.op_record is not None:
-                rec = out.op_record
-                out.op_record = OpRecord(rec.name, rec.parents,
-                                         lambda g, _b=rec.backward:
-                                         _scaled(_b(g)))
-            return out
-
-        T.activation = tampered
-        T.gelu = lambda t: T.activation(t, "gelu")
+        activation = T.activation
+        T.activation = lambda x, kind, **kw: (
+            _scale_backward(activation(x, kind, **kw)) if kind == "gelu"
+            else activation(x, kind, **kw))
     elif name == "matmul":
-        original_mm = T.matmul
-
-        def tampered_mm(a, b):
-            out = original_mm(a, b)
-            if out.op_record is not None:
-                rec = out.op_record
-                out.op_record = OpRecord(rec.name, rec.parents,
-                                         lambda g, _b=rec.backward:
-                                         _scaled(_b(g)))
-            return out
-
-        T.matmul = tampered_mm
+        matmul = T.matmul
+        T.matmul = lambda a, b: _scale_backward(matmul(a, b))
     else:
         raise ConfigError(f"unknown corruption target {name!r}")
 
@@ -386,8 +358,8 @@ def cmd_synth(args) -> int:
         class_dir, _, stem = s.id.partition("_")
         directory = os.path.join(out, class_dir)
         os.makedirs(directory, exist_ok=True)
-        _atomic_write_via(os.path.join(directory, f"{stem}.ppm"),
-                          lambda p, px=s.pixels: write_ppm(p, from_unit(px)))
+        atomic_write(os.path.join(directory, f"{stem}.ppm"),
+                     lambda p, px=s.pixels: write_ppm(p, from_unit(px)))
     print(f"wrote {len(samples)} images under {out}")
     return EXIT_OK
 
@@ -407,10 +379,10 @@ def cmd_augment(args) -> int:
         augmented = data.apply_policy(sample, cfg.train_aug, rng=rng)
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    _atomic_write_via(os.path.join(out, "before.ppm"),
-                      lambda p: write_ppm(p, from_unit(resized.pixels)))
-    _atomic_write_via(os.path.join(out, "after.ppm"),
-                      lambda p: write_ppm(p, from_unit(augmented.pixels)))
+    atomic_write(os.path.join(out, "before.ppm"),
+                 lambda p: write_ppm(p, from_unit(resized.pixels)))
+    atomic_write(os.path.join(out, "after.ppm"),
+                 lambda p: write_ppm(p, from_unit(augmented.pixels)))
     print(f"wrote before.ppm and after.ppm ({size}x{size}) to {out}")
     return EXIT_OK
 
@@ -430,6 +402,17 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
                    help="print the merged config and exit")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and sizes: an integer >= 1."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hgtnet",
@@ -440,17 +423,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p)
     p.add_argument("--synth", action="store_true",
                    help="train on the built-in synthetic texture dataset")
-    p.add_argument("--per-class", type=int, default=None,
+    p.add_argument("--per-class", type=_positive_int, default=None,
                    help="synthetic samples per class (with --synth)")
     p.add_argument("--tiny", action="store_true",
                    help="desk-scale preset: 1 encoder layer, 8-dim embeddings")
-    p.add_argument("--image-size", type=int, default=None)
+    p.add_argument("--image-size", type=_positive_int, default=None)
     p.add_argument("--encoder-layers", type=int, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--eval-threads", type=int, default=1)
+    p.add_argument("--eval-threads", type=_positive_int, default=1)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint and write reports")
@@ -458,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--synth", action="store_true",
                    help="evaluate on the synthetic test split")
-    p.add_argument("--per-class", type=int, default=None)
-    p.add_argument("--eval-threads", type=int, default=1)
+    p.add_argument("--per-class", type=_positive_int, default=None)
+    p.add_argument("--eval-threads", type=_positive_int, default=1)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("metrics", help="render a report from a prediction CSV")
@@ -476,15 +459,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="write the synthetic dataset as PPM files")
     p.add_argument("--out", default=None)
-    p.add_argument("--per-class", type=int, default=None)
-    p.add_argument("--image-size", type=int, default=None)
+    p.add_argument("--per-class", type=_positive_int, default=None)
+    p.add_argument("--image-size", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("augment", help="apply the train-time policy to one image")
     _add_shared(p)
     p.add_argument("--input", required=True, help="input PPM image")
-    p.add_argument("--image-size", type=int, default=None)
+    p.add_argument("--image-size", type=_positive_int, default=None)
     p.add_argument("--no-random", action="store_true",
                    help="zero all randomness: output equals the resized input")
     p.set_defaults(func=cmd_augment)
@@ -502,6 +485,9 @@ def main(argv=None) -> int:
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
+    except DivergenceError as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -1,4 +1,4 @@
-"""Run configuration: model + trainer + augmentation policies + paths,
+"""Run configuration: model + trainer + training augmentation + paths,
 merged from built-in defaults, an optional flat ``key = value`` file, and
 command-line overrides (strongest last).
 """
@@ -7,12 +7,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .data import AugmentPolicy, test_policy, train_policy
+from .data import AugmentPolicy, train_policy
 from .errors import ConfigError
-from .kvtext import get_float, get_int, parse_kv, render_kv
+from .kvtext import from_kv, get_float, get_int, parse_kv, render_kv, to_kv
 from .model import ModelConfig
-from .training import (TrainConfig, model_config_from_kv, model_config_to_kv,
-                       train_config_from_kv, train_config_to_kv)
+from .training import TrainConfig
 
 
 @dataclass
@@ -20,7 +19,6 @@ class RunConfig:
     model: ModelConfig
     train: TrainConfig
     train_aug: AugmentPolicy
-    test_aug: AugmentPolicy
     data_root: str | None = None
     out_dir: str = "runs/latest"
     checkpoint: str | None = None
@@ -76,8 +74,7 @@ def _policy_from_kv(kv: dict[str, str], prefix: str,
 def default_run_config(image_size: int = 224) -> RunConfig:
     model = ModelConfig() if image_size == 224 else ModelConfig(image_size=image_size)
     return RunConfig(model=model, train=TrainConfig(),
-                     train_aug=train_policy(image_size),
-                     test_aug=test_policy(image_size))
+                     train_aug=train_policy(image_size))
 
 
 def run_config_from_kv(kv: dict[str, str]) -> RunConfig:
@@ -86,13 +83,10 @@ def run_config_from_kv(kv: dict[str, str]) -> RunConfig:
     Unknown keys are rejected so typos fail loudly instead of silently
     training with a default.
     """
-    model = model_config_from_kv(kv)
-    train = train_config_from_kv(kv)
-    size = model.image_size
-    train_aug = _policy_from_kv(kv, "aug.train.", train_policy(size))
-    test_aug = _policy_from_kv(kv, "aug.test.", test_policy(size))
+    model = from_kv(ModelConfig, kv, "model.")
     cfg = RunConfig(
-        model=model, train=train, train_aug=train_aug, test_aug=test_aug,
+        model=model, train=from_kv(TrainConfig, kv, "train."),
+        train_aug=_policy_from_kv(kv, "aug.train.", train_policy(model.image_size)),
         data_root=kv.get("run.data_root") or None,
         out_dir=kv.get("run.out_dir", "runs/latest"),
         checkpoint=kv.get("run.checkpoint") or None)
@@ -104,11 +98,8 @@ def run_config_from_kv(kv: dict[str, str]) -> RunConfig:
 
 
 def run_config_to_kv(cfg: RunConfig) -> dict[str, str]:
-    kv = {}
-    kv.update(model_config_to_kv(cfg.model))
-    kv.update(train_config_to_kv(cfg.train))
-    kv.update(_policy_to_kv(cfg.train_aug, "aug.train."))
-    kv.update(_policy_to_kv(cfg.test_aug, "aug.test."))
+    kv = {**to_kv(cfg.model, "model."), **to_kv(cfg.train, "train."),
+          **_policy_to_kv(cfg.train_aug, "aug.train.")}
     kv["run.data_root"] = cfg.data_root or ""
     kv["run.out_dir"] = cfg.out_dir
     kv["run.checkpoint"] = cfg.checkpoint or ""
@@ -123,7 +114,11 @@ def load_run_config(path: str | None, overrides: dict[str, str]) -> RunConfig:
     """defaults < config file < overrides, as one merged key space."""
     kv: dict[str, str] = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            kv.update(parse_kv(fh.read(), source=path))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+        kv.update(parse_kv(text, source=path))
     kv.update(overrides)
     return run_config_from_kv(kv)

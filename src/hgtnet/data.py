@@ -1,4 +1,4 @@
-"""Dataset handling and the train/test augmentation stacks.
+"""Dataset handling and the training augmentation stack.
 
 Images are H x W x 3 float64 arrays in [0, 1] wrapped in ``ImageSample``.
 Every augmentation returns a new sample, preserves shape, and clamps back
@@ -91,17 +91,6 @@ def train_policy(target: int = 224) -> AugmentPolicy:
         jitter_brightness=0.2, jitter_contrast=0.2, jitter_saturation=0.2, jitter_hue=0.05,
         sharpness_factor=0.2, sharpness_prob=0.5,
         blur_kernel=3, blur_sigma_range=(0.1, 2.0),
-        target_size=(target, target))
-
-
-def test_policy(target: int = 224) -> AugmentPolicy:
-    """Evaluation-time stack: milder jitter, rotations capped at 5 degrees,
-    no flips, no sharpness, no blur."""
-    return AugmentPolicy(
-        flip_prob=0.0, max_rotation_deg=5.0,
-        jitter_brightness=0.1, jitter_contrast=0.1, jitter_saturation=0.1, jitter_hue=0.02,
-        sharpness_factor=0.0, sharpness_prob=0.0,
-        blur_kernel=3, blur_sigma_range=None,
         target_size=(target, target))
 
 
@@ -417,10 +406,14 @@ def rotate90(px: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(np.rot90(px, k=-(k % 4)))
 
 
+# quarter turns, RotNet style: the rotation head predicts one of these classes
+NUM_ROTATIONS = 4
+
+
 def rotation_pretext_sample(img: ImageSample, rng: RngStream) -> tuple[ImageSample, int]:
     """Rotate by a uniformly drawn multiple of 90 degrees; returns the rotated
     sample and the rotation label in {0, 1, 2, 3}."""
-    label = rng.randint(4)
+    label = rng.randint(NUM_ROTATIONS)
     if label == 0:
         return img.with_pixels(img.pixels.copy()), 0
     return img.with_pixels(rotate90(img.pixels, label)), label

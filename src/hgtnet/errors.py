@@ -31,3 +31,7 @@ class FormatError(DataError):
 
 class CheckpointError(HgtnetError):
     """Checkpoint file is malformed: bad magic, unsupported version, truncation."""
+
+
+class DivergenceError(HgtnetError):
+    """Training produced a non-finite loss."""

@@ -16,6 +16,19 @@ from . import tensor as T
 from .rng import RngStream
 
 
+def _probe(fn: Callable[[], T.Tensor], param: T.Tensor, flat_index: int,
+           h: float) -> tuple[float, float]:
+    """Loss at ``param[flat_index] +- h``, restoring the original value."""
+    flat = param.data.reshape(-1)
+    keep = flat[flat_index]
+    flat[flat_index] = keep + h
+    up = fn().item()
+    flat[flat_index] = keep - h
+    down = fn().item()
+    flat[flat_index] = keep
+    return up, down
+
+
 def finite_difference_gradient(fn: Callable[[], T.Tensor], param: T.Tensor,
                                h: float = 1e-5,
                                indices: Sequence[tuple] | None = None) -> np.ndarray:
@@ -25,19 +38,13 @@ def finite_difference_gradient(fn: Callable[[], T.Tensor], param: T.Tensor,
     every call.  When ``indices`` is given only those coordinates are
     probed (others return 0), which keeps whole-model checks affordable.
     """
-    flat = param.data.reshape(-1)
-    grad = np.zeros_like(flat)
+    grad = np.zeros(param.data.size)
     if indices is None:
-        probe = range(flat.size)
+        probe = range(param.data.size)
     else:
         probe = [int(np.ravel_multi_index(ix, param.data.shape)) for ix in indices]
     for i in probe:
-        keep = flat[i]
-        flat[i] = keep + h
-        up = fn().item()
-        flat[i] = keep - h
-        down = fn().item()
-        flat[i] = keep
+        up, down = _probe(fn, param, i, h)
         grad[i] = (up - down) / (2.0 * h)
     return grad.reshape(param.data.shape)
 
@@ -63,19 +70,6 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray,
 # the central difference to be a derivative estimate at all; this is the
 # acceptance gate (relative to the larger slope).
 _KINK_GAP = 1e-4
-
-
-def _probe(fn: Callable[[], T.Tensor], param: T.Tensor, flat_index: int,
-           h: float) -> tuple[float, float]:
-    """Loss at ``param[flat_index] +- h``, restoring the original value."""
-    flat = param.data.reshape(-1)
-    keep = flat[flat_index]
-    flat[flat_index] = keep + h
-    up = fn().item()
-    flat[flat_index] = keep - h
-    down = fn().item()
-    flat[flat_index] = keep
-    return up, down
 
 
 def _sample_coordinates(fn: Callable[[], T.Tensor], param: T.Tensor,

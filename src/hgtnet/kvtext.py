@@ -1,9 +1,12 @@
 """Flat ``key = value`` text format shared by config files and checkpoint
 metadata.  Lines starting with ``#`` (and blank lines) are ignored; values
-are kept as strings, with typed accessors for the common cases.
+are kept as strings, with typed accessors for the common cases and a codec
+between a dataclass of numbers and its ``prefix.field`` keys.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 from .errors import ConfigError
 
@@ -59,3 +62,26 @@ def get_floats(kv: dict[str, str], key: str) -> tuple[float, ...]:
         return tuple(float(v.strip()) for v in kv[key].split(","))
     except ValueError:
         raise ConfigError(f"{key}: expected comma-separated numbers, got {kv[key]!r}") from None
+
+
+def to_kv(obj, prefix: str) -> dict[str, str]:
+    """One ``prefix + field name`` key per dataclass field, in field order;
+    tuples are written comma-separated."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        out[prefix + f.name] = (",".join(str(v) for v in value)
+                                if isinstance(value, tuple) else str(value))
+    return out
+
+
+_GETTERS = {int: get_int, float: get_float, tuple: get_ints}
+
+
+def from_kv(cls, kv: dict[str, str], prefix: str):
+    """Build dataclass ``cls`` from the ``prefix + field name`` keys present
+    in ``kv``; absent fields keep their defaults, other keys are ignored.
+    Each value is parsed by the getter for its default's type."""
+    updates = {f.name: _GETTERS[type(f.default)](kv, prefix + f.name)
+               for f in dataclasses.fields(cls) if prefix + f.name in kv}
+    return cls(**updates)

@@ -9,12 +9,13 @@ never affects any output.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .errors import ContractError, DataError, DegenerateInputError
+from .errors import ContractError, DataError, DegenerateInputError, FormatError
 
 
 @dataclass(frozen=True)
@@ -201,28 +202,32 @@ def write_predictions(path, records: list[PredictionRecord]) -> None:
 
 def read_predictions(path) -> list[PredictionRecord]:
     records: list[PredictionRecord] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty prediction file") from None
+    if header[:2] != ["sample_id", "true_label"] or len(header) < 3:
+        raise DataError(f"{path}: line 1: bad header {header!r}")
+    width = len(header)
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise DataError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty prediction file") from None
-        if header[:2] != ["sample_id", "true_label"] or len(header) < 3:
-            raise DataError(f"{path}: line 1: bad header {header!r}")
-        width = len(header)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise DataError(f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
-            try:
-                label = int(row[1])
-                scores = tuple(float(v) for v in row[2:])
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
-            if not all(np.isfinite(scores)):
-                raise DataError(f"{path}: line {lineno}: non-finite score")
-            records.append(PredictionRecord(sample_id=row[0], true_label=label, scores=scores))
+            label = int(row[1])
+            scores = tuple(float(v) for v in row[2:])
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
+        if not all(np.isfinite(scores)):
+            raise DataError(f"{path}: line {lineno}: non-finite score")
+        records.append(PredictionRecord(sample_id=row[0], true_label=label, scores=scores))
     if not records:
         raise DataError(f"{path}: no prediction rows")
     return records

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .data import NUM_ROTATIONS
 from .errors import ConfigError, ContractError, ShapeError
 from .rng import RngStream
 from .tensor import Tensor
@@ -31,16 +32,15 @@ class ModelConfig:
     mlp_ratio: float = 4.0
     cnn_channels: tuple[int, ...] = (16, 32, 64)
     dropout_p: float = 0.1
-    graph_connectivity: str = "grid8"
     gat_leaky_slope: float = 0.2
     num_classes: int = 5
-    num_rotations: int = 4
     rotation_loss_weight: float = 0.1
 
     def __post_init__(self):
         self.cnn_channels = tuple(self.cnn_channels)
-        if self.image_size < 1 or self.patch_size < 1:
-            raise ConfigError("image_size and patch_size must be positive")
+        for name in ("image_size", "patch_size", "embed_dim", "num_heads"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.image_size % self.patch_size:
             raise ConfigError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
@@ -49,16 +49,12 @@ class ModelConfig:
                 f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if self.graph_connectivity != "grid8":
-            raise ConfigError(f"unknown graph connectivity {self.graph_connectivity!r}")
         if self.num_encoder_layers < 1:
             raise ConfigError("num_encoder_layers must be >= 1")
         if not self.cnn_channels:
             raise ConfigError("cnn_channels must be non-empty")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
-        if self.num_rotations != 4:
-            raise ConfigError("num_rotations is fixed at 4 (quarter turns)")
         if self.rotation_loss_weight < 0:
             raise ConfigError("rotation_loss_weight must be >= 0")
         # the pooling chain halves the spatial extent per CNN block
@@ -159,8 +155,8 @@ def _param_spec(cfg: ModelConfig) -> dict[str, tuple[tuple[int, ...], int | str 
     spec["head.ln.beta"] = ((d,), None)
     spec["head.w"] = ((d, cfg.num_classes), d)
     spec["head.b"] = ((cfg.num_classes,), None)
-    spec["rot.w"] = ((d, cfg.num_rotations), d)
-    spec["rot.b"] = ((cfg.num_rotations,), None)
+    spec["rot.w"] = ((d, NUM_ROTATIONS), d)
+    spec["rot.b"] = ((NUM_ROTATIONS,), None)
     return spec
 
 

@@ -17,7 +17,9 @@ from . import checkpoint as ckpt
 from . import tensor as T
 from .data import (DatasetStats, ImageSample, apply_policy, normalize,
                    resize_bilinear, rotation_pretext_sample, train_policy)
-from .errors import CheckpointError, ConfigError, ContractError, DataError, ShapeError
+from .errors import (CheckpointError, ConfigError, ContractError, DataError,
+                     DivergenceError, ShapeError)
+from .kvtext import from_kv, get_float, get_floats, get_int, to_kv
 from .metrics import PredictionRecord
 from .model import ModelConfig, init_params, model_forward, param_shapes
 from .rng import RngStream
@@ -66,6 +68,16 @@ class EpochRecord:
 # losses
 # ---------------------------------------------------------------------------
 
+def _softmax_nll(z: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row softmax of B x K logits and each row's negative log-likelihood of
+    its label, both through the max-shifted log-sum-exp."""
+    m = z.max(axis=1, keepdims=True)
+    ez = np.exp(z - m)
+    total = ez.sum(axis=1, keepdims=True)
+    losses = m[:, 0] + np.log(total[:, 0]) - z[np.arange(len(z)), labels]
+    return ez / total, losses
+
+
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean negative log-likelihood over the batch via log-sum-exp."""
     if logits.ndim != 2:
@@ -77,14 +89,9 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ContractError(f"labels must lie in [0, {k}), got range "
                             f"[{labels.min()}, {labels.max()}]")
-    z = logits.data
-    m = z.max(axis=1, keepdims=True)
-    ez = np.exp(z - m)
-    lse = m[:, 0] + np.log(ez.sum(axis=1))
-    out = Tensor((lse - z[np.arange(b), labels]).mean())
+    probs, losses = _softmax_nll(logits.data, labels)
+    out = Tensor(losses.mean())
     if logits.requires_grad or logits.op_record is not None:
-        probs = ez / ez.sum(axis=1, keepdims=True)
-
         def backward(g):
             gz = probs.copy()
             gz[np.arange(b), labels] -= 1.0
@@ -228,13 +235,8 @@ def _eval_one_batch(params, model_cfg, stats, batch):
     # untracked views of the parameters: the forward records no graph
     frozen = {name: Tensor(p.data) for name, p in params.items()}
     cls, _ = model_forward(x, model_cfg, frozen, training=False)
-    z = cls.data
-    m = z.max(axis=1, keepdims=True)
-    ez = np.exp(z - m)
-    probs = ez / ez.sum(axis=1, keepdims=True)
     labels = np.array([s.label for s in batch])
-    lse = m[:, 0] + np.log(ez.sum(axis=1))
-    losses = lse - z[np.arange(len(batch)), labels]
+    probs, losses = _softmax_nll(cls.data, labels)
     records = [PredictionRecord(sample_id=s.id, true_label=s.label,
                                 scores=tuple(float(v) for v in probs[i]))
                for i, s in enumerate(batch)]
@@ -307,81 +309,8 @@ def init_state(model_cfg: ModelConfig, train_cfg: TrainConfig, stats: DatasetSta
                         class_names=list(class_names))
 
 
-def model_config_to_kv(cfg: ModelConfig) -> dict[str, str]:
-    return {
-        "model.image_size": str(cfg.image_size),
-        "model.patch_size": str(cfg.patch_size),
-        "model.embed_dim": str(cfg.embed_dim),
-        "model.num_heads": str(cfg.num_heads),
-        "model.num_encoder_layers": str(cfg.num_encoder_layers),
-        "model.mlp_ratio": repr(cfg.mlp_ratio),
-        "model.cnn_channels": ",".join(str(c) for c in cfg.cnn_channels),
-        "model.dropout_p": repr(cfg.dropout_p),
-        "model.graph_connectivity": cfg.graph_connectivity,
-        "model.gat_leaky_slope": repr(cfg.gat_leaky_slope),
-        "model.num_classes": str(cfg.num_classes),
-        "model.num_rotations": str(cfg.num_rotations),
-        "model.rotation_loss_weight": repr(cfg.rotation_loss_weight),
-    }
-
-
-def model_config_from_kv(kv: dict[str, str]) -> ModelConfig:
-    from .kvtext import get_float, get_int, get_ints
-    base = ModelConfig()
-    def pick(key, getter, fallback):
-        return getter(kv, key) if key in kv else fallback
-    return ModelConfig(
-        image_size=pick("model.image_size", get_int, base.image_size),
-        patch_size=pick("model.patch_size", get_int, base.patch_size),
-        embed_dim=pick("model.embed_dim", get_int, base.embed_dim),
-        num_heads=pick("model.num_heads", get_int, base.num_heads),
-        num_encoder_layers=pick("model.num_encoder_layers", get_int, base.num_encoder_layers),
-        mlp_ratio=pick("model.mlp_ratio", get_float, base.mlp_ratio),
-        cnn_channels=pick("model.cnn_channels", get_ints, base.cnn_channels),
-        dropout_p=pick("model.dropout_p", get_float, base.dropout_p),
-        graph_connectivity=kv.get("model.graph_connectivity", base.graph_connectivity),
-        gat_leaky_slope=pick("model.gat_leaky_slope", get_float, base.gat_leaky_slope),
-        num_classes=pick("model.num_classes", get_int, base.num_classes),
-        num_rotations=pick("model.num_rotations", get_int, base.num_rotations),
-        rotation_loss_weight=pick("model.rotation_loss_weight", get_float,
-                                  base.rotation_loss_weight),
-    )
-
-
-def train_config_to_kv(cfg: TrainConfig) -> dict[str, str]:
-    return {
-        "train.learning_rate": repr(cfg.learning_rate),
-        "train.batch_size": str(cfg.batch_size),
-        "train.max_epochs": str(cfg.max_epochs),
-        "train.patience": str(cfg.patience),
-        "train.adam_beta1": repr(cfg.adam_beta1),
-        "train.adam_beta2": repr(cfg.adam_beta2),
-        "train.adam_eps": repr(cfg.adam_eps),
-        "train.seed": str(cfg.seed),
-    }
-
-
-def train_config_from_kv(kv: dict[str, str]) -> TrainConfig:
-    from .kvtext import get_float, get_int
-    base = TrainConfig()
-    def pick(key, getter, fallback):
-        return getter(kv, key) if key in kv else fallback
-    return TrainConfig(
-        learning_rate=pick("train.learning_rate", get_float, base.learning_rate),
-        batch_size=pick("train.batch_size", get_int, base.batch_size),
-        max_epochs=pick("train.max_epochs", get_int, base.max_epochs),
-        patience=pick("train.patience", get_int, base.patience),
-        adam_beta1=pick("train.adam_beta1", get_float, base.adam_beta1),
-        adam_beta2=pick("train.adam_beta2", get_float, base.adam_beta2),
-        adam_eps=pick("train.adam_eps", get_float, base.adam_eps),
-        seed=pick("train.seed", get_int, base.seed),
-    )
-
-
 def save_state(state: TrainerState, path) -> None:
-    metadata = {}
-    metadata.update(model_config_to_kv(state.model_cfg))
-    metadata.update(train_config_to_kv(state.train_cfg))
+    metadata = {**to_kv(state.model_cfg, "model."), **to_kv(state.train_cfg, "train.")}
     metadata["trainer.epoch"] = str(state.epoch)
     metadata["trainer.adam_t"] = str(state.adam.t)
     metadata["trainer.best_test_loss"] = repr(state.best_test_loss)
@@ -399,10 +328,9 @@ def save_state(state: TrainerState, path) -> None:
 def load_state(path) -> TrainerState:
     snap = ckpt.load_checkpoint(path)
     kv = snap.metadata
-    from .kvtext import get_float, get_floats, get_int
     try:
-        model_cfg = model_config_from_kv(kv)
-        train_cfg = train_config_from_kv(kv)
+        model_cfg = from_kv(ModelConfig, kv, "model.")
+        train_cfg = from_kv(TrainConfig, kv, "train.")
         adam_t = get_int(kv, "trainer.adam_t")
         epoch = get_int(kv, "trainer.epoch")
         best_epoch = get_int(kv, "trainer.best_epoch")
@@ -452,7 +380,9 @@ def fit(state: TrainerState, train_samples: list[ImageSample],
     """Run epochs until the budget or the patience counter is exhausted.
 
     Saves ``best.ckpt`` on every strict test-loss improvement and
-    ``last.ckpt`` after every epoch when ``out_dir`` is given.  Returns the
+    ``last.ckpt`` after every epoch when ``out_dir`` is given.  Raises
+    ``DivergenceError`` for an epoch whose train or test loss is not
+    finite, before that epoch is counted or checkpointed.  Returns the
     records for the epochs executed by this call (resume runs return only
     their continuation).
     """
@@ -470,6 +400,10 @@ def fit(state: TrainerState, train_samples: list[ImageSample],
         test_loss, test_acc, _ = evaluate(
             state.params, state.model_cfg, test_samples, state.stats,
             batch_size=state.train_cfg.batch_size, num_threads=eval_threads)
+        if not (math.isfinite(train_loss) and math.isfinite(test_loss)):
+            raise DivergenceError(
+                f"epoch {epoch + 1}: non-finite loss (train {train_loss}, test "
+                f"{test_loss}); no checkpoint was written for this epoch")
         state.epoch += 1
         record = EpochRecord(epoch=state.epoch, train_loss=train_loss,
                              train_acc=train_acc, test_loss=test_loss,

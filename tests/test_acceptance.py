@@ -267,8 +267,13 @@ def test_criterion_6a_overfit_one_batch():
         stats = data.compute_stats(samples)
         cfg = tiny_config(32)
         tcfg = tr.TrainConfig(learning_rate=1e-2, seed=11)
+        mild = data.AugmentPolicy(
+            flip_prob=0.0, max_rotation_deg=5.0, jitter_brightness=0.1,
+            jitter_contrast=0.1, jitter_saturation=0.1, jitter_hue=0.02,
+            sharpness_factor=0.0, sharpness_prob=0.0, blur_kernel=3,
+            blur_sigma_range=None, target_size=(32, 32))
         x, labels, rot_labels = tr.prepare_batch(
-            samples, data.test_policy(32), stats, cfg, RngStream(seed=3), epoch=0)
+            samples, mild, stats, cfg, RngStream(seed=3), epoch=0)
         params = init_params(cfg, RngStream(seed=11))
         adam = tr.init_adam(params)
         b = len(samples)

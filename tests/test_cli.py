@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hgtnet import checkpoint as ckpt
 from hgtnet import data
@@ -16,7 +18,8 @@ from hgtnet.cli import main
 from hgtnet.config import (default_run_config, load_run_config,
                            render_run_config, run_config_from_kv,
                            run_config_to_kv)
-from hgtnet.errors import ConfigError
+from hgtnet.errors import ConfigError, HgtnetError
+from hgtnet.kvtext import parse_kv
 from hgtnet.metrics import PredictionRecord, write_predictions
 from hgtnet.model import tiny_config
 
@@ -56,21 +59,91 @@ class TestConfigMerge:
     def test_blur_sigma_none_and_pair(self):
         cfg = run_config_from_kv({"aug.train.blur_sigma": "none"})
         assert cfg.train_aug.blur_sigma_range is None
-        cfg = run_config_from_kv({"aug.test.blur_sigma": "0.5,1.5"})
-        assert cfg.test_aug.blur_sigma_range == (0.5, 1.5)
+        cfg = run_config_from_kv({"aug.train.blur_sigma": "0.5,1.5"})
+        assert cfg.train_aug.blur_sigma_range == (0.5, 1.5)
         with pytest.raises(ConfigError):
             run_config_from_kv({"aug.train.blur_sigma": "1.0"})
 
     def test_policy_target_follows_image_size(self):
         cfg = run_config_from_kv({"model.image_size": "32"})
         assert cfg.train_aug.target_size == (32, 32)
-        assert cfg.test_aug.target_size == (32, 32)
+
+    def test_print_config_keys(self, capsys):
+        assert main(["train", "--print-config"]) == 0
+        keys = [ln.split(" = ")[0] for ln in capsys.readouterr().out.splitlines()]
+        assert keys == [
+            "model.image_size", "model.patch_size", "model.embed_dim",
+            "model.num_heads", "model.num_encoder_layers", "model.mlp_ratio",
+            "model.cnn_channels", "model.dropout_p", "model.gat_leaky_slope",
+            "model.num_classes", "model.rotation_loss_weight",
+            "train.learning_rate", "train.batch_size", "train.max_epochs",
+            "train.patience", "train.adam_beta1", "train.adam_beta2",
+            "train.adam_eps", "train.seed",
+            "aug.train.flip_prob", "aug.train.max_rotation_deg",
+            "aug.train.jitter_brightness", "aug.train.jitter_contrast",
+            "aug.train.jitter_saturation", "aug.train.jitter_hue",
+            "aug.train.sharpness_factor", "aug.train.sharpness_prob",
+            "aug.train.blur_kernel", "aug.train.blur_sigma",
+            "run.data_root", "run.out_dir", "run.checkpoint"]
+
+    @pytest.mark.parametrize("pair", ["model.num_rotations=4", "aug.test.flip_prob=0",
+                                      "model.graph_connectivity=grid8"])
+    def test_removed_keys_rejected(self, pair, capsys):
+        assert main(["train", "--print-config", "--set", pair]) == 2
+        assert "unknown config keys: " + pair.split("=")[0] in capsys.readouterr().err
+
+    def test_non_utf8_config_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xff\xfemodel.image_size = 32\n")
+        assert main(["train", "--config", str(path), "--print-config"]) == 2
+        assert "UTF-8" in capsys.readouterr().err
 
     def test_render_parses_back(self):
         cfg = default_run_config(32)
         text = render_run_config(cfg)
-        from hgtnet.kvtext import parse_kv
         assert run_config_from_kv(parse_kv(text, "mem")) == cfg
+
+
+_FUZZ = settings(derandomize=True, max_examples=300, deadline=None, database=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+_KEYS = list(run_config_to_kv(default_run_config()))
+
+
+def _load_config_bytes(tmp_path, blob):
+    path = tmp_path / "fuzz.cfg"
+    path.write_bytes(blob)
+    try:
+        return load_run_config(str(path), {})
+    except HgtnetError:
+        return None
+
+
+class TestConfigFuzz:
+    """Whatever the text or bytes, parsing returns a value or raises an
+    HgtnetError; any other exception fails the property."""
+
+    @_FUZZ
+    @given(text=st.text(max_size=200))
+    def test_parse_kv_arbitrary_text(self, text):
+        try:
+            assert isinstance(parse_kv(text), dict)
+        except ConfigError:
+            pass
+
+    @_FUZZ
+    @given(blob=st.binary(max_size=256))
+    def test_config_file_arbitrary_bytes(self, tmp_path, blob):
+        _load_config_bytes(tmp_path, blob)
+
+    @_FUZZ
+    @given(pairs=st.lists(st.tuples(
+        st.sampled_from(_KEYS),
+        st.sampled_from(["0", "1", "-3", "2", "0.5", "nan", "inf", "1e400", "4,4",
+                         ",", "none", "x", ""])), max_size=6))
+    def test_config_file_known_keys_with_odd_values(self, tmp_path, pairs):
+        text = "".join(f"{k} = {v}\n" for k, v in pairs)
+        _load_config_bytes(tmp_path, text.encode("utf-8"))
 
 
 class TestTrainCommand:
@@ -112,6 +185,39 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "x")])
         assert code == 2
         assert "divisible" in capsys.readouterr().err
+
+    def test_run_checkpoint_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(TRAIN_ARGS + ["--out", str(out), "--set", "run.checkpoint=a.ckpt"])
+        assert code == 2
+        assert "run.checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_exits_6(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["train", "--synth", "--tiny", "--image-size", "32",
+                     "--per-class", "4", "--epochs", "2", "--lr", "1e300",
+                     "--seed", "7", "--out", str(out)])
+        assert code == 6
+        assert "epoch 1: non-finite loss" in capsys.readouterr().err
+        assert not (out / "best.ckpt").exists() and not (out / "last.ckpt").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--synth", "--eval-threads", "-3"],
+        ["train", "--synth", "--per-class", "0"],
+        ["train", "--synth", "--image-size", "zero"],
+        ["eval", "--synth", "--eval-threads", "0"],
+        ["eval", "--synth", "--per-class", "-1"],
+        ["synth", "--image-size", "0"],
+        ["synth", "--per-class", "0"],
+        ["augment", "--input", "x.ppm", "--image-size", "0"]])
+    def test_non_positive_count_flags_rejected(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_print_config_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -238,6 +344,12 @@ class TestMetricsCommand:
                         "b,one,0.6,0.4\n")
         assert main(["metrics", "--predictions", str(path)]) == 3
         assert "line 3" in capsys.readouterr().err
+
+    def test_non_utf8_predictions_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "pred.csv"
+        path.write_bytes(b"\xff\xfesample_id,true_label,score_0,score_1\n")
+        assert main(["metrics", "--predictions", str(path)]) == 3
+        assert "UTF-8" in capsys.readouterr().err
 
     def test_roc_dumps_written(self, tmp_path):
         path = tmp_path / "pred.csv"

@@ -430,7 +430,7 @@ class TestSplit:
 class TestPipeline:
     def test_disabled_randomness_is_resize_only(self):
         img = _random_image(70, 20, 20)
-        out = apply_policy(img, data.test_policy(16), rng=None)
+        out = apply_policy(img, data.train_policy(16), rng=None)
         direct = resize_bilinear(img, 16, 16)
         assert np.array_equal(out.pixels, direct.pixels)
 

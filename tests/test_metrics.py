@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from hgtnet.errors import ContractError, DataError, DegenerateInputError
+from hgtnet.errors import (ContractError, DataError, DegenerateInputError,
+                           FormatError, HgtnetError)
 from hgtnet.metrics import (MetricsReport, PredictionRecord, auc_pair_oracle,
                             auc_trapezoid, build_report, confusion_matrix,
                             precision_recall_f1, predicted_label,
@@ -365,3 +368,48 @@ class TestRocDump:
         assert lines[0] == "fpr,tpr"
         parsed = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
         assert np.array_equal(parsed, curve)
+
+
+_FUZZ = settings(derandomize=True, max_examples=300, deadline=None, database=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+_HEADER = b"sample_id,true_label,score_0,score_1\n"
+
+
+def _read_bytes(tmp_path, blob):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(blob)
+    try:
+        records = read_predictions(path)
+    except HgtnetError:
+        return None
+    assert records and all(isinstance(r, PredictionRecord) for r in records)
+    return records
+
+
+class TestPredictionCsvFuzz:
+    """Whatever the bytes, the reader returns records or raises an
+    HgtnetError; any other exception fails the property."""
+
+    def test_non_utf8_is_format_error(self, tmp_path):
+        path = tmp_path / "pred.csv"
+        path.write_bytes(b"\xff\xfe" + _HEADER)
+        with pytest.raises(FormatError, match="UTF-8"):
+            read_predictions(path)
+
+    @_FUZZ
+    @given(blob=st.binary(max_size=256))
+    def test_arbitrary_bytes(self, tmp_path, blob):
+        _read_bytes(tmp_path, blob)
+
+    @_FUZZ
+    @given(blob=st.binary(max_size=64))
+    def test_arbitrary_bytes_after_a_valid_header(self, tmp_path, blob):
+        _read_bytes(tmp_path, _HEADER + blob)
+
+    @_FUZZ
+    @given(cells=st.lists(st.sampled_from(
+        ["s0", "1", "-1", "0.5", "nan", "inf", "1e400", "", '"', ",", "\n", "\r", "\x00"]),
+        max_size=24))
+    def test_rows_of_csv_tokens(self, tmp_path, cells):
+        _read_bytes(tmp_path, _HEADER + "".join(cells).encode("utf-8"))

@@ -3,13 +3,15 @@ import pytest
 
 from hgtnet import model as M
 from hgtnet import tensor as T
+from hgtnet.data import NUM_ROTATIONS
 from hgtnet.errors import ConfigError, ContractError, ShapeError
 from hgtnet.gradcheck import check_gradients
 from hgtnet.model import (FeatureGraph, ModelConfig, TokenGrid, build_graph,
                           classify_head, cnn_branch, cross_attention_fuse,
                           global_average_pool, graph_attention, grid8_adjacency,
                           init_params, model_forward, multi_head_self_attention,
-                          patch_embed, rotation_head, tiny_config, transformer_encoder)
+                          param_shapes, patch_embed, rotation_head, tiny_config,
+                          transformer_encoder)
 from hgtnet.rng import RngStream
 from hgtnet.tensor import Tensor
 
@@ -30,7 +32,7 @@ class TestModelConfig:
         assert cfg.num_encoder_layers == 4 and cfg.mlp_ratio == 4.0
         assert cfg.cnn_channels == (16, 32, 64)
         assert cfg.dropout_p == 0.1 and cfg.gat_leaky_slope == 0.2
-        assert cfg.num_classes == 5 and cfg.num_rotations == 4
+        assert cfg.num_classes == 5
         assert cfg.rotation_loss_weight == 0.1
         assert cfg.num_tokens == 196 and cfg.grid_size == 14
 
@@ -45,9 +47,15 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(image_size=24, patch_size=8, cnn_channels=(4, 4, 4, 4))
 
-    def test_rotation_count_fixed(self):
-        with pytest.raises(ConfigError):
-            ModelConfig(num_rotations=3)
+    def test_rotation_head_has_one_logit_per_quarter_turn(self):
+        shapes = param_shapes(ModelConfig())
+        assert NUM_ROTATIONS == 4
+        assert shapes["rot.w"] == (128, NUM_ROTATIONS) and shapes["rot.b"] == (NUM_ROTATIONS,)
+
+    @pytest.mark.parametrize("name", ["image_size", "patch_size", "embed_dim", "num_heads"])
+    def test_zero_extent_rejected(self, name):
+        with pytest.raises(ConfigError, match=name):
+            ModelConfig(**{name: 0})
 
 
 class TestPatchEmbed:

@@ -13,11 +13,21 @@ from hgtnet import data
 from hgtnet import tensor as T
 from hgtnet import training as tr
 from hgtnet.errors import (CheckpointError, ConfigError, ContractError,
-                           DataError, ShapeError)
+                           DataError, DivergenceError, ShapeError)
 from hgtnet.gradcheck import check_gradients
-from hgtnet.model import init_params, model_forward, tiny_config
+from hgtnet.kvtext import from_kv, to_kv
+from hgtnet.model import ModelConfig, init_params, model_forward, tiny_config
 from hgtnet.rng import RngStream
 from hgtnet.tensor import Tensor
+
+
+# a mild training policy at 32 px: small jitter and rotation, no flips,
+# sharpness or blur
+MILD_POLICY = data.AugmentPolicy(
+    flip_prob=0.0, max_rotation_deg=5.0,
+    jitter_brightness=0.1, jitter_contrast=0.1, jitter_saturation=0.1, jitter_hue=0.02,
+    sharpness_factor=0.0, sharpness_prob=0.0,
+    blur_kernel=3, blur_sigma_range=None, target_size=(32, 32))
 
 
 def _synth_setup(per_class=4, seed=7, lr=3e-3, **train_overrides):
@@ -208,7 +218,7 @@ class TestBatching:
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         batch = train[:4]
         x, labels, rot_labels = tr.prepare_batch(
-            batch, data.test_policy(32), stats, cfg, RngStream(seed=2), epoch=0)
+            batch, MILD_POLICY, stats, cfg, RngStream(seed=2), epoch=0)
         assert cfg.rotation_loss_weight > 0
         assert x.shape == (8, 3, 32, 32)
         assert labels.shape == (4,)
@@ -218,7 +228,7 @@ class TestBatching:
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         cfg = tiny_config(32, rotation_loss_weight=0.0)
         x, labels, rot_labels = tr.prepare_batch(
-            train[:4], data.test_policy(32), stats, cfg, RngStream(seed=2), epoch=0)
+            train[:4], MILD_POLICY, stats, cfg, RngStream(seed=2), epoch=0)
         assert x.shape == (4, 3, 32, 32)
         assert rot_labels is None
 
@@ -228,14 +238,14 @@ class TestBatching:
         subset = samples[:17]
         params = init_params(cfg, RngStream(seed=4))
         adam = tr.init_adam(params)
-        tr.train_epoch(params, cfg, tcfg, subset, stats, data.test_policy(32),
+        tr.train_epoch(params, cfg, tcfg, subset, stats, MILD_POLICY,
                        adam, epoch=0)
         assert adam.t == 3
 
     def test_empty_dataset_rejected(self):
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         with pytest.raises(DataError):
-            tr.train_epoch({}, cfg, tcfg, [], stats, data.test_policy(32),
+            tr.train_epoch({}, cfg, tcfg, [], stats, MILD_POLICY,
                            tr.init_adam({}), 0)
 
 
@@ -270,7 +280,7 @@ class TestOverfitOneBatch:
         cfg = tiny_config(32)
         tcfg = tr.TrainConfig(learning_rate=1e-2, seed=11)
         x, labels, rot_labels = tr.prepare_batch(
-            samples, data.test_policy(32), stats, cfg, RngStream(seed=3), epoch=0)
+            samples, MILD_POLICY, stats, cfg, RngStream(seed=3), epoch=0)
         params = init_params(cfg, RngStream(seed=11))
         adam = tr.init_adam(params)
         b = len(samples)
@@ -391,7 +401,7 @@ class TestEarlyStopping:
         # learning rate so small the test loss plateaus immediately is not
         # guaranteed; instead give fit a tiny budget and count records
         state = tr.init_state(cfg, tcfg, stats, names)
-        history = tr.fit(state, train, test, policy=data.test_policy(32),
+        history = tr.fit(state, train, test, policy=MILD_POLICY,
                          max_epochs=3)
         assert 1 <= len(history) <= 3
         assert history[-1].epoch == state.epoch
@@ -401,7 +411,7 @@ class TestPersistence:
     def test_round_trip_preserves_everything(self, tmp_path):
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         state = tr.init_state(cfg, tcfg, stats, names)
-        tr.fit(state, train, test, policy=data.test_policy(32), max_epochs=1)
+        tr.fit(state, train, test, policy=MILD_POLICY, max_epochs=1)
         path = tmp_path / "state.ckpt"
         tr.save_state(state, path)
         back = tr.load_state(path)
@@ -423,7 +433,7 @@ class TestPersistence:
     def test_reloaded_state_evaluates_bitwise_identically(self, tmp_path):
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         state = tr.init_state(cfg, tcfg, stats, names)
-        tr.fit(state, train, test, policy=data.test_policy(32), max_epochs=1)
+        tr.fit(state, train, test, policy=MILD_POLICY, max_epochs=1)
         path = tmp_path / "state.ckpt"
         tr.save_state(state, path)
         back = tr.load_state(path)
@@ -431,13 +441,35 @@ class TestPersistence:
         l2, a2, r2 = tr.evaluate(back.params, back.model_cfg, test, back.stats)
         assert l1 == l2 and a1 == a2 and r1 == r2
 
+    def test_file_with_the_removed_model_keys_loads(self, tmp_path):
+        # earlier writers put model.graph_connectivity and model.num_rotations
+        # into the metadata; they are ignored on load
+        samples, train, test, stats, cfg, tcfg, names = _synth_setup()
+        state = tr.init_state(cfg, tcfg, stats, names)
+        tr.fit(state, train, test, policy=MILD_POLICY, max_epochs=1)
+        tr.save_state(state, tmp_path / "new.ckpt")
+        snap = ckpt.load_checkpoint(tmp_path / "new.ckpt")
+        assert "model.num_rotations" not in snap.metadata
+        old = {}
+        for key, value in snap.metadata.items():
+            old[key] = value
+            if key == "model.dropout_p":
+                old["model.graph_connectivity"] = "grid8"
+            elif key == "model.num_classes":
+                old["model.num_rotations"] = "4"
+        ckpt.save_checkpoint(tmp_path / "old.ckpt", old, snap.params, snap.moments)
+        new_state = tr.load_state(tmp_path / "new.ckpt")
+        old_state = tr.load_state(tmp_path / "old.ckpt")
+        assert old_state.model_cfg == new_state.model_cfg
+        l1, a1, r1 = tr.evaluate(new_state.params, new_state.model_cfg, test, new_state.stats)
+        l2, a2, r2 = tr.evaluate(old_state.params, old_state.model_cfg, test, old_state.stats)
+        assert l1 == l2 and a1 == a2 and r1 == r2
+
     def test_missing_moments_detected(self, tmp_path):
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         state = tr.init_state(cfg, tcfg, stats, names)
         path = tmp_path / "broken.ckpt"
-        metadata = {}
-        metadata.update(tr.model_config_to_kv(cfg))
-        metadata.update(tr.train_config_to_kv(tcfg))
+        metadata = {**to_kv(cfg, "model."), **to_kv(tcfg, "train.")}
         metadata.update({"trainer.epoch": "0", "trainer.adam_t": "0",
                          "trainer.best_test_loss": "inf", "trainer.best_epoch": "0",
                          "trainer.bad_epochs": "0",
@@ -485,18 +517,18 @@ class TestPersistence:
 
     def test_config_kv_round_trip(self):
         cfg = tiny_config(32, rotation_loss_weight=0.25)
-        assert tr.model_config_from_kv(tr.model_config_to_kv(cfg)) == cfg
+        assert from_kv(ModelConfig, to_kv(cfg, "model."), "model.") == cfg
         tcfg = tr.TrainConfig(learning_rate=2.5e-3, batch_size=4, seed=99)
-        assert tr.train_config_from_kv(tr.train_config_to_kv(tcfg)) == tcfg
+        assert from_kv(tr.TrainConfig, to_kv(tcfg, "train."), "train.") == tcfg
 
     def test_missing_keys_fall_back_to_defaults(self):
-        cfg = tr.model_config_from_kv({"model.image_size": "32",
-                                       "model.patch_size": "16",
-                                       "model.embed_dim": "8",
-                                       "model.num_heads": "2",
-                                       "model.num_encoder_layers": "1",
-                                       "model.cnn_channels": "4",
-                                       "model.mlp_ratio": "2.0"})
+        cfg = from_kv(ModelConfig, {"model.image_size": "32",
+                                    "model.patch_size": "16",
+                                    "model.embed_dim": "8",
+                                    "model.num_heads": "2",
+                                    "model.num_encoder_layers": "1",
+                                    "model.cnn_channels": "4",
+                                    "model.mlp_ratio": "2.0"}, "model.")
         assert cfg.image_size == 32 and cfg.num_classes == 5
         assert cfg.dropout_p == 0.1  # default
 
@@ -530,7 +562,7 @@ class TestResume:
     def test_fit_writes_best_and_last(self, tmp_path):
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         state = tr.init_state(cfg, tcfg, stats, names)
-        tr.fit(state, train, test, policy=data.test_policy(32),
+        tr.fit(state, train, test, policy=MILD_POLICY,
                out_dir=tmp_path, max_epochs=2)
         assert (tmp_path / "best.ckpt").exists()
         assert (tmp_path / "last.ckpt").exists()
@@ -538,6 +570,15 @@ class TestResume:
         assert last.epoch == 2
         best = tr.load_state(tmp_path / "best.ckpt")
         assert best.best_test_loss == state.best_test_loss
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fit_stops_on_a_non_finite_loss_before_checkpointing(self, tmp_path):
+        samples, train, test, stats, cfg, tcfg, names = _synth_setup(lr=1e300)
+        state = tr.init_state(cfg, tcfg, stats, names)
+        with pytest.raises(DivergenceError, match="epoch 1"):
+            tr.fit(state, train, test, policy=MILD_POLICY, out_dir=tmp_path)
+        assert state.epoch == 0 and state.best_epoch == 0
+        assert os.listdir(tmp_path) == []
 
 
 class TestHistoryCsv:
