@@ -28,16 +28,16 @@ from . import data
 from . import tensor as T
 from . import training as tr
 from .checkpoint import atomic_write
-from .config import RunConfig, default_run_config, load_run_config, render_run_config
-from .errors import (CheckpointError, ConfigError, ContractError, DataError,
-                     DivergenceError, HgtnetError, ShapeError)
+from .config import RunConfig, load_run_config, render_run_config
+from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
+                     HgtnetError)
 from .gradcheck import check_gradients
 from .metrics import (build_report, read_predictions, render_report,
                       write_predictions, write_roc)
 from .model import init_params, model_forward, tiny_config
 from .ppm import from_unit, read_ppm, to_unit, write_ppm
 from .rng import RngStream
-from .tensor import OpRecord, Tensor
+from .tensor import Tensor
 
 EXIT_OK = 0
 EXIT_GRADCHECK = 1
@@ -52,11 +52,16 @@ def _write_text(path, text: str) -> None:
     atomic_write(path, lambda p: Path(p).write_text(text, encoding="utf-8", newline=""))
 
 
-def _write_confusion(path, confusion, class_names) -> None:
-    lines = ["actual\\predicted," + ",".join(class_names)]
-    for name, row in zip(class_names, confusion):
+def _write_report_tables(out_dir, report) -> None:
+    """``confusion.csv`` and one ``roc_class<k>.csv`` per class with a curve."""
+    lines = ["actual\\predicted," + ",".join(report.class_names)]
+    for name, row in zip(report.class_names, report.confusion):
         lines.append(name + "," + ",".join(str(int(v)) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(os.path.join(out_dir, "confusion.csv"), "\n".join(lines) + "\n")
+    for k, curve in enumerate(report.roc):
+        if curve is not None:
+            atomic_write(os.path.join(out_dir, f"roc_class{k}.csv"),
+                         lambda p, c=curve: write_roc(p, c))
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +87,6 @@ def _overrides_from_args(args) -> dict[str, str]:
         ("seed", "train.seed"),
         ("data", "run.data_root"),
         ("out", "run.out_dir"),
-        ("checkpoint", "run.checkpoint"),
         ("image_size", "model.image_size"),
         ("encoder_layers", "model.num_encoder_layers"),
         ("epochs", "train.max_epochs"),
@@ -117,24 +121,21 @@ def _maybe_print_config(args, cfg: RunConfig) -> bool:
 # train / eval
 # ---------------------------------------------------------------------------
 
-def _load_training_data(cfg: RunConfig, args):
-    if getattr(args, "synth", False):
-        per_class = args.per_class or 40
-        samples = data.synth_dataset(num_per_class=per_class,
-                                     size=cfg.model.image_size,
-                                     rng=RngStream(seed=cfg.seed))
-        names = sorted({s.id.split("_")[0] for s in samples})
-    else:
-        if cfg.data_root is None:
-            raise ConfigError("no dataset: pass --data DIR or --synth")
-        samples = data.load_dataset(cfg.data_root)
-        names = data.class_names(cfg.data_root)
-    if len(names) != cfg.model.num_classes:
-        raise ConfigError(f"model expects {cfg.model.num_classes} classes but the "
-                          f"dataset has {len(names)}")
-    split_rng = RngStream(seed=cfg.seed).derive("split")
-    train_samples, test_samples = data.stratified_split(samples, 0.1, split_rng)
-    return train_samples, test_samples, names
+def _dataset(args, data_root, image_size: int, seed: int):
+    """(samples, class names): the synthetic set at ``image_size`` drawn from
+    ``seed``, or the PPM tree under ``data_root``."""
+    if args.synth:
+        samples = data.synth_dataset(num_per_class=args.per_class or 40,
+                                     size=image_size, rng=RngStream(seed=seed))
+        return samples, sorted({s.id.split("_")[0] for s in samples})
+    if data_root is None:
+        raise ConfigError("no dataset: pass --data DIR or --synth")
+    return data.load_dataset(data_root), data.class_names(data_root)
+
+
+def _split(samples, seed: int):
+    """The seeded 90/10 stratified (train, test) split of a run."""
+    return data.stratified_split(samples, 0.1, RngStream(seed=seed).derive("split"))
 
 
 def _emit_eval_artifacts(out_dir, records, class_names) -> None:
@@ -142,23 +143,19 @@ def _emit_eval_artifacts(out_dir, records, class_names) -> None:
     atomic_write(os.path.join(out_dir, "predictions.csv"),
                  lambda p: write_predictions(p, records))
     _write_text(os.path.join(out_dir, "report.txt"), render_report(report))
-    _write_confusion(os.path.join(out_dir, "confusion.csv"), report.confusion,
-                     class_names)
-    for k, curve in enumerate(report.roc):
-        if curve is not None:
-            atomic_write(os.path.join(out_dir, f"roc_class{k}.csv"),
-                         lambda p, c=curve: write_roc(p, c))
+    _write_report_tables(out_dir, report)
 
 
 def cmd_train(args) -> int:
     cfg = _resolve(args)
-    if cfg.checkpoint is not None:
-        raise ConfigError("train starts a new run and does not read run.checkpoint; "
-                          "remove the key")
     if _maybe_print_config(args, cfg):
         return EXIT_OK
     os.makedirs(cfg.out_dir, exist_ok=True)
-    train_samples, test_samples, names = _load_training_data(cfg, args)
+    samples, names = _dataset(args, cfg.data_root, cfg.model.image_size, cfg.seed)
+    if len(names) != cfg.model.num_classes:
+        raise ConfigError(f"model expects {cfg.model.num_classes} classes but the "
+                          f"dataset has {len(names)}")
+    train_samples, test_samples = _split(samples, cfg.seed)
     stats = data.compute_stats(train_samples)
     state = tr.init_state(cfg.model, cfg.train, stats, names)
     history = tr.fit(state, train_samples, test_samples, policy=cfg.train_aug,
@@ -179,31 +176,25 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _resolve(args)
-    if _maybe_print_config(args, cfg):
-        return EXIT_OK
-    if cfg.checkpoint is None:
-        raise ConfigError("eval needs --checkpoint PATH")
-    if not os.path.exists(cfg.checkpoint):
-        raise CheckpointError(f"{cfg.checkpoint}: checkpoint not found")
-    state = tr.load_state(cfg.checkpoint)
-    if getattr(args, "synth", False):
-        per_class = args.per_class or 40
-        samples = data.synth_dataset(num_per_class=per_class,
-                                     size=state.model_cfg.image_size,
-                                     rng=RngStream(seed=state.train_cfg.seed))
-        split_rng = RngStream(seed=state.train_cfg.seed).derive("split")
-        _, samples = data.stratified_split(samples, 0.1, split_rng)
-    else:
-        if cfg.data_root is None:
-            raise ConfigError("no dataset: pass --data DIR or --synth")
-        samples = data.load_dataset(cfg.data_root)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    """Evaluate a checkpoint: the architecture, the seed and the statistics
+    come from the checkpoint; ``--synth`` evaluates the test split that
+    ``train --synth`` held out, and a ``--data`` tree is evaluated whole."""
+    if not os.path.exists(args.checkpoint):
+        raise CheckpointError(f"{args.checkpoint}: checkpoint not found")
+    state = tr.load_state(args.checkpoint)
+    seed = state.train_cfg.seed
+    samples, names = _dataset(args, args.data, state.model_cfg.image_size, seed)
+    if names != state.class_names:
+        raise DataError(f"dataset classes {names} do not match the checkpoint's "
+                        f"classes {state.class_names}")
+    if args.synth:
+        _, samples = _split(samples, seed)
+    os.makedirs(args.out, exist_ok=True)
     _, accuracy, records = tr.evaluate(state.params, state.model_cfg, samples,
                                        state.stats, num_threads=args.eval_threads)
-    _emit_eval_artifacts(cfg.out_dir, records, state.class_names)
+    _emit_eval_artifacts(args.out, records, state.class_names)
     print(f"evaluated {len(records)} samples, accuracy {accuracy:.4f}; "
-          f"artifacts in {cfg.out_dir}")
+          f"artifacts in {args.out}")
     return EXIT_OK
 
 
@@ -221,12 +212,7 @@ def cmd_metrics(args) -> int:
     sys.stdout.write(render_report(report))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write_confusion(os.path.join(args.out, "confusion.csv"),
-                         report.confusion, report.class_names)
-        for idx, curve in enumerate(report.roc):
-            if curve is not None:
-                atomic_write(os.path.join(args.out, f"roc_class{idx}.csv"),
-                             lambda p, c=curve: write_roc(p, c))
+        _write_report_tables(args.out, report)
     return EXIT_OK
 
 
@@ -239,8 +225,7 @@ def _gradcheck_battery(seed: int):
     rng = RngStream(seed=seed)
 
     def randn(*shape, stream):
-        import numpy as _np
-        n = int(_np.prod(shape))
+        n = int(np.prod(shape))
         return Tensor(stream.normal(n).reshape(shape), requires_grad=True)
 
     checks = []
@@ -295,30 +280,21 @@ def _gradcheck_battery(seed: int):
     return checks
 
 
-def _scale_backward(out: Tensor) -> Tensor:
-    """Wrap ``out``'s backward so every gradient it returns is 1.01x too big."""
-    if out.op_record is not None:
-        rec = out.op_record
-        out.op_record = OpRecord(
-            rec.name, rec.parents,
-            lambda g: tuple(None if gi is None else 1.01 * gi for gi in rec.backward(g)))
-    return out
-
-
 def _corrupt_op(name: str) -> None:
-    """Test hook: scale one op's backward by 1.01 so gradcheck must fail.
-    ``tensor.gelu`` reaches ``activation`` through the module globals, so
-    replacing ``activation`` covers it."""
-    if name == "gelu":
-        activation = T.activation
-        T.activation = lambda x, kind, **kw: (
-            _scale_backward(activation(x, kind, **kw)) if kind == "gelu"
-            else activation(x, kind, **kw))
-    elif name == "matmul":
-        matmul = T.matmul
-        T.matmul = lambda a, b: _scale_backward(matmul(a, b))
-    else:
-        raise ConfigError(f"unknown corruption target {name!r}")
+    """Test hook: scale the backward of every op recorded under ``name`` by
+    1.01 so gradcheck must fail.  Every op builds its output through
+    ``tensor._make``, so wrapping that one function reaches them all."""
+    make = T._make
+
+    def corrupt_make(data, op_name, parents, backward):
+        if op_name == name:
+            inner = backward
+
+            def backward(g):
+                return tuple(None if gi is None else 1.01 * gi for gi in inner(g))
+        return make(data, op_name, parents, backward)
+
+    T._make = corrupt_make
 
 
 def cmd_gradcheck(args) -> int:
@@ -395,7 +371,6 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--seed", type=int, default=None, help="master RNG seed")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--data", default=None, help="dataset root (class dirs of .ppm)")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override any config key directly")
     p.add_argument("--print-config", action="store_true",
@@ -421,6 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model and write run artifacts")
     _add_shared(p)
+    p.add_argument("--data", default=None, help="dataset root (class dirs of .ppm)")
     p.add_argument("--synth", action="store_true",
                    help="train on the built-in synthetic texture dataset")
     p.add_argument("--per-class", type=_positive_int, default=None,
@@ -437,8 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint and write reports")
-    _add_shared(p)
-    p.add_argument("--checkpoint", default=None)
+    p.add_argument("--checkpoint", required=True, help="checkpoint to evaluate")
+    p.add_argument("--data", default=None, help="dataset root (class dirs of .ppm)")
+    p.add_argument("--out", default="runs/latest", help="output directory")
     p.add_argument("--synth", action="store_true",
                    help="evaluate on the synthetic test split")
     p.add_argument("--per-class", type=_positive_int, default=None)
@@ -491,7 +468,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ShapeError, ContractError, HgtnetError) as exc:
+    except HgtnetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

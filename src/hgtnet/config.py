@@ -21,7 +21,6 @@ class RunConfig:
     train_aug: AugmentPolicy
     data_root: str | None = None
     out_dir: str = "runs/latest"
-    checkpoint: str | None = None
 
     @property
     def seed(self) -> int:
@@ -88,8 +87,7 @@ def run_config_from_kv(kv: dict[str, str]) -> RunConfig:
         model=model, train=from_kv(TrainConfig, kv, "train."),
         train_aug=_policy_from_kv(kv, "aug.train.", train_policy(model.image_size)),
         data_root=kv.get("run.data_root") or None,
-        out_dir=kv.get("run.out_dir", "runs/latest"),
-        checkpoint=kv.get("run.checkpoint") or None)
+        out_dir=kv.get("run.out_dir", "runs/latest"))
     known = set(run_config_to_kv(cfg))
     unknown = sorted(set(kv) - known)
     if unknown:
@@ -102,7 +100,6 @@ def run_config_to_kv(cfg: RunConfig) -> dict[str, str]:
           **_policy_to_kv(cfg.train_aug, "aug.train.")}
     kv["run.data_root"] = cfg.data_root or ""
     kv["run.out_dir"] = cfg.out_dir
-    kv["run.checkpoint"] = cfg.checkpoint or ""
     return kv
 
 

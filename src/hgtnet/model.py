@@ -51,12 +51,19 @@ class ModelConfig:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.num_encoder_layers < 1:
             raise ConfigError("num_encoder_layers must be >= 1")
-        if not self.cnn_channels:
-            raise ConfigError("cnn_channels must be non-empty")
+        if not 0.0 < self.mlp_ratio < math.inf or self.mlp_hidden < 1:
+            raise ConfigError(f"mlp_ratio must be finite and give at least one MLP "
+                              f"hidden unit, got {self.mlp_ratio}")
+        if not self.cnn_channels or min(self.cnn_channels) < 1:
+            raise ConfigError(f"cnn_channels must be non-empty and each >= 1, "
+                              f"got {self.cnn_channels}")
+        if not math.isfinite(self.gat_leaky_slope):
+            raise ConfigError(f"gat_leaky_slope must be finite, got {self.gat_leaky_slope}")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
-        if self.rotation_loss_weight < 0:
-            raise ConfigError("rotation_loss_weight must be >= 0")
+        if not self.rotation_loss_weight >= 0:
+            raise ConfigError(
+                f"rotation_loss_weight must be >= 0, got {self.rotation_loss_weight}")
         # the pooling chain halves the spatial extent per CNN block
         extent = self.image_size
         for _ in self.cnn_channels:

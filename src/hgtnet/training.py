@@ -38,7 +38,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
@@ -50,7 +50,7 @@ class TrainConfig:
             b = getattr(self, name)
             if not 0.0 <= b < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {b}")
-        if self.adam_eps <= 0:
+        if not self.adam_eps > 0:
             raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
         self.seed = int(self.seed) & 0xFFFFFFFFFFFFFFFF
 

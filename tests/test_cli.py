@@ -3,6 +3,8 @@ config merge precedence.  Commands run in-process via main(argv) except the
 corruption self-test, which must not leak its monkeypatching."""
 
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from hgtnet import checkpoint as ckpt
 from hgtnet import data
 from hgtnet import training as tr
-from hgtnet.cli import main
+from hgtnet.cli import build_parser, main
 from hgtnet.config import (default_run_config, load_run_config,
                            render_run_config, run_config_from_kv,
                            run_config_to_kv)
@@ -84,10 +86,11 @@ class TestConfigMerge:
             "aug.train.jitter_saturation", "aug.train.jitter_hue",
             "aug.train.sharpness_factor", "aug.train.sharpness_prob",
             "aug.train.blur_kernel", "aug.train.blur_sigma",
-            "run.data_root", "run.out_dir", "run.checkpoint"]
+            "run.data_root", "run.out_dir"]
 
     @pytest.mark.parametrize("pair", ["model.num_rotations=4", "aug.test.flip_prob=0",
-                                      "model.graph_connectivity=grid8"])
+                                      "model.graph_connectivity=grid8",
+                                      "run.checkpoint=a.ckpt"])
     def test_removed_keys_rejected(self, pair, capsys):
         assert main(["train", "--print-config", "--set", pair]) == 2
         assert "unknown config keys: " + pair.split("=")[0] in capsys.readouterr().err
@@ -193,6 +196,19 @@ class TestTrainCommand:
         assert "run.checkpoint" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("pair", [
+        "model.mlp_ratio=0", "model.mlp_ratio=-1", "model.mlp_ratio=nan",
+        "model.mlp_ratio=0.01", "model.cnn_channels=0", "model.cnn_channels=4,0",
+        "model.gat_leaky_slope=nan", "model.gat_leaky_slope=inf",
+        "train.learning_rate=nan", "train.adam_eps=nan",
+        "model.rotation_loss_weight=nan"])
+    def test_out_of_range_value_is_config_error(self, pair, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(TRAIN_ARGS + ["--out", str(out), "--set", pair])
+        assert code == 2
+        assert pair.split("=")[0].split(".")[1] in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_run_exits_6(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -225,6 +241,14 @@ class TestTrainCommand:
         assert code == 0
         assert "model.embed_dim = 8" in capsys.readouterr().out
         assert not out.exists()
+
+
+def _untrained_checkpoint(path):
+    state = tr.init_state(tiny_config(32), tr.TrainConfig(seed=7),
+                          data.DatasetStats(mean=np.full(3, 0.5), std=np.full(3, 0.2)),
+                          [f"class{k}" for k in range(5)])
+    tr.save_state(state, path)
+    return path
 
 
 class TestEvalCommand:
@@ -268,11 +292,7 @@ class TestEvalCommand:
 
 
     def test_checkpoint_missing_a_parameter_exit_5(self, tmp_path, capsys):
-        state = tr.init_state(tiny_config(32), tr.TrainConfig(seed=7),
-                              data.DatasetStats(mean=np.full(3, 0.5), std=np.full(3, 0.2)),
-                              [f"class{k}" for k in range(5)])
-        tr.save_state(state, tmp_path / "full.ckpt")
-        snap = ckpt.load_checkpoint(tmp_path / "full.ckpt")
+        snap = ckpt.load_checkpoint(_untrained_checkpoint(tmp_path / "full.ckpt"))
         for table, key in ((snap.params, "gat.w"), (snap.moments, "m.gat.w"),
                            (snap.moments, "v.gat.w")):
             del table[key]
@@ -282,6 +302,51 @@ class TestEvalCommand:
                      "--out", str(tmp_path / "x")])
         assert code == 5
         assert "gat.w" in capsys.readouterr().err
+
+    def _synth_tree(self, tmp_path):
+        tree = tmp_path / "tree"
+        assert main(["synth", "--out", str(tree), "--per-class", "2",
+                     "--image-size", "32", "--seed", "5"]) == 0
+        return tree
+
+    def test_matching_tree_evaluates_whole(self, tmp_path, capsys):
+        ckpt_path = _untrained_checkpoint(tmp_path / "m.ckpt")
+        tree = self._synth_tree(tmp_path)
+        out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(ckpt_path), "--data", str(tree),
+                     "--out", str(out)]) == 0
+        assert "evaluated 10 samples" in capsys.readouterr().out
+        assert len((out / "predictions.csv").read_text().splitlines()) == 11
+
+    @pytest.mark.parametrize("change, listed", [
+        ("extra", "['class0', 'class1', 'class2', 'class3', 'class4', 'class5']"),
+        ("missing", "['class0', 'class1', 'class3', 'class4']")])
+    def test_tree_classes_must_match_checkpoint(self, change, listed, tmp_path, capsys):
+        ckpt_path = _untrained_checkpoint(tmp_path / "m.ckpt")
+        tree = self._synth_tree(tmp_path)
+        if change == "extra":
+            shutil.copytree(tree / "class4", tree / "class5")
+        else:
+            shutil.rmtree(tree / "class2")
+        out = tmp_path / "eval"
+        code = main(["eval", "--checkpoint", str(ckpt_path), "--data", str(tree),
+                     "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert listed in err
+        assert "['class0', 'class1', 'class2', 'class3', 'class4']" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--checkpoint", "m.ckpt", "--synth", "--seed", "7"],
+        ["eval", "--checkpoint", "m.ckpt", "--synth", "--set", "model.embed_dim=8"],
+        ["eval", "--checkpoint", "m.ckpt", "--print-config"],
+        ["augment", "--input", "x.ppm", "--data", "d"]])
+    def test_flags_the_command_does_not_read_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestMetricsCommand:
@@ -381,11 +446,12 @@ class TestGradcheckCommand:
     def test_corruption_hook_passes_missing_gradients_through(self, monkeypatch):
         from hgtnet import cli
         from hgtnet import tensor as T
-        # a stand-in op whose scalar operand gets no gradient; restored afterwards
-        monkeypatch.setattr(T, "matmul", T.mul)
-        cli._corrupt_op("matmul")
+        # mul's untracked scalar operand gets a None gradient; the hook's
+        # patch of _make is undone afterwards
+        monkeypatch.setattr(T, "_make", T._make)
+        cli._corrupt_op("mul")
         x = T.Tensor(np.ones(3), requires_grad=True)
-        T.backward(T.tsum(T.matmul(x, 2.0)))
+        T.backward(T.tsum(T.mul(x, 2.0)))
         assert np.allclose(x.grad, 2.02)
 
 
@@ -450,3 +516,28 @@ class TestAugmentCommand:
         code = main(["augment", "--input", str(tmp_path / "none.ppm"),
                      "--out", str(tmp_path / "aug")])
         assert code == 4
+
+
+def _readme_commands():
+    """Every ``hgtnet ...`` line of README.md's ``sh`` blocks, with its
+    backslash continuations joined."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = fh.read().split("```sh\n")[1:]
+    commands = []
+    for block in blocks:
+        body = block.split("```")[0].replace("\\\n", " ")
+        commands += [ln.strip() for ln in body.splitlines()
+                     if ln.strip().startswith("hgtnet ")]
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 7
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README.md command does not parse: {command}")

@@ -395,16 +395,20 @@ class TestEarlyStopping:
         with pytest.raises(ConfigError):
             tr.early_stopping_check([1.0], patience=0)
 
-    def test_fit_honors_patience(self, tmp_path):
-        samples, train, test, stats, cfg, tcfg, names = _synth_setup(
-            per_class=4, lr=1e-12, patience=2, max_epochs=30)
-        # learning rate so small the test loss plateaus immediately is not
-        # guaranteed; instead give fit a tiny budget and count records
-        state = tr.init_state(cfg, tcfg, stats, names)
-        history = tr.fit(state, train, test, policy=MILD_POLICY,
-                         max_epochs=3)
-        assert 1 <= len(history) <= 3
-        assert history[-1].epoch == state.epoch
+    def test_fit_honors_patience(self):
+        # lr 0.3 makes the test loss bounce, so both runs stop early, and
+        # the patience-2 run only after its counter was reset once
+        for patience in (1, 2):
+            samples, train, test, stats, cfg, tcfg, names = _synth_setup(
+                per_class=4, lr=0.3, patience=patience, max_epochs=8)
+            state = tr.init_state(cfg, tcfg, stats, names)
+            history = tr.fit(state, train, test, policy=MILD_POLICY)
+            losses = [r.test_loss for r in history]
+            stops = [k for k in range(1, len(losses) + 1)
+                     if tr.early_stopping_check(losses[:k], patience)]
+            assert len(history) == (stops[0] if stops else tcfg.max_epochs)
+            assert len(history) < tcfg.max_epochs, patience
+            assert history[-1].epoch == state.epoch
 
 
 class TestPersistence:
