@@ -70,12 +70,6 @@ def _policy_from_kv(kv: dict[str, str], prefix: str,
     return replace(base, **updates) if updates else base
 
 
-def default_run_config(image_size: int = 224) -> RunConfig:
-    model = ModelConfig() if image_size == 224 else ModelConfig(image_size=image_size)
-    return RunConfig(model=model, train=TrainConfig(),
-                     train_aug=train_policy(image_size))
-
-
 def run_config_from_kv(kv: dict[str, str]) -> RunConfig:
     """Build a RunConfig from defaults overridden by the given flat keys.
 

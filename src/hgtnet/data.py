@@ -218,14 +218,11 @@ def _rotate_pixels(px: np.ndarray, angle_deg: float) -> np.ndarray:
 def random_rotation(img: ImageSample, max_deg: float, rng: RngStream | None) -> ImageSample:
     if rng is None or max_deg == 0.0:
         return img
-    angle = (rng.uniform() * 2.0 - 1.0) * max_deg
-    if angle == 0.0:
-        return img
-    return img.with_pixels(_rotate_pixels(img.pixels, angle))
+    return rotate_by_degrees(img, (rng.uniform() * 2.0 - 1.0) * max_deg)
 
 
 def rotate_by_degrees(img: ImageSample, angle_deg: float) -> ImageSample:
-    """Deterministic rotation with the same resampling as random_rotation."""
+    """Rotation by a given angle; random_rotation draws its angle and calls this."""
     if angle_deg == 0.0:
         return img
     return img.with_pixels(_rotate_pixels(img.pixels, angle_deg))

@@ -11,7 +11,8 @@ be captured through an optional ``capture`` dict for invariant checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -20,6 +21,10 @@ from .data import NUM_ROTATIONS
 from .errors import ConfigError, ContractError, ShapeError
 from .rng import RngStream
 from .tensor import Tensor
+
+# the paper default has 1,065,513 parameters; with Adam's two moments each
+# one costs 24 bytes, so the cap keeps a model near 3 GB
+MAX_PARAMS = 2 ** 27
 
 
 @dataclass
@@ -51,7 +56,7 @@ class ModelConfig:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.num_encoder_layers < 1:
             raise ConfigError("num_encoder_layers must be >= 1")
-        if not 0.0 < self.mlp_ratio < math.inf or self.mlp_hidden < 1:
+        if not 0.0 < self.embed_dim * self.mlp_ratio < math.inf or self.mlp_hidden < 1:
             raise ConfigError(f"mlp_ratio must be finite and give at least one MLP "
                               f"hidden unit, got {self.mlp_ratio}")
         if not self.cnn_channels or min(self.cnn_channels) < 1:
@@ -72,6 +77,10 @@ class ModelConfig:
                     f"image_size {self.image_size} cannot be halved "
                     f"{len(self.cnn_channels)} times by the CNN pooling chain")
             extent //= 2
+        count = param_count(self)
+        if count > MAX_PARAMS:
+            raise ConfigError(f"the model would have {Decimal(count):.3e} parameters; "
+                              f"the limit is {Decimal(MAX_PARAMS):.3e}")
 
     @property
     def grid_size(self) -> int:
@@ -86,24 +95,6 @@ class ModelConfig:
         return int(round(self.embed_dim * self.mlp_ratio))
 
 
-@dataclass
-class TokenGrid:
-    tokens: Tensor  # B x N x d
-    grid_h: int
-    grid_w: int
-
-    def __post_init__(self):
-        if self.tokens.shape[1] != self.grid_h * self.grid_w:
-            raise ShapeError(
-                f"token count {self.tokens.shape[1]} != grid {self.grid_h}x{self.grid_w}")
-
-
-@dataclass
-class FeatureGraph:
-    nodes: Tensor  # B x N x d
-    adjacency: np.ndarray = field(repr=False)  # N x N bool, symmetric, self-loops
-
-
 # ---------------------------------------------------------------------------
 # parameters
 # ---------------------------------------------------------------------------
@@ -113,9 +104,11 @@ def _uniform_init(rng: RngStream, shape: tuple[int, ...], fan_in: int) -> np.nda
     return (rng.uniform(int(np.prod(shape))) * 2.0 - 1.0).reshape(shape) * bound
 
 
-def _param_spec(cfg: ModelConfig) -> dict[str, tuple[tuple[int, ...], int | str | None]]:
+def _param_spec(cfg: ModelConfig, encoder_layers: int | None = None
+                ) -> dict[str, tuple[tuple[int, ...], int | str | None]]:
     """Name -> (shape, init) for every parameter, in creation order; init is
-    a fan-in for a uniform weight, "ones", or None for zeros."""
+    a fan-in for a uniform weight, "ones", or None for zeros.
+    ``encoder_layers`` overrides the config's depth."""
     d = cfg.embed_dim
     spec: dict[str, tuple[tuple[int, ...], int | str | None]] = {}
 
@@ -124,7 +117,9 @@ def _param_spec(cfg: ModelConfig) -> dict[str, tuple[tuple[int, ...], int | str 
     spec["patch_embed.bias"] = ((d,), None)
     spec["pos_embed"] = ((1, cfg.num_tokens, d), None)
 
-    for i in range(cfg.num_encoder_layers):
+    if encoder_layers is None:
+        encoder_layers = cfg.num_encoder_layers
+    for i in range(encoder_layers):
         p = f"enc{i}."
         spec[p + "ln1.gamma"] = ((d,), "ones")
         spec[p + "ln1.beta"] = ((d,), None)
@@ -173,6 +168,15 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return {name: shape for name, (shape, _) in _param_spec(cfg).items()}
 
 
+def param_count(cfg: ModelConfig) -> int:
+    """Number of scalar parameters, from one encoder layer's shapes so that
+    the cost does not grow with the depth."""
+    sizes = {name: math.prod(shape)
+             for name, (shape, _) in _param_spec(cfg, encoder_layers=1).items()}
+    per_layer = sum(n for name, n in sizes.items() if name.startswith("enc0."))
+    return sum(sizes.values()) + (cfg.num_encoder_layers - 1) * per_layer
+
+
 def init_params(cfg: ModelConfig, rng: RngStream) -> dict[str, Tensor]:
     """Seeded parameter dictionary: uniform +-1/sqrt(fan_in) weights, zero
     biases, zero positional embedding, unit layer-norm gains."""
@@ -203,9 +207,9 @@ def _affine(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
 # blocks
 # ---------------------------------------------------------------------------
 
-def patch_embed(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor]) -> TokenGrid:
+def patch_embed(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor]) -> Tensor:
     """Non-overlapping patches via a strided convolution, flattened row-major
-    into tokens, plus the learned positional embedding."""
+    into B x N x d tokens, plus the learned positional embedding."""
     if x.ndim != 4 or x.shape[1] != 3:
         raise ShapeError(f"expected B x 3 x H x W input, got {x.shape}")
     B, _, H, W = x.shape
@@ -215,8 +219,7 @@ def patch_embed(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor]) -> Token
     out = T.conv2d(x, params["patch_embed.weight"], params["patch_embed.bias"],
                    stride=cfg.patch_size, padding=0)       # B x d x g x g
     tokens = T.transpose(T.reshape(out, (B, cfg.embed_dim, g * g)), (0, 2, 1))
-    tokens = tokens + params["pos_embed"]
-    return TokenGrid(tokens=tokens, grid_h=g, grid_w=g)
+    return tokens + params["pos_embed"]
 
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:
@@ -229,9 +232,9 @@ def _merge_heads(x: Tensor) -> Tensor:
     return T.reshape(T.transpose(x, (0, 2, 1, 3)), (B, N, h * hd))
 
 
-def _attention(q_tokens: Tensor, kv_tokens: Tensor, heads: int,
-               params: dict[str, Tensor], prefix: str,
-               capture: dict | None = None, capture_key: str = "") -> Tensor:
+def attention(q_tokens: Tensor, kv_tokens: Tensor, heads: int,
+              params: dict[str, Tensor], prefix: str,
+              capture: dict | None = None, capture_key: str = "") -> Tensor:
     """Scaled dot-product attention with separate query and key/value token
     sets; ``q_tokens is kv_tokens`` gives self-attention."""
     d = q_tokens.shape[-1]
@@ -249,12 +252,6 @@ def _attention(q_tokens: Tensor, kv_tokens: Tensor, heads: int,
     return T.matmul(ctx, params[prefix + "wo"]) + params[prefix + "bo"]
 
 
-def multi_head_self_attention(tokens: Tensor, heads: int, params: dict[str, Tensor],
-                              prefix: str = "attn.", capture: dict | None = None,
-                              capture_key: str = "attn") -> Tensor:
-    return _attention(tokens, tokens, heads, params, prefix, capture, capture_key)
-
-
 def transformer_encoder(tokens: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
                         training: bool = False, rng: RngStream | None = None,
                         capture: dict | None = None) -> Tensor:
@@ -263,8 +260,8 @@ def transformer_encoder(tokens: Tensor, cfg: ModelConfig, params: dict[str, Tens
     for i in range(cfg.num_encoder_layers):
         p = f"enc{i}."
         h = T.layer_norm(x, params[p + "ln1.gamma"], params[p + "ln1.beta"])
-        a = _attention(h, h, cfg.num_heads, params, p + "attn.",
-                       capture, f"enc{i}.attn")
+        a = attention(h, h, cfg.num_heads, params, p + "attn.",
+                      capture, f"enc{i}.attn")
         x = x + T.dropout(a, cfg.dropout_p, training, rng)
         h = T.layer_norm(x, params[p + "ln2.gamma"], params[p + "ln2.beta"])
         m = T.gelu(T.matmul(h, params[p + "mlp.w1"]) + params[p + "mlp.b1"])
@@ -285,9 +282,6 @@ def cnn_branch(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
         raise ShapeError(f"input {x.shape} does not match image size {cfg.image_size}")
     out = x
     for j in range(len(cfg.cnn_channels)):
-        extent = out.shape[-1]
-        if extent < 2 or extent % 2:
-            raise ShapeError(f"spatial extent {extent} cannot be pooled in half at stage {j}")
         out = T.conv2d(out, params[f"cnn{j}.weight"], params[f"cnn{j}.bias"], padding=1)
         out = T.max_pool2d(out, 2, 2)
         out = T.relu(out)
@@ -303,8 +297,8 @@ def cross_attention_fuse(cnn_feat: Tensor, enc_tokens: Tensor, cfg: ModelConfig,
     B, C, h, w = cnn_feat.shape
     cnn_tokens = T.transpose(T.reshape(cnn_feat, (B, C, h * w)), (0, 2, 1))
     cnn_tokens = T.matmul(cnn_tokens, params["cross.proj.w"]) + params["cross.proj.b"]
-    ctx = _attention(enc_tokens, cnn_tokens, cfg.num_heads, params, "cross.attn.",
-                     capture, "cross.attn")
+    ctx = attention(enc_tokens, cnn_tokens, cfg.num_heads, params, "cross.attn.",
+                    capture, "cross.attn")
     both = T.concat([enc_tokens, ctx], axis=2)
     return T.matmul(both, params["cross.fuse.w"]) + params["cross.fuse.b"]
 
@@ -324,29 +318,29 @@ def grid8_adjacency(grid_h: int, grid_w: int) -> np.ndarray:
     return adj
 
 
-def build_graph(fused: TokenGrid) -> FeatureGraph:
-    return FeatureGraph(nodes=fused.tokens,
-                        adjacency=grid8_adjacency(fused.grid_h, fused.grid_w))
+def build_graph(cfg: ModelConfig) -> np.ndarray:
+    """Adjacency of the patch-token grid that graph attention runs over."""
+    return grid8_adjacency(cfg.grid_size, cfg.grid_size)
 
 
-def graph_attention(graph: FeatureGraph, cfg: ModelConfig, params: dict[str, Tensor],
-                    capture: dict | None = None) -> Tensor:
+def graph_attention(nodes: Tensor, adjacency: np.ndarray, cfg: ModelConfig,
+                    params: dict[str, Tensor], capture: dict | None = None) -> Tensor:
     """Additive-score attention over the neighborhood structure:
     score(i,j) = leaky_relu(a_src . Wh_i + a_dst . Wh_j) for adjacent pairs,
-    normalized per neighborhood; non-edges get weight exactly zero."""
-    adj = graph.adjacency
-    n = graph.nodes.shape[1]
-    if adj.shape != (n, n):
-        raise ContractError(f"adjacency {adj.shape} does not match {n} nodes")
-    if not np.array_equal(adj, adj.T):
+    normalized per neighborhood; non-edges get weight exactly zero.  The
+    N x N boolean adjacency must be symmetric and include every self-loop."""
+    n = nodes.shape[1]
+    if adjacency.shape != (n, n):
+        raise ContractError(f"adjacency {adjacency.shape} does not match {n} nodes")
+    if not np.array_equal(adjacency, adjacency.T):
         raise ContractError("graph adjacency must be symmetric")
-    if not adj.diagonal().all():
+    if not adjacency.diagonal().all():
         raise ContractError("graph adjacency must include every self-loop")
-    h = T.matmul(graph.nodes, params["gat.w"])                       # B x N x d
+    h = T.matmul(nodes, params["gat.w"])                             # B x N x d
     src = T.matmul(h, params["gat.a_src"])                           # B x N x 1
     dst = T.transpose(T.matmul(h, params["gat.a_dst"]), (0, 2, 1))   # B x 1 x N
     scores = T.leaky_relu(src + dst, cfg.gat_leaky_slope)            # B x N x N
-    alpha = T.softmax(scores, mask=adj[None, :, :])
+    alpha = T.softmax(scores, mask=adjacency[None, :, :])
     if capture is not None:
         capture["gat.attn"] = alpha.data.copy()
     out = T.matmul(alpha, h)
@@ -379,12 +373,11 @@ def model_forward(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
     """
     if training and cfg.dropout_p > 0 and rng is None:
         raise ContractError("training-mode forward with dropout needs an rng")
-    grid = patch_embed(x, cfg, params)
-    enc = transformer_encoder(grid.tokens, cfg, params, training, rng, capture)
+    tokens = patch_embed(x, cfg, params)
+    enc = transformer_encoder(tokens, cfg, params, training, rng, capture)
     feat = cnn_branch(x, cfg, params, training, rng)
     fused = cross_attention_fuse(feat, enc, cfg, params, capture)
-    graph = build_graph(TokenGrid(fused, grid.grid_h, grid.grid_w))
-    nodes = graph_attention(graph, cfg, params, capture)
+    nodes = graph_attention(fused, build_graph(cfg), cfg, params, capture)
     pooled = global_average_pool(nodes)
     return (classify_head(pooled, cfg, params, training, rng),
             rotation_head(pooled, params))

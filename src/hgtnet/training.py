@@ -23,7 +23,7 @@ from .kvtext import from_kv, get_float, get_floats, get_int, to_kv
 from .metrics import PredictionRecord
 from .model import ModelConfig, init_params, model_forward, param_shapes
 from .rng import RngStream
-from .tensor import OpRecord, Tensor
+from .tensor import Tensor
 
 
 @dataclass
@@ -90,16 +90,13 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ContractError(f"labels must lie in [0, {k}), got range "
                             f"[{labels.min()}, {labels.max()}]")
     probs, losses = _softmax_nll(logits.data, labels)
-    out = Tensor(losses.mean())
-    if logits.requires_grad or logits.op_record is not None:
-        def backward(g):
-            gz = probs.copy()
-            gz[np.arange(b), labels] -= 1.0
-            return (gz * (g / b),)
 
-        out.requires_grad = True
-        out.op_record = OpRecord("cross_entropy", (logits,), backward)
-    return out
+    def backward(g):
+        gz = probs.copy()
+        gz[np.arange(b), labels] -= 1.0
+        return (gz * (g / b),)
+
+    return T._make(losses.mean(), "cross_entropy", (logits,), backward)
 
 
 def combined_loss(class_logits: Tensor, labels, rot_logits: Tensor | None,
@@ -265,22 +262,6 @@ def evaluate(params: dict[str, Tensor], model_cfg: ModelConfig,
     hits = sum(r[1] for r in results)
     records = [rec for r in results for rec in r[2]]
     return total_loss / len(samples), hits / len(samples), records
-
-
-def early_stopping_check(test_losses: list[float], patience: int) -> bool:
-    """True ("stop") once the running minimum has gone ``patience``
-    consecutive epochs without a strict improvement."""
-    if patience < 1:
-        raise ConfigError(f"patience must be >= 1, got {patience}")
-    best = math.inf
-    bad = 0
-    for loss in test_losses:
-        if loss < best:
-            best = loss
-            bad = 0
-        else:
-            bad += 1
-    return bad >= patience
 
 
 # ---------------------------------------------------------------------------

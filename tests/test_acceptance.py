@@ -323,16 +323,51 @@ def test_criterion_6b_synthetic_run_beats_chance():
               f"({elapsed:.0f}s)", end="")
 
 
-def test_criterion_6c_early_stopping_is_exact():
+class _ScriptEnd(Exception):
+    """fit asked for the test loss of an epoch past the end of the script."""
+
+
+def test_criterion_6c_early_stopping_is_exact(monkeypatch, tmp_path):
+    stats = data.DatasetStats(mean=np.full(3, 0.5), std=np.full(3, 0.2))
+
+    def fit_on_script(test_losses, state=None, max_epochs=None):
+        """fit with train_epoch a no-op and evaluate returning the scripted
+        losses; the final state, or None when fit asks for more epochs."""
+        script = iter(test_losses)
+
+        def evaluate(*args, **kwargs):
+            for loss in script:
+                return loss, 0.0, []
+            raise _ScriptEnd
+
+        if state is None:
+            state = tr.init_state(tiny_config(32), tr.TrainConfig(patience=10, max_epochs=100),
+                                  stats, [f"class{k}" for k in range(5)])
+        with monkeypatch.context() as patch:
+            patch.setattr(tr, "train_epoch", lambda *args, **kwargs: (0.0, 0.0))
+            patch.setattr(tr, "evaluate", evaluate)
+            try:
+                tr.fit(state, [], [], max_epochs=max_epochs)
+            except _ScriptEnd:
+                return None
+        return state
+
     with _criterion("6c", "early stop after exactly 10 flat epochs"):
         for k in range(1, 13):
-            losses = [1.0] + [1.0] * k
-            stopped = tr.early_stopping_check(losses, patience=10)
-            assert stopped == (k >= 10), f"{k} flat epochs"
+            state = fit_on_script([1.0] + [1.0] * k)
+            if k < 10:
+                assert state is None, f"{k} flat epochs"
+            else:
+                assert (state.epoch, state.best_epoch) == (11, 1), f"{k} flat epochs"
         # improvements keep resetting the counter
         longer = [1.0, 1.1, 1.2, 0.9] + [0.95] * 9
-        assert not tr.early_stopping_check(longer, patience=10)
-        assert tr.early_stopping_check(longer + [0.95], patience=10)
+        assert fit_on_script(longer) is None
+        state = fit_on_script(longer + [0.95])
+        assert (state.epoch, state.best_epoch) == (14, 4)
+        # a checkpoint round trip in the middle of the flat run keeps the counter
+        tr.save_state(fit_on_script([1.0] * 5, max_epochs=5), tmp_path / "mid.ckpt")
+        state = fit_on_script([1.0] * 7, state=tr.load_state(tmp_path / "mid.ckpt"))
+        assert (state.epoch, state.best_epoch) == (11, 1)
 
 
 # ---------------------------------------------------------------------------

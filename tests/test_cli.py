@@ -17,9 +17,8 @@ from hgtnet import checkpoint as ckpt
 from hgtnet import data
 from hgtnet import training as tr
 from hgtnet.cli import build_parser, main
-from hgtnet.config import (default_run_config, load_run_config,
-                           render_run_config, run_config_from_kv,
-                           run_config_to_kv)
+from hgtnet.config import (load_run_config, render_run_config,
+                           run_config_from_kv, run_config_to_kv)
 from hgtnet.errors import ConfigError, HgtnetError
 from hgtnet.kvtext import parse_kv
 from hgtnet.metrics import PredictionRecord, write_predictions
@@ -39,7 +38,7 @@ def _train(tmp_path, sub="run", extra=()):
 
 class TestConfigMerge:
     def test_defaults_round_trip(self):
-        cfg = default_run_config(32)
+        cfg = run_config_from_kv({"model.image_size": "32"})
         assert run_config_from_kv(run_config_to_kv(cfg)) == cfg
 
     def test_file_overrides_defaults_and_flags_override_file(self, tmp_path):
@@ -102,7 +101,7 @@ class TestConfigMerge:
         assert "UTF-8" in capsys.readouterr().err
 
     def test_render_parses_back(self):
-        cfg = default_run_config(32)
+        cfg = run_config_from_kv({"model.image_size": "32"})
         text = render_run_config(cfg)
         assert run_config_from_kv(parse_kv(text, "mem")) == cfg
 
@@ -110,7 +109,7 @@ class TestConfigMerge:
 _FUZZ = settings(derandomize=True, max_examples=300, deadline=None, database=None,
                  suppress_health_check=[HealthCheck.function_scoped_fixture])
 
-_KEYS = list(run_config_to_kv(default_run_config()))
+_KEYS = list(run_config_to_kv(run_config_from_kv({})))
 
 
 def _load_config_bytes(tmp_path, blob):
@@ -209,6 +208,21 @@ class TestTrainCommand:
         assert pair.split("=")[0].split(".")[1] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("pair", [
+        "model.mlp_ratio=1e300", "model.mlp_ratio=1e308", "model.embed_dim=1000000",
+        "model.cnn_channels=1000000000", "model.num_encoder_layers=1000000000"])
+    def test_oversized_model_is_config_error(self, pair, tmp_path, capsys):
+        # rejected from the shapes alone: nothing of that size is allocated
+        out = tmp_path / "x"
+        code = main(["train", "--synth", "--tiny", "--image-size", "32", "--per-class", "2",
+                     "--epochs", "1", "--out", str(out), "--set", pair])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        # 1e308 overflows embed_dim * mlp_ratio, which the mlp_ratio check catches
+        assert ("mlp_ratio" if pair.endswith("e308") else "limit is") in err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_run_exits_6(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -302,6 +316,16 @@ class TestEvalCommand:
                      "--out", str(tmp_path / "x")])
         assert code == 5
         assert "gat.w" in capsys.readouterr().err
+
+    def test_checkpoint_with_oversized_config_exit_5(self, tmp_path, capsys):
+        snap = ckpt.load_checkpoint(_untrained_checkpoint(tmp_path / "full.ckpt"))
+        snap.metadata["model.mlp_ratio"] = "1e300"
+        huge = tmp_path / "huge.ckpt"
+        ckpt.save_checkpoint(huge, snap.metadata, snap.params, snap.moments)
+        code = main(["eval", "--checkpoint", str(huge), "--synth",
+                     "--out", str(tmp_path / "x")])
+        assert code == 5
+        assert "limit is" in capsys.readouterr().err
 
     def _synth_tree(self, tmp_path):
         tree = tmp_path / "tree"

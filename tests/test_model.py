@@ -6,12 +6,11 @@ from hgtnet import tensor as T
 from hgtnet.data import NUM_ROTATIONS
 from hgtnet.errors import ConfigError, ContractError, ShapeError
 from hgtnet.gradcheck import check_gradients
-from hgtnet.model import (FeatureGraph, ModelConfig, TokenGrid, build_graph,
-                          classify_head, cnn_branch, cross_attention_fuse,
-                          global_average_pool, graph_attention, grid8_adjacency,
-                          init_params, model_forward, multi_head_self_attention,
-                          param_shapes, patch_embed, rotation_head, tiny_config,
-                          transformer_encoder)
+from hgtnet.model import (ModelConfig, attention, build_graph, classify_head,
+                          cnn_branch, cross_attention_fuse, global_average_pool,
+                          graph_attention, grid8_adjacency, init_params,
+                          model_forward, param_count, param_shapes, patch_embed,
+                          rotation_head, tiny_config, transformer_encoder)
 from hgtnet.rng import RngStream
 from hgtnet.tensor import Tensor
 
@@ -52,6 +51,13 @@ class TestModelConfig:
         assert NUM_ROTATIONS == 4
         assert shapes["rot.w"] == (128, NUM_ROTATIONS) and shapes["rot.b"] == (NUM_ROTATIONS,)
 
+    @pytest.mark.parametrize("layers", [1, 2, 5])
+    def test_param_count_matches_shapes(self, layers):
+        for cfg in (ModelConfig(num_encoder_layers=layers), tiny_config(num_encoder_layers=layers)):
+            sizes = [int(np.prod(shape)) for shape in param_shapes(cfg).values()]
+            assert param_count(cfg) == sum(sizes)
+        assert param_count(ModelConfig()) == 1_065_513
+
     @pytest.mark.parametrize("name", ["image_size", "patch_size", "embed_dim", "num_heads"])
     def test_zero_extent_rejected(self, name):
         with pytest.raises(ConfigError, match=name):
@@ -63,17 +69,14 @@ class TestPatchEmbed:
         cfg = ModelConfig()
         params = init_params(cfg, RngStream(seed=1))
         x = Tensor(RngStream(seed=2).normal(1 * 3 * 224 * 224).reshape(1, 3, 224, 224))
-        grid = patch_embed(x, cfg, params)
-        assert grid.tokens.shape == (1, 196, 128)
-        assert grid.grid_h == grid.grid_w == 14
+        assert patch_embed(x, cfg, params).shape == (1, 196, 128)
 
     def test_32_with_patch_16_gives_2x2(self):
         cfg = tiny_config()
         params = init_params(cfg, RngStream(seed=3))
         x = Tensor(np.zeros((2, 3, 32, 32)))
-        grid = patch_embed(x, cfg, params)
-        assert grid.tokens.shape == (2, 4, 8)
-        assert grid.grid_h == 2 and grid.grid_w == 2
+        assert patch_embed(x, cfg, params).shape == (2, 4, 8)
+        assert cfg.grid_size == 2
 
     def test_zero_input_gives_bias_tokens(self):
         cfg = tiny_config()
@@ -81,16 +84,16 @@ class TestPatchEmbed:
         params["pos_embed"].data[...] = 0.0
         bias = RngStream(seed=5).normal(cfg.embed_dim)
         params["patch_embed.bias"].data[...] = bias
-        grid = patch_embed(Tensor(np.zeros((1, 3, 32, 32))), cfg, params)
-        assert np.allclose(grid.tokens.data, bias[None, None, :])
+        tokens = patch_embed(Tensor(np.zeros((1, 3, 32, 32))), cfg, params)
+        assert np.allclose(tokens.data, bias[None, None, :])
 
     def test_positional_embedding_added(self):
         cfg = tiny_config()
         params = init_params(cfg, RngStream(seed=6))
         x = Tensor(RngStream(seed=7).normal(1 * 3 * 32 * 32).reshape(1, 3, 32, 32))
-        base = patch_embed(x, cfg, params).tokens.data
+        base = patch_embed(x, cfg, params).data
         params["pos_embed"].data[...] = 1.0
-        shifted = patch_embed(x, cfg, params).tokens.data
+        shifted = patch_embed(x, cfg, params).data
         assert np.allclose(shifted, base + 1.0)
 
     def test_wrong_size_rejected(self):
@@ -119,7 +122,7 @@ class TestSelfAttention:
         d = 6
         params = _attn_params(d, seed=10)
         tokens = Tensor(RngStream(seed=11).normal(d).reshape(1, 1, d))
-        out = multi_head_self_attention(tokens, 2, params)
+        out = attention(tokens, tokens, 2, params, "attn.")
         v = tokens.data @ params["attn.wv"].data
         expected = v @ params["attn.wo"].data
         assert np.allclose(out.data, expected, atol=1e-12)
@@ -130,7 +133,7 @@ class TestSelfAttention:
         one = RngStream(seed=13).normal(d)
         tokens = Tensor(np.tile(one, (1, n, 1)))
         capture = {}
-        multi_head_self_attention(tokens, 2, params, capture=capture)
+        attention(tokens, tokens, 2, params, "attn.", capture, "attn")
         assert np.allclose(capture["attn"], 1.0 / n, atol=1e-12)
 
     def test_rows_sum_to_one(self):
@@ -138,7 +141,7 @@ class TestSelfAttention:
         params = _attn_params(d, seed=14)
         tokens = Tensor(RngStream(seed=15).normal(3 * n * d).reshape(3, n, d))
         capture = {}
-        multi_head_self_attention(tokens, 4, params, capture=capture)
+        attention(tokens, tokens, 4, params, "attn.", capture, "attn")
         assert np.allclose(capture["attn"].sum(axis=-1), 1.0, atol=1e-12)
 
     def test_single_head_dense_oracle(self):
@@ -146,7 +149,8 @@ class TestSelfAttention:
         d, n = 4, 3
         params = _attn_params(d, seed=16, zero_bias=False)
         x = RngStream(seed=17).normal(n * d).reshape(1, n, d)
-        out = multi_head_self_attention(Tensor(x), 1, params).data
+        tokens = Tensor(x)
+        out = attention(tokens, tokens, 1, params, "attn.").data
 
         q = x @ params["attn.wq"].data + params["attn.bq"].data
         k = x @ params["attn.wk"].data + params["attn.bk"].data
@@ -161,7 +165,7 @@ class TestSelfAttention:
         params = _attn_params(6, seed=18)
         tokens = Tensor(np.zeros((1, 2, 6)))
         with pytest.raises(ConfigError):
-            multi_head_self_attention(tokens, 4, params)
+            attention(tokens, tokens, 4, params, "attn.")
 
 
 class TestTransformerEncoder:
@@ -355,11 +359,10 @@ class TestGraph:
         assert np.array_equal(adj, adj.T)
         assert adj.diagonal().all()
 
-    def test_build_graph_wraps_grid(self):
-        tokens = Tensor(np.zeros((1, 6, 4)))
-        graph = build_graph(TokenGrid(tokens, 2, 3))
-        assert graph.adjacency.shape == (6, 6)
-        assert graph.nodes is tokens
+    def test_build_graph_is_the_token_grid(self):
+        cfg = tiny_config(48)
+        assert cfg.grid_size == 3
+        assert np.array_equal(build_graph(cfg), grid8_adjacency(3, 3))
 
 
 def _gat_params(d, seed):
@@ -377,8 +380,7 @@ class TestGraphAttention:
         cfg = tiny_config()
         params = _gat_params(8, seed=50)
         nodes = Tensor(RngStream(seed=51).normal(8).reshape(1, 1, 8))
-        graph = FeatureGraph(nodes=nodes, adjacency=np.ones((1, 1), dtype=bool))
-        out = graph_attention(graph, cfg, params)
+        out = graph_attention(nodes, np.ones((1, 1), dtype=bool), cfg, params)
         h = nodes.data @ params["gat.w"].data
         expected = np.where(h > 0, h, cfg.gat_leaky_slope * h)
         assert np.allclose(out.data, expected, atol=1e-12)
@@ -389,7 +391,7 @@ class TestGraphAttention:
         nodes = Tensor(RngStream(seed=53).normal(2 * 12 * 8).reshape(2, 12, 8))
         adj = grid8_adjacency(3, 4)
         capture = {}
-        graph_attention(FeatureGraph(nodes=nodes, adjacency=adj), cfg, params, capture=capture)
+        graph_attention(nodes, adj, cfg, params, capture=capture)
         alpha = capture["gat.attn"]
         assert np.allclose(alpha.sum(axis=-1), 1.0, atol=1e-12)
         assert (alpha[:, ~adj] == 0.0).all()
@@ -400,7 +402,7 @@ class TestGraphAttention:
         params = _gat_params(d, seed=54)
         nodes = Tensor(RngStream(seed=55).normal(3 * d).reshape(1, 3, d))
         adj = grid8_adjacency(1, 3)  # path: 0-1-2 with self loops
-        out = graph_attention(FeatureGraph(nodes=nodes, adjacency=adj), cfg, params).data
+        out = graph_attention(nodes, adj, cfg, params).data
 
         slope = cfg.gat_leaky_slope
         h = nodes.data[0] @ params["gat.w"].data
@@ -423,12 +425,10 @@ class TestGraphAttention:
         params = _gat_params(d, seed=56)
         nodes = RngStream(seed=57).normal(2 * 6 * d).reshape(2, 6, d)
         adj = grid8_adjacency(2, 3)
-        base = graph_attention(FeatureGraph(nodes=Tensor(nodes), adjacency=adj),
-                               cfg, params).data
+        base = graph_attention(Tensor(nodes), adj, cfg, params).data
         perm = np.array(RngStream(seed=58).shuffle(list(range(6))))
-        permuted = graph_attention(
-            FeatureGraph(nodes=Tensor(nodes[:, perm]), adjacency=adj[np.ix_(perm, perm)]),
-            cfg, params).data
+        permuted = graph_attention(Tensor(nodes[:, perm]), adj[np.ix_(perm, perm)],
+                                   cfg, params).data
         assert np.allclose(permuted, base[:, perm], atol=1e-10)
 
     def test_asymmetric_adjacency_rejected(self):
@@ -436,18 +436,22 @@ class TestGraphAttention:
         params = _gat_params(8, seed=59)
         adj = np.eye(3, dtype=bool)
         adj[0, 1] = True  # no reverse edge
-        graph = FeatureGraph(nodes=Tensor(np.zeros((1, 3, 8))), adjacency=adj)
         with pytest.raises(ContractError):
-            graph_attention(graph, cfg, params)
+            graph_attention(Tensor(np.zeros((1, 3, 8))), adj, cfg, params)
+
+    def test_adjacency_of_another_size_rejected(self):
+        cfg = tiny_config()
+        params = _gat_params(8, seed=61)
+        with pytest.raises(ContractError):
+            graph_attention(Tensor(np.zeros((1, 3, 8))), grid8_adjacency(2, 2), cfg, params)
 
     def test_missing_self_loop_rejected(self):
         cfg = tiny_config()
         params = _gat_params(8, seed=60)
         adj = np.zeros((2, 2), dtype=bool)
         adj[0, 0] = True
-        graph = FeatureGraph(nodes=Tensor(np.zeros((1, 2, 8))), adjacency=adj)
         with pytest.raises(ContractError):
-            graph_attention(graph, cfg, params)
+            graph_attention(Tensor(np.zeros((1, 2, 8))), adj, cfg, params)
 
 
 class TestPoolAndHeads:

@@ -27,12 +27,6 @@ class TestElementwise:
         a = T.Tensor(np.array([1.0, -2.0]))
         assert np.array_equal((a * 3.0).data, np.array([3.0, -6.0]))
 
-    def test_sub_and_neg(self):
-        a = T.Tensor(np.array([5.0]))
-        b = T.Tensor(np.array([2.0]))
-        assert (a - b).data[0] == 3.0
-        assert (-a).data[0] == -5.0
-
 
 class TestMatmul:
     def test_plain(self):

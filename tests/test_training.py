@@ -372,30 +372,83 @@ class TestEvaluate:
             tr.evaluate({}, cfg, [], stats)
 
 
+class _ScriptEnd(Exception):
+    """fit asked for the test loss of an epoch past the end of the script."""
+
+
+def _script_test_losses(monkeypatch, losses):
+    """Make train_epoch a no-op and evaluate return ``losses`` in order, so
+    that fit's stopping rule is all that decides how many epochs run."""
+    script = iter(losses)
+
+    def evaluate(*args, **kwargs):
+        for loss in script:
+            return loss, 0.0, []
+        raise _ScriptEnd
+
+    monkeypatch.setattr(tr, "train_epoch", lambda *args, **kwargs: (0.0, 0.0))
+    monkeypatch.setattr(tr, "evaluate", evaluate)
+
+
+def _scripted_state(patience):
+    stats = data.DatasetStats(mean=np.full(3, 0.5), std=np.full(3, 0.2))
+    return tr.init_state(tiny_config(32), tr.TrainConfig(patience=patience, max_epochs=100),
+                         stats, [f"class{k}" for k in range(5)])
+
+
+def _stop_epoch(monkeypatch, losses, patience):
+    """The epoch after which fit stops on these test losses, or None when
+    it asks for more epochs than were scripted."""
+    state = _scripted_state(patience)
+    with monkeypatch.context() as patch:
+        _script_test_losses(patch, losses)
+        try:
+            history = tr.fit(state, [], [])
+        except _ScriptEnd:
+            return None
+    assert [r.epoch for r in history] == list(range(1, state.epoch + 1))
+    return state.epoch
+
+
 class TestEarlyStopping:
-    def test_improving_sequence_never_stops(self):
-        losses = [1.0, 0.9, 0.8, 0.7]
-        assert not tr.early_stopping_check(losses, patience=2)
+    def test_improving_sequence_never_stops(self, monkeypatch):
+        assert _stop_epoch(monkeypatch, [1.0, 0.9, 0.8, 0.7], patience=2) is None
 
-    def test_stops_after_exactly_patience_bad_epochs(self):
-        base = [1.0]
+    def test_stops_after_exactly_patience_bad_epochs(self, monkeypatch):
         for k in range(1, 12):
-            seq = base + [1.0] * k
-            stopped = tr.early_stopping_check(seq, patience=10)
-            assert stopped == (k >= 10), f"k={k}"
+            stop = _stop_epoch(monkeypatch, [1.0] + [1.0] * k, patience=10)
+            assert stop == (11 if k >= 10 else None), f"k={k}"
 
-    def test_improvement_resets_counter(self):
-        assert not tr.early_stopping_check([1.0, 1.1, 0.9], patience=2)
-        assert tr.early_stopping_check([1.0, 1.1, 1.2], patience=2)
+    def test_improvement_resets_counter(self, monkeypatch):
+        assert _stop_epoch(monkeypatch, [1.0, 1.1, 0.9], patience=2) is None
+        assert _stop_epoch(monkeypatch, [1.0, 1.1, 1.2], patience=2) == 3
+        assert _stop_epoch(monkeypatch, [1.0, 1.1, 0.9, 1.0, 0.95], patience=2) == 5
 
-    def test_equal_loss_is_not_improvement(self):
-        assert tr.early_stopping_check([1.0, 1.0], patience=1)
+    def test_equal_loss_is_not_improvement(self, monkeypatch):
+        assert _stop_epoch(monkeypatch, [1.0, 1.0], patience=1) == 2
 
     def test_bad_patience_rejected(self):
-        with pytest.raises(ConfigError):
-            tr.early_stopping_check([1.0], patience=0)
+        with pytest.raises(ConfigError, match="patience"):
+            tr.TrainConfig(patience=0)
 
-    def test_fit_honors_patience(self):
+    def test_stop_epoch_survives_a_resume(self, monkeypatch, tmp_path):
+        flat = [1.0] * 8
+        _script_test_losses(monkeypatch, flat)
+        straight = _scripted_state(patience=3)
+        tr.fit(straight, [], [])
+        assert (straight.epoch, straight.best_epoch) == (4, 1)
+
+        _script_test_losses(monkeypatch, flat)
+        part = _scripted_state(patience=3)
+        tr.fit(part, [], [], max_epochs=2)
+        tr.save_state(part, tmp_path / "mid.ckpt")
+        resumed = tr.load_state(tmp_path / "mid.ckpt")
+        history = tr.fit(resumed, [], [])
+        assert [r.epoch for r in history] == [3, 4]
+        assert resumed.best_epoch == straight.best_epoch
+        assert resumed.bad_epochs == straight.bad_epochs == 3
+
+    def test_fit_honors_patience(self, monkeypatch):
         # lr 0.3 makes the test loss bounce, so both runs stop early, and
         # the patience-2 run only after its counter was reset once
         for patience in (1, 2):
@@ -404,11 +457,15 @@ class TestEarlyStopping:
             state = tr.init_state(cfg, tcfg, stats, names)
             history = tr.fit(state, train, test, policy=MILD_POLICY)
             losses = [r.test_loss for r in history]
-            stops = [k for k in range(1, len(losses) + 1)
-                     if tr.early_stopping_check(losses[:k], patience)]
-            assert len(history) == (stops[0] if stops else tcfg.max_epochs)
             assert len(history) < tcfg.max_epochs, patience
             assert history[-1].epoch == state.epoch
+            # the best loss came before the last `patience` epochs, and
+            # none of those improved on it
+            best = min(losses[:-patience])
+            assert losses[state.best_epoch - 1] == state.best_test_loss == best
+            assert min(losses[-patience:]) >= best
+            # the real run stops where a script of its own test losses does
+            assert _stop_epoch(monkeypatch, losses, patience) == len(history)
 
 
 class TestPersistence:
