@@ -235,6 +235,20 @@ def _gradcheck_battery(seed: int):
     checks.append(("matmul", lambda ps: T.tsum(T.matmul(a, b) * T.matmul(a, b)),
                    [a, b], 1e-4))
 
+    l_x = randn(2, 3, 4, stream=rng.derive("linear-x"))
+    l_w = randn(4, 5, stream=rng.derive("linear-w"))
+    l_b = randn(5, stream=rng.derive("linear-b"))
+    l_out = Tensor(rng.derive("linear-out").normal(30).reshape(2, 3, 5))
+    checks.append(("linear", lambda ps: T.tsum(T.linear(l_x, l_w, l_b) * l_out),
+                   [l_x, l_w, l_b], 1e-4))
+
+    q = randn(2, 3, 4, stream=rng.derive("attention-q"))
+    k = randn(2, 5, 4, stream=rng.derive("attention-k"))
+    v = randn(2, 5, 4, stream=rng.derive("attention-v"))
+    a_out = Tensor(rng.derive("attention-out").normal(24).reshape(2, 3, 4))
+    checks.append(("attention", lambda ps: T.tsum(T.attention(q, k, v, 2) * a_out),
+                   [q, k, v], 1e-4))
+
     x = randn(2, 5, stream=rng.derive("softmax"))
     w = Tensor(rng.derive("softmax-w").normal(10).reshape(2, 5))
     checks.append(("softmax", lambda ps: T.tsum(T.softmax(x) * w), [x], 1e-4))
@@ -430,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--corrupt", choices=["gelu", "matmul"], default=None,
+    p.add_argument("--corrupt", choices=["gelu", "matmul", "attention"], default=None,
                    help="deliberately break one backward (self-test hook)")
     p.set_defaults(func=cmd_gradcheck)
 

@@ -81,6 +81,13 @@ class ModelConfig:
         if count > MAX_PARAMS:
             raise ConfigError(f"the model would have {Decimal(count):.3e} parameters; "
                               f"the limit is {Decimal(MAX_PARAMS):.3e}")
+        # per-image maps that grow with the token counts, not with the weights
+        n = self.num_tokens
+        for what, entries in (("graph adjacency", n * n),
+                              ("cross-attention map", n * extent * extent)):
+            if entries > MAX_PARAMS:
+                raise ConfigError(f"the {what} would have {Decimal(entries):.3e} entries "
+                                  f"per image; the limit is {Decimal(MAX_PARAMS):.3e}")
 
     @property
     def grid_size(self) -> int:
@@ -200,7 +207,7 @@ def init_params(cfg: ModelConfig, rng: RngStream) -> dict[str, Tensor]:
 
 
 def _affine(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
-    return T.matmul(x, params[prefix + ".w"]) + params[prefix + ".b"]
+    return T.linear(x, params[prefix + ".w"], params[prefix + ".b"])
 
 
 # ---------------------------------------------------------------------------
@@ -222,34 +229,18 @@ def patch_embed(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor]) -> Tenso
     return tokens + params["pos_embed"]
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    B, N, d = x.shape
-    return T.transpose(T.reshape(x, (B, N, heads, d // heads)), (0, 2, 1, 3))
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    B, h, N, hd = x.shape
-    return T.reshape(T.transpose(x, (0, 2, 1, 3)), (B, N, h * hd))
-
-
 def attention(q_tokens: Tensor, kv_tokens: Tensor, heads: int,
               params: dict[str, Tensor], prefix: str,
               capture: dict | None = None, capture_key: str = "") -> Tensor:
     """Scaled dot-product attention with separate query and key/value token
     sets; ``q_tokens is kv_tokens`` gives self-attention."""
-    d = q_tokens.shape[-1]
-    if d % heads:
-        raise ConfigError(f"token width {d} not divisible by {heads} heads")
-    q = _split_heads(T.matmul(q_tokens, params[prefix + "wq"]) + params[prefix + "bq"], heads)
-    k = _split_heads(T.matmul(kv_tokens, params[prefix + "wk"]) + params[prefix + "bk"], heads)
-    v = _split_heads(T.matmul(kv_tokens, params[prefix + "wv"]) + params[prefix + "bv"], heads)
-    scale = 1.0 / math.sqrt(d // heads)
-    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * scale
-    attn = T.softmax(scores)                                # B x h x Nq x Nk
+    q = T.linear(q_tokens, params[prefix + "wq"], params[prefix + "bq"])
+    k = T.linear(kv_tokens, params[prefix + "wk"], params[prefix + "bk"])
+    v = T.linear(kv_tokens, params[prefix + "wv"], params[prefix + "bv"])
+    ctx, probs = T.attention(q, k, v, heads, return_probs=True)   # probs: B x h x Nq x Nk
     if capture is not None:
-        capture[capture_key] = attn.data.copy()
-    ctx = _merge_heads(T.matmul(attn, v))
-    return T.matmul(ctx, params[prefix + "wo"]) + params[prefix + "bo"]
+        capture[capture_key] = probs.copy()
+    return T.linear(ctx, params[prefix + "wo"], params[prefix + "bo"])
 
 
 def transformer_encoder(tokens: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
@@ -264,8 +255,8 @@ def transformer_encoder(tokens: Tensor, cfg: ModelConfig, params: dict[str, Tens
                       capture, f"enc{i}.attn")
         x = x + T.dropout(a, cfg.dropout_p, training, rng)
         h = T.layer_norm(x, params[p + "ln2.gamma"], params[p + "ln2.beta"])
-        m = T.gelu(T.matmul(h, params[p + "mlp.w1"]) + params[p + "mlp.b1"])
-        m = T.matmul(m, params[p + "mlp.w2"]) + params[p + "mlp.b2"]
+        m = T.gelu(T.linear(h, params[p + "mlp.w1"], params[p + "mlp.b1"]))
+        m = T.linear(m, params[p + "mlp.w2"], params[p + "mlp.b2"])
         x = x + T.dropout(m, cfg.dropout_p, training, rng)
     return x
 
@@ -296,11 +287,11 @@ def cross_attention_fuse(cnn_feat: Tensor, enc_tokens: Tensor, cfg: ModelConfig,
     encoder tokens through the concatenation + linear layer."""
     B, C, h, w = cnn_feat.shape
     cnn_tokens = T.transpose(T.reshape(cnn_feat, (B, C, h * w)), (0, 2, 1))
-    cnn_tokens = T.matmul(cnn_tokens, params["cross.proj.w"]) + params["cross.proj.b"]
+    cnn_tokens = _affine(cnn_tokens, params, "cross.proj")
     ctx = attention(enc_tokens, cnn_tokens, cfg.num_heads, params, "cross.attn.",
                     capture, "cross.attn")
     both = T.concat([enc_tokens, ctx], axis=2)
-    return T.matmul(both, params["cross.fuse.w"]) + params["cross.fuse.b"]
+    return _affine(both, params, "cross.fuse")
 
 
 def grid8_adjacency(grid_h: int, grid_w: int) -> np.ndarray:

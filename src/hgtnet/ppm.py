@@ -48,17 +48,22 @@ def read_ppm(path: str | os.PathLike) -> np.ndarray:
     fields = []
     for name in ("width", "height", "maxval"):
         token, pos = _next_token(buf, pos, path)
+        # bytes.isdigit is ASCII-only; int() alone would also take b"+1" and b"1_0"
+        if not token.isdigit():
+            raise FormatError(f"{path}: {name} {token[:20]!r} is not an ASCII decimal number")
         try:
             value = int(token)
-        except ValueError:
-            raise FormatError(f"{path}: non-numeric {name} {token!r}") from None
+        except ValueError:  # more digits than int() converts
+            raise FormatError(f"{path}: {name} has {len(token)} digits") from None
         if value <= 0:
             raise FormatError(f"{path}: {name} must be positive, got {value}")
         fields.append(value)
     width, height, maxval = fields
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
-    pos += 1  # the single whitespace byte before the payload
+    if not buf[pos:pos + 1].isspace():
+        raise FormatError(f"{path}: maxval must be followed by one whitespace byte")
+    pos += 1
     need = width * height * 3
     payload = buf[pos:pos + need]
     if len(payload) != need:

@@ -187,6 +187,28 @@ def matmul(a, b) -> Tensor:
     return _make(data, "matmul", (a, b), backward)
 
 
+def linear(x, w, b) -> Tensor:
+    """Affine map ``x @ w + b`` over the last axis of x (..., din), with w
+    (din, dout) and b (dout,), as one record.  The weight gradient is one
+    2-D product on the (rows, din) view and the bias gradient one row sum."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear needs (..., din) @ (din, dout) + (dout,), "
+                         f"got {x.shape}, {w.shape}, {b.shape}")
+    din, dout = w.shape
+    rows = x.data.reshape(-1, din)
+    out = rows @ w.data
+    out += b.data
+    x_tracked = _needs_grad(x)
+
+    def backward(g):
+        g2 = g.reshape(-1, dout)
+        gx = (g2 @ w.data.T).reshape(x.shape) if x_tracked else None
+        return gx, rows.T @ g2, g2.sum(axis=0)
+
+    return _make(out.reshape(x.shape[:-1] + (dout,)), "linear", (x, w, b), backward)
+
+
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     x = _as_tensor(x)
     data = x.data.reshape(shape)
@@ -291,6 +313,58 @@ def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         return (gx,)
 
     return _make(y, "softmax", (x,), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, return_probs: bool = False):
+    """Multi-head scaled dot-product attention core as one record.
+
+    q is B x Nq x d, k and v are B x Nk x d; each head attends over its
+    d/heads slice of the features and the heads are merged back into
+    B x Nq x d.  The 1/sqrt(d/heads) scale is folded into q, the softmax
+    runs in place on the score buffer, and only the probabilities P
+    (B x heads x Nq x Nk) are kept for the closed-form backward (Vaswani
+    et al. 2017; the recurrence as in FlashAttention, Dao et al. 2022,
+    without tiling).  With ``return_probs`` the result is ``(out, P)``.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.ndim != 3 or k.shape != v.shape or k.ndim != 3 or \
+            q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
+        raise ShapeError(f"attention needs B x Nq x d queries and B x Nk x d keys/values, "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
+    B, Nq, d = q.shape
+    Nk = k.shape[1]
+    if heads < 1 or d % heads:
+        raise ConfigError(f"token width {d} not divisible by {heads} heads")
+    hd = d // heads
+    scale = 1.0 / np.sqrt(hd)
+
+    def split(a, n):  # (B, n, d) -> strided (B, heads, n, hd) view
+        return a.reshape(B, n, heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(a, n):  # (B, heads, n, hd) -> contiguous (B, n, d)
+        return a.transpose(0, 2, 1, 3).reshape(B, n, d)
+
+    qs = q.data * scale
+    qh, kh, vh = split(qs, Nq), split(k.data, Nk), split(v.data, Nk)
+    p = qh @ kh.transpose(0, 1, 3, 2)                         # B x h x Nq x Nk
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = merge(p @ vh, Nq)
+
+    def backward(g):
+        gh = split(g, Nq)
+        gv = merge(p.transpose(0, 1, 3, 2) @ gh, Nk)
+        gs = gh @ vh.transpose(0, 1, 3, 2)                    # gradient of P
+        gs -= np.einsum("...k,...k->...", gs, p)[..., None]   # row sums, no temporary
+        gs *= p                                               # gradient of Q.K^T
+        gq = merge(gs @ kh, Nq)
+        gq *= scale
+        gk = merge(gs.transpose(0, 1, 3, 2) @ qh, Nk)
+        return gq, gk, gv
+
+    result = _make(out, "attention", (q, k, v), backward)
+    return (result, p) if return_probs else result
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

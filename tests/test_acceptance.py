@@ -9,11 +9,9 @@ persistence, and augmentation invariants.
 """
 
 import math
-import os
 import time
 
 import numpy as np
-import pytest
 
 from hgtnet import data
 from hgtnet import tensor as T
@@ -66,6 +64,8 @@ def _op_battery(seed):
     c, d = t(2, 5, key="mul-a"), t(2, 5, key="mul-b")
     m1, m2 = t(3, 4, key="mm-a"), t(4, 2, key="mm-b")
     bm1, bm2 = t(2, 3, 4, key="bmm-a"), t(2, 4, 2, key="bmm-b")
+    lx3, lw, lbias = t(2, 3, 4, key="lin-x"), t(4, 5, key="lin-w"), t(5, key="lin-b")
+    aq, ak, av = t(2, 3, 4, key="att-q"), t(2, 5, 4, key="att-k"), t(2, 5, 4, key="att-v")
     sx = t(3, 6, key="softmax")
     mask = np.ones((3, 6), dtype=bool)
     mask[0, 3:] = False
@@ -87,6 +87,10 @@ def _op_battery(seed):
         ("matmul", lambda ps: T.tsum(T.matmul(m1, m2) * w(3, 2, key="mm-w")), [m1, m2]),
         ("batch_matmul", lambda ps: T.tsum(T.matmul(bm1, bm2) * w(2, 3, 2, key="bmm-w")),
          [bm1, bm2]),
+        ("linear", lambda ps: T.tsum(T.linear(lx3, lw, lbias) * w(2, 3, 5, key="lin-o")),
+         [lx3, lw, lbias]),
+        ("attention", lambda ps: T.tsum(T.attention(aq, ak, av, 2) * w(2, 3, 4, key="att-o")),
+         [aq, ak, av]),
         ("softmax", lambda ps: T.tsum(T.softmax(sx) * w(3, 6, key="sm-w")), [sx]),
         ("masked_softmax",
          lambda ps: T.tsum(T.softmax(sx, mask=mask) * w(3, 6, key="msm-w")), [sx]),

@@ -467,6 +467,18 @@ class TestGradcheckCommand:
         assert "gelu" in proc.stdout
         assert "FAIL" in proc.stdout
 
+    @pytest.mark.parametrize("op", ["matmul", "attention"])
+    def test_each_corruptible_op_is_detected(self, op):
+        # the tiny model's graph attention still records matmul, and its
+        # encoder and cross-attention record the fused attention core
+        proc = subprocess.run(
+            [sys.executable, "-m", "hgtnet.cli", "gradcheck", "--corrupt", op],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1
+        failed = proc.stdout.splitlines()[-1]
+        assert failed.startswith("gradient check FAILED for:")
+        assert set(failed.split(":")[1].replace(",", " ").split()) == {op, "model"}
+
     def test_corruption_hook_passes_missing_gradients_through(self, monkeypatch):
         from hgtnet import cli
         from hgtnet import tensor as T

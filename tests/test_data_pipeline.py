@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hgtnet import data, ppm
 from hgtnet.data import (AugmentPolicy, ImageSample, adjust_brightness, adjust_hue,
-                         adjust_saturation, apply_policy, box_smooth3, color_jitter,
+                         adjust_saturation, apply_policy, color_jitter,
                          compute_stats, gaussian_blur, gaussian_kernel1d, hsv_to_rgb,
                          load_dataset, normalize, random_horizontal_flip, random_rotation,
                          random_sharpness, resize_bilinear, rgb_to_hsv, rotate90,
@@ -55,9 +59,97 @@ class TestPpm:
         with pytest.raises(FormatError, match="deep.ppm"):
             ppm.read_ppm(path)
 
+    @pytest.mark.parametrize("header", [
+        b"P6 1_0 1 255\n", b"P6 +1 1 255\n", b"P6 1 1 +255\n", b"P6 1 1 2_55\n",
+        b"P6 1 \xd9\xa1 255\n", b"P6 1 1 255"])
+    def test_header_field_syntax_enforced(self, tmp_path, header):
+        path = tmp_path / "odd.ppm"
+        path.write_bytes(header + bytes(30))
+        with pytest.raises(FormatError, match="odd.ppm"):
+            ppm.read_ppm(path)
+
+    def test_hash_after_maxval_is_not_a_separator(self, tmp_path):
+        path = tmp_path / "hash.ppm"
+        path.write_bytes(b"P6 1 1 255#\nabc")
+        with pytest.raises(FormatError, match="whitespace"):
+            ppm.read_ppm(path)
+
     def test_unit_conversion_round_trip(self):
         arr = np.arange(256, dtype=np.uint8).repeat(3).reshape(-1, 1, 3)[:4]
         assert np.array_equal(ppm.from_unit(ppm.to_unit(arr)), arr)
+
+
+# the P6 header grammar read_ppm accepts, written independently of its
+# tokenizer: blanks and "#" comments (to the end of the line) between the
+# fields, ASCII decimal fields, then exactly one whitespace byte
+_BLANK = rb"(?:[ \t\n\r\x0b\x0c]|#[^\n]*(?=\n|\Z))"
+_HEADER = re.compile(rb"%s*P6%s+([0-9]+)%s+([0-9]+)%s+([0-9]+)[ \t\n\r\x0b\x0c]"
+                     % ((_BLANK,) * 4))
+
+
+def _ppm_oracle(blob: bytes) -> np.ndarray | None:
+    m = _HEADER.match(blob)
+    if m is None:
+        return None
+    width, height, maxval = (int(f) for f in m.groups())
+    payload = blob[m.end():m.end() + width * height * 3]
+    if width == 0 or height == 0 or maxval != 255 or len(payload) != width * height * 3:
+        return None
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
+
+
+def _read_ppm_bytes(tmp_path, blob: bytes) -> np.ndarray | None:
+    path = tmp_path / "fuzz.ppm"
+    path.write_bytes(blob)
+    try:
+        return ppm.read_ppm(path)
+    except FormatError:
+        return None
+
+
+_FUZZ = settings(derandomize=True, max_examples=300, deadline=None, database=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+_PPM_HEADER = b"P6\n# fuzz\n12 1\n255\n"
+_VALID_PPM = _PPM_HEADER + bytes(range(36))
+# bytes that mean something in a header, tried more often than the rest
+_HEADER_BYTES = st.one_of(st.sampled_from(b"#+-_ \t\n0129P6"), st.integers(0, 255))
+
+
+class TestPpmFuzz:
+    """Whatever the bytes, read_ppm returns exactly what the header grammar
+    above admits, or raises FormatError; any other exception fails."""
+
+    def _check(self, tmp_path, blob):
+        got, want = _read_ppm_bytes(tmp_path, blob), _ppm_oracle(blob)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and np.array_equal(got, want)
+
+    def test_oracle_accepts_the_valid_file(self):
+        assert _ppm_oracle(_VALID_PPM).shape == (1, 12, 3)
+
+    @_FUZZ
+    @given(blob=st.binary(max_size=64))
+    def test_arbitrary_bytes(self, tmp_path, blob):
+        self._check(tmp_path, blob)
+
+    @_FUZZ
+    @given(blob=st.binary(max_size=32))
+    def test_arbitrary_bytes_after_the_magic(self, tmp_path, blob):
+        self._check(tmp_path, b"P6 " + blob)
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_single_byte_mutations_of_a_valid_header(self, tmp_path, data):
+        blob = bytearray(_VALID_PPM)
+        pos = data.draw(st.integers(0, len(_PPM_HEADER)), label="pos")
+        edit = data.draw(st.sampled_from(["replace", "insert", "delete"]), label="edit")
+        if edit == "delete":
+            del blob[pos]
+        else:
+            blob[pos:pos + (edit == "replace")] = [data.draw(_HEADER_BYTES, label="byte")]
+        self._check(tmp_path, bytes(blob))
 
 
 class TestLoadDataset:

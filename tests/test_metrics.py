@@ -1,8 +1,6 @@
 """Metrics layer: confusion counts, PRF arithmetic, ROC/AUC with an
 independent pair-counting oracle, report rendering, and CSV round trips."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,8 +8,8 @@ from hypothesis import strategies as st
 
 from hgtnet.errors import (ContractError, DataError, DegenerateInputError,
                            FormatError, HgtnetError)
-from hgtnet.metrics import (MetricsReport, PredictionRecord, auc_pair_oracle,
-                            auc_trapezoid, build_report, confusion_matrix,
+from hgtnet.metrics import (PredictionRecord, auc_pair_oracle, auc_trapezoid,
+                            build_report, confusion_matrix,
                             precision_recall_f1, predicted_label,
                             read_predictions, render_report, roc_curve,
                             write_predictions, write_roc)

@@ -1,13 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hgtnet import model as M
 from hgtnet import tensor as T
 from hgtnet.data import NUM_ROTATIONS
 from hgtnet.errors import ConfigError, ContractError, ShapeError
 from hgtnet.gradcheck import check_gradients
-from hgtnet.model import (ModelConfig, attention, build_graph, classify_head,
-                          cnn_branch, cross_attention_fuse, global_average_pool,
+from hgtnet.model import (MAX_PARAMS, ModelConfig, attention, build_graph,
+                          classify_head, cnn_branch, cross_attention_fuse, global_average_pool,
                           graph_attention, grid8_adjacency, init_params,
                           model_forward, param_count, param_shapes, patch_embed,
                           rotation_head, tiny_config, transformer_encoder)
@@ -57,6 +58,32 @@ class TestModelConfig:
             sizes = [int(np.prod(shape)) for shape in param_shapes(cfg).values()]
             assert param_count(cfg) == sum(sizes)
         assert param_count(ModelConfig()) == 1_065_513
+
+    @pytest.mark.parametrize("kwargs, what", [
+        # 8.4 M parameters, but a 1024^2 x 1024^2 adjacency
+        (dict(image_size=16384, patch_size=16, embed_dim=8, num_heads=2), "graph adjacency"),
+        # 4096 encoder tokens attend over 2048^2 CNN tokens
+        (dict(image_size=4096, patch_size=64, embed_dim=8, num_heads=2, cnn_channels=(4,)),
+         "cross-attention map"),
+        # a 108 x 108 token grid: 11664^2 > 2^27 adjacency entries
+        (dict(image_size=1728, patch_size=16, embed_dim=8, num_heads=2,
+              cnn_channels=(4,) * 6), "graph adjacency")])
+    def test_token_maps_above_the_cap_rejected(self, kwargs, what):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=what):
+                ModelConfig(**kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_token_maps_at_the_cap_accepted(self):
+        # a 107 x 107 grid whose CNN map is 107 x 107 as well: both maps
+        # have 11449^2 <= 2^27 entries
+        cfg = ModelConfig(image_size=1712, patch_size=16, embed_dim=8, num_heads=2,
+                          cnn_channels=(4,) * 4)
+        assert cfg.num_tokens ** 2 <= MAX_PARAMS < 108 ** 4
 
     @pytest.mark.parametrize("name", ["image_size", "patch_size", "embed_dim", "num_heads"])
     def test_zero_extent_rejected(self, name):

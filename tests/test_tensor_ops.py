@@ -2,7 +2,8 @@
 
 Expected values here are either worked out by hand, checked against a
 closed form, or computed with an independent numpy expression written
-directly in the test.
+directly in the test.  The fused ``linear`` and ``attention`` ops are
+checked, values and gradients, against the graph of small ops they replace.
 """
 
 import platform
@@ -12,8 +13,12 @@ import types
 import numpy as np
 import pytest
 
+from hgtnet import data
 from hgtnet import tensor as T
+from hgtnet import training as tr
+from hgtnet.checkpoint import FORMAT_VERSION, load_checkpoint
 from hgtnet.errors import ConfigError, ContractError, ShapeError
+from hgtnet.model import param_shapes, tiny_config
 from hgtnet.rng import RngStream
 
 
@@ -48,6 +53,135 @@ class TestMatmul:
     def test_rank_one_rejected(self):
         with pytest.raises(ShapeError):
             T.matmul(T.Tensor(np.ones(3)), T.Tensor(np.ones((3, 2))))
+
+
+def unfused_linear(x, w, b):
+    return T.matmul(x, w) + b
+
+
+def unfused_attention(q, k, v, heads, return_probs=False):
+    """Multi-head attention as the graph of small ops the fused op replaces:
+    split heads, Q.K^T, scale, softmax, P.V, merge heads."""
+    B, Nq, d = q.shape
+    Nk, hd = k.shape[1], d // heads
+
+    def split(t, n):
+        return T.transpose(T.reshape(t, (B, n, heads, hd)), (0, 2, 1, 3))
+
+    scores = T.matmul(split(q, Nq), T.transpose(split(k, Nk), (0, 1, 3, 2)))
+    p = T.softmax(scores * (1.0 / np.sqrt(hd)))
+    out = T.reshape(T.transpose(T.matmul(p, split(v, Nk)), (0, 2, 1, 3)), (B, Nq, d))
+    return (out, p.data) if return_probs else out
+
+
+def _leaves(seed, *shapes):
+    rng = RngStream(seed=seed)
+    return [T.Tensor(rng.derive(i).normal(int(np.prod(s))).reshape(s), requires_grad=True)
+            for i, s in enumerate(shapes)]
+
+
+def _value_and_grads(op, inputs, g):
+    for t in inputs:
+        t.zero_grad()
+    out = op(*inputs)
+    T.backward(T.tsum(out * g))
+    return out.data, [t.grad for t in inputs]
+
+
+class TestLinear:
+    @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4)])
+    def test_matches_matmul_plus_add(self, x_shape):
+        x, w, b = _leaves(1, x_shape, (4, 6), (6,))
+        g = T.Tensor(RngStream(seed=2).normal(int(np.prod(x_shape[:-1])) * 6)
+                     .reshape(x_shape[:-1] + (6,)))
+        fused, fused_grads = _value_and_grads(T.linear, [x, w, b], g)
+        ref, ref_grads = _value_and_grads(unfused_linear, [x, w, b], g)
+        assert fused.shape == x_shape[:-1] + (6,)
+        assert np.allclose(fused, ref, rtol=0, atol=1e-12)
+        for got, want in zip(fused_grads, ref_grads):
+            assert got.shape == want.shape and np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_untracked_input_gets_no_gradient(self):
+        w, b = _leaves(3, (4, 2), (2,))
+        out = T.linear(T.Tensor(np.ones((3, 4))), w, b)
+        gx, gw, gb = out.op_record.backward(np.ones((3, 2)))
+        assert gx is None
+        assert np.array_equal(gw, np.full((4, 2), 3.0)) and np.array_equal(gb, [3.0, 3.0])
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ShapeError):
+            T.linear(T.Tensor(np.ones((3, 4))), T.Tensor(np.ones((5, 2))), T.Tensor(np.ones(2)))
+        with pytest.raises(ShapeError):
+            T.linear(T.Tensor(np.ones((3, 4))), T.Tensor(np.ones((4, 2))), T.Tensor(np.ones(3)))
+
+
+class TestAttention:
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_the_unfused_graph(self, heads):
+        q, k, v = _leaves(10 + heads, (2, 3, 8), (2, 5, 8), (2, 5, 8))
+        g = T.Tensor(RngStream(seed=4).normal(2 * 3 * 8).reshape(2, 3, 8))
+        fused, fused_grads = _value_and_grads(
+            lambda *a: T.attention(*a, heads), [q, k, v], g)
+        ref, ref_grads = _value_and_grads(
+            lambda *a: unfused_attention(*a, heads), [q, k, v], g)
+        assert fused.shape == (2, 3, 8)
+        assert np.allclose(fused, ref, rtol=0, atol=1e-12)
+        for got, want in zip(fused_grads, ref_grads):
+            assert got.shape == want.shape and np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_probabilities_on_request(self):
+        q, k, v = _leaves(20, (1, 2, 4), (1, 3, 4), (1, 3, 4))
+        out, probs = T.attention(q, k, v, 2, return_probs=True)
+        ref, ref_probs = unfused_attention(q, k, v, 2, return_probs=True)
+        assert probs.shape == (1, 2, 2, 3)
+        assert np.allclose(probs, ref_probs, rtol=0, atol=1e-12)
+        assert np.allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        assert isinstance(T.attention(q, k, v, 2), T.Tensor)
+
+    def test_bad_shapes_and_heads_raise(self):
+        q, k = T.Tensor(np.ones((1, 2, 4))), T.Tensor(np.ones((1, 3, 4)))
+        with pytest.raises(ShapeError):
+            T.attention(q, k, T.Tensor(np.ones((1, 2, 4))), 2)
+        with pytest.raises(ShapeError):
+            T.attention(q, T.Tensor(np.ones((1, 3, 6))), T.Tensor(np.ones((1, 3, 6))), 2)
+        with pytest.raises(ConfigError):
+            T.attention(q, k, k, 3)
+
+
+class TestFusedRecords:
+    def test_one_record_per_fused_call(self, monkeypatch):
+        built = []
+        record = T.OpRecord
+        monkeypatch.setattr(T, "OpRecord", lambda *args: built.append(args[0]) or record(*args))
+        q, k, v, w, b = _leaves(30, (1, 2, 4), (1, 3, 4), (1, 3, 4), (4, 4), (4,))
+        T.attention(q, k, v, 2)
+        assert built == ["attention"]
+        T.linear(q, w, b)
+        assert built == ["attention", "linear"]
+
+    def test_checkpoint_evaluates_like_the_unfused_graph(self, tmp_path, monkeypatch):
+        samples = data.synth_dataset(2, 32, RngStream(seed=5))
+        stats = data.compute_stats(samples)
+        cfg = tiny_config(32)
+        state = tr.init_state(cfg, tr.TrainConfig(seed=3), stats,
+                              [f"class{c}" for c in range(5)])
+        noise = RngStream(seed=6)
+        for name, p in state.params.items():  # non-zero biases and embeddings
+            p.data = p.data + 0.3 * noise.derive(name).normal(p.size).reshape(p.shape)
+        path = tmp_path / "state.ckpt"
+        tr.save_state(state, path)
+        # the format and the parameter names are the ones earlier versions wrote
+        assert path.read_bytes()[4:8] == FORMAT_VERSION.to_bytes(4, "little") == b"\1\0\0\0"
+        assert set(load_checkpoint(path).params) == set(param_shapes(cfg))
+
+        loaded = tr.load_state(path)
+        _, _, fused = tr.evaluate(loaded.params, cfg, samples, stats, batch_size=4)
+        monkeypatch.setattr(T, "linear", unfused_linear)
+        monkeypatch.setattr(T, "attention", unfused_attention)
+        _, _, unfused = tr.evaluate(loaded.params, cfg, samples, stats, batch_size=4)
+        scores = np.array([r.scores for r in fused])
+        assert np.allclose(scores, [r.scores for r in unfused], rtol=0, atol=1e-12)
+        assert scores.std(axis=0).max() > 1e-3  # the samples are told apart
 
 
 class TestStructural:

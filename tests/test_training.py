@@ -1,7 +1,6 @@
 """Losses against closed forms, Adam against hand arithmetic, loop
 determinism, overfit sanity, early stopping, and resume equivalence."""
 
-import copy
 import math
 import os
 
