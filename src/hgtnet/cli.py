@@ -246,7 +246,7 @@ def _gradcheck_battery(seed: int):
     k = randn(2, 5, 4, stream=rng.derive("attention-k"))
     v = randn(2, 5, 4, stream=rng.derive("attention-v"))
     a_out = Tensor(rng.derive("attention-out").normal(24).reshape(2, 3, 4))
-    checks.append(("attention", lambda ps: T.tsum(T.attention(q, k, v, 2) * a_out),
+    checks.append(("attention", lambda ps: T.tsum(T.attention(q, k, v, 2)[0] * a_out),
                    [q, k, v], 1e-4))
 
     x = randn(2, 5, stream=rng.derive("softmax"))

@@ -81,13 +81,16 @@ class ModelConfig:
         if count > MAX_PARAMS:
             raise ConfigError(f"the model would have {Decimal(count):.3e} parameters; "
                               f"the limit is {Decimal(MAX_PARAMS):.3e}")
-        # per-image maps that grow with the token counts, not with the weights
+        # per-image maps that grow with the token counts, not with the weights:
+        # the probabilities each encoder layer and the cross-attention keep
+        # for the backward, plus the graph adjacency and its attention map
         n = self.num_tokens
-        for what, entries in (("graph adjacency", n * n),
-                              ("cross-attention map", n * extent * extent)):
-            if entries > MAX_PARAMS:
-                raise ConfigError(f"the {what} would have {Decimal(entries):.3e} entries "
-                                  f"per image; the limit is {Decimal(MAX_PARAMS):.3e}")
+        entries = (self.num_heads * n * (n * self.num_encoder_layers + extent * extent)
+                   + 2 * n * n)
+        if entries > MAX_PARAMS:
+            raise ConfigError(f"the attention maps and graph adjacency would hold "
+                              f"{Decimal(entries):.3e} entries per image; "
+                              f"the limit is {Decimal(MAX_PARAMS):.3e}")
 
     @property
     def grid_size(self) -> int:
@@ -237,7 +240,7 @@ def attention(q_tokens: Tensor, kv_tokens: Tensor, heads: int,
     q = T.linear(q_tokens, params[prefix + "wq"], params[prefix + "bq"])
     k = T.linear(kv_tokens, params[prefix + "wk"], params[prefix + "bk"])
     v = T.linear(kv_tokens, params[prefix + "wv"], params[prefix + "bv"])
-    ctx, probs = T.attention(q, k, v, heads, return_probs=True)   # probs: B x h x Nq x Nk
+    ctx, probs = T.attention(q, k, v, heads)   # probs: B x h x Nq x Nk
     if capture is not None:
         capture[capture_key] = probs.copy()
     return T.linear(ctx, params[prefix + "wo"], params[prefix + "bo"])

@@ -315,7 +315,7 @@ def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return _make(y, "softmax", (x,), backward)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, return_probs: bool = False):
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
     """Multi-head scaled dot-product attention core as one record.
 
     q is B x Nq x d, k and v are B x Nk x d; each head attends over its
@@ -324,7 +324,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, return_probs: bool = 
     runs in place on the score buffer, and only the probabilities P
     (B x heads x Nq x Nk) are kept for the closed-form backward (Vaswani
     et al. 2017; the recurrence as in FlashAttention, Dao et al. 2022,
-    without tiling).  With ``return_probs`` the result is ``(out, P)``.
+    without tiling).  Returns ``(out, P)``.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 3 or k.shape != v.shape or k.ndim != 3 or \
@@ -363,8 +363,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, return_probs: bool = 
         gk = merge(gs.transpose(0, 1, 3, 2) @ qh, Nk)
         return gq, gk, gv
 
-    result = _make(out, "attention", (q, k, v), backward)
-    return (result, p) if return_probs else result
+    return _make(out, "attention", (q, k, v), backward), p
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

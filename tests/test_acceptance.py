@@ -89,7 +89,7 @@ def _op_battery(seed):
          [bm1, bm2]),
         ("linear", lambda ps: T.tsum(T.linear(lx3, lw, lbias) * w(2, 3, 5, key="lin-o")),
          [lx3, lw, lbias]),
-        ("attention", lambda ps: T.tsum(T.attention(aq, ak, av, 2) * w(2, 3, 4, key="att-o")),
+        ("attention", lambda ps: T.tsum(T.attention(aq, ak, av, 2)[0] * w(2, 3, 4, key="att-o")),
          [aq, ak, av]),
         ("softmax", lambda ps: T.tsum(T.softmax(sx) * w(3, 6, key="sm-w")), [sx]),
         ("masked_softmax",

@@ -24,6 +24,12 @@ def _zero_params(params, keep_gamma=True):
     return params
 
 
+# a 64 x 64 token grid whose CNN map is 64 x 64 as well, just under the
+# token-map cap with 2 heads and 1 encoder layer
+_AT_THE_CAP = dict(image_size=1024, patch_size=16, embed_dim=8, num_heads=2,
+                   num_encoder_layers=1, cnn_channels=(4,) * 4)
+
+
 class TestModelConfig:
     def test_defaults(self):
         cfg = ModelConfig()
@@ -59,19 +65,22 @@ class TestModelConfig:
             assert param_count(cfg) == sum(sizes)
         assert param_count(ModelConfig()) == 1_065_513
 
-    @pytest.mark.parametrize("kwargs, what", [
+    @pytest.mark.parametrize("kwargs", [
         # 8.4 M parameters, but a 1024^2 x 1024^2 adjacency
-        (dict(image_size=16384, patch_size=16, embed_dim=8, num_heads=2), "graph adjacency"),
+        dict(image_size=16384, patch_size=16, embed_dim=8, num_heads=2),
         # 4096 encoder tokens attend over 2048^2 CNN tokens
-        (dict(image_size=4096, patch_size=64, embed_dim=8, num_heads=2, cnn_channels=(4,)),
-         "cross-attention map"),
+        dict(image_size=4096, patch_size=64, embed_dim=8, num_heads=2, cnn_channels=(4,)),
         # a 108 x 108 token grid: 11664^2 > 2^27 adjacency entries
-        (dict(image_size=1728, patch_size=16, embed_dim=8, num_heads=2,
-              cnn_channels=(4,) * 6), "graph adjacency")])
-    def test_token_maps_above_the_cap_rejected(self, kwargs, what):
+        dict(image_size=1728, patch_size=16, embed_dim=8, num_heads=2,
+             cnn_channels=(4,) * 6),
+        # the config accepted below, with twice the heads
+        dict(_AT_THE_CAP, num_heads=4),
+        # ... or with four encoder layers
+        dict(_AT_THE_CAP, num_encoder_layers=4)])
+    def test_token_maps_above_the_cap_rejected(self, kwargs):
         tracemalloc.start()
         try:
-            with pytest.raises(ConfigError, match=what):
+            with pytest.raises(ConfigError, match="attention maps and graph adjacency"):
                 ModelConfig(**kwargs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -79,11 +88,11 @@ class TestModelConfig:
         assert peak < 1 << 20
 
     def test_token_maps_at_the_cap_accepted(self):
-        # a 107 x 107 grid whose CNN map is 107 x 107 as well: both maps
-        # have 11449^2 <= 2^27 entries
-        cfg = ModelConfig(image_size=1712, patch_size=16, embed_dim=8, num_heads=2,
-                          cnn_channels=(4,) * 4)
-        assert cfg.num_tokens ** 2 <= MAX_PARAMS < 108 ** 4
+        cfg = ModelConfig(**_AT_THE_CAP)
+        n, e2 = cfg.num_tokens, 64 ** 2
+        # 2 heads x 4096 queries over 4096 encoder + 4096 CNN keys, plus
+        # the adjacency and the graph attention map
+        assert 2 * n * (n + e2) + 2 * n * n <= MAX_PARAMS < 4 * n * (n + e2) + 2 * n * n
 
     @pytest.mark.parametrize("name", ["image_size", "patch_size", "embed_dim", "num_heads"])
     def test_zero_extent_rejected(self, name):

@@ -59,9 +59,9 @@ def unfused_linear(x, w, b):
     return T.matmul(x, w) + b
 
 
-def unfused_attention(q, k, v, heads, return_probs=False):
+def unfused_attention(q, k, v, heads):
     """Multi-head attention as the graph of small ops the fused op replaces:
-    split heads, Q.K^T, scale, softmax, P.V, merge heads."""
+    split heads, Q.K^T, scale, softmax, P.V, merge heads; returns (out, P)."""
     B, Nq, d = q.shape
     Nk, hd = k.shape[1], d // heads
 
@@ -71,7 +71,7 @@ def unfused_attention(q, k, v, heads, return_probs=False):
     scores = T.matmul(split(q, Nq), T.transpose(split(k, Nk), (0, 1, 3, 2)))
     p = T.softmax(scores * (1.0 / np.sqrt(hd)))
     out = T.reshape(T.transpose(T.matmul(p, split(v, Nk)), (0, 2, 1, 3)), (B, Nq, d))
-    return (out, p.data) if return_probs else out
+    return out, p.data
 
 
 def _leaves(seed, *shapes):
@@ -121,22 +121,23 @@ class TestAttention:
         q, k, v = _leaves(10 + heads, (2, 3, 8), (2, 5, 8), (2, 5, 8))
         g = T.Tensor(RngStream(seed=4).normal(2 * 3 * 8).reshape(2, 3, 8))
         fused, fused_grads = _value_and_grads(
-            lambda *a: T.attention(*a, heads), [q, k, v], g)
+            lambda *a: T.attention(*a, heads)[0], [q, k, v], g)
         ref, ref_grads = _value_and_grads(
-            lambda *a: unfused_attention(*a, heads), [q, k, v], g)
+            lambda *a: unfused_attention(*a, heads)[0], [q, k, v], g)
         assert fused.shape == (2, 3, 8)
         assert np.allclose(fused, ref, rtol=0, atol=1e-12)
         for got, want in zip(fused_grads, ref_grads):
             assert got.shape == want.shape and np.allclose(got, want, rtol=0, atol=1e-12)
 
-    def test_probabilities_on_request(self):
+    def test_returns_output_and_probabilities(self):
         q, k, v = _leaves(20, (1, 2, 4), (1, 3, 4), (1, 3, 4))
-        out, probs = T.attention(q, k, v, 2, return_probs=True)
-        ref, ref_probs = unfused_attention(q, k, v, 2, return_probs=True)
+        out, probs = T.attention(q, k, v, 2)
+        ref, ref_probs = unfused_attention(q, k, v, 2)
+        assert isinstance(out, T.Tensor) and isinstance(probs, np.ndarray)
+        assert np.allclose(out.data, ref.data, rtol=0, atol=1e-12)
         assert probs.shape == (1, 2, 2, 3)
         assert np.allclose(probs, ref_probs, rtol=0, atol=1e-12)
         assert np.allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
-        assert isinstance(T.attention(q, k, v, 2), T.Tensor)
 
     def test_bad_shapes_and_heads_raise(self):
         q, k = T.Tensor(np.ones((1, 2, 4))), T.Tensor(np.ones((1, 3, 4)))
