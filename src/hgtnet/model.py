@@ -247,7 +247,7 @@ def attention(q_tokens: Tensor, kv_tokens: Tensor, heads: int,
 
 
 def transformer_encoder(tokens: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
-                        training: bool = False, rng: RngStream | None = None,
+                        training: bool = False, rngs: list[RngStream] | None = None,
                         capture: dict | None = None) -> Tensor:
     """Stack of pre-norm blocks: x += drop(attn(ln(x))); x += drop(mlp(ln(x)))."""
     x = tokens
@@ -256,16 +256,16 @@ def transformer_encoder(tokens: Tensor, cfg: ModelConfig, params: dict[str, Tens
         h = T.layer_norm(x, params[p + "ln1.gamma"], params[p + "ln1.beta"])
         a = attention(h, h, cfg.num_heads, params, p + "attn.",
                       capture, f"enc{i}.attn")
-        x = x + T.dropout(a, cfg.dropout_p, training, rng)
+        x = x + T.dropout(a, cfg.dropout_p, training, rngs)
         h = T.layer_norm(x, params[p + "ln2.gamma"], params[p + "ln2.beta"])
         m = T.gelu(T.linear(h, params[p + "mlp.w1"], params[p + "mlp.b1"]))
         m = T.linear(m, params[p + "mlp.w2"], params[p + "mlp.b2"])
-        x = x + T.dropout(m, cfg.dropout_p, training, rng)
+        x = x + T.dropout(m, cfg.dropout_p, training, rngs)
     return x
 
 
 def cnn_branch(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
-               training: bool = False, rng: RngStream | None = None) -> Tensor:
+               training: bool = False, rngs: list[RngStream] | None = None) -> Tensor:
     """conv(3x3, pad 1) -> max_pool(2,2) -> relu -> dropout per channel stage.
 
     Pooling before the ReLU gives the same outputs and parameter gradients
@@ -279,7 +279,7 @@ def cnn_branch(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
         out = T.conv2d(out, params[f"cnn{j}.weight"], params[f"cnn{j}.bias"], padding=1)
         out = T.max_pool2d(out, 2, 2)
         out = T.relu(out)
-        out = T.dropout(out, cfg.dropout_p, training, rng)
+        out = T.dropout(out, cfg.dropout_p, training, rngs)
     return out
 
 
@@ -348,9 +348,9 @@ def global_average_pool(nodes: Tensor) -> Tensor:
 
 
 def classify_head(pooled: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
-                  training: bool = False, rng: RngStream | None = None) -> Tensor:
+                  training: bool = False, rngs: list[RngStream] | None = None) -> Tensor:
     h = T.layer_norm(pooled, params["head.ln.gamma"], params["head.ln.beta"])
-    h = T.dropout(h, cfg.dropout_p, training, rng)
+    h = T.dropout(h, cfg.dropout_p, training, rngs)
     return _affine(h, params, "head")
 
 
@@ -359,21 +359,23 @@ def rotation_head(pooled: Tensor, params: dict[str, Tensor]) -> Tensor:
 
 
 def model_forward(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
-                  training: bool = False, rng: RngStream | None = None,
+                  training: bool = False, rngs: list[RngStream] | None = None,
                   capture: dict | None = None) -> tuple[Tensor, Tensor]:
     """Full pass: returns (class logits B x K, rotation logits B x 4).
 
+    A training-mode pass with dropout needs ``rngs``, one stream per image
+    (row of x) that all of that image's dropout masks are drawn from.
     Eval mode (training=False) is a pure function of (x, params).
     """
-    if training and cfg.dropout_p > 0 and rng is None:
-        raise ContractError("training-mode forward with dropout needs an rng")
+    if training and cfg.dropout_p > 0 and rngs is None:
+        raise ContractError("training-mode forward with dropout needs rng streams")
     tokens = patch_embed(x, cfg, params)
-    enc = transformer_encoder(tokens, cfg, params, training, rng, capture)
-    feat = cnn_branch(x, cfg, params, training, rng)
+    enc = transformer_encoder(tokens, cfg, params, training, rngs, capture)
+    feat = cnn_branch(x, cfg, params, training, rngs)
     fused = cross_attention_fuse(feat, enc, cfg, params, capture)
     nodes = graph_attention(fused, build_graph(cfg), cfg, params, capture)
     pooled = global_average_pool(nodes)
-    return (classify_head(pooled, cfg, params, training, rng),
+    return (classify_head(pooled, cfg, params, training, rngs),
             rotation_head(pooled, params))
 
 

@@ -1,9 +1,9 @@
 """Binary PPM (P6) reading and writing.
 
-The header is ASCII: magic ``P6``, then width, height, and maxval
-separated by whitespace, with ``#`` comment lines allowed anywhere in
-between; a single whitespace byte separates the maxval from the raw RGB
-payload.  Only maxval 255 is supported.
+The header is ASCII: the magic ``P6`` as the first two bytes, then width,
+height, and maxval separated by whitespace, with ``#`` comment lines
+allowed anywhere in between; a single whitespace byte separates the maxval
+from the raw RGB payload.  Only maxval 255 is supported.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ def read_ppm(path: str | os.PathLike) -> np.ndarray:
         buf = fh.read()
 
     magic, pos = _next_token(buf, 0, path)
-    if magic != b"P6":
-        raise FormatError(f"{path}: not a P6 PPM (magic {magic!r})")
+    # a token that ends at byte 2 started at byte 0: nothing precedes the magic
+    if magic != b"P6" or pos != 2:
+        raise FormatError(f"{path}: not a P6 PPM (the file starts {buf[:8]!r})")
     fields = []
     for name in ("width", "height", "maxval"):
         token, pos = _next_token(buf, pos, path)

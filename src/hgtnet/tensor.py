@@ -15,7 +15,9 @@ numpy-style broadcasting supported for add/mul and matmul batch dims.
 from __future__ import annotations
 
 import ctypes
+import functools
 import sys
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,19 +29,22 @@ from .rng import RngStream
 # glibc mallopt parameters; the values are C ints, so keep them below 2**31
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _HEAP_RETAIN_BYTES = 1 << 30
 
 
 def keep_freed_memory(libc=None) -> bool:
-    """Have glibc serve arrays of up to 1 GB from the heap and keep freed
-    heap memory in the process.
+    """Have glibc serve arrays of up to 1 GB from the heap, keep freed heap
+    memory in the process, and keep one heap for every thread.
 
     By default glibc gives every block above 32 MB its own ``mmap`` and
     unmaps it on free, so each 224 px training step has the kernel fault in
     and zero the same pages again.  With both thresholds raised, freed
     blocks are reused by the next step and resident memory stays near its
-    peak.  The settings are process-wide and idempotent.  Returns whether
-    both took effect; off Linux, or when ``libc`` (default: the C library
+    peak.  Capping glibc at one arena makes the training shards' worker
+    threads reuse that same retained heap instead of each growing its own.
+    The settings are process-wide and idempotent.  Returns whether all
+    three took effect; off Linux, or when ``libc`` (default: the C library
     of this process) has no ``mallopt``, it does nothing and returns False.
     """
     if libc is None:
@@ -56,7 +61,43 @@ def keep_freed_memory(libc=None) -> bool:
     mallopt.restype = ctypes.c_int
     mmap_ok = mallopt(_M_MMAP_THRESHOLD, _HEAP_RETAIN_BYTES)
     trim_ok = mallopt(_M_TRIM_THRESHOLD, _HEAP_RETAIN_BYTES)
-    return bool(mmap_ok and trim_ok)
+    arena_ok = mallopt(_M_ARENA_MAX, 1)
+    return bool(mmap_ok and trim_ok and arena_ok)
+
+
+@functools.cache
+def _numpy_openblas():
+    """ctypes handle of the OpenBLAS that a numpy wheel bundles, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*.so*")):
+        return ctypes.CDLL(str(lib))
+    return None
+
+
+def pin_blas_threads(n: int, lib=None) -> int | None:
+    """Set the number of threads BLAS runs each call on to ``n`` and return
+    the previous number, so the caller can restore it.
+
+    The count is process-wide.  At one thread a GEMM gives the same bits on
+    every host, whatever ``OPENBLAS_NUM_THREADS`` says, and it runs on the
+    calling thread, so the training shards' worker threads can use the
+    cores instead.  ``lib`` defaults to numpy's bundled scipy-openblas;
+    for a library without its ``scipy_openblas_{get,set}_num_threads64_``
+    symbols (another BLAS, or none found) it does nothing and returns None.
+    """
+    if lib is None:
+        lib = _numpy_openblas()
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get is None or set_ is None:
+        return None
+    get.argtypes = ()
+    get.restype = ctypes.c_int
+    set_.argtypes = (ctypes.c_int,)
+    set_.restype = None
+    previous = get()
+    set_(n)
+    return previous
 
 
 class OpRecord:
@@ -435,17 +476,27 @@ def leaky_relu(x: Tensor, slope: float) -> Tensor:
     return activation(x, "leaky_relu", slope=slope)
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: RngStream) -> Tensor:
+def dropout(x: Tensor, p: float, training: bool,
+            rngs: Sequence[RngStream] | None) -> Tensor:
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
 
-    Eval mode (or p == 0) is exactly the identity.
+    ``rngs`` holds one stream per row of x (axis 0, the sample axis), and
+    each row's mask is the next draws of its own stream, so a sample's masks
+    do not depend on the other rows of its batch.  The same stream object
+    given for every row draws the rows one after another.  Eval mode (or
+    p == 0) is exactly the identity and reads no stream.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {p}")
     x = _as_tensor(x)
     if not training or p == 0.0:
         return x
-    mask = rng.keep_mask(x.size, p).reshape(x.shape) / (1.0 - p)
+    if x.ndim < 1 or rngs is None or len(rngs) != x.shape[0]:
+        raise ContractError(f"dropout needs one rng stream per row of its "
+                            f"{x.shape} input")
+    row = x.size // x.shape[0]
+    keep = np.concatenate([r.keep_mask(row, p) for r in rngs])
+    mask = keep.reshape(x.shape) / (1.0 - p)
     data = x.data * mask
 
     def backward(g):

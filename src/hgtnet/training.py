@@ -1,13 +1,14 @@
 """Losses, the Adam optimizer, and the training/evaluation loops.
 
 The trainer is deterministic by construction: every random decision comes
-from streams derived as (seed, purpose, epoch, sample-id/step), so a run
+from streams derived as (seed, purpose, epoch[, sample id]), so a run
 can be stopped, checkpointed, and resumed with bitwise-identical results.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -179,50 +180,105 @@ def prepare_batch(samples: list[ImageSample], policy, stats: DatasetStats,
             np.asarray(rot_labels, dtype=np.int64) if use_rotation else None)
 
 
+# Each training step splits its batch into SHARDS contiguous sample shards.
+# Every shard runs its own forward and backward, and the shard gradients are
+# summed in shard order, so the result is the same whether the shards run
+# one after another or on worker threads.
+SHARDS = 2
+
+# Shards run on worker threads only when each one's first convolution
+# writes at least this many values (images x cnn_channels[0] x image_size^2):
+# below it the ops are too short for numpy's release of the interpreter lock
+# to pay for the hand-offs.  The --tiny 32 px run at batch 16 writes 65k per
+# shard and runs inline; the default model at 64 px and batch 4 writes 262k,
+# and at 224 px 3.2M, and both run threaded.
+THREAD_MIN_CONV_OUT = 1 << 17
+
+
 def train_epoch(params: dict[str, Tensor], model_cfg: ModelConfig,
                 train_cfg: TrainConfig, samples: list[ImageSample],
                 stats: DatasetStats, policy, adam: AdamState,
                 epoch: int) -> tuple[float, float]:
     """One pass over a seeded shuffle of the data; returns the per-sample
-    mean combined loss and the classification accuracy."""
+    mean combined loss and the classification accuracy.
+
+    BLAS runs on one thread meanwhile, so the parameters do not depend on
+    the host's BLAS thread count; the previous count is restored on return."""
     if not samples:
         raise DataError("cannot train on an empty dataset")
     T.keep_freed_memory()
     root = RngStream(seed=train_cfg.seed)
     order = root.derive("shuffle", epoch).shuffle(list(range(len(samples))))
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    shard_size = -(-min(train_cfg.batch_size, len(samples)) // SHARDS)
+    images = shard_size * (2 if model_cfg.rotation_loss_weight > 0 else 1)
+    threaded = cores > 1 and (images * model_cfg.cnn_channels[0] * model_cfg.image_size ** 2
+                              >= THREAD_MIN_CONV_OUT)
     total_loss = 0.0
     correct = 0
-    for step, start in enumerate(range(0, len(order), train_cfg.batch_size)):
-        batch = [samples[i] for i in order[start:start + train_cfg.batch_size]]
-        loss, hits = _train_step(params, model_cfg, train_cfg, batch, stats, policy,
-                                 adam, root, epoch, step)
-        total_loss += loss * len(batch)
-        correct += hits
+    blas_threads = T.pin_blas_threads(1)
+    try:
+        with ThreadPoolExecutor(max_workers=min(SHARDS, cores)) as pool:
+            map_shards = pool.map if threaded else map
+            for start in range(0, len(order), train_cfg.batch_size):
+                batch = [samples[i] for i in order[start:start + train_cfg.batch_size]]
+                loss, hits = _train_step(params, model_cfg, train_cfg, batch, stats,
+                                         policy, adam, root, epoch, map_shards)
+                total_loss += loss * len(batch)
+                correct += hits
+    finally:
+        if blas_threads is not None:
+            T.pin_blas_threads(blas_threads)
     return total_loss / len(samples), correct / len(samples)
 
 
 def _train_step(params, model_cfg, train_cfg, batch, stats, policy, adam, root,
-                epoch, step) -> tuple[float, int]:
+                epoch, map_shards) -> tuple[float, int]:
     """Forward, backward and Adam on one batch; returns the loss and the
-    number of correct predictions.  The step's graph dies with this frame,
-    before the next step builds its own."""
-    x, labels, rot_labels = prepare_batch(batch, policy, stats, model_cfg, root, epoch)
+    number of correct predictions.  ``map_shards`` is ``map`` or a thread
+    pool's ``map``; each shard's graph dies with its ``_shard_step`` frame."""
     b = len(batch)
-    drop_rng = root.derive("drop", epoch, step)
-    cls_all, rot_all = model_forward(x, model_cfg, params, training=True, rng=drop_rng)
+    size = -(-b // SHARDS)
+    shards = [batch[i:i + size] for i in range(0, b, size)]
+    run = lambda shard: _shard_step(params, model_cfg, shard, b, stats, policy, root, epoch)
+    results = list(map_shards(run, shards))
+    for name, p in params.items():
+        p.grad = None
+        for _, _, grads in results:
+            g = grads[name]
+            if g is not None:
+                p.grad = g if p.grad is None else p.grad + g
+    adam.t += 1
+    adam_step(params, adam, adam.t, train_cfg)
+    return sum(r[0] for r in results), sum(r[1] for r in results)
+
+
+def _shard_step(params, model_cfg, shard, b, stats, policy, root, epoch):
+    """Forward and backward of one shard of a batch of ``b`` samples on its
+    own views of the parameters; returns the shard's share of the batch
+    loss, its number of correct predictions and its parameter gradients.
+
+    Each image draws its dropout masks from a stream keyed by its sample,
+    so the masks do not depend on the batch or the shard it lands in."""
+    x, labels, rot_labels = prepare_batch(shard, policy, stats, model_cfg, root, epoch)
+    n = len(shard)
+    rngs = [root.derive("drop", epoch, s.id) for s in shard]
+    if rot_labels is not None:
+        rngs += [root.derive("drop", epoch, s.id, "rot") for s in shard]
+    views = {name: Tensor(p.data, requires_grad=True) for name, p in params.items()}
+    cls_all, rot_all = model_forward(x, model_cfg, views, training=True, rngs=rngs)
     if rot_labels is None:
         cls = cls_all
         loss = combined_loss(cls, labels, None, None, 0.0)
     else:
-        cls = T.take_rows(cls_all, 0, b)
-        rot = T.take_rows(rot_all, b, 2 * b)
+        cls = T.take_rows(cls_all, 0, n)
+        rot = T.take_rows(rot_all, n, 2 * n)
         loss = combined_loss(cls, labels, rot, rot_labels, model_cfg.rotation_loss_weight)
-    for p in params.values():
-        p.zero_grad()
+    loss = loss * (n / b)
     T.backward(loss)
-    adam.t += 1
-    adam_step(params, adam, adam.t, train_cfg)
-    return loss.item(), int((np.argmax(cls.data, axis=1) == labels).sum())
+    hits = int((np.argmax(cls.data, axis=1) == labels).sum())
+    return loss.item(), hits, {name: v.grad for name, v in views.items()}
 
 
 def _eval_one_batch(params, model_cfg, stats, batch):
@@ -367,8 +423,6 @@ def fit(state: TrainerState, train_samples: list[ImageSample],
     records for the epochs executed by this call (resume runs return only
     their continuation).
     """
-    import os
-
     if policy is None:
         policy = train_policy(state.model_cfg.image_size)
     target = state.train_cfg.max_epochs if max_epochs is None else max_epochs

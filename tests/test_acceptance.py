@@ -102,7 +102,8 @@ def _op_battery(seed):
         ("leaky_relu",
          lambda ps: T.tsum(T.leaky_relu(kx, 0.2) * w(2, 6, key="k-w")), [kx]),
         ("dropout",
-         lambda ps: T.tsum(T.dropout(dx, 0.4, training=True, rng=drop_rng.clone())
+         lambda ps: T.tsum(T.dropout(dx, 0.4, training=True,
+                                     rngs=[drop_rng.derive(i) for i in range(4)])
                            * w(4, 6, key="d-w")), [dx]),
         ("conv2d",
          lambda ps: T.tsum(T.conv2d(cx, cw, cb, stride=1, padding=1)

@@ -128,8 +128,9 @@ class TestNnOpGrads:
         (a,) = _params((6, 6), seed=20)
 
         def build(ps):
-            # same derived stream every call -> identical mask, valid probe
-            return T.tsum(T.dropout(ps[0], 0.4, training=True, rng=RngStream(seed=55)) * 2.0)
+            # same derived streams every call -> identical mask, valid probe
+            rngs = [RngStream(seed=55).derive(i) for i in range(6)]
+            return T.tsum(T.dropout(ps[0], 0.4, training=True, rngs=rngs) * 2.0)
 
         _assert_grads(build, [a])
 

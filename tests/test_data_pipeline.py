@@ -47,6 +47,13 @@ class TestPpm:
         with pytest.raises(FormatError, match="bad.ppm"):
             ppm.read_ppm(path)
 
+    @pytest.mark.parametrize("lead", [b"# c\n  ", b" ", b"\n"])
+    def test_magic_must_be_the_first_two_bytes(self, tmp_path, lead):
+        path = tmp_path / "late.ppm"
+        path.write_bytes(lead + b"P6 1 1 255\n" + bytes(3))
+        with pytest.raises(FormatError, match="late.ppm"):
+            ppm.read_ppm(path)
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "short.ppm"
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(5))
@@ -80,11 +87,12 @@ class TestPpm:
 
 
 # the P6 header grammar read_ppm accepts, written independently of its
-# tokenizer: blanks and "#" comments (to the end of the line) between the
-# fields, ASCII decimal fields, then exactly one whitespace byte
+# tokenizer: the magic as the first two bytes, blanks and "#" comments (to
+# the end of the line) between the fields, ASCII decimal fields, then
+# exactly one whitespace byte
 _BLANK = rb"(?:[ \t\n\r\x0b\x0c]|#[^\n]*(?=\n|\Z))"
-_HEADER = re.compile(rb"%s*P6%s+([0-9]+)%s+([0-9]+)%s+([0-9]+)[ \t\n\r\x0b\x0c]"
-                     % ((_BLANK,) * 4))
+_HEADER = re.compile(rb"P6%s+([0-9]+)%s+([0-9]+)%s+([0-9]+)[ \t\n\r\x0b\x0c]"
+                     % ((_BLANK,) * 3))
 
 
 def _ppm_oracle(blob: bytes) -> np.ndarray | None:

@@ -294,16 +294,17 @@ class TestCnnBranch:
         def run(branch):
             for p in params.values():
                 p.zero_grad()
-            out = branch(Tensor(x), cfg, params, training, RngStream(seed=38))
+            rngs = [RngStream(seed=38).derive(i) for i in range(3)]
+            out = branch(Tensor(x), cfg, params, training, rngs)
             T.backward(T.tsum(out * g))
             return out.data, {n: p.grad for n, p in params.items() if n.startswith("cnn")}
 
-        def relu_first(x, cfg, params, training, rng):
+        def relu_first(x, cfg, params, training, rngs):
             out = x
             for j in range(len(cfg.cnn_channels)):
                 out = T.conv2d(out, params[f"cnn{j}.weight"], params[f"cnn{j}.bias"], padding=1)
                 out = T.max_pool2d(T.relu(out), 2, 2)
-                out = T.dropout(out, cfg.dropout_p, training, rng)
+                out = T.dropout(out, cfg.dropout_p, training, rngs)
             return out
 
         out, grads = run(cnn_branch)
@@ -565,7 +566,7 @@ class TestModelForward:
         params = init_params(cfg, RngStream(seed=94))
         x = Tensor(np.zeros((1, 3, 32, 32)))
         with pytest.raises(ContractError):
-            model_forward(x, cfg, params, training=True, rng=None)
+            model_forward(x, cfg, params, training=True, rngs=None)
 
     def test_attention_capture_covers_all_three_families(self):
         cfg = tiny_config()

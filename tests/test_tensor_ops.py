@@ -305,16 +305,17 @@ class TestActivations:
 class TestDropout:
     def test_eval_mode_is_identity(self):
         x = T.Tensor(np.arange(10.0))
-        out = T.dropout(x, 0.5, training=False, rng=RngStream(seed=1))
+        out = T.dropout(x, 0.5, training=False, rngs=None)
         assert out is x
 
     def test_zero_rate_is_identity(self):
         x = T.Tensor(np.arange(10.0))
-        assert T.dropout(x, 0.0, training=True, rng=RngStream(seed=1)) is x
+        assert T.dropout(x, 0.0, training=True, rngs=None) is x
 
     def test_survivors_scaled(self):
-        x = T.Tensor(np.ones(10000))
-        out = T.dropout(x, 0.25, training=True, rng=RngStream(seed=3)).data
+        x = T.Tensor(np.ones((100, 100)))
+        rngs = [RngStream(seed=3).derive(i) for i in range(100)]
+        out = T.dropout(x, 0.25, training=True, rngs=rngs).data
         kept = out != 0.0
         assert np.allclose(out[kept], 1.0 / 0.75)
         assert abs(kept.mean() - 0.75) < 0.02
@@ -324,7 +325,7 @@ class TestDropout:
         x = T.Tensor(np.ones(3))
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(ConfigError):
-                T.dropout(x, bad, training=True, rng=RngStream(seed=1))
+                T.dropout(x, bad, training=True, rngs=[RngStream(seed=1)] * 3)
 
 
 class TestConv2d:
@@ -497,6 +498,27 @@ class TestKeepFreedMemory:
 
     def test_no_op_without_mallopt(self):
         assert T.keep_freed_memory(libc=types.SimpleNamespace()) is False
+
+    def test_caps_the_heap_at_one_arena(self):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        assert T.keep_freed_memory(libc=types.SimpleNamespace(mallopt=mallopt))
+        assert (-8, 1) in calls  # M_ARENA_MAX = 1
+
+
+class TestPinBlasThreads:
+    def test_sets_and_restores_the_count_of_numpys_openblas(self):
+        previous = T.pin_blas_threads(1)
+        if previous is None:
+            pytest.skip("numpy's BLAS has no thread-count symbols")
+        assert T.pin_blas_threads(previous) == 1
+
+    def test_no_op_without_the_symbols(self):
+        assert T.pin_blas_threads(1, lib=types.SimpleNamespace()) is None
 
 
 class TestBackwardContract:

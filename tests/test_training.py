@@ -3,6 +3,9 @@ determinism, overfit sanity, early stopping, and resume equivalence."""
 
 import math
 import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -269,6 +272,136 @@ class TestEpochDeterminism:
         o0 = root.derive("shuffle", 0).shuffle(list(range(len(train))))
         o1 = root.derive("shuffle", 1).shuffle(list(range(len(train))))
         assert o0 != o1
+
+
+def _sharded_setup(dropout_p=0.25, batch_size=10):
+    samples = data.synth_dataset(num_per_class=2, size=32, rng=RngStream(seed=7))
+    stats = data.compute_stats(samples)
+    cfg = tiny_config(32, dropout_p=dropout_p)
+    tcfg = tr.TrainConfig(learning_rate=3e-3, batch_size=batch_size, seed=11)
+    return samples, stats, cfg, tcfg
+
+
+def _one_epoch(samples, stats, cfg, tcfg):
+    params = init_params(cfg, RngStream(seed=tcfg.seed))
+    loss, acc = tr.train_epoch(params, cfg, tcfg, samples, stats, MILD_POLICY,
+                               tr.init_adam(params), 0)
+    return loss, acc, params
+
+
+class TestShardedStep:
+    def test_parameters_equal_at_one_and_two_workers(self, monkeypatch):
+        samples, stats, cfg, tcfg = _sharded_setup(batch_size=4)
+        monkeypatch.setattr(tr, "THREAD_MIN_CONV_OUT", 0)
+        threads = []
+        forward = tr.model_forward
+
+        def spy(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(tr, "model_forward", spy)
+        runs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+            threads.clear()
+            runs[workers] = _one_epoch(samples, stats, cfg, tcfg)
+            on_main = {t == threading.main_thread().ident for t in threads}
+            assert on_main == ({True} if workers == 1 else {False})
+        (l1, a1, p1), (l2, a2, p2) = runs[1], runs[2]
+        assert (l1, a1) == (l2, a2)
+        for name in p1:
+            assert p1[name].data.tobytes() == p2[name].data.tobytes(), name
+
+    def test_one_and_two_shards_agree_on_loss_and_gradients(self, monkeypatch):
+        samples, stats, cfg, tcfg = _sharded_setup()
+        runs = {}
+        for shards in (1, 2):
+            monkeypatch.setattr(tr, "SHARDS", shards)
+            runs[shards] = _one_epoch(samples, stats, cfg, tcfg)
+        (l1, _, p1), (l2, _, p2) = runs[1], runs[2]
+        assert l1 == pytest.approx(l2, rel=1e-12, abs=0.0)
+        # Adam would turn the rounding noise on gradients that are zero in
+        # exact arithmetic (attn.bk) into full steps, so compare gradients,
+        # relative to the largest gradient entry
+        scale = max(np.abs(p.grad).max() for p in p1.values())
+        for name in p1:
+            assert np.abs(p1[name].grad - p2[name].grad).max() <= 1e-12 * scale, name
+
+    def test_a_samples_dropout_mask_does_not_depend_on_its_batch(self, monkeypatch):
+        samples, stats, cfg, tcfg = _sharded_setup(dropout_p=0.5)
+        masks = {}
+        dropout = T.dropout
+
+        def spy(x, p, training, rngs):
+            ids = [r.stream_id for r in rngs]
+            out = dropout(x, p, training, rngs)
+            for i, key in enumerate(ids):
+                masks.setdefault(key, out.data[i] != 0.0)  # the first call's mask
+            return out
+
+        monkeypatch.setattr(T, "dropout", spy)
+        target = samples[3]
+        key = RngStream(seed=tcfg.seed).derive("drop", 0, target.id).stream_id
+        seen = []
+        for batch in ([target] + samples[5:8], samples[:3] + [target]):
+            masks.clear()
+            _one_epoch(batch, stats, cfg, tcfg)
+            seen.append(masks[key])
+        assert 0 < seen[0].sum() < seen[0].size
+        assert np.array_equal(seen[0], seen[1])
+
+    def test_shard_error_reaches_the_caller_and_blas_threads_are_restored(
+            self, monkeypatch):
+        samples, stats, cfg, tcfg = _sharded_setup()
+        if T.pin_blas_threads(2) is None:
+            pytest.skip("numpy's BLAS has no thread-count symbols")
+        monkeypatch.setattr(tr, "THREAD_MIN_CONV_OUT", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        error = ShapeError("bad shard")
+        inside = []
+
+        def failing_forward(*args, **kwargs):
+            inside.append(T.pin_blas_threads(1))
+            raise error
+
+        monkeypatch.setattr(tr, "model_forward", failing_forward)
+        with pytest.raises(ShapeError) as caught:
+            _one_epoch(samples, stats, cfg, tcfg)
+        assert caught.value is error
+        assert inside == [1, 1]
+        assert T.pin_blas_threads(1) == 2
+
+
+_HOST_RUN = """
+import hashlib
+from hgtnet import data, training
+from hgtnet.model import ModelConfig
+from hgtnet.rng import RngStream
+cfg = ModelConfig(embed_dim=8, num_heads=2, num_encoder_layers=1, cnn_channels=(2,))
+samples = data.synth_dataset(1, 224, RngStream(seed=3).derive("synth"))[:2]
+stats = data.compute_stats(samples)
+state = training.init_state(cfg, training.TrainConfig(batch_size=2, seed=5), stats, ["c"] * 5)
+training.train_epoch(state.params, cfg, state.train_cfg, samples, stats,
+                     data.train_policy(224), state.adam, 0)
+print(hashlib.sha256(b"".join(p.data.tobytes() for p in state.params.values())).hexdigest())
+"""
+
+
+class TestHostIndependence:
+    def test_blas_thread_count_does_not_change_training(self):
+        # one 224 px step of a small model: at this size OpenBLAS splits its
+        # GEMMs differently at 1 and 2 threads, so an unpinned trainer forks
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.path.abspath(src))
+            done = subprocess.run([sys.executable, "-c", _HOST_RUN], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout.strip())
+        assert digests[0] == digests[1]
 
 
 class TestOverfitOneBatch:
