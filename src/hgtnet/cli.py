@@ -31,7 +31,7 @@ from .checkpoint import atomic_write
 from .config import RunConfig, load_run_config, render_run_config
 from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
                      HgtnetError)
-from .gradcheck import check_gradients
+from .gradcheck import check_gradients, op_battery
 from .metrics import (build_report, read_predictions, render_report,
                       write_predictions, write_roc)
 from .model import init_params, model_forward, tiny_config
@@ -220,65 +220,9 @@ def cmd_metrics(args) -> int:
 # gradcheck
 # ---------------------------------------------------------------------------
 
-def _gradcheck_battery(seed: int):
-    """(name, build, params, tolerance) for each op plus the tiny model."""
+def _model_check(seed: int):
+    """(name, build, params) of the tiny model's combined loss on two images."""
     rng = RngStream(seed=seed)
-
-    def randn(*shape, stream):
-        n = int(np.prod(shape))
-        return Tensor(stream.normal(n).reshape(shape), requires_grad=True)
-
-    checks = []
-
-    a = randn(3, 4, stream=rng.derive("matmul", 0))
-    b = randn(4, 2, stream=rng.derive("matmul", 1))
-    checks.append(("matmul", lambda ps: T.tsum(T.matmul(a, b) * T.matmul(a, b)),
-                   [a, b], 1e-4))
-
-    l_x = randn(2, 3, 4, stream=rng.derive("linear-x"))
-    l_w = randn(4, 5, stream=rng.derive("linear-w"))
-    l_b = randn(5, stream=rng.derive("linear-b"))
-    l_out = Tensor(rng.derive("linear-out").normal(30).reshape(2, 3, 5))
-    checks.append(("linear", lambda ps: T.tsum(T.linear(l_x, l_w, l_b) * l_out),
-                   [l_x, l_w, l_b], 1e-4))
-
-    q = randn(2, 3, 4, stream=rng.derive("attention-q"))
-    k = randn(2, 5, 4, stream=rng.derive("attention-k"))
-    v = randn(2, 5, 4, stream=rng.derive("attention-v"))
-    a_out = Tensor(rng.derive("attention-out").normal(24).reshape(2, 3, 4))
-    checks.append(("attention", lambda ps: T.tsum(T.attention(q, k, v, 2)[0] * a_out),
-                   [q, k, v], 1e-4))
-
-    x = randn(2, 5, stream=rng.derive("softmax"))
-    w = Tensor(rng.derive("softmax-w").normal(10).reshape(2, 5))
-    checks.append(("softmax", lambda ps: T.tsum(T.softmax(x) * w), [x], 1e-4))
-
-    ln_x = randn(3, 6, stream=rng.derive("ln"))
-    gamma = randn(6, stream=rng.derive("ln-g"))
-    beta = randn(6, stream=rng.derive("ln-b"))
-    ln_w = Tensor(rng.derive("ln-w").normal(18).reshape(3, 6))
-    checks.append(("layer_norm",
-                   lambda ps: T.tsum(T.layer_norm(ln_x, gamma, beta) * ln_w),
-                   [ln_x, gamma, beta], 1e-4))
-
-    g_x = randn(4, 7, stream=rng.derive("gelu"))
-    g_w = Tensor(rng.derive("gelu-w").normal(28).reshape(4, 7))
-    checks.append(("gelu", lambda ps: T.tsum(T.gelu(g_x) * g_w), [g_x], 1e-4))
-
-    c_x = randn(1, 2, 6, 6, stream=rng.derive("conv-x"))
-    c_w = randn(3, 2, 3, 3, stream=rng.derive("conv-w"))
-    c_b = randn(3, stream=rng.derive("conv-b"))
-    checks.append(("conv2d",
-                   lambda ps: T.tsum(T.conv2d(c_x, c_w, c_b, stride=1, padding=1)
-                                     * Tensor(np.ones((1, 3, 6, 6)))),
-                   [c_x, c_w, c_b], 1e-4))
-
-    p_x = Tensor(rng.derive("pool").normal(32).reshape(1, 2, 4, 4) * 3, requires_grad=True)
-    p_w = Tensor(rng.derive("pool-w").normal(8).reshape(1, 2, 2, 2))
-    checks.append(("max_pool2d",
-                   lambda ps: T.tsum(T.max_pool2d(p_x, 2, 2) * p_w),
-                   [p_x], 1e-4))
-
     model_cfg = tiny_config(32)
     params = init_params(model_cfg, rng.derive("model"))
     batch = Tensor(rng.derive("model-x").normal(2 * 3 * 32 * 32).reshape(2, 3, 32, 32) * 0.3)
@@ -286,12 +230,19 @@ def _gradcheck_battery(seed: int):
     rot_labels = np.array([0, 2])
 
     def model_loss(ps):
-        cls, rot = model_forward(batch, model_cfg, params, training=False)
+        cls, rot = model_forward(batch, model_cfg, params)
         return tr.combined_loss(cls, labels, rot, rot_labels,
                                 model_cfg.rotation_loss_weight)
 
-    checks.append(("model", model_loss, list(params.values()), 1e-3))
-    return checks
+    return "model", model_loss, list(params.values())
+
+
+# every op name that the gradcheck battery and the model check record, and
+# so every op a training step records
+CORRUPTIBLE_OPS = ("add", "attention", "concat", "conv2d", "cross_entropy", "dropout",
+                   "gelu", "layer_norm", "leaky_relu", "linear", "matmul", "max_pool2d",
+                   "mean", "mul", "relu", "reshape", "softmax", "sum", "take_rows",
+                   "transpose")
 
 
 def _corrupt_op(name: str) -> None:
@@ -317,8 +268,9 @@ def cmd_gradcheck(args) -> int:
         _corrupt_op(args.corrupt)
     start = time.time()
     failures = []
-    for name, build, params, tol in _gradcheck_battery(seed):
-        sample = 3 if name == "model" else None
+    checks = [(*check, 1e-4, None) for check in op_battery(seed)]
+    checks.append((*_model_check(seed), 1e-3, 3))
+    for name, build, params, tol, sample in checks:
         err = check_gradients(build, params, sample_per_param=sample,
                               rng=RngStream(seed=seed).derive("probe", name))
         status = "pass" if err < tol else "FAIL"
@@ -444,8 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--corrupt", choices=["gelu", "matmul", "attention"], default=None,
-                   help="deliberately break one backward (self-test hook)")
+    p.add_argument("--corrupt", choices=CORRUPTIBLE_OPS, default=None, metavar="OP",
+                   help="deliberately break the backward of one op that a training "
+                        "step records (self-test hook)")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="write the synthetic dataset as PPM files")

@@ -19,7 +19,6 @@ import numpy as np
 from . import ppm
 from .errors import ConfigError, DataError, ShapeError
 from .rng import RngStream
-from .tensor import Tensor
 
 # ITU-R BT.601 luma weights, used for grayscale and mean-luma blends.
 _LUMA = np.array([0.299, 0.587, 0.114])
@@ -32,7 +31,6 @@ class ImageSample:
     id: str
     pixels: np.ndarray  # H x W x 3 float64 in [0, 1]
     label: int
-    split: str = "train"
 
     def with_pixels(self, pixels: np.ndarray) -> "ImageSample":
         return dataclasses.replace(self, pixels=pixels)
@@ -42,6 +40,13 @@ class ImageSample:
 class DatasetStats:
     mean: np.ndarray  # (3,)
     std: np.ndarray   # (3,), every component >= STD_FLOOR
+
+    def __post_init__(self):
+        mean, std = np.asarray(self.mean), np.asarray(self.std)
+        if mean.shape != (3,) or std.shape != (3,) or not np.isfinite(mean).all() \
+                or not (np.isfinite(std) & (std >= STD_FLOOR)).all():
+            raise DataError(f"statistics need 3 finite means and 3 finite stds >= "
+                            f"{STD_FLOOR}, got mean {mean.tolist()} and std {std.tolist()}")
 
 
 @dataclass(frozen=True)
@@ -147,10 +152,7 @@ def stratified_split(samples: list[ImageSample], test_fraction: float,
             n_test = max(1, min(n_test, len(group) - 1))
         picked = set(order[:n_test])
         for i, s in enumerate(group):
-            if i in picked:
-                test.append(dataclasses.replace(s, split="test"))
-            else:
-                train.append(dataclasses.replace(s, split="train"))
+            (test if i in picked else train).append(s)
     return train, test
 
 
@@ -383,10 +385,10 @@ def compute_stats(train_samples: list[ImageSample]) -> DatasetStats:
     return DatasetStats(mean=mean, std=std)
 
 
-def normalize(img: ImageSample, stats: DatasetStats) -> Tensor:
-    """Standardize per channel and lay out channel-first as a 3 x H x W tensor."""
+def normalize(img: ImageSample, stats: DatasetStats) -> np.ndarray:
+    """Standardize per channel and lay out channel-first as a 3 x H x W array."""
     px = (img.pixels - stats.mean) / stats.std
-    return Tensor(np.ascontiguousarray(px.transpose(2, 0, 1)))
+    return np.ascontiguousarray(px.transpose(2, 0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -147,3 +147,79 @@ def check_gradients(build: Callable[[list[T.Tensor]], T.Tensor],
             numeric = finite_difference_gradient(lambda: build(params), p, h=h)
             worst = max(worst, max_relative_error(analytic, numeric))
     return worst
+
+
+def op_battery(seed: int) -> list[tuple[str, Callable[[list[T.Tensor]], T.Tensor],
+                                        list[T.Tensor]]]:
+    """One seeded instance of every differentiable op, as (name, build,
+    params): ``build`` weights the op's output by fixed random numbers and
+    sums it, so each entry records its op plus ``mul`` and ``sum``."""
+    rng = RngStream(seed=seed)
+
+    def randn(*shape, key):
+        return rng.derive(key).normal(int(np.prod(shape))).reshape(shape)
+
+    def t(*shape, key):
+        return T.Tensor(randn(*shape, key=key), requires_grad=True)
+
+    def w(*shape, key):
+        return T.Tensor(randn(*shape, key=key))
+
+    a, b = t(3, 4, key="add-a"), t(3, 4, key="add-b")
+    c, d = t(2, 5, key="mul-a"), t(2, 5, key="mul-b")
+    m1, m2 = t(3, 4, key="mm-a"), t(4, 2, key="mm-b")
+    bm1, bm2 = t(2, 3, 4, key="bmm-a"), t(2, 4, 2, key="bmm-b")
+    lx3, lw, lbias = t(2, 3, 4, key="lin-x"), t(4, 5, key="lin-w"), t(5, key="lin-b")
+    aq, ak, av = t(2, 3, 4, key="att-q"), t(2, 5, 4, key="att-k"), t(2, 5, 4, key="att-v")
+    sx = t(3, 6, key="softmax")
+    mask = np.ones((3, 6), dtype=bool)
+    mask[0, 3:] = False
+    mask[1, :2] = False
+    lx, lg, lb = t(4, 5, key="ln-x"), t(5, key="ln-g"), t(5, key="ln-b")
+    gx = t(3, 7, key="gelu")
+    # offset away from 0, where relu has its kink
+    rx = T.Tensor(randn(3, 7, key="relu") + 0.2 * np.sign(randn(3, 7, key="relu")),
+                  requires_grad=True)
+    kx = t(2, 6, key="leaky")
+    cx, cw, cb = t(1, 2, 6, 6, key="conv-x"), t(3, 2, 3, 3, key="conv-w"), t(3, key="conv-b")
+    px = T.Tensor(3.0 * randn(1, 2, 4, 4, key="pool"), requires_grad=True)
+    tx = t(2, 3, 4, key="struct")
+    ca, cc = t(2, 3, key="cat-a"), t(2, 4, key="cat-b")
+    dx = t(4, 6, key="drop")
+    drop_rng = rng.derive("drop-stream")
+
+    return [
+        ("add", lambda ps: T.tsum((a + b) * w(3, 4, key="add-w")), [a, b]),
+        ("mul", lambda ps: T.tsum((c * d) * w(2, 5, key="mul-w")), [c, d]),
+        ("matmul", lambda ps: T.tsum(T.matmul(m1, m2) * w(3, 2, key="mm-w")), [m1, m2]),
+        ("batch_matmul", lambda ps: T.tsum(T.matmul(bm1, bm2) * w(2, 3, 2, key="bmm-w")),
+         [bm1, bm2]),
+        ("linear", lambda ps: T.tsum(T.linear(lx3, lw, lbias) * w(2, 3, 5, key="lin-o")),
+         [lx3, lw, lbias]),
+        ("attention", lambda ps: T.tsum(T.attention(aq, ak, av, 2)[0] * w(2, 3, 4, key="att-o")),
+         [aq, ak, av]),
+        ("softmax", lambda ps: T.tsum(T.softmax(sx) * w(3, 6, key="sm-w")), [sx]),
+        ("masked_softmax",
+         lambda ps: T.tsum(T.softmax(sx, mask=mask) * w(3, 6, key="msm-w")), [sx]),
+        ("layer_norm",
+         lambda ps: T.tsum(T.layer_norm(lx, lg, lb) * w(4, 5, key="ln-w")),
+         [lx, lg, lb]),
+        ("gelu", lambda ps: T.tsum(T.gelu(gx) * w(3, 7, key="g-w")), [gx]),
+        ("relu", lambda ps: T.tsum(T.relu(rx) * w(3, 7, key="r-w")), [rx]),
+        ("leaky_relu",
+         lambda ps: T.tsum(T.leaky_relu(kx, 0.2) * w(2, 6, key="k-w")), [kx]),
+        ("dropout",
+         lambda ps: T.tsum(T.dropout(dx, 0.4, [drop_rng.derive(i) for i in range(4)])
+                           * w(4, 6, key="d-w")), [dx]),
+        ("conv2d",
+         lambda ps: T.tsum(T.conv2d(cx, cw, cb, stride=1, padding=1)
+                           * w(1, 3, 6, 6, key="c-w")), [cx, cw, cb]),
+        ("max_pool2d",
+         lambda ps: T.tsum(T.max_pool2d(px) * w(1, 2, 2, 2, key="p-w")), [px]),
+        ("structure",
+         lambda ps: T.tsum(T.take_rows(T.reshape(T.transpose(tx, (1, 0, 2)), (3, 8)), 0, 2)
+                           * w(2, 8, key="s-w")), [tx]),
+        ("concat",
+         lambda ps: T.tsum(T.concat([ca, cc], axis=1) * w(2, 7, key="cat-w")), [ca, cc]),
+        ("mean", lambda ps: T.tsum(T.tmean(tx * tx, axis=1) * w(2, 4, key="mean-w")), [tx]),
+    ]

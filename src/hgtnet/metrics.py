@@ -227,6 +227,9 @@ def read_predictions(path) -> list[PredictionRecord]:
             raise DataError(f"{path}: line {lineno}: {exc}") from None
         if not all(np.isfinite(scores)):
             raise DataError(f"{path}: line {lineno}: non-finite score")
+        if not 0 <= label < len(scores):
+            raise DataError(f"{path}: line {lineno}: label {label} outside "
+                            f"[0, {len(scores)})")
         records.append(PredictionRecord(sample_id=row[0], true_label=label, scores=scores))
     if not records:
         raise DataError(f"{path}: no prediction rows")

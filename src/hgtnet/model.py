@@ -209,10 +209,6 @@ def init_params(cfg: ModelConfig, rng: RngStream) -> dict[str, Tensor]:
     return params
 
 
-def _affine(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
-    return T.linear(x, params[prefix + ".w"], params[prefix + ".b"])
-
-
 # ---------------------------------------------------------------------------
 # blocks
 # ---------------------------------------------------------------------------
@@ -234,38 +230,38 @@ def patch_embed(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor]) -> Tenso
 
 def attention(q_tokens: Tensor, kv_tokens: Tensor, heads: int,
               params: dict[str, Tensor], prefix: str,
-              capture: dict | None = None, capture_key: str = "") -> Tensor:
+              capture: dict | None = None) -> Tensor:
     """Scaled dot-product attention with separate query and key/value token
-    sets; ``q_tokens is kv_tokens`` gives self-attention."""
+    sets; ``q_tokens is kv_tokens`` gives self-attention.  ``capture`` keeps
+    P under the prefix without its trailing dot (``enc0.attn``)."""
     q = T.linear(q_tokens, params[prefix + "wq"], params[prefix + "bq"])
     k = T.linear(kv_tokens, params[prefix + "wk"], params[prefix + "bk"])
     v = T.linear(kv_tokens, params[prefix + "wv"], params[prefix + "bv"])
     ctx, probs = T.attention(q, k, v, heads)   # probs: B x h x Nq x Nk
     if capture is not None:
-        capture[capture_key] = probs.copy()
+        capture[prefix[:-1]] = probs.copy()
     return T.linear(ctx, params[prefix + "wo"], params[prefix + "bo"])
 
 
 def transformer_encoder(tokens: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
-                        training: bool = False, rngs: list[RngStream] | None = None,
+                        rngs: list[RngStream] | None = None,
                         capture: dict | None = None) -> Tensor:
     """Stack of pre-norm blocks: x += drop(attn(ln(x))); x += drop(mlp(ln(x)))."""
     x = tokens
     for i in range(cfg.num_encoder_layers):
         p = f"enc{i}."
         h = T.layer_norm(x, params[p + "ln1.gamma"], params[p + "ln1.beta"])
-        a = attention(h, h, cfg.num_heads, params, p + "attn.",
-                      capture, f"enc{i}.attn")
-        x = x + T.dropout(a, cfg.dropout_p, training, rngs)
+        a = attention(h, h, cfg.num_heads, params, p + "attn.", capture)
+        x = x + T.dropout(a, cfg.dropout_p, rngs)
         h = T.layer_norm(x, params[p + "ln2.gamma"], params[p + "ln2.beta"])
         m = T.gelu(T.linear(h, params[p + "mlp.w1"], params[p + "mlp.b1"]))
         m = T.linear(m, params[p + "mlp.w2"], params[p + "mlp.b2"])
-        x = x + T.dropout(m, cfg.dropout_p, training, rngs)
+        x = x + T.dropout(m, cfg.dropout_p, rngs)
     return x
 
 
 def cnn_branch(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
-               training: bool = False, rngs: list[RngStream] | None = None) -> Tensor:
+               rngs: list[RngStream] | None = None) -> Tensor:
     """conv(3x3, pad 1) -> max_pool(2,2) -> relu -> dropout per channel stage.
 
     Pooling before the ReLU gives the same outputs and parameter gradients
@@ -277,9 +273,9 @@ def cnn_branch(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
     out = x
     for j in range(len(cfg.cnn_channels)):
         out = T.conv2d(out, params[f"cnn{j}.weight"], params[f"cnn{j}.bias"], padding=1)
-        out = T.max_pool2d(out, 2, 2)
+        out = T.max_pool2d(out)
         out = T.relu(out)
-        out = T.dropout(out, cfg.dropout_p, training, rngs)
+        out = T.dropout(out, cfg.dropout_p, rngs)
     return out
 
 
@@ -290,11 +286,10 @@ def cross_attention_fuse(cnn_feat: Tensor, enc_tokens: Tensor, cfg: ModelConfig,
     encoder tokens through the concatenation + linear layer."""
     B, C, h, w = cnn_feat.shape
     cnn_tokens = T.transpose(T.reshape(cnn_feat, (B, C, h * w)), (0, 2, 1))
-    cnn_tokens = _affine(cnn_tokens, params, "cross.proj")
-    ctx = attention(enc_tokens, cnn_tokens, cfg.num_heads, params, "cross.attn.",
-                    capture, "cross.attn")
+    cnn_tokens = T.linear(cnn_tokens, params["cross.proj.w"], params["cross.proj.b"])
+    ctx = attention(enc_tokens, cnn_tokens, cfg.num_heads, params, "cross.attn.", capture)
     both = T.concat([enc_tokens, ctx], axis=2)
-    return _affine(both, params, "cross.fuse")
+    return T.linear(both, params["cross.fuse.w"], params["cross.fuse.b"])
 
 
 def grid8_adjacency(grid_h: int, grid_w: int) -> np.ndarray:
@@ -348,34 +343,32 @@ def global_average_pool(nodes: Tensor) -> Tensor:
 
 
 def classify_head(pooled: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
-                  training: bool = False, rngs: list[RngStream] | None = None) -> Tensor:
+                  rngs: list[RngStream] | None = None) -> Tensor:
     h = T.layer_norm(pooled, params["head.ln.gamma"], params["head.ln.beta"])
-    h = T.dropout(h, cfg.dropout_p, training, rngs)
-    return _affine(h, params, "head")
+    h = T.dropout(h, cfg.dropout_p, rngs)
+    return T.linear(h, params["head.w"], params["head.b"])
 
 
 def rotation_head(pooled: Tensor, params: dict[str, Tensor]) -> Tensor:
-    return _affine(pooled, params, "rot")
+    return T.linear(pooled, params["rot.w"], params["rot.b"])
 
 
 def model_forward(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
-                  training: bool = False, rngs: list[RngStream] | None = None,
+                  rngs: list[RngStream] | None = None,
                   capture: dict | None = None) -> tuple[Tensor, Tensor]:
     """Full pass: returns (class logits B x K, rotation logits B x 4).
 
-    A training-mode pass with dropout needs ``rngs``, one stream per image
-    (row of x) that all of that image's dropout masks are drawn from.
-    Eval mode (training=False) is a pure function of (x, params).
+    A pass given ``rngs``, one stream per image (row of x) that all of that
+    image's dropout masks are drawn from, is a training pass.  Without them
+    dropout is the identity, and the pass is a pure function of (x, params).
     """
-    if training and cfg.dropout_p > 0 and rngs is None:
-        raise ContractError("training-mode forward with dropout needs rng streams")
     tokens = patch_embed(x, cfg, params)
-    enc = transformer_encoder(tokens, cfg, params, training, rngs, capture)
-    feat = cnn_branch(x, cfg, params, training, rngs)
+    enc = transformer_encoder(tokens, cfg, params, rngs, capture)
+    feat = cnn_branch(x, cfg, params, rngs)
     fused = cross_attention_fuse(feat, enc, cfg, params, capture)
     nodes = graph_attention(fused, build_graph(cfg), cfg, params, capture)
     pooled = global_average_pool(nodes)
-    return (classify_head(pooled, cfg, params, training, rngs),
+    return (classify_head(pooled, cfg, params, rngs),
             rotation_head(pooled, params))
 
 

@@ -59,20 +59,17 @@ def _absorb(h: int, token) -> int:
 class RngStream:
     """Reproducible counter-based random stream.
 
-    Value-like: cloning or deriving never shares mutable state with the
-    original, and the sequence depends only on (seed, stream_id).
+    Value-like: deriving never shares mutable state with the original, and
+    the sequence depends only on (seed, stream_id); derive again to replay.
     """
 
     __slots__ = ("seed", "stream_id", "counter", "_key")
 
-    def __init__(self, seed: int, stream_id: int = 0, counter: int = 0):
+    def __init__(self, seed: int, stream_id: int = 0):
         self.seed = seed & _MASK
         self.stream_id = stream_id & _MASK
-        self.counter = counter & _MASK
+        self.counter = 0
         self._key = _mix((_mix(self.seed ^ _SEED_SALT) + self.stream_id) & _MASK)
-
-    def clone(self) -> "RngStream":
-        return RngStream(self.seed, self.stream_id, self.counter)
 
     def derive(self, *tokens) -> "RngStream":
         """New independent stream keyed by this stream's id plus the tokens."""

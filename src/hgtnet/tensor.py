@@ -158,17 +158,10 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _needs_grad(t: Tensor) -> bool:
-    return t.requires_grad or t.op_record is not None
-
-
-def _tracked(parents: Sequence[Tensor]) -> bool:
-    return any(_needs_grad(p) for p in parents)
-
-
 def _make(data: np.ndarray, name: str, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """Attach the op record, and tracking, when any parent is tracked."""
     out = Tensor(data)
-    if _tracked(parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out.op_record = OpRecord(name, parents, backward)
     return out
@@ -204,8 +197,8 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        ga = _unbroadcast(g * b.data, a.shape) if _needs_grad(a) else None
-        gb = _unbroadcast(g * a.data, b.shape) if _needs_grad(b) else None
+        ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
         return ga, gb
 
     return _make(data, "mul", (a, b), backward)
@@ -240,11 +233,10 @@ def linear(x, w, b) -> Tensor:
     rows = x.data.reshape(-1, din)
     out = rows @ w.data
     out += b.data
-    x_tracked = _needs_grad(x)
 
     def backward(g):
         g2 = g.reshape(-1, dout)
-        gx = (g2 @ w.data.T).reshape(x.shape) if x_tracked else None
+        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
         return gx, rows.T @ g2, g2.sum(axis=0)
 
     return _make(out.reshape(x.shape[:-1] + (dout,)), "linear", (x, w, b), backward)
@@ -296,33 +288,25 @@ def take_rows(x: Tensor, start: int, stop: int) -> Tensor:
     return _make(data, "take_rows", (x,), backward)
 
 
-def tsum(x: Tensor, axis: int | tuple[int, ...] | None = None, keepdims: bool = False) -> Tensor:
+def tsum(x: Tensor) -> Tensor:
+    """Sum of every entry, as a scalar."""
     x = _as_tensor(x)
-    data = x.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.shape).copy(),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.shape).copy(),)
 
-    return _make(data, "sum", (x,), backward)
+    return _make(x.data.sum(), "sum", (x,), backward)
 
 
-def tmean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def tmean(x: Tensor, axis: int) -> Tensor:
+    """Mean along one axis, which the output drops."""
     x = _as_tensor(x)
-    count = x.size if axis is None else x.shape[axis]
-    data = x.data.mean(axis=axis, keepdims=keepdims)
+    count = x.shape[axis]
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, x.shape).copy(),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / count, x.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis) / count, x.shape).copy(),)
 
-    return _make(data, "mean", (x,), backward)
+    return _make(x.data.mean(axis=axis), "mean", (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -332,21 +316,15 @@ def tmean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
 def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Stable softmax over the last axis.
 
-    ``mask`` (broadcastable bool array) restricts normalization to True
-    entries; masked positions get weight exactly 0.  Each unmasked row must
-    contain at least one True entry.
+    ``mask`` (bool, broadcastable to x) restricts normalization to its True
+    entries: a -inf bias on the False ones, added before the row maximum,
+    makes their weight exactly 0.  Every row needs a True entry.
     """
     x = _as_tensor(x)
-    if mask is None:
-        e = x.data - x.data.max(axis=-1, keepdims=True)
-        np.exp(e, out=e)
-    else:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        m = np.where(mask, x.data, -np.inf).max(axis=-1, keepdims=True)
-        # clamp masked entries before exp so no overflow leaks through
-        e = np.where(mask, np.exp(np.where(mask, x.data, m) - m), 0.0)
-    e /= e.sum(axis=-1, keepdims=True)
-    y = e
+    y = x.data + (0.0 if mask is None else np.where(mask, 0.0, -np.inf))
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def backward(g):
         gx = g - (g * y).sum(axis=-1, keepdims=True)
@@ -407,16 +385,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     return _make(out, "attention", (q, k, v), backward), p
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize each slice along the last axis to zero mean / unit variance
-    (population variance), then apply the learned affine."""
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be positive, got {eps}")
+    (population variance + 1e-5), then apply the learned affine."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     d = x.shape[-1]
     mean = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x.data - mean) * inv
     data = gamma.data * xhat + beta.data
 
@@ -476,22 +452,22 @@ def leaky_relu(x: Tensor, slope: float) -> Tensor:
     return activation(x, "leaky_relu", slope=slope)
 
 
-def dropout(x: Tensor, p: float, training: bool,
-            rngs: Sequence[RngStream] | None) -> Tensor:
+def dropout(x: Tensor, p: float, rngs: Sequence[RngStream] | None) -> Tensor:
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
 
-    ``rngs`` holds one stream per row of x (axis 0, the sample axis), and
-    each row's mask is the next draws of its own stream, so a sample's masks
-    do not depend on the other rows of its batch.  The same stream object
-    given for every row draws the rows one after another.  Eval mode (or
-    p == 0) is exactly the identity and reads no stream.
+    Passing ``rngs``, one stream per row of x (axis 0, the sample axis),
+    means training mode: each row's mask is the next draws of its own
+    stream, so a sample's masks do not depend on the other rows of its
+    batch, and the same stream object given for every row draws the rows
+    one after another.  Without streams, or at p == 0, the op is exactly
+    the identity and reads no stream.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {p}")
     x = _as_tensor(x)
-    if not training or p == 0.0:
+    if rngs is None or p == 0.0:
         return x
-    if x.ndim < 1 or rngs is None or len(rngs) != x.shape[0]:
+    if x.ndim < 1 or len(rngs) != x.shape[0]:
         raise ContractError(f"dropout needs one rng stream per row of its "
                             f"{x.shape} input")
     row = x.size // x.shape[0]
@@ -549,13 +525,12 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     out += bias.data[:, None]
     # (F, B, H', W') in memory; the next conv reads it without a copy
     out = out.reshape(F, B, Hh, Ww).transpose(1, 0, 2, 3)
-    x_tracked = _needs_grad(x)
 
     def backward(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(F, N)
         gb = g2.sum(axis=1)
         gw = (g2 @ cols.T).reshape(F, kh, kw, C).transpose(0, 3, 1, 2)
-        if not x_tracked:
+        if not x.requires_grad:
             return None, gw, gb
         gcols = (wmat.T @ g2).reshape(kh, kw, C, B, Hh, Ww)
         gxp = np.zeros((C, B, Hp, Wp))
@@ -568,43 +543,32 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     return _make(out, "conv2d", (x, w, bias), backward)
 
 
-def max_pool2d(x: Tensor, k: int, stride: int) -> Tensor:
-    """Window maxima; the gradient routes to the first maximum in row-major
+def max_pool2d(x: Tensor) -> Tensor:
+    """Maxima of 2 x 2 windows at stride 2 over a B x C x H x W input with
+    even H and W; the gradient routes to the first maximum in row-major
     window order when values tie."""
     x = _as_tensor(x)
-    if x.ndim != 4:
-        raise ShapeError(f"max_pool2d expects 4-d input, got {x.shape}")
-    H, W = x.shape[2:]
-    if k < 1 or stride < 1:
-        raise ShapeError(f"max_pool2d window/stride must be >= 1, got k={k}, stride={stride}")
-    if k > H or k > W:
-        raise ShapeError(f"max_pool2d window {k} larger than input {H}x{W}")
-    Hh = (H - k) // stride + 1
-    Ww = (W - k) // stride + 1
+    if x.ndim != 4 or x.shape[2] < 2 or x.shape[3] < 2 or x.shape[2] % 2 or x.shape[3] % 2:
+        raise ShapeError(f"max_pool2d expects a B x C x H x W input with even H, W >= 2, "
+                         f"got {x.shape}")
     v = x.data
     # one strided view per window offset, in row-major window order
-    windows = [(slice(None), slice(None), slice(u, u + stride * Hh, stride),
-                slice(w, w + stride * Ww, stride)) for u in range(k) for w in range(k)]
+    windows = [(slice(None), slice(None), slice(u, None, 2), slice(w, None, 2))
+               for u in range(2) for w in range(2)]
     out = v[windows[0]].copy(order="K")
     for win in windows[1:]:
         np.maximum(out, v[win], out=out)
 
-    # when the windows tile the input, each input entry lies in exactly one
-    # window, so the backward writes every entry once and needs no zero fill
-    tiled = k == stride and H == k * Hh and W == k * Ww
-
     def backward(g):
-        gx = np.empty_like(v) if tiled else np.zeros_like(v)
+        # the windows tile the input, so every entry of gx is written once
+        gx = np.empty_like(v)
         pending = np.ones(out.shape, dtype=bool)  # outputs whose max is not yet found
         hit = np.empty(out.shape, dtype=bool)
         for win in windows:
             np.equal(v[win], out, out=hit)
             hit &= pending
             pending ^= hit
-            if tiled:
-                np.multiply(g, hit, out=gx[win])
-            else:
-                gx[win] += g * hit
+            np.multiply(g, hit, out=gx[win])
         return (gx,)
 
     return _make(out, "max_pool2d", (x,), backward)
@@ -641,7 +605,7 @@ def backward(loss: Tensor) -> None:
         stack.append((node, True))
         if node.op_record is not None:
             for parent in node.op_record.parents:
-                if id(parent) not in seen and _needs_grad(parent):
+                if id(parent) not in seen and parent.requires_grad:
                     stack.append((parent, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
@@ -656,7 +620,7 @@ def backward(loss: Tensor) -> None:
             continue
         parent_grads = node.op_record.backward(g)
         for parent, pg in zip(node.op_record.parents, parent_grads):
-            if not _needs_grad(parent):
+            if not parent.requires_grad:
                 continue
             key = id(parent)
             if key in grads:

@@ -169,11 +169,11 @@ def prepare_batch(samples: list[ImageSample], policy, stats: DatasetStats,
     use_rotation = model_cfg.rotation_loss_weight > 0
     for s in samples:
         aug = apply_policy(s, policy, root_rng.derive("aug", epoch, s.id))
-        xs.append(normalize(aug, stats).data)
+        xs.append(normalize(aug, stats))
         labels.append(s.label)
         if use_rotation:
             rot, rlab = rotation_pretext_sample(aug, root_rng.derive("rot", epoch, s.id))
-            rot_xs.append(normalize(rot, stats).data)
+            rot_xs.append(normalize(rot, stats))
             rot_labels.append(rlab)
     x = Tensor(np.stack(xs + rot_xs))
     return (x, np.asarray(labels, dtype=np.int64),
@@ -267,7 +267,7 @@ def _shard_step(params, model_cfg, shard, b, stats, policy, root, epoch):
     if rot_labels is not None:
         rngs += [root.derive("drop", epoch, s.id, "rot") for s in shard]
     views = {name: Tensor(p.data, requires_grad=True) for name, p in params.items()}
-    cls_all, rot_all = model_forward(x, model_cfg, views, training=True, rngs=rngs)
+    cls_all, rot_all = model_forward(x, model_cfg, views, rngs=rngs)
     if rot_labels is None:
         cls = cls_all
         loss = combined_loss(cls, labels, None, None, 0.0)
@@ -284,10 +284,10 @@ def _shard_step(params, model_cfg, shard, b, stats, policy, root, epoch):
 def _eval_one_batch(params, model_cfg, stats, batch):
     size = model_cfg.image_size
     x = Tensor(np.stack([
-        normalize(resize_bilinear(s, size, size), stats).data for s in batch]))
+        normalize(resize_bilinear(s, size, size), stats) for s in batch]))
     # untracked views of the parameters: the forward records no graph
     frozen = {name: Tensor(p.data) for name, p in params.items()}
-    cls, _ = model_forward(x, model_cfg, frozen, training=False)
+    cls, _ = model_forward(x, model_cfg, frozen)
     labels = np.array([s.label for s in batch])
     probs, losses = _softmax_nll(cls.data, labels)
     records = [PredictionRecord(sample_id=s.id, true_label=s.label,
@@ -377,8 +377,12 @@ def load_state(path) -> TrainerState:
                              std=np.array(get_floats(kv, "stats.std")))
     except KeyError as exc:
         raise CheckpointError(f"{path}: metadata lacks {exc.args[0]!r}") from None
-    except ConfigError as exc:
+    except (ConfigError, DataError) as exc:
         raise CheckpointError(f"{path}: bad metadata ({exc})") from None
+    class_names = kv.get("data.class_names", "").split(",")
+    if len(class_names) != model_cfg.num_classes or not all(class_names):
+        raise CheckpointError(f"{path}: bad metadata (data.class_names must list "
+                              f"{model_cfg.num_classes} non-empty names, got {class_names})")
     # checked here so that a file that does not fit its config fails on
     # load, not with a KeyError in the first forward pass
     expected = param_shapes(model_cfg)
@@ -401,7 +405,7 @@ def load_state(path) -> TrainerState:
     return TrainerState(
         model_cfg=model_cfg, train_cfg=train_cfg, params=params,
         adam=AdamState(m=m, v=v, t=adam_t), stats=stats,
-        class_names=kv.get("data.class_names", "").split(","),
+        class_names=class_names,
         epoch=epoch, best_test_loss=best_test_loss, best_epoch=best_epoch,
         bad_epochs=bad_epochs)
 

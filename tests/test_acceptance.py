@@ -16,7 +16,7 @@ import numpy as np
 from hgtnet import data
 from hgtnet import tensor as T
 from hgtnet import training as tr
-from hgtnet.gradcheck import check_gradients
+from hgtnet.gradcheck import check_gradients, op_battery
 from hgtnet.metrics import (PredictionRecord, auc_pair_oracle, auc_trapezoid,
                             build_report, render_report, roc_curve,
                             write_predictions)
@@ -51,78 +51,12 @@ def _randn(stream, *shape):
 # 1. gradient suite
 # ---------------------------------------------------------------------------
 
-def _op_battery(seed):
-    """One seeded instance of every differentiable op, as (name, build, params)."""
-    rng = RngStream(seed=seed)
-
-    def t(*shape, key):
-        return Tensor(_randn(rng.derive(key), *shape), requires_grad=True)
-
-    w = lambda *shape, key: Tensor(_randn(rng.derive(key), *shape))
-
-    a, b = t(3, 4, key="add-a"), t(3, 4, key="add-b")
-    c, d = t(2, 5, key="mul-a"), t(2, 5, key="mul-b")
-    m1, m2 = t(3, 4, key="mm-a"), t(4, 2, key="mm-b")
-    bm1, bm2 = t(2, 3, 4, key="bmm-a"), t(2, 4, 2, key="bmm-b")
-    lx3, lw, lbias = t(2, 3, 4, key="lin-x"), t(4, 5, key="lin-w"), t(5, key="lin-b")
-    aq, ak, av = t(2, 3, 4, key="att-q"), t(2, 5, 4, key="att-k"), t(2, 5, 4, key="att-v")
-    sx = t(3, 6, key="softmax")
-    mask = np.ones((3, 6), dtype=bool)
-    mask[0, 3:] = False
-    mask[1, :2] = False
-    lx, lg, lb = t(4, 5, key="ln-x"), t(5, key="ln-g"), t(5, key="ln-b")
-    gx = t(3, 7, key="gelu")
-    rx = Tensor(_randn(rng.derive("relu"), 3, 7) + 0.2 * np.sign(
-        _randn(rng.derive("relu"), 3, 7)), requires_grad=True)
-    kx = t(2, 6, key="leaky")
-    cx, cw, cb = t(1, 2, 6, 6, key="conv-x"), t(3, 2, 3, 3, key="conv-w"), t(3, key="conv-b")
-    px = Tensor(3.0 * _randn(rng.derive("pool"), 1, 2, 4, 4), requires_grad=True)
-    tx = t(2, 3, 4, key="struct")
-    dx = t(4, 6, key="drop")
-    drop_rng = rng.derive("drop-stream")
-
-    return [
-        ("add", lambda ps: T.tsum((a + b) * w(3, 4, key="add-w")), [a, b]),
-        ("mul", lambda ps: T.tsum((c * d) * w(2, 5, key="mul-w")), [c, d]),
-        ("matmul", lambda ps: T.tsum(T.matmul(m1, m2) * w(3, 2, key="mm-w")), [m1, m2]),
-        ("batch_matmul", lambda ps: T.tsum(T.matmul(bm1, bm2) * w(2, 3, 2, key="bmm-w")),
-         [bm1, bm2]),
-        ("linear", lambda ps: T.tsum(T.linear(lx3, lw, lbias) * w(2, 3, 5, key="lin-o")),
-         [lx3, lw, lbias]),
-        ("attention", lambda ps: T.tsum(T.attention(aq, ak, av, 2)[0] * w(2, 3, 4, key="att-o")),
-         [aq, ak, av]),
-        ("softmax", lambda ps: T.tsum(T.softmax(sx) * w(3, 6, key="sm-w")), [sx]),
-        ("masked_softmax",
-         lambda ps: T.tsum(T.softmax(sx, mask=mask) * w(3, 6, key="msm-w")), [sx]),
-        ("layer_norm",
-         lambda ps: T.tsum(T.layer_norm(lx, lg, lb) * w(4, 5, key="ln-w")),
-         [lx, lg, lb]),
-        ("gelu", lambda ps: T.tsum(T.gelu(gx) * w(3, 7, key="g-w")), [gx]),
-        ("relu", lambda ps: T.tsum(T.relu(rx) * w(3, 7, key="r-w")), [rx]),
-        ("leaky_relu",
-         lambda ps: T.tsum(T.leaky_relu(kx, 0.2) * w(2, 6, key="k-w")), [kx]),
-        ("dropout",
-         lambda ps: T.tsum(T.dropout(dx, 0.4, training=True,
-                                     rngs=[drop_rng.derive(i) for i in range(4)])
-                           * w(4, 6, key="d-w")), [dx]),
-        ("conv2d",
-         lambda ps: T.tsum(T.conv2d(cx, cw, cb, stride=1, padding=1)
-                           * w(1, 3, 6, 6, key="c-w")), [cx, cw, cb]),
-        ("max_pool2d",
-         lambda ps: T.tsum(T.max_pool2d(px, 2, 2) * w(1, 2, 2, 2, key="p-w")), [px]),
-        ("structure",
-         lambda ps: T.tsum(T.take_rows(T.reshape(T.transpose(tx, (1, 0, 2)), (3, 8)), 0, 2)
-                           * w(2, 8, key="s-w")), [tx]),
-        ("mean", lambda ps: T.tmean(tx * tx), [tx]),
-    ]
-
-
 def test_criterion_1_gradient_suite():
     with _criterion(1, "gradient suite vs central differences"):
         start = time.monotonic()
         worst_op = 0.0
         for seed in range(20):
-            for name, build, params in _op_battery(seed):
+            for name, build, params in op_battery(seed):
                 err = check_gradients(build, params)
                 assert err < 1e-4, f"{name} (seed {seed}): {err}"
                 worst_op = max(worst_op, err)
@@ -136,7 +70,7 @@ def test_criterion_1_gradient_suite():
             rot = np.array([seed % 4])
 
             def loss(ps):
-                cls, rlg = model_forward(x, cfg, params, training=False)
+                cls, rlg = model_forward(x, cfg, params)
                 return tr.combined_loss(cls, labels, rlg, rot,
                                         cfg.rotation_loss_weight)
 
@@ -164,7 +98,7 @@ def test_criterion_2_attention_rows_normalized():
             params = init_params(cfg, rng)
             x = Tensor(_randn(rng.derive("x"), 1, 3, 32, 32))
             capture = {}
-            model_forward(x, cfg, params, training=False, capture=capture)
+            model_forward(x, cfg, params, capture=capture)
             assert {"enc0.attn", "cross.attn", "gat.attn"} <= set(capture)
             for key, attn in capture.items():
                 sums = attn.sum(axis=-1)
@@ -249,9 +183,9 @@ def test_criterion_5_loss_calibration():
             samples = data.synth_dataset(num_per_class=4, size=32,
                                          rng=rng.derive("data"))
             stats = data.compute_stats(samples)
-            x = Tensor(np.stack([data.normalize(s, stats).data for s in samples]))
+            x = Tensor(np.stack([data.normalize(s, stats) for s in samples]))
             labels = np.array([s.label for s in samples])
-            cls, _ = model_forward(x, cfg, params, training=False)
+            cls, _ = model_forward(x, cfg, params)
             ce = tr.cross_entropy(cls, labels).item()
             assert abs(ce - math.log(5)) < 0.2, f"seed {seed}: CE {ce}"
             uniform_rot = Tensor(np.zeros((len(samples), 4)))
@@ -284,7 +218,7 @@ def test_criterion_6a_overfit_one_batch():
         b = len(samples)
         final, steps = None, 0
         for step in range(200):
-            cls_all, rot_all = model_forward(x, cfg, params, training=True)
+            cls_all, rot_all = model_forward(x, cfg, params)
             cls = T.take_rows(cls_all, 0, b)
             rot = T.take_rows(rot_all, b, 2 * b)
             loss = tr.combined_loss(cls, labels, rot, rot_labels,
@@ -473,5 +407,5 @@ def test_criterion_8_augmentation_invariants():
             plain = data.apply_policy(s, policy, rng=None)
             resized = data.resize_bilinear(s, 32, 32)
             assert np.array_equal(plain.pixels, resized.pixels)
-            assert np.array_equal(data.normalize(plain, stats).data,
-                                  data.normalize(resized, stats).data)
+            assert np.array_equal(data.normalize(plain, stats),
+                                  data.normalize(resized, stats))

@@ -1,6 +1,7 @@
 """Command-line contracts: artifact sets, exit codes, determinism, and
-config merge precedence.  Commands run in-process via main(argv) except the
-corruption self-test, which must not leak its monkeypatching."""
+config merge precedence.  Commands run in-process via main(argv); the
+corruption self-tests restore ``tensor._make`` afterwards, and one of them
+runs in a subprocess to see the real exit code."""
 
 import os
 import shlex
@@ -14,15 +15,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hgtnet import checkpoint as ckpt
-from hgtnet import data
+from hgtnet import cli, data
+from hgtnet import tensor as T
 from hgtnet import training as tr
 from hgtnet.cli import build_parser, main
 from hgtnet.config import (load_run_config, render_run_config,
                            run_config_from_kv, run_config_to_kv)
 from hgtnet.errors import ConfigError, HgtnetError
+from hgtnet.gradcheck import op_battery
 from hgtnet.kvtext import parse_kv
 from hgtnet.metrics import PredictionRecord, write_predictions
 from hgtnet.model import tiny_config
+from hgtnet.rng import RngStream
 
 TRAIN_ARGS = ["train", "--synth", "--per-class", "8", "--tiny",
               "--image-size", "32", "--epochs", "2", "--lr", "3e-3",
@@ -327,6 +331,31 @@ class TestEvalCommand:
         assert code == 5
         assert "limit is" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("stats.mean", "0.5,0.5"), ("stats.std", "0.0,-1.0,0.2"), ("stats.std", "nan,nan,nan")])
+    def test_checkpoint_with_bad_statistics_exit_5(self, key, value, tmp_path, capsys):
+        snap = ckpt.load_checkpoint(_untrained_checkpoint(tmp_path / "full.ckpt"))
+        snap.metadata[key] = value
+        bad = tmp_path / "bad.ckpt"
+        ckpt.save_checkpoint(bad, snap.metadata, snap.params, snap.moments)
+        code = main(["eval", "--checkpoint", str(bad), "--synth",
+                     "--out", str(tmp_path / "x")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "statistics need 3 finite" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_checkpoint_with_wrong_class_name_count_exit_5(self, tmp_path, capsys):
+        snap = ckpt.load_checkpoint(_untrained_checkpoint(tmp_path / "full.ckpt"))
+        snap.metadata["data.class_names"] = "class0,class1,class2,class3"
+        bad = tmp_path / "bad.ckpt"
+        ckpt.save_checkpoint(bad, snap.metadata, snap.params, snap.moments)
+        code = main(["eval", "--checkpoint", str(bad), "--synth",
+                     "--out", str(tmp_path / "x")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "data.class_names must list 5" in err
+
     def _synth_tree(self, tmp_path):
         tree = tmp_path / "tree"
         assert main(["synth", "--out", str(tree), "--per-class", "2",
@@ -434,6 +463,16 @@ class TestMetricsCommand:
         assert main(["metrics", "--predictions", str(path)]) == 3
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("label", ["7", "-1"])
+    def test_label_outside_score_columns_exit_3_with_line(self, label, tmp_path, capsys):
+        path = tmp_path / "pred.csv"
+        path.write_text("sample_id,true_label,score_0,score_1\n"
+                        "a,0,0.9,0.1\n"
+                        f"b,{label},0.2,0.8\n")
+        assert main(["metrics", "--predictions", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "line 3" in err and f"label {label} outside [0, 2)" in err
+
     def test_non_utf8_predictions_exit_3(self, tmp_path, capsys):
         path = tmp_path / "pred.csv"
         path.write_bytes(b"\xff\xfesample_id,true_label,score_0,score_1\n")
@@ -467,21 +506,50 @@ class TestGradcheckCommand:
         assert "gelu" in proc.stdout
         assert "FAIL" in proc.stdout
 
-    @pytest.mark.parametrize("op", ["matmul", "attention"])
-    def test_each_corruptible_op_is_detected(self, op):
-        # the tiny model's graph attention still records matmul, and its
-        # encoder and cross-attention record the fused attention core
-        proc = subprocess.run(
-            [sys.executable, "-m", "hgtnet.cli", "gradcheck", "--corrupt", op],
-            capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 1
-        failed = proc.stdout.splitlines()[-1]
+    @pytest.mark.parametrize("op", cli.CORRUPTIBLE_OPS)
+    def test_each_corruptible_op_is_detected(self, op, monkeypatch, capsys):
+        monkeypatch.setattr(T, "_make", T._make)  # undo the hook afterwards
+        assert main(["gradcheck", "--corrupt", op]) == 1
+        failed = capsys.readouterr().out.splitlines()[-1]
         assert failed.startswith("gradient check FAILED for:")
-        assert set(failed.split(":")[1].replace(",", " ").split()) == {op, "model"}
+
+    def test_corruptible_ops_are_the_ops_the_battery_records(self, monkeypatch):
+        recorded = set()
+        make = T._make
+
+        def spy(data_, name, parents, backward):
+            recorded.add(name)
+            return make(data_, name, parents, backward)
+
+        monkeypatch.setattr(T, "_make", spy)
+        for _, build, params in op_battery(0) + [cli._model_check(0)]:
+            build(params)
+        assert recorded == set(cli.CORRUPTIBLE_OPS)
+
+    def test_every_op_a_training_step_records_is_corruptible(self, monkeypatch):
+        # one tiny step with dropout and the rotation term records 19 ops
+        recorded = set()
+        make = T._make
+
+        def spy(data_, name, parents, backward):
+            recorded.add(name)
+            return make(data_, name, parents, backward)
+
+        cfg = tiny_config(32, dropout_p=0.1)
+        assert cfg.rotation_loss_weight > 0
+        samples = data.synth_dataset(1, 32, RngStream(seed=2))
+        stats = data.compute_stats(samples)
+        state = tr.init_state(cfg, tr.TrainConfig(batch_size=len(samples)), stats,
+                              [f"class{k}" for k in range(5)])
+        monkeypatch.setattr(T, "_make", spy)
+        tr.train_epoch(state.params, cfg, state.train_cfg, samples, stats,
+                       data.train_policy(32), state.adam, 0)
+        assert len(recorded) == 19
+        assert min(recorded) == "add" and max(recorded) == "transpose"
+        # each of them fails gradcheck when corrupted (the test above)
+        assert recorded <= set(cli.CORRUPTIBLE_OPS)
 
     def test_corruption_hook_passes_missing_gradients_through(self, monkeypatch):
-        from hgtnet import cli
-        from hgtnet import tensor as T
         # mul's untracked scalar operand gets a None gradient; the hook's
         # patch of _make is undone afterwards
         monkeypatch.setattr(T, "_make", T._make)

@@ -423,18 +423,18 @@ class TestStats:
         px[...] = [0.2, 0.4, 0.6]
         out = normalize(_sample(px), stats)
         assert out.shape == (3, 2, 2)
-        assert np.allclose(out.data, 0.0)
+        assert np.allclose(out, 0.0)
 
     def test_normalize_identity_stats(self):
         stats = data.DatasetStats(mean=np.zeros(3), std=np.ones(3))
         img = _random_image(25)
         out = normalize(img, stats)
-        assert np.allclose(out.data, img.pixels.transpose(2, 0, 1))
+        assert np.allclose(out, img.pixels.transpose(2, 0, 1))
 
     def test_normalized_set_has_unit_moments(self):
         samples = [_random_image(30 + i, 6, 6) for i in range(5)]
         stats = compute_stats(samples)
-        values = np.stack([normalize(s, stats).data for s in samples])  # (n,3,h,w)
+        values = np.stack([normalize(s, stats) for s in samples])  # (n,3,h,w)
         per_channel = values.transpose(1, 0, 2, 3).reshape(3, -1)
         assert np.allclose(per_channel.mean(axis=1), 0.0, atol=1e-6)
         assert np.allclose(per_channel.std(axis=1), 1.0, atol=1e-6)
@@ -510,8 +510,6 @@ class TestSplit:
         assert len(train) == 90 and len(test) == 10
         for label in range(5):
             assert sum(s.label == label for s in test) == 2
-        assert all(s.split == "train" for s in train)
-        assert all(s.split == "test" for s in test)
 
     def test_deterministic_split(self):
         samples = synth_dataset(10, 16, RngStream(seed=62))

@@ -169,7 +169,7 @@ class TestSelfAttention:
         one = RngStream(seed=13).normal(d)
         tokens = Tensor(np.tile(one, (1, n, 1)))
         capture = {}
-        attention(tokens, tokens, 2, params, "attn.", capture, "attn")
+        attention(tokens, tokens, 2, params, "attn.", capture)
         assert np.allclose(capture["attn"], 1.0 / n, atol=1e-12)
 
     def test_rows_sum_to_one(self):
@@ -177,7 +177,7 @@ class TestSelfAttention:
         params = _attn_params(d, seed=14)
         tokens = Tensor(RngStream(seed=15).normal(3 * n * d).reshape(3, n, d))
         capture = {}
-        attention(tokens, tokens, 4, params, "attn.", capture, "attn")
+        attention(tokens, tokens, 4, params, "attn.", capture)
         assert np.allclose(capture["attn"].sum(axis=-1), 1.0, atol=1e-12)
 
     def test_single_head_dense_oracle(self):
@@ -294,17 +294,18 @@ class TestCnnBranch:
         def run(branch):
             for p in params.values():
                 p.zero_grad()
-            rngs = [RngStream(seed=38).derive(i) for i in range(3)]
-            out = branch(Tensor(x), cfg, params, training, rngs)
+            # streams make it a training pass, with dropout
+            rngs = [RngStream(seed=38).derive(i) for i in range(3)] if training else None
+            out = branch(Tensor(x), cfg, params, rngs)
             T.backward(T.tsum(out * g))
             return out.data, {n: p.grad for n, p in params.items() if n.startswith("cnn")}
 
-        def relu_first(x, cfg, params, training, rngs):
+        def relu_first(x, cfg, params, rngs):
             out = x
             for j in range(len(cfg.cnn_channels)):
                 out = T.conv2d(out, params[f"cnn{j}.weight"], params[f"cnn{j}.bias"], padding=1)
-                out = T.max_pool2d(T.relu(out), 2, 2)
-                out = T.dropout(out, cfg.dropout_p, training, rngs)
+                out = T.max_pool2d(T.relu(out))
+                out = T.dropout(out, cfg.dropout_p, rngs)
             return out
 
         out, grads = run(cnn_branch)
@@ -561,12 +562,16 @@ class TestModelForward:
         assert a[0].data.tobytes() == b[0].data.tobytes()
         assert a[1].data.tobytes() == b[1].data.tobytes()
 
-    def test_training_needs_rng_when_dropout_active(self):
-        cfg = tiny_config(dropout_p=0.1)
-        params = init_params(cfg, RngStream(seed=94))
-        x = Tensor(np.zeros((1, 3, 32, 32)))
-        with pytest.raises(ContractError):
-            model_forward(x, cfg, params, training=True, rngs=None)
+    def test_forward_without_rngs_runs_no_dropout(self):
+        params = init_params(tiny_config(), RngStream(seed=94))
+        x = Tensor(RngStream(seed=94).derive("x").normal(2 * 3 * 32 * 32).reshape(2, 3, 32, 32))
+        plain = model_forward(x, tiny_config(dropout_p=0.0), params)
+        no_rngs = model_forward(x, tiny_config(dropout_p=0.5), params)
+        rngs = [RngStream(seed=94).derive("drop", i) for i in range(2)]
+        dropped = model_forward(x, tiny_config(dropout_p=0.5), params, rngs=rngs)
+        assert no_rngs[0].data.tobytes() == plain[0].data.tobytes()
+        assert no_rngs[1].data.tobytes() == plain[1].data.tobytes()
+        assert dropped[0].data.tobytes() != plain[0].data.tobytes()
 
     def test_attention_capture_covers_all_three_families(self):
         cfg = tiny_config()

@@ -333,9 +333,9 @@ class TestShardedStep:
         masks = {}
         dropout = T.dropout
 
-        def spy(x, p, training, rngs):
+        def spy(x, p, rngs):
             ids = [r.stream_id for r in rngs]
-            out = dropout(x, p, training, rngs)
+            out = dropout(x, p, rngs)
             for i, key in enumerate(ids):
                 masks.setdefault(key, out.data[i] != 0.0)  # the first call's mask
             return out
@@ -418,7 +418,7 @@ class TestOverfitOneBatch:
         b = len(samples)
         final = None
         for step in range(200):
-            cls_all, rot_all = model_forward(x, cfg, params, training=True)
+            cls_all, rot_all = model_forward(x, cfg, params)
             cls = T.take_rows(cls_all, 0, b)
             rot = T.take_rows(rot_all, b, 2 * b)
             loss = tr.combined_loss(cls, labels, rot, rot_labels,
@@ -475,7 +475,7 @@ class TestEvaluate:
     def test_records_no_graph_and_matches_tracked_forward(self, monkeypatch):
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         params = init_params(cfg, RngStream(seed=4))
-        x = Tensor(np.stack([data.normalize(data.resize_bilinear(s, 32, 32), stats).data
+        x = Tensor(np.stack([data.normalize(data.resize_bilinear(s, 32, 32), stats)
                              for s in test]))
         cls, _ = model_forward(x, cfg, params)
         assert cls.op_record is not None  # the trainable params do record a graph
