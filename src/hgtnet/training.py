@@ -340,6 +340,10 @@ class TrainerState:
 
 def init_state(model_cfg: ModelConfig, train_cfg: TrainConfig, stats: DatasetStats,
                class_names: list[str]) -> TrainerState:
+    # a checkpoint stores the names comma-joined, so reject a comma before
+    # training rather than when the checkpoint is read back
+    if any("," in name for name in class_names):
+        raise DataError(f"class names must not contain ',': {list(class_names)}")
     params = init_params(model_cfg, RngStream(seed=train_cfg.seed))
     return TrainerState(model_cfg=model_cfg, train_cfg=train_cfg, params=params,
                         adam=init_adam(params), stats=stats,

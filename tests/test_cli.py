@@ -186,6 +186,20 @@ class TestTrainCommand:
         code = main(["train", "--data", str(empty), "--out", str(tmp_path / "x")])
         assert code == 3
 
+    def test_comma_in_class_name_is_data_error_before_training(self, tmp_path, capsys):
+        # a checkpoint stores the class names comma-joined
+        tree = tmp_path / "tree"
+        assert main(["synth", "--out", str(tree), "--per-class", "2",
+                     "--image-size", "32", "--seed", "5"]) == 0
+        (tree / "class2").rename(tree / "class,2")
+        out = tmp_path / "x"
+        code = main(["train", "--data", str(tree), "--tiny", "--image-size", "32",
+                     "--epochs", "1", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "'class,2'" in err
+        assert not (out / "best.ckpt").exists()
+
     def test_invalid_geometry_is_config_error(self, tmp_path, capsys):
         code = main(["train", "--synth", "--image-size", "30",
                      "--out", str(tmp_path / "x")])
@@ -506,48 +520,58 @@ class TestGradcheckCommand:
         assert "gelu" in proc.stdout
         assert "FAIL" in proc.stdout
 
+    @staticmethod
+    def _recorded_ops(run) -> set:
+        """The op names that ``tensor._make`` records while ``run()`` runs."""
+        recorded = set()
+        make = T._make
+
+        def spy(data_, name, parents, backward):
+            recorded.add(name)
+            return make(data_, name, parents, backward)
+
+        T._make = spy
+        try:
+            run()
+        finally:
+            T._make = make
+        return recorded
+
+    def _checks(self):
+        return op_battery(0) + [cli._model_check(0)]
+
     @pytest.mark.parametrize("op", cli.CORRUPTIBLE_OPS)
     def test_each_corruptible_op_is_detected(self, op, monkeypatch, capsys):
+        # exactly the checks whose graph records the op fail, the tiny
+        # model's among them whenever the model records it
+        expected = {name for name, build, params in self._checks()
+                    if op in self._recorded_ops(lambda: build(params))}
         monkeypatch.setattr(T, "_make", T._make)  # undo the hook afterwards
         assert main(["gradcheck", "--corrupt", op]) == 1
         failed = capsys.readouterr().out.splitlines()[-1]
         assert failed.startswith("gradient check FAILED for:")
+        assert expected and set(failed.split(":")[1].replace(",", " ").split()) == expected
 
-    def test_corruptible_ops_are_the_ops_the_battery_records(self, monkeypatch):
+    def test_corruptible_ops_are_the_ops_the_battery_records(self):
         recorded = set()
-        make = T._make
-
-        def spy(data_, name, parents, backward):
-            recorded.add(name)
-            return make(data_, name, parents, backward)
-
-        monkeypatch.setattr(T, "_make", spy)
-        for _, build, params in op_battery(0) + [cli._model_check(0)]:
-            build(params)
+        for _, build, params in self._checks():
+            recorded |= self._recorded_ops(lambda: build(params))
         assert recorded == set(cli.CORRUPTIBLE_OPS)
 
-    def test_every_op_a_training_step_records_is_corruptible(self, monkeypatch):
-        # one tiny step with dropout and the rotation term records 19 ops
-        recorded = set()
-        make = T._make
-
-        def spy(data_, name, parents, backward):
-            recorded.add(name)
-            return make(data_, name, parents, backward)
-
+    def test_every_op_a_training_step_records_is_corruptible(self):
+        # one tiny step with dropout and the rotation term
         cfg = tiny_config(32, dropout_p=0.1)
         assert cfg.rotation_loss_weight > 0
         samples = data.synth_dataset(1, 32, RngStream(seed=2))
         stats = data.compute_stats(samples)
         state = tr.init_state(cfg, tr.TrainConfig(batch_size=len(samples)), stats,
                               [f"class{k}" for k in range(5)])
-        monkeypatch.setattr(T, "_make", spy)
-        tr.train_epoch(state.params, cfg, state.train_cfg, samples, stats,
-                       data.train_policy(32), state.adam, 0)
-        assert len(recorded) == 19
-        assert min(recorded) == "add" and max(recorded) == "transpose"
-        # each of them fails gradcheck when corrupted (the test above)
+        recorded = self._recorded_ops(lambda: tr.train_epoch(
+            state.params, cfg, state.train_cfg, samples, stats,
+            data.train_policy(32), state.adam, 0))
         assert recorded <= set(cli.CORRUPTIBLE_OPS)
+        # the battery's only extra op is the sum that reduces each entry
+        assert set(cli.CORRUPTIBLE_OPS) - recorded == {"sum"}
 
     def test_corruption_hook_passes_missing_gradients_through(self, monkeypatch):
         # mul's untracked scalar operand gets a None gradient; the hook's
