@@ -34,7 +34,8 @@ from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
 from .gradcheck import check_gradients, op_battery
 from .metrics import (build_report, read_predictions, render_report,
                       write_predictions, write_roc)
-from .model import init_params, model_forward, tiny_config
+from .kvtext import to_kv
+from .model import TINY_PRESET, init_params, model_forward, tiny_config
 from .ppm import from_unit, read_ppm, to_unit, write_ppm
 from .rng import RngStream
 from .tensor import Tensor
@@ -68,15 +69,8 @@ def _write_report_tables(out_dir, report) -> None:
 # config assembly from flags
 # ---------------------------------------------------------------------------
 
-_TINY_PRESET = {
-    "model.patch_size": "16",
-    "model.embed_dim": "8",
-    "model.num_heads": "2",
-    "model.num_encoder_layers": "1",
-    "model.mlp_ratio": "2.0",
-    "model.cnn_channels": "4",
-    "model.dropout_p": "0.0",
-}
+_TINY_PRESET = {key: value for key, value in to_kv(tiny_config(), "model.").items()
+                if key.removeprefix("model.") in TINY_PRESET}
 
 
 def _overrides_from_args(args) -> dict[str, str]:
@@ -121,11 +115,12 @@ def _maybe_print_config(args, cfg: RunConfig) -> bool:
 # train / eval
 # ---------------------------------------------------------------------------
 
-def _dataset(args, data_root, image_size: int, seed: int):
-    """(samples, class names): the synthetic set at ``image_size`` drawn from
-    ``seed``, or the PPM tree under ``data_root``."""
-    if args.synth:
-        samples = data.synth_dataset(num_per_class=args.per_class or 40,
+def _dataset(per_class: int | None, data_root, image_size: int, seed: int):
+    """(samples, class names): the synthetic set of ``per_class`` images per
+    class at ``image_size`` drawn from ``seed``, or with ``per_class`` None
+    the PPM tree under ``data_root``."""
+    if per_class is not None:
+        samples = data.synth_dataset(num_per_class=per_class,
                                      size=image_size, rng=RngStream(seed=seed))
         return samples, sorted({s.id.split("_")[0] for s in samples})
     if data_root is None:
@@ -151,13 +146,15 @@ def cmd_train(args) -> int:
     if _maybe_print_config(args, cfg):
         return EXIT_OK
     os.makedirs(cfg.out_dir, exist_ok=True)
-    samples, names = _dataset(args, cfg.data_root, cfg.model.image_size, cfg.seed)
+    per_class = (args.per_class or 40) if args.synth else None
+    samples, names = _dataset(per_class, cfg.data_root, cfg.model.image_size, cfg.seed)
     if len(names) != cfg.model.num_classes:
         raise ConfigError(f"model expects {cfg.model.num_classes} classes but the "
                           f"dataset has {len(names)}")
     train_samples, test_samples = _split(samples, cfg.seed)
     stats = data.compute_stats(train_samples)
     state = tr.init_state(cfg.model, cfg.train, stats, names)
+    state.synth_per_class = per_class
     history = tr.fit(state, train_samples, test_samples, policy=cfg.train_aug,
                      out_dir=cfg.out_dir, eval_threads=args.eval_threads,
                      log=lambda msg: print(msg))
@@ -176,14 +173,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    """Evaluate a checkpoint: the architecture, the seed and the statistics
-    come from the checkpoint; ``--synth`` evaluates the test split that
-    ``train --synth`` held out, and a ``--data`` tree is evaluated whole."""
+    """Evaluate a checkpoint: the architecture, the seed, the statistics and
+    the synthetic set's size come from the checkpoint; ``--synth`` evaluates
+    the test split that ``train --synth`` held out, and a ``--data`` tree is
+    evaluated whole."""
     if not os.path.exists(args.checkpoint):
         raise CheckpointError(f"{args.checkpoint}: checkpoint not found")
     state = tr.load_state(args.checkpoint)
     seed = state.train_cfg.seed
-    samples, names = _dataset(args, args.data, state.model_cfg.image_size, seed)
+    per_class = state.synth_per_class if args.synth else None
+    if args.synth and per_class is None:
+        raise CheckpointError(f"{args.checkpoint}: the checkpoint records no synthetic "
+                              f"per-class count, so its --synth test split cannot be rebuilt")
+    samples, names = _dataset(per_class, args.data, state.model_cfg.image_size, seed)
     if names != state.class_names:
         raise DataError(f"dataset classes {names} do not match the checkpoint's "
                         f"classes {state.class_names}")
@@ -383,8 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None, help="dataset root (class dirs of .ppm)")
     p.add_argument("--out", default="runs/latest", help="output directory")
     p.add_argument("--synth", action="store_true",
-                   help="evaluate on the synthetic test split")
-    p.add_argument("--per-class", type=_positive_int, default=None)
+                   help="evaluate on the test split of the checkpoint's train --synth run")
     p.add_argument("--eval-threads", type=_positive_int, default=1)
     p.set_defaults(func=cmd_eval)
 

@@ -51,17 +51,19 @@ class DatasetStats:
 
 @dataclass(frozen=True)
 class AugmentPolicy:
-    flip_prob: float
-    max_rotation_deg: float
-    jitter_brightness: float
-    jitter_contrast: float
-    jitter_saturation: float
-    jitter_hue: float
-    sharpness_factor: float
-    sharpness_prob: float
-    blur_kernel: int
-    blur_sigma_range: tuple[float, float] | None  # None disables blur
-    target_size: tuple[int, int]
+    """The training stack, by default the paper's; a one-tap ``blur_kernel``
+    leaves every pixel unchanged, which is how blur is turned off."""
+    flip_prob: float = 0.5
+    max_rotation_deg: float = 15.0
+    jitter_brightness: float = 0.2
+    jitter_contrast: float = 0.2
+    jitter_saturation: float = 0.2
+    jitter_hue: float = 0.05
+    sharpness_factor: float = 0.2
+    sharpness_prob: float = 0.5
+    blur_kernel: int = 3
+    blur_sigma: tuple[float, float] = (0.1, 2.0)
+    target_size: tuple[int, int] = (224, 224)
 
     def __post_init__(self):
         for name in ("flip_prob", "sharpness_prob"):
@@ -79,24 +81,17 @@ class AugmentPolicy:
             raise ConfigError(f"sharpness_factor must be >= 0, got {self.sharpness_factor}")
         if self.blur_kernel % 2 == 0 or self.blur_kernel < 1:
             raise ConfigError(f"blur_kernel must be odd and positive, got {self.blur_kernel}")
-        if self.blur_sigma_range is not None:
-            lo, hi = self.blur_sigma_range
-            if lo <= 0 or hi < lo:
-                raise ConfigError(f"blur_sigma_range must be positive and ordered, got {self.blur_sigma_range}")
+        if len(self.blur_sigma) != 2 or not 0 < self.blur_sigma[0] <= self.blur_sigma[1] < np.inf:
+            raise ConfigError(f"blur_sigma must be two finite, positive, ordered numbers "
+                              f"'low,high', got {self.blur_sigma}")
         th, tw = self.target_size
         if th < 1 or tw < 1:
             raise ConfigError(f"target_size must be >= 1, got {self.target_size}")
 
 
 def train_policy(target: int = 224) -> AugmentPolicy:
-    """Training-time stack: 50% flips, rotations up to 15 degrees, color
-    jitter, sharpness 0.2 at 50%, 3x3 Gaussian blur with sigma in [0.1, 2]."""
-    return AugmentPolicy(
-        flip_prob=0.5, max_rotation_deg=15.0,
-        jitter_brightness=0.2, jitter_contrast=0.2, jitter_saturation=0.2, jitter_hue=0.05,
-        sharpness_factor=0.2, sharpness_prob=0.5,
-        blur_kernel=3, blur_sigma_range=(0.1, 2.0),
-        target_size=(target, target))
+    """The training-time stack at a ``target`` x ``target`` output."""
+    return AugmentPolicy(target_size=(target, target))
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +179,8 @@ def resize_bilinear(img: ImageSample, h: int, w: int) -> ImageSample:
     return img.with_pixels(np.ascontiguousarray(out))
 
 
-def random_horizontal_flip(img: ImageSample, prob: float, rng: RngStream | None) -> ImageSample:
-    if rng is None or prob == 0.0 or rng.uniform() >= prob:
+def random_horizontal_flip(img: ImageSample, prob: float, rng: RngStream) -> ImageSample:
+    if prob == 0.0 or rng.uniform() >= prob:
         return img
     return img.with_pixels(np.ascontiguousarray(img.pixels[:, ::-1, :]))
 
@@ -217,8 +212,8 @@ def _rotate_pixels(px: np.ndarray, angle_deg: float) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def random_rotation(img: ImageSample, max_deg: float, rng: RngStream | None) -> ImageSample:
-    if rng is None or max_deg == 0.0:
+def random_rotation(img: ImageSample, max_deg: float, rng: RngStream) -> ImageSample:
+    if max_deg == 0.0:
         return img
     return rotate_by_degrees(img, (rng.uniform() * 2.0 - 1.0) * max_deg)
 
@@ -299,12 +294,10 @@ def adjust_hue(px: np.ndarray, delta: float) -> np.ndarray:
     return np.clip(hsv_to_rgb(hsv), 0.0, 1.0)
 
 
-def color_jitter(img: ImageSample, policy: AugmentPolicy, rng: RngStream | None) -> ImageSample:
+def color_jitter(img: ImageSample, policy: AugmentPolicy, rng: RngStream) -> ImageSample:
     """Brightness/contrast/saturation factors from [1-f, 1+f], hue shift from
     [-f, +f] turns, applied in a randomized order; zero-magnitude transforms
     are skipped entirely."""
-    if rng is None:
-        return img
     px = img.pixels
     ops = rng.shuffle(["brightness", "contrast", "saturation", "hue"])
     for op in ops:
@@ -330,8 +323,8 @@ def box_smooth3(px: np.ndarray) -> np.ndarray:
 
 
 def random_sharpness(img: ImageSample, factor: float, prob: float,
-                     rng: RngStream | None) -> ImageSample:
-    if rng is None or prob == 0.0 or rng.uniform() >= prob:
+                     rng: RngStream) -> ImageSample:
+    if prob == 0.0 or rng.uniform() >= prob:
         return img
     if factor == 1.0:
         return img
@@ -474,7 +467,5 @@ def apply_policy(img: ImageSample, policy: AugmentPolicy,
     out = random_rotation(out, policy.max_rotation_deg, rng)
     out = color_jitter(out, policy, rng)
     out = random_sharpness(out, policy.sharpness_factor, policy.sharpness_prob, rng)
-    if policy.blur_sigma_range is not None:
-        lo, hi = policy.blur_sigma_range
-        out = gaussian_blur(out, policy.blur_kernel, lo + rng.uniform() * (hi - lo))
-    return out
+    lo, hi = policy.blur_sigma
+    return gaussian_blur(out, policy.blur_kernel, lo + rng.uniform() * (hi - lo))

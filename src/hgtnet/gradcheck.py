@@ -1,6 +1,6 @@
 """Finite-difference verification of the autodiff engine.
 
-Central differences with step h give an independent estimate of each
+Central differences with step ``STEP`` give an independent estimate of each
 partial derivative; ``max_relative_error`` then compares the analytic
 gradient against that estimate elementwise, falling back to absolute
 error where the true gradient is tiny.
@@ -8,12 +8,17 @@ error where the true gradient is tiny.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import tensor as T
 from .rng import RngStream
+
+# the central-difference step, and the magnitude below which two gradient
+# values are compared by absolute rather than relative difference
+STEP = 1e-5
+ABSOLUTE_FLOOR = 1e-6
 
 
 def _probe(fn: Callable[[], T.Tensor], param: T.Tensor, flat_index: int,
@@ -29,31 +34,23 @@ def _probe(fn: Callable[[], T.Tensor], param: T.Tensor, flat_index: int,
     return up, down
 
 
-def finite_difference_gradient(fn: Callable[[], T.Tensor], param: T.Tensor,
-                               h: float = 1e-5,
-                               indices: Sequence[tuple] | None = None) -> np.ndarray:
-    """Estimate d fn / d param by central differences.
+def finite_difference_gradient(fn: Callable[[], T.Tensor], param: T.Tensor) -> np.ndarray:
+    """Estimate d fn / d param by central differences at every coordinate.
 
     ``fn`` must rebuild the scalar loss from current parameter values on
-    every call.  When ``indices`` is given only those coordinates are
-    probed (others return 0), which keeps whole-model checks affordable.
+    every call.
     """
     grad = np.zeros(param.data.size)
-    if indices is None:
-        probe = range(param.data.size)
-    else:
-        probe = [int(np.ravel_multi_index(ix, param.data.shape)) for ix in indices]
-    for i in probe:
-        up, down = _probe(fn, param, i, h)
-        grad[i] = (up - down) / (2.0 * h)
+    for i in range(param.data.size):
+        up, down = _probe(fn, param, i, STEP)
+        grad[i] = (up - down) / (2.0 * STEP)
     return grad.reshape(param.data.shape)
 
 
-def max_relative_error(analytic: np.ndarray, numeric: np.ndarray,
-                       absolute_floor: float = 1e-6) -> float:
+def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """Worst-case elementwise discrepancy between two gradient estimates.
 
-    Elements where both values sit below ``absolute_floor`` are compared by
+    Elements where both values sit below ``ABSOLUTE_FLOOR`` are compared by
     absolute difference; everywhere else the difference is scaled by the
     larger magnitude.
     """
@@ -61,7 +58,7 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray,
     numeric = np.asarray(numeric, dtype=np.float64)
     diff = np.abs(analytic - numeric)
     scale = np.maximum(np.abs(analytic), np.abs(numeric))
-    small = scale < absolute_floor
+    small = scale < ABSOLUTE_FLOOR
     rel = np.where(small, diff, diff / np.where(small, 1.0, scale))
     return float(rel.max()) if rel.size else 0.0
 
@@ -73,8 +70,7 @@ _KINK_GAP = 1e-4
 
 
 def _sample_coordinates(fn: Callable[[], T.Tensor], param: T.Tensor,
-                        base: float, h: float, count: int,
-                        rng: RngStream) -> dict[int, float]:
+                        base: float, count: int, rng: RngStream) -> dict[int, float]:
     """Central-difference estimates at ``count`` trustworthy coordinates.
 
     Central differences only estimate a derivative where the loss is smooth
@@ -94,7 +90,7 @@ def _sample_coordinates(fn: Callable[[], T.Tensor], param: T.Tensor,
         i = rng.randint(param.data.size)
         if i in chosen:
             continue
-        for step in (h, h / 10.0):
+        for step in (STEP, STEP / 10.0):
             up, down = _probe(fn, param, i, step)
             fwd = (up - base) / step
             bwd = (base - down) / step
@@ -106,14 +102,13 @@ def _sample_coordinates(fn: Callable[[], T.Tensor], param: T.Tensor,
         # every draw straddled a kink (pathological surface): keep one
         # unfiltered probe rather than skipping the parameter silently
         i = rng.randint(param.data.size)
-        up, down = _probe(fn, param, i, h)
-        chosen[i] = (up - down) / (2.0 * h)
+        up, down = _probe(fn, param, i, STEP)
+        chosen[i] = (up - down) / (2.0 * STEP)
     return chosen
 
 
 def check_gradients(build: Callable[[list[T.Tensor]], T.Tensor],
                     params: list[T.Tensor],
-                    h: float = 1e-5,
                     sample_per_param: int | None = None,
                     rng: RngStream | None = None) -> float:
     """Run one backward pass and compare every parameter's gradient against
@@ -139,12 +134,12 @@ def check_gradients(build: Callable[[list[T.Tensor]], T.Tensor],
             if rng is None:
                 raise ValueError("sampled gradient check needs an rng")
             flat_analytic = analytic.reshape(-1)
-            samples = _sample_coordinates(lambda: build(params), p, base, h,
+            samples = _sample_coordinates(lambda: build(params), p, base,
                                           sample_per_param, rng)
             for i, numeric in samples.items():
                 worst = max(worst, max_relative_error(flat_analytic[i], numeric))
         else:
-            numeric = finite_difference_gradient(lambda: build(params), p, h=h)
+            numeric = finite_difference_gradient(lambda: build(params), p)
             worst = max(worst, max_relative_error(analytic, numeric))
     return worst
 

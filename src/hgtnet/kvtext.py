@@ -75,13 +75,15 @@ def to_kv(obj, prefix: str) -> dict[str, str]:
     return out
 
 
-_GETTERS = {int: get_int, float: get_float, tuple: get_ints}
+_GETTERS = {int: get_int, float: get_float, (tuple, int): get_ints, (tuple, float): get_floats}
 
 
 def from_kv(cls, kv: dict[str, str], prefix: str):
     """Build dataclass ``cls`` from the ``prefix + field name`` keys present
     in ``kv``; absent fields keep their defaults, other keys are ignored.
-    Each value is parsed by the getter for its default's type."""
-    updates = {f.name: _GETTERS[type(f.default)](kv, prefix + f.name)
+    Each value is parsed by the getter for its default's type, a tuple's by
+    the type of its default's first element."""
+    kind = lambda d: (tuple, type(d[0])) if isinstance(d, tuple) else type(d)
+    updates = {f.name: _GETTERS[kind(f.default)](kv, prefix + f.name)
                for f in dataclasses.fields(cls) if prefix + f.name in kv}
     return cls(**updates)

@@ -336,6 +336,7 @@ class TrainerState:
     best_test_loss: float = math.inf
     best_epoch: int = 0                 # 1-based; 0 = none yet
     bad_epochs: int = 0
+    synth_per_class: int | None = None  # the synthetic set's size; None = a --data tree
 
 
 def init_state(model_cfg: ModelConfig, train_cfg: TrainConfig, stats: DatasetStats,
@@ -360,6 +361,8 @@ def save_state(state: TrainerState, path) -> None:
     metadata["stats.mean"] = ",".join(repr(float(v)) for v in state.stats.mean)
     metadata["stats.std"] = ",".join(repr(float(v)) for v in state.stats.std)
     metadata["data.class_names"] = ",".join(state.class_names)
+    if state.synth_per_class is not None:
+        metadata["data.synth_per_class"] = str(state.synth_per_class)
     params = {n: p.data for n, p in state.params.items()}
     moments = {f"m.{n}": state.adam.m[n] for n in state.params}
     moments.update({f"v.{n}": state.adam.v[n] for n in state.params})
@@ -379,6 +382,8 @@ def load_state(path) -> TrainerState:
         best_test_loss = get_float(kv, "trainer.best_test_loss")
         stats = DatasetStats(mean=np.array(get_floats(kv, "stats.mean")),
                              std=np.array(get_floats(kv, "stats.std")))
+        synth_per_class = (get_int(kv, "data.synth_per_class")
+                           if "data.synth_per_class" in kv else None)
     except KeyError as exc:
         raise CheckpointError(f"{path}: metadata lacks {exc.args[0]!r}") from None
     except (ConfigError, DataError) as exc:
@@ -387,6 +392,9 @@ def load_state(path) -> TrainerState:
     if len(class_names) != model_cfg.num_classes or not all(class_names):
         raise CheckpointError(f"{path}: bad metadata (data.class_names must list "
                               f"{model_cfg.num_classes} non-empty names, got {class_names})")
+    if synth_per_class is not None and synth_per_class < 1:
+        raise CheckpointError(f"{path}: bad metadata (data.synth_per_class must be >= 1, "
+                              f"got {synth_per_class})")
     # checked here so that a file that does not fit its config fails on
     # load, not with a KeyError in the first forward pass
     expected = param_shapes(model_cfg)
@@ -411,7 +419,7 @@ def load_state(path) -> TrainerState:
         adam=AdamState(m=m, v=v, t=adam_t), stats=stats,
         class_names=class_names,
         epoch=epoch, best_test_loss=best_test_loss, best_epoch=best_epoch,
-        bad_epochs=bad_epochs)
+        bad_epochs=bad_epochs, synth_per_class=synth_per_class)
 
 
 # ---------------------------------------------------------------------------

@@ -209,8 +209,8 @@ def test_criterion_6a_overfit_one_batch():
         mild = data.AugmentPolicy(
             flip_prob=0.0, max_rotation_deg=5.0, jitter_brightness=0.1,
             jitter_contrast=0.1, jitter_saturation=0.1, jitter_hue=0.02,
-            sharpness_factor=0.0, sharpness_prob=0.0, blur_kernel=3,
-            blur_sigma_range=None, target_size=(32, 32))
+            sharpness_factor=0.0, sharpness_prob=0.0, blur_kernel=1,
+            target_size=(32, 32))
         x, labels, rot_labels = tr.prepare_batch(
             samples, mild, stats, cfg, RngStream(seed=3), epoch=0)
         params = init_params(cfg, RngStream(seed=11))

@@ -44,6 +44,19 @@ class TestConfigMerge:
     def test_defaults_round_trip(self):
         cfg = run_config_from_kv({"model.image_size": "32"})
         assert run_config_from_kv(run_config_to_kv(cfg)) == cfg
+        # every aug.train.* key away from its default survives the text form
+        policy = {"aug.train.flip_prob": "0.25", "aug.train.max_rotation_deg": "7.5",
+                  "aug.train.jitter_brightness": "0.3", "aug.train.jitter_contrast": "0.4",
+                  "aug.train.jitter_saturation": "0.1", "aug.train.jitter_hue": "0.125",
+                  "aug.train.sharpness_factor": "1.5", "aug.train.sharpness_prob": "0.75",
+                  "aug.train.blur_kernel": "5", "aug.train.blur_sigma": "0.5,1.5"}
+        cfg = run_config_from_kv({"model.image_size": "32", **policy})
+        assert cfg.train_aug == data.AugmentPolicy(
+            flip_prob=0.25, max_rotation_deg=7.5, jitter_brightness=0.3,
+            jitter_contrast=0.4, jitter_saturation=0.1, jitter_hue=0.125,
+            sharpness_factor=1.5, sharpness_prob=0.75, blur_kernel=5,
+            blur_sigma=(0.5, 1.5), target_size=(32, 32))
+        assert run_config_from_kv(parse_kv(render_run_config(cfg), "mem")) == cfg
 
     def test_file_overrides_defaults_and_flags_override_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -61,13 +74,19 @@ class TestConfigMerge:
         with pytest.raises(ConfigError, match="unknown"):
             run_config_from_kv({"model.imge_size": "32"})
 
-    def test_blur_sigma_none_and_pair(self):
-        cfg = run_config_from_kv({"aug.train.blur_sigma": "none"})
-        assert cfg.train_aug.blur_sigma_range is None
+    def test_blur_sigma_none_and_pair(self, capsys):
         cfg = run_config_from_kv({"aug.train.blur_sigma": "0.5,1.5"})
-        assert cfg.train_aug.blur_sigma_range == (0.5, 1.5)
-        with pytest.raises(ConfigError):
-            run_config_from_kv({"aug.train.blur_sigma": "1.0"})
+        assert cfg.train_aug.blur_sigma == (0.5, 1.5)
+        # blur_kernel = 1 turns blur off; "none" is not a sigma range
+        for value in ("none", "1.0", "1,2,3", "2,1", "", "1,inf"):
+            assert main(["train", "--print-config",
+                         "--set", f"aug.train.blur_sigma={value}"]) == 2
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and "blur_sigma" in err, value
+
+    def test_tiny_overrides_resolve_to_tiny_config(self):
+        args = build_parser().parse_args(["train", "--tiny", "--image-size", "48"])
+        assert cli._resolve(args).model == tiny_config(48)
 
     def test_policy_target_follows_image_size(self):
         cfg = run_config_from_kv({"model.image_size": "32"})
@@ -93,7 +112,10 @@ class TestConfigMerge:
 
     @pytest.mark.parametrize("pair", ["model.num_rotations=4", "aug.test.flip_prob=0",
                                       "model.graph_connectivity=grid8",
-                                      "run.checkpoint=a.ckpt"])
+                                      "run.checkpoint=a.ckpt",
+                                      # the policy target is model.image_size
+                                      "aug.train.target_size=1",
+                                      "aug.train.target_size=0,0"])
     def test_removed_keys_rejected(self, pair, capsys):
         assert main(["train", "--print-config", "--set", pair]) == 2
         assert "unknown config keys: " + pair.split("=")[0] in capsys.readouterr().err
@@ -256,7 +278,7 @@ class TestTrainCommand:
         ["train", "--synth", "--per-class", "0"],
         ["train", "--synth", "--image-size", "zero"],
         ["eval", "--synth", "--eval-threads", "0"],
-        ["eval", "--synth", "--per-class", "-1"],
+        ["train", "--synth", "--image-size", "-32"],
         ["synth", "--image-size", "0"],
         ["synth", "--per-class", "0"],
         ["augment", "--input", "x.ppm", "--image-size", "0"]])
@@ -287,12 +309,28 @@ class TestEvalCommand:
     def test_eval_reproduces_training_report(self, tmp_path):
         out = _train(tmp_path)
         eval_out = tmp_path / "eval"
+        # eval --synth rebuilds the set of the checkpoint's --per-class 8 run
         code = main(["eval", "--checkpoint", str(out / "best.ckpt"), "--synth",
-                     "--per-class", "8", "--out", str(eval_out)])
+                     "--out", str(eval_out)])
         assert code == 0
         assert (out / "report.txt").read_bytes() == (eval_out / "report.txt").read_bytes()
         assert (out / "predictions.csv").read_bytes() == \
             (eval_out / "predictions.csv").read_bytes()
+
+    def test_synth_eval_without_recorded_count_exit_5(self, tmp_path, capsys):
+        # a checkpoint from a --data run records no synthetic per-class count
+        code = main(["eval", "--checkpoint", str(_untrained_checkpoint(tmp_path / "a.ckpt")),
+                     "--synth", "--out", str(tmp_path / "x")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "per-class count" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_eval_has_no_per_class_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--checkpoint", "a.ckpt", "--synth", "--per-class", "8",
+                  "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
 
     def test_accuracy_matches_confusion_csv(self, tmp_path):
         out = _train(tmp_path)

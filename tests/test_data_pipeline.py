@@ -294,8 +294,8 @@ class TestColorJitter:
     def test_all_zero_policy_identity(self):
         pol = AugmentPolicy(flip_prob=0, max_rotation_deg=0, jitter_brightness=0,
                             jitter_contrast=0, jitter_saturation=0, jitter_hue=0,
-                            sharpness_factor=0, sharpness_prob=0, blur_kernel=3,
-                            blur_sigma_range=None, target_size=(16, 16))
+                            sharpness_factor=0, sharpness_prob=0, blur_kernel=1,
+                            target_size=(16, 16))
         img = _random_image(9)
         out = color_jitter(img, pol, RngStream(seed=4))
         assert np.allclose(out.pixels, img.pixels, atol=1e-12)
@@ -379,6 +379,12 @@ class TestGaussianBlur:
         img = _sample(np.full((9, 9, 3), 0.77))
         out = gaussian_blur(img, 3, 1.3)
         assert np.allclose(out.pixels, 0.77, atol=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.1, 1.0, 2.0, 50.0])
+    def test_one_tap_kernel_is_bitwise_identity(self, sigma):
+        # blur_kernel = 1 is how a policy turns blur off
+        img = _random_image(19)
+        assert gaussian_blur(img, 1, sigma).pixels.tobytes() == img.pixels.tobytes()
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
@@ -559,13 +565,8 @@ class TestPipeline:
     def test_policy_validation(self):
         with pytest.raises(ConfigError):
             train_policy(0)
-        with pytest.raises(ConfigError):
-            AugmentPolicy(flip_prob=1.5, max_rotation_deg=0, jitter_brightness=0,
-                          jitter_contrast=0, jitter_saturation=0, jitter_hue=0,
-                          sharpness_factor=0, sharpness_prob=0, blur_kernel=3,
-                          blur_sigma_range=None, target_size=(8, 8))
-        with pytest.raises(ConfigError):
-            AugmentPolicy(flip_prob=0.5, max_rotation_deg=0, jitter_brightness=0,
-                          jitter_contrast=0, jitter_saturation=0, jitter_hue=0,
-                          sharpness_factor=0, sharpness_prob=0, blur_kernel=2,
-                          blur_sigma_range=None, target_size=(8, 8))
+        for bad in (dict(flip_prob=1.5), dict(blur_kernel=2), dict(blur_sigma=(1.0,)),
+                    dict(blur_sigma=(1.0, 2.0, 3.0)), dict(blur_sigma=(2.0, 1.0)),
+                    dict(blur_sigma=(0.0, 1.0))):
+            with pytest.raises(ConfigError):
+                AugmentPolicy(**bad)

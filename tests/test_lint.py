@@ -1,5 +1,5 @@
-"""Static checks over the package and the test suite: no module imports a
-name it never uses."""
+"""Static checks over the package, the test suite and the benchmark: no
+module imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "hgtnet").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+SOURCES = sorted([*(ROOT / "src" / "hgtnet").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                  *(ROOT / "perfbench").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:

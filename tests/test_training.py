@@ -29,7 +29,7 @@ MILD_POLICY = data.AugmentPolicy(
     flip_prob=0.0, max_rotation_deg=5.0,
     jitter_brightness=0.1, jitter_contrast=0.1, jitter_saturation=0.1, jitter_hue=0.02,
     sharpness_factor=0.0, sharpness_prob=0.0,
-    blur_kernel=3, blur_sigma_range=None, target_size=(32, 32))
+    blur_kernel=1, target_size=(32, 32))
 
 
 def _synth_setup(per_class=4, seed=7, lr=3e-3, **train_overrides):
@@ -694,7 +694,8 @@ class TestPersistence:
             tr.load_state(path)
 
     @pytest.mark.parametrize("key,value", [
-        ("trainer.adam_t", None), ("trainer.epoch", "two"), ("model.embed_dim", "7")])
+        ("trainer.adam_t", None), ("trainer.epoch", "two"), ("model.embed_dim", "7"),
+        ("data.synth_per_class", "0"), ("data.synth_per_class", "eight")])
     def test_bad_metadata_rejected_on_load(self, tmp_path, key, value):
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         path = tmp_path / "state.ckpt"
