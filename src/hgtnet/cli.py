@@ -118,7 +118,9 @@ def _maybe_print_config(args, cfg: RunConfig) -> bool:
 def _dataset(per_class: int | None, data_root, image_size: int, seed: int):
     """(samples, class names): the synthetic set of ``per_class`` images per
     class at ``image_size`` drawn from ``seed``, or with ``per_class`` None
-    the PPM tree under ``data_root``."""
+    the PPM tree under ``data_root``; naming both is a config error."""
+    if per_class is not None and data_root is not None:
+        raise ConfigError(f"--synth and --data {data_root} name two datasets; pass one")
     if per_class is not None:
         samples = data.synth_dataset(num_per_class=per_class,
                                      size=image_size, rng=RngStream(seed=seed))
@@ -145,9 +147,9 @@ def cmd_train(args) -> int:
     cfg = _resolve(args)
     if _maybe_print_config(args, cfg):
         return EXIT_OK
-    os.makedirs(cfg.out_dir, exist_ok=True)
     per_class = (args.per_class or 40) if args.synth else None
     samples, names = _dataset(per_class, cfg.data_root, cfg.model.image_size, cfg.seed)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     if len(names) != cfg.model.num_classes:
         raise ConfigError(f"model expects {cfg.model.num_classes} classes but the "
                           f"dataset has {len(names)}")
@@ -315,18 +317,18 @@ def cmd_augment(args) -> int:
     size = cfg.model.image_size
     pixels = to_unit(read_ppm(args.input))
     sample = data.ImageSample(id=os.path.basename(args.input), pixels=pixels, label=0)
-    resized = data.apply_policy(sample, cfg.train_aug, rng=None)
+    resized = data.apply_policy([sample], cfg.train_aug, rngs=None)[0]
     if args.no_random:
         augmented = resized
     else:
         rng = RngStream(seed=cfg.seed).derive("aug", 0, sample.id)
-        augmented = data.apply_policy(sample, cfg.train_aug, rng=rng)
+        augmented = data.apply_policy([sample], cfg.train_aug, rngs=[rng])[0]
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     atomic_write(os.path.join(out, "before.ppm"),
-                 lambda p: write_ppm(p, from_unit(resized.pixels)))
+                 lambda p: write_ppm(p, from_unit(resized)))
     atomic_write(os.path.join(out, "after.ppm"),
-                 lambda p: write_ppm(p, from_unit(augmented.pixels)))
+                 lambda p: write_ppm(p, from_unit(augmented)))
     print(f"wrote before.ppm and after.ppm ({size}x{size}) to {out}")
     return EXIT_OK
 

@@ -1,11 +1,16 @@
 """Dataset handling and the training augmentation stack.
 
 Images are H x W x 3 float64 arrays in [0, 1] wrapped in ``ImageSample``.
-Every augmentation returns a new sample, preserves shape, and clamps back
-to [0, 1]; randomness comes exclusively from an ``RngStream`` argument, so
-a pipeline is a pure function of (sample, policy, stream).  Passing
-``rng=None`` to ``apply_policy`` disables every random transform, which
-reduces the pipeline to resize alone.
+Augmentation works on a shard: ``apply_policy`` resizes a list of samples
+and stacks them into one (B, H, W, 3) array, and each transform then runs
+once over that array with one parameter per image.  A transform returns a
+new array (or its input, when no image changes), preserves shape and
+clamps back to [0, 1].  Each image's parameters come from its own
+``RngStream``, all drawn before any pixel work, and each image's pixels go
+through the same arithmetic whatever shard it is in, so a shard is the
+bitwise stack of its images augmented one at a time.  Passing ``rngs=None``
+to ``apply_policy`` disables every random transform, which reduces the
+pipeline to resize alone.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,6 +158,41 @@ def stratified_split(samples: list[ImageSample], test_fraction: float,
 
 
 # ---------------------------------------------------------------------------
+# shards
+# ---------------------------------------------------------------------------
+
+def _on_changed(x: np.ndarray, params, identity, fn) -> np.ndarray:
+    """``fn(images, their_params)`` on the images of shard ``x`` whose
+    parameter is not ``identity``, the parameters shaped (n, 1, 1, 1) to
+    broadcast over the pixels; the other images pass through as they are.
+    A shard that changes throughout goes in whole, with no gather or
+    scatter copy."""
+    params = np.asarray(params)
+    idx = np.flatnonzero(params != identity)
+    if len(idx) == 0:
+        return x
+    if len(idx) == len(x):
+        return fn(x, params.reshape(-1, 1, 1, 1))
+    out = x.copy()
+    out[idx] = fn(x[idx], params[idx].reshape(-1, 1, 1, 1))
+    return out
+
+
+def _reflect(x: np.ndarray, half: int, axis: int) -> np.ndarray:
+    """``x`` with ``half`` mirrored rows added at both ends of ``axis``,
+    equal to ``np.pad(..., mode="reflect")`` on that axis."""
+    n = x.shape[axis]
+    if half == 0:
+        return x
+    if n <= half:  # too short to mirror once: np.pad's own rules, on indices
+        return np.take(x, np.pad(np.arange(n), half, mode="reflect"), axis=axis)
+    lead = (slice(None),) * axis
+    head = np.flip(x[lead + (slice(1, half + 1),)], axis)
+    tail = np.flip(x[lead + (slice(n - 1 - half, n - 1),)], axis)
+    return np.concatenate([head, x, tail], axis=axis)
+
+
+# ---------------------------------------------------------------------------
 # geometric transforms
 # ---------------------------------------------------------------------------
 
@@ -179,19 +220,28 @@ def resize_bilinear(img: ImageSample, h: int, w: int) -> ImageSample:
     return img.with_pixels(np.ascontiguousarray(out))
 
 
-def random_horizontal_flip(img: ImageSample, prob: float, rng: RngStream) -> ImageSample:
-    if prob == 0.0 or rng.uniform() >= prob:
-        return img
-    return img.with_pixels(np.ascontiguousarray(img.pixels[:, ::-1, :]))
+def hflip(x: np.ndarray, flips) -> np.ndarray:
+    """Mirror left to right the images of shard ``x`` whose ``flips`` entry
+    is true."""
+    return _on_changed(x, flips, False, lambda imgs, _: np.ascontiguousarray(imgs[:, :, ::-1]))
 
 
-def _rotate_pixels(px: np.ndarray, angle_deg: float) -> np.ndarray:
-    """Rotate about the image center (positive = clockwise in row/col space),
-    bilinear resampling, zero fill outside the source frame."""
-    H, W = px.shape[:2]
+def rotate(x: np.ndarray, angles_deg) -> np.ndarray:
+    """Rotate each image of shard ``x`` about its center by its angle
+    (positive = clockwise in row/col space), bilinear resampling, zero fill
+    outside the source frame; an angle of exactly 0 leaves the image as it
+    is."""
+    return _on_changed(x, angles_deg, 0.0, _rotate_images)
+
+
+def _rotate_images(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    n, H, W = x.shape[:3]
     cy, cx = (H - 1) / 2.0, (W - 1) / 2.0
-    theta = np.deg2rad(angle_deg)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    # each image's cos and sin are numpy scalars, as when it is rotated alone:
+    # numpy's vectorised cos and sin need not round the same
+    thetas = [np.deg2rad(a) for a in angles.ravel()]
+    cos_t = np.array([np.cos(t) for t in thetas])[:, None, None]
+    sin_t = np.array([np.sin(t) for t in thetas])[:, None, None]
     yp = np.arange(H)[:, None] - cy
     xp = np.arange(W)[None, :] - cx
     src_r = yp * cos_t - xp * sin_t + cy
@@ -202,37 +252,33 @@ def _rotate_pixels(px: np.ndarray, angle_deg: float) -> np.ndarray:
     wr = (src_r - r0)[..., None]
     wc = (src_c - c0)[..., None]
 
-    out = np.zeros_like(px)
+    # a tap outside the source frame is clipped onto the zero border of this
+    # copy, so every tap is one flat gather
+    framed = np.zeros((n, H + 2, W + 2, 3))
+    framed[:, 1:-1, 1:-1] = x
+    framed = framed.reshape(-1, 3)
+    rows = [(np.arange(n) * (H + 2))[:, None, None] + np.clip(r0 + d, 0, H + 1)
+            for d in (1, 2)]
+    cols = [np.clip(c0 + d, 0, W + 1) for d in (1, 2)]
+    out = np.zeros_like(x)
     for dr, dc, weight in ((0, 0, (1 - wr) * (1 - wc)), (0, 1, (1 - wr) * wc),
                            (1, 0, wr * (1 - wc)), (1, 1, wr * wc)):
-        rr, cc = r0 + dr, c0 + dc
-        valid = (rr >= 0) & (rr < H) & (cc >= 0) & (cc < W)
-        gathered = px[np.clip(rr, 0, H - 1), np.clip(cc, 0, W - 1)]
-        out += weight * np.where(valid[..., None], gathered, 0.0)
+        out += weight * np.take(framed, rows[dr] * (W + 2) + cols[dc], axis=0)
     return np.clip(out, 0.0, 1.0)
-
-
-def random_rotation(img: ImageSample, max_deg: float, rng: RngStream) -> ImageSample:
-    if max_deg == 0.0:
-        return img
-    return rotate_by_degrees(img, (rng.uniform() * 2.0 - 1.0) * max_deg)
-
-
-def rotate_by_degrees(img: ImageSample, angle_deg: float) -> ImageSample:
-    """Rotation by a given angle; random_rotation draws its angle and calls this."""
-    if angle_deg == 0.0:
-        return img
-    return img.with_pixels(_rotate_pixels(img.pixels, angle_deg))
 
 
 # ---------------------------------------------------------------------------
 # photometric transforms
 # ---------------------------------------------------------------------------
 
-def rgb_to_hsv(px: np.ndarray) -> np.ndarray:
+def rgb_to_hsv(px: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The hue (in turns), saturation and value planes of RGB pixels
+    (..., 3)."""
     r, g, b = px[..., 0], px[..., 1], px[..., 2]
-    maxc = px.max(axis=-1)
-    minc = px.min(axis=-1)
+    # max(axis=-1) and min(axis=-1), which fold the channels in this same
+    # order, as elementwise passes: reducing a length-3 axis costs ~30x more
+    maxc = np.maximum(np.maximum(r, g), b)
+    minc = np.minimum(np.minimum(r, g), b)
     delta = maxc - minc
     safe_delta = np.where(delta == 0.0, 1.0, delta)
     rc = (maxc - r) / safe_delta
@@ -241,95 +287,104 @@ def rgb_to_hsv(px: np.ndarray) -> np.ndarray:
     h = np.where(maxc == r, bc - gc, np.where(maxc == g, 2.0 + rc - bc, 4.0 + gc - rc))
     h = np.where(delta == 0.0, 0.0, (h / 6.0) % 1.0)
     s = np.where(maxc == 0.0, 0.0, delta / np.where(maxc == 0.0, 1.0, maxc))
-    return np.stack([h, s, maxc], axis=-1)
+    return h, s, maxc
 
 
-def hsv_to_rgb(px: np.ndarray) -> np.ndarray:
-    h, s, v = px[..., 0], px[..., 1], px[..., 2]
+# the channels of each hue sector, as indices into the stack [v, t, p, q]
+_HSV_SECTORS = np.array([[0, 1, 2], [3, 0, 2], [2, 0, 1], [2, 3, 0], [1, 2, 0], [0, 2, 3]])
+
+
+def hsv_to_rgb(h: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """RGB pixels (..., 3) from hue (in turns), saturation and value planes."""
     h6 = (h % 1.0) * 6.0
     sector = np.floor(h6).astype(np.int64) % 6
     f = h6 - np.floor(h6)
     p = v * (1.0 - s)
     q = v * (1.0 - s * f)
     t = v * (1.0 - s * (1.0 - f))
-    channels = np.stack([
-        np.stack([v, t, p], axis=-1), np.stack([q, v, p], axis=-1),
-        np.stack([p, v, t], axis=-1), np.stack([p, q, v], axis=-1),
-        np.stack([t, p, v], axis=-1), np.stack([v, p, q], axis=-1),
-    ], axis=0)
-    return np.take_along_axis(channels, sector[None, ..., None], axis=0)[0]
+    # take_along_axis(stack, _HSV_SECTORS[sector], axis=-1), as one flat gather
+    pick = np.take(_HSV_SECTORS, sector, axis=0)
+    pick += np.arange(0, 4 * sector.size, 4).reshape(sector.shape + (1,))
+    return np.take(np.stack([v, t, p, q], axis=-1), pick)
 
 
 def luma(px: np.ndarray) -> np.ndarray:
-    """Per-pixel grayscale value (H x W)."""
+    """Per-pixel grayscale value: (..., 3) -> (...)."""
     return px @ _LUMA
 
 
-def adjust_brightness(px: np.ndarray, factor: float) -> np.ndarray:
-    if factor == 1.0:
-        return px
-    return np.clip(px * factor, 0.0, 1.0)
+def adjust_brightness(x: np.ndarray, factors) -> np.ndarray:
+    """Scale each image of shard ``x`` by its factor."""
+    return _on_changed(x, factors, 1.0, lambda imgs, f: np.clip(imgs * f, 0.0, 1.0))
 
 
-def adjust_contrast(px: np.ndarray, factor: float) -> np.ndarray:
-    if factor == 1.0:
-        return px
-    anchor = luma(px).mean()
-    return np.clip(anchor + factor * (px - anchor), 0.0, 1.0)
+def _contrast(imgs, f):
+    # each image's anchor is the mean luma over its own H x W
+    anchor = luma(imgs).mean(axis=(1, 2))[:, None, None, None]
+    return np.clip(anchor + f * (imgs - anchor), 0.0, 1.0)
 
 
-def adjust_saturation(px: np.ndarray, factor: float) -> np.ndarray:
-    if factor == 1.0:
-        return px
-    gray = luma(px)[..., None]
-    return np.clip(gray + factor * (px - gray), 0.0, 1.0)
+def adjust_contrast(x: np.ndarray, factors) -> np.ndarray:
+    """Scale each image's distance from its mean luma by its factor."""
+    return _on_changed(x, factors, 1.0, _contrast)
 
 
-def adjust_hue(px: np.ndarray, delta: float) -> np.ndarray:
-    """Shift hue by ``delta`` turns (delta in [-0.5, 0.5])."""
-    if delta == 0.0:
-        return px
-    hsv = rgb_to_hsv(px)
-    hsv[..., 0] = (hsv[..., 0] + delta) % 1.0
-    return np.clip(hsv_to_rgb(hsv), 0.0, 1.0)
+def _saturation(imgs, f):
+    gray = luma(imgs)[..., None]
+    return np.clip(gray + f * (imgs - gray), 0.0, 1.0)
 
 
-def color_jitter(img: ImageSample, policy: AugmentPolicy, rng: RngStream) -> ImageSample:
-    """Brightness/contrast/saturation factors from [1-f, 1+f], hue shift from
-    [-f, +f] turns, applied in a randomized order; zero-magnitude transforms
-    are skipped entirely."""
-    px = img.pixels
-    ops = rng.shuffle(["brightness", "contrast", "saturation", "hue"])
-    for op in ops:
-        if op == "brightness" and policy.jitter_brightness > 0:
-            px = adjust_brightness(px, 1.0 + (rng.uniform() * 2.0 - 1.0) * policy.jitter_brightness)
-        elif op == "contrast" and policy.jitter_contrast > 0:
-            px = adjust_contrast(px, 1.0 + (rng.uniform() * 2.0 - 1.0) * policy.jitter_contrast)
-        elif op == "saturation" and policy.jitter_saturation > 0:
-            px = adjust_saturation(px, 1.0 + (rng.uniform() * 2.0 - 1.0) * policy.jitter_saturation)
-        elif op == "hue" and policy.jitter_hue > 0:
-            px = adjust_hue(px, (rng.uniform() * 2.0 - 1.0) * policy.jitter_hue)
-    return img if px is img.pixels else img.with_pixels(px)
+def adjust_saturation(x: np.ndarray, factors) -> np.ndarray:
+    """Scale each pixel's distance from its own luma by its image's factor."""
+    return _on_changed(x, factors, 1.0, _saturation)
 
 
-def box_smooth3(px: np.ndarray) -> np.ndarray:
-    """3x3 box mean with reflected edges, the smoothing behind sharpness."""
-    padded = np.pad(px, ((1, 1), (1, 1), (0, 0)), mode="reflect")
-    out = np.zeros_like(px)
+def _hue(imgs, d):
+    h, s, v = rgb_to_hsv(imgs)
+    return np.clip(hsv_to_rgb((h + d[..., 0]) % 1.0, s, v), 0.0, 1.0)
+
+
+def adjust_hue(x: np.ndarray, deltas) -> np.ndarray:
+    """Shift each image's hue by its delta in turns (delta in [-0.5, 0.5])."""
+    return _on_changed(x, deltas, 0.0, _hue)
+
+
+# jitter op name -> (transform, the parameter that leaves an image as it is)
+_JITTER = {"brightness": (adjust_brightness, 1.0), "contrast": (adjust_contrast, 1.0),
+           "saturation": (adjust_saturation, 1.0), "hue": (adjust_hue, 0.0)}
+
+
+def color_jitter(x: np.ndarray, jitters) -> np.ndarray:
+    """``jitters[i]`` lists the (op name, parameter) pairs that image ``i``
+    applies, in its order.  Each position runs as one call per op over the
+    images that apply that op there."""
+    for pos in range(len(_JITTER)):
+        for name, (transform, identity) in _JITTER.items():
+            x = transform(x, [j[pos][1] if j[pos][0] == name else identity for j in jitters])
+    return x
+
+
+def box_smooth3(x: np.ndarray) -> np.ndarray:
+    """3x3 box mean of each image of shard ``x`` with reflected edges, the
+    smoothing behind sharpness."""
+    H, W = x.shape[1:3]
+    padded = _reflect(_reflect(x, 1, 1), 1, 2)
+    out = np.zeros_like(x)
     for dr in range(3):
         for dc in range(3):
-            out += padded[dr:dr + px.shape[0], dc:dc + px.shape[1]]
+            out += padded[:, dr:dr + H, dc:dc + W]
     return out / 9.0
 
 
-def random_sharpness(img: ImageSample, factor: float, prob: float,
-                     rng: RngStream) -> ImageSample:
-    if prob == 0.0 or rng.uniform() >= prob:
-        return img
-    if factor == 1.0:
-        return img
-    blurred = box_smooth3(img.pixels)
-    return img.with_pixels(np.clip(blurred + factor * (img.pixels - blurred), 0.0, 1.0))
+def _sharpen(imgs, f):
+    blurred = box_smooth3(imgs)
+    return np.clip(blurred + f * (imgs - blurred), 0.0, 1.0)
+
+
+def sharpen(x: np.ndarray, factors) -> np.ndarray:
+    """Move each image away from its box smoothing by its factor: 0 gives
+    the smoothing, 1 the image itself."""
+    return _on_changed(x, factors, 1.0, _sharpen)
 
 
 def gaussian_kernel1d(kernel: int, sigma: float) -> np.ndarray:
@@ -344,16 +399,17 @@ def gaussian_kernel1d(kernel: int, sigma: float) -> np.ndarray:
     return w / w.sum()
 
 
-def gaussian_blur(img: ImageSample, kernel: int, sigma: float) -> ImageSample:
-    """Separable Gaussian smoothing with reflected edges."""
-    w = gaussian_kernel1d(kernel, sigma)
+def gaussian_blur(x: np.ndarray, kernel: int, sigmas) -> np.ndarray:
+    """Separable Gaussian smoothing with reflected edges, each image of shard
+    ``x`` with its own sigma."""
+    w = np.stack([gaussian_kernel1d(kernel, sigma) for sigma in sigmas])
     half = kernel // 2
-    px = img.pixels
-    padded = np.pad(px, ((half, half), (0, 0), (0, 0)), mode="reflect")
-    rows = sum(w[i] * padded[i:i + px.shape[0]] for i in range(kernel))
-    padded = np.pad(rows, ((0, 0), (half, half), (0, 0)), mode="reflect")
-    cols = sum(w[i] * padded[:, i:i + px.shape[1]] for i in range(kernel))
-    return img.with_pixels(np.clip(cols, 0.0, 1.0))
+    H, W = x.shape[1:3]
+    padded = _reflect(x, half, 1)
+    rows = sum(w[:, i, None, None, None] * padded[:, i:i + H] for i in range(kernel))
+    padded = _reflect(rows, half, 2)
+    cols = sum(w[:, i, None, None, None] * padded[:, :, i:i + W] for i in range(kernel))
+    return np.clip(cols, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +434,13 @@ def compute_stats(train_samples: list[ImageSample]) -> DatasetStats:
     return DatasetStats(mean=mean, std=std)
 
 
-def normalize(img: ImageSample, stats: DatasetStats) -> np.ndarray:
-    """Standardize per channel and lay out channel-first as a 3 x H x W array."""
-    px = (img.pixels - stats.mean) / stats.std
-    return np.ascontiguousarray(px.transpose(2, 0, 1))
+def normalize(x: np.ndarray, stats: DatasetStats) -> np.ndarray:
+    """Standardize a (B, H, W, 3) shard per channel and lay it out
+    channel-first as (B, 3, H, W)."""
+    out = np.empty((x.shape[0], 3) + x.shape[1:3])
+    np.subtract(x.transpose(0, 3, 1, 2), stats.mean[:, None, None], out=out)
+    out /= stats.std[:, None, None]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -389,26 +448,32 @@ def normalize(img: ImageSample, stats: DatasetStats) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def rotate90(px: np.ndarray, k: int) -> np.ndarray:
-    """Exact k x 90-degree rotation (index permutation, no resampling).
+    """Exact k x 90-degree rotation of (..., H, W, 3) pixels (index
+    permutation, no resampling).
 
-    k=1 maps source pixel (r, c) to (c, H-1-r); square inputs only.
+    k=1 maps source pixel (r, c) to (c, H-1-r); square images only.
     """
-    if px.shape[0] != px.shape[1]:
-        raise ShapeError(f"90-degree rotation needs a square image, got {px.shape[0]}x{px.shape[1]}")
-    return np.ascontiguousarray(np.rot90(px, k=-(k % 4)))
+    if px.shape[-3] != px.shape[-2]:
+        raise ShapeError(f"90-degree rotation needs a square image, got "
+                         f"{px.shape[-3]}x{px.shape[-2]}")
+    return np.ascontiguousarray(np.rot90(px, k=-(k % 4), axes=(-3, -2)))
 
 
 # quarter turns, RotNet style: the rotation head predicts one of these classes
 NUM_ROTATIONS = 4
 
 
-def rotation_pretext_sample(img: ImageSample, rng: RngStream) -> tuple[ImageSample, int]:
-    """Rotate by a uniformly drawn multiple of 90 degrees; returns the rotated
-    sample and the rotation label in {0, 1, 2, 3}."""
-    label = rng.randint(NUM_ROTATIONS)
-    if label == 0:
-        return img.with_pixels(img.pixels.copy()), 0
-    return img.with_pixels(rotate90(img.pixels, label)), label
+def rotation_pretext_sample(x: np.ndarray, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate each image of shard ``x`` by a multiple of 90 degrees drawn
+    uniformly from its stream; returns the rotated shard and the rotation
+    labels in {0, 1, 2, 3}."""
+    labels = np.array([rng.randint(NUM_ROTATIONS) for rng in rngs], dtype=np.int64)
+    out = x.copy()
+    for k in range(1, NUM_ROTATIONS):
+        idx = np.flatnonzero(labels == k)
+        if len(idx):
+            out[idx] = rotate90(x[idx], k)
+    return out, labels
 
 
 # ---------------------------------------------------------------------------
@@ -454,18 +519,56 @@ def synth_dataset(num_per_class: int, size: int, rng: RngStream) -> list[ImageSa
 # pipeline
 # ---------------------------------------------------------------------------
 
-def apply_policy(img: ImageSample, policy: AugmentPolicy,
-                 rng: RngStream | None) -> ImageSample:
-    """Resize to the policy target, then run the random stack in order:
-    flip, rotation, color jitter, sharpness, blur.  ``rng=None`` disables
-    every random transform, leaving resize alone."""
-    th, tw = policy.target_size
-    out = resize_bilinear(img, th, tw)
-    if rng is None:
-        return out
-    out = random_horizontal_flip(out, policy.flip_prob, rng)
-    out = random_rotation(out, policy.max_rotation_deg, rng)
-    out = color_jitter(out, policy, rng)
-    out = random_sharpness(out, policy.sharpness_factor, policy.sharpness_prob, rng)
+class _Draws(NamedTuple):
+    """One image's random parameters; a transform that is off, or that its
+    draw turns off, holds the parameter that leaves the image as it is."""
+    flip: bool
+    angle: float
+    jitter: list  # (op name, parameter) pairs in the image's shuffled order
+    sharpness: float
+    sigma: float
+
+
+def _draw(policy: AugmentPolicy, rng: RngStream) -> _Draws:
+    """Take one image's draws in the order its transforms run: flip,
+    rotation, the jitter order, one value per enabled jitter op, sharpness,
+    blur sigma.  A transform with zero probability or magnitude draws
+    nothing.  No draw depends on pixel values, so all of them can be taken
+    before any pixel work."""
+    flip = policy.flip_prob != 0.0 and rng.uniform() < policy.flip_prob
+    angle = 0.0
+    if policy.max_rotation_deg != 0.0:
+        angle = (rng.uniform() * 2.0 - 1.0) * policy.max_rotation_deg
+    jitter = []
+    for name in rng.shuffle(list(_JITTER)):
+        magnitude = getattr(policy, f"jitter_{name}")
+        value = _JITTER[name][1]
+        if magnitude > 0:
+            u = rng.uniform() * 2.0 - 1.0
+            value = u * magnitude if name == "hue" else 1.0 + u * magnitude
+        jitter.append((name, value))
+    sharpness = 1.0
+    if policy.sharpness_prob != 0.0 and rng.uniform() < policy.sharpness_prob:
+        sharpness = policy.sharpness_factor
     lo, hi = policy.blur_sigma
-    return gaussian_blur(out, policy.blur_kernel, lo + rng.uniform() * (hi - lo))
+    return _Draws(flip, angle, jitter, sharpness, lo + rng.uniform() * (hi - lo))
+
+
+def apply_policy(samples: list[ImageSample], policy: AugmentPolicy,
+                 rngs: list[RngStream] | None) -> np.ndarray:
+    """Resize each sample to the policy target and stack them into a
+    (B, H, W, 3) shard, then run the random stack in order: flip, rotation,
+    color jitter, sharpness, blur.  ``rngs[i]`` is sample i's stream, and
+    its draws alone decide what happens to that image, so an image comes out
+    the same in any shard.  ``rngs=None`` disables every random transform,
+    leaving resize alone."""
+    th, tw = policy.target_size
+    x = np.stack([resize_bilinear(s, th, tw).pixels for s in samples])
+    if rngs is None:
+        return x
+    draws = [_draw(policy, rng) for rng in rngs]
+    x = hflip(x, [d.flip for d in draws])
+    x = rotate(x, [d.angle for d in draws])
+    x = color_jitter(x, [d.jitter for d in draws])
+    x = sharpen(x, [d.sharpness for d in draws])
+    return gaussian_blur(x, policy.blur_kernel, [d.sigma for d in draws])

@@ -183,7 +183,7 @@ def test_criterion_5_loss_calibration():
             samples = data.synth_dataset(num_per_class=4, size=32,
                                          rng=rng.derive("data"))
             stats = data.compute_stats(samples)
-            x = Tensor(np.stack([data.normalize(s, stats) for s in samples]))
+            x = Tensor(data.normalize(np.stack([s.pixels for s in samples]), stats))
             labels = np.array([s.label for s in samples])
             cls, _ = model_forward(x, cfg, params)
             ce = tr.cross_entropy(cls, labels).item()
@@ -395,17 +395,15 @@ def test_criterion_8_augmentation_invariants():
 
         # every augmented pixel stays inside [0, 1]
         policy = data.train_policy(32)
-        for trial in range(25):
-            s = samples[trial % len(samples)]
-            out = data.apply_policy(s, policy, rng.derive("aug", trial, s.id))
-            assert out.pixels.shape == (32, 32, 3)
-            assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+        shard = [samples[trial % len(samples)] for trial in range(25)]
+        out = data.apply_policy(shard, policy, [rng.derive("aug", trial, s.id)
+                                                for trial, s in enumerate(shard)])
+        assert out.shape == (25, 32, 32, 3)
+        assert out.min() >= 0.0 and out.max() <= 1.0
 
         # randomness disabled -> exactly resize + normalize
         stats = data.compute_stats(samples)
-        for s in samples:
-            plain = data.apply_policy(s, policy, rng=None)
-            resized = data.resize_bilinear(s, 32, 32)
-            assert np.array_equal(plain.pixels, resized.pixels)
-            assert np.array_equal(data.normalize(plain, stats),
-                                  data.normalize(resized, stats))
+        plain = data.apply_policy(samples, policy, rngs=None)
+        resized = np.stack([data.resize_bilinear(s, 32, 32).pixels for s in samples])
+        assert np.array_equal(plain, resized)
+        assert np.array_equal(data.normalize(plain, stats), data.normalize(resized, stats))

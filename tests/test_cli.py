@@ -3,6 +3,7 @@ config merge precedence.  Commands run in-process via main(argv); the
 corruption self-tests restore ``tensor._make`` afterwards, and one of them
 runs in a subprocess to see the real exit code."""
 
+import hashlib
 import os
 import shlex
 import shutil
@@ -31,6 +32,12 @@ from hgtnet.rng import RngStream
 TRAIN_ARGS = ["train", "--synth", "--per-class", "8", "--tiny",
               "--image-size", "32", "--epochs", "2", "--lr", "3e-3",
               "--seed", "7"]
+
+
+# what the TRAIN_ARGS run trains: the SHA-256 of its final parameters (bytes
+# in sorted name order) and its per-epoch train losses
+TINY_RUN_PARAMS_SHA256 = "2d4b2af00b1754150315960bbce9a61e267c7aa3a7f3bd44e0f67b7ff3c88a92"
+TINY_RUN_TRAIN_LOSSES = [1.7210075959983828, 1.648000810747242]
 
 
 def _train(tmp_path, sub="run", extra=()):
@@ -190,6 +197,24 @@ class TestTrainCommand:
         for name in ("history.csv", "predictions.csv", "report.txt", "best.ckpt"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    def test_tiny_run_matches_its_pinned_bits(self, tmp_path):
+        # parameters and train losses come from train_epoch, which runs BLAS
+        # on one thread; test losses and predictions.csv come from evaluate,
+        # which follows the host's BLAS thread count, so they are not pinned
+        previous = T.pin_blas_threads(1)
+        if previous is None:
+            pytest.skip("numpy's BLAS has no thread-count symbols to pin")
+        T.pin_blas_threads(previous)
+        out = _train(tmp_path)
+        params = tr.load_state(out / "last.ckpt").params
+        digest = hashlib.sha256(b"".join(params[n].data.tobytes()
+                                         for n in sorted(params))).hexdigest()
+        losses = [r.train_loss for r in tr.read_history(out / "history.csv")]
+        assert (digest, losses) == (TINY_RUN_PARAMS_SHA256, TINY_RUN_TRAIN_LOSSES), (
+            "the tiny run's bits moved: ROADMAP.md's bitwise rule (under 'Open "
+            "items') says when a change may move them, and such a change updates "
+            "this pin")
+
     def test_different_seed_changes_history(self, tmp_path):
         a = _train(tmp_path, "a")
         out_b = tmp_path / "b"
@@ -201,6 +226,18 @@ class TestTrainCommand:
         code = main(["train", "--out", str(tmp_path / "x")])
         assert code == 2
         assert "synth" in capsys.readouterr().err
+
+    def test_synth_with_data_is_config_error(self, tmp_path, capsys):
+        # the synthetic set would be trained on while run.data_root named the tree
+        tree = tmp_path / "tree"
+        assert main(["synth", "--out", str(tree), "--per-class", "1",
+                     "--image-size", "32"]) == 0
+        out = tmp_path / "x"
+        code = main(TRAIN_ARGS + ["--data", str(tree), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "--synth and --data" in err
+        assert not out.exists()
 
     def test_empty_data_dir_is_data_error(self, tmp_path):
         empty = tmp_path / "empty"
@@ -316,6 +353,21 @@ class TestEvalCommand:
         assert (out / "report.txt").read_bytes() == (eval_out / "report.txt").read_bytes()
         assert (out / "predictions.csv").read_bytes() == \
             (eval_out / "predictions.csv").read_bytes()
+
+    def test_synth_with_data_is_config_error(self, tmp_path, capsys):
+        state = tr.load_state(_untrained_checkpoint(tmp_path / "a.ckpt"))
+        state.synth_per_class = 2
+        tr.save_state(state, tmp_path / "a.ckpt")
+        tree = tmp_path / "tree"
+        assert main(["synth", "--out", str(tree), "--per-class", "1",
+                     "--image-size", "32"]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(tmp_path / "a.ckpt"), "--synth",
+                     "--data", str(tree), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "--synth and --data" in err
+        assert not (tmp_path / "x").exists()
 
     def test_synth_eval_without_recorded_count_exit_5(self, tmp_path, capsys):
         # a checkpoint from a --data run records no synthetic per-class count

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import augment_reference as ref
 from hgtnet import data, ppm
-from hgtnet.data import (AugmentPolicy, ImageSample, adjust_brightness, adjust_hue,
-                         adjust_saturation, apply_policy, color_jitter,
-                         compute_stats, gaussian_blur, gaussian_kernel1d, hsv_to_rgb,
-                         load_dataset, normalize, random_horizontal_flip, random_rotation,
-                         random_sharpness, resize_bilinear, rgb_to_hsv, rotate90,
-                         rotate_by_degrees, rotation_pretext_sample, stratified_split,
-                         synth_dataset, train_policy)
+from hgtnet.data import (AugmentPolicy, ImageSample, adjust_brightness, adjust_contrast,
+                         adjust_hue, adjust_saturation, apply_policy, box_smooth3,
+                         color_jitter, compute_stats, gaussian_blur, gaussian_kernel1d,
+                         hflip, hsv_to_rgb, load_dataset, normalize, resize_bilinear,
+                         rgb_to_hsv, rotate, rotate90, rotation_pretext_sample, sharpen,
+                         stratified_split, synth_dataset, train_policy)
 from hgtnet.errors import ConfigError, DataError, FormatError, ShapeError
 from hgtnet.rng import RngStream
 
@@ -24,6 +24,11 @@ def _sample(pixels, label=0, sid="s0"):
 def _random_image(seed, h=16, w=16):
     px = RngStream(seed=seed).uniform(h * w * 3).reshape(h, w, 3)
     return _sample(px, sid=f"img{seed}")
+
+
+def _shard(*images):
+    """A (B, H, W, 3) shard of the images' pixels."""
+    return np.stack([im.pixels for im in images])
 
 
 class TestPpm:
@@ -240,41 +245,42 @@ class TestResize:
 
 class TestFlip:
     def test_zero_prob_identity(self):
-        img = _random_image(5)
-        assert random_horizontal_flip(img, 0.0, RngStream(seed=1)) is img
+        x = _shard(_random_image(5))
+        assert hflip(x, [False]) is x
 
     def test_forced_flip_is_involution(self):
-        img = _random_image(6)
-        once = random_horizontal_flip(img, 1.0, RngStream(seed=1))
-        twice = random_horizontal_flip(once, 1.0, RngStream(seed=2))
-        assert not np.array_equal(once.pixels, img.pixels)
-        assert np.array_equal(twice.pixels, img.pixels)
+        x = _shard(_random_image(6))
+        once = hflip(x, [True])
+        twice = hflip(once, [True])
+        assert not np.array_equal(once, x)
+        assert np.array_equal(twice, x)
 
     def test_flip_rate_monte_carlo(self):
         img = _sample(np.zeros((2, 2, 3)))
         img.pixels[0, 0, 0] = 1.0  # asymmetric marker
+        only_flip = AugmentPolicy(flip_prob=0.5, max_rotation_deg=0, jitter_brightness=0,
+                                  jitter_contrast=0, jitter_saturation=0, jitter_hue=0,
+                                  sharpness_prob=0, blur_kernel=1, target_size=(2, 2))
         rng = RngStream(seed=77)
-        flips = 0
-        for i in range(10_000):
-            out = random_horizontal_flip(img, 0.5, rng.derive("flip", i))
-            flips += out.pixels[0, 1, 0] == 1.0
+        out = apply_policy([img] * 10_000, only_flip,
+                           [rng.derive("flip", i) for i in range(10_000)])
+        flips = (out[:, 0, 1, 0] == 1.0).sum()
         assert abs(flips / 10_000 - 0.5) < 0.02
 
 
 class TestRotation:
     def test_zero_max_identity(self):
-        img = _random_image(7)
-        assert random_rotation(img, 0.0, RngStream(seed=1)) is img
+        x = _shard(_random_image(7))
+        assert rotate(x, [0.0]) is x
 
     def test_constant_interior_preserved(self):
-        img = _sample(np.full((21, 21, 3), 0.6))
-        out = rotate_by_degrees(img, 13.0)
+        out = rotate(_shard(_sample(np.full((21, 21, 3), 0.6))), [13.0])
         # center region is always in-bounds
-        assert np.allclose(out.pixels[8:13, 8:13], 0.6, atol=1e-12)
+        assert np.allclose(out[0, 8:13, 8:13], 0.6, atol=1e-12)
 
     def test_forced_90_matches_index_map(self):
         px = np.arange(4 * 4 * 3, dtype=np.float64).reshape(4, 4, 3) / 48.0
-        out = rotate_by_degrees(_sample(px), 90.0).pixels
+        out = rotate(px[None], [90.0])[0]
         expected = np.zeros_like(px)
         for r in range(4):
             for c in range(4):
@@ -282,12 +288,11 @@ class TestRotation:
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_angle_bounded_and_range_kept(self):
-        img = _random_image(8)
-        rng = RngStream(seed=3)
-        for i in range(10):
-            out = random_rotation(img, 15.0, rng.derive("r", i))
-            assert out.pixels.shape == img.pixels.shape
-            assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+        x = _shard(*[_random_image(8)] * 10)
+        angles = (RngStream(seed=3).uniform(10) * 2.0 - 1.0) * 15.0
+        out = rotate(x, angles)
+        assert out.shape == x.shape
+        assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 class TestColorJitter:
@@ -297,70 +302,73 @@ class TestColorJitter:
                             sharpness_factor=0, sharpness_prob=0, blur_kernel=1,
                             target_size=(16, 16))
         img = _random_image(9)
-        out = color_jitter(img, pol, RngStream(seed=4))
-        assert np.allclose(out.pixels, img.pixels, atol=1e-12)
+        out = apply_policy([img], pol, [RngStream(seed=4)])
+        assert np.allclose(out[0], img.pixels, atol=1e-12)
 
     def test_brightness_identity_factor(self):
-        img = _random_image(10)
-        assert adjust_brightness(img.pixels, 1.0) is img.pixels
+        x = _shard(_random_image(10))
+        assert adjust_brightness(x, [1.0]) is x
 
     def test_brightness_scales(self):
-        px = np.full((2, 2, 3), 0.4)
-        assert np.allclose(adjust_brightness(px, 1.5), 0.6)
-        assert np.allclose(adjust_brightness(px, 3.0), 1.0)  # clamps
+        x = np.full((2, 2, 2, 3), 0.4)
+        out = adjust_brightness(x, [1.5, 3.0])
+        assert np.allclose(out[0], 0.6)
+        assert np.allclose(out[1], 1.0)  # clamps
 
     def test_saturation_zero_gives_luma_grayscale(self):
         img = _random_image(11)
-        out = adjust_saturation(img.pixels, 0.0)
+        out = adjust_saturation(_shard(img), [0.0])[0]
         gray = img.pixels @ np.array([0.299, 0.587, 0.114])
         for ch in range(3):
             assert np.allclose(out[..., ch], gray, atol=1e-12)
 
     def test_hsv_round_trip(self):
         px = RngStream(seed=12).uniform(8 * 8 * 3).reshape(8, 8, 3)
-        back = hsv_to_rgb(rgb_to_hsv(px))
+        back = hsv_to_rgb(*rgb_to_hsv(px))
         assert np.allclose(back, px, atol=1e-12)
 
     def test_hue_full_turn_identity(self):
-        px = RngStream(seed=13).uniform(6 * 6 * 3).reshape(6, 6, 3)
+        px = RngStream(seed=13).uniform(6 * 6 * 3).reshape(1, 6, 6, 3)
         quarter = px
         for _ in range(4):
-            quarter = adjust_hue(quarter, 0.25)
+            quarter = adjust_hue(quarter, [0.25])
         assert np.allclose(quarter, px, atol=1e-10)
 
     def test_jitter_respects_range(self):
-        img = _random_image(14)
+        x = _shard(*[_random_image(14)] * 10)
         rng = RngStream(seed=5)
-        for i in range(10):
-            out = color_jitter(img, train_policy(16), rng.derive("j", i))
-            assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+        jitters = [data._draw(train_policy(16), rng.derive("j", i)).jitter for i in range(10)]
+        out = color_jitter(x, jitters)
+        assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 class TestSharpness:
     def test_factor_one_identity(self):
-        img = _random_image(15)
-        out = random_sharpness(img, 1.0, 1.0, RngStream(seed=6))
-        assert np.array_equal(out.pixels, img.pixels)
+        x = _shard(_random_image(15))
+        assert np.array_equal(sharpen(x, [1.0]), x)
 
     def test_constant_image_fixed_point(self):
-        img = _sample(np.full((8, 8, 3), 0.3))
-        out = random_sharpness(img, 2.5, 1.0, RngStream(seed=7))
-        assert np.allclose(out.pixels, 0.3, atol=1e-12)
+        out = sharpen(np.full((1, 8, 8, 3), 0.3), [2.5])
+        assert np.allclose(out, 0.3, atol=1e-12)
 
     def test_factor_zero_equals_smoothing_oracle(self):
         img = _random_image(16, 6, 6)
-        out = random_sharpness(img, 0.0, 1.0, RngStream(seed=8))
+        out = sharpen(_shard(img), [0.0])[0]
         # oracle: direct 3x3 reflected-edge mean, written out by hand
         padded = np.pad(img.pixels, ((1, 1), (1, 1), (0, 0)), mode="reflect")
         oracle = np.zeros_like(img.pixels)
         for r in range(6):
             for c in range(6):
                 oracle[r, c] = padded[r:r + 3, c:c + 3].mean(axis=(0, 1))
-        assert np.allclose(out.pixels, oracle, atol=1e-12)
+        assert np.allclose(out, oracle, atol=1e-12)
 
     def test_probability_zero_skips(self):
-        img = _random_image(17)
-        assert random_sharpness(img, 0.2, 0.0, RngStream(seed=9)) is img
+        # a zero probability leaves every image at the identity factor
+        never = AugmentPolicy(sharpness_factor=0.2, sharpness_prob=0.0)
+        factors = [data._draw(never, RngStream(seed=9).derive(i)).sharpness for i in range(20)]
+        assert factors == [1.0] * 20
+        x = _shard(_random_image(17))
+        assert sharpen(x, factors[:1]) is x
 
 
 class TestGaussianBlur:
@@ -376,24 +384,23 @@ class TestGaussianBlur:
         assert np.isclose(w[0] / w[1], np.exp(-1.0 / (2 * 0.01)), rtol=1e-12)
 
     def test_constant_unchanged(self):
-        img = _sample(np.full((9, 9, 3), 0.77))
-        out = gaussian_blur(img, 3, 1.3)
-        assert np.allclose(out.pixels, 0.77, atol=1e-12)
+        out = gaussian_blur(np.full((1, 9, 9, 3), 0.77), 3, [1.3])
+        assert np.allclose(out, 0.77, atol=1e-12)
 
     @pytest.mark.parametrize("sigma", [0.1, 1.0, 2.0, 50.0])
     def test_one_tap_kernel_is_bitwise_identity(self, sigma):
         # blur_kernel = 1 is how a policy turns blur off
-        img = _random_image(19)
-        assert gaussian_blur(img, 1, sigma).pixels.tobytes() == img.pixels.tobytes()
+        x = _shard(_random_image(19))
+        assert gaussian_blur(x, 1, [sigma]).tobytes() == x.tobytes()
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
-            gaussian_blur(_random_image(18), 4, 1.0)
+            gaussian_blur(_shard(_random_image(18)), 4, [1.0])
 
     def test_smooths_towards_neighborhood_mean(self):
-        px = np.zeros((5, 5, 3))
-        px[2, 2] = 1.0
-        out = gaussian_blur(_sample(px), 3, 2.0).pixels
+        px = np.zeros((1, 5, 5, 3))
+        px[0, 2, 2] = 1.0
+        out = gaussian_blur(px, 3, [2.0])[0]
         assert out[2, 2, 0] < 1.0 and out[2, 1, 0] > 0.0
         # mass is conserved away from edges (impulse fully interior)
         assert np.isclose(out[..., 0].sum(), 1.0, atol=1e-12)
@@ -427,20 +434,20 @@ class TestStats:
         stats = data.DatasetStats(mean=np.array([0.2, 0.4, 0.6]), std=np.array([0.1, 0.2, 0.3]))
         px = np.zeros((2, 2, 3))
         px[...] = [0.2, 0.4, 0.6]
-        out = normalize(_sample(px), stats)
-        assert out.shape == (3, 2, 2)
+        out = normalize(px[None], stats)
+        assert out.shape == (1, 3, 2, 2)
         assert np.allclose(out, 0.0)
 
     def test_normalize_identity_stats(self):
         stats = data.DatasetStats(mean=np.zeros(3), std=np.ones(3))
         img = _random_image(25)
-        out = normalize(img, stats)
-        assert np.allclose(out, img.pixels.transpose(2, 0, 1))
+        out = normalize(_shard(img), stats)
+        assert np.allclose(out[0], img.pixels.transpose(2, 0, 1))
 
     def test_normalized_set_has_unit_moments(self):
         samples = [_random_image(30 + i, 6, 6) for i in range(5)]
         stats = compute_stats(samples)
-        values = np.stack([normalize(s, stats) for s in samples])  # (n,3,h,w)
+        values = normalize(_shard(*samples), stats)  # (n,3,h,w)
         per_channel = values.transpose(1, 0, 2, 3).reshape(3, -1)
         assert np.allclose(per_channel.mean(axis=1), 0.0, atol=1e-6)
         assert np.allclose(per_channel.std(axis=1), 1.0, atol=1e-6)
@@ -448,10 +455,10 @@ class TestStats:
 
 class TestRotationPretext:
     def test_label_zero_identity(self):
-        img = _random_image(40)
-        out, label = rotation_pretext_sample(img, RngStream(seed=1000))
-        if label == 0:
-            assert np.array_equal(out.pixels, img.pixels)
+        x = _shard(_random_image(40))
+        out, labels = rotation_pretext_sample(x, [RngStream(seed=1000)])
+        if labels[0] == 0:
+            assert np.array_equal(out, x)
 
     def test_four_quarter_turns_identity_bitwise(self):
         px = RngStream(seed=41).uniform(8 * 8 * 3).reshape(8, 8, 3)
@@ -468,15 +475,14 @@ class TestRotationPretext:
                 assert np.array_equal(out[c, 3 - 1 - r], px[r, c])
 
     def test_labels_cover_all_rotations(self):
-        img = _random_image(42)
+        x = _shard(*[_random_image(42)] * 200)
         rng = RngStream(seed=43)
-        seen = {rotation_pretext_sample(img, rng.derive("p", i))[1] for i in range(200)}
-        assert seen == {0, 1, 2, 3}
+        _, labels = rotation_pretext_sample(x, [rng.derive("p", i) for i in range(200)])
+        assert set(labels.tolist()) == {0, 1, 2, 3}
 
     def test_non_square_rejected(self):
-        img = _sample(np.zeros((4, 6, 3)))
         with pytest.raises(ShapeError):
-            rotation_pretext_sample(img, RngStream(seed=1))
+            rotation_pretext_sample(np.zeros((1, 4, 6, 3)), [RngStream(seed=1)])
 
 
 class TestSynth:
@@ -534,33 +540,30 @@ class TestSplit:
 class TestPipeline:
     def test_disabled_randomness_is_resize_only(self):
         img = _random_image(70, 20, 20)
-        out = apply_policy(img, data.train_policy(16), rng=None)
+        out = apply_policy([img], data.train_policy(16), rngs=None)
         direct = resize_bilinear(img, 16, 16)
-        assert np.array_equal(out.pixels, direct.pixels)
+        assert np.array_equal(out[0], direct.pixels)
 
     def test_train_pipeline_preserves_shape_and_range(self):
         img = _random_image(71, 20, 20)
         rng = RngStream(seed=72)
-        for i in range(8):
-            out = apply_policy(img, train_policy(16), rng.derive("aug", 0, i))
-            assert out.pixels.shape == (16, 16, 3)
-            assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+        out = apply_policy([img] * 8, train_policy(16), [rng.derive("aug", 0, i) for i in range(8)])
+        assert out.shape == (8, 16, 16, 3)
+        assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_per_sample_streams_make_order_irrelevant(self):
         imgs = [_random_image(80 + i, 12, 12) for i in range(4)]
         root = RngStream(seed=81)
-        forward = {im.id: apply_policy(im, train_policy(16), root.derive("aug", im.id)).pixels
-                   for im in imgs}
-        backward = {im.id: apply_policy(im, train_policy(16), root.derive("aug", im.id)).pixels
-                    for im in reversed(imgs)}
-        for k in forward:
-            assert np.array_equal(forward[k], backward[k])
+        forward = apply_policy(imgs, train_policy(16), [root.derive("aug", im.id) for im in imgs])
+        backward = apply_policy(imgs[::-1], train_policy(16),
+                                [root.derive("aug", im.id) for im in imgs[::-1]])
+        assert forward.tobytes() == backward[::-1].tobytes()
 
     def test_same_stream_bitwise_reproducible(self):
         img = _random_image(90, 18, 18)
-        a = apply_policy(img, train_policy(16), RngStream(seed=91).derive("aug", "x"))
-        b = apply_policy(img, train_policy(16), RngStream(seed=91).derive("aug", "x"))
-        assert a.pixels.tobytes() == b.pixels.tobytes()
+        a = apply_policy([img], train_policy(16), [RngStream(seed=91).derive("aug", "x")])
+        b = apply_policy([img], train_policy(16), [RngStream(seed=91).derive("aug", "x")])
+        assert a.tobytes() == b.tobytes()
 
     def test_policy_validation(self):
         with pytest.raises(ConfigError):
@@ -570,3 +573,174 @@ class TestPipeline:
                     dict(blur_sigma=(0.0, 1.0))):
             with pytest.raises(ConfigError):
                 AugmentPolicy(**bad)
+
+
+# ---------------------------------------------------------------------------
+# shard transforms against the per-image reference, byte for byte
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _shards(draw, square=False):
+    """1 to 4 images of 2 to 9 pixels a side.  Values sit on a coarse grid
+    (or not, for levels 0), so ties in the max channel, gray and black
+    pixels turn up; each image also gets one black, one gray and two
+    max-tied pixels at fixed places."""
+    n = draw(st.integers(1, 4), label="images")
+    h = draw(st.integers(2, 9), label="height")
+    w = h if square else draw(st.integers(2, 9), label="width")
+    levels = draw(st.sampled_from([0, 2, 3, 5, 256]), label="levels")
+    px = RngStream(seed=draw(st.integers(0, 2**32 - 1), label="seed")) \
+        .uniform(n * h * w * 3).reshape(n, h, w, 3)
+    if levels:
+        px = np.round(px * (levels - 1)) / (levels - 1)
+    px[:, 0, 0] = 0.0                # black: maxc == 0
+    px[:, 0, 1] = 0.5                # gray: delta == 0
+    px[:, 1, 0] = [0.8, 0.8, 0.2]    # max tied between r and g
+    px[:, 1, 1] = [0.1, 0.7, 0.7]    # max tied between g and b
+    return px
+
+
+def _params(draw, n, identity, values):
+    """One parameter per image, each the identity or a drawn value; with a
+    drawn flag, one image is forced to the identity so that a shard mixes
+    skipped and transformed images."""
+    out = draw(st.lists(st.one_of(st.just(identity), values), min_size=n, max_size=n),
+               label="params")
+    if draw(st.booleans(), label="force identity"):
+        out[draw(st.integers(0, n - 1), label="at")] = identity
+    return out
+
+
+_FACTORS = st.one_of(st.sampled_from([0.0, 0.5, 2.0]), st.floats(0.0, 3.0))
+_DELTAS = st.one_of(st.sampled_from([-0.5, 0.5, 1e-300]), st.floats(-0.5, 0.5))
+_ANGLES = st.one_of(st.sampled_from([90.0, -180.0, 1e-9]), st.floats(-180.0, 180.0))
+
+
+def _per_image_ref(fn, x, params):
+    return np.stack([fn(px, p) for px, p in zip(x, params)])
+
+
+def _same_bytes(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestShardTransformsMatchReference:
+    """Each shard transform equals the per-image reference in
+    ``augment_reference`` stacked over the shard, byte for byte, on shards
+    that mix images the transform skips with images it changes."""
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_flip(self, data):
+        x = data.draw(_shards())
+        flips = _params(data.draw, len(x), False, st.just(True))
+        want = _per_image_ref(lambda px, f: ref.random_horizontal_flip(
+            _sample(px), 1.0 if f else 0.0, RngStream(seed=0)).pixels, x, flips)
+        _same_bytes(hflip(x, flips), want)
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_rotate(self, data):
+        x = data.draw(_shards())
+        angles = _params(data.draw, len(x), 0.0, _ANGLES)
+        want = _per_image_ref(lambda px, a: ref.rotate_by_degrees(_sample(px), a).pixels,
+                              x, angles)
+        _same_bytes(rotate(x, angles), want)
+
+    @_FUZZ
+    @given(data=st.data(), op=st.sampled_from(["brightness", "contrast", "saturation"]))
+    def test_factor_jitter(self, data, op):
+        x = data.draw(_shards())
+        factors = _params(data.draw, len(x), 1.0, _FACTORS)
+        shard_op = {"brightness": adjust_brightness, "contrast": adjust_contrast,
+                    "saturation": adjust_saturation}[op]
+        _same_bytes(shard_op(x, factors),
+                    _per_image_ref(getattr(ref, f"adjust_{op}"), x, factors))
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_hue(self, data):
+        x = data.draw(_shards())
+        deltas = _params(data.draw, len(x), 0.0, _DELTAS)
+        _same_bytes(adjust_hue(x, deltas), _per_image_ref(ref.adjust_hue, x, deltas))
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_hsv_conversions(self, data):
+        x = data.draw(_shards())
+        _same_bytes(np.stack(rgb_to_hsv(x), axis=-1),
+                    np.stack([ref.rgb_to_hsv(px) for px in x]))
+        # hue past a whole turn, at exactly 1 and below 0 wraps; saturation
+        # and value anywhere in [0, 1]
+        hsv = x.copy()
+        hsv[..., 0] = hsv[..., 0] * data.draw(st.sampled_from([1.0, 3.0, -2.0]), label="h")
+        _same_bytes(hsv_to_rgb(hsv[..., 0], hsv[..., 1], hsv[..., 2]),
+                    np.stack([ref.hsv_to_rgb(px) for px in hsv]))
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_sharpness(self, data):
+        x = data.draw(_shards())
+        factors = _params(data.draw, len(x), 1.0, _FACTORS)
+        _same_bytes(box_smooth3(x), np.stack([ref.box_smooth3(px) for px in x]))
+        want = _per_image_ref(lambda px, f: ref.random_sharpness(
+            _sample(px), f, 1.0, RngStream(seed=0)).pixels, x, factors)
+        _same_bytes(sharpen(x, factors), want)
+
+    @_FUZZ
+    @given(data=st.data(), kernel=st.sampled_from([1, 3, 5, 7]))
+    def test_blur(self, data, kernel):
+        # 5 and 7 taps on 2-pixel sides reflect more than once
+        x = data.draw(_shards())
+        sigmas = data.draw(st.lists(st.floats(0.1, 5.0), min_size=len(x), max_size=len(x)),
+                           label="sigmas")
+        want = _per_image_ref(lambda px, s: ref.gaussian_blur(_sample(px), kernel, s).pixels,
+                              x, sigmas)
+        _same_bytes(gaussian_blur(x, kernel, sigmas), want)
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_normalize(self, data):
+        x = data.draw(_shards())
+        stats = compute_stats([_sample(px) for px in x])
+        _same_bytes(normalize(x, stats),
+                    np.stack([ref.normalize(_sample(px), stats) for px in x]))
+
+    @_FUZZ
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_rotation_pretext(self, data, seed):
+        x = data.draw(_shards(square=True))
+        streams = lambda: [RngStream(seed=seed).derive(i) for i in range(len(x))]
+        out, labels = rotation_pretext_sample(x, streams())
+        want = [ref.rotation_pretext_sample(_sample(px), rng)
+                for px, rng in zip(x, streams())]
+        _same_bytes(out, np.stack([img.pixels for img, _ in want]))
+        assert labels.tolist() == [label for _, label in want]
+
+    @_FUZZ
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_apply_policy(self, data, seed):
+        n = data.draw(st.integers(1, 4), label="images")
+        # odd and non-square sources, each resized to the policy's target
+        samples = [_random_image(seed + i, data.draw(st.integers(3, 13), label="h"),
+                                 data.draw(st.integers(3, 13), label="w"))
+                   for i in range(n)]
+        policy = AugmentPolicy(
+            flip_prob=data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="flip"),
+            max_rotation_deg=data.draw(st.sampled_from([0.0, 15.0, 180.0]), label="rot"),
+            jitter_brightness=data.draw(st.sampled_from([0.0, 0.2, 0.9]), label="b"),
+            jitter_contrast=data.draw(st.sampled_from([0.0, 0.2, 0.9]), label="c"),
+            jitter_saturation=data.draw(st.sampled_from([0.0, 0.2, 0.9]), label="s"),
+            jitter_hue=data.draw(st.sampled_from([0.0, 0.05, 0.5]), label="hue"),
+            sharpness_factor=data.draw(st.sampled_from([0.0, 0.2, 1.0, 2.0]), label="sf"),
+            sharpness_prob=data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="sp"),
+            blur_kernel=data.draw(st.sampled_from([1, 3, 5]), label="kernel"),
+            target_size=(data.draw(st.integers(2, 10), label="th"),
+                         data.draw(st.integers(2, 10), label="tw")))
+        streams = lambda: [RngStream(seed=seed).derive("aug", i) for i in range(n)]
+        want = np.stack([ref.apply_policy(s, policy, rng).pixels
+                         for s, rng in zip(samples, streams())])
+        _same_bytes(apply_policy(samples, policy, streams()), want)
+        _same_bytes(apply_policy(samples, policy, None),
+                    np.stack([ref.apply_policy(s, policy, None).pixels for s in samples]))

@@ -234,6 +234,32 @@ class TestBatching:
         assert x.shape == (4, 3, 32, 32)
         assert rot_labels is None
 
+    @pytest.mark.parametrize("rotation_weight", [0.1, 0.0])
+    def test_sample_rows_do_not_depend_on_the_shard(self, rotation_weight):
+        # a sample's normalized view, rotated copy and labels are the same
+        # bytes alone and at every position of shards of 3 and 8; the 40 px
+        # sources go through the resize to 32
+        samples = data.synth_dataset(num_per_class=2, size=40, rng=RngStream(seed=3))
+        stats = data.compute_stats(samples)
+        cfg = tiny_config(32, rotation_loss_weight=rotation_weight)
+        target, others = samples[4], samples[:4] + samples[5:]
+
+        def rows(shard, i):
+            x, labels, rot_labels = tr.prepare_batch(
+                shard, data.train_policy(32), stats, cfg, RngStream(seed=2), epoch=1)
+            out = [x.data[i].tobytes(), labels[i]]
+            if rot_labels is not None:
+                out += [x.data[len(shard) + i].tobytes(), rot_labels[i]]
+            return out
+
+        alone = rows([target], 0)
+        assert len(alone) == (4 if rotation_weight else 2)
+        for size in (3, 8):
+            for i in range(size):
+                shard = others[:size - 1]
+                shard.insert(i, target)
+                assert rows(shard, i) == alone, (size, i)
+
     def test_partial_final_batch_still_steps(self):
         # 17 samples / batch 8 -> 3 optimizer steps (8, 8, 1)
         samples, train, test, stats, cfg, tcfg, names = _synth_setup(per_class=4)
@@ -475,8 +501,8 @@ class TestEvaluate:
     def test_records_no_graph_and_matches_tracked_forward(self, monkeypatch):
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         params = init_params(cfg, RngStream(seed=4))
-        x = Tensor(np.stack([data.normalize(data.resize_bilinear(s, 32, 32), stats)
-                             for s in test]))
+        x = Tensor(data.normalize(np.stack([data.resize_bilinear(s, 32, 32).pixels
+                                            for s in test]), stats))
         cls, _ = model_forward(x, cfg, params)
         assert cls.op_record is not None  # the trainable params do record a graph
         z = cls.data
