@@ -158,16 +158,13 @@ def cmd_train(args) -> int:
     state = tr.init_state(cfg.model, cfg.train, stats, names)
     state.synth_per_class = per_class
     history = tr.fit(state, train_samples, test_samples, policy=cfg.train_aug,
-                     out_dir=cfg.out_dir, eval_threads=args.eval_threads,
-                     log=lambda msg: print(msg))
+                     out_dir=cfg.out_dir, log=lambda msg: print(msg))
     atomic_write(os.path.join(cfg.out_dir, "history.csv"),
                  lambda p: tr.write_history(p, history))
     # final artifacts come from the best checkpoint so that a later
     # `eval --checkpoint best.ckpt` reproduces them bitwise
     best = tr.load_state(os.path.join(cfg.out_dir, "best.ckpt"))
-    _, _, records = tr.evaluate(best.params, best.model_cfg, test_samples,
-                                best.stats, batch_size=cfg.train.batch_size,
-                                num_threads=args.eval_threads)
+    _, _, records = tr.evaluate(best.params, best.model_cfg, test_samples, best.stats)
     _emit_eval_artifacts(cfg.out_dir, records, names)
     print(f"done: best epoch {best.best_epoch} "
           f"(test loss {best.best_test_loss:.6f}); artifacts in {cfg.out_dir}")
@@ -194,8 +191,7 @@ def cmd_eval(args) -> int:
     if args.synth:
         _, samples = _split(samples, seed)
     os.makedirs(args.out, exist_ok=True)
-    _, accuracy, records = tr.evaluate(state.params, state.model_cfg, samples,
-                                       state.stats, num_threads=args.eval_threads)
+    _, accuracy, records = tr.evaluate(state.params, state.model_cfg, samples, state.stats)
     _emit_eval_artifacts(args.out, records, state.class_names)
     print(f"evaluated {len(records)} samples, accuracy {accuracy:.4f}; "
           f"artifacts in {args.out}")
@@ -379,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--eval-threads", type=_positive_int, default=1)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint and write reports")
@@ -388,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="runs/latest", help="output directory")
     p.add_argument("--synth", action="store_true",
                    help="evaluate on the test split of the checkpoint's train --synth run")
-    p.add_argument("--eval-threads", type=_positive_int, default=1)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("metrics", help="render a report from a prediction CSV")

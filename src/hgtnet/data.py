@@ -76,14 +76,14 @@ class AugmentPolicy:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {p}")
-        if self.max_rotation_deg < 0:
+        if not self.max_rotation_deg >= 0:
             raise ConfigError(f"max_rotation_deg must be >= 0, got {self.max_rotation_deg}")
         for name in ("jitter_brightness", "jitter_contrast", "jitter_saturation"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.jitter_hue <= 0.5:
             raise ConfigError(f"jitter_hue must be in [0, 0.5], got {self.jitter_hue}")
-        if self.sharpness_factor < 0:
+        if not self.sharpness_factor >= 0:
             raise ConfigError(f"sharpness_factor must be >= 0, got {self.sharpness_factor}")
         if self.blur_kernel % 2 == 0 or self.blur_kernel < 1:
             raise ConfigError(f"blur_kernel must be odd and positive, got {self.blur_kernel}")

@@ -10,6 +10,7 @@ be captured through an optional ``capture`` dict for invariant checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -292,8 +293,9 @@ def cross_attention_fuse(cnn_feat: Tensor, enc_tokens: Tensor, cfg: ModelConfig,
     return T.linear(both, params["cross.fuse.w"], params["cross.fuse.b"])
 
 
+@functools.lru_cache(maxsize=None)
 def grid8_adjacency(grid_h: int, grid_w: int) -> np.ndarray:
-    """8-neighborhood of a grid_h x grid_w lattice, plus self-loops."""
+    """8-neighborhood of a grid_h x grid_w lattice, plus self-loops (cached: read-only)."""
     n = grid_h * grid_w
     adj = np.zeros((n, n), dtype=bool)
     for r in range(grid_h):
@@ -304,6 +306,7 @@ def grid8_adjacency(grid_h: int, grid_w: int) -> np.ndarray:
                     rr, cc = r + dr, c + dc
                     if 0 <= rr < grid_h and 0 <= cc < grid_w:
                         adj[i, rr * grid_w + cc] = True
+    adj.flags.writeable = False
     return adj
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,13 +181,36 @@ def prepare_batch(samples: list[ImageSample], policy, stats: DatasetStats,
 # one after another or on worker threads.
 SHARDS = 2
 
-# Shards run on worker threads only when each one's first convolution
-# writes at least this many values (images x cnn_channels[0] x image_size^2):
-# below it the ops are too short for numpy's release of the interpreter lock
-# to pay for the hand-offs.  The --tiny 32 px run at batch 16 writes 65k per
-# shard and runs inline; the default model at 64 px and batch 4 writes 262k,
-# and at 224 px 3.2M, and both run threaded.
+# Tasks run on worker threads only when each one's first convolution writes
+# at least this many values (images x cnn_channels[0] x image_size^2): below
+# it the ops are too short for numpy's release of the interpreter lock to
+# pay for the hand-offs.  A --tiny 32 px shard at batch 16 writes 65k and
+# runs inline; a default-model shard at 64 px and batch 4 writes 262k, and
+# one 224 px eval sample 803k, and both run threaded.
 THREAD_MIN_CONV_OUT = 1 << 17
+
+
+@contextmanager
+def _task_map(model_cfg: ModelConfig, images: int, tasks: int):
+    """The ``map`` for ``tasks`` forwards of ``images`` images each: a pool's,
+    with one worker per usable core, when ``THREAD_MIN_CONV_OUT`` says so,
+    else the builtin.  BLAS runs on one thread meanwhile, so no result
+    depends on the host's BLAS thread count; the count is restored on exit."""
+    T.keep_freed_memory()
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    conv_out = images * model_cfg.cnn_channels[0] * model_cfg.image_size ** 2
+    workers = min(cores, tasks) if conv_out >= THREAD_MIN_CONV_OUT else 1
+    blas_threads = T.pin_blas_threads(1)
+    try:
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                yield pool.map
+        else:
+            yield map
+    finally:
+        if blas_threads is not None:
+            T.pin_blas_threads(blas_threads)
 
 
 def train_epoch(params: dict[str, Tensor], model_cfg: ModelConfig,
@@ -196,34 +220,23 @@ def train_epoch(params: dict[str, Tensor], model_cfg: ModelConfig,
     """One pass over a seeded shuffle of the data; returns the per-sample
     mean combined loss and the classification accuracy.
 
-    BLAS runs on one thread meanwhile, so the parameters do not depend on
-    the host's BLAS thread count; the previous count is restored on return."""
+    BLAS runs on one thread meanwhile (``_task_map``), so the parameters do
+    not depend on the host's BLAS thread count."""
     if not samples:
         raise DataError("cannot train on an empty dataset")
-    T.keep_freed_memory()
     root = RngStream(seed=train_cfg.seed)
     order = root.derive("shuffle", epoch).shuffle(list(range(len(samples))))
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    shard_size = -(-min(train_cfg.batch_size, len(samples)) // SHARDS)
-    images = shard_size * (2 if model_cfg.rotation_loss_weight > 0 else 1)
-    threaded = cores > 1 and (images * model_cfg.cnn_channels[0] * model_cfg.image_size ** 2
-                              >= THREAD_MIN_CONV_OUT)
+    images = (-(-min(train_cfg.batch_size, len(samples)) // SHARDS)
+              * (2 if model_cfg.rotation_loss_weight > 0 else 1))
     total_loss = 0.0
     correct = 0
-    blas_threads = T.pin_blas_threads(1)
-    try:
-        with ThreadPoolExecutor(max_workers=min(SHARDS, cores)) as pool:
-            map_shards = pool.map if threaded else map
-            for start in range(0, len(order), train_cfg.batch_size):
-                batch = [samples[i] for i in order[start:start + train_cfg.batch_size]]
-                loss, hits = _train_step(params, model_cfg, train_cfg, batch, stats,
-                                         policy, adam, root, epoch, map_shards)
-                total_loss += loss * len(batch)
-                correct += hits
-    finally:
-        if blas_threads is not None:
-            T.pin_blas_threads(blas_threads)
+    with _task_map(model_cfg, images, SHARDS) as map_shards:
+        for start in range(0, len(order), train_cfg.batch_size):
+            batch = [samples[i] for i in order[start:start + train_cfg.batch_size]]
+            loss, hits = _train_step(params, model_cfg, train_cfg, batch, stats,
+                                     policy, adam, root, epoch, map_shards)
+            total_loss += loss * len(batch)
+            correct += hits
     return total_loss / len(samples), correct / len(samples)
 
 
@@ -275,45 +288,36 @@ def _shard_step(params, model_cfg, shard, b, stats, policy, root, epoch):
     return loss.item(), hits, {name: v.grad for name, v in views.items()}
 
 
-def _eval_one_batch(params, model_cfg, stats, batch):
+def _eval_sample(frozen, model_cfg, stats, sample) -> tuple[float, PredictionRecord]:
+    """One sample's loss and record from a forward of that sample alone."""
     size = model_cfg.image_size
-    # one image at a time: normalizing a stack of the resized batch instead
-    # measured 18 MB (3.6 %) more peak RSS on a 16-image, 224 px evaluate
-    x = Tensor(np.concatenate([normalize(resize_bilinear(s, size, size).pixels[None], stats)
-                               for s in batch]))
-    # untracked views of the parameters: the forward records no graph
-    frozen = {name: Tensor(p.data) for name, p in params.items()}
+    x = Tensor(normalize(resize_bilinear(sample, size, size).pixels[None], stats))
     cls, _ = model_forward(x, model_cfg, frozen)
-    labels = np.array([s.label for s in batch])
-    probs, losses = _softmax_nll(cls.data, labels)
-    records = [PredictionRecord(sample_id=s.id, true_label=s.label,
-                                scores=tuple(float(v) for v in probs[i]))
-               for i, s in enumerate(batch)]
-    hits = int((np.argmax(probs, axis=1) == labels).sum())
-    return float(losses.sum()), hits, records
+    probs, losses = _softmax_nll(cls.data, np.array([sample.label]))
+    return float(losses[0]), PredictionRecord(sample_id=sample.id, true_label=sample.label,
+                                              scores=tuple(float(v) for v in probs[0]))
 
 
 def evaluate(params: dict[str, Tensor], model_cfg: ModelConfig,
-             samples: list[ImageSample], stats: DatasetStats,
-             batch_size: int = 16,
-             num_threads: int = 1) -> tuple[float, float, list[PredictionRecord]]:
-    """Deterministic pass with resize + normalize only (no augmentation, no
-    dropout); emits softmax scores per sample.  Batches may be evaluated on
-    worker threads since parameters are read-only here."""
+             samples: list[ImageSample], stats: DatasetStats, *,
+             batch_size=None, num_threads=None) -> tuple[float, float, list[PredictionRecord]]:
+    """Resize + normalize only (no augmentation, no dropout); returns the mean
+    loss, the accuracy and one softmax record per sample, in sample order.
+
+    Each sample is its own forward (on ``_task_map``'s workers): a GEMM's
+    last bits depend on how many rows it gets, so only this makes a score a
+    function of (sample, parameters, statistics) alone, on any host and in
+    any company.  ``batch_size`` and ``num_threads`` change nothing; the
+    benchmark still passes them (ROADMAP item 1 removes them)."""
     if not samples:
         raise DataError("cannot evaluate an empty dataset")
-    T.keep_freed_memory()
-    batches = [samples[i:i + batch_size] for i in range(0, len(samples), batch_size)]
-    run = lambda b: _eval_one_batch(params, model_cfg, stats, b)
-    if num_threads > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=num_threads) as pool:
-            results = list(pool.map(run, batches))
-    else:
-        results = [run(b) for b in batches]
-    total_loss = sum(r[0] for r in results)
-    hits = sum(r[1] for r in results)
-    records = [rec for r in results for rec in r[2]]
-    return total_loss / len(samples), hits / len(samples), records
+    # untracked views of the parameters: the forwards record no graph
+    frozen = {name: Tensor(p.data) for name, p in params.items()}
+    with _task_map(model_cfg, 1, len(samples)) as map_samples:
+        losses, records = zip(*map_samples(
+            lambda s: _eval_sample(frozen, model_cfg, stats, s), samples))
+    hits = sum(int(np.argmax(r.scores)) == r.true_label for r in records)
+    return sum(losses) / len(samples), hits / len(samples), list(records)
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +428,7 @@ def load_state(path) -> TrainerState:
 
 def fit(state: TrainerState, train_samples: list[ImageSample],
         test_samples: list[ImageSample], policy=None, out_dir=None,
-        max_epochs: int | None = None, eval_threads: int = 1,
-        log=None) -> list[EpochRecord]:
+        max_epochs: int | None = None, log=None) -> list[EpochRecord]:
     """Run epochs until the budget or the patience counter is exhausted.
 
     Saves ``best.ckpt`` on every strict test-loss improvement and
@@ -444,9 +447,8 @@ def fit(state: TrainerState, train_samples: list[ImageSample],
         train_loss, train_acc = train_epoch(
             state.params, state.model_cfg, state.train_cfg, train_samples,
             state.stats, policy, state.adam, epoch)
-        test_loss, test_acc, _ = evaluate(
-            state.params, state.model_cfg, test_samples, state.stats,
-            batch_size=state.train_cfg.batch_size, num_threads=eval_threads)
+        test_loss, test_acc, _ = evaluate(state.params, state.model_cfg,
+                                          test_samples, state.stats)
         if not (math.isfinite(train_loss) and math.isfinite(test_loss)):
             raise DivergenceError(
                 f"epoch {epoch + 1}: non-finite loss (train {train_loss}, test "

@@ -34,10 +34,13 @@ TRAIN_ARGS = ["train", "--synth", "--per-class", "8", "--tiny",
               "--seed", "7"]
 
 
-# what the TRAIN_ARGS run trains: the SHA-256 of its final parameters (bytes
-# in sorted name order) and its per-epoch train losses
+# what the TRAIN_ARGS run writes: the SHA-256 of its final parameters (bytes
+# in sorted name order), its per-epoch train and test losses, and the
+# SHA-256 of its predictions.csv
 TINY_RUN_PARAMS_SHA256 = "2d4b2af00b1754150315960bbce9a61e267c7aa3a7f3bd44e0f67b7ff3c88a92"
 TINY_RUN_TRAIN_LOSSES = [1.7210075959983828, 1.648000810747242]
+TINY_RUN_TEST_LOSSES = [1.5167721432212826, 1.4534223151484547]
+TINY_RUN_PREDICTIONS_SHA256 = "37f6c07bc4584d493273018c538f83df7533708971cacdd341185817e94113a4"
 
 
 def _train(tmp_path, sub="run", extra=()):
@@ -198,9 +201,9 @@ class TestTrainCommand:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_tiny_run_matches_its_pinned_bits(self, tmp_path):
-        # parameters and train losses come from train_epoch, which runs BLAS
-        # on one thread; test losses and predictions.csv come from evaluate,
-        # which follows the host's BLAS thread count, so they are not pinned
+        # train_epoch and evaluate both run BLAS on one thread, and evaluate
+        # forwards each sample alone, so none of these depends on the host's
+        # BLAS thread count or core count
         previous = T.pin_blas_threads(1)
         if previous is None:
             pytest.skip("numpy's BLAS has no thread-count symbols to pin")
@@ -209,8 +212,12 @@ class TestTrainCommand:
         params = tr.load_state(out / "last.ckpt").params
         digest = hashlib.sha256(b"".join(params[n].data.tobytes()
                                          for n in sorted(params))).hexdigest()
-        losses = [r.train_loss for r in tr.read_history(out / "history.csv")]
-        assert (digest, losses) == (TINY_RUN_PARAMS_SHA256, TINY_RUN_TRAIN_LOSSES), (
+        history = tr.read_history(out / "history.csv")
+        predictions = hashlib.sha256((out / "predictions.csv").read_bytes()).hexdigest()
+        assert ((digest, [r.train_loss for r in history], [r.test_loss for r in history],
+                 predictions)
+                == (TINY_RUN_PARAMS_SHA256, TINY_RUN_TRAIN_LOSSES, TINY_RUN_TEST_LOSSES,
+                    TINY_RUN_PREDICTIONS_SHA256)), (
             "the tiny run's bits moved: ROADMAP.md's bitwise rule (under 'Open "
             "items') says when a change may move them, and such a change updates "
             "this pin")
@@ -311,10 +318,8 @@ class TestTrainCommand:
         assert not (out / "best.ckpt").exists() and not (out / "last.ckpt").exists()
 
     @pytest.mark.parametrize("argv", [
-        ["train", "--synth", "--eval-threads", "-3"],
         ["train", "--synth", "--per-class", "0"],
         ["train", "--synth", "--image-size", "zero"],
-        ["eval", "--synth", "--eval-threads", "0"],
         ["train", "--synth", "--image-size", "-32"],
         ["synth", "--image-size", "0"],
         ["synth", "--per-class", "0"],
@@ -324,6 +329,16 @@ class TestTrainCommand:
             main(argv + ["--out", str(tmp_path / "x")])
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv", [["train", "--synth"],
+                                      ["eval", "--synth", "--checkpoint", "a.ckpt"]])
+    def test_eval_threads_flag_is_unknown(self, argv, tmp_path, capsys):
+        # evaluation picks its own worker threads
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--eval-threads", "2", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --eval-threads 2" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_print_config_writes_nothing(self, tmp_path, capsys):
@@ -351,6 +366,20 @@ class TestEvalCommand:
                      "--out", str(eval_out)])
         assert code == 0
         assert (out / "report.txt").read_bytes() == (eval_out / "report.txt").read_bytes()
+        assert (out / "predictions.csv").read_bytes() == \
+            (eval_out / "predictions.csv").read_bytes()
+
+    def test_eval_reproduces_a_train_whose_last_test_batch_has_one_sample(self, tmp_path):
+        # 10 test samples at batch 3 end in a one-sample batch; a batched
+        # forward gave such a sample other last bits than eval's batch did
+        out = tmp_path / "run"
+        assert main(["train", "--synth", "--per-class", "20", "--tiny", "--image-size", "32",
+                     "--epochs", "1", "--batch-size", "3", "--seed", "7",
+                     "--out", str(out)]) == 0
+        assert len((out / "predictions.csv").read_text().splitlines()) == 1 + 10
+        eval_out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(out / "best.ckpt"), "--synth",
+                     "--out", str(eval_out)]) == 0
         assert (out / "predictions.csv").read_bytes() == \
             (eval_out / "predictions.csv").read_bytes()
 
@@ -729,6 +758,16 @@ class TestAugmentCommand:
             assert main(["augment", "--input", str(img), "--image-size", "32",
                          "--seed", "4", "--out", str(out)]) == 0
         assert (a / "after.ppm").read_bytes() == (b / "after.ppm").read_bytes()
+
+    def test_nan_rotation_is_config_error(self, tmp_path, capsys):
+        # a NaN angle turned every pixel NaN, written as black
+        img = self._input_image(tmp_path)
+        out = tmp_path / "aug"
+        code = main(["augment", "--input", str(img), "--image-size", "32",
+                     "--set", "aug.train.max_rotation_deg=nan", "--out", str(out)])
+        assert code == 2
+        assert "max_rotation_deg" in capsys.readouterr().err
+        assert not (out / "after.ppm").exists()
 
     def test_missing_input_is_io_error(self, tmp_path):
         code = main(["augment", "--input", str(tmp_path / "none.ppm"),

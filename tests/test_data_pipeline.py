@@ -574,6 +574,15 @@ class TestPipeline:
             with pytest.raises(ConfigError):
                 AugmentPolicy(**bad)
 
+    @pytest.mark.parametrize("name", ["max_rotation_deg", "jitter_brightness",
+                                      "jitter_contrast", "jitter_saturation",
+                                      "sharpness_factor"])
+    @pytest.mark.parametrize("value", [float("nan"), -0.5])
+    def test_non_negative_setting_rejects_nan_and_negatives(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            AugmentPolicy(**{name: value})
+        AugmentPolicy(**{name: 0.0})
+
 
 # ---------------------------------------------------------------------------
 # shard transforms against the per-image reference, byte for byte

@@ -397,6 +397,14 @@ class TestGraph:
         assert np.array_equal(adj, adj.T)
         assert adj.diagonal().all()
 
+    def test_adjacency_is_built_once_per_grid_and_read_only(self):
+        adj = grid8_adjacency(3, 4)
+        assert grid8_adjacency(3, 4) is adj
+        assert grid8_adjacency(4, 3) is not adj
+        with pytest.raises(ValueError):
+            adj[0, 0] = False
+        assert adj[0, 0]
+
     def test_build_graph_is_the_token_grid(self):
         cfg = tiny_config(48)
         assert cfg.grid_size == 3

@@ -176,10 +176,10 @@ class TestFusedRecords:
         assert set(load_checkpoint(path).params) == set(param_shapes(cfg))
 
         loaded = tr.load_state(path)
-        _, _, fused = tr.evaluate(loaded.params, cfg, samples, stats, batch_size=4)
+        _, _, fused = tr.evaluate(loaded.params, cfg, samples, stats)
         monkeypatch.setattr(T, "linear", unfused_linear)
         monkeypatch.setattr(T, "attention", unfused_attention)
-        _, _, unfused = tr.evaluate(loaded.params, cfg, samples, stats, batch_size=4)
+        _, _, unfused = tr.evaluate(loaded.params, cfg, samples, stats)
         scores = np.array([r.scores for r in fused])
         assert np.allclose(scores, [r.scores for r in unfused], rtol=0, atol=1e-12)
         assert scores.std(axis=0).max() > 1e-3  # the samples are told apart

@@ -414,19 +414,45 @@ print(hashlib.sha256(b"".join(p.data.tobytes() for p in state.params.values())).
 """
 
 
+# four paper-default samples at 224 px: an evaluate that ran them as one
+# batched forward gave other scores at 1 and at 2 BLAS threads
+_HOST_EVAL = """
+import hashlib
+import numpy as np
+from hgtnet import data, training
+from hgtnet.model import ModelConfig
+from hgtnet.rng import RngStream
+cfg = ModelConfig()
+samples = data.synth_dataset(1, 224, RngStream(seed=3).derive("synth"))[:4]
+stats = data.compute_stats(samples)
+state = training.init_state(cfg, training.TrainConfig(seed=5), stats, ["c"] * 5)
+_, _, records = training.evaluate(state.params, cfg, samples, stats)
+print(hashlib.sha256(np.array([r.scores for r in records]).tobytes()).hexdigest())
+"""
+
+
+def _digests_at_one_and_two_blas_threads(script: str) -> list[str]:
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    return digests
+
+
 class TestHostIndependence:
     def test_blas_thread_count_does_not_change_training(self):
         # one 224 px step of a small model: at this size OpenBLAS splits its
         # GEMMs differently at 1 and 2 threads, so an unpinned trainer forks
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        digests = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.path.abspath(src))
-            done = subprocess.run([sys.executable, "-c", _HOST_RUN], env=env,
-                                  capture_output=True, text=True, timeout=300)
-            assert done.returncode == 0, done.stderr
-            digests.append(done.stdout.strip())
+        digests = _digests_at_one_and_two_blas_threads(_HOST_RUN)
+        assert digests[0] == digests[1]
+
+    def test_blas_thread_count_does_not_change_evaluation(self):
+        digests = _digests_at_one_and_two_blas_threads(_HOST_EVAL)
         assert digests[0] == digests[1]
 
 
@@ -460,6 +486,10 @@ class TestOverfitOneBatch:
         assert final < 0.1, f"stuck at {final} after {step + 1} steps"
 
 
+def _score_bytes(records) -> bytes:
+    return np.array([r.scores for r in records]).tobytes()
+
+
 class TestEvaluate:
     def test_zero_model_predicts_uniform(self):
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
@@ -489,33 +519,89 @@ class TestEvaluate:
         for r in records:
             assert abs(sum(r.scores) - 1.0) < 1e-9
 
-    def test_threaded_evaluation_is_bitwise_identical(self):
+    def test_threaded_evaluation_is_bitwise_identical(self, monkeypatch):
         samples, train, test, stats, cfg, tcfg, names = _synth_setup(per_class=6)
         params = init_params(cfg, RngStream(seed=4))
-        l1, a1, r1 = tr.evaluate(params, cfg, samples, stats, batch_size=4,
-                                 num_threads=1)
-        l4, a4, r4 = tr.evaluate(params, cfg, samples, stats, batch_size=4,
-                                 num_threads=4)
-        assert l1 == l4 and a1 == a4 and r1 == r4
+        monkeypatch.setattr(tr, "THREAD_MIN_CONV_OUT", 0)
+        threads = []
+        forward = tr.model_forward
+
+        def spy(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(tr, "model_forward", spy)
+        runs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+            threads.clear()
+            runs[workers] = tr.evaluate(params, cfg, samples, stats)
+            assert len(threads) == len(samples)  # one forward per sample
+            on_main = {t == threading.main_thread().ident for t in threads}
+            assert on_main == ({True} if workers == 1 else {False})
+        (l1, a1, r1), (l2, a2, r2) = runs[1], runs[2]
+        assert (l1, a1) == (l2, a2)
+        assert _score_bytes(r1) == _score_bytes(r2)
+        assert [r.sample_id for r in r2] == [s.id for s in samples]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_samples_record_does_not_depend_on_its_company(self, monkeypatch, workers):
+        # a batched forward gave this sample other last bits at four of the
+        # five positions below
+        samples, train, test, stats, cfg, tcfg, names = _synth_setup()
+        monkeypatch.setattr(tr, "THREAD_MIN_CONV_OUT", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
+        params = init_params(cfg, RngStream(seed=4))
+        target, others = test[1], train[:4]
+        (alone,) = tr.evaluate(params, cfg, [target], stats)[2]
+        for i in range(5):
+            records = tr.evaluate(params, cfg, others[:i] + [target] + others[i:], stats)[2]
+            assert records[i].sample_id == target.id
+            assert _score_bytes([records[i]]) == _score_bytes([alone]), i
+
+    def test_worker_error_reaches_the_caller_and_blas_threads_are_restored(
+            self, monkeypatch):
+        samples, train, test, stats, cfg, tcfg, names = _synth_setup()
+        params = init_params(cfg, RngStream(seed=4))
+        if T.pin_blas_threads(2) is None:
+            pytest.skip("numpy's BLAS has no thread-count symbols")
+        monkeypatch.setattr(tr, "THREAD_MIN_CONV_OUT", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        error = ShapeError("bad sample")
+        inside = []
+
+        def failing_forward(*args, **kwargs):
+            inside.append((T.pin_blas_threads(1), threading.get_ident()))
+            raise error
+
+        monkeypatch.setattr(tr, "model_forward", failing_forward)
+        with pytest.raises(ShapeError) as caught:
+            tr.evaluate(params, cfg, test[:3], stats)
+        assert caught.value is error
+        # the pool cancels the samples that had not started when one failed
+        assert inside and {blas for blas, _ in inside} == {1}
+        assert threading.main_thread().ident not in {t for _, t in inside}
+        assert T.pin_blas_threads(1) == 2
 
     def test_records_no_graph_and_matches_tracked_forward(self, monkeypatch):
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         params = init_params(cfg, RngStream(seed=4))
-        x = Tensor(data.normalize(np.stack([data.resize_bilinear(s, 32, 32).pixels
-                                            for s in test]), stats))
-        cls, _ = model_forward(x, cfg, params)
-        assert cls.op_record is not None  # the trainable params do record a graph
-        z = cls.data
-        ez = np.exp(z - z.max(axis=1, keepdims=True))
-        probs = ez / ez.sum(axis=1, keepdims=True)
-        labels = [s.label for s in test]
-        losses = (z.max(axis=1) + np.log(ez.sum(axis=1))) - z[np.arange(len(test)), labels]
+        # the oracle: one tracked forward of each sample alone
+        probs, losses = [], []
+        for s in test:
+            x = Tensor(data.normalize(data.resize_bilinear(s, 32, 32).pixels[None], stats))
+            cls, _ = model_forward(x, cfg, params)
+            assert cls.op_record is not None  # the trainable params do record a graph
+            z = cls.data
+            ez = np.exp(z - z.max(axis=1, keepdims=True))
+            probs.append(ez[0] / ez.sum(axis=1, keepdims=True)[0])
+            losses.append(float(z.max() + np.log(ez.sum()) - z[0, s.label]))
 
         built = []
         monkeypatch.setattr(T, "OpRecord", lambda *args: built.append(args))
-        loss, _, records = tr.evaluate(params, cfg, test, stats, batch_size=len(test))
+        loss, _, records = tr.evaluate(params, cfg, test, stats)
         assert built == []
-        assert loss == float(losses.sum()) / len(test)
+        assert loss == sum(losses) / len(test)
         assert [r.scores for r in records] == [tuple(float(v) for v in row) for row in probs]
 
     def test_duplicate_samples_give_two_records(self):
