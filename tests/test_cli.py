@@ -318,8 +318,10 @@ class TestTrainCommand:
         assert not (out / "best.ckpt").exists() and not (out / "last.ckpt").exists()
 
     @pytest.mark.parametrize("argv", [
+        ["train", "--synth", "--per-class", "-3"],
         ["train", "--synth", "--per-class", "0"],
         ["train", "--synth", "--image-size", "zero"],
+        ["augment", "--input", "x.ppm", "--image-size", "-1"],
         ["train", "--synth", "--image-size", "-32"],
         ["synth", "--image-size", "0"],
         ["synth", "--per-class", "0"],
