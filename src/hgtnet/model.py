@@ -67,9 +67,9 @@ class ModelConfig:
             raise ConfigError(f"gat_leaky_slope must be finite, got {self.gat_leaky_slope}")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
-        if not self.rotation_loss_weight >= 0:
-            raise ConfigError(
-                f"rotation_loss_weight must be >= 0, got {self.rotation_loss_weight}")
+        if not 0.0 <= self.rotation_loss_weight < math.inf:
+            raise ConfigError(f"rotation_loss_weight must be finite and >= 0, "
+                              f"got {self.rotation_loss_weight}")
         # the pooling chain halves the spatial extent per CNN block
         extent = self.image_size
         for _ in self.cnn_channels:

@@ -6,7 +6,9 @@ the parent tensors and a closure that maps the output gradient to parent
 gradients (``None`` for a parent that is not tracked).  ``backward`` walks
 the records in reverse topological order and accumulates into the
 ``Tensor.grad`` of the leaves only; interior gradients are dropped as soon
-as their parents have them.  Grads share the value's shape.
+as their parents have them.  Grads share the value's shape.  The walk
+releases each record once its closure has run, so a graph's saved arrays
+are freed while its backward runs and a graph can be walked only once.
 
 The op set is intentionally small: exactly what the model needs, with
 numpy-style broadcasting supported for add/mul and matmul batch dims.
@@ -101,12 +103,14 @@ def pin_blas_threads(n: int, lib=None) -> int | None:
 
 
 class OpRecord:
-    """Provenance of a derived tensor: parents and the gradient closure."""
+    """Provenance of a derived tensor: parents and the gradient closure.
+    ``backward`` leaves a released record in its place, with the op's name,
+    no parents and no closure."""
 
     __slots__ = ("name", "parents", "backward")
 
     def __init__(self, name: str, parents: tuple["Tensor", ...],
-                 backward: Callable[[np.ndarray], tuple]):
+                 backward: Callable[[np.ndarray], tuple] | None):
         self.name = name
         self.parents = parents
         self.backward = backward
@@ -471,12 +475,14 @@ def dropout(x: Tensor, p: float, rngs: Sequence[RngStream] | None) -> Tensor:
         raise ContractError(f"dropout needs one rng stream per row of its "
                             f"{x.shape} input")
     row = x.size // x.shape[0]
-    keep = np.concatenate([r.keep_mask(row, p) for r in rngs])
-    mask = keep.reshape(x.shape) / (1.0 - p)
-    data = x.data * mask
+    # the record keeps the bool mask, an eighth of the memory of the float
+    # mask; keep * scale rebuilds that mask's values exactly when it is used
+    keep = np.concatenate([r.keep_mask(row, p) for r in rngs]).reshape(x.shape)
+    scale = 1.0 / (1.0 - p)
+    data = x.data * (keep * scale)
 
     def backward(g):
-        return (g * mask,)
+        return (g * (keep * scale),)
 
     return _make(data, "dropout", (x,), backward)
 
@@ -580,11 +586,16 @@ def max_pool2d(x: Tensor) -> Tensor:
 
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every leaf ancestor (a tensor created with
-    ``requires_grad=True``) of a scalar loss.
+    ``requires_grad=True``) of a scalar loss, and release the graph.
 
     Gradients from multiple uses of the same tensor accumulate by summation.
     Interior tensors keep ``grad`` as ``None``: their gradients live only
-    until the walk has passed them on to their parents.
+    until the walk has passed them on to their parents.  Each record is
+    released as soon as its closure has run: the tensor keeps its ``data``
+    but its record gives up the parents and the saved arrays, so the
+    interior of the graph is freed during the walk.  A second ``backward``
+    through a released record raises ``ContractError`` before any leaf
+    gradient changes.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -603,23 +614,30 @@ def backward(loss: Tensor) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        if node.op_record is not None:
-            for parent in node.op_record.parents:
+        record = node.op_record
+        if record is not None:
+            if record.backward is None:
+                raise ContractError(f"backward through a '{record.name}' record that an "
+                                    f"earlier backward released; build the graph again")
+            for parent in record.parents:
                 if id(parent) not in seen and parent.requires_grad:
                     stack.append((parent, False))
 
+    # popping drops the walk's last reference to each node as it is passed
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.op_record is None:
+        record = node.op_record
+        if record is None:
             if node.requires_grad:
                 # leaf parameter/input: accumulate into the public slot
                 node.grad = g if node.grad is None else node.grad + g
             continue
-        parent_grads = node.op_record.backward(g)
-        for parent, pg in zip(node.op_record.parents, parent_grads):
+        node.op_record = OpRecord(record.name, (), None)
+        for parent, pg in zip(record.parents, record.backward(g)):
             if not parent.requires_grad:
                 continue
             key = id(parent)
@@ -627,3 +645,4 @@ def backward(loss: Tensor) -> None:
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
+        del record  # free its saved arrays before the next closure allocates

@@ -40,8 +40,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
@@ -52,8 +52,8 @@ class TrainConfig:
             b = getattr(self, name)
             if not 0.0 <= b < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {b}")
-        if not self.adam_eps > 0:
-            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
+        if not 0.0 < self.adam_eps < math.inf:
+            raise ConfigError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
         self.seed = int(self.seed) & 0xFFFFFFFFFFFFFFFF
 
 
@@ -244,7 +244,8 @@ def _train_step(params, model_cfg, train_cfg, batch, stats, policy, adam, root,
                 epoch, map_shards) -> tuple[float, int]:
     """Forward, backward and Adam on one batch; returns the loss and the
     number of correct predictions.  ``map_shards`` is ``map`` or a thread
-    pool's ``map``; each shard's graph dies with its ``_shard_step`` frame."""
+    pool's ``map``; each shard's graph is freed by its ``T.backward`` walk,
+    record by record, before the shard returns its gradients."""
     b = len(batch)
     size = -(-b // SHARDS)
     shards = [batch[i:i + size] for i in range(0, b, size)]

@@ -284,7 +284,8 @@ class TestTrainCommand:
         "model.mlp_ratio=0.01", "model.cnn_channels=0", "model.cnn_channels=4,0",
         "model.gat_leaky_slope=nan", "model.gat_leaky_slope=inf",
         "train.learning_rate=nan", "train.adam_eps=nan",
-        "model.rotation_loss_weight=nan"])
+        "model.rotation_loss_weight=nan", "train.learning_rate=inf", "train.adam_eps=inf",
+        "model.rotation_loss_weight=inf"])
     def test_out_of_range_value_is_config_error(self, pair, tmp_path, capsys):
         out = tmp_path / "x"
         code = main(TRAIN_ARGS + ["--out", str(out), "--set", pair])
@@ -767,6 +768,16 @@ class TestAugmentCommand:
         out = tmp_path / "aug"
         code = main(["augment", "--input", str(img), "--image-size", "32",
                      "--set", "aug.train.max_rotation_deg=nan", "--out", str(out)])
+        assert code == 2
+        assert "max_rotation_deg" in capsys.readouterr().err
+        assert not (out / "after.ppm").exists()
+
+    def test_infinite_rotation_is_config_error(self, tmp_path, capsys):
+        # an infinite angle, like a NaN one, turned every pixel NaN
+        img = self._input_image(tmp_path)
+        out = tmp_path / "aug"
+        code = main(["augment", "--input", str(img), "--image-size", "32",
+                     "--set", "aug.train.max_rotation_deg=inf", "--out", str(out)])
         assert code == 2
         assert "max_rotation_deg" in capsys.readouterr().err
         assert not (out / "after.ppm").exists()

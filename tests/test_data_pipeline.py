@@ -577,7 +577,7 @@ class TestPipeline:
     @pytest.mark.parametrize("name", ["max_rotation_deg", "jitter_brightness",
                                       "jitter_contrast", "jitter_saturation",
                                       "sharpness_factor"])
-    @pytest.mark.parametrize("value", [float("nan"), -0.5])
+    @pytest.mark.parametrize("value", [float("nan"), -0.5, float("inf")])
     def test_non_negative_setting_rejects_nan_and_negatives(self, name, value):
         with pytest.raises(ConfigError, match=name):
             AugmentPolicy(**{name: value})

@@ -9,6 +9,7 @@ checked, values and gradients, against the graph of small ops they replace.
 import platform
 import sys
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -315,6 +316,18 @@ class TestDropout:
         assert abs(kept.mean() - 0.75) < 0.02
         assert abs(out.mean() - 1.0) < 0.03  # inverted scaling keeps expectation
 
+    def test_equals_the_float_mask_product_bit_for_bit(self):
+        x = T.Tensor(np.random.default_rng(4).normal(size=(8, 50)), requires_grad=True)
+        g = np.random.default_rng(5).normal(size=(8, 50))
+        p = 0.3
+        out = T.dropout(x, p, [RngStream(seed=6).derive(i) for i in range(8)])
+        keep = np.concatenate([RngStream(seed=6).derive(i).keep_mask(50, p)
+                               for i in range(8)]).reshape(8, 50)
+        mask = keep / (1.0 - p)
+        (gx,) = out.op_record.backward(g)
+        assert out.data.tobytes() == (x.data * mask).tobytes()  # -0.0 where x < 0 is dropped
+        assert gx.tobytes() == (g * mask).tobytes()
+
     def test_invalid_rate(self):
         x = T.Tensor(np.ones(3))
         for bad in (-0.1, 1.0, 1.5):
@@ -526,6 +539,34 @@ class TestBackwardContract:
         assert np.allclose(x.grad, [6.0])
         x.zero_grad()
         assert x.grad is None
+
+    def test_repeat_backward_raises_naming_the_op_and_keeps_leaf_grads(self):
+        x = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        w = T.Tensor(np.array([3.0, -1.0]), requires_grad=True)
+        loss = T.tsum(T.relu(x * w))
+        T.backward(loss)
+        grads = x.grad.copy(), w.grad.copy()
+        with pytest.raises(ContractError, match="'sum'"):
+            T.backward(loss)
+        # a fresh loss on a walked interior tensor fails before any leaf changes
+        h = x * w
+        T.backward(T.tsum(h))
+        with pytest.raises(ContractError, match="'mul'"):
+            T.backward(T.tsum(T.relu(h) + x))
+        assert np.array_equal(x.grad, grads[0] + w.data)
+        assert np.array_equal(w.grad, grads[1] + x.data)
+
+    def test_interior_values_are_freed_by_the_walk(self):
+        x = T.Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True)
+        h = T.relu(x)
+        interior = weakref.ref(h.data)
+        loss = T.tsum(h * h)
+        del h
+        assert interior() is not None  # the loss's graph holds it
+        T.backward(loss)
+        assert interior() is None
+        assert loss.item() == pytest.approx(1.4)  # 0.2² + 0.6² + 1²
+        assert np.allclose(x.grad, 2.0 * np.maximum(x.data, 0.0))
 
     def test_grad_kept_on_leaves_only(self):
         x = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)

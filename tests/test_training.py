@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -397,6 +398,24 @@ class TestShardedStep:
         assert caught.value is error
         assert inside == [1, 1]
         assert T.pin_blas_threads(1) == 2
+
+    def test_traced_peak_of_a_64px_shard_step(self):
+        # numpy reports every array to tracemalloc, so this peak is the same
+        # to 0.01 MB on every run: 29.2 MB while backward frees each record
+        # as it walks it, 42.3 MB when every record (and a float dropout
+        # mask) lived until the step returned
+        cfg = ModelConfig(image_size=64)
+        samples = data.synth_dataset(1, 64, RngStream(seed=3))[:2]
+        stats = data.compute_stats(samples)
+        params = init_params(cfg, RngStream(seed=5))
+        tracemalloc.start()
+        try:
+            tr._shard_step(params, cfg, samples, 2, stats, data.train_policy(64),
+                           RngStream(seed=5), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
 _HOST_RUN = """
