@@ -645,4 +645,3 @@ def backward(loss: Tensor) -> None:
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
-        del record  # free its saved arrays before the next closure allocates

@@ -408,6 +408,9 @@ class TestShardedStep:
         samples = data.synth_dataset(1, 64, RngStream(seed=3))[:2]
         stats = data.compute_stats(samples)
         params = init_params(cfg, RngStream(seed=5))
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already traces this session; its peak would "
+                        "count allocations made before the step")
         tracemalloc.start()
         try:
             tr._shard_step(params, cfg, samples, 2, stats, data.train_policy(64),
