@@ -2,13 +2,18 @@
 
 Every operation below builds the value eagerly with numpy and, when any
 input participates in gradient tracking, attaches an ``OpRecord`` holding
-the parent tensors and a closure that maps the output gradient to parent
-gradients (``None`` for a parent that is not tracked).  ``backward`` walks
-the records in reverse topological order and accumulates into the
-``Tensor.grad`` of the leaves only; interior gradients are dropped as soon
-as their parents have them.  Grads share the value's shape.  The walk
-releases each record once its closure has run, so a graph's saved arrays
-are freed while its backward runs and a graph can be walked only once.
+one entry per parent (the parent's own record, the parent itself when it
+is a leaf, ``None`` when it is not tracked) and a closure that maps the
+output gradient to parent gradients (``None`` for a parent that is not
+tracked).  The graph holds records, never derived tensors, and each
+closure keeps only the shapes, flags and arrays its backward reads, so an
+interior tensor's ``data`` lives only as long as the caller or a closure
+needs it.  ``backward`` walks the records in reverse topological order and
+accumulates into the ``Tensor.grad`` of the leaves only; interior
+gradients are dropped as soon as their parents have them.  Grads share the
+value's shape.  The walk releases each record once its closure has run, so
+a graph's saved arrays are freed while its backward runs and a graph can be
+walked only once.
 
 The op set is intentionally small: exactly what the model needs, with
 numpy-style broadcasting supported for add/mul and matmul batch dims.
@@ -103,13 +108,15 @@ def pin_blas_threads(n: int, lib=None) -> int | None:
 
 
 class OpRecord:
-    """Provenance of a derived tensor: parents and the gradient closure.
-    ``backward`` leaves a released record in its place, with the op's name,
-    no parents and no closure."""
+    """Provenance of a derived tensor: the op's name, one entry per parent
+    (its ``OpRecord``, the leaf ``Tensor`` itself, or ``None`` when the
+    parent is not tracked) and the gradient closure.  ``backward`` releases
+    the record in place once its closure has run: the name stays, the
+    parents become ``()`` and the closure ``None``."""
 
     __slots__ = ("name", "parents", "backward")
 
-    def __init__(self, name: str, parents: tuple["Tensor", ...],
+    def __init__(self, name: str, parents: tuple["OpRecord | Tensor | None", ...],
                  backward: Callable[[np.ndarray], tuple] | None):
         self.name = name
         self.parents = parents
@@ -162,12 +169,20 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
+def _node(t: Tensor) -> "OpRecord | Tensor | None":
+    """What a record keeps of a parent: its record, the leaf itself, or None."""
+    if t.op_record is not None:
+        return t.op_record
+    return t if t.requires_grad else None
+
+
 def _make(data: np.ndarray, name: str, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """Attach the op record, and tracking, when any parent is tracked."""
+    """Attach the op record, and tracking, when any parent is tracked.  The
+    record keeps the parents' records and leaves, never a derived tensor."""
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out.op_record = OpRecord(name, parents, backward)
+        out.op_record = OpRecord(name, tuple(_node(p) for p in parents), backward)
     return out
 
 
@@ -189,9 +204,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     data = a.data + b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _make(data, "add", (a, b), backward)
 
@@ -199,10 +215,14 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     data = a.data * b.data
+    a_shape, b_shape = a.shape, b.shape
+    # each side's gradient reads the other side's values
+    a_for_b = a.data if b.requires_grad else None
+    b_for_a = b.data if a.requires_grad else None
 
     def backward(g):
-        ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
+        ga = None if b_for_a is None else _unbroadcast(g * b_for_a, a_shape)
+        gb = None if a_for_b is None else _unbroadcast(g * a_for_b, b_shape)
         return ga, gb
 
     return _make(data, "mul", (a, b), backward)
@@ -215,12 +235,13 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
+    ad, bd = a.data, b.data
+    data = ad @ bd
 
     def backward(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = g @ np.swapaxes(bd, -1, -2)
+        gb = np.swapaxes(ad, -1, -2) @ g
+        return _unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape)
 
     return _make(data, "matmul", (a, b), backward)
 
@@ -235,23 +256,25 @@ def linear(x, w, b) -> Tensor:
                          f"got {x.shape}, {w.shape}, {b.shape}")
     din, dout = w.shape
     rows = x.data.reshape(-1, din)
-    out = rows @ w.data
+    wd, x_shape, x_tracked = w.data, x.shape, x.requires_grad
+    out = rows @ wd
     out += b.data
 
     def backward(g):
         g2 = g.reshape(-1, dout)
-        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        gx = (g2 @ wd.T).reshape(x_shape) if x_tracked else None
         return gx, rows.T @ g2, g2.sum(axis=0)
 
-    return _make(out.reshape(x.shape[:-1] + (dout,)), "linear", (x, w, b), backward)
+    return _make(out.reshape(x_shape[:-1] + (dout,)), "linear", (x, w, b), backward)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     x = _as_tensor(x)
     data = x.data.reshape(shape)
+    x_shape = x.shape
 
     def backward(g):
-        return (g.reshape(x.shape),)
+        return (g.reshape(x_shape),)
 
     return _make(data, "reshape", (x,), backward)
 
@@ -283,9 +306,10 @@ def take_rows(x: Tensor, start: int, stop: int) -> Tensor:
     """Contiguous slice along axis 0; gradient scatters back with zero fill."""
     x = _as_tensor(x)
     data = x.data[start:stop].copy()
+    x_shape = x.shape
 
     def backward(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(x_shape)
         gx[start:stop] = g
         return (gx,)
 
@@ -295,9 +319,10 @@ def take_rows(x: Tensor, start: int, stop: int) -> Tensor:
 def tsum(x: Tensor) -> Tensor:
     """Sum of every entry, as a scalar."""
     x = _as_tensor(x)
+    x_shape = x.shape
 
     def backward(g):
-        return (np.broadcast_to(g, x.shape).copy(),)
+        return (np.broadcast_to(g, x_shape).copy(),)
 
     return _make(x.data.sum(), "sum", (x,), backward)
 
@@ -305,10 +330,11 @@ def tsum(x: Tensor) -> Tensor:
 def tmean(x: Tensor, axis: int) -> Tensor:
     """Mean along one axis, which the output drops."""
     x = _as_tensor(x)
-    count = x.shape[axis]
+    x_shape = x.shape
+    count = x_shape[axis]
 
     def backward(g):
-        return (np.broadcast_to(np.expand_dims(g, axis) / count, x.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis) / count, x_shape).copy(),)
 
     return _make(x.data.mean(axis=axis), "mean", (x,), backward)
 
@@ -398,17 +424,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x.data - mean) * inv
-    data = gamma.data * xhat + beta.data
+    gd, beta_shape = gamma.data, beta.shape
+    data = gd * xhat + beta.data
 
     def backward(g):
         reduce_axes = tuple(range(g.ndim - 1))
         gbeta = g.sum(axis=reduce_axes) if reduce_axes else g.copy()
         ggamma = (g * xhat).sum(axis=reduce_axes) if reduce_axes else g * xhat
-        gxhat = g * gamma.data
+        gxhat = g * gd
         gx = inv * (gxhat
                     - gxhat.mean(axis=-1, keepdims=True)
                     - xhat * (gxhat * xhat).sum(axis=-1, keepdims=True) / d)
-        return gx, ggamma.reshape(gamma.shape), gbeta.reshape(beta.shape)
+        return gx, ggamma.reshape(gd.shape), gbeta.reshape(beta_shape)
 
     return _make(data, "layer_norm", (x, gamma, beta), backward)
 
@@ -424,8 +451,9 @@ def activation(x: Tensor, kind: str, slope: float = 0.01) -> Tensor:
     if kind == "relu":
         data = np.maximum(v, 0.0)
 
+        # the output is > 0 exactly where v is, so the record keeps it, not v
         def backward(g):
-            return (g * (v > 0.0),)
+            return (g * (data > 0.0),)
     elif kind == "gelu":
         # products, not ``**``: numpy routes v**3 through the slow libm pow
         t = np.tanh(_GELU_C * (v + _GELU_A * (v * v * v)))
@@ -512,6 +540,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
             f"stride {stride}, padding {padding} gives non-integer output extent")
     Hh, Ww = num_h // stride + 1, num_w // stride + 1
     Hp, Wp = H + 2 * padding, W + 2 * padding
+    x_tracked = x.requires_grad
     K, N = kh * kw * C, B * Hh * Ww
 
     # im2col (Chellapilla et al. 2006) in an offset-major layout: row
@@ -536,7 +565,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         g2 = g.transpose(1, 0, 2, 3).reshape(F, N)
         gb = g2.sum(axis=1)
         gw = (g2 @ cols.T).reshape(F, kh, kw, C).transpose(0, 3, 1, 2)
-        if not x.requires_grad:
+        if not x_tracked:
             return None, gw, gb
         gcols = (wmat.T @ g2).reshape(kh, kw, C, B, Hh, Ww)
         gxp = np.zeros((C, B, Hp, Wp))
@@ -552,7 +581,13 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
 def max_pool2d(x: Tensor) -> Tensor:
     """Maxima of 2 x 2 windows at stride 2 over a B x C x H x W input with
     even H and W; the gradient routes to the first maximum in row-major
-    window order when values tie."""
+    window order when values tie.
+
+    A tracked input gets four bool masks, one per window offset, built in
+    the forward: each marks the outputs whose first maximum sits at that
+    offset.  The record keeps them (an eighth of the input's bytes) instead
+    of the input and output, and the backward is four multiplies.  An
+    untracked input builds no masks."""
     x = _as_tensor(x)
     if x.ndim != 4 or x.shape[2] < 2 or x.shape[3] < 2 or x.shape[2] % 2 or x.shape[3] % 2:
         raise ShapeError(f"max_pool2d expects a B x C x H x W input with even H, W >= 2, "
@@ -564,16 +599,25 @@ def max_pool2d(x: Tensor) -> Tensor:
     out = v[windows[0]].copy(order="K")
     for win in windows[1:]:
         np.maximum(out, v[win], out=out)
+    if not x.requires_grad:
+        return _make(out, "max_pool2d", (x,), None)
+
+    masks = []
+    pending = np.ones(out.shape, dtype=bool)  # outputs whose max is not yet found
+    for win in windows:
+        hit = np.equal(v[win], out)
+        hit &= pending
+        pending ^= hit
+        masks.append(hit)
+    # gx takes the input's memory order, as np.empty_like(v) would, so a
+    # conv2d output's gradient reaches that conv's backward without a copy
+    order = sorted(range(4), key=lambda axis: -v.strides[axis])
+    shape = v.shape
 
     def backward(g):
         # the windows tile the input, so every entry of gx is written once
-        gx = np.empty_like(v)
-        pending = np.ones(out.shape, dtype=bool)  # outputs whose max is not yet found
-        hit = np.empty(out.shape, dtype=bool)
-        for win in windows:
-            np.equal(v[win], out, out=hit)
-            hit &= pending
-            pending ^= hit
+        gx = np.empty([shape[axis] for axis in order]).transpose(np.argsort(order))
+        for win, hit in zip(windows, masks):
             np.multiply(g, hit, out=gx[win])
         return (gx,)
 
@@ -588,23 +632,27 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every leaf ancestor (a tensor created with
     ``requires_grad=True``) of a scalar loss, and release the graph.
 
-    Gradients from multiple uses of the same tensor accumulate by summation.
+    The walk visits records and leaves, never interior tensors.  Gradients
+    from multiple uses of the same tensor accumulate by summation.
     Interior tensors keep ``grad`` as ``None``: their gradients live only
-    until the walk has passed them on to their parents.  Each record is
-    released as soon as its closure has run: the tensor keeps its ``data``
-    but its record gives up the parents and the saved arrays, so the
-    interior of the graph is freed during the walk.  A second ``backward``
-    through a released record raises ``ContractError`` before any leaf
-    gradient changes.
+    until the walk has passed them on to their parents.  Each record's
+    ``backward`` attribute is read and called when the walk reaches it, and
+    the record is then released in place (``parents = ()``, ``backward =
+    None``), so the arrays its closure saved are freed during the walk.  A
+    second ``backward`` through a released record raises ``ContractError``
+    before any leaf gradient changes.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+    root = _node(loss)
+    if root is None:
+        return
 
     # Iterative post-order topo sort (graphs are deep enough to overflow
     # Python's recursion limit on big images).
-    order: list[Tensor] = []
+    order: list[OpRecord | Tensor] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[OpRecord | Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -614,31 +662,29 @@ def backward(loss: Tensor) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        record = node.op_record
-        if record is not None:
-            if record.backward is None:
-                raise ContractError(f"backward through a '{record.name}' record that an "
+        if isinstance(node, OpRecord):
+            if node.backward is None:
+                raise ContractError(f"backward through a '{node.name}' record that an "
                                     f"earlier backward released; build the graph again")
-            for parent in record.parents:
-                if id(parent) not in seen and parent.requires_grad:
+            for parent in node.parents:
+                if parent is not None and id(parent) not in seen:
                     stack.append((parent, False))
 
     # popping drops the walk's last reference to each node as it is passed
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     while order:
         node = order.pop()
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        record = node.op_record
-        if record is None:
-            if node.requires_grad:
-                # leaf parameter/input: accumulate into the public slot
-                node.grad = g if node.grad is None else node.grad + g
+        if isinstance(node, Tensor):
+            # leaf parameter/input: accumulate into the public slot
+            node.grad = g if node.grad is None else node.grad + g
             continue
-        node.op_record = OpRecord(record.name, (), None)
-        for parent, pg in zip(record.parents, record.backward(g)):
-            if not parent.requires_grad:
+        parents, closure = node.parents, node.backward
+        node.parents, node.backward = (), None
+        for parent, pg in zip(parents, closure(g)):
+            if parent is None:
                 continue
             key = id(parent)
             if key in grads:

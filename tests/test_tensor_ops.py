@@ -19,7 +19,7 @@ from hgtnet import tensor as T
 from hgtnet import training as tr
 from hgtnet.checkpoint import FORMAT_VERSION, load_checkpoint
 from hgtnet.errors import ConfigError, ContractError, ShapeError
-from hgtnet.model import param_shapes, tiny_config
+from hgtnet.model import ModelConfig, init_params, param_shapes, tiny_config
 from hgtnet.rng import RngStream
 
 
@@ -296,6 +296,14 @@ class TestActivations:
         with pytest.raises(ConfigError):
             T.activation(T.Tensor(np.ones(2)), "swish")
 
+    def test_relu_gradient_masks_by_the_input_sign_at_zeros_subnormals_and_nan(self):
+        tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+        v = np.array([-0.0, 0.0, tiny, -tiny, np.nan, 2.0, -3.0])
+        g = np.array([-1.0, 2.0, -3.0, 4.0, 5.0, -6.0, 7.0])
+        (gx,) = T.relu(T.Tensor(v, requires_grad=True)).op_record.backward(g)
+        # bytes, so a -0.0 where g < 0 is told apart from 0.0
+        assert gx.tobytes() == (g * (v > 0)).tobytes()
+
 
 class TestDropout:
     def test_eval_mode_is_identity(self):
@@ -476,6 +484,22 @@ class TestMaxPool:
         with pytest.raises(ShapeError):
             T.max_pool2d(T.Tensor(np.ones((1, 1, 1, 2))))
 
+    def test_untracked_input_records_nothing_and_pools_like_a_tracked_one(self):
+        x = RngStream(seed=6).normal(2 * 3 * 4 * 6).reshape(2, 3, 4, 6)
+        x[0, 0] = 0.0  # ties
+        untracked = T.max_pool2d(T.Tensor(x))
+        tracked = T.max_pool2d(T.Tensor(x, requires_grad=True))
+        assert untracked.op_record is None and not untracked.requires_grad
+        assert tracked.op_record is not None
+        assert untracked.data.tobytes() == tracked.data.tobytes()
+
+    def test_gradient_takes_the_input_memory_order(self):
+        # a conv2d output is F x B x H x W in memory; its gradient should be too
+        v = np.arange(48.0).reshape(3, 2, 2, 4).transpose(1, 0, 2, 3)
+        (gx,) = T.max_pool2d(T.Tensor(v, requires_grad=True)).op_record.backward(
+            np.ones((2, 3, 1, 2)))
+        assert gx.strides == v.strides
+
     @pytest.mark.parametrize("shape", [(1, 1, 3, 4), (1, 1, 4, 7), (2, 3, 4), (1, 1, 0, 2)])
     def test_odd_or_empty_extents_rejected(self, shape):
         with pytest.raises(ShapeError):
@@ -588,3 +612,61 @@ class TestBackwardContract:
         a = T.Tensor(np.ones(4))
         b = a * 2.0 + 1.0
         assert b.op_record is None and not b.requires_grad
+
+
+def _reachable_records(loss):
+    records, seen, stack = [], set(), [loss.op_record]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, T.OpRecord) and id(node) not in seen:
+            seen.add(id(node))
+            records.append(node)
+            stack.extend(node.parents)
+    return records
+
+
+class TestGraphHoldsRecords:
+    def test_a_training_pass_graph_keeps_no_derived_tensor(self, monkeypatch):
+        cfg = ModelConfig(image_size=64)
+        assert cfg.dropout_p > 0 and cfg.rotation_loss_weight > 0
+        samples = data.synth_dataset(1, 64, RngStream(seed=3))[:2]
+        stats = data.compute_stats(samples)
+        params = init_params(cfg, RngStream(seed=5))
+        walked = []
+        real_backward = T.backward
+
+        def inspect_then_backward(loss):
+            walked.extend(_reachable_records(loss))
+            for record in walked:
+                for parent in record.parents:
+                    assert parent is None or isinstance(parent, T.OpRecord) or (
+                        isinstance(parent, T.Tensor) and parent.requires_grad
+                        and parent.op_record is None), (record.name, parent)
+                for cell in record.backward.__closure__ or ():
+                    held = cell.cell_contents
+                    assert not (isinstance(held, T.Tensor) and held.op_record is not None), \
+                        record.name
+            real_backward(loss)
+
+        monkeypatch.setattr(T, "backward", inspect_then_backward)
+        tr._shard_step(params, cfg, samples, 2, stats, data.train_policy(64),
+                       RngStream(seed=5), 0)
+        assert {"conv2d", "max_pool2d", "relu", "dropout", "add", "layer_norm", "linear",
+                "attention", "gelu", "matmul", "take_rows", "cross_entropy"} <= \
+            {record.name for record in walked}
+        # the walk released every record it reached
+        assert all(r.parents == () and r.backward is None for r in walked)
+
+    def test_an_interior_value_no_closure_reads_is_freed_before_backward(self):
+        x, gamma, beta = _leaves(40, (3, 5), (5,), (5,))
+        h = T.add(x, x)
+        y = T.layer_norm(h, gamma, beta)
+        interior = weakref.ref(h.data)
+        del h
+        assert interior() is None
+        T.backward(T.tsum(y))
+        # the same graph with h held gives the same gradient, bit for bit
+        x2, gamma2, beta2 = _leaves(40, (3, 5), (5,), (5,))
+        h2 = T.add(x2, x2)
+        T.backward(T.tsum(T.layer_norm(h2, gamma2, beta2)))
+        assert x.grad.tobytes() == x2.grad.tobytes()
