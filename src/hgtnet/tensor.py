@@ -169,7 +169,7 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _node(t: Tensor) -> "OpRecord | Tensor | None":
+def _node(t: Tensor) -> OpRecord | Tensor | None:
     """What a record keeps of a parent: its record, the leaf itself, or None."""
     if t.op_record is not None:
         return t.op_record
