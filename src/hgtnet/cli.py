@@ -263,16 +263,15 @@ def _corrupt_op(name: str) -> None:
 
 
 def cmd_gradcheck(args) -> int:
-    seed = args.seed if args.seed is not None else 0
     if args.corrupt:
         _corrupt_op(args.corrupt)
     start = time.time()
     failures = []
-    checks = [(*check, 1e-4, None) for check in op_battery(seed)]
-    checks.append((*_model_check(seed), 1e-3, 3))
+    checks = [(*check, 1e-4, None) for check in op_battery(args.seed)]
+    checks.append((*_model_check(args.seed), 1e-3, 3))
     for name, build, params, tol, sample in checks:
         err = check_gradients(build, params, sample_per_param=sample,
-                              rng=RngStream(seed=seed).derive("probe", name))
+                              rng=RngStream(seed=args.seed).derive("probe", name))
         status = "pass" if err < tol else "FAIL"
         print(f"{name}: worst relative error {err:.3e} (tolerance {tol:.0e}) {status}")
         if err >= tol:
@@ -290,19 +289,15 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    out = args.out or "synth_data"
-    per_class = args.per_class or 10
-    size = args.image_size or 64
-    seed = args.seed if args.seed is not None else 0
-    samples = data.synth_dataset(num_per_class=per_class, size=size,
-                                 rng=RngStream(seed=seed))
+    samples = data.synth_dataset(num_per_class=args.per_class, size=args.image_size,
+                                 rng=RngStream(seed=args.seed))
     for s in samples:
         class_dir, _, stem = s.id.partition("_")
-        directory = os.path.join(out, class_dir)
+        directory = os.path.join(args.out, class_dir)
         os.makedirs(directory, exist_ok=True)
         atomic_write(os.path.join(directory, f"{stem}.ppm"),
                      lambda p, px=s.pixels: write_ppm(p, from_unit(px)))
-    print(f"wrote {len(samples)} images under {out}")
+    print(f"wrote {len(samples)} images under {args.out}")
     return EXIT_OK
 
 
@@ -392,17 +387,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--corrupt", choices=CORRUPTIBLE_OPS, default=None, metavar="OP",
                    help="deliberately break the backward of one op that a training "
                         "step records (self-test hook)")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="write the synthetic dataset as PPM files")
-    p.add_argument("--out", default=None)
-    p.add_argument("--per-class", type=_positive_int, default=None)
-    p.add_argument("--image-size", type=_positive_int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", default="synth_data")
+    p.add_argument("--per-class", type=_positive_int, default=10)
+    p.add_argument("--image-size", type=_positive_int, default=64)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("augment", help="apply the train-time policy to one image")

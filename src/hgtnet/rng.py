@@ -102,12 +102,9 @@ class RngStream:
         ``r >= ceil(p * 2**53) << 11``."""
         return self._raw(n) >= np.uint64(math.ceil(p * 2.0**53) << 11)
 
-    def normal(self, n: int | None = None):
-        """Standard normal draws via Box-Muller (two uniforms per value)."""
-        if n is None:
-            u1 = 1.0 - self.uniform()
-            u2 = self.uniform()
-            return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    def normal(self, n: int) -> np.ndarray:
+        """``n`` standard normal draws as a float64 array, via Box-Muller: the
+        next n uniforms give u1, the n after them u2."""
         u1 = 1.0 - self.uniform(n)
         u2 = self.uniform(n)
         return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)

@@ -343,8 +343,22 @@ def tmean(x: Tensor, axis: int) -> Tensor:
 # neural-net ops
 # ---------------------------------------------------------------------------
 
+def softmax_in_place(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Overwrite ``y`` with its softmax over the last axis: subtract the row
+    maximum, exponentiate, divide by the row sum.  Returns the row maxima
+    and the row sums of the shifted exponentials, both with keepdims, from
+    which a caller builds the log-sum-exp."""
+    top = y.max(axis=-1, keepdims=True)
+    y -= top
+    np.exp(y, out=y)
+    total = y.sum(axis=-1, keepdims=True)
+    y /= total
+    return top, total
+
+
 def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Stable softmax over the last axis.
+    """Stable softmax over the last axis, through ``softmax_in_place`` on a
+    fresh buffer.
 
     ``mask`` (bool, broadcastable to x) restricts normalization to its True
     entries: a -inf bias on the False ones, added before the row maximum,
@@ -352,9 +366,7 @@ def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """
     x = _as_tensor(x)
     y = x.data + (0.0 if mask is None else np.where(mask, 0.0, -np.inf))
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    softmax_in_place(y)
 
     def backward(g):
         gx = g - (g * y).sum(axis=-1, keepdims=True)
@@ -369,11 +381,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
 
     q is B x Nq x d, k and v are B x Nk x d; each head attends over its
     d/heads slice of the features and the heads are merged back into
-    B x Nq x d.  The 1/sqrt(d/heads) scale is folded into q, the softmax
-    runs in place on the score buffer, and only the probabilities P
-    (B x heads x Nq x Nk) are kept for the closed-form backward (Vaswani
-    et al. 2017; the recurrence as in FlashAttention, Dao et al. 2022,
-    without tiling).  Returns ``(out, P)``.
+    B x Nq x d.  The 1/sqrt(d/heads) scale is folded into q,
+    ``softmax_in_place`` turns the score buffer into the probabilities P
+    (B x heads x Nq x Nk), and only P is kept for the closed-form backward
+    (Vaswani et al. 2017; the recurrence as in FlashAttention, Dao et al.
+    2022, without tiling).  Returns ``(out, P)``.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 3 or k.shape != v.shape or k.ndim != 3 or \
@@ -396,9 +408,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     qs = q.data * scale
     qh, kh, vh = split(qs, Nq), split(k.data, Nk), split(v.data, Nk)
     p = qh @ kh.transpose(0, 1, 3, 2)                         # B x h x Nq x Nk
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    softmax_in_place(p)
     out = merge(p @ vh, Nq)
 
     def backward(g):
@@ -428,9 +438,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     data = gd * xhat + beta.data
 
     def backward(g):
-        reduce_axes = tuple(range(g.ndim - 1))
-        gbeta = g.sum(axis=reduce_axes) if reduce_axes else g.copy()
-        ggamma = (g * xhat).sum(axis=reduce_axes) if reduce_axes else g * xhat
+        reduce_axes = tuple(range(g.ndim - 1))  # () for a 1-d x: the sums copy g
+        gbeta = g.sum(axis=reduce_axes)
+        ggamma = (g * xhat).sum(axis=reduce_axes)
         gxhat = g * gd
         gx = inv * (gxhat
                     - gxhat.mean(axis=-1, keepdims=True)

@@ -22,7 +22,7 @@ from .data import (DatasetStats, ImageSample, apply_policy, normalize,
 from .errors import (CheckpointError, ConfigError, ContractError, DataError,
                      DivergenceError, ShapeError)
 from .kvtext import from_kv, get_float, get_floats, get_int, to_kv
-from .metrics import PredictionRecord
+from .metrics import PredictionRecord, predicted_label
 from .model import ModelConfig, init_params, model_forward, param_shapes
 from .rng import RngStream
 from .tensor import Tensor
@@ -72,12 +72,11 @@ class EpochRecord:
 
 def _softmax_nll(z: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row softmax of B x K logits and each row's negative log-likelihood of
-    its label, both through the max-shifted log-sum-exp."""
-    m = z.max(axis=1, keepdims=True)
-    ez = np.exp(z - m)
-    total = ez.sum(axis=1, keepdims=True)
-    losses = m[:, 0] + np.log(total[:, 0]) - z[np.arange(len(z)), labels]
-    return ez / total, losses
+    its label: ``T.softmax_in_place`` on a copy of z gives the probabilities,
+    and its row maxima and sums the log-sum-exp."""
+    probs = z.copy()
+    top, total = T.softmax_in_place(probs)
+    return probs, top[:, 0] + np.log(total[:, 0]) - z[np.arange(len(z)), labels]
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -275,15 +274,10 @@ def _shard_step(params, model_cfg, shard, b, stats, policy, root, epoch):
     if rot_labels is not None:
         rngs += [root.derive("drop", epoch, s.id, "rot") for s in shard]
     views = {name: Tensor(p.data, requires_grad=True) for name, p in params.items()}
-    cls_all, rot_all = model_forward(x, model_cfg, views, rngs=rngs)
-    if rot_labels is None:
-        cls = cls_all
-        loss = combined_loss(cls, labels, None, None, 0.0)
-    else:
-        cls = T.take_rows(cls_all, 0, n)
-        rot = T.take_rows(rot_all, n, 2 * n)
-        loss = combined_loss(cls, labels, rot, rot_labels, model_cfg.rotation_loss_weight)
-    loss = loss * (n / b)
+    cls, rot = model_forward(x, model_cfg, views, rngs=rngs)
+    if rot_labels is not None:  # x stacks the n originals, then their rotated copies
+        cls, rot = T.take_rows(cls, 0, n), T.take_rows(rot, n, 2 * n)
+    loss = combined_loss(cls, labels, rot, rot_labels, model_cfg.rotation_loss_weight) * (n / b)
     T.backward(loss)
     hits = int((np.argmax(cls.data, axis=1) == labels).sum())
     return loss.item(), hits, {name: v.grad for name, v in views.items()}
@@ -317,7 +311,7 @@ def evaluate(params: dict[str, Tensor], model_cfg: ModelConfig,
     with _task_map(model_cfg, 1, len(samples)) as map_samples:
         losses, records = zip(*map_samples(
             lambda s: _eval_sample(frozen, model_cfg, stats, s), samples))
-    hits = sum(int(np.argmax(r.scores)) == r.true_label for r in records)
+    hits = sum(predicted_label(r.scores) == r.true_label for r in records)
     return sum(losses) / len(samples), hits / len(samples), list(records)
 
 
@@ -412,9 +406,13 @@ def load_state(path) -> TrainerState:
         if any(a.shape != shape for a in arrays):
             raise CheckpointError(f"{path}: {name!r} or its optimizer moments do not "
                                   f"have the shape {shape} that the model config needs")
+        # a NaN or inf here would only surface as NaN scores or a diverged
+        # epoch; the arrays are load_checkpoint's own copies, kept as they are
+        if not all(np.isfinite(a).all() for a in arrays) or (arrays[2] < 0).any():
+            raise CheckpointError(f"{path}: {name!r} or its optimizer moments hold a "
+                                  f"non-finite value or a negative second moment")
         params[name] = Tensor(arrays[0], requires_grad=True)
-        m[name] = arrays[1].copy()
-        v[name] = arrays[2].copy()
+        m[name], v[name] = arrays[1], arrays[2]
     return TrainerState(
         model_cfg=model_cfg, train_cfg=train_cfg, params=params,
         adam=AdamState(m=m, v=v, t=adam_t), stats=stats,
@@ -494,19 +492,3 @@ def write_history(path, history: list[EpochRecord]) -> None:
         for r in history:
             fh.write(f"{r.epoch},{r.train_loss!r},{r.train_acc!r},"
                      f"{r.test_loss!r},{r.test_acc!r}\n")
-
-
-def read_history(path) -> list[EpochRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != HISTORY_HEADER:
-        raise DataError(f"{path}: not a history file")
-    out = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise DataError(f"{path}: line {lineno}: expected 5 fields")
-        out.append(EpochRecord(epoch=int(parts[0]), train_loss=float(parts[1]),
-                               train_acc=float(parts[2]), test_loss=float(parts[3]),
-                               test_acc=float(parts[4])))
-    return out

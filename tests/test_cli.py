@@ -3,6 +3,7 @@ config merge precedence.  Commands run in-process via main(argv); the
 corruption self-tests restore ``tensor._make`` afterwards, and one of them
 runs in a subprocess to see the real exit code."""
 
+import csv
 import hashlib
 import os
 import shlex
@@ -26,7 +27,7 @@ from hgtnet.errors import ConfigError, HgtnetError
 from hgtnet.gradcheck import op_battery
 from hgtnet.kvtext import parse_kv
 from hgtnet.metrics import PredictionRecord, write_predictions
-from hgtnet.model import tiny_config
+from hgtnet.model import ModelConfig, tiny_config
 from hgtnet.rng import RngStream
 
 TRAIN_ARGS = ["train", "--synth", "--per-class", "8", "--tiny",
@@ -41,6 +42,17 @@ TINY_RUN_PARAMS_SHA256 = "2d4b2af00b1754150315960bbce9a61e267c7aa3a7f3bd44e0f67b
 TINY_RUN_TRAIN_LOSSES = [1.7210075959983828, 1.648000810747242]
 TINY_RUN_TEST_LOSSES = [1.5167721432212826, 1.4534223151484547]
 TINY_RUN_PREDICTIONS_SHA256 = "37f6c07bc4584d493273018c538f83df7533708971cacdd341185817e94113a4"
+
+# the bitwise reference: two epochs of the paper-default model on
+# synth_dataset(2, 224, RngStream(seed=5)) at batch 4 and seed 5, then an
+# evaluate of the same 10 samples.  The pins are the epoch losses, the
+# SHA-256 over each sorted parameter name's parameter, m and v bytes, the
+# SHA-256 of the scores (little-endian float64, sample order) and the
+# mean eval loss
+PAPER_RUN_LOSSES = [1.7118245549402686, 1.6106984244885687]
+PAPER_RUN_STATE_SHA256 = "f068211e7bfaedd0bd4b32a589a098c5a140ec3dcb1249b8138b3e131c9fba34"
+PAPER_RUN_SCORES_SHA256 = "96a3a2e4e5c7ee3943bc8984e3d3dfe31f2228bc65d93ded60b830b8a3c4d621"
+PAPER_RUN_EVAL_LOSS = 1.3786518457797226
 
 
 def _train(tmp_path, sub="run", extra=()):
@@ -212,15 +224,40 @@ class TestTrainCommand:
         params = tr.load_state(out / "last.ckpt").params
         digest = hashlib.sha256(b"".join(params[n].data.tobytes()
                                          for n in sorted(params))).hexdigest()
-        history = tr.read_history(out / "history.csv")
+        with open(out / "history.csv", encoding="utf-8", newline="") as fh:
+            history = list(csv.DictReader(fh))
         predictions = hashlib.sha256((out / "predictions.csv").read_bytes()).hexdigest()
-        assert ((digest, [r.train_loss for r in history], [r.test_loss for r in history],
-                 predictions)
+        assert ((digest, [float(r["train_loss"]) for r in history],
+                 [float(r["test_loss"]) for r in history], predictions)
                 == (TINY_RUN_PARAMS_SHA256, TINY_RUN_TRAIN_LOSSES, TINY_RUN_TEST_LOSSES,
                     TINY_RUN_PREDICTIONS_SHA256)), (
             "the tiny run's bits moved: ROADMAP.md's bitwise rule (under 'Open "
             "items') says when a change may move them, and such a change updates "
             "this pin")
+
+    def test_paper_default_run_matches_its_pinned_bits(self):
+        previous = T.pin_blas_threads(1)
+        if previous is None:
+            pytest.skip("numpy's BLAS has no thread-count symbols to pin")
+        T.pin_blas_threads(previous)
+        samples = data.synth_dataset(2, 224, RngStream(seed=5))
+        stats = data.compute_stats(samples)
+        state = tr.init_state(ModelConfig(), tr.TrainConfig(batch_size=4, seed=5), stats,
+                              [f"class{i}" for i in range(5)])
+        losses = [tr.train_epoch(state.params, state.model_cfg, state.train_cfg, samples,
+                                 stats, data.train_policy(224), state.adam, epoch)[0]
+                  for epoch in range(2)]
+        tables = ({n: p.data for n, p in state.params.items()}, state.adam.m, state.adam.v)
+        state_digest = hashlib.sha256(b"".join(
+            t[n].tobytes() for n in sorted(state.params) for t in tables)).hexdigest()
+        eval_loss, _, records = tr.evaluate(state.params, state.model_cfg, samples, stats)
+        scores = np.array([r.scores for r in records], dtype="<f8")
+        assert ((losses, state_digest, hashlib.sha256(scores.tobytes()).hexdigest(), eval_loss)
+                == (PAPER_RUN_LOSSES, PAPER_RUN_STATE_SHA256, PAPER_RUN_SCORES_SHA256,
+                    PAPER_RUN_EVAL_LOSS)), (
+            "the paper-default run's bits moved: ROADMAP.md's bitwise rule (under "
+            "'Open items') says when a change may move them, and such a change "
+            "updates these pins")
 
     def test_different_seed_changes_history(self, tmp_path):
         a = _train(tmp_path, "a")
@@ -408,6 +445,19 @@ class TestEvalCommand:
         assert code == 5
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "per-class count" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_non_finite_checkpoint_exit_5(self, tmp_path, capsys):
+        state = tr.load_state(_untrained_checkpoint(tmp_path / "a.ckpt"))
+        state.synth_per_class = 2
+        for p in state.params.values():
+            p.data[...] = np.nan
+        tr.save_state(state, tmp_path / "a.ckpt")
+        code = main(["eval", "--checkpoint", str(tmp_path / "a.ckpt"), "--synth",
+                     "--out", str(tmp_path / "x")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "non-finite value" in err
         assert not (tmp_path / "x").exists()
 
     def test_eval_has_no_per_class_flag(self, tmp_path):
