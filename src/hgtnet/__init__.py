@@ -24,5 +24,3 @@ __all__ = [
     "ShapeError",
     "RngStream", "Tensor",
 ]
-
-__version__ = "0.1.0"

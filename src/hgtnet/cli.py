@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Commands: train, eval, metrics, gradcheck, synth, augment.  Every command
-is deterministic given (flags, config file, seed), artifacts are written
-atomically (temp file + rename), and failures exit with a one-line
-diagnostic and a code identifying the failure class:
+is deterministic given (flags, config file, seed), and ``augment`` writes
+the epoch-0 view that training on a ``--data`` tree gives its image.
+Artifacts are written atomically (temp file + rename), and failures exit
+with a one-line diagnostic and a code identifying the failure class:
 
     0  success
     1  gradient check failed
@@ -36,7 +37,7 @@ from .metrics import (build_report, read_predictions, render_report,
                       write_predictions, write_roc)
 from .kvtext import to_kv
 from .model import TINY_PRESET, init_params, model_forward, tiny_config
-from .ppm import from_unit, read_ppm, to_unit, write_ppm
+from .ppm import from_unit, write_ppm
 from .rng import RngStream
 from .tensor import Tensor
 
@@ -127,7 +128,7 @@ def _dataset(per_class: int | None, data_root, image_size: int, seed: int):
         return samples, sorted({s.id.split("_")[0] for s in samples})
     if data_root is None:
         raise ConfigError("no dataset: pass --data DIR or --synth")
-    return data.load_dataset(data_root), data.class_names(data_root)
+    return data.load_dataset(data_root)
 
 
 def _split(samples, seed: int):
@@ -302,18 +303,17 @@ def cmd_synth(args) -> int:
 
 
 def cmd_augment(args) -> int:
+    """Write ``--input`` resized (``before.ppm``) and augmented as epoch 0
+    of a ``--data`` run with the same seed and policy augments it
+    (``after.ppm``): the image is keyed by its ``class_dir/file`` id."""
     cfg = _resolve(args)
     if _maybe_print_config(args, cfg):
         return EXIT_OK
     size = cfg.model.image_size
-    pixels = to_unit(read_ppm(args.input))
-    sample = data.ImageSample(id=os.path.basename(args.input), pixels=pixels, label=0)
+    sample = data.read_sample(args.input, label=0)
     resized = data.apply_policy([sample], cfg.train_aug, rngs=None)[0]
-    if args.no_random:
-        augmented = resized
-    else:
-        rng = RngStream(seed=cfg.seed).derive("aug", 0, sample.id)
-        augmented = data.apply_policy([sample], cfg.train_aug, rngs=[rng])[0]
+    streams = tr.augment_streams(RngStream(seed=cfg.seed), 0, [sample])
+    augmented = data.apply_policy([sample], cfg.train_aug, streams)[0]
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     atomic_write(os.path.join(out, "before.ppm"),
@@ -404,8 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p)
     p.add_argument("--input", required=True, help="input PPM image")
     p.add_argument("--image-size", type=_positive_int, default=None)
-    p.add_argument("--no-random", action="store_true",
-                   help="zero all randomness: output equals the resized input")
     p.set_defaults(func=cmd_augment)
 
     return parser

@@ -92,7 +92,7 @@ class AugmentPolicy:
             raise ConfigError(f"target_size must be >= 1, got {self.target_size}")
 
 
-def train_policy(target: int = 224) -> AugmentPolicy:
+def train_policy(target: int) -> AugmentPolicy:
     """The training-time stack at a ``target`` x ``target`` output."""
     return AugmentPolicy(target_size=(target, target))
 
@@ -101,11 +101,20 @@ def train_policy(target: int = 224) -> AugmentPolicy:
 # loading
 # ---------------------------------------------------------------------------
 
-def load_dataset(root) -> list[ImageSample]:
-    """Read ``<root>/<class_name>/*.ppm`` into samples.
+def read_sample(path, label: int) -> ImageSample:
+    """The PPM image at ``path`` as a sample of class ``label``.  Its id is
+    ``class_name/file_name``, the image's directory and file names, which
+    is what training keys the image's random streams by."""
+    path = Path(path).absolute()
+    return ImageSample(id=f"{path.parent.name}/{path.name}",
+                       pixels=ppm.to_unit(ppm.read_ppm(path)), label=label)
 
-    Class indices follow ascending byte order of the directory names; ids
-    are ``class_name/file_name`` relative paths.
+
+def load_dataset(root) -> tuple[list[ImageSample], list[str]]:
+    """Read ``<root>/<class_name>/*.ppm`` into samples with ``read_sample``,
+    and return them with the class names in label order.
+
+    Class indices follow ascending byte order of the directory names.
     """
     root = Path(root)
     if not root.is_dir():
@@ -118,17 +127,8 @@ def load_dataset(root) -> list[ImageSample]:
         files = sorted(class_dir.glob("*.ppm"), key=lambda f: f.name)
         if not files:
             raise DataError(f"class directory {class_dir} contains no .ppm files")
-        for path in files:
-            pixels = ppm.to_unit(ppm.read_ppm(path))
-            samples.append(ImageSample(id=f"{class_dir.name}/{path.name}",
-                                       pixels=pixels, label=label))
-    return samples
-
-
-def class_names(root) -> list[str]:
-    """Class directory names in label order (ascending byte order)."""
-    root = Path(root)
-    return sorted(d.name for d in root.iterdir() if d.is_dir())
+        samples += [read_sample(path, label) for path in files]
+    return samples, [d.name for d in class_dirs]
 
 
 def stratified_split(samples: list[ImageSample], test_fraction: float,

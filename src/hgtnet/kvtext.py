@@ -11,7 +11,7 @@ import dataclasses
 from .errors import ConfigError
 
 
-def parse_kv(text: str, source: str = "<config>") -> dict[str, str]:
+def parse_kv(text: str, source: str) -> dict[str, str]:
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -34,7 +34,6 @@ class PrfSummary:
     accuracy: float
     macro_avg: tuple[float, float, float]     # precision, recall, f1
     weighted_avg: tuple[float, float, float]
-    zero_division: np.ndarray  # (K,) bool: any denominator hit zero
 
 
 @dataclass
@@ -68,11 +67,9 @@ def precision_recall_f1(confusion: np.ndarray) -> PrfSummary:
     diag = np.diag(confusion).astype(np.float64)
     col = confusion.sum(axis=0).astype(np.float64)
     row = confusion.sum(axis=1).astype(np.float64)
-    zero_division = (col == 0) | (row == 0)
     precision = np.divide(diag, col, out=np.zeros_like(diag), where=col > 0)
     recall = np.divide(diag, row, out=np.zeros_like(diag), where=row > 0)
     pr = precision + recall
-    zero_division |= pr == 0
     f1 = np.divide(2 * precision * recall, pr, out=np.zeros_like(diag), where=pr > 0)
     support = confusion.sum(axis=1)
     total = float(support.sum())
@@ -82,8 +79,7 @@ def precision_recall_f1(confusion: np.ndarray) -> PrfSummary:
                 float(recall @ support / total),
                 float(f1 @ support / total))
     return PrfSummary(precision=precision, recall=recall, f1=f1, support=support,
-                      accuracy=accuracy, macro_avg=macro, weighted_avg=weighted,
-                      zero_division=zero_division)
+                      accuracy=accuracy, macro_avg=macro, weighted_avg=weighted)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ walked only once.
 
 The op set is intentionally small: exactly what the model needs, with
 numpy-style broadcasting supported for add/mul and matmul batch dims.
+Ops take ``Tensor`` inputs; only ``add`` and ``mul`` (and so ``+`` and
+``*``) also take a plain number, such as a loss weight.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ _M_ARENA_MAX = -8
 _HEAP_RETAIN_BYTES = 1 << 30
 
 
-def keep_freed_memory(libc=None) -> bool:
+def keep_freed_memory() -> bool:
     """Have glibc serve arrays of up to 1 GB from the heap, keep freed heap
     memory in the process, and keep one heap for every thread.
 
@@ -51,16 +53,15 @@ def keep_freed_memory(libc=None) -> bool:
     peak.  Capping glibc at one arena makes the training shards' worker
     threads reuse that same retained heap instead of each growing its own.
     The settings are process-wide and idempotent.  Returns whether all
-    three took effect; off Linux, or when ``libc`` (default: the C library
-    of this process) has no ``mallopt``, it does nothing and returns False.
+    three took effect; off Linux, or when the C library of this process has
+    no ``mallopt``, it does nothing and returns False.
     """
-    if libc is None:
-        if not sys.platform.startswith("linux"):
-            return False
-        try:
-            libc = ctypes.CDLL(None)
-        except OSError:
-            return False
+    if not sys.platform.startswith("linux"):
+        return False
+    try:
+        libc = ctypes.CDLL(None)
+    except OSError:
+        return False
     mallopt = getattr(libc, "mallopt", None)
     if mallopt is None:
         return False
@@ -81,19 +82,18 @@ def _numpy_openblas():
     return None
 
 
-def pin_blas_threads(n: int, lib=None) -> int | None:
+def pin_blas_threads(n: int) -> int | None:
     """Set the number of threads BLAS runs each call on to ``n`` and return
     the previous number, so the caller can restore it.
 
     The count is process-wide.  At one thread a GEMM gives the same bits on
     every host, whatever ``OPENBLAS_NUM_THREADS`` says, and it runs on the
     calling thread, so the training shards' worker threads can use the
-    cores instead.  ``lib`` defaults to numpy's bundled scipy-openblas;
-    for a library without its ``scipy_openblas_{get,set}_num_threads64_``
-    symbols (another BLAS, or none found) it does nothing and returns None.
+    cores instead.  The BLAS is numpy's bundled scipy-openblas; without its
+    ``scipy_openblas_{get,set}_num_threads64_`` symbols (another BLAS, or
+    none found) it does nothing and returns None.
     """
-    if lib is None:
-        lib = _numpy_openblas()
+    lib = _numpy_openblas()
     get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
     set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
     if get is None or set_ is None:
@@ -228,9 +228,8 @@ def mul(a, b) -> Tensor:
     return _make(data, "mul", (a, b), backward)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy batch semantics on the leading dims."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -246,11 +245,10 @@ def matmul(a, b) -> Tensor:
     return _make(data, "matmul", (a, b), backward)
 
 
-def linear(x, w, b) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w + b`` over the last axis of x (..., din), with w
     (din, dout) and b (dout,), as one record.  The weight gradient is one
     2-D product on the (rows, din) view and the bias gradient one row sum."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear needs (..., din) @ (din, dout) + (dout,), "
                          f"got {x.shape}, {w.shape}, {b.shape}")
@@ -269,7 +267,6 @@ def linear(x, w, b) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    x = _as_tensor(x)
     data = x.data.reshape(shape)
     x_shape = x.shape
 
@@ -280,7 +277,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    x = _as_tensor(x)
     data = np.ascontiguousarray(x.data.transpose(axes))
     inverse = np.argsort(axes)
 
@@ -291,20 +287,18 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.shape[axis] for t in ts]
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
     def backward(g):
         return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
 
-    return _make(data, "concat", tuple(ts), backward)
+    return _make(data, "concat", tuple(tensors), backward)
 
 
 def take_rows(x: Tensor, start: int, stop: int) -> Tensor:
     """Contiguous slice along axis 0; gradient scatters back with zero fill."""
-    x = _as_tensor(x)
     data = x.data[start:stop].copy()
     x_shape = x.shape
 
@@ -318,7 +312,6 @@ def take_rows(x: Tensor, start: int, stop: int) -> Tensor:
 
 def tsum(x: Tensor) -> Tensor:
     """Sum of every entry, as a scalar."""
-    x = _as_tensor(x)
     x_shape = x.shape
 
     def backward(g):
@@ -329,7 +322,6 @@ def tsum(x: Tensor) -> Tensor:
 
 def tmean(x: Tensor, axis: int) -> Tensor:
     """Mean along one axis, which the output drops."""
-    x = _as_tensor(x)
     x_shape = x.shape
     count = x_shape[axis]
 
@@ -364,7 +356,6 @@ def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     entries: a -inf bias on the False ones, added before the row maximum,
     makes their weight exactly 0.  Every row needs a True entry.
     """
-    x = _as_tensor(x)
     y = x.data + (0.0 if mask is None else np.where(mask, 0.0, -np.inf))
     softmax_in_place(y)
 
@@ -387,7 +378,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     (Vaswani et al. 2017; the recurrence as in FlashAttention, Dao et al.
     2022, without tiling).  Returns ``(out, P)``.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.ndim != 3 or k.shape != v.shape or k.ndim != 3 or \
             q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
         raise ShapeError(f"attention needs B x Nq x d queries and B x Nk x d keys/values, "
@@ -428,7 +418,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize each slice along the last axis to zero mean / unit variance
     (population variance + 1e-5), then apply the learned affine."""
-    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     d = x.shape[-1]
     mean = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
@@ -456,7 +445,6 @@ _GELU_A = 0.044715
 
 def activation(x: Tensor, kind: str, slope: float = 0.01) -> Tensor:
     """Elementwise nonlinearity: relu, gelu (tanh form), or leaky_relu(slope)."""
-    x = _as_tensor(x)
     v = x.data
     if kind == "relu":
         data = np.maximum(v, 0.0)
@@ -506,7 +494,6 @@ def dropout(x: Tensor, p: float, rngs: Sequence[RngStream] | None) -> Tensor:
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {p}")
-    x = _as_tensor(x)
     if rngs is None or p == 0.0:
         return x
     if x.ndim < 1 or len(rngs) != x.shape[0]:
@@ -531,7 +518,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     x: (B, C, H, W), w: (F, C, kH, kW), bias: (F,).  Output extents must be
     exact integers: H' = (H + 2*padding - kH)/stride + 1.
     """
-    x, w, bias = _as_tensor(x), _as_tensor(w), _as_tensor(bias)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input/weight, got {x.shape} and {w.shape}")
     B, C, H, W = x.shape
@@ -598,7 +584,6 @@ def max_pool2d(x: Tensor) -> Tensor:
     offset.  The record keeps them (an eighth of the input's bytes) instead
     of the input and output, and the backward is four multiplies.  An
     untracked input builds no masks."""
-    x = _as_tensor(x)
     if x.ndim != 4 or x.shape[2] < 2 or x.shape[3] < 2 or x.shape[2] % 2 or x.shape[3] % 2:
         raise ShapeError(f"max_pool2d expects a B x C x H x W input with even H, W >= 2, "
                          f"got {x.shape}")

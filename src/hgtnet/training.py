@@ -133,11 +133,11 @@ def init_adam(params: dict[str, Tensor]) -> AdamState:
                      v={n: np.zeros_like(p.data) for n, p in params.items()})
 
 
-def adam_step(params: dict[str, Tensor], moments: AdamState, t: int,
-              cfg: TrainConfig) -> None:
-    """Standard bias-corrected update; a missing gradient counts as zero."""
-    if t < 1:
-        raise ContractError(f"Adam step index must be >= 1, got {t}")
+def adam_step(params: dict[str, Tensor], moments: AdamState, cfg: TrainConfig) -> None:
+    """Count one more step in ``moments.t`` and apply the standard
+    bias-corrected update at that step; a missing gradient counts as zero."""
+    moments.t += 1
+    t = moments.t
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
@@ -159,13 +159,19 @@ def adam_step(params: dict[str, Tensor], moments: AdamState, t: int,
 # epoch loops
 # ---------------------------------------------------------------------------
 
+def augment_streams(root_rng: RngStream, epoch: int,
+                    samples: list[ImageSample]) -> list[RngStream]:
+    """Each sample's augmentation stream at ``epoch``, keyed by its id."""
+    return [root_rng.derive("aug", epoch, s.id) for s in samples]
+
+
 def prepare_batch(samples: list[ImageSample], policy, stats: DatasetStats,
                   model_cfg: ModelConfig, root_rng: RngStream,
                   epoch: int) -> tuple[Tensor, np.ndarray, np.ndarray | None]:
     """Augment and normalize a batch as one shard.  With a positive rotation
     weight the returned tensor stacks the B augmented views followed by B
     rotated copies; labels cover the originals, rotation labels the copies."""
-    aug = apply_policy(samples, policy, [root_rng.derive("aug", epoch, s.id) for s in samples])
+    aug = apply_policy(samples, policy, augment_streams(root_rng, epoch, samples))
     labels = np.asarray([s.label for s in samples], dtype=np.int64)
     if model_cfg.rotation_loss_weight > 0:
         rot, rot_labels = rotation_pretext_sample(
@@ -256,8 +262,7 @@ def _train_step(params, model_cfg, train_cfg, batch, stats, policy, adam, root,
             g = grads[name]
             if g is not None:
                 p.grad = g if p.grad is None else p.grad + g
-    adam.t += 1
-    adam_step(params, adam, adam.t, train_cfg)
+    adam_step(params, adam, train_cfg)
     return sum(r[0] for r in results), sum(r[1] for r in results)
 
 
@@ -387,6 +392,14 @@ def load_state(path) -> TrainerState:
     if len(class_names) != model_cfg.num_classes or not all(class_names):
         raise CheckpointError(f"{path}: bad metadata (data.class_names must list "
                               f"{model_cfg.num_classes} non-empty names, got {class_names})")
+    # a counter that cannot resume fails here, not in the first Adam step or
+    # as a best epoch that no test loss can beat; inf means no best yet
+    if min(adam_t, epoch, best_epoch, bad_epochs) < 0 or \
+            max(best_epoch, bad_epochs) > epoch or not best_test_loss >= 0.0:
+        raise CheckpointError(
+            f"{path}: bad metadata (trainer counters need adam_t, epoch, best_epoch and "
+            f"bad_epochs >= 0, best_epoch and bad_epochs <= epoch and best_test_loss >= 0, "
+            f"got {adam_t}, {epoch}, {best_epoch}, {bad_epochs} and {best_test_loss})")
     if synth_per_class is not None and synth_per_class < 1:
         raise CheckpointError(f"{path}: bad metadata (data.synth_per_class must be >= 1, "
                               f"got {synth_per_class})")

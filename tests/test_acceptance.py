@@ -226,8 +226,7 @@ def test_criterion_6a_overfit_one_batch():
             for p in params.values():
                 p.zero_grad()
             T.backward(loss)
-            adam.t += 1
-            tr.adam_step(params, adam, adam.t, tcfg)
+            tr.adam_step(params, adam, tcfg)
             final, steps = loss.item(), step + 1
             if final < 0.1:
                 break

@@ -3,6 +3,7 @@ config merge precedence.  Commands run in-process via main(argv); the
 corruption self-tests restore ``tensor._make`` afterwards, and one of them
 runs in a subprocess to see the real exit code."""
 
+import argparse
 import csv
 import hashlib
 import os
@@ -28,6 +29,7 @@ from hgtnet.gradcheck import op_battery
 from hgtnet.kvtext import parse_kv
 from hgtnet.metrics import PredictionRecord, write_predictions
 from hgtnet.model import ModelConfig, tiny_config
+from hgtnet.ppm import from_unit, read_ppm
 from hgtnet.rng import RngStream
 
 TRAIN_ARGS = ["train", "--synth", "--per-class", "8", "--tiny",
@@ -177,7 +179,7 @@ class TestConfigFuzz:
     @given(text=st.text(max_size=200))
     def test_parse_kv_arbitrary_text(self, text):
         try:
-            assert isinstance(parse_kv(text), dict)
+            assert isinstance(parse_kv(text, "mem"), dict)
         except ConfigError:
             pass
 
@@ -542,6 +544,18 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "data.class_names must list 5" in err
 
+    def test_checkpoint_with_negative_counter_exit_5(self, tmp_path, capsys):
+        snap = ckpt.load_checkpoint(_untrained_checkpoint(tmp_path / "full.ckpt"))
+        snap.metadata["trainer.adam_t"] = "-1"
+        bad = tmp_path / "bad.ckpt"
+        ckpt.save_checkpoint(bad, snap.metadata, snap.params, snap.moments)
+        code = main(["eval", "--checkpoint", str(bad), "--synth",
+                     "--out", str(tmp_path / "x")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "trainer counters" in err
+        assert not (tmp_path / "x").exists()
+
     def _synth_tree(self, tmp_path):
         tree = tmp_path / "tree"
         assert main(["synth", "--out", str(tree), "--per-class", "2",
@@ -769,8 +783,9 @@ class TestSynthCommand:
         out = tmp_path / "tree"
         assert main(["synth", "--out", str(out), "--per-class", "3",
                      "--image-size", "32", "--seed", "5"]) == 0
-        samples = data.load_dataset(out)
+        samples, names = data.load_dataset(out)
         assert len(samples) == 15
+        assert names == [f"class{k}" for k in range(5)]
         assert sorted({s.label for s in samples}) == [0, 1, 2, 3, 4]
 
     def test_deterministic_bytes(self, tmp_path):
@@ -797,12 +812,34 @@ class TestAugmentCommand:
                      "--seed", "4", "--out", str(out)]) == 0
         assert (out / "before.ppm").exists() and (out / "after.ppm").exists()
 
-    def test_no_random_equals_resize_only(self, tmp_path):
-        img = self._input_image(tmp_path)
+    def test_after_is_the_epoch_0_view_that_training_gives_the_file(self, tmp_path):
+        # keyed by the file's bare name, after.ppm showed a view that
+        # training on the tree never uses
+        tree = tmp_path / "tree"
+        assert main(["synth", "--out", str(tree), "--per-class", "2",
+                     "--image-size", "32", "--seed", "1"]) == 0
         out = tmp_path / "aug"
-        assert main(["augment", "--input", str(img), "--image-size", "32",
-                     "--no-random", "--out", str(out)]) == 0
-        assert (out / "before.ppm").read_bytes() == (out / "after.ppm").read_bytes()
+        assert main(["augment", "--input", str(tree / "class0" / "0000.ppm"),
+                     "--image-size", "32", "--seed", "7", "--out", str(out)]) == 0
+        samples, _ = data.load_dataset(tree)
+        sample = next(s for s in samples if s.id == "class0/0000.ppm")
+        policy = data.train_policy(32)
+
+        def view(sample_id):
+            stream = RngStream(seed=7).derive("aug", 0, sample_id)
+            return data.apply_policy([sample], policy, [stream])
+
+        # the key is the one prepare_batch uses at epoch 0
+        stats = data.compute_stats(samples)
+        x, _, _ = tr.prepare_batch([sample], policy, stats,
+                                   tiny_config(32, rotation_loss_weight=0.0),
+                                   RngStream(seed=7), epoch=0)
+        assert np.array_equal(x.data, data.normalize(view(sample.id), stats))
+        after = read_ppm(out / "after.ppm")
+        assert np.array_equal(after, from_unit(view(sample.id)[0]))
+        assert not np.array_equal(after, from_unit(view("0000.ppm")[0]))
+        resized = data.apply_policy([sample], policy, rngs=None)[0]
+        assert np.array_equal(read_ppm(out / "before.ppm"), from_unit(resized))
 
     def test_same_seed_same_bytes(self, tmp_path):
         img = self._input_image(tmp_path)
@@ -856,8 +893,13 @@ def test_readme_commands_parse():
     commands = _readme_commands()
     assert len(commands) >= 7
     parser = build_parser()
+    shown = set()
     for command in commands:
         try:
-            parser.parse_args(shlex.split(command)[1:])
+            shown.add(parser.parse_args(shlex.split(command)[1:]).command)
         except SystemExit:
             pytest.fail(f"README.md command does not parse: {command}")
+    # and every subcommand has an example
+    subcommands = next(a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    assert shown == set(subcommands)

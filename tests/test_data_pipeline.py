@@ -178,7 +178,8 @@ class TestLoadDataset:
 
     def test_labels_follow_sorted_dir_names(self, tmp_path):
         self._write_tree(tmp_path, ["zeta", "alpha", "mid"])
-        samples = load_dataset(tmp_path)
+        samples, class_names = load_dataset(tmp_path)
+        assert class_names == ["alpha", "mid", "zeta"]
         assert len(samples) == 6
         by_id = {s.id: s.label for s in samples}
         assert by_id["alpha/f0.ppm"] == 0
@@ -188,13 +189,14 @@ class TestLoadDataset:
     def test_lc25000_class_order(self, tmp_path):
         names = ["colon_aca", "colon_n", "lung_aca", "lung_n", "lung_scc"]
         self._write_tree(tmp_path, names, files_per=1)
-        samples = load_dataset(tmp_path)
+        samples, class_names = load_dataset(tmp_path)
         labels = {s.id.split("/")[0]: s.label for s in samples}
         assert labels == {n: i for i, n in enumerate(names)}
+        assert class_names == names
 
     def test_ids_unique(self, tmp_path):
         self._write_tree(tmp_path, ["a", "b"], files_per=3)
-        samples = load_dataset(tmp_path)
+        samples, _ = load_dataset(tmp_path)
         assert len({s.id for s in samples}) == len(samples)
 
     def test_empty_class_dir_rejected(self, tmp_path):
@@ -211,7 +213,7 @@ class TestLoadDataset:
 
     def test_pixels_in_unit_range(self, tmp_path):
         self._write_tree(tmp_path, ["a"])
-        for s in load_dataset(tmp_path):
+        for s in load_dataset(tmp_path)[0]:
             assert s.pixels.min() >= 0.0 and s.pixels.max() <= 1.0
 
 

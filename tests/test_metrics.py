@@ -68,7 +68,6 @@ class TestPrf:
         assert prf.accuracy == 1.0
         assert prf.macro_avg == (1.0, 1.0, 1.0)
         assert prf.weighted_avg == (1.0, 1.0, 1.0)
-        assert not prf.zero_division.any()
 
     def test_binary_hand_arithmetic(self):
         # actual 0: 8 right, 2 wrong; actual 1: 3 wrong, 7 right
@@ -87,13 +86,12 @@ class TestPrf:
         cm = np.array([[5, 0, 0], [5, 0, 0], [0, 0, 5]])  # class 1 never predicted
         prf = precision_recall_f1(cm)
         assert prf.precision[1] == 0.0 and prf.recall[1] == 0.0 and prf.f1[1] == 0.0
-        assert prf.zero_division[1]
-        assert not prf.zero_division[2]
+        assert prf.precision[2] == prf.recall[2] == prf.f1[2] == 1.0
 
     def test_absent_class_flagged(self):
         cm = np.array([[5, 0], [0, 0]])  # class 1 has no actual samples
         prf = precision_recall_f1(cm)
-        assert prf.recall[1] == 0.0 and prf.zero_division[1]
+        assert prf.precision[1] == prf.recall[1] == prf.f1[1] == 0.0
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ContractError):

@@ -518,17 +518,22 @@ class TestKeepFreedMemory:
         assert T.keep_freed_memory()
         assert T.keep_freed_memory()
 
-    def test_no_op_without_mallopt(self):
-        assert T.keep_freed_memory(libc=types.SimpleNamespace()) is False
+    def test_no_op_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(T.sys, "platform", "linux")
+        monkeypatch.setattr(T.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        assert T.keep_freed_memory() is False
 
-    def test_caps_the_heap_at_one_arena(self):
+    def test_caps_the_heap_at_one_arena(self, monkeypatch):
         calls = []
 
         def mallopt(param, value):
             calls.append((param, value))
             return 1
 
-        assert T.keep_freed_memory(libc=types.SimpleNamespace(mallopt=mallopt))
+        monkeypatch.setattr(T.sys, "platform", "linux")
+        monkeypatch.setattr(T.ctypes, "CDLL",
+                            lambda name: types.SimpleNamespace(mallopt=mallopt))
+        assert T.keep_freed_memory()
         assert (-8, 1) in calls  # M_ARENA_MAX = 1
 
 
@@ -539,8 +544,9 @@ class TestPinBlasThreads:
             pytest.skip("numpy's BLAS has no thread-count symbols")
         assert T.pin_blas_threads(previous) == 1
 
-    def test_no_op_without_the_symbols(self):
-        assert T.pin_blas_threads(1, lib=types.SimpleNamespace()) is None
+    def test_no_op_without_the_symbols(self, monkeypatch):
+        monkeypatch.setattr(T, "_numpy_openblas", lambda: types.SimpleNamespace())
+        assert T.pin_blas_threads(1) is None
 
 
 class TestBackwardContract:

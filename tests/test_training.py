@@ -152,7 +152,8 @@ class TestAdam:
         params = {"p": p}
         moments = tr.init_adam(params)
         cfg = self._cfg()
-        tr.adam_step(params, moments, 1, cfg)
+        tr.adam_step(params, moments, cfg)
+        assert moments.t == 1
         expect = -cfg.learning_rate / (1.0 + cfg.adam_eps)
         assert np.allclose(p.data, expect, rtol=0, atol=1e-18)
 
@@ -163,9 +164,27 @@ class TestAdam:
         cfg = self._cfg(lr=0.5)
         for t in (1, 2):
             p.grad = np.ones(1)
-            tr.adam_step(params, moments, t, cfg)
-        expect = -2 * 0.5 / (1.0 + cfg.adam_eps)
-        assert abs(p.data[0] - expect) < 1e-12
+            tr.adam_step(params, moments, cfg)
+            assert moments.t == t
+            assert abs(p.data[0] - (-t * 0.5 / (1.0 + cfg.adam_eps))) < 1e-12
+
+    def test_steps_from_init_match_the_closed_form_at_each_t(self):
+        # a constant gradient g gives m_t = (1 - b1^t) g and v_t = (1 - b2^t)
+        # g^2, so every bias-corrected step is lr g / (|g| + eps)
+        g = np.array([2.0, -0.5, 1e-3])
+        p = Tensor(np.zeros(3), requires_grad=True)
+        params = {"p": p}
+        moments = tr.init_adam(params)
+        cfg = self._cfg(lr=0.01)
+        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+        for t in range(1, 8):
+            p.grad = g.copy()
+            tr.adam_step(params, moments, cfg)
+            assert moments.t == t
+            assert np.allclose(moments.m["p"], (1 - b1 ** t) * g, rtol=1e-13, atol=0)
+            assert np.allclose(moments.v["p"], (1 - b2 ** t) * g * g, rtol=1e-13, atol=0)
+            step = cfg.learning_rate * g / (np.abs(g) + cfg.adam_eps)
+            assert np.allclose(p.data, -t * step, rtol=1e-12, atol=0)
 
     def test_moment_accumulation_matches_formula(self):
         p = Tensor(np.zeros(2), requires_grad=True)
@@ -173,7 +192,7 @@ class TestAdam:
         params = {"p": p}
         moments = tr.init_adam(params)
         cfg = self._cfg()
-        tr.adam_step(params, moments, 1, cfg)
+        tr.adam_step(params, moments, cfg)
         assert np.allclose(moments.m["p"], (1 - cfg.adam_beta1) * p.grad, atol=1e-18)
         assert np.allclose(moments.v["p"], (1 - cfg.adam_beta2) * p.grad ** 2,
                            atol=1e-18)
@@ -183,14 +202,14 @@ class TestAdam:
         p.grad = np.zeros(4)
         params = {"p": p}
         moments = tr.init_adam(params)
-        tr.adam_step(params, moments, 1, self._cfg())
+        tr.adam_step(params, moments, self._cfg())
         assert np.array_equal(p.data, np.full(4, 1.5))
 
     def test_missing_gradient_counts_as_zero(self):
         p = Tensor(np.full(4, 1.5), requires_grad=True)
         params = {"p": p}
         moments = tr.init_adam(params)
-        tr.adam_step(params, moments, 1, self._cfg())
+        tr.adam_step(params, moments, self._cfg())
         assert np.array_equal(p.data, np.full(4, 1.5))
 
     def test_shape_mismatch_rejected(self):
@@ -198,13 +217,7 @@ class TestAdam:
         p.grad = np.zeros(4)
         params = {"p": p}
         with pytest.raises(ContractError):
-            tr.adam_step(params, tr.init_adam(params), 1, self._cfg())
-
-    def test_step_index_must_be_positive(self):
-        p = Tensor(np.zeros(1), requires_grad=True)
-        params = {"p": p}
-        with pytest.raises(ContractError):
-            tr.adam_step(params, tr.init_adam(params), 0, self._cfg())
+            tr.adam_step(params, tr.init_adam(params), self._cfg())
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -502,8 +515,7 @@ class TestOverfitOneBatch:
             for p in params.values():
                 p.zero_grad()
             T.backward(loss)
-            adam.t += 1
-            tr.adam_step(params, adam, adam.t, tcfg)
+            tr.adam_step(params, adam, tcfg)
             final = loss.item()
             if final < 0.1:
                 break
@@ -858,6 +870,56 @@ class TestPersistence:
         ckpt.save_checkpoint(path, snap.metadata, snap.params, snap.moments)
         with pytest.raises(CheckpointError, match="'gat.w' or its optimizer moments hold"):
             tr.load_state(path)
+
+    def _with_trainer_metadata(self, tmp_path, **values):
+        """A tiny untrained checkpoint whose ``trainer.*`` keys are
+        overridden by ``values``; returns its path."""
+        samples, train, test, stats, cfg, tcfg, names = _synth_setup()
+        path = tmp_path / "state.ckpt"
+        tr.save_state(tr.init_state(cfg, tcfg, stats, names), path)
+        snap = ckpt.load_checkpoint(path)
+        snap.metadata.update({f"trainer.{k}": str(v) for k, v in values.items()})
+        ckpt.save_checkpoint(path, snap.metadata, snap.params, snap.moments)
+        return path
+
+    def test_negative_adam_step_counter_rejected_on_load(self, tmp_path):
+        # it loaded, and fit then stopped in adam_step with a ContractError
+        path = self._with_trainer_metadata(tmp_path, adam_t=-1)
+        with pytest.raises(CheckpointError, match="trainer counters"):
+            tr.load_state(path)
+
+    @pytest.mark.parametrize("values", [
+        {"epoch": -5}, {"best_epoch": -1}, {"bad_epochs": -2}, {"adam_t": -7, "epoch": 3}],
+        ids=["epoch", "best_epoch", "bad_epochs", "adam_t"])
+    def test_negative_counter_rejected_on_load(self, tmp_path, values):
+        path = self._with_trainer_metadata(tmp_path, **values)
+        with pytest.raises(CheckpointError, match="trainer counters"):
+            tr.load_state(path)
+
+    @pytest.mark.parametrize("values", [
+        {"epoch": 0, "best_epoch": 9}, {"epoch": 2, "bad_epochs": 3},
+        {"epoch": 4, "best_epoch": 5, "bad_epochs": 0}],
+        ids=["best_epoch", "bad_epochs", "best_epoch_by_one"])
+    def test_counter_above_the_epoch_rejected_on_load(self, tmp_path, values):
+        path = self._with_trainer_metadata(tmp_path, **values)
+        with pytest.raises(CheckpointError, match="trainer counters"):
+            tr.load_state(path)
+
+    @pytest.mark.parametrize("loss", ["nan", "-0.5", "-inf"])
+    def test_nan_or_negative_best_loss_rejected_on_load(self, tmp_path, loss):
+        # a NaN best loss loaded, and no later epoch could ever beat it
+        path = self._with_trainer_metadata(tmp_path, best_test_loss=loss)
+        with pytest.raises(CheckpointError, match="trainer counters"):
+            tr.load_state(path)
+
+    @pytest.mark.parametrize("values", [
+        {"epoch": 3, "best_epoch": 3, "bad_epochs": 3, "best_test_loss": "0.0"},
+        {"epoch": 2, "best_epoch": 0, "bad_epochs": 2, "best_test_loss": "inf"}])
+    def test_counters_at_their_bounds_load(self, tmp_path, values):
+        state = tr.load_state(self._with_trainer_metadata(tmp_path, adam_t=0, **values))
+        assert (state.epoch, state.best_epoch, state.bad_epochs, state.adam.t) == \
+            (values["epoch"], values["best_epoch"], values["bad_epochs"], 0)
+        assert state.best_test_loss == float(values["best_test_loss"])
 
     def test_config_kv_round_trip(self):
         cfg = tiny_config(32, rotation_loss_weight=0.25)
