@@ -83,8 +83,9 @@ class ModelConfig:
             raise ConfigError(f"the model would have {Decimal(count):.3e} parameters; "
                               f"the limit is {Decimal(MAX_PARAMS):.3e}")
         # per-image maps that grow with the token counts, not with the weights:
-        # the probabilities each encoder layer and the cross-attention keep
-        # for the backward, plus the graph adjacency and its attention map
+        # the probabilities each encoder layer and the cross-attention build
+        # in the forward and again in the backward, plus the graph adjacency
+        # and its attention map
         n = self.num_tokens
         entries = (self.num_heads * n * (n * self.num_encoder_layers + extent * extent)
                    + 2 * n * n)

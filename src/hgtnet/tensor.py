@@ -372,11 +372,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
 
     q is B x Nq x d, k and v are B x Nk x d; each head attends over its
     d/heads slice of the features and the heads are merged back into
-    B x Nq x d.  The 1/sqrt(d/heads) scale is folded into q,
+    B x Nq x d.  The 1/sqrt(d/heads) scale is folded into q, and
     ``softmax_in_place`` turns the score buffer into the probabilities P
-    (B x heads x Nq x Nk), and only P is kept for the closed-form backward
-    (Vaswani et al. 2017; the recurrence as in FlashAttention, Dao et al.
-    2022, without tiling).  Returns ``(out, P)``.
+    (B x heads x Nq x Nk).  The record keeps the scaled queries, the keys
+    and the values, not P: the closed-form backward rebuilds P from them
+    with the forward's own code, so it gets the same bits (Vaswani et al.
+    2017; recomputation and the recurrence as in FlashAttention, Dao et
+    al. 2022, without tiling).  Returns ``(out, P)``.
     """
     if q.ndim != 3 or k.shape != v.shape or k.ndim != 3 or \
             q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
@@ -397,11 +399,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
 
     qs = q.data * scale
     qh, kh, vh = split(qs, Nq), split(k.data, Nk), split(v.data, Nk)
-    p = qh @ kh.transpose(0, 1, 3, 2)                         # B x h x Nq x Nk
-    softmax_in_place(p)
+
+    def probabilities():  # B x h x Nq x Nk
+        p = qh @ kh.transpose(0, 1, 3, 2)
+        softmax_in_place(p)
+        return p
+
+    p = probabilities()
     out = merge(p @ vh, Nq)
 
     def backward(g):
+        p = probabilities()
         gh = split(g, Nq)
         gv = merge(p.transpose(0, 1, 3, 2) @ gh, Nk)
         gs = gh @ vh.transpose(0, 1, 3, 2)                    # gradient of P
@@ -454,10 +462,15 @@ def activation(x: Tensor, kind: str, slope: float = 0.01) -> Tensor:
             return (g * (data > 0.0),)
     elif kind == "gelu":
         # products, not ``**``: numpy routes v**3 through the slow libm pow
-        t = np.tanh(_GELU_C * (v + _GELU_A * (v * v * v)))
+        def tanh_part():
+            return np.tanh(_GELU_C * (v + _GELU_A * (v * v * v)))
+
+        t = tanh_part()
         data = 0.5 * v * (1.0 + t)
 
+        # the record keeps v only; the backward rebuilds t bit for bit
         def backward(g):
+            t = tanh_part()
             du = _GELU_C * (1.0 + 3.0 * _GELU_A * (v * v))
             return (g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du),)
     elif kind == "leaky_relu":
@@ -539,28 +552,38 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     x_tracked = x.requires_grad
     K, N = kh * kw * C, B * Hh * Ww
 
-    # im2col (Chellapilla et al. 2006) in an offset-major layout: row
-    # (u, v, c) of ``cols`` holds input channel c at window offset (u, v) for
-    # every output position (b, i, j), so each offset is one contiguous slab
-    # and the copy below runs along the output width, not along the kernel
-    if padding:
-        xp = np.zeros((C, B, Hp, Wp))
-        xp[:, :, padding:padding + H, padding:padding + W] = x.data.transpose(1, 0, 2, 3)
-    else:
-        xp = x.data.transpose(1, 0, 2, 3)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (C, B, H', W', kh, kw)
-    cols = np.ascontiguousarray(windows.transpose(4, 5, 0, 1, 2, 3)).reshape(K, N)
+    def im2col(xd):
+        # im2col (Chellapilla et al. 2006) in an offset-major layout: row
+        # (u, v, c) holds input channel c at window offset (u, v) for every
+        # output position (b, i, j), so each offset is one contiguous slab
+        # and the copy below runs along the output width, not the kernel
+        if padding:
+            xp = np.zeros((C, B, Hp, Wp))
+            xp[:, :, padding:padding + H, padding:padding + W] = xd.transpose(1, 0, 2, 3)
+        else:
+            xp = xd.transpose(1, 0, 2, 3)
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+        windows = windows[:, :, ::stride, ::stride]  # (C, B, H', W', kh, kw)
+        return np.ascontiguousarray(windows.transpose(4, 5, 0, 1, 2, 3)).reshape(K, N)
+
+    cols = im2col(x.data)
     wmat = w.data.transpose(0, 2, 3, 1).reshape(F, K)
     out = wmat @ cols
     out += bias.data[:, None]
     # (F, B, H', W') in memory; the next conv reads it without a copy
     out = out.reshape(F, B, Hh, Ww).transpose(1, 0, 2, 3)
+    # an untracked input is the raw image, which its caller holds anyway:
+    # the record keeps it instead of columns kh*kw/stride^2 times its size,
+    # and the backward rebuilds the columns bit for bit
+    image = None
+    if not x_tracked:
+        image, cols = x.data, None
 
     def backward(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(F, N)
         gb = g2.sum(axis=1)
-        gw = (g2 @ cols.T).reshape(F, kh, kw, C).transpose(0, 3, 1, 2)
+        c = cols if image is None else im2col(image)
+        gw = (g2 @ c.T).reshape(F, kh, kw, C).transpose(0, 3, 1, 2)
         if not x_tracked:
             return None, gw, gb
         gcols = (wmat.T @ g2).reshape(kh, kw, C, B, Hh, Ww)

@@ -393,13 +393,16 @@ def load_state(path) -> TrainerState:
         raise CheckpointError(f"{path}: bad metadata (data.class_names must list "
                               f"{model_cfg.num_classes} non-empty names, got {class_names})")
     # a counter that cannot resume fails here, not in the first Adam step or
-    # as a best epoch that no test loss can beat; inf means no best yet
+    # as a best epoch that no test loss can beat; inf means no best yet, and
+    # best epoch 0 means the same
     if min(adam_t, epoch, best_epoch, bad_epochs) < 0 or \
-            max(best_epoch, bad_epochs) > epoch or not best_test_loss >= 0.0:
+            max(best_epoch, bad_epochs) > epoch or not best_test_loss >= 0.0 or \
+            (best_epoch == 0) != (best_test_loss == math.inf):
         raise CheckpointError(
             f"{path}: bad metadata (trainer counters need adam_t, epoch, best_epoch and "
-            f"bad_epochs >= 0, best_epoch and bad_epochs <= epoch and best_test_loss >= 0, "
-            f"got {adam_t}, {epoch}, {best_epoch}, {bad_epochs} and {best_test_loss})")
+            f"bad_epochs >= 0, best_epoch and bad_epochs <= epoch, best_test_loss >= 0, "
+            f"and best_epoch 0 exactly when best_test_loss is inf, got {adam_t}, {epoch}, "
+            f"{best_epoch}, {bad_epochs} and {best_test_loss})")
     if synth_per_class is not None and synth_per_class < 1:
         raise CheckpointError(f"{path}: bad metadata (data.synth_per_class must be >= 1, "
                               f"got {synth_per_class})")
@@ -448,8 +451,17 @@ def fit(state: TrainerState, train_samples: list[ImageSample],
     ``DivergenceError`` for an epoch whose train or test loss is not
     finite, before that epoch is counted or checkpointed.  Returns the
     records for the epochs executed by this call (resume runs return only
-    their continuation).
+    their continuation).  Raises ``ContractError`` before the first epoch
+    when ``state.adam.t`` is not the number of Adam steps that
+    ``state.epoch`` epochs over ``train_samples`` take: Adam's bias
+    correction would then not be the one a straight run applies.
     """
+    steps = -(-len(train_samples) // state.train_cfg.batch_size)
+    if state.adam.t != state.epoch * steps:
+        raise ContractError(
+            f"the Adam step count {state.adam.t} does not match {state.epoch} epochs of "
+            f"{steps} steps over {len(train_samples)} samples at batch "
+            f"{state.train_cfg.batch_size}; resume with the data the state was trained on")
     if policy is None:
         policy = train_policy(state.model_cfg.image_size)
     target = state.train_cfg.max_epochs if max_epochs is None else max_epochs

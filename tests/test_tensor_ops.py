@@ -672,3 +672,133 @@ class TestGraphHoldsRecords:
         assert interior() is None
         T.backward(T.tsum(y))
         assert x.grad.shape == x.shape and gamma.grad.shape == beta.grad.shape == (5,)
+
+
+def _closure_arrays(fn):
+    """Every ndarray a closure reaches through its cells, including the
+    cells of the functions it calls from its enclosing scope."""
+    arrays, stack = [], [fn]
+    while stack:
+        for cell in stack.pop().__closure__ or ():
+            held = cell.cell_contents
+            if isinstance(held, np.ndarray):
+                arrays.append(held)
+            elif isinstance(held, types.FunctionType):
+                stack.append(held)
+    return arrays
+
+
+def conv2d_keeping_cols(x, w, b, stride, padding, g):
+    """Output and (weight, bias) gradients of a conv whose backward reads
+    the im2col columns kept from the forward, as the record kept them
+    before it rebuilt them from an untracked input."""
+    B, C, H, W = x.shape
+    F, _, kh, kw = w.shape
+    Hh, Ww = (H + 2 * padding - kh) // stride + 1, (W + 2 * padding - kw) // stride + 1
+    K, N = kh * kw * C, B * Hh * Ww
+    if padding:
+        xp = np.zeros((C, B, H + 2 * padding, W + 2 * padding))
+        xp[:, :, padding:padding + H, padding:padding + W] = x.transpose(1, 0, 2, 3)
+    else:
+        xp = x.transpose(1, 0, 2, 3)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]
+    cols = np.ascontiguousarray(windows.transpose(4, 5, 0, 1, 2, 3)).reshape(K, N)
+    wmat = w.transpose(0, 2, 3, 1).reshape(F, K)
+    out = wmat @ cols
+    out += b[:, None]
+    g2 = g.transpose(1, 0, 2, 3).reshape(F, N)
+    gw = (g2 @ cols.T).reshape(F, kh, kw, C).transpose(0, 3, 1, 2)
+    return out.reshape(F, B, Hh, Ww).transpose(1, 0, 2, 3), gw, g2.sum(axis=1)
+
+
+def attention_keeping_p(q, k, v, heads, g):
+    """Output, probabilities and (q, k, v) gradients of the attention core
+    with P kept from the forward, as the record kept it before it rebuilt
+    P in the backward."""
+    B, Nq, d = q.shape
+    Nk, hd = k.shape[1], d // heads
+    scale = 1.0 / np.sqrt(hd)
+
+    def split(a, n):
+        return a.reshape(B, n, heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(a, n):
+        return a.transpose(0, 2, 1, 3).reshape(B, n, d)
+
+    qh, kh, vh = split(q * scale, Nq), split(k, Nk), split(v, Nk)
+    p = qh @ kh.transpose(0, 1, 3, 2)
+    T.softmax_in_place(p)
+    out = merge(p @ vh, Nq)
+    gh = split(g, Nq)
+    gv = merge(p.transpose(0, 1, 3, 2) @ gh, Nk)
+    gs = gh @ vh.transpose(0, 1, 3, 2)
+    gs -= np.einsum("...k,...k->...", gs, p)[..., None]
+    gs *= p
+    gq = merge(gs @ kh, Nq)
+    gq *= scale
+    gk = merge(gs.transpose(0, 1, 3, 2) @ qh, Nk)
+    return out, p, (gq, gk, gv)
+
+
+def gelu_keeping_t(v, g):
+    """Output, tanh and input gradient of GELU with ``t`` kept from the
+    forward, as the record kept it before it rebuilt ``t``."""
+    c, a = np.sqrt(2.0 / np.pi), 0.044715
+    t = np.tanh(c * (v + a * (v * v * v)))
+    du = c * (1.0 + 3.0 * a * (v * v))
+    return 0.5 * v * (1.0 + t), t, g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du)
+
+
+class TestRebuiltInBackward:
+    """Arrays that a record rebuilds in its backward instead of keeping:
+    the gradients equal, bit for bit, those of a backward that reads the
+    arrays the forward made, and the closure holds no such array."""
+
+    @pytest.mark.parametrize("hw,k,stride,padding", [(10, 3, 1, 1), (12, 4, 4, 0)],
+                             ids=["3x3-pad1", "patch-embed-4"])
+    def test_conv2d_of_an_untracked_input_keeps_the_image_not_its_columns(
+            self, hw, k, stride, padding):
+        rng = RngStream(seed=61)
+        x = rng.derive("x").normal(2 * 3 * hw * hw).reshape(2, 3, hw, hw)
+        w, b = _leaves(62, (5, 3, k, k), (5,))
+        out = T.conv2d(T.Tensor(x), w, b, stride=stride, padding=padding)
+        g = rng.derive("g").normal(out.size).reshape(out.shape)
+        ref, ref_gw, ref_gb = conv2d_keeping_cols(x, w.data, b.data, stride, padding, g)
+        gx, gw, gb = out.op_record.backward(g)
+        assert gx is None
+        assert np.array_equal(out.data, ref)
+        assert np.array_equal(gw, ref_gw) and np.array_equal(gb, ref_gb)
+        held = _closure_arrays(out.op_record.backward)
+        B, F, Hh, Ww = out.shape
+        assert not any(a.shape == (k * k * 3, B * Hh * Ww) for a in held)
+        assert any(a is x for a in held)
+
+    def test_conv2d_of_a_tracked_input_keeps_its_columns(self):
+        x, w, b = _leaves(63, (2, 3, 6, 6), (4, 3, 3, 3), (4,))
+        out = T.conv2d(x, w, b, padding=1)
+        assert any(a.shape == (27, 72) for a in _closure_arrays(out.op_record.backward))
+
+    @pytest.mark.parametrize("nq,nk,heads", [(5, 7, 2), (6, 6, 3)],
+                             ids=["cross", "self"])
+    def test_attention_keeps_no_probabilities(self, nq, nk, heads):
+        q, k, v = _leaves(64, (2, nq, 6), (2, nk, 6), (2, nk, 6))
+        out, probs = T.attention(q, k, v, heads)
+        g = RngStream(seed=65).normal(out.size).reshape(out.shape)
+        ref, ref_p, ref_grads = attention_keeping_p(q.data, k.data, v.data, heads, g)
+        assert np.array_equal(out.data, ref) and np.array_equal(probs, ref_p)
+        for got, want in zip(out.op_record.backward(g), ref_grads):
+            assert np.array_equal(got, want)
+        held = _closure_arrays(out.op_record.backward)
+        assert not any(a.shape == (2, heads, nq, nk) for a in held)
+
+    def test_gelu_keeps_its_input_not_its_tanh(self):
+        (x,) = _leaves(66, (4, 9))
+        out = T.gelu(x)
+        g = RngStream(seed=67).normal(out.size).reshape(out.shape)
+        ref, t, ref_gx = gelu_keeping_t(x.data, g)
+        (gx,) = out.op_record.backward(g)
+        assert np.array_equal(out.data, ref) and np.array_equal(gx, ref_gx)
+        held = _closure_arrays(out.op_record.backward)
+        assert held and all(a is x.data for a in held)
+        assert not any(np.array_equal(a, t) for a in held)

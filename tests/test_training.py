@@ -413,14 +413,12 @@ class TestShardedStep:
         assert inside == [1, 1]
         assert T.pin_blas_threads(1) == 2
 
-    def test_traced_peak_of_a_64px_shard_step(self):
-        # numpy reports every array to tracemalloc, so this peak is the same
-        # to 0.01 MB on every run: 23.3 MB now that the graph keeps records
-        # and each closure only the arrays it reads, 29.2 MB when records
-        # held their parent tensors, 42.3 MB when every record (and a float
-        # dropout mask) lived until the step returned
-        cfg = ModelConfig(image_size=64)
-        samples = data.synth_dataset(1, 64, RngStream(seed=3))[:2]
+    @staticmethod
+    def _traced_peak_of_a_shard_step(size):
+        """tracemalloc's peak, in MiB, over one paper-default shard step of
+        two synthetic images (and their rotated copies) at ``size`` px."""
+        cfg = ModelConfig(image_size=size)
+        samples = data.synth_dataset(1, size, RngStream(seed=3))[:2]
         stats = data.compute_stats(samples)
         params = init_params(cfg, RngStream(seed=5))
         if tracemalloc.is_tracing():
@@ -428,12 +426,29 @@ class TestShardedStep:
                         "count allocations made before the step")
         tracemalloc.start()
         try:
-            tr._shard_step(params, cfg, samples, 2, stats, data.train_policy(64),
+            tr._shard_step(params, cfg, samples, 2, stats, data.train_policy(size),
                            RngStream(seed=5), 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 26 * 2**20, f"{peak / 2**20:.1f} MB"
+        return peak / 2**20
+
+    # numpy reports every array to tracemalloc, so these peaks are the same
+    # to 0.01 MiB on every run.  At 64 px: 19.9 MiB now that the input-side
+    # convs, the attention cores and GELU rebuild their columns,
+    # probabilities and tanh in the backward, 23.3 MiB when they kept them,
+    # 29.2 MiB when records held their parent tensors, 42.3 MiB when every
+    # record (and a float dropout mask) lived until the step returned
+    def test_traced_peak_of_a_64px_shard_step(self):
+        peak = self._traced_peak_of_a_shard_step(64)
+        assert peak <= 22, f"{peak:.1f} MiB"
+
+    # the paper's scale: 217.3 MiB, against 294.3 MiB when the records kept
+    # the columns, probabilities and tanh; the peak sits in the backward of
+    # the cross-attention
+    def test_traced_peak_of_a_224px_shard_step(self):
+        peak = self._traced_peak_of_a_shard_step(224)
+        assert peak <= 230, f"{peak:.1f} MiB"
 
 
 _HOST_RUN = """
@@ -916,6 +931,18 @@ class TestPersistence:
             (values["epoch"], values["best_epoch"], values["bad_epochs"], 0)
         assert state.best_test_loss == float(values["best_test_loss"])
 
+    # best epoch 1 with no best loss loaded, and resumed as if epoch 1 had
+    # set a best that any finite test loss would then beat
+    @pytest.mark.parametrize("values", [
+        {"epoch": 1, "best_epoch": 1, "best_test_loss": "inf"},
+        {"epoch": 1, "best_epoch": 0, "bad_epochs": 1, "best_test_loss": "1.5"}],
+        ids=["best_epoch_without_a_loss", "loss_without_a_best_epoch"])
+    def test_best_epoch_and_best_loss_that_disagree_rejected_on_load(self, tmp_path,
+                                                                      values):
+        path = self._with_trainer_metadata(tmp_path, **values)
+        with pytest.raises(CheckpointError, match="best_epoch 0 exactly when"):
+            tr.load_state(path)
+
     def test_config_kv_round_trip(self):
         cfg = tiny_config(32, rotation_loss_weight=0.25)
         assert from_kv(ModelConfig, to_kv(cfg, "model."), "model.") == cfg
@@ -953,12 +980,35 @@ class TestResume:
         h_resumed = tr.fit(resumed, train, test, policy=policy, max_epochs=2)
 
         assert len(h_resumed) == 1
+        assert resumed.adam.t == straight.adam.t == 4  # 2 epochs of 2 steps
         assert h_resumed[0].train_loss == h_straight[1].train_loss
         assert h_resumed[0].test_loss == h_straight[1].test_loss
         for n in straight.params:
             assert np.array_equal(straight.params[n].data, resumed.params[n].data)
             assert np.array_equal(straight.adam.m[n], resumed.adam.m[n])
             assert np.array_equal(straight.adam.v[n], resumed.adam.v[n])
+
+    @pytest.mark.parametrize("adam_t", ["0", "3"])
+    def test_resume_with_an_adam_count_off_its_epochs_refused(self, tmp_path, adam_t):
+        # edited to adam_t = 0, this file resumed with Adam's bias correction
+        # restarted: train loss 1.7091812439732132, where the straight run
+        # gives 1.7129965778240324
+        samples, train, test, stats, cfg, tcfg, names = _synth_setup()
+        policy = data.train_policy(32)
+        state = tr.init_state(cfg, tcfg, stats, names)
+        tr.fit(state, train, test, policy=policy, max_epochs=1)
+        path = tmp_path / "mid.ckpt"
+        tr.save_state(state, path)
+        snap = ckpt.load_checkpoint(path)
+        snap.metadata["trainer.adam_t"] = adam_t
+        ckpt.save_checkpoint(path, snap.metadata, snap.params, snap.moments)
+        edited = tr.load_state(path)
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(ContractError, match=f"Adam step count {adam_t} does not match "
+                                                f"1 epochs of 2 steps"):
+            tr.fit(edited, train, test, policy=policy, out_dir=out, max_epochs=2)
+        assert edited.epoch == 1 and os.listdir(out) == []
 
     def test_fit_writes_best_and_last(self, tmp_path):
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
