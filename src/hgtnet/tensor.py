@@ -13,7 +13,11 @@ accumulates into the ``Tensor.grad`` of the leaves only; interior
 gradients are dropped as soon as their parents have them.  Grads share the
 value's shape.  The walk releases each record once its closure has run, so
 a graph's saved arrays are freed while its backward runs and a graph can be
-walked only once.
+walked only once.  Where a saved array would be large and is cheap to
+make again (a convolution's im2col columns, the attention probabilities,
+GELU's tanh), the record keeps the smaller inputs and the backward
+rebuilds the array with the forward's own steps, bit for bit
+(recomputation, Chen et al. 2016).
 
 The op set is intentionally small: exactly what the model needs, with
 numpy-style broadcasting supported for add/mul and matmul batch dims.
@@ -374,11 +378,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     d/heads slice of the features and the heads are merged back into
     B x Nq x d.  The 1/sqrt(d/heads) scale is folded into q, and
     ``softmax_in_place`` turns the score buffer into the probabilities P
-    (B x heads x Nq x Nk).  The record keeps the scaled queries, the keys
-    and the values, not P: the closed-form backward rebuilds P from them
-    with the forward's own code, so it gets the same bits (Vaswani et al.
-    2017; recomputation and the recurrence as in FlashAttention, Dao et
-    al. 2022, without tiling).  Returns ``(out, P)``.
+    (B x heads x Nq x Nk).  The record keeps the scaled queries, the keys,
+    the values and the softmax's row maxima and sums, not P: the
+    closed-form backward rebuilds P from them with the forward's own
+    steps, less its two reductions, so it gets the same bits (Vaswani et
+    al. 2017; recomputation from row statistics and the recurrence as in
+    FlashAttention, Dao et al. 2022, without tiling).  Returns
+    ``(out, P)``.
     """
     if q.ndim != 3 or k.shape != v.shape or k.ndim != 3 or \
             q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
@@ -400,16 +406,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     qs = q.data * scale
     qh, kh, vh = split(qs, Nq), split(k.data, Nk), split(v.data, Nk)
 
-    def probabilities():  # B x h x Nq x Nk
-        p = qh @ kh.transpose(0, 1, 3, 2)
-        softmax_in_place(p)
-        return p
-
-    p = probabilities()
+    p = qh @ kh.transpose(0, 1, 3, 2)  # B x h x Nq x Nk
+    top, total = softmax_in_place(p)
     out = merge(p @ vh, Nq)
 
     def backward(g):
-        p = probabilities()
+        # softmax_in_place's steps on the same scores, with its row statistics
+        p = qh @ kh.transpose(0, 1, 3, 2)
+        p -= top
+        np.exp(p, out=p)
+        p /= total
         gh = split(g, Nq)
         gv = merge(p.transpose(0, 1, 3, 2) @ gh, Nk)
         gs = gh @ vh.transpose(0, 1, 3, 2)                    # gradient of P
@@ -461,18 +467,40 @@ def activation(x: Tensor, kind: str, slope: float = 0.01) -> Tensor:
         def backward(g):
             return (g * (data > 0.0),)
     elif kind == "gelu":
+        # tanh(C * (v + A * v^3)) in one buffer, each step the product or
+        # sum that the plain expression takes, so the bits are the same;
         # products, not ``**``: numpy routes v**3 through the slow libm pow
         def tanh_part():
-            return np.tanh(_GELU_C * (v + _GELU_A * (v * v * v)))
+            t = v * v
+            t *= v
+            t *= _GELU_A
+            t += v
+            t *= _GELU_C
+            return np.tanh(t, out=t)
 
         t = tanh_part()
-        data = 0.5 * v * (1.0 + t)
+        t += 1.0
+        data = 0.5 * v
+        data *= t  # 0.5 v (1 + t)
 
-        # the record keeps v only; the backward rebuilds t bit for bit
+        # the record keeps v only; the backward rebuilds t bit for bit and
+        # builds g (0.5 (1 + t) + 0.5 v (1 - t^2) du) in three buffers
         def backward(g):
             t = tanh_part()
-            du = _GELU_C * (1.0 + 3.0 * _GELU_A * (v * v))
-            return (g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du),)
+            s = t * t
+            np.subtract(1.0, s, out=s)
+            second = 0.5 * v
+            second *= s                    # 0.5 v (1 - t^2)
+            du = np.multiply(v, v, out=s)
+            du *= 3.0 * _GELU_A
+            du += 1.0
+            du *= _GELU_C                  # d/dv of the tanh argument
+            second *= du
+            t += 1.0
+            t *= 0.5                       # 0.5 (1 + t)
+            t += second
+            t *= g
+            return (t,)
     elif kind == "leaky_relu":
         data = np.where(v > 0.0, v, slope * v)
 
@@ -513,14 +541,19 @@ def dropout(x: Tensor, p: float, rngs: Sequence[RngStream] | None) -> Tensor:
         raise ContractError(f"dropout needs one rng stream per row of its "
                             f"{x.shape} input")
     row = x.size // x.shape[0]
-    # the record keeps the bool mask, an eighth of the memory of the float
-    # mask; keep * scale rebuilds that mask's values exactly when it is used
+    # the record keeps the bool mask, an eighth of the memory of a float
+    # mask.  Multiplying by the mask, then by the scale, gives the bits of
+    # x * (keep * scale), -0.0, inf and NaN included: x * 1 is x, and x * 0
+    # is the same signed zero (or NaN) either way
     keep = np.concatenate([r.keep_mask(row, p) for r in rngs]).reshape(x.shape)
     scale = 1.0 / (1.0 - p)
-    data = x.data * (keep * scale)
+    data = x.data * keep
+    data *= scale
 
     def backward(g):
-        return (g * (keep * scale),)
+        gx = g * keep
+        gx *= scale
+        return (gx,)
 
     return _make(data, "dropout", (x,), backward)
 
@@ -549,10 +582,10 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
             f"stride {stride}, padding {padding} gives non-integer output extent")
     Hh, Ww = num_h // stride + 1, num_w // stride + 1
     Hp, Wp = H + 2 * padding, W + 2 * padding
-    x_tracked = x.requires_grad
+    xd, x_tracked = x.data, x.requires_grad
     K, N = kh * kw * C, B * Hh * Ww
 
-    def im2col(xd):
+    def im2col():
         # im2col (Chellapilla et al. 2006) in an offset-major layout: row
         # (u, v, c) holds input channel c at window offset (u, v) for every
         # output position (b, i, j), so each offset is one contiguous slab
@@ -566,24 +599,19 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         windows = windows[:, :, ::stride, ::stride]  # (C, B, H', W', kh, kw)
         return np.ascontiguousarray(windows.transpose(4, 5, 0, 1, 2, 3)).reshape(K, N)
 
-    cols = im2col(x.data)
     wmat = w.data.transpose(0, 2, 3, 1).reshape(F, K)
-    out = wmat @ cols
+    out = wmat @ im2col()
     out += bias.data[:, None]
     # (F, B, H', W') in memory; the next conv reads it without a copy
     out = out.reshape(F, B, Hh, Ww).transpose(1, 0, 2, 3)
-    # an untracked input is the raw image, which its caller holds anyway:
-    # the record keeps it instead of columns kh*kw/stride^2 times its size,
-    # and the backward rebuilds the columns bit for bit
-    image = None
-    if not x_tracked:
-        image, cols = x.data, None
 
+    # the record keeps the input, not its columns (kh*kw/stride^2 times its
+    # size); the backward rebuilds them with the same im2col, bit for bit,
+    # and they are freed once gw has them, before gcols is made
     def backward(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(F, N)
         gb = g2.sum(axis=1)
-        c = cols if image is None else im2col(image)
-        gw = (g2 @ c.T).reshape(F, kh, kw, C).transpose(0, 3, 1, 2)
+        gw = (g2 @ im2col().T).reshape(F, kh, kw, C).transpose(0, 3, 1, 2)
         if not x_tracked:
             return None, gw, gb
         gcols = (wmat.T @ g2).reshape(kh, kw, C, B, Hh, Ww)

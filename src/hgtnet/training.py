@@ -351,7 +351,22 @@ def init_state(model_cfg: ModelConfig, train_cfg: TrainConfig, stats: DatasetSta
                         class_names=list(class_names))
 
 
+def _check_arrays(path, name: str, arrays: tuple[np.ndarray, ...]) -> None:
+    """Reject a parameter and its two optimizer moments, ``(p, m, v)``,
+    when one holds a non-finite value or the second moment a negative one:
+    in a checkpoint they would only surface as NaN scores or a diverged
+    epoch."""
+    if not all(np.isfinite(a).all() for a in arrays) or (arrays[2] < 0).any():
+        raise CheckpointError(f"{path}: {name!r} or its optimizer moments hold a "
+                              f"non-finite value or a negative second moment")
+
+
 def save_state(state: TrainerState, path) -> None:
+    """Write the state as a checkpoint that ``load_state`` accepts; a state
+    whose arrays it would reject raises ``CheckpointError`` before any file
+    is written."""
+    for n, p in state.params.items():
+        _check_arrays(path, n, (p.data, state.adam.m[n], state.adam.v[n]))
     metadata = {**to_kv(state.model_cfg, "model."), **to_kv(state.train_cfg, "train.")}
     metadata["trainer.epoch"] = str(state.epoch)
     metadata["trainer.adam_t"] = str(state.adam.t)
@@ -422,11 +437,8 @@ def load_state(path) -> TrainerState:
         if any(a.shape != shape for a in arrays):
             raise CheckpointError(f"{path}: {name!r} or its optimizer moments do not "
                                   f"have the shape {shape} that the model config needs")
-        # a NaN or inf here would only surface as NaN scores or a diverged
-        # epoch; the arrays are load_checkpoint's own copies, kept as they are
-        if not all(np.isfinite(a).all() for a in arrays) or (arrays[2] < 0).any():
-            raise CheckpointError(f"{path}: {name!r} or its optimizer moments hold a "
-                                  f"non-finite value or a negative second moment")
+        # the arrays are load_checkpoint's own copies, kept as they are
+        _check_arrays(path, name, arrays)
         params[name] = Tensor(arrays[0], requires_grad=True)
         m[name], v[name] = arrays[1], arrays[2]
     return TrainerState(

@@ -336,6 +336,24 @@ class TestDropout:
         assert out.data.tobytes() == (x.data * mask).tobytes()  # -0.0 where x < 0 is dropped
         assert gx.tobytes() == (g * mask).tobytes()
 
+    def test_special_values_equal_the_float_mask_product_bytes(self):
+        tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+        special = np.array([-0.0, 0.0, tiny, -tiny, 1e300, -1e300, np.finfo(float).max,
+                            np.inf, -np.inf, np.nan])
+        x = np.tile(special, (8, 4))
+        g = np.tile(special[::-1], (8, 4))
+        p = 0.3
+        keep = np.concatenate([RngStream(seed=7).derive(i).keep_mask(40, p)
+                               for i in range(8)]).reshape(8, 40)
+        for j in range(len(special)):  # each value is kept somewhere and dropped somewhere
+            assert keep[:, j::len(special)].any() and not keep[:, j::len(special)].all()
+        with np.errstate(over="ignore", invalid="ignore"):  # max * scale, inf * 0
+            out = T.dropout(T.Tensor(x, requires_grad=True), p,
+                            [RngStream(seed=7).derive(i) for i in range(8)])
+            (gx,) = out.op_record.backward(g)
+            assert out.data.tobytes() == (x * (keep / (1 - p))).tobytes()
+            assert gx.tobytes() == (g * (keep / (1 - p))).tobytes()
+
     def test_invalid_rate(self):
         x = T.Tensor(np.ones(3))
         for bad in (-0.1, 1.0, 1.5):
@@ -689,9 +707,10 @@ def _closure_arrays(fn):
 
 
 def conv2d_keeping_cols(x, w, b, stride, padding, g):
-    """Output and (weight, bias) gradients of a conv whose backward reads
-    the im2col columns kept from the forward, as the record kept them
-    before it rebuilt them from an untracked input."""
+    """Output and (input, weight, bias) gradients of a conv whose backward
+    reads the im2col columns kept from the forward, as the record kept them
+    before it rebuilt them from its input; the input gradient scatters the
+    columns' gradient back onto the padded input (col2im)."""
     B, C, H, W = x.shape
     F, _, kh, kw = w.shape
     Hh, Ww = (H + 2 * padding - kh) // stride + 1, (W + 2 * padding - kw) // stride + 1
@@ -709,7 +728,13 @@ def conv2d_keeping_cols(x, w, b, stride, padding, g):
     out += b[:, None]
     g2 = g.transpose(1, 0, 2, 3).reshape(F, N)
     gw = (g2 @ cols.T).reshape(F, kh, kw, C).transpose(0, 3, 1, 2)
-    return out.reshape(F, B, Hh, Ww).transpose(1, 0, 2, 3), gw, g2.sum(axis=1)
+    gcols = (wmat.T @ g2).reshape(kh, kw, C, B, Hh, Ww)
+    gxp = np.zeros((C, B, H + 2 * padding, W + 2 * padding))
+    for u in range(kh):
+        for v in range(kw):
+            gxp[:, :, u:u + stride * Hh:stride, v:v + stride * Ww:stride] += gcols[u, v]
+    gx = gxp[:, :, padding:padding + H, padding:padding + W].transpose(1, 0, 2, 3)
+    return out.reshape(F, B, Hh, Ww).transpose(1, 0, 2, 3), gx, gw, g2.sum(axis=1)
 
 
 def attention_keeping_p(q, k, v, heads, g):
@@ -764,7 +789,7 @@ class TestRebuiltInBackward:
         w, b = _leaves(62, (5, 3, k, k), (5,))
         out = T.conv2d(T.Tensor(x), w, b, stride=stride, padding=padding)
         g = rng.derive("g").normal(out.size).reshape(out.shape)
-        ref, ref_gw, ref_gb = conv2d_keeping_cols(x, w.data, b.data, stride, padding, g)
+        ref, _, ref_gw, ref_gb = conv2d_keeping_cols(x, w.data, b.data, stride, padding, g)
         gx, gw, gb = out.op_record.backward(g)
         assert gx is None
         assert np.array_equal(out.data, ref)
@@ -774,10 +799,35 @@ class TestRebuiltInBackward:
         assert not any(a.shape == (k * k * 3, B * Hh * Ww) for a in held)
         assert any(a is x for a in held)
 
-    def test_conv2d_of_a_tracked_input_keeps_its_columns(self):
-        x, w, b = _leaves(63, (2, 3, 6, 6), (4, 3, 3, 3), (4,))
-        out = T.conv2d(x, w, b, padding=1)
-        assert any(a.shape == (27, 72) for a in _closure_arrays(out.op_record.backward))
+    @pytest.mark.parametrize("hw,stride", [(10, 1), (9, 2)], ids=["3x3-pad1", "3x3-stride2"])
+    def test_conv2d_of_a_tracked_input_keeps_its_input_not_its_columns(self, hw, stride):
+        x, w, b = _leaves(63, (2, 3, hw, hw), (4, 3, 3, 3), (4,))
+        out = T.conv2d(x, w, b, stride=stride, padding=1)
+        g = RngStream(seed=68).normal(out.size).reshape(out.shape)
+        ref, *ref_grads = conv2d_keeping_cols(x.data, w.data, b.data, stride, 1, g)
+        assert np.array_equal(out.data, ref)
+        for got, want in zip(out.op_record.backward(g), ref_grads):
+            assert np.array_equal(got, want)
+        held = _closure_arrays(out.op_record.backward)
+        B, F, Hh, Ww = out.shape
+        assert not any(a.shape == (27, B * Hh * Ww) for a in held)
+        assert any(a is x.data for a in held)
+
+    def test_attention_rebuilds_p_on_tied_and_underflowing_rows(self):
+        q, k, v = _leaves(69, (2, 3, 4), (2, 5, 4), (2, 5, 4))
+        q.data[0] = 0.0          # every score of sample 0 ties
+        k.data[1, 1] = k.data[1, 0]
+        q.data[1] *= 1e3         # score gaps of hundreds: exp underflows to 0
+        out, probs = T.attention(q, k, v, 2)
+        assert (probs[0] == 0.2).all()
+        assert np.array_equal(probs[1, ..., 0], probs[1, ..., 1])
+        assert (probs[1] == 0.0).any() and (probs[1] == 1.0).any()
+        g = RngStream(seed=70).normal(out.size).reshape(out.shape)
+        # gradients from the rebuilt P have the bits of those from the forward's P
+        _, ref_p, ref_grads = attention_keeping_p(q.data, k.data, v.data, 2, g)
+        assert probs.tobytes() == ref_p.tobytes()
+        for got, want in zip(out.op_record.backward(g), ref_grads):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("nq,nk,heads", [(5, 7, 2), (6, 6, 3)],
                              ids=["cross", "self"])
@@ -802,3 +852,68 @@ class TestRebuiltInBackward:
         held = _closure_arrays(out.op_record.backward)
         assert held and all(a is x.data for a in held)
         assert not any(np.array_equal(a, t) for a in held)
+
+    def test_gelu_matches_the_kept_tanh_bytes_at_zeros_subnormals_and_saturation(self):
+        tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+        v = np.array([-0.0, 0.0, tiny, -tiny, -1e-308, 1e-160, 40.0, -40.0, 0.5])
+        g = np.array([1.0, -1.0, 2.0, -0.5, 3.0, 1.0, -1.0, 2.0, -2.0])
+        out = T.gelu(T.Tensor(v, requires_grad=True))
+        ref, _, ref_gx = gelu_keeping_t(v, g)
+        (gx,) = out.op_record.backward(g)
+        assert out.data.tobytes() == ref.tobytes()
+        assert gx.tobytes() == ref_gx.tobytes()
+
+
+def _held_bytes_by_op(records, skip):
+    """Bytes of the distinct ndarray buffers that the records' closures
+    hold, per op name.  Views count as their base buffer; a buffer held by
+    several records counts once, for the first; buffers whose ids are in
+    ``skip`` do not count."""
+    totals, seen = {}, set(skip)
+    for record in records:
+        for a in _closure_arrays(record.backward):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            if id(a) not in seen:
+                seen.add(id(a))
+                totals[record.name] = totals.get(record.name, 0) + a.nbytes
+    return totals
+
+
+class TestHeldArrays:
+    def test_records_of_a_64px_shard_hold_no_conv_columns_and_a_bounded_total(
+            self, monkeypatch):
+        cfg = ModelConfig(image_size=64)
+        samples = data.synth_dataset(1, 64, RngStream(seed=3))[:2]
+        stats = data.compute_stats(samples)
+        params = init_params(cfg, RngStream(seed=5))
+        B = 2 * len(samples)  # the images and their rotated copies
+        # the K x N im2col columns of every conv: the patch embed (whose
+        # columns have as many entries as the image), then the CNN
+        g = cfg.image_size // cfg.patch_size
+        cols_shapes = {(3 * cfg.patch_size ** 2, B * g * g)}
+        for j, c_in in enumerate((3,) + cfg.cnn_channels[:-1]):
+            cols_shapes.add((9 * c_in, B * (cfg.image_size >> j) ** 2))
+        held, real_backward = {}, T.backward
+
+        def count_then_backward(loss):
+            records = _reachable_records(loss)
+            for record in records:
+                if record.name == "conv2d":
+                    shapes = {a.shape for a in _closure_arrays(record.backward)}
+                    assert not shapes & cols_shapes, "a conv2d record holds im2col columns"
+            # the parameters live on without the graph, so they do not count
+            held.update(_held_bytes_by_op(records, {id(p.data) for p in params.values()}))
+            real_backward(loss)
+
+        monkeypatch.setattr(T, "backward", count_then_backward)
+        tr._shard_step(params, cfg, samples, 2, stats, data.train_policy(64),
+                       RngStream(seed=5), 0)
+        assert "conv2d" in held
+        # 8.53 MiB: linear 2.38, conv2d 2.05 (inputs and weight matrices),
+        # attention 1.33, gelu 1.00, relu 0.88; 14.51 MiB while the tracked
+        # convs kept their columns (conv2d 8.05)
+        total = sum(held.values()) / 2**20
+        top = ", ".join(f"{name} {n / 2**20:.2f}" for name, n in
+                        sorted(held.items(), key=lambda kv: -kv[1])[:3])
+        assert total <= 9.2, f"records hold {total:.2f} MiB; most: {top} MiB"
