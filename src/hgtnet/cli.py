@@ -18,6 +18,7 @@ with a one-line diagnostic and a code identifying the failure class:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -125,7 +126,7 @@ def _dataset(per_class: int | None, data_root, image_size: int, seed: int):
     if per_class is not None:
         samples = data.synth_dataset(num_per_class=per_class,
                                      size=image_size, rng=RngStream(seed=seed))
-        return samples, sorted({s.id.split("_")[0] for s in samples})
+        return samples, list(data.SYNTH_CLASS_NAMES)
     if data_root is None:
         raise ConfigError("no dataset: pass --data DIR or --synth")
     return data.load_dataset(data_root)
@@ -150,13 +151,11 @@ def cmd_train(args) -> int:
         return EXIT_OK
     per_class = (args.per_class or 40) if args.synth else None
     samples, names = _dataset(per_class, cfg.data_root, cfg.model.image_size, cfg.seed)
+    model_cfg = dataclasses.replace(cfg.model, num_classes=len(names))
     os.makedirs(cfg.out_dir, exist_ok=True)
-    if len(names) != cfg.model.num_classes:
-        raise ConfigError(f"model expects {cfg.model.num_classes} classes but the "
-                          f"dataset has {len(names)}")
     train_samples, test_samples = _split(samples, cfg.seed)
     stats = data.compute_stats(train_samples)
-    state = tr.init_state(cfg.model, cfg.train, stats, names)
+    state = tr.init_state(model_cfg, cfg.train, stats, names)
     state.synth_per_class = per_class
     history = tr.fit(state, train_samples, test_samples, policy=cfg.train_aug,
                      out_dir=cfg.out_dir, log=lambda msg: print(msg))
@@ -232,8 +231,7 @@ def _model_check(seed: int):
 
     def model_loss(ps):
         cls, rot = model_forward(batch, model_cfg, params)
-        return tr.combined_loss(cls, labels, rot, rot_labels,
-                                model_cfg.rotation_loss_weight)
+        return tr.combined_loss(cls, labels, rot, rot_labels)
 
     return "model", model_loss, list(params.values())
 
@@ -293,10 +291,9 @@ def cmd_synth(args) -> int:
     samples = data.synth_dataset(num_per_class=args.per_class, size=args.image_size,
                                  rng=RngStream(seed=args.seed))
     for s in samples:
-        class_dir, _, stem = s.id.partition("_")
-        directory = os.path.join(args.out, class_dir)
+        directory = os.path.join(args.out, data.SYNTH_CLASS_NAMES[s.label])
         os.makedirs(directory, exist_ok=True)
-        atomic_write(os.path.join(directory, f"{stem}.ppm"),
+        atomic_write(os.path.join(directory, s.id.partition("_")[2] + ".ppm"),
                      lambda p, px=s.pixels: write_ppm(p, from_unit(px)))
     print(f"wrote {len(samples)} images under {args.out}")
     return EXIT_OK

@@ -32,7 +32,7 @@ def run_config_from_kv(kv: dict[str, str]) -> RunConfig:
 
     Unknown keys are rejected before any value is parsed, so typos fail
     loudly instead of silently training with a default.  The augmentation
-    target is the model's input size, not a key of its own.
+    target (the model's input size) and the class count are not keys.
     """
     unknown = sorted(set(kv) - _KEYS)
     if unknown:
@@ -49,7 +49,7 @@ def run_config_from_kv(kv: dict[str, str]) -> RunConfig:
 def run_config_to_kv(cfg: RunConfig) -> dict[str, str]:
     kv = {**to_kv(cfg.model, "model."), **to_kv(cfg.train, "train."),
           **to_kv(cfg.train_aug, "aug.train.")}
-    del kv["aug.train.target_size"]
+    del kv["model.num_classes"], kv["aug.train.target_size"]
     kv["run.data_root"] = cfg.data_root or ""
     kv["run.out_dir"] = cfg.out_dir
     return kv

@@ -486,6 +486,8 @@ _SYNTH_CLASSES = (
     ((0.70, 0.70, 0.30), 12.0, 135.0, 0.22),
     ((0.55, 0.35, 0.70), 5.0, 20.0, 0.26),
 )
+# the synthetic classes' names in label order; ids are <name>_<index>
+SYNTH_CLASS_NAMES = tuple(f"class{k}" for k in range(len(_SYNTH_CLASSES)))
 
 
 def synth_dataset(num_per_class: int, size: int, rng: RngStream) -> list[ImageSample]:
@@ -508,7 +510,7 @@ def synth_dataset(num_per_class: int, size: int, rng: RngStream) -> list[ImageSa
             grating = amp * np.sin(2.0 * np.pi * cycles * wave_axis + phase)
             noise = 0.03 * s.normal(size * size * 3).reshape(size, size, 3)
             px = np.clip(np.asarray(color) + grating[..., None] + noise, 0.0, 1.0)
-            samples.append(ImageSample(id=f"class{label}_{i:04d}", pixels=px, label=label))
+            samples.append(ImageSample(f"{SYNTH_CLASS_NAMES[label]}_{i:04d}", px, label))
     return samples
 
 

@@ -192,8 +192,12 @@ def write_predictions(path, records: list[PredictionRecord]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("sample_id,true_label," + ",".join(f"score_{i}" for i in range(k)) + "\n")
         for r in records:
+            sample_id = r.sample_id
+            if any(c in sample_id for c in ',"\r\n'):
+                # RFC 4180 quoting (csv.writer would leave a lone "\r" bare)
+                sample_id = '"' + sample_id.replace('"', '""') + '"'
             scores = ",".join(f"{s:.17g}" for s in r.scores)
-            fh.write(f"{r.sample_id},{r.true_label},{scores}\n")
+            fh.write(f"{sample_id},{r.true_label},{scores}\n")
 
 
 def read_predictions(path) -> list[PredictionRecord]:
@@ -211,7 +215,8 @@ def read_predictions(path) -> list[PredictionRecord]:
     if header[:2] != ["sample_id", "true_label"] or len(header) < 3:
         raise DataError(f"{path}: line 1: bad header {header!r}")
     width = len(header)
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = reader.line_num  # the row's last line: a quoted id may span lines
         if not row:
             continue
         if len(row) != width:

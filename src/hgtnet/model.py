@@ -23,6 +23,9 @@ from .errors import ConfigError, ContractError, ShapeError
 from .rng import RngStream
 from .tensor import Tensor
 
+# graph attention's LeakyReLU slope, as in GAT (arXiv:1710.10903)
+GAT_LEAKY_SLOPE = 0.2
+
 # the paper default has 1,065,513 parameters; with Adam's two moments each
 # one costs 24 bytes, so the cap keeps a model near 3 GB
 MAX_PARAMS = 2 ** 27
@@ -38,9 +41,7 @@ class ModelConfig:
     mlp_ratio: float = 4.0
     cnn_channels: tuple[int, ...] = (16, 32, 64)
     dropout_p: float = 0.1
-    gat_leaky_slope: float = 0.2
     num_classes: int = 5
-    rotation_loss_weight: float = 0.1
 
     def __post_init__(self):
         self.cnn_channels = tuple(self.cnn_channels)
@@ -63,13 +64,8 @@ class ModelConfig:
         if not self.cnn_channels or min(self.cnn_channels) < 1:
             raise ConfigError(f"cnn_channels must be non-empty and each >= 1, "
                               f"got {self.cnn_channels}")
-        if not math.isfinite(self.gat_leaky_slope):
-            raise ConfigError(f"gat_leaky_slope must be finite, got {self.gat_leaky_slope}")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
-        if not 0.0 <= self.rotation_loss_weight < math.inf:
-            raise ConfigError(f"rotation_loss_weight must be finite and >= 0, "
-                              f"got {self.rotation_loss_weight}")
         # the pooling chain halves the spatial extent per CNN block
         extent = self.image_size
         for _ in self.cnn_channels:
@@ -316,8 +312,8 @@ def build_graph(cfg: ModelConfig) -> np.ndarray:
     return grid8_adjacency(cfg.grid_size, cfg.grid_size)
 
 
-def graph_attention(nodes: Tensor, adjacency: np.ndarray, cfg: ModelConfig,
-                    params: dict[str, Tensor], capture: dict | None = None) -> Tensor:
+def graph_attention(nodes: Tensor, adjacency: np.ndarray, params: dict[str, Tensor],
+                    capture: dict | None = None) -> Tensor:
     """Additive-score attention over the neighborhood structure:
     score(i,j) = leaky_relu(a_src . Wh_i + a_dst . Wh_j) for adjacent pairs,
     normalized per neighborhood; non-edges get weight exactly zero.  The
@@ -332,12 +328,12 @@ def graph_attention(nodes: Tensor, adjacency: np.ndarray, cfg: ModelConfig,
     h = T.matmul(nodes, params["gat.w"])                             # B x N x d
     src = T.matmul(h, params["gat.a_src"])                           # B x N x 1
     dst = T.transpose(T.matmul(h, params["gat.a_dst"]), (0, 2, 1))   # B x 1 x N
-    scores = T.leaky_relu(src + dst, cfg.gat_leaky_slope)            # B x N x N
+    scores = T.leaky_relu(src + dst, GAT_LEAKY_SLOPE)                # B x N x N
     alpha = T.softmax(scores, mask=adjacency[None, :, :])
     if capture is not None:
         capture["gat.attn"] = alpha.data.copy()
     out = T.matmul(alpha, h)
-    return T.leaky_relu(out, cfg.gat_leaky_slope)
+    return T.leaky_relu(out, GAT_LEAKY_SLOPE)
 
 
 def global_average_pool(nodes: Tensor) -> Tensor:
@@ -370,7 +366,7 @@ def model_forward(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
     enc = transformer_encoder(tokens, cfg, params, rngs, capture)
     feat = cnn_branch(x, cfg, params, rngs)
     fused = cross_attention_fuse(feat, enc, cfg, params, capture)
-    nodes = graph_attention(fused, build_graph(cfg), cfg, params, capture)
+    nodes = graph_attention(fused, build_graph(cfg), params, capture)
     pooled = global_average_pool(nodes)
     return (classify_head(pooled, cfg, params, rngs),
             rotation_head(pooled, params))

@@ -17,15 +17,20 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import tensor as T
-from .data import (DatasetStats, ImageSample, apply_policy, normalize,
+from .data import (NUM_ROTATIONS, DatasetStats, ImageSample, apply_policy, normalize,
                    resize_bilinear, rotation_pretext_sample, train_policy)
 from .errors import (CheckpointError, ConfigError, ContractError, DataError,
                      DivergenceError, ShapeError)
-from .kvtext import from_kv, get_float, get_floats, get_int, to_kv
+from .kvtext import from_kv, get_float, get_floats, get_int, parse_kv, render_kv, to_kv
 from .metrics import PredictionRecord, predicted_label
-from .model import ModelConfig, init_params, model_forward, param_shapes
+from .model import GAT_LEAKY_SLOPE, ModelConfig, init_params, model_forward, param_shapes
 from .rng import RngStream
 from .tensor import Tensor
+
+# the rotation-prediction term's weight in the training loss, and Adam's
+# decay rates and guard at their published defaults (arXiv:1412.6980)
+ROTATION_LOSS_WEIGHT = 0.1
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -34,9 +39,6 @@ class TrainConfig:
     batch_size: int = 16
     max_epochs: int = 20
     patience: int = 10
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -48,12 +50,6 @@ class TrainConfig:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        for name in ("adam_beta1", "adam_beta2"):
-            b = getattr(self, name)
-            if not 0.0 <= b < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {b}")
-        if not 0.0 < self.adam_eps < math.inf:
-            raise ConfigError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
         self.seed = int(self.seed) & 0xFFFFFFFFFFFFFFFF
 
 
@@ -100,21 +96,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return T._make(losses.mean(), "cross_entropy", (logits,), backward)
 
 
-def combined_loss(class_logits: Tensor, labels, rot_logits: Tensor | None,
-                  rot_labels, rotation_weight: float) -> Tensor:
-    """Classification CE plus ``rotation_weight`` times the rotation CE.
-
-    A zero weight skips the rotation term entirely, so training degenerates
-    to plain classification exactly.
-    """
-    if rotation_weight < 0:
-        raise ConfigError(f"rotation weight must be >= 0, got {rotation_weight}")
-    class_term = cross_entropy(class_logits, labels)
-    if rotation_weight == 0.0:
-        return class_term
-    if rot_logits is None:
-        raise ContractError("rotation logits required when the rotation weight is positive")
-    return class_term + cross_entropy(rot_logits, rot_labels) * rotation_weight
+def combined_loss(class_logits: Tensor, labels, rot_logits: Tensor, rot_labels) -> Tensor:
+    """Classification CE plus ``ROTATION_LOSS_WEIGHT`` times the rotation CE."""
+    return (cross_entropy(class_logits, labels)
+            + cross_entropy(rot_logits, rot_labels) * ROTATION_LOSS_WEIGHT)
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +123,8 @@ def adam_step(params: dict[str, Tensor], moments: AdamState, cfg: TrainConfig) -
     bias-corrected update at that step; a missing gradient counts as zero."""
     moments.t += 1
     t = moments.t
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if g.shape != p.data.shape:
@@ -148,11 +132,11 @@ def adam_step(params: dict[str, Tensor], moments: AdamState, cfg: TrainConfig) -
                                 f"{name} of shape {p.data.shape}")
         m = moments.m[name]
         v = moments.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p.data -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -166,18 +150,15 @@ def augment_streams(root_rng: RngStream, epoch: int,
 
 
 def prepare_batch(samples: list[ImageSample], policy, stats: DatasetStats,
-                  model_cfg: ModelConfig, root_rng: RngStream,
-                  epoch: int) -> tuple[Tensor, np.ndarray, np.ndarray | None]:
-    """Augment and normalize a batch as one shard.  With a positive rotation
-    weight the returned tensor stacks the B augmented views followed by B
-    rotated copies; labels cover the originals, rotation labels the copies."""
+                  root_rng: RngStream, epoch: int) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Augment and normalize a batch as one shard.  The returned tensor
+    stacks the B augmented views followed by B rotated copies; labels cover
+    the originals, rotation labels the copies."""
     aug = apply_policy(samples, policy, augment_streams(root_rng, epoch, samples))
     labels = np.asarray([s.label for s in samples], dtype=np.int64)
-    if model_cfg.rotation_loss_weight > 0:
-        rot, rot_labels = rotation_pretext_sample(
-            aug, [root_rng.derive("rot", epoch, s.id) for s in samples])
-        return Tensor(normalize(np.concatenate([aug, rot]), stats)), labels, rot_labels
-    return Tensor(normalize(aug, stats)), labels, None
+    rot, rot_labels = rotation_pretext_sample(
+        aug, [root_rng.derive("rot", epoch, s.id) for s in samples])
+    return Tensor(normalize(np.concatenate([aug, rot]), stats)), labels, rot_labels
 
 
 # Each training step splits its batch into SHARDS contiguous sample shards.
@@ -231,8 +212,7 @@ def train_epoch(params: dict[str, Tensor], model_cfg: ModelConfig,
         raise DataError("cannot train on an empty dataset")
     root = RngStream(seed=train_cfg.seed)
     order = root.derive("shuffle", epoch).shuffle(list(range(len(samples))))
-    images = (-(-min(train_cfg.batch_size, len(samples)) // SHARDS)
-              * (2 if model_cfg.rotation_loss_weight > 0 else 1))
+    images = -(-min(train_cfg.batch_size, len(samples)) // SHARDS) * 2
     total_loss = 0.0
     correct = 0
     with _task_map(model_cfg, images, SHARDS) as map_shards:
@@ -273,16 +253,14 @@ def _shard_step(params, model_cfg, shard, b, stats, policy, root, epoch):
 
     Each image draws its dropout masks from a stream keyed by its sample,
     so the masks do not depend on the batch or the shard it lands in."""
-    x, labels, rot_labels = prepare_batch(shard, policy, stats, model_cfg, root, epoch)
+    x, labels, rot_labels = prepare_batch(shard, policy, stats, root, epoch)
     n = len(shard)
-    rngs = [root.derive("drop", epoch, s.id) for s in shard]
-    if rot_labels is not None:
-        rngs += [root.derive("drop", epoch, s.id, "rot") for s in shard]
+    rngs = ([root.derive("drop", epoch, s.id) for s in shard]
+            + [root.derive("drop", epoch, s.id, "rot") for s in shard])
     views = {name: Tensor(p.data, requires_grad=True) for name, p in params.items()}
     cls, rot = model_forward(x, model_cfg, views, rngs=rngs)
-    if rot_labels is not None:  # x stacks the n originals, then their rotated copies
-        cls, rot = T.take_rows(cls, 0, n), T.take_rows(rot, n, 2 * n)
-    loss = combined_loss(cls, labels, rot, rot_labels, model_cfg.rotation_loss_weight) * (n / b)
+    cls, rot = T.take_rows(cls, 0, n), T.take_rows(rot, n, 2 * n)  # originals, then copies
+    loss = combined_loss(cls, labels, rot, rot_labels) * (n / b)
     T.backward(loss)
     hits = int((np.argmax(cls.data, axis=1) == labels).sum())
     return loss.item(), hits, {name: v.grad for name, v in views.items()}
@@ -341,10 +319,18 @@ class TrainerState:
 
 def init_state(model_cfg: ModelConfig, train_cfg: TrainConfig, stats: DatasetStats,
                class_names: list[str]) -> TrainerState:
-    # a checkpoint stores the names comma-joined, so reject a comma before
-    # training rather than when the checkpoint is read back
-    if any("," in name for name in class_names):
-        raise DataError(f"class names must not contain ',': {list(class_names)}")
+    """A fresh state; raises ``DataError`` unless there are ``num_classes``
+    non-empty names that a checkpoint's metadata text gives back unchanged."""
+    if len(class_names) != model_cfg.num_classes:
+        raise DataError(f"{len(class_names)} class names for {model_cfg.num_classes} classes")
+    try:
+        back = parse_kv(render_kv({"data.class_names": ",".join(class_names)}),
+                        "class names")["data.class_names"].split(",")
+    except ConfigError:
+        back = None
+    if back != list(class_names) or not all(class_names):
+        raise DataError(f"class names {list(class_names)} would not survive a checkpoint (empty, "
+                        f"a comma or line break, or whitespace at either end of the list)")
     params = init_params(model_cfg, RngStream(seed=train_cfg.seed))
     return TrainerState(model_cfg=model_cfg, train_cfg=train_cfg, params=params,
                         adam=init_adam(params), stats=stats,
@@ -384,9 +370,22 @@ def save_state(state: TrainerState, path) -> None:
     ckpt.save_checkpoint(path, metadata, params, moments)
 
 
+# keys of settings now constant, at the only text earlier writers could record
+_RETIRED_KEYS = {
+    "model.num_rotations": str(NUM_ROTATIONS), "model.graph_connectivity": "grid8",
+    "model.gat_leaky_slope": str(GAT_LEAKY_SLOPE),
+    "model.rotation_loss_weight": str(ROTATION_LOSS_WEIGHT),
+    "train.adam_beta1": str(ADAM_BETA1), "train.adam_beta2": str(ADAM_BETA2),
+    "train.adam_eps": str(ADAM_EPS)}
+
+
 def load_state(path) -> TrainerState:
     snap = ckpt.load_checkpoint(path)
     kv = snap.metadata
+    for key, text in _RETIRED_KEYS.items():
+        if kv.get(key, text) != text:
+            raise CheckpointError(f"{path}: bad metadata ({key} = {kv[key]}, but this "
+                                  f"version fixes it at {text})")
     try:
         model_cfg = from_kv(ModelConfig, kv, "model.")
         train_cfg = from_kv(TrainConfig, kv, "train.")

@@ -71,8 +71,7 @@ def test_criterion_1_gradient_suite():
 
             def loss(ps):
                 cls, rlg = model_forward(x, cfg, params)
-                return tr.combined_loss(cls, labels, rlg, rot,
-                                        cfg.rotation_loss_weight)
+                return tr.combined_loss(cls, labels, rlg, rot)
 
             err = check_gradients(loss, list(params.values()),
                                   sample_per_param=2,
@@ -190,8 +189,7 @@ def test_criterion_5_loss_calibration():
             assert abs(ce - math.log(5)) < 0.2, f"seed {seed}: CE {ce}"
             uniform_rot = Tensor(np.zeros((len(samples), 4)))
             rot_labels = np.arange(len(samples)) % 4
-            combined = tr.combined_loss(cls, labels, uniform_rot, rot_labels,
-                                        0.1).item()
+            combined = tr.combined_loss(cls, labels, uniform_rot, rot_labels).item()
             assert abs(combined - ce - 0.1 * math.log(4)) < 1e-6, f"seed {seed}"
 
 
@@ -212,7 +210,7 @@ def test_criterion_6a_overfit_one_batch():
             sharpness_factor=0.0, sharpness_prob=0.0, blur_kernel=1,
             target_size=(32, 32))
         x, labels, rot_labels = tr.prepare_batch(
-            samples, mild, stats, cfg, RngStream(seed=3), epoch=0)
+            samples, mild, stats, RngStream(seed=3), epoch=0)
         params = init_params(cfg, RngStream(seed=11))
         adam = tr.init_adam(params)
         b = len(samples)
@@ -221,8 +219,7 @@ def test_criterion_6a_overfit_one_batch():
             cls_all, rot_all = model_forward(x, cfg, params)
             cls = T.take_rows(cls_all, 0, b)
             rot = T.take_rows(rot_all, b, 2 * b)
-            loss = tr.combined_loss(cls, labels, rot, rot_labels,
-                                    cfg.rotation_loss_weight)
+            loss = tr.combined_loss(cls, labels, rot, rot_labels)
             for p in params.values():
                 p.zero_grad()
             T.backward(loss)

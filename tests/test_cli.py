@@ -24,7 +24,7 @@ from hgtnet import training as tr
 from hgtnet.cli import build_parser, main
 from hgtnet.config import (load_run_config, render_run_config,
                            run_config_from_kv, run_config_to_kv)
-from hgtnet.errors import ConfigError, HgtnetError
+from hgtnet.errors import CheckpointError, ConfigError, HgtnetError
 from hgtnet.gradcheck import op_battery
 from hgtnet.kvtext import parse_kv
 from hgtnet.metrics import PredictionRecord, write_predictions
@@ -68,19 +68,37 @@ class TestConfigMerge:
     def test_defaults_round_trip(self):
         cfg = run_config_from_kv({"model.image_size": "32"})
         assert run_config_from_kv(run_config_to_kv(cfg)) == cfg
-        # every aug.train.* key away from its default survives the text form
-        policy = {"aug.train.flip_prob": "0.25", "aug.train.max_rotation_deg": "7.5",
-                  "aug.train.jitter_brightness": "0.3", "aug.train.jitter_contrast": "0.4",
-                  "aug.train.jitter_saturation": "0.1", "aug.train.jitter_hue": "0.125",
-                  "aug.train.sharpness_factor": "1.5", "aug.train.sharpness_prob": "0.75",
-                  "aug.train.blur_kernel": "5", "aug.train.blur_sigma": "0.5,1.5"}
-        cfg = run_config_from_kv({"model.image_size": "32", **policy})
-        assert cfg.train_aug == data.AugmentPolicy(
-            flip_prob=0.25, max_rotation_deg=7.5, jitter_brightness=0.3,
-            jitter_contrast=0.4, jitter_saturation=0.1, jitter_hue=0.125,
-            sharpness_factor=1.5, sharpness_prob=0.75, blur_kernel=5,
-            blur_sigma=(0.5, 1.5), target_size=(32, 32))
-        assert run_config_from_kv(parse_kv(render_run_config(cfg), "mem")) == cfg
+
+    # one valid value away from the default for every key that
+    # train --print-config lists, in its text form
+    LIVE_VALUES = {
+        "model.image_size": "32", "model.patch_size": "8", "model.embed_dim": "64",
+        "model.num_heads": "8", "model.num_encoder_layers": "2", "model.mlp_ratio": "2.0",
+        "model.cnn_channels": "8,16,32", "model.dropout_p": "0.2",
+        "train.learning_rate": "0.001", "train.batch_size": "8", "train.max_epochs": "3",
+        "train.patience": "2", "train.seed": "7",
+        "aug.train.flip_prob": "0.25", "aug.train.max_rotation_deg": "7.5",
+        "aug.train.jitter_brightness": "0.3", "aug.train.jitter_contrast": "0.4",
+        "aug.train.jitter_saturation": "0.1", "aug.train.jitter_hue": "0.125",
+        "aug.train.sharpness_factor": "1.5", "aug.train.sharpness_prob": "0.75",
+        "aug.train.blur_kernel": "5", "aug.train.blur_sigma": "0.5,1.5",
+        "run.data_root": "some/tree", "run.out_dir": "some/run"}
+
+    def test_every_run_config_key_is_live(self, capsys):
+        # a key whose value changes nothing, or a key without a row here,
+        # fails: each --set moves both the resolved config and its text
+        assert main(["train", "--print-config"]) == 0
+        default_text = capsys.readouterr().out
+        assert {ln.split(" = ")[0] for ln in default_text.splitlines()} == set(self.LIVE_VALUES)
+        default = cli._resolve(build_parser().parse_args(["train"]))
+        for key, value in self.LIVE_VALUES.items():
+            argv = ["train", "--set", f"{key}={value}"]
+            cfg = cli._resolve(build_parser().parse_args(argv))
+            assert cfg != default, key
+            assert run_config_from_kv(parse_kv(render_run_config(cfg), "mem")) == cfg, key
+            assert main(argv + ["--print-config"]) == 0
+            text = capsys.readouterr().out
+            assert text != default_text and f"{key} = {value}\n" in text, key
 
     def test_file_overrides_defaults_and_flags_override_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -122,11 +140,9 @@ class TestConfigMerge:
         assert keys == [
             "model.image_size", "model.patch_size", "model.embed_dim",
             "model.num_heads", "model.num_encoder_layers", "model.mlp_ratio",
-            "model.cnn_channels", "model.dropout_p", "model.gat_leaky_slope",
-            "model.num_classes", "model.rotation_loss_weight",
+            "model.cnn_channels", "model.dropout_p",
             "train.learning_rate", "train.batch_size", "train.max_epochs",
-            "train.patience", "train.adam_beta1", "train.adam_beta2",
-            "train.adam_eps", "train.seed",
+            "train.patience", "train.seed",
             "aug.train.flip_prob", "aug.train.max_rotation_deg",
             "aug.train.jitter_brightness", "aug.train.jitter_contrast",
             "aug.train.jitter_saturation", "aug.train.jitter_hue",
@@ -139,7 +155,14 @@ class TestConfigMerge:
                                       "run.checkpoint=a.ckpt",
                                       # the policy target is model.image_size
                                       "aug.train.target_size=1",
-                                      "aug.train.target_size=0,0"])
+                                      "aug.train.target_size=0,0",
+                                      # constants now, and the class count is the dataset's
+                                      "model.gat_leaky_slope=nan", "model.gat_leaky_slope=inf",
+                                      "train.adam_eps=nan", "train.adam_eps=inf",
+                                      "model.rotation_loss_weight=nan",
+                                      "model.rotation_loss_weight=inf",
+                                      "train.adam_beta1=0.9", "train.adam_beta2=0.999",
+                                      "model.num_classes=2"])
     def test_removed_keys_rejected(self, pair, capsys):
         assert main(["train", "--print-config", "--set", pair]) == 2
         assert "unknown config keys: " + pair.split("=")[0] in capsys.readouterr().err
@@ -305,6 +328,54 @@ class TestTrainCommand:
         assert len(err.splitlines()) == 1 and "'class,2'" in err
         assert not (out / "best.ckpt").exists()
 
+    @pytest.mark.parametrize("name", [" class2", "class\n2"])
+    def test_class_name_the_checkpoint_cannot_return_is_data_error(self, name, tmp_path,
+                                                                   capsys):
+        # the leading space was stripped when the checkpoint was read back,
+        # and the line break made both checkpoints unreadable
+        tree = tmp_path / "tree"
+        assert main(["synth", "--out", str(tree), "--per-class", "2",
+                     "--image-size", "32", "--seed", "5"]) == 0
+        (tree / "class2").rename(tree / name)
+        out = tmp_path / "x"
+        code = main(["train", "--data", str(tree), "--tiny", "--image-size", "32",
+                     "--epochs", "1", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and repr(name) in err
+        assert not (out / "best.ckpt").exists() and not (out / "last.ckpt").exists()
+
+    def test_two_class_tree_trains_evaluates_and_scores(self, tmp_path, capsys):
+        # the class count comes from the tree, with no --set
+        tree = tmp_path / "tree"
+        assert main(["synth", "--out", str(tree), "--per-class", "4",
+                     "--image-size", "32"]) == 0
+        for k in (2, 3, 4):
+            shutil.rmtree(tree / f"class{k}")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(tree), "--tiny", "--image-size", "32",
+                     "--epochs", "1", "--out", str(out)]) == 0
+        metadata = ckpt.load_checkpoint(out / "best.ckpt").metadata
+        assert metadata["model.num_classes"] == "2"
+        assert metadata["data.class_names"] == "class0,class1"
+        assert main(["eval", "--checkpoint", str(out / "best.ckpt"), "--data", str(tree),
+                     "--out", str(tmp_path / "ev")]) == 0
+        assert main(["metrics", "--predictions", str(tmp_path / "ev" / "predictions.csv")]) == 0
+
+    def test_one_class_tree_is_config_error(self, tmp_path, capsys):
+        tree = tmp_path / "tree"
+        assert main(["synth", "--out", str(tree), "--per-class", "2",
+                     "--image-size", "32"]) == 0
+        for k in (1, 2, 3, 4):
+            shutil.rmtree(tree / f"class{k}")
+        out = tmp_path / "x"
+        code = main(["train", "--data", str(tree), "--tiny", "--image-size", "32",
+                     "--epochs", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "num_classes must be >= 2" in err
+        assert not out.exists()
+
     def test_invalid_geometry_is_config_error(self, tmp_path, capsys):
         code = main(["train", "--synth", "--image-size", "30",
                      "--out", str(tmp_path / "x")])
@@ -321,10 +392,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize("pair", [
         "model.mlp_ratio=0", "model.mlp_ratio=-1", "model.mlp_ratio=nan",
         "model.mlp_ratio=0.01", "model.cnn_channels=0", "model.cnn_channels=4,0",
-        "model.gat_leaky_slope=nan", "model.gat_leaky_slope=inf",
-        "train.learning_rate=nan", "train.adam_eps=nan",
-        "model.rotation_loss_weight=nan", "train.learning_rate=inf", "train.adam_eps=inf",
-        "model.rotation_loss_weight=inf"])
+        "train.learning_rate=nan", "train.learning_rate=inf"])
     def test_out_of_range_value_is_config_error(self, pair, tmp_path, capsys):
         out = tmp_path / "x"
         code = main(TRAIN_ARGS + ["--out", str(out), "--set", pair])
@@ -548,6 +616,27 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "data.class_names must list 5" in err
 
+    @pytest.mark.parametrize("key, text", [
+        ("model.num_rotations", "8"), ("model.graph_connectivity", "grid4"),
+        ("model.gat_leaky_slope", "0.1"), ("model.rotation_loss_weight", "0.0"),
+        ("train.adam_beta1", "0.8"), ("train.adam_beta2", "0.99"),
+        ("train.adam_eps", "1e-06")])
+    def test_checkpoint_with_a_retired_key_at_another_value_exit_5(self, key, text,
+                                                                   tmp_path, capsys):
+        snap = ckpt.load_checkpoint(_untrained_checkpoint(tmp_path / "full.ckpt"))
+        snap.metadata[key] = text
+        bad = tmp_path / "bad.ckpt"
+        ckpt.save_checkpoint(bad, snap.metadata, snap.params, snap.moments)
+        with pytest.raises(CheckpointError, match=f"{key} = {text}"):
+            tr.load_state(bad)
+        tree = self._synth_tree(tmp_path)
+        code = main(["eval", "--checkpoint", str(bad), "--data", str(tree),
+                     "--out", str(tmp_path / "x")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"{key} = {text}" in err
+        assert not (tmp_path / "x").exists()
+
     def test_checkpoint_with_negative_counter_exit_5(self, tmp_path, capsys):
         snap = ckpt.load_checkpoint(_untrained_checkpoint(tmp_path / "full.ckpt"))
         snap.metadata["trainer.adam_t"] = "-1"
@@ -751,7 +840,6 @@ class TestGradcheckCommand:
     def test_every_op_a_training_step_records_is_corruptible(self):
         # one tiny step with dropout and the rotation term
         cfg = tiny_config(32, dropout_p=0.1)
-        assert cfg.rotation_loss_weight > 0
         samples = data.synth_dataset(1, 32, RngStream(seed=2))
         stats = data.compute_stats(samples)
         state = tr.init_state(cfg, tr.TrainConfig(batch_size=len(samples)), stats,
@@ -835,10 +923,8 @@ class TestAugmentCommand:
 
         # the key is the one prepare_batch uses at epoch 0
         stats = data.compute_stats(samples)
-        x, _, _ = tr.prepare_batch([sample], policy, stats,
-                                   tiny_config(32, rotation_loss_weight=0.0),
-                                   RngStream(seed=7), epoch=0)
-        assert np.array_equal(x.data, data.normalize(view(sample.id), stats))
+        x, _, _ = tr.prepare_batch([sample], policy, stats, RngStream(seed=7), epoch=0)
+        assert np.array_equal(x.data[:1], data.normalize(view(sample.id), stats))
         after = read_ppm(out / "after.ppm")
         assert np.array_equal(after, from_unit(view(sample.id)[0]))
         assert not np.array_equal(after, from_unit(view("0000.ppm")[0]))

@@ -303,6 +303,25 @@ class TestPredictionCsv:
         back = read_predictions(path)
         assert back == records  # %.17g round-trips every float64 exactly
 
+    def test_ids_with_commas_quotes_and_line_breaks_round_trip(self, tmp_path):
+        # an id with a comma gave its row one field too many
+        ids = ["class0/a,b.ppm", 'q"uo"te', '"', "line\nbreak", "cr\rlf\r\n", "\n",
+               " padded ", "", "a\u2028b", "plain"]
+        records = [PredictionRecord(sample_id, i % 2, (0.25, 0.75))
+                   for i, sample_id in enumerate(ids)]
+        path = tmp_path / "pred.csv"
+        write_predictions(path, records)
+        assert read_predictions(path) == records
+        assert path.read_bytes().endswith(b"\nplain,1,0.25,0.75\n")
+
+    def test_line_number_counts_the_lines_of_a_quoted_id(self, tmp_path):
+        path = tmp_path / "pred.csv"
+        path.write_text('sample_id,true_label,score_0,score_1\n'
+                        '"a\nb",0,0.5,0.5\n'
+                        'c,zero,0.5,0.5\n')
+        with pytest.raises(DataError, match="line 4"):
+            read_predictions(path)
+
     def test_at_least_nine_significant_digits(self, tmp_path):
         records = [PredictionRecord("a", 0, (1 / 3, 2 / 3))]
         path = tmp_path / "pred.csv"

@@ -7,7 +7,7 @@ from hgtnet import tensor as T
 from hgtnet.data import NUM_ROTATIONS
 from hgtnet.errors import ConfigError, ContractError, ShapeError
 from hgtnet.gradcheck import check_gradients
-from hgtnet.model import (MAX_PARAMS, ModelConfig, attention, build_graph,
+from hgtnet.model import (GAT_LEAKY_SLOPE, MAX_PARAMS, ModelConfig, attention, build_graph,
                           classify_head, cnn_branch, cross_attention_fuse, global_average_pool,
                           graph_attention, grid8_adjacency, init_params,
                           model_forward, param_count, param_shapes, patch_embed,
@@ -37,9 +37,7 @@ class TestModelConfig:
         assert cfg.embed_dim == 128 and cfg.num_heads == 4
         assert cfg.num_encoder_layers == 4 and cfg.mlp_ratio == 4.0
         assert cfg.cnn_channels == (16, 32, 64)
-        assert cfg.dropout_p == 0.1 and cfg.gat_leaky_slope == 0.2
-        assert cfg.num_classes == 5
-        assert cfg.rotation_loss_weight == 0.1
+        assert cfg.dropout_p == 0.1 and cfg.num_classes == 5
         assert cfg.num_tokens == 196 and cfg.grid_size == 14
 
     def test_divisibility_enforced(self):
@@ -423,34 +421,31 @@ def _gat_params(d, seed):
 
 class TestGraphAttention:
     def test_single_node(self):
-        cfg = tiny_config()
         params = _gat_params(8, seed=50)
         nodes = Tensor(RngStream(seed=51).normal(8).reshape(1, 1, 8))
-        out = graph_attention(nodes, np.ones((1, 1), dtype=bool), cfg, params)
+        out = graph_attention(nodes, np.ones((1, 1), dtype=bool), params)
         h = nodes.data @ params["gat.w"].data
-        expected = np.where(h > 0, h, cfg.gat_leaky_slope * h)
+        expected = np.where(h > 0, h, GAT_LEAKY_SLOPE * h)
         assert np.allclose(out.data, expected, atol=1e-12)
 
     def test_rows_sum_to_one_and_nonedges_zero(self):
-        cfg = tiny_config()
         params = _gat_params(8, seed=52)
         nodes = Tensor(RngStream(seed=53).normal(2 * 12 * 8).reshape(2, 12, 8))
         adj = grid8_adjacency(3, 4)
         capture = {}
-        graph_attention(nodes, adj, cfg, params, capture=capture)
+        graph_attention(nodes, adj, params, capture=capture)
         alpha = capture["gat.attn"]
         assert np.allclose(alpha.sum(axis=-1), 1.0, atol=1e-12)
         assert (alpha[:, ~adj] == 0.0).all()
 
     def test_path_graph_masked_dense_oracle(self):
-        cfg = tiny_config()
         d = 8
         params = _gat_params(d, seed=54)
         nodes = Tensor(RngStream(seed=55).normal(3 * d).reshape(1, 3, d))
         adj = grid8_adjacency(1, 3)  # path: 0-1-2 with self loops
-        out = graph_attention(nodes, adj, cfg, params).data
+        out = graph_attention(nodes, adj, params).data
 
-        slope = cfg.gat_leaky_slope
+        slope = GAT_LEAKY_SLOPE
         h = nodes.data[0] @ params["gat.w"].data
         src = h @ params["gat.a_src"].data[:, 0]
         dst = h @ params["gat.a_dst"].data[:, 0]
@@ -466,38 +461,34 @@ class TestGraphAttention:
         assert np.allclose(out[0], expected, atol=1e-10)
 
     def test_permutation_equivariance(self):
-        cfg = tiny_config()
         d = 8
         params = _gat_params(d, seed=56)
         nodes = RngStream(seed=57).normal(2 * 6 * d).reshape(2, 6, d)
         adj = grid8_adjacency(2, 3)
-        base = graph_attention(Tensor(nodes), adj, cfg, params).data
+        base = graph_attention(Tensor(nodes), adj, params).data
         perm = np.array(RngStream(seed=58).shuffle(list(range(6))))
         permuted = graph_attention(Tensor(nodes[:, perm]), adj[np.ix_(perm, perm)],
-                                   cfg, params).data
+                                   params).data
         assert np.allclose(permuted, base[:, perm], atol=1e-10)
 
     def test_asymmetric_adjacency_rejected(self):
-        cfg = tiny_config()
         params = _gat_params(8, seed=59)
         adj = np.eye(3, dtype=bool)
         adj[0, 1] = True  # no reverse edge
         with pytest.raises(ContractError):
-            graph_attention(Tensor(np.zeros((1, 3, 8))), adj, cfg, params)
+            graph_attention(Tensor(np.zeros((1, 3, 8))), adj, params)
 
     def test_adjacency_of_another_size_rejected(self):
-        cfg = tiny_config()
         params = _gat_params(8, seed=61)
         with pytest.raises(ContractError):
-            graph_attention(Tensor(np.zeros((1, 3, 8))), grid8_adjacency(2, 2), cfg, params)
+            graph_attention(Tensor(np.zeros((1, 3, 8))), grid8_adjacency(2, 2), params)
 
     def test_missing_self_loop_rejected(self):
-        cfg = tiny_config()
         params = _gat_params(8, seed=60)
         adj = np.zeros((2, 2), dtype=bool)
         adj[0, 0] = True
         with pytest.raises(ContractError):
-            graph_attention(Tensor(np.zeros((1, 2, 8))), adj, cfg, params)
+            graph_attention(Tensor(np.zeros((1, 2, 8))), adj, params)
 
 
 class TestPoolAndHeads:

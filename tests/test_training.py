@@ -101,14 +101,6 @@ class TestCrossEntropy:
 
 
 class TestCombinedLoss:
-    def test_zero_weight_is_exactly_the_class_term(self):
-        rng = np.random.default_rng(9)
-        cls = Tensor(rng.normal(size=(4, 5)))
-        labels = [0, 1, 2, 3]
-        combined = tr.combined_loss(cls, labels, None, None, 0.0)
-        plain = tr.cross_entropy(cls, labels)
-        assert combined.item() == plain.item()
-
     def test_uniform_rotation_logits_add_tenth_of_log4(self):
         rng = np.random.default_rng(10)
         cls = Tensor(rng.normal(size=(6, 5)))
@@ -116,7 +108,7 @@ class TestCombinedLoss:
         rot = Tensor(np.zeros((6, 4)))
         rot_labels = rng.integers(0, 4, size=6)
         plain = tr.cross_entropy(cls, labels).item()
-        combined = tr.combined_loss(cls, labels, rot, rot_labels, 0.1).item()
+        combined = tr.combined_loss(cls, labels, rot, rot_labels).item()
         assert abs(combined - plain - 0.1 * math.log(4)) < 1e-12
 
     def test_additive_decomposition(self):
@@ -125,19 +117,11 @@ class TestCombinedLoss:
         rot = Tensor(rng.normal(size=(5, 4)))
         labels = rng.integers(0, 5, size=5)
         rot_labels = rng.integers(0, 4, size=5)
-        lam = 0.3
-        combined = tr.combined_loss(cls, labels, rot, rot_labels, lam).item()
+        lam = tr.ROTATION_LOSS_WEIGHT
+        combined = tr.combined_loss(cls, labels, rot, rot_labels).item()
         parts = (tr.cross_entropy(cls, labels).item()
                  + lam * tr.cross_entropy(rot, rot_labels).item())
         assert abs(combined - parts) < 1e-12
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ConfigError):
-            tr.combined_loss(Tensor(np.zeros((1, 2))), [0], None, None, -0.1)
-
-    def test_positive_weight_requires_rotation_logits(self):
-        with pytest.raises(ContractError):
-            tr.combined_loss(Tensor(np.zeros((1, 2))), [0], None, None, 0.1)
 
 
 class TestAdam:
@@ -154,7 +138,7 @@ class TestAdam:
         cfg = self._cfg()
         tr.adam_step(params, moments, cfg)
         assert moments.t == 1
-        expect = -cfg.learning_rate / (1.0 + cfg.adam_eps)
+        expect = -cfg.learning_rate / (1.0 + tr.ADAM_EPS)
         assert np.allclose(p.data, expect, rtol=0, atol=1e-18)
 
     def test_two_constant_steps(self):
@@ -166,7 +150,7 @@ class TestAdam:
             p.grad = np.ones(1)
             tr.adam_step(params, moments, cfg)
             assert moments.t == t
-            assert abs(p.data[0] - (-t * 0.5 / (1.0 + cfg.adam_eps))) < 1e-12
+            assert abs(p.data[0] - (-t * 0.5 / (1.0 + tr.ADAM_EPS))) < 1e-12
 
     def test_steps_from_init_match_the_closed_form_at_each_t(self):
         # a constant gradient g gives m_t = (1 - b1^t) g and v_t = (1 - b2^t)
@@ -176,14 +160,14 @@ class TestAdam:
         params = {"p": p}
         moments = tr.init_adam(params)
         cfg = self._cfg(lr=0.01)
-        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+        b1, b2 = tr.ADAM_BETA1, tr.ADAM_BETA2
         for t in range(1, 8):
             p.grad = g.copy()
             tr.adam_step(params, moments, cfg)
             assert moments.t == t
             assert np.allclose(moments.m["p"], (1 - b1 ** t) * g, rtol=1e-13, atol=0)
             assert np.allclose(moments.v["p"], (1 - b2 ** t) * g * g, rtol=1e-13, atol=0)
-            step = cfg.learning_rate * g / (np.abs(g) + cfg.adam_eps)
+            step = cfg.learning_rate * g / (np.abs(g) + tr.ADAM_EPS)
             assert np.allclose(p.data, -t * step, rtol=1e-12, atol=0)
 
     def test_moment_accumulation_matches_formula(self):
@@ -193,8 +177,8 @@ class TestAdam:
         moments = tr.init_adam(params)
         cfg = self._cfg()
         tr.adam_step(params, moments, cfg)
-        assert np.allclose(moments.m["p"], (1 - cfg.adam_beta1) * p.grad, atol=1e-18)
-        assert np.allclose(moments.v["p"], (1 - cfg.adam_beta2) * p.grad ** 2,
+        assert np.allclose(moments.m["p"], (1 - tr.ADAM_BETA1) * p.grad, atol=1e-18)
+        assert np.allclose(moments.v["p"], (1 - tr.ADAM_BETA2) * p.grad ** 2,
                            atol=1e-18)
 
     def test_zero_gradient_leaves_parameter_unchanged(self):
@@ -223,8 +207,6 @@ class TestAdam:
         with pytest.raises(ConfigError):
             tr.TrainConfig(learning_rate=0.0)
         with pytest.raises(ConfigError):
-            tr.TrainConfig(adam_beta1=1.0)
-        with pytest.raises(ConfigError):
             tr.TrainConfig(patience=0)
         with pytest.raises(ConfigError):
             tr.TrainConfig(batch_size=0)
@@ -235,40 +217,26 @@ class TestBatching:
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         batch = train[:4]
         x, labels, rot_labels = tr.prepare_batch(
-            batch, MILD_POLICY, stats, cfg, RngStream(seed=2), epoch=0)
-        assert cfg.rotation_loss_weight > 0
+            batch, MILD_POLICY, stats, RngStream(seed=2), epoch=0)
         assert x.shape == (8, 3, 32, 32)
         assert labels.shape == (4,)
         assert set(rot_labels) <= {0, 1, 2, 3}
 
-    def test_zero_rotation_weight_skips_copies(self):
-        samples, train, test, stats, cfg, tcfg, names = _synth_setup()
-        cfg = tiny_config(32, rotation_loss_weight=0.0)
-        x, labels, rot_labels = tr.prepare_batch(
-            train[:4], MILD_POLICY, stats, cfg, RngStream(seed=2), epoch=0)
-        assert x.shape == (4, 3, 32, 32)
-        assert rot_labels is None
-
-    @pytest.mark.parametrize("rotation_weight", [0.1, 0.0])
-    def test_sample_rows_do_not_depend_on_the_shard(self, rotation_weight):
+    def test_sample_rows_do_not_depend_on_the_shard(self):
         # a sample's normalized view, rotated copy and labels are the same
         # bytes alone and at every position of shards of 3 and 8; the 40 px
         # sources go through the resize to 32
         samples = data.synth_dataset(num_per_class=2, size=40, rng=RngStream(seed=3))
         stats = data.compute_stats(samples)
-        cfg = tiny_config(32, rotation_loss_weight=rotation_weight)
         target, others = samples[4], samples[:4] + samples[5:]
 
         def rows(shard, i):
             x, labels, rot_labels = tr.prepare_batch(
-                shard, data.train_policy(32), stats, cfg, RngStream(seed=2), epoch=1)
-            out = [x.data[i].tobytes(), labels[i]]
-            if rot_labels is not None:
-                out += [x.data[len(shard) + i].tobytes(), rot_labels[i]]
-            return out
+                shard, data.train_policy(32), stats, RngStream(seed=2), epoch=1)
+            return [x.data[i].tobytes(), labels[i],
+                    x.data[len(shard) + i].tobytes(), rot_labels[i]]
 
         alone = rows([target], 0)
-        assert len(alone) == (4 if rotation_weight else 2)
         for size in (3, 8):
             for i in range(size):
                 shard = others[:size - 1]
@@ -518,7 +486,7 @@ class TestOverfitOneBatch:
         cfg = tiny_config(32)
         tcfg = tr.TrainConfig(learning_rate=1e-2, seed=11)
         x, labels, rot_labels = tr.prepare_batch(
-            samples, MILD_POLICY, stats, cfg, RngStream(seed=3), epoch=0)
+            samples, MILD_POLICY, stats, RngStream(seed=3), epoch=0)
         params = init_params(cfg, RngStream(seed=11))
         adam = tr.init_adam(params)
         b = len(samples)
@@ -527,8 +495,7 @@ class TestOverfitOneBatch:
             cls_all, rot_all = model_forward(x, cfg, params)
             cls = T.take_rows(cls_all, 0, b)
             rot = T.take_rows(rot_all, b, 2 * b)
-            loss = tr.combined_loss(cls, labels, rot, rot_labels,
-                                    cfg.rotation_loss_weight)
+            loss = tr.combined_loss(cls, labels, rot, rot_labels)
             for p in params.values():
                 p.zero_grad()
             T.backward(loss)
@@ -766,6 +733,27 @@ class TestEarlyStopping:
 
 
 class TestPersistence:
+    def test_class_count_must_match_the_model(self):
+        # two names for a five-class head wrote a file that load_state refused
+        samples, train, test, stats, cfg, tcfg, names = _synth_setup()
+        with pytest.raises(DataError, match="2 class names"):
+            tr.init_state(cfg, tcfg, stats, ["a", "b"])
+
+    @pytest.mark.parametrize("name, at", [
+        ("a,b", 2), ("", 2), (" lead", 0), ("trail ", 4), ("a\nb", 2), ("a\r\nb", 2),
+        ("a\x1cb", 2), ("a\u2028b", 2), ("a\nb = c", 2)])
+    def test_class_name_that_the_metadata_cannot_return_rejected(self, name, at):
+        samples, train, test, stats, cfg, tcfg, names = _synth_setup()
+        names[at] = name
+        with pytest.raises(DataError, match="would not survive a checkpoint"):
+            tr.init_state(cfg, tcfg, stats, names)
+
+    def test_class_names_the_metadata_returns_are_kept(self, tmp_path):
+        samples, train, test, stats, cfg, tcfg, names = _synth_setup()
+        names = ["a b", "=", " #", "c\td ", "é"]
+        tr.save_state(tr.init_state(cfg, tcfg, stats, names), tmp_path / "s.ckpt")
+        assert tr.load_state(tmp_path / "s.ckpt").class_names == names
+
     def test_round_trip_preserves_everything(self, tmp_path):
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         state = tr.init_state(cfg, tcfg, stats, names)
@@ -800,25 +788,32 @@ class TestPersistence:
         assert l1 == l2 and a1 == a2 and r1 == r2
 
     def test_file_with_the_removed_model_keys_loads(self, tmp_path):
-        # earlier writers put model.graph_connectivity and model.num_rotations
-        # into the metadata; they are ignored on load
+        # earlier writers recorded settings that are now constants; at the
+        # text of the constant's value they load and evaluate as if absent
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         state = tr.init_state(cfg, tcfg, stats, names)
         tr.fit(state, train, test, policy=MILD_POLICY, max_epochs=1)
         tr.save_state(state, tmp_path / "new.ckpt")
         snap = ckpt.load_checkpoint(tmp_path / "new.ckpt")
-        assert "model.num_rotations" not in snap.metadata
+        # each retired key after the key that preceded it, at the text the
+        # earlier writers recorded
+        retired = {
+            "model.dropout_p": {"model.graph_connectivity": "grid8",
+                                "model.gat_leaky_slope": "0.2"},
+            "model.num_classes": {"model.num_rotations": "4",
+                                  "model.rotation_loss_weight": "0.1"},
+            "train.patience": {"train.adam_beta1": "0.9", "train.adam_beta2": "0.999",
+                               "train.adam_eps": "1e-08"}}
         old = {}
         for key, value in snap.metadata.items():
             old[key] = value
-            if key == "model.dropout_p":
-                old["model.graph_connectivity"] = "grid8"
-            elif key == "model.num_classes":
-                old["model.num_rotations"] = "4"
+            old.update(retired.get(key, {}))
+        assert len(old) == len(snap.metadata) + 7
         ckpt.save_checkpoint(tmp_path / "old.ckpt", old, snap.params, snap.moments)
         new_state = tr.load_state(tmp_path / "new.ckpt")
         old_state = tr.load_state(tmp_path / "old.ckpt")
         assert old_state.model_cfg == new_state.model_cfg
+        assert old_state.train_cfg == new_state.train_cfg
         l1, a1, r1 = tr.evaluate(new_state.params, new_state.model_cfg, test, new_state.stats)
         l2, a2, r2 = tr.evaluate(old_state.params, old_state.model_cfg, test, old_state.stats)
         assert l1 == l2 and a1 == a2 and r1 == r2
@@ -958,7 +953,7 @@ class TestPersistence:
             tr.load_state(path)
 
     def test_config_kv_round_trip(self):
-        cfg = tiny_config(32, rotation_loss_weight=0.25)
+        cfg = tiny_config(32, dropout_p=0.25)
         assert from_kv(ModelConfig, to_kv(cfg, "model."), "model.") == cfg
         tcfg = tr.TrainConfig(learning_rate=2.5e-3, batch_size=4, seed=99)
         assert from_kv(tr.TrainConfig, to_kv(tcfg, "train."), "train.") == tcfg
