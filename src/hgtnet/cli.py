@@ -12,7 +12,8 @@ with a one-line diagnostic and a code identifying the failure class:
     3  data error (malformed dataset tree or CSV contents)
     4  I/O error (unreadable/unwritable paths)
     5  checkpoint missing or malformed
-    6  training diverged (a non-finite train or test loss)
+    6  training diverged (a non-finite loss, or a gradient norm above
+       ``training.MAX_GRAD_NORM``)
 """
 
 from __future__ import annotations
@@ -308,7 +309,7 @@ def cmd_augment(args) -> int:
         return EXIT_OK
     size = cfg.model.image_size
     sample = data.read_sample(args.input, label=0)
-    resized = data.apply_policy([sample], cfg.train_aug, rngs=None)[0]
+    resized = data.resize_bilinear(sample, size, size).pixels
     streams = tr.augment_streams(RngStream(seed=cfg.seed), 0, [sample])
     augmented = data.apply_policy([sample], cfg.train_aug, streams)[0]
     out = cfg.out_dir

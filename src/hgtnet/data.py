@@ -8,9 +8,7 @@ new array (or its input, when no image changes), preserves shape and
 clamps back to [0, 1].  Each image's parameters come from its own
 ``RngStream``, all drawn before any pixel work, and each image's pixels go
 through the same arithmetic whatever shard it is in, so a shard is the
-bitwise stack of its images augmented one at a time.  Passing ``rngs=None``
-to ``apply_policy`` disables every random transform, which reduces the
-pipeline to resize alone.
+bitwise stack of its images augmented one at a time.
 """
 
 from __future__ import annotations
@@ -104,10 +102,16 @@ def train_policy(target: int) -> AugmentPolicy:
 def read_sample(path, label: int) -> ImageSample:
     """The PPM image at ``path`` as a sample of class ``label``.  Its id is
     ``class_name/file_name``, the image's directory and file names, which
-    is what training keys the image's random streams by."""
+    is what training keys the image's random streams by, and both names
+    must be UTF-8, as the artifacts that list the id are."""
     path = Path(path).absolute()
-    return ImageSample(id=f"{path.parent.name}/{path.name}",
-                       pixels=ppm.to_unit(ppm.read_ppm(path)), label=label)
+    sample_id = f"{path.parent.name}/{path.name}"
+    try:
+        sample_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DataError(f"{sample_id!r}: the class directory and file names of an image "
+                        f"must be UTF-8") from None
+    return ImageSample(id=sample_id, pixels=ppm.to_unit(ppm.read_ppm(path)), label=label)
 
 
 def load_dataset(root) -> tuple[list[ImageSample], list[str]]:
@@ -554,17 +558,14 @@ def _draw(policy: AugmentPolicy, rng: RngStream) -> _Draws:
 
 
 def apply_policy(samples: list[ImageSample], policy: AugmentPolicy,
-                 rngs: list[RngStream] | None) -> np.ndarray:
+                 rngs: list[RngStream]) -> np.ndarray:
     """Resize each sample to the policy target and stack them into a
     (B, H, W, 3) shard, then run the random stack in order: flip, rotation,
     color jitter, sharpness, blur.  ``rngs[i]`` is sample i's stream, and
     its draws alone decide what happens to that image, so an image comes out
-    the same in any shard.  ``rngs=None`` disables every random transform,
-    leaving resize alone."""
+    the same in any shard."""
     th, tw = policy.target_size
     x = np.stack([resize_bilinear(s, th, tw).pixels for s in samples])
-    if rngs is None:
-        return x
     draws = [_draw(policy, rng) for rng in rngs]
     x = hflip(x, [d.flip for d in draws])
     x = rotate(x, [d.angle for d in draws])

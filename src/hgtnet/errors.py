@@ -34,4 +34,4 @@ class CheckpointError(HgtnetError):
 
 
 class DivergenceError(HgtnetError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or a gradient above the divergence guard."""

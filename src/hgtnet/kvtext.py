@@ -48,11 +48,8 @@ def get_float(kv: dict[str, str], key: str) -> float:
 
 
 def get_ints(kv: dict[str, str], key: str) -> tuple[int, ...]:
-    raw = kv[key].strip()
-    if not raw:
-        return ()
     try:
-        return tuple(int(v.strip()) for v in raw.split(","))
+        return tuple(int(v.strip()) for v in kv[key].split(","))
     except ValueError:
         raise ConfigError(f"{key}: expected comma-separated integers, got {kv[key]!r}") from None
 

@@ -457,8 +457,9 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
 
 
-def activation(x: Tensor, kind: str, slope: float = 0.01) -> Tensor:
-    """Elementwise nonlinearity: relu, gelu (tanh form), or leaky_relu(slope)."""
+def activation(x: Tensor, kind: str, slope: float | None = None) -> Tensor:
+    """Elementwise nonlinearity: relu, gelu (tanh form), or leaky_relu with
+    its negative-side ``slope``, which only that kind reads."""
     v = x.data
     if kind == "relu":
         data = np.maximum(v, 0.0)

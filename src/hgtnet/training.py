@@ -32,6 +32,12 @@ from .tensor import Tensor
 ROTATION_LOSS_WEIGHT = 0.1
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
+# a step whose summed gradient has a larger (or a non-finite) global L2 norm
+# stops the run as diverged.  The largest norm measured in a healthy run is
+# 217 (--tiny at learning rate 0.3; the paper default peaks near 8); the
+# first step after a --lr 1e6 update reads 1.8e66
+MAX_GRAD_NORM = 1e8
+
 
 @dataclass
 class TrainConfig:
@@ -230,7 +236,9 @@ def _train_step(params, model_cfg, train_cfg, batch, stats, policy, adam, root,
     """Forward, backward and Adam on one batch; returns the loss and the
     number of correct predictions.  ``map_shards`` is ``map`` or a thread
     pool's ``map``; each shard's graph is freed by its ``T.backward`` walk,
-    record by record, before the shard returns its gradients."""
+    record by record, before the shard returns its gradients.  Raises
+    ``DivergenceError``, before the Adam step, when the summed gradient's
+    norm is above ``MAX_GRAD_NORM`` or not finite."""
     b = len(batch)
     size = -(-b // SHARDS)
     shards = [batch[i:i + size] for i in range(0, b, size)]
@@ -242,6 +250,11 @@ def _train_step(params, model_cfg, train_cfg, batch, stats, policy, adam, root,
             g = grads[name]
             if g is not None:
                 p.grad = g if p.grad is None else p.grad + g
+    norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad))
+                         for p in params.values() if p.grad is not None))
+    if not norm <= MAX_GRAD_NORM:
+        raise DivergenceError(f"epoch {epoch + 1}: gradient norm {norm:.3g} is above "
+                              f"{MAX_GRAD_NORM:.0e}; no checkpoint was written for this epoch")
     adam_step(params, adam, train_cfg)
     return sum(r[0] for r in results), sum(r[1] for r in results)
 
@@ -460,12 +473,13 @@ def fit(state: TrainerState, train_samples: list[ImageSample],
     Saves ``best.ckpt`` on every strict test-loss improvement and
     ``last.ckpt`` after every epoch when ``out_dir`` is given.  Raises
     ``DivergenceError`` for an epoch whose train or test loss is not
-    finite, before that epoch is counted or checkpointed.  Returns the
-    records for the epochs executed by this call (resume runs return only
-    their continuation).  Raises ``ContractError`` before the first epoch
-    when ``state.adam.t`` is not the number of Adam steps that
-    ``state.epoch`` epochs over ``train_samples`` take: Adam's bias
-    correction would then not be the one a straight run applies.
+    finite, or one of whose steps fails ``MAX_GRAD_NORM``, before that
+    epoch is counted or checkpointed.  Returns the records for the epochs
+    executed by this call (resume runs return only their continuation).
+    Raises ``ContractError`` before the first epoch when ``state.adam.t``
+    is not the number of Adam steps that ``state.epoch`` epochs over
+    ``train_samples`` take: Adam's bias correction would then not be the
+    one a straight run applies.
     """
     steps = -(-len(train_samples) // state.train_cfg.batch_size)
     if state.adam.t != state.epoch * steps:

@@ -224,15 +224,11 @@ def rotation_pretext_sample(img: ImageSample, rng: RngStream) -> tuple[ImageSamp
 # pipeline
 # ---------------------------------------------------------------------------
 
-def apply_policy(img: ImageSample, policy: AugmentPolicy,
-                 rng: RngStream | None) -> ImageSample:
+def apply_policy(img: ImageSample, policy: AugmentPolicy, rng: RngStream) -> ImageSample:
     """Resize to the policy target, then run the random stack in order:
-    flip, rotation, color jitter, sharpness, blur.  ``rng=None`` disables
-    every random transform, leaving resize alone."""
+    flip, rotation, color jitter, sharpness, blur."""
     th, tw = policy.target_size
     out = resize_bilinear(img, th, tw)
-    if rng is None:
-        return out
     out = random_horizontal_flip(out, policy.flip_prob, rng)
     out = random_rotation(out, policy.max_rotation_deg, rng)
     out = color_jitter(out, policy, rng)

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 
+from graph_reference import grid_adjacency
 from hgtnet import data
 from hgtnet import tensor as T
 from hgtnet import training as tr
@@ -20,8 +21,7 @@ from hgtnet.gradcheck import check_gradients, op_battery
 from hgtnet.metrics import (PredictionRecord, auc_pair_oracle, auc_trapezoid,
                             build_report, render_report, roc_curve,
                             write_predictions)
-from hgtnet.model import (grid8_adjacency, init_params, model_forward,
-                          tiny_config)
+from hgtnet.model import init_params, model_forward, tiny_config
 from hgtnet.rng import RngStream
 from hgtnet.tensor import Tensor
 
@@ -91,7 +91,7 @@ def test_criterion_1_gradient_suite():
 def test_criterion_2_attention_rows_normalized():
     with _criterion(2, "attention row normalization + graph sparsity"):
         cfg = tiny_config(32)
-        adj = grid8_adjacency(cfg.grid_size, cfg.grid_size)
+        adj = grid_adjacency(cfg.grid_size, cfg.grid_size)
         for trial in range(100):
             rng = RngStream(seed=trial)
             params = init_params(cfg, rng)
@@ -397,9 +397,12 @@ def test_criterion_8_augmentation_invariants():
         assert out.shape == (25, 32, 32, 3)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
-        # randomness disabled -> exactly resize + normalize
+        # randomness disabled (every transform off) -> exactly resize + normalize
         stats = data.compute_stats(samples)
-        plain = data.apply_policy(samples, policy, rngs=None)
+        off = data.AugmentPolicy(flip_prob=0.0, max_rotation_deg=0.0, jitter_brightness=0.0,
+                                 jitter_contrast=0.0, jitter_saturation=0.0, jitter_hue=0.0,
+                                 sharpness_prob=0.0, blur_kernel=1, target_size=(32, 32))
+        plain = data.apply_policy(samples, off, [rng.derive("off", s.id) for s in samples])
         resized = np.stack([data.resize_bilinear(s, 32, 32).pixels for s in samples])
         assert np.array_equal(plain, resized)
         assert np.array_equal(data.normalize(plain, stats), data.normalize(resized, stats))

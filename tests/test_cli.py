@@ -345,6 +345,20 @@ class TestTrainCommand:
         assert len(err.splitlines()) == 1 and repr(name) in err
         assert not (out / "best.ckpt").exists() and not (out / "last.ckpt").exists()
 
+    @pytest.mark.parametrize("renamed", ["class2/0001.ppm", "class2"])
+    def test_name_that_is_not_utf8_is_data_error_before_training(self, renamed, tmp_path,
+                                                                 capsys):
+        # the whole run trained and wrote both checkpoints, then
+        # write_predictions failed on the id with a UnicodeEncodeError
+        tree = _tree_with_a_non_utf8_name(tmp_path, renamed)
+        out = tmp_path / "x"
+        code = main(["train", "--data", str(tree), "--tiny", "--image-size", "32",
+                     "--epochs", "1", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "must be UTF-8" in err
+        assert not out.exists()
+
     def test_two_class_tree_trains_evaluates_and_scores(self, tmp_path, capsys):
         # the class count comes from the tree, with no --set
         tree = tmp_path / "tree"
@@ -425,6 +439,24 @@ class TestTrainCommand:
         assert "epoch 1: non-finite loss" in capsys.readouterr().err
         assert not (out / "best.ckpt").exists() and not (out / "last.ckpt").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_blow_up_exits_6(self, tmp_path, capsys):
+        # every loss stayed finite (test loss 2.3e12, then a train loss of
+        # 8.2e43) and the run exited 0; the first step of epoch 2 has a
+        # gradient norm near 1.8e66
+        out = tmp_path / "x"
+        code = main(["train", "--synth", "--tiny", "--image-size", "32",
+                     "--per-class", "4", "--epochs", "2", "--lr", "1e6",
+                     "--seed", "7", "--out", str(out)])
+        assert code == 6
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "epoch 2: gradient norm" in err and "above 1e+08" in err
+        # epoch 1 ended before the guard tripped; epoch 2 wrote nothing
+        assert tr.load_state(out / "last.ckpt").epoch == 1
+        assert tr.load_state(out / "best.ckpt").epoch == 1
+        assert not (out / "history.csv").exists()
+
     @pytest.mark.parametrize("argv", [
         ["train", "--synth", "--per-class", "-3"],
         ["train", "--synth", "--per-class", "0"],
@@ -457,6 +489,17 @@ class TestTrainCommand:
         assert code == 0
         assert "model.embed_dim = 8" in capsys.readouterr().out
         assert not out.exists()
+
+
+def _tree_with_a_non_utf8_name(tmp_path, renamed):
+    """A synthetic tree in which ``renamed`` (a class directory or a file)
+    ends in the byte 0xff, which is not UTF-8."""
+    tree = tmp_path / "tree"
+    assert main(["synth", "--out", str(tree), "--per-class", "2",
+                 "--image-size", "32", "--seed", "5"]) == 0
+    path = tree / renamed
+    path.rename(path.with_name(path.stem + os.fsdecode(b"\xff") + path.suffix))
+    return tree
 
 
 def _untrained_checkpoint(path):
@@ -681,6 +724,18 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert listed in err
         assert "['class0', 'class1', 'class2', 'class3', 'class4']" in err
+        assert not out.exists()
+
+    def test_file_name_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        # the samples were scored, then write_predictions failed on the id
+        ckpt_path = _untrained_checkpoint(tmp_path / "m.ckpt")
+        tree = _tree_with_a_non_utf8_name(tmp_path, "class0/0000.ppm")
+        out = tmp_path / "eval"
+        code = main(["eval", "--checkpoint", str(ckpt_path), "--data", str(tree),
+                     "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "must be UTF-8" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -928,7 +983,7 @@ class TestAugmentCommand:
         after = read_ppm(out / "after.ppm")
         assert np.array_equal(after, from_unit(view(sample.id)[0]))
         assert not np.array_equal(after, from_unit(view("0000.ppm")[0]))
-        resized = data.apply_policy([sample], policy, rngs=None)[0]
+        resized = data.resize_bilinear(sample, 32, 32).pixels
         assert np.array_equal(read_ppm(out / "before.ppm"), from_unit(resized))
 
     def test_same_seed_same_bytes(self, tmp_path):

@@ -1,12 +1,21 @@
-"""Static checks over the package, the test suite and the benchmark: no
-module imports a name it never uses, and every function and class that the
-package defines at module level is read by the package or the benchmark,
-not only by tests."""
+"""Static checks over the package, the test suite, the benchmark and the
+README: no module imports a name it never uses, every function and class
+that the package defines at module level is read by the package or the
+benchmark, not only by tests, and every package name the README cites
+exists."""
 
 import ast
+import functools
+import importlib
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from hgtnet import config, data, training
+from hgtnet.checkpoint import load_checkpoint
+from hgtnet.model import tiny_config
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "hgtnet").glob("*.py"))
@@ -82,3 +91,40 @@ def test_definition_scan_counts_names_attributes_and_from_imports():
     module = "def a(): pass\ndef b(): pass\nclass C: pass\ndef d(): pass\ndef e(): pass\n"
     readers = ["a()\n", "import m\nm.b\n", "from m import C\n", "d = 1\n"]
     assert unread_definitions({"m.py": module}, readers) == ["m.py: d", "m.py: e"]
+
+
+def dangling_names(text: str, modules: set[str], skip: set[str]) -> list[str]:
+    """Each backticked ``module.name`` (or longer dotted path) of ``text``
+    whose first part is one of ``modules`` and that does not resolve by
+    ``getattr`` on ``hgtnet.<module>``, unless it is in ``skip``."""
+    dangling = []
+    for cited in re.findall(r"`([a-z_]+(?:\.[A-Za-z_][A-Za-z0-9_]*)+)`", text):
+        first, *rest = cited.split(".")
+        if first not in modules or cited in skip:
+            continue
+        try:
+            functools.reduce(getattr, rest, importlib.import_module(f"hgtnet.{first}"))
+        except AttributeError:
+            dangling.append(cited)
+    return dangling
+
+
+def test_readme_cites_only_names_that_exist(tmp_path):
+    # dotted keys that are text, not attributes: the run config's keys, the
+    # retired keys, and the metadata keys of a saved state
+    state = training.init_state(tiny_config(32), training.TrainConfig(),
+                                data.DatasetStats(mean=np.zeros(3), std=np.ones(3)),
+                                list(data.SYNTH_CLASS_NAMES))
+    state.synth_per_class = 1
+    training.save_state(state, tmp_path / "s.ckpt")
+    skip = {*config._KEYS, *training._RETIRED_KEYS,
+            *load_checkpoint(tmp_path / "s.ckpt").metadata}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert dangling_names(readme, {p.stem for p in PACKAGE}, skip) == []
+
+
+def test_dangling_name_scan_resolves_paths_and_skips_keys():
+    text = ("`model.build_graph` `model.ModelConfig.grid_size` `data.gone` `data.x.y` "
+            "`model.image_size` `after.ppm` `tensor.relu(x)` `run.out_dir`")
+    assert dangling_names(text, {"model", "data", "tensor"}, {"model.image_size"}) \
+        == ["data.gone", "data.x.y"]

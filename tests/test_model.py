@@ -3,13 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from graph_reference import grid_adjacency
+from hgtnet import model
 from hgtnet import tensor as T
 from hgtnet.data import NUM_ROTATIONS
-from hgtnet.errors import ConfigError, ContractError, ShapeError
+from hgtnet.errors import ConfigError, ShapeError
 from hgtnet.gradcheck import check_gradients
 from hgtnet.model import (GAT_LEAKY_SLOPE, MAX_PARAMS, ModelConfig, attention, build_graph,
                           classify_head, cnn_branch, cross_attention_fuse, global_average_pool,
-                          graph_attention, grid8_adjacency, init_params,
+                          graph_attention, init_params,
                           model_forward, param_count, param_shapes, patch_embed,
                           rotation_head, tiny_config, transformer_encoder)
 from hgtnet.rng import RngStream
@@ -378,35 +380,49 @@ class TestCrossAttentionFuse:
 
 class TestGraph:
     def test_1x1_self_loop(self):
-        adj = grid8_adjacency(1, 1)
+        adj = build_graph(1)
         assert adj.shape == (1, 1) and adj[0, 0]
 
     def test_2x2_complete(self):
-        adj = grid8_adjacency(2, 2)
+        adj = build_graph(2)
         assert adj.all()
 
     def test_3x3_center_degree(self):
-        adj = grid8_adjacency(3, 3)
+        adj = build_graph(3)
         assert adj[4].sum() == 9  # 8 neighbors + self
         assert adj[0].sum() == 4  # corner: 3 neighbors + self
 
     def test_symmetric_with_self_loops(self):
-        adj = grid8_adjacency(3, 5)
+        adj = build_graph(5)
         assert np.array_equal(adj, adj.T)
         assert adj.diagonal().all()
 
     def test_adjacency_is_built_once_per_grid_and_read_only(self):
-        adj = grid8_adjacency(3, 4)
-        assert grid8_adjacency(3, 4) is adj
-        assert grid8_adjacency(4, 3) is not adj
+        adj = build_graph(3)
+        assert build_graph(3) is adj
+        assert build_graph(4) is not adj
         with pytest.raises(ValueError):
             adj[0, 0] = False
         assert adj[0, 0]
 
     def test_build_graph_is_the_token_grid(self):
+        for grid in (1, 2, 3, 4, 14):
+            adj = build_graph(grid)
+            assert adj.dtype == bool
+            assert np.array_equal(adj, grid_adjacency(grid, grid)), grid
+
+    def test_model_attends_over_its_token_grid(self, monkeypatch):
         cfg = tiny_config(48)
-        assert cfg.grid_size == 3
-        assert np.array_equal(build_graph(cfg), grid8_adjacency(3, 3))
+        grids = []
+
+        def spy(grid):
+            grids.append(grid)
+            return build_graph(grid)
+
+        monkeypatch.setattr(model, "build_graph", spy)
+        model_forward(Tensor(np.zeros((1, 3, 48, 48))), cfg,
+                      init_params(cfg, RngStream(seed=49)))
+        assert grids == [cfg.grid_size] == [3]
 
 
 def _gat_params(d, seed):
@@ -431,7 +447,7 @@ class TestGraphAttention:
     def test_rows_sum_to_one_and_nonedges_zero(self):
         params = _gat_params(8, seed=52)
         nodes = Tensor(RngStream(seed=53).normal(2 * 12 * 8).reshape(2, 12, 8))
-        adj = grid8_adjacency(3, 4)
+        adj = grid_adjacency(3, 4)
         capture = {}
         graph_attention(nodes, adj, params, capture=capture)
         alpha = capture["gat.attn"]
@@ -442,7 +458,7 @@ class TestGraphAttention:
         d = 8
         params = _gat_params(d, seed=54)
         nodes = Tensor(RngStream(seed=55).normal(3 * d).reshape(1, 3, d))
-        adj = grid8_adjacency(1, 3)  # path: 0-1-2 with self loops
+        adj = grid_adjacency(1, 3)  # path: 0-1-2 with self loops
         out = graph_attention(nodes, adj, params).data
 
         slope = GAT_LEAKY_SLOPE
@@ -464,31 +480,12 @@ class TestGraphAttention:
         d = 8
         params = _gat_params(d, seed=56)
         nodes = RngStream(seed=57).normal(2 * 6 * d).reshape(2, 6, d)
-        adj = grid8_adjacency(2, 3)
+        adj = grid_adjacency(2, 3)
         base = graph_attention(Tensor(nodes), adj, params).data
         perm = np.array(RngStream(seed=58).shuffle(list(range(6))))
         permuted = graph_attention(Tensor(nodes[:, perm]), adj[np.ix_(perm, perm)],
                                    params).data
         assert np.allclose(permuted, base[:, perm], atol=1e-10)
-
-    def test_asymmetric_adjacency_rejected(self):
-        params = _gat_params(8, seed=59)
-        adj = np.eye(3, dtype=bool)
-        adj[0, 1] = True  # no reverse edge
-        with pytest.raises(ContractError):
-            graph_attention(Tensor(np.zeros((1, 3, 8))), adj, params)
-
-    def test_adjacency_of_another_size_rejected(self):
-        params = _gat_params(8, seed=61)
-        with pytest.raises(ContractError):
-            graph_attention(Tensor(np.zeros((1, 3, 8))), grid8_adjacency(2, 2), params)
-
-    def test_missing_self_loop_rejected(self):
-        params = _gat_params(8, seed=60)
-        adj = np.zeros((2, 2), dtype=bool)
-        adj[0, 0] = True
-        with pytest.raises(ContractError):
-            graph_attention(Tensor(np.zeros((1, 2, 8))), adj, params)
 
 
 class TestPoolAndHeads:

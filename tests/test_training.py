@@ -1041,6 +1041,62 @@ class TestResume:
         assert os.listdir(tmp_path) == []
 
 
+class _AdamReached(Exception):
+    pass
+
+
+class TestDivergenceGuard:
+    def _first_step_gradients(self, monkeypatch):
+        """The summed gradients that the first step of a tiny epoch hands to
+        Adam, read by stopping the step there."""
+        samples, train, test, stats, cfg, tcfg, names = _synth_setup()
+        state = tr.init_state(cfg, tcfg, stats, names)
+        grads = []
+
+        def stop(params, adam, train_cfg):
+            grads.extend(p.grad for p in params.values() if p.grad is not None)
+            raise _AdamReached
+
+        monkeypatch.setattr(tr, "adam_step", stop)
+        step = lambda: tr.train_epoch(state.params, cfg, tcfg, train, stats, MILD_POLICY,
+                                      state.adam, 0)
+        with pytest.raises(_AdamReached):
+            step()
+        return grads, step
+
+    def test_the_bound_is_on_the_global_l2_norm(self, monkeypatch):
+        grads, step = self._first_step_gradients(monkeypatch)
+        norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+        assert 0.1 < norm < 100.0
+        monkeypatch.setattr(tr, "MAX_GRAD_NORM", norm * (1 + 1e-9))
+        with pytest.raises(_AdamReached):
+            step()
+        monkeypatch.setattr(tr, "MAX_GRAD_NORM", norm * (1 - 1e-9))
+        with pytest.raises(DivergenceError, match="epoch 1: gradient norm"):
+            step()
+
+    def test_a_tripped_guard_leaves_parameters_and_moments_alone(self, monkeypatch):
+        samples, train, test, stats, cfg, tcfg, names = _synth_setup()
+        state = tr.init_state(cfg, tcfg, stats, names)
+        before = [(p.data.copy(), state.adam.m[n].copy(), state.adam.v[n].copy())
+                  for n, p in state.params.items()]
+        monkeypatch.setattr(tr, "MAX_GRAD_NORM", 0.0)
+        with pytest.raises(DivergenceError):
+            tr.train_epoch(state.params, cfg, tcfg, train, stats, MILD_POLICY, state.adam, 0)
+        assert state.adam.t == 0
+        for (p, m, v), (n, param) in zip(before, state.params.items()):
+            assert np.array_equal(p, param.data)
+            assert np.array_equal(m, state.adam.m[n]) and np.array_equal(v, state.adam.v[n])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_non_finite_gradient_trips_the_guard(self):
+        samples, train, test, stats, cfg, tcfg, names = _synth_setup()
+        state = tr.init_state(cfg, tcfg, stats, names)
+        state.params["head.w"].data[0, 0] = np.nan
+        with pytest.raises(DivergenceError, match="gradient norm nan"):
+            tr.train_epoch(state.params, cfg, tcfg, train, stats, MILD_POLICY, state.adam, 0)
+
+
 class TestHistoryCsv:
     def _history(self):
         return [tr.EpochRecord(1, 1.5, 0.3, 1.4, 0.35),
