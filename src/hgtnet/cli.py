@@ -38,7 +38,7 @@ from .gradcheck import check_gradients, op_battery
 from .metrics import (build_report, read_predictions, render_report,
                       write_predictions, write_roc)
 from .kvtext import to_kv
-from .model import TINY_PRESET, init_params, model_forward, tiny_config
+from .model import TINY_PRESET, ModelConfig, init_params, model_forward, tiny_config
 from .ppm import from_unit, write_ppm
 from .rng import RngStream
 from .tensor import Tensor
@@ -78,7 +78,7 @@ _TINY_PRESET = {key: value for key, value in to_kv(tiny_config(), "model.").item
 
 def _overrides_from_args(args) -> dict[str, str]:
     out: dict[str, str] = {}
-    if getattr(args, "tiny", False):
+    if args.tiny:
         out.update(_TINY_PRESET)
     mapping = [
         ("seed", "train.seed"),
@@ -92,10 +92,10 @@ def _overrides_from_args(args) -> dict[str, str]:
         ("patience", "train.patience"),
     ]
     for attr, key in mapping:
-        value = getattr(args, attr, None)
+        value = getattr(args, attr)
         if value is not None:
             out[key] = str(value)
-    for pair in getattr(args, "set", None) or []:
+    for pair in args.set or []:
         key, sep, value = pair.partition("=")
         if not sep:
             raise ConfigError(f"--set expects key=value, got {pair!r}")
@@ -104,14 +104,7 @@ def _overrides_from_args(args) -> dict[str, str]:
 
 
 def _resolve(args) -> RunConfig:
-    return load_run_config(getattr(args, "config", None), _overrides_from_args(args))
-
-
-def _maybe_print_config(args, cfg: RunConfig) -> bool:
-    if getattr(args, "print_config", False):
-        sys.stdout.write(render_run_config(cfg))
-        return True
-    return False
+    return load_run_config(args.config, _overrides_from_args(args))
 
 
 # ---------------------------------------------------------------------------
@@ -147,19 +140,22 @@ def _emit_eval_artifacts(out_dir, records, class_names) -> None:
 
 
 def cmd_train(args) -> int:
+    if args.per_class is not None and not args.synth:
+        raise ConfigError("--per-class sizes the synthetic dataset; pass it with --synth")
     cfg = _resolve(args)
-    if _maybe_print_config(args, cfg):
+    if args.print_config:
+        sys.stdout.write(render_run_config(cfg))
         return EXIT_OK
     per_class = (args.per_class or 40) if args.synth else None
-    samples, names = _dataset(per_class, cfg.data_root, cfg.model.image_size, cfg.seed)
+    samples, names = _dataset(per_class, cfg.data_root, cfg.model.image_size, cfg.train.seed)
     model_cfg = dataclasses.replace(cfg.model, num_classes=len(names))
     os.makedirs(cfg.out_dir, exist_ok=True)
-    train_samples, test_samples = _split(samples, cfg.seed)
+    train_samples, test_samples = _split(samples, cfg.train.seed)
     stats = data.compute_stats(train_samples)
     state = tr.init_state(model_cfg, cfg.train, stats, names)
     state.synth_per_class = per_class
-    history = tr.fit(state, train_samples, test_samples, policy=cfg.train_aug,
-                     out_dir=cfg.out_dir, log=lambda msg: print(msg))
+    history = tr.fit(state, train_samples, test_samples, out_dir=cfg.out_dir,
+                     log=lambda msg: print(msg))
     atomic_write(os.path.join(cfg.out_dir, "history.csv"),
                  lambda p: tr.write_history(p, history))
     # final artifacts come from the best checkpoint so that a later
@@ -302,17 +298,14 @@ def cmd_synth(args) -> int:
 
 def cmd_augment(args) -> int:
     """Write ``--input`` resized (``before.ppm``) and augmented as epoch 0
-    of a ``--data`` run with the same seed and policy augments it
+    of a ``--data`` run with the same seed and image size augments it
     (``after.ppm``): the image is keyed by its ``class_dir/file`` id."""
-    cfg = _resolve(args)
-    if _maybe_print_config(args, cfg):
-        return EXIT_OK
-    size = cfg.model.image_size
+    size = args.image_size
     sample = data.read_sample(args.input, label=0)
     resized = data.resize_bilinear(sample, size, size).pixels
-    streams = tr.augment_streams(RngStream(seed=cfg.seed), 0, [sample])
-    augmented = data.apply_policy([sample], cfg.train_aug, streams)[0]
-    out = cfg.out_dir
+    streams = tr.augment_streams(RngStream(seed=args.seed), 0, [sample])
+    augmented = data.apply_policy([sample], data.train_policy(size), streams)[0]
+    out = args.out
     os.makedirs(out, exist_ok=True)
     atomic_write(os.path.join(out, "before.ppm"),
                  lambda p: write_ppm(p, from_unit(resized)))
@@ -326,14 +319,11 @@ def cmd_augment(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="override any config key directly")
-    p.add_argument("--print-config", action="store_true",
-                   help="print the merged config and exit")
+def _out_dir(text: str) -> str:
+    """argparse type for ``--out``: a non-empty path."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected an output directory, got ''")
+    return text
 
 
 def _positive_int(text: str) -> int:
@@ -354,7 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model and write run artifacts")
-    _add_shared(p)
+    p.add_argument("--config", help="flat key = value config file")
+    p.add_argument("--seed", type=int, default=None, help="master RNG seed")
+    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                   help="override any config key directly")
+    p.add_argument("--print-config", action="store_true",
+                   help="print the merged config and exit")
     p.add_argument("--data", default=None, help="dataset root (class dirs of .ppm)")
     p.add_argument("--synth", action="store_true",
                    help="train on the built-in synthetic texture dataset")
@@ -373,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint and write reports")
     p.add_argument("--checkpoint", required=True, help="checkpoint to evaluate")
     p.add_argument("--data", default=None, help="dataset root (class dirs of .ppm)")
-    p.add_argument("--out", default="runs/latest", help="output directory")
+    p.add_argument("--out", type=_out_dir, default=RunConfig.out_dir, help="output directory")
     p.add_argument("--synth", action="store_true",
                    help="evaluate on the test split of the checkpoint's train --synth run")
     p.set_defaults(func=cmd_eval)
@@ -381,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="render a report from a prediction CSV")
     p.add_argument("--predictions", required=True)
     p.add_argument("--names", default=None, help="comma-separated class names")
-    p.add_argument("--out", default=None, help="also dump confusion/ROC CSVs here")
+    p.add_argument("--out", type=_out_dir, default=None,
+                   help="also dump confusion/ROC CSVs here")
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
@@ -392,16 +389,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="write the synthetic dataset as PPM files")
-    p.add_argument("--out", default="synth_data")
+    p.add_argument("--out", type=_out_dir, default="synth_data")
     p.add_argument("--per-class", type=_positive_int, default=10)
     p.add_argument("--image-size", type=_positive_int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("augment", help="apply the train-time policy to one image")
-    _add_shared(p)
     p.add_argument("--input", required=True, help="input PPM image")
-    p.add_argument("--image-size", type=_positive_int, default=None)
+    p.add_argument("--image-size", type=_positive_int, default=ModelConfig().image_size)
+    p.add_argument("--seed", type=int, default=tr.TrainConfig().seed, help="master RNG seed")
+    p.add_argument("--out", type=_out_dir, default=RunConfig.out_dir, help="output directory")
     p.set_defaults(func=cmd_augment)
 
     return parser

@@ -1,13 +1,12 @@
-"""Run configuration: model + trainer + training augmentation + paths,
-merged from built-in defaults, an optional flat ``key = value`` file, and
-command-line overrides (strongest last).
+"""Run configuration: model + trainer + paths, merged from built-in
+defaults, an optional flat ``key = value`` file, and command-line overrides
+(strongest last).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .data import AugmentPolicy
 from .errors import ConfigError
 from .kvtext import from_kv, parse_kv, render_kv, to_kv
 from .model import ModelConfig
@@ -18,45 +17,38 @@ from .training import TrainConfig
 class RunConfig:
     model: ModelConfig
     train: TrainConfig
-    train_aug: AugmentPolicy
     data_root: str | None = None
     out_dir: str = "runs/latest"
-
-    @property
-    def seed(self) -> int:
-        return self.train.seed
 
 
 def run_config_from_kv(kv: dict[str, str]) -> RunConfig:
     """Build a RunConfig from defaults overridden by the given flat keys.
 
     Unknown keys are rejected before any value is parsed, so typos fail
-    loudly instead of silently training with a default.  The augmentation
-    target (the model's input size) and the class count are not keys.
+    loudly instead of silently training with a default.  The class count
+    is not a key.
     """
     unknown = sorted(set(kv) - _KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    model = from_kv(ModelConfig, kv, "model.")
-    return RunConfig(
-        model=model, train=from_kv(TrainConfig, kv, "train."),
-        train_aug=replace(from_kv(AugmentPolicy, kv, "aug.train."),
-                          target_size=(model.image_size, model.image_size)),
-        data_root=kv.get("run.data_root") or None,
-        out_dir=kv.get("run.out_dir", "runs/latest"))
+    out_dir = kv.get("run.out_dir", RunConfig.out_dir)
+    if not out_dir:
+        raise ConfigError("run.out_dir (--out) is empty; name an output directory")
+    return RunConfig(model=from_kv(ModelConfig, kv, "model."),
+                     train=from_kv(TrainConfig, kv, "train."),
+                     data_root=kv.get("run.data_root") or None, out_dir=out_dir)
 
 
 def run_config_to_kv(cfg: RunConfig) -> dict[str, str]:
-    kv = {**to_kv(cfg.model, "model."), **to_kv(cfg.train, "train."),
-          **to_kv(cfg.train_aug, "aug.train.")}
-    del kv["model.num_classes"], kv["aug.train.target_size"]
+    kv = {**to_kv(cfg.model, "model."), **to_kv(cfg.train, "train.")}
+    del kv["model.num_classes"]
     kv["run.data_root"] = cfg.data_root or ""
     kv["run.out_dir"] = cfg.out_dir
     return kv
 
 
 # the key set does not depend on the values
-_KEYS = frozenset(run_config_to_kv(RunConfig(ModelConfig(), TrainConfig(), AugmentPolicy())))
+_KEYS = frozenset(run_config_to_kv(RunConfig(ModelConfig(), TrainConfig())))
 
 
 def render_run_config(cfg: RunConfig) -> str:

@@ -55,8 +55,8 @@ class DatasetStats:
 
 @dataclass(frozen=True)
 class AugmentPolicy:
-    """The training stack, by default the paper's; a one-tap ``blur_kernel``
-    leaves every pixel unchanged, which is how blur is turned off."""
+    """The paper's training stack, which no run setting changes; tests build
+    others, and a one-tap ``blur_kernel`` leaves every pixel unchanged."""
     flip_prob: float = 0.5
     max_rotation_deg: float = 15.0
     jitter_brightness: float = 0.2

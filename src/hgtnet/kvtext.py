@@ -72,7 +72,7 @@ def to_kv(obj, prefix: str) -> dict[str, str]:
     return out
 
 
-_GETTERS = {int: get_int, float: get_float, (tuple, int): get_ints, (tuple, float): get_floats}
+_GETTERS = {int: get_int, float: get_float, (tuple, int): get_ints}
 
 
 def from_kv(cls, kv: dict[str, str], prefix: str):

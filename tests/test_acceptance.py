@@ -243,10 +243,9 @@ def test_criterion_6b_synthetic_run_beats_chance():
         tcfg = tr.TrainConfig(learning_rate=3e-3, batch_size=16, max_epochs=15,
                               seed=7)
         state = tr.init_state(cfg, tcfg, stats, [f"class{k}" for k in range(5)])
-        policy = data.train_policy(32)
         best_acc = 0.0
         while state.epoch < 15:
-            records = tr.fit(state, train_samples, test_samples, policy=policy,
+            records = tr.fit(state, train_samples, test_samples,
                              max_epochs=state.epoch + 1)
             best_acc = max(best_acc, records[-1].test_acc)
             if best_acc > 0.6:
@@ -320,13 +319,12 @@ def test_criterion_7_determinism_and_persistence(tmp_path):
         tcfg = tr.TrainConfig(learning_rate=3e-3, batch_size=8, max_epochs=2,
                               seed=9)
         names = [f"class{k}" for k in range(5)]
-        policy = data.train_policy(32)
 
         # (a) same seed -> bitwise-identical history CSVs
         paths = []
         for tag in ("one", "two"):
             state = tr.init_state(cfg, tcfg, stats, names)
-            history = tr.fit(state, train_samples, test_samples, policy=policy)
+            history = tr.fit(state, train_samples, test_samples)
             path = tmp_path / f"history_{tag}.csv"
             tr.write_history(path, history)
             paths.append(path)
@@ -334,7 +332,7 @@ def test_criterion_7_determinism_and_persistence(tmp_path):
 
         # (b) checkpoint round trip -> bitwise-identical eval outputs
         state = tr.init_state(cfg, tcfg, stats, names)
-        tr.fit(state, train_samples, test_samples, policy=policy)
+        tr.fit(state, train_samples, test_samples)
         ckpt_path = tmp_path / "state.ckpt"
         tr.save_state(state, ckpt_path)
         reloaded = tr.load_state(ckpt_path)
@@ -349,13 +347,13 @@ def test_criterion_7_determinism_and_persistence(tmp_path):
 
         # (c) resumed training matches the unresumed next epoch bitwise
         straight = tr.init_state(cfg, tcfg, stats, names)
-        h_straight = tr.fit(straight, train_samples, test_samples, policy=policy,
+        h_straight = tr.fit(straight, train_samples, test_samples,
                             max_epochs=2)
         partial = tr.init_state(cfg, tcfg, stats, names)
-        tr.fit(partial, train_samples, test_samples, policy=policy, max_epochs=1)
+        tr.fit(partial, train_samples, test_samples, max_epochs=1)
         tr.save_state(partial, tmp_path / "mid.ckpt")
         resumed = tr.load_state(tmp_path / "mid.ckpt")
-        h_resumed = tr.fit(resumed, train_samples, test_samples, policy=policy,
+        h_resumed = tr.fit(resumed, train_samples, test_samples,
                            max_epochs=2)
         assert h_resumed[0].train_loss == h_straight[1].train_loss
         assert h_resumed[0].test_loss == h_straight[1].test_loss

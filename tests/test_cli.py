@@ -77,11 +77,6 @@ class TestConfigMerge:
         "model.cnn_channels": "8,16,32", "model.dropout_p": "0.2",
         "train.learning_rate": "0.001", "train.batch_size": "8", "train.max_epochs": "3",
         "train.patience": "2", "train.seed": "7",
-        "aug.train.flip_prob": "0.25", "aug.train.max_rotation_deg": "7.5",
-        "aug.train.jitter_brightness": "0.3", "aug.train.jitter_contrast": "0.4",
-        "aug.train.jitter_saturation": "0.1", "aug.train.jitter_hue": "0.125",
-        "aug.train.sharpness_factor": "1.5", "aug.train.sharpness_prob": "0.75",
-        "aug.train.blur_kernel": "5", "aug.train.blur_sigma": "0.5,1.5",
         "run.data_root": "some/tree", "run.out_dir": "some/run"}
 
     def test_every_run_config_key_is_live(self, capsys):
@@ -116,23 +111,9 @@ class TestConfigMerge:
         with pytest.raises(ConfigError, match="unknown"):
             run_config_from_kv({"model.imge_size": "32"})
 
-    def test_blur_sigma_none_and_pair(self, capsys):
-        cfg = run_config_from_kv({"aug.train.blur_sigma": "0.5,1.5"})
-        assert cfg.train_aug.blur_sigma == (0.5, 1.5)
-        # blur_kernel = 1 turns blur off; "none" is not a sigma range
-        for value in ("none", "1.0", "1,2,3", "2,1", "", "1,inf"):
-            assert main(["train", "--print-config",
-                         "--set", f"aug.train.blur_sigma={value}"]) == 2
-            err = capsys.readouterr().err
-            assert len(err.splitlines()) == 1 and "blur_sigma" in err, value
-
     def test_tiny_overrides_resolve_to_tiny_config(self):
         args = build_parser().parse_args(["train", "--tiny", "--image-size", "48"])
         assert cli._resolve(args).model == tiny_config(48)
-
-    def test_policy_target_follows_image_size(self):
-        cfg = run_config_from_kv({"model.image_size": "32"})
-        assert cfg.train_aug.target_size == (32, 32)
 
     def test_print_config_keys(self, capsys):
         assert main(["train", "--print-config"]) == 0
@@ -143,11 +124,6 @@ class TestConfigMerge:
             "model.cnn_channels", "model.dropout_p",
             "train.learning_rate", "train.batch_size", "train.max_epochs",
             "train.patience", "train.seed",
-            "aug.train.flip_prob", "aug.train.max_rotation_deg",
-            "aug.train.jitter_brightness", "aug.train.jitter_contrast",
-            "aug.train.jitter_saturation", "aug.train.jitter_hue",
-            "aug.train.sharpness_factor", "aug.train.sharpness_prob",
-            "aug.train.blur_kernel", "aug.train.blur_sigma",
             "run.data_root", "run.out_dir"]
 
     @pytest.mark.parametrize("pair", ["model.num_rotations=4", "aug.test.flip_prob=0",
@@ -162,10 +138,26 @@ class TestConfigMerge:
                                       "model.rotation_loss_weight=nan",
                                       "model.rotation_loss_weight=inf",
                                       "train.adam_beta1=0.9", "train.adam_beta2=0.999",
-                                      "model.num_classes=2"])
-    def test_removed_keys_rejected(self, pair, capsys):
+                                      "model.num_classes=2",
+                                      # the augmentation stack is data.train_policy's
+                                      "aug.train.flip_prob=0.25",
+                                      "aug.train.max_rotation_deg=nan",
+                                      "aug.train.jitter_brightness=0.3",
+                                      "aug.train.jitter_contrast=0.4",
+                                      "aug.train.jitter_saturation=0.1",
+                                      "aug.train.jitter_hue=0.125",
+                                      "aug.train.sharpness_factor=1.5",
+                                      "aug.train.sharpness_prob=0.75",
+                                      "aug.train.blur_kernel=1",
+                                      "aug.train.blur_sigma=0.5,1.5"])
+    def test_removed_keys_rejected(self, pair, tmp_path, capsys):
+        unknown = "unknown config keys: " + pair.split("=")[0]
         assert main(["train", "--print-config", "--set", pair]) == 2
-        assert "unknown config keys: " + pair.split("=")[0] in capsys.readouterr().err
+        assert unknown in capsys.readouterr().err
+        path = tmp_path / "run.cfg"
+        path.write_text(pair.replace("=", " = ", 1) + "\n", encoding="utf-8")
+        assert main(["train", "--config", str(path), "--print-config"]) == 2
+        assert unknown in capsys.readouterr().err
 
     def test_non_utf8_config_file_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
@@ -406,7 +398,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize("pair", [
         "model.mlp_ratio=0", "model.mlp_ratio=-1", "model.mlp_ratio=nan",
         "model.mlp_ratio=0.01", "model.cnn_channels=0", "model.cnn_channels=4,0",
-        "train.learning_rate=nan", "train.learning_rate=inf"])
+        "train.learning_rate=nan", "train.learning_rate=inf", "run.out_dir="])
     def test_out_of_range_value_is_config_error(self, pair, tmp_path, capsys):
         out = tmp_path / "x"
         code = main(TRAIN_ARGS + ["--out", str(out), "--set", pair])
@@ -441,21 +433,19 @@ class TestTrainCommand:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_finite_blow_up_exits_6(self, tmp_path, capsys):
-        # every loss stayed finite (test loss 2.3e12, then a train loss of
-        # 8.2e43) and the run exited 0; the first step of epoch 2 has a
-        # gradient norm near 1.8e66
+        # the epoch's one step passed the gradient-norm guard, its update
+        # blew the parameters up, and the run exited 0 with a best.ckpt
+        # whose test loss is 2.3e12
         out = tmp_path / "x"
         code = main(["train", "--synth", "--tiny", "--image-size", "32",
-                     "--per-class", "4", "--epochs", "2", "--lr", "1e6",
+                     "--per-class", "4", "--epochs", "1", "--lr", "1e6",
                      "--seed", "7", "--out", str(out)])
         assert code == 6
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
-        assert "epoch 2: gradient norm" in err and "above 1e+08" in err
-        # epoch 1 ended before the guard tripped; epoch 2 wrote nothing
-        assert tr.load_state(out / "last.ckpt").epoch == 1
-        assert tr.load_state(out / "best.ckpt").epoch == 1
-        assert not (out / "history.csv").exists()
+        assert "epoch 1: non-finite loss or a loss above 1e+06" in err
+        assert "test 2.32961e+12" in err
+        assert not list(out.glob("*.ckpt")) and not (out / "history.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         ["train", "--synth", "--per-class", "-3"],
@@ -472,6 +462,38 @@ class TestTrainCommand:
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--synth", "--tiny", "--image-size", "32", "--per-class", "2"],
+        ["eval", "--synth", "--checkpoint", "m.ckpt"],
+        ["synth", "--per-class", "1", "--image-size", "16"],
+        ["augment", "--input", "x.ppm"],
+        ["metrics", "--predictions", "p.csv"]])
+    def test_empty_out_rejected(self, argv, tmp_path, monkeypatch, capsys):
+        # train, eval and augment exited 4 on makedirs(''), synth wrote its
+        # class directories into the working directory, and metrics wrote
+        # no tables; train's --out is the run.out_dir key, the others' are
+        # argparse's
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = main(argv + ["--out", ""])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and ("is empty" in err or "expected an output directory" in err)
+        assert os.listdir(tmp_path) == []
+
+    def test_per_class_without_synth_rejected(self, tmp_path, capsys):
+        # the flag was ignored and the run trained on the tree
+        tree, out = tmp_path / "tree", tmp_path / "x"
+        assert main(["synth", "--out", str(tree), "--per-class", "2",
+                     "--image-size", "32"]) == 0
+        code = main(["train", "--data", str(tree), "--per-class", "5", "--tiny",
+                     "--image-size", "32", "--epochs", "1", "--out", str(out)])
+        assert code == 2
+        assert "--per-class sizes the synthetic dataset" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["train", "--synth"],
                                       ["eval", "--synth", "--checkpoint", "a.ckpt"]])
@@ -742,7 +764,10 @@ class TestEvalCommand:
         ["eval", "--checkpoint", "m.ckpt", "--synth", "--seed", "7"],
         ["eval", "--checkpoint", "m.ckpt", "--synth", "--set", "model.embed_dim=8"],
         ["eval", "--checkpoint", "m.ckpt", "--print-config"],
-        ["augment", "--input", "x.ppm", "--data", "d"]])
+        ["augment", "--input", "x.ppm", "--data", "d"],
+        # no config key changes what augment writes
+        ["augment", "--input", "x.ppm", "--config", "run.cfg"],
+        ["augment", "--input", "x.ppm", "--print-config"]])
     def test_flags_the_command_does_not_read_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -995,24 +1020,27 @@ class TestAugmentCommand:
         assert (a / "after.ppm").read_bytes() == (b / "after.ppm").read_bytes()
 
     def test_nan_rotation_is_config_error(self, tmp_path, capsys):
-        # a NaN angle turned every pixel NaN, written as black
+        # a NaN angle turned every pixel NaN, written as black; the rotation
+        # range is now fixed, so augment takes no --set
         img = self._input_image(tmp_path)
         out = tmp_path / "aug"
-        code = main(["augment", "--input", str(img), "--image-size", "32",
-                     "--set", "aug.train.max_rotation_deg=nan", "--out", str(out)])
-        assert code == 2
-        assert "max_rotation_deg" in capsys.readouterr().err
-        assert not (out / "after.ppm").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["augment", "--input", str(img), "--image-size", "32",
+                  "--set", "aug.train.max_rotation_deg=nan", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --set" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_infinite_rotation_is_config_error(self, tmp_path, capsys):
         # an infinite angle, like a NaN one, turned every pixel NaN
         img = self._input_image(tmp_path)
         out = tmp_path / "aug"
-        code = main(["augment", "--input", str(img), "--image-size", "32",
-                     "--set", "aug.train.max_rotation_deg=inf", "--out", str(out)])
-        assert code == 2
-        assert "max_rotation_deg" in capsys.readouterr().err
-        assert not (out / "after.ppm").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["augment", "--input", str(img), "--image-size", "32",
+                  "--set", "aug.train.max_rotation_deg=inf", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --set" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_is_io_error(self, tmp_path):
         code = main(["augment", "--input", str(tmp_path / "none.ppm"),

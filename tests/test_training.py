@@ -478,34 +478,6 @@ class TestHostIndependence:
         assert digests[0] == digests[1]
 
 
-class TestOverfitOneBatch:
-    def test_loss_below_point_one_within_200_steps(self):
-        samples = data.synth_dataset(num_per_class=7, size=32,
-                                     rng=RngStream(seed=5))[:32]
-        stats = data.compute_stats(samples)
-        cfg = tiny_config(32)
-        tcfg = tr.TrainConfig(learning_rate=1e-2, seed=11)
-        x, labels, rot_labels = tr.prepare_batch(
-            samples, MILD_POLICY, stats, RngStream(seed=3), epoch=0)
-        params = init_params(cfg, RngStream(seed=11))
-        adam = tr.init_adam(params)
-        b = len(samples)
-        final = None
-        for step in range(200):
-            cls_all, rot_all = model_forward(x, cfg, params)
-            cls = T.take_rows(cls_all, 0, b)
-            rot = T.take_rows(rot_all, b, 2 * b)
-            loss = tr.combined_loss(cls, labels, rot, rot_labels)
-            for p in params.values():
-                p.zero_grad()
-            T.backward(loss)
-            tr.adam_step(params, adam, tcfg)
-            final = loss.item()
-            if final < 0.1:
-                break
-        assert final < 0.1, f"stuck at {final} after {step + 1} steps"
-
-
 def _score_bytes(records) -> bytes:
     return np.array([r.scores for r in records]).tobytes()
 
@@ -719,7 +691,7 @@ class TestEarlyStopping:
             samples, train, test, stats, cfg, tcfg, names = _synth_setup(
                 per_class=4, lr=0.3, patience=patience, max_epochs=8)
             state = tr.init_state(cfg, tcfg, stats, names)
-            history = tr.fit(state, train, test, policy=MILD_POLICY)
+            history = tr.fit(state, train, test)
             losses = [r.test_loss for r in history]
             assert len(history) < tcfg.max_epochs, patience
             assert history[-1].epoch == state.epoch
@@ -757,7 +729,7 @@ class TestPersistence:
     def test_round_trip_preserves_everything(self, tmp_path):
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         state = tr.init_state(cfg, tcfg, stats, names)
-        tr.fit(state, train, test, policy=MILD_POLICY, max_epochs=1)
+        tr.fit(state, train, test, max_epochs=1)
         path = tmp_path / "state.ckpt"
         tr.save_state(state, path)
         back = tr.load_state(path)
@@ -779,7 +751,7 @@ class TestPersistence:
     def test_reloaded_state_evaluates_bitwise_identically(self, tmp_path):
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         state = tr.init_state(cfg, tcfg, stats, names)
-        tr.fit(state, train, test, policy=MILD_POLICY, max_epochs=1)
+        tr.fit(state, train, test, max_epochs=1)
         path = tmp_path / "state.ckpt"
         tr.save_state(state, path)
         back = tr.load_state(path)
@@ -792,7 +764,7 @@ class TestPersistence:
         # text of the constant's value they load and evaluate as if absent
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         state = tr.init_state(cfg, tcfg, stats, names)
-        tr.fit(state, train, test, policy=MILD_POLICY, max_epochs=1)
+        tr.fit(state, train, test, max_epochs=1)
         tr.save_state(state, tmp_path / "new.ckpt")
         snap = ckpt.load_checkpoint(tmp_path / "new.ckpt")
         # each retired key after the key that preceded it, at the text the
@@ -977,16 +949,15 @@ class TestResume:
         def fresh():
             return tr.init_state(cfg, tcfg, stats, names)
 
-        policy = data.train_policy(32)
         straight = fresh()
-        h_straight = tr.fit(straight, train, test, policy=policy, max_epochs=2)
+        h_straight = tr.fit(straight, train, test, max_epochs=2)
 
         part = fresh()
-        tr.fit(part, train, test, policy=policy, max_epochs=1)
+        tr.fit(part, train, test, max_epochs=1)
         path = tmp_path / "mid.ckpt"
         tr.save_state(part, path)
         resumed = tr.load_state(path)
-        h_resumed = tr.fit(resumed, train, test, policy=policy, max_epochs=2)
+        h_resumed = tr.fit(resumed, train, test, max_epochs=2)
 
         assert len(h_resumed) == 1
         assert resumed.adam.t == straight.adam.t == 4  # 2 epochs of 2 steps
@@ -1003,9 +974,8 @@ class TestResume:
         # restarted: train loss 1.7091812439732132, where the straight run
         # gives 1.7129965778240324
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
-        policy = data.train_policy(32)
         state = tr.init_state(cfg, tcfg, stats, names)
-        tr.fit(state, train, test, policy=policy, max_epochs=1)
+        tr.fit(state, train, test, max_epochs=1)
         path = tmp_path / "mid.ckpt"
         tr.save_state(state, path)
         snap = ckpt.load_checkpoint(path)
@@ -1016,13 +986,13 @@ class TestResume:
         out.mkdir()
         with pytest.raises(ContractError, match=f"Adam step count {adam_t} does not match "
                                                 f"1 epochs of 2 steps"):
-            tr.fit(edited, train, test, policy=policy, out_dir=out, max_epochs=2)
+            tr.fit(edited, train, test, out_dir=out, max_epochs=2)
         assert edited.epoch == 1 and os.listdir(out) == []
 
     def test_fit_writes_best_and_last(self, tmp_path):
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         state = tr.init_state(cfg, tcfg, stats, names)
-        tr.fit(state, train, test, policy=MILD_POLICY,
+        tr.fit(state, train, test,
                out_dir=tmp_path, max_epochs=2)
         assert (tmp_path / "best.ckpt").exists()
         assert (tmp_path / "last.ckpt").exists()
@@ -1036,7 +1006,7 @@ class TestResume:
         samples, train, test, stats, cfg, tcfg, names = _synth_setup(lr=1e300)
         state = tr.init_state(cfg, tcfg, stats, names)
         with pytest.raises(DivergenceError, match="epoch 1"):
-            tr.fit(state, train, test, policy=MILD_POLICY, out_dir=tmp_path)
+            tr.fit(state, train, test, out_dir=tmp_path)
         assert state.epoch == 0 and state.best_epoch == 0
         assert os.listdir(tmp_path) == []
 
