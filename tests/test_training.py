@@ -478,6 +478,34 @@ class TestHostIndependence:
         assert digests[0] == digests[1]
 
 
+class TestOverfitOneBatch:
+    def test_loss_below_point_one_within_200_steps(self):
+        samples = data.synth_dataset(num_per_class=7, size=32,
+                                     rng=RngStream(seed=5))[:32]
+        stats = data.compute_stats(samples)
+        cfg = tiny_config(32)
+        tcfg = tr.TrainConfig(learning_rate=1e-2, seed=11)
+        x, labels, rot_labels = tr.prepare_batch(
+            samples, MILD_POLICY, stats, RngStream(seed=3), epoch=0)
+        params = init_params(cfg, RngStream(seed=11))
+        adam = tr.init_adam(params)
+        b = len(samples)
+        final = None
+        for step in range(200):
+            cls_all, rot_all = model_forward(x, cfg, params)
+            cls = T.take_rows(cls_all, 0, b)
+            rot = T.take_rows(rot_all, b, 2 * b)
+            loss = tr.combined_loss(cls, labels, rot, rot_labels)
+            for p in params.values():
+                p.zero_grad()
+            T.backward(loss)
+            tr.adam_step(params, adam, tcfg)
+            final = loss.item()
+            if final < 0.1:
+                break
+        assert final < 0.1, f"stuck at {final} after {step + 1} steps"
+
+
 def _score_bytes(records) -> bytes:
     return np.array([r.scores for r in records]).tobytes()
 
