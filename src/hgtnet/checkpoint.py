@@ -3,16 +3,16 @@
 Layout (all integers little-endian):
 
     magic  "HGTN" (4 bytes)
-    u32    format version (currently 1)
-    u64    metadata byte length, then that many UTF-8 bytes holding the
-           flat ``key = value`` text
-    table  named parameter arrays
-    table  named optimizer-moment arrays
+    u32    format version (currently 2)
+    u64    header byte length, then that many UTF-8 bytes of flat
+           ``key = value`` text: the metadata, then one
+           ``array.<name> = d0,d1,...`` line per array, in payload order
+    f64    the arrays' values, each in C order, back to back
+    u32    CRC-32 (``zlib.crc32``) of every byte before it
 
-Each table is a u64 entry count followed by, per entry: u64 name length,
-the UTF-8 name, u8 rank, rank x u64 extents, then the raw little-endian
-float64 payload.  Writes go to a temp file and are renamed into place, so
-a crash never leaves a partial checkpoint at the target path.
+A file of any other version is refused.  Writes go to a temp file and are
+renamed into place, so a crash never leaves a partial checkpoint at the
+target path.
 """
 
 from __future__ import annotations
@@ -21,89 +21,17 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
-from pathlib import Path
+import zlib
 
 import numpy as np
 
 from .errors import CheckpointError, ConfigError
-from .kvtext import parse_kv, render_kv
+from .kvtext import get_ints, parse_kv, render_kv
 
 MAGIC = b"HGTN"
-FORMAT_VERSION = 1
-
-
-@dataclass
-class Checkpoint:
-    metadata: dict[str, str]
-    params: dict[str, np.ndarray]
-    moments: dict[str, np.ndarray]
-
-
-def _pack_table(arrays: dict[str, np.ndarray]) -> bytes:
-    chunks = [struct.pack("<Q", len(arrays))]
-    for name, arr in arrays.items():
-        # note: ascontiguousarray would promote rank-0 arrays to rank 1
-        arr = np.asarray(arr, dtype="<f8")
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<Q", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
-        chunks.append(arr.tobytes())
-    return b"".join(chunks)
-
-
-class _Reader:
-    def __init__(self, buf: bytes, path: str):
-        self.buf = buf
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise CheckpointError(f"{self.path}: truncated checkpoint "
-                                  f"(needed {n} bytes at offset {self.pos})")
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def text(self, what: str) -> str:
-        raw = self.take(self.u64())
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"{self.path}: {what} is not UTF-8 ({exc})") from None
-
-
-def _unpack_table(r: _Reader) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    count = r.u64()
-    for _ in range(count):
-        name = r.text("entry name")
-        if name in out:
-            raise CheckpointError(f"{r.path}: duplicate entry {name!r}")
-        rank = r.u8()
-        shape = tuple(r.u64() for _ in range(rank))
-        # Python ints: a product of u64 extents can overflow int64
-        size = math.prod(shape)
-        payload = r.take(size * 8)
-        try:
-            data = np.frombuffer(payload, dtype="<f8").reshape(shape)
-        except ValueError as exc:  # an extent numpy cannot index, beside a zero one
-            raise CheckpointError(f"{r.path}: entry {name!r} has invalid extents "
-                                  f"{shape} ({exc})") from None
-        out[name] = data.astype(np.float64)
-    return out
+FORMAT_VERSION = 2
+ARRAY = "array."  # the header key prefix of an array's extents
+_HEAD = 16        # magic, version and header length
 
 
 def atomic_write(path, write_fn) -> None:
@@ -121,40 +49,67 @@ def atomic_write(path, write_fn) -> None:
         raise
 
 
-def save_checkpoint(path, metadata: dict[str, str], params: dict[str, np.ndarray],
-                    moments: dict[str, np.ndarray]) -> None:
-    meta_bytes = render_kv(metadata).encode("utf-8")
-    blob = b"".join([
-        MAGIC,
-        struct.pack("<I", FORMAT_VERSION),
-        struct.pack("<Q", len(meta_bytes)),
-        meta_bytes,
-        _pack_table(params),
-        _pack_table(moments),
-    ])
-    atomic_write(path, lambda tmp: Path(tmp).write_bytes(blob))
+def save_checkpoint(path, metadata: dict[str, str], arrays: dict[str, np.ndarray]) -> None:
+    """Write the metadata and the arrays, each of rank >= 1, as float64;
+    no metadata key may start with ``array.``."""
+    if any(k.startswith(ARRAY) for k in metadata) or any(np.ndim(a) == 0 for a in arrays.values()):
+        raise ValueError("a checkpoint holds arrays of rank >= 1 and metadata keys "
+                         f"that do not start with {ARRAY!r}")
+    arrays = {n: np.ascontiguousarray(a, dtype="<f8") for n, a in arrays.items()}
+    header = render_kv({**metadata, **{ARRAY + n: ",".join(map(str, a.shape))
+                                       for n, a in arrays.items()}}).encode("utf-8")
+    parts = [MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header)) + header,
+             *arrays.values()]
+
+    def write(tmp):
+        crc = 0
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                fh.write(part)
+                crc = zlib.crc32(part, crc)
+            fh.write(struct.pack("<I", crc))
+
+    atomic_write(path, write)
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """``(metadata, arrays)``: the arrays are writable float64 copies that
+    share no memory.  Any file this module would not write, whatever its
+    bytes, raises ``CheckpointError``."""
     path = os.fspath(path)
     try:
         with open(path, "rb") as fh:
             buf = fh.read()
     except OSError as exc:
-        raise CheckpointError(f"{path}: cannot read checkpoint ({exc})") from exc
-    r = _Reader(buf, path)
-    if r.take(4) != MAGIC:
+        raise CheckpointError(f"{path}: cannot read checkpoint ({exc})") from None
+    if buf[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    version = r.u32()
+    version = int.from_bytes(buf[4:8], "little")
     if version != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version} "
-                              f"(expected {FORMAT_VERSION})")
+        raise CheckpointError(f"{path}: checkpoint format version {version} is not supported "
+                              f"(only {FORMAT_VERSION} is); retrain to write a version "
+                              f"{FORMAT_VERSION} file")
+    if len(buf) < _HEAD + 4 or \
+            zlib.crc32(memoryview(buf)[:-4]) != int.from_bytes(buf[-4:], "little"):
+        raise CheckpointError(f"{path}: CRC-32 mismatch, the file is truncated or corrupt")
+    end = _HEAD + int.from_bytes(buf[8:_HEAD], "little")
     try:
-        metadata = parse_kv(r.text("metadata"), source=path)
-    except ConfigError as exc:
-        raise CheckpointError(f"malformed metadata: {exc}") from None
-    params = _unpack_table(r)
-    moments = _unpack_table(r)
-    if r.pos != len(buf):
-        raise CheckpointError(f"{path}: {len(buf) - r.pos} trailing bytes after payload")
-    return Checkpoint(metadata=metadata, params=params, moments=moments)
+        header = parse_kv(buf[_HEAD:end].decode("utf-8"), source=path)
+        shapes = {k[len(ARRAY):]: get_ints(header, k) for k in header if k.startswith(ARRAY)}
+    except (UnicodeDecodeError, ConfigError) as exc:
+        raise CheckpointError(f"{path}: malformed header ({exc})") from None
+    # Python ints: a product of extents can overflow int64
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    if any(min(shape) < 0 for shape in shapes.values()) or \
+            end + 8 * sum(sizes) + 4 != len(buf):
+        raise CheckpointError(f"{path}: the header's array extents do not match the "
+                              f"file's {len(buf)} bytes")
+    arrays = {}
+    for (name, shape), size in zip(shapes.items(), sizes):
+        try:
+            arrays[name] = np.frombuffer(buf, "<f8", size, end).reshape(shape).astype(np.float64)
+        except ValueError as exc:  # an extent numpy cannot index, beside a zero one
+            raise CheckpointError(f"{path}: array {name!r} has invalid extents "
+                                  f"{shape} ({exc})") from None
+        end += 8 * size
+    return {k: v for k, v in header.items() if not k.startswith(ARRAY)}, arrays

@@ -173,8 +173,6 @@ def cmd_eval(args) -> int:
     the synthetic set's size come from the checkpoint; ``--synth`` evaluates
     the test split that ``train --synth`` held out, and a ``--data`` tree is
     evaluated whole."""
-    if not os.path.exists(args.checkpoint):
-        raise CheckpointError(f"{args.checkpoint}: checkpoint not found")
     state = tr.load_state(args.checkpoint)
     seed = state.train_cfg.seed
     per_class = state.synth_per_class if args.synth else None

@@ -30,7 +30,8 @@ class FormatError(DataError):
 
 
 class CheckpointError(HgtnetError):
-    """Checkpoint file is malformed: bad magic, unsupported version, truncation."""
+    """Checkpoint file is unreadable or malformed: bad magic, another format
+    version, a CRC-32 mismatch, a header that does not declare the payload."""
 
 
 class DivergenceError(HgtnetError):

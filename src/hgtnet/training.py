@@ -17,13 +17,13 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import tensor as T
-from .data import (NUM_ROTATIONS, DatasetStats, ImageSample, apply_policy, normalize,
-                   resize_bilinear, rotation_pretext_sample, train_policy)
+from .data import (DatasetStats, ImageSample, apply_policy, normalize, resize_bilinear,
+                   rotation_pretext_sample, train_policy)
 from .errors import (CheckpointError, ConfigError, ContractError, DataError,
                      DivergenceError, ShapeError)
 from .kvtext import from_kv, get_float, get_floats, get_int, parse_kv, render_kv, to_kv
 from .metrics import PredictionRecord, predicted_label
-from .model import GAT_LEAKY_SLOPE, ModelConfig, init_params, model_forward, param_shapes
+from .model import ModelConfig, init_params, model_forward, param_shapes
 from .rng import RngStream
 from .tensor import Tensor
 
@@ -383,28 +383,14 @@ def save_state(state: TrainerState, path) -> None:
     metadata["data.class_names"] = ",".join(state.class_names)
     if state.synth_per_class is not None:
         metadata["data.synth_per_class"] = str(state.synth_per_class)
-    params = {n: p.data for n, p in state.params.items()}
-    moments = {f"m.{n}": state.adam.m[n] for n in state.params}
-    moments.update({f"v.{n}": state.adam.v[n] for n in state.params})
-    ckpt.save_checkpoint(path, metadata, params, moments)
-
-
-# keys of settings now constant, at the only text earlier writers could record
-_RETIRED_KEYS = {
-    "model.num_rotations": str(NUM_ROTATIONS), "model.graph_connectivity": "grid8",
-    "model.gat_leaky_slope": str(GAT_LEAKY_SLOPE),
-    "model.rotation_loss_weight": str(ROTATION_LOSS_WEIGHT),
-    "train.adam_beta1": str(ADAM_BETA1), "train.adam_beta2": str(ADAM_BETA2),
-    "train.adam_eps": str(ADAM_EPS)}
+    arrays = {n: p.data for n, p in state.params.items()}
+    arrays.update({f"m.{n}": state.adam.m[n] for n in state.params})
+    arrays.update({f"v.{n}": state.adam.v[n] for n in state.params})
+    ckpt.save_checkpoint(path, metadata, arrays)
 
 
 def load_state(path) -> TrainerState:
-    snap = ckpt.load_checkpoint(path)
-    kv = snap.metadata
-    for key, text in _RETIRED_KEYS.items():
-        if kv.get(key, text) != text:
-            raise CheckpointError(f"{path}: bad metadata ({key} = {kv[key]}, but this "
-                                  f"version fixes it at {text})")
+    kv, arrays = ckpt.load_checkpoint(path)
     try:
         model_cfg = from_kv(ModelConfig, kv, "model.")
         train_cfg = from_kv(TrainConfig, kv, "train.")
@@ -442,23 +428,18 @@ def load_state(path) -> TrainerState:
     # checked here so that a file that does not fit its config fails on
     # load, not with a KeyError in the first forward pass
     expected = param_shapes(model_cfg)
-    if set(snap.params) != set(expected):
-        raise CheckpointError(
-            f"{path}: parameters do not match the model config (missing "
-            f"{sorted(set(expected) - set(snap.params))}, unexpected "
-            f"{sorted(set(snap.params) - set(expected))})")
+    layout = {p + n: shape for p in ("", "m.", "v.") for n, shape in expected.items()}
+    shapes = {n: a.shape for n, a in arrays.items()}
+    if shapes != layout:
+        wrong = sorted(n for n in layout.keys() | shapes.keys() if shapes.get(n) != layout.get(n))
+        raise CheckpointError(f"{path}: the parameters and optimizer moments do not match "
+                              f"the model config (missing, unexpected or misshapen: {wrong})")
     params, m, v = {}, {}, {}
-    for name, shape in expected.items():
-        if f"m.{name}" not in snap.moments or f"v.{name}" not in snap.moments:
-            raise CheckpointError(f"{path}: missing optimizer moments for {name!r}")
-        arrays = (snap.params[name], snap.moments[f"m.{name}"], snap.moments[f"v.{name}"])
-        if any(a.shape != shape for a in arrays):
-            raise CheckpointError(f"{path}: {name!r} or its optimizer moments do not "
-                                  f"have the shape {shape} that the model config needs")
+    for name in expected:
         # the arrays are load_checkpoint's own copies, kept as they are
-        _check_arrays(path, name, arrays)
-        params[name] = Tensor(arrays[0], requires_grad=True)
-        m[name], v[name] = arrays[1], arrays[2]
+        p, m[name], v[name] = arrays[name], arrays[f"m.{name}"], arrays[f"v.{name}"]
+        _check_arrays(path, name, (p, m[name], v[name]))
+        params[name] = Tensor(p, requires_grad=True)
     return TrainerState(
         model_cfg=model_cfg, train_cfg=train_cfg, params=params,
         adam=AdamState(m=m, v=v, t=adam_t), stats=stats,

@@ -44,6 +44,9 @@ TINY_RUN_PARAMS_SHA256 = "2d4b2af00b1754150315960bbce9a61e267c7aa3a7f3bd44e0f67b
 TINY_RUN_TRAIN_LOSSES = [1.7210075959983828, 1.648000810747242]
 TINY_RUN_TEST_LOSSES = [1.5167721432212826, 1.4534223151484547]
 TINY_RUN_PREDICTIONS_SHA256 = "37f6c07bc4584d493273018c538f83df7533708971cacdd341185817e94113a4"
+# and the SHA-256 of its best.ckpt, so that the checkpoint's bytes change
+# only with a deliberate edit of this pin
+TINY_RUN_BEST_CKPT_SHA256 = "42259ae07df2357f0904d96b0d47f56202574e5ae1ace95b0056ade17263f106"
 
 # the bitwise reference: two epochs of the paper-default model on
 # synth_dataset(2, 224, RngStream(seed=5)) at batch 4 and seed 5, then an
@@ -252,6 +255,16 @@ class TestTrainCommand:
             "items') says when a change may move them, and such a change updates "
             "this pin")
 
+    def test_tiny_run_writes_its_pinned_checkpoint_bytes(self, tmp_path):
+        previous = T.pin_blas_threads(1)
+        if previous is None:
+            pytest.skip("numpy's BLAS has no thread-count symbols to pin")
+        T.pin_blas_threads(previous)
+        best = (_train(tmp_path) / "best.ckpt").read_bytes()
+        assert hashlib.sha256(best).hexdigest() == TINY_RUN_BEST_CKPT_SHA256, (
+            "best.ckpt's bytes moved: a change to the checkpoint format or to the "
+            "tiny run's bits updates this pin")
+
     def test_paper_default_run_matches_its_pinned_bits(self):
         previous = T.pin_blas_threads(1)
         if previous is None:
@@ -361,7 +374,7 @@ class TestTrainCommand:
         out = tmp_path / "run"
         assert main(["train", "--data", str(tree), "--tiny", "--image-size", "32",
                      "--epochs", "1", "--out", str(out)]) == 0
-        metadata = ckpt.load_checkpoint(out / "best.ckpt").metadata
+        metadata = ckpt.load_checkpoint(out / "best.ckpt")[0]
         assert metadata["model.num_classes"] == "2"
         assert metadata["data.class_names"] == "class0,class1"
         assert main(["eval", "--checkpoint", str(out / "best.ckpt"), "--data", str(tree),
@@ -524,6 +537,12 @@ def _tree_with_a_non_utf8_name(tmp_path, renamed):
     return tree
 
 
+@pytest.fixture(scope="module")
+def tiny_best_ckpt(tmp_path_factory):
+    """The bytes of the TRAIN_ARGS run's best.ckpt."""
+    return (_train(tmp_path_factory.mktemp("tiny")) / "best.ckpt").read_bytes()
+
+
 def _untrained_checkpoint(path):
     state = tr.init_state(tiny_config(32), tr.TrainConfig(seed=7),
                           data.DatasetStats(mean=np.full(3, 0.5), std=np.full(3, 0.2)),
@@ -588,10 +607,10 @@ class TestEvalCommand:
         tr.save_state(state, tmp_path / "a.ckpt")
         # save_state refuses NaN parameters, so the file format's own writer
         # puts them in
-        snap = ckpt.load_checkpoint(tmp_path / "a.ckpt")
-        for a in snap.params.values():
-            a[...] = np.nan
-        ckpt.save_checkpoint(tmp_path / "a.ckpt", snap.metadata, snap.params, snap.moments)
+        metadata, arrays = ckpt.load_checkpoint(tmp_path / "a.ckpt")
+        for name in state.params:
+            arrays[name][...] = np.nan
+        ckpt.save_checkpoint(tmp_path / "a.ckpt", metadata, arrays)
         code = main(["eval", "--checkpoint", str(tmp_path / "a.ckpt"), "--synth",
                      "--out", str(tmp_path / "x")])
         assert code == 5
@@ -635,22 +654,21 @@ class TestEvalCommand:
 
 
     def test_checkpoint_missing_a_parameter_exit_5(self, tmp_path, capsys):
-        snap = ckpt.load_checkpoint(_untrained_checkpoint(tmp_path / "full.ckpt"))
-        for table, key in ((snap.params, "gat.w"), (snap.moments, "m.gat.w"),
-                           (snap.moments, "v.gat.w")):
-            del table[key]
+        metadata, arrays = ckpt.load_checkpoint(_untrained_checkpoint(tmp_path / "full.ckpt"))
+        for key in ("gat.w", "m.gat.w", "v.gat.w"):
+            del arrays[key]
         partial = tmp_path / "partial.ckpt"
-        ckpt.save_checkpoint(partial, snap.metadata, snap.params, snap.moments)
+        ckpt.save_checkpoint(partial, metadata, arrays)
         code = main(["eval", "--checkpoint", str(partial), "--synth",
                      "--out", str(tmp_path / "x")])
         assert code == 5
         assert "gat.w" in capsys.readouterr().err
 
     def test_checkpoint_with_oversized_config_exit_5(self, tmp_path, capsys):
-        snap = ckpt.load_checkpoint(_untrained_checkpoint(tmp_path / "full.ckpt"))
-        snap.metadata["model.mlp_ratio"] = "1e300"
+        metadata, arrays = ckpt.load_checkpoint(_untrained_checkpoint(tmp_path / "full.ckpt"))
+        metadata["model.mlp_ratio"] = "1e300"
         huge = tmp_path / "huge.ckpt"
-        ckpt.save_checkpoint(huge, snap.metadata, snap.params, snap.moments)
+        ckpt.save_checkpoint(huge, metadata, arrays)
         code = main(["eval", "--checkpoint", str(huge), "--synth",
                      "--out", str(tmp_path / "x")])
         assert code == 5
@@ -659,10 +677,10 @@ class TestEvalCommand:
     @pytest.mark.parametrize("key, value", [
         ("stats.mean", "0.5,0.5"), ("stats.std", "0.0,-1.0,0.2"), ("stats.std", "nan,nan,nan")])
     def test_checkpoint_with_bad_statistics_exit_5(self, key, value, tmp_path, capsys):
-        snap = ckpt.load_checkpoint(_untrained_checkpoint(tmp_path / "full.ckpt"))
-        snap.metadata[key] = value
+        metadata, arrays = ckpt.load_checkpoint(_untrained_checkpoint(tmp_path / "full.ckpt"))
+        metadata[key] = value
         bad = tmp_path / "bad.ckpt"
-        ckpt.save_checkpoint(bad, snap.metadata, snap.params, snap.moments)
+        ckpt.save_checkpoint(bad, metadata, arrays)
         code = main(["eval", "--checkpoint", str(bad), "--synth",
                      "--out", str(tmp_path / "x")])
         assert code == 5
@@ -671,42 +689,62 @@ class TestEvalCommand:
         assert not (tmp_path / "x").exists()
 
     def test_checkpoint_with_wrong_class_name_count_exit_5(self, tmp_path, capsys):
-        snap = ckpt.load_checkpoint(_untrained_checkpoint(tmp_path / "full.ckpt"))
-        snap.metadata["data.class_names"] = "class0,class1,class2,class3"
+        metadata, arrays = ckpt.load_checkpoint(_untrained_checkpoint(tmp_path / "full.ckpt"))
+        metadata["data.class_names"] = "class0,class1,class2,class3"
         bad = tmp_path / "bad.ckpt"
-        ckpt.save_checkpoint(bad, snap.metadata, snap.params, snap.moments)
+        ckpt.save_checkpoint(bad, metadata, arrays)
         code = main(["eval", "--checkpoint", str(bad), "--synth",
                      "--out", str(tmp_path / "x")])
         assert code == 5
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "data.class_names must list 5" in err
 
-    @pytest.mark.parametrize("key, text", [
-        ("model.num_rotations", "8"), ("model.graph_connectivity", "grid4"),
-        ("model.gat_leaky_slope", "0.1"), ("model.rotation_loss_weight", "0.0"),
-        ("train.adam_beta1", "0.8"), ("train.adam_beta2", "0.99"),
-        ("train.adam_eps", "1e-06")])
-    def test_checkpoint_with_a_retired_key_at_another_value_exit_5(self, key, text,
-                                                                   tmp_path, capsys):
-        snap = ckpt.load_checkpoint(_untrained_checkpoint(tmp_path / "full.ckpt"))
-        snap.metadata[key] = text
-        bad = tmp_path / "bad.ckpt"
-        ckpt.save_checkpoint(bad, snap.metadata, snap.params, snap.moments)
-        with pytest.raises(CheckpointError, match=f"{key} = {text}"):
-            tr.load_state(bad)
-        tree = self._synth_tree(tmp_path)
-        code = main(["eval", "--checkpoint", str(bad), "--data", str(tree),
+    def test_checkpoint_with_one_flipped_bit_exit_5(self, tmp_path, tiny_best_ckpt, capsys):
+        # without a checksum this file loaded with one parameter changed and
+        # evaluated with exit 0
+        blob = bytearray(tiny_best_ckpt)
+        blob[-100] ^= 1
+        flipped = tmp_path / "flipped.ckpt"
+        flipped.write_bytes(bytes(blob))
+        code = main(["eval", "--checkpoint", str(flipped), "--synth",
                      "--out", str(tmp_path / "x")])
         assert code == 5
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and f"{key} = {text}" in err
+        assert len(err.splitlines()) == 1 and "CRC-32 mismatch" in err
+        assert not (tmp_path / "x").exists()
+
+    @_FUZZ
+    @given(data=st.data())
+    def test_any_bit_flip_or_truncation_of_a_tiny_checkpoint_refused(self, tmp_path,
+                                                                     tiny_best_ckpt, data):
+        blob = bytearray(tiny_best_ckpt)
+        if data.draw(st.booleans(), label="flip"):
+            bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+            blob[bit // 8] ^= 1 << bit % 8
+        else:
+            del blob[data.draw(st.integers(0, len(blob) - 1), label="length"):]
+        path = tmp_path / "mutant.ckpt"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError):
+            tr.load_state(path)
+
+    def test_checkpoint_of_format_version_1_exit_5(self, tmp_path, capsys):
+        # the version field is checked before the CRC-32 trailer that
+        # version 1 did not have
+        old = tmp_path / "old.ckpt"
+        blob = _untrained_checkpoint(tmp_path / "full.ckpt").read_bytes()
+        old.write_bytes(blob[:4] + (1).to_bytes(4, "little") + blob[8:-4])
+        code = main(["eval", "--checkpoint", str(old), "--synth", "--out", str(tmp_path / "x")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "format version 1" in err and "retrain" in err
         assert not (tmp_path / "x").exists()
 
     def test_checkpoint_with_negative_counter_exit_5(self, tmp_path, capsys):
-        snap = ckpt.load_checkpoint(_untrained_checkpoint(tmp_path / "full.ckpt"))
-        snap.metadata["trainer.adam_t"] = "-1"
+        metadata, arrays = ckpt.load_checkpoint(_untrained_checkpoint(tmp_path / "full.ckpt"))
+        metadata["trainer.adam_t"] = "-1"
         bad = tmp_path / "bad.ckpt"
-        ckpt.save_checkpoint(bad, snap.metadata, snap.params, snap.moments)
+        ckpt.save_checkpoint(bad, metadata, arrays)
         code = main(["eval", "--checkpoint", str(bad), "--synth",
                      "--out", str(tmp_path / "x")])
         assert code == 5

@@ -110,15 +110,14 @@ def dangling_names(text: str, modules: set[str], skip: set[str]) -> list[str]:
 
 
 def test_readme_cites_only_names_that_exist(tmp_path):
-    # dotted keys that are text, not attributes: the run config's keys, the
-    # retired keys, and the metadata keys of a saved state
+    # dotted keys that are text, not attributes: the run config's keys and
+    # the metadata keys of a saved state
     state = training.init_state(tiny_config(32), training.TrainConfig(),
                                 data.DatasetStats(mean=np.zeros(3), std=np.ones(3)),
                                 list(data.SYNTH_CLASS_NAMES))
     state.synth_per_class = 1
     training.save_state(state, tmp_path / "s.ckpt")
-    skip = {*config._KEYS, *training._RETIRED_KEYS,
-            *load_checkpoint(tmp_path / "s.ckpt").metadata}
+    skip = {*config._KEYS, *load_checkpoint(tmp_path / "s.ckpt")[0]}
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     assert dangling_names(readme, {p.stem for p in PACKAGE}, skip) == []
 

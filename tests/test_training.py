@@ -787,37 +787,6 @@ class TestPersistence:
         l2, a2, r2 = tr.evaluate(back.params, back.model_cfg, test, back.stats)
         assert l1 == l2 and a1 == a2 and r1 == r2
 
-    def test_file_with_the_removed_model_keys_loads(self, tmp_path):
-        # earlier writers recorded settings that are now constants; at the
-        # text of the constant's value they load and evaluate as if absent
-        samples, train, test, stats, cfg, tcfg, names = _synth_setup()
-        state = tr.init_state(cfg, tcfg, stats, names)
-        tr.fit(state, train, test, max_epochs=1)
-        tr.save_state(state, tmp_path / "new.ckpt")
-        snap = ckpt.load_checkpoint(tmp_path / "new.ckpt")
-        # each retired key after the key that preceded it, at the text the
-        # earlier writers recorded
-        retired = {
-            "model.dropout_p": {"model.graph_connectivity": "grid8",
-                                "model.gat_leaky_slope": "0.2"},
-            "model.num_classes": {"model.num_rotations": "4",
-                                  "model.rotation_loss_weight": "0.1"},
-            "train.patience": {"train.adam_beta1": "0.9", "train.adam_beta2": "0.999",
-                               "train.adam_eps": "1e-08"}}
-        old = {}
-        for key, value in snap.metadata.items():
-            old[key] = value
-            old.update(retired.get(key, {}))
-        assert len(old) == len(snap.metadata) + 7
-        ckpt.save_checkpoint(tmp_path / "old.ckpt", old, snap.params, snap.moments)
-        new_state = tr.load_state(tmp_path / "new.ckpt")
-        old_state = tr.load_state(tmp_path / "old.ckpt")
-        assert old_state.model_cfg == new_state.model_cfg
-        assert old_state.train_cfg == new_state.train_cfg
-        l1, a1, r1 = tr.evaluate(new_state.params, new_state.model_cfg, test, new_state.stats)
-        l2, a2, r2 = tr.evaluate(old_state.params, old_state.model_cfg, test, old_state.stats)
-        assert l1 == l2 and a1 == a2 and r1 == r2
-
     def test_missing_moments_detected(self, tmp_path):
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         state = tr.init_state(cfg, tcfg, stats, names)
@@ -828,28 +797,26 @@ class TestPersistence:
                          "trainer.bad_epochs": "0",
                          "stats.mean": "0.5,0.5,0.5", "stats.std": "0.2,0.2,0.2",
                          "data.class_names": ",".join(names)})
-        ckpt.save_checkpoint(path, metadata,
-                             {n: p.data for n, p in state.params.items()}, {})
+        ckpt.save_checkpoint(path, metadata, {n: p.data for n, p in state.params.items()})
         with pytest.raises(CheckpointError, match="moments"):
             tr.load_state(path)
 
     @pytest.mark.parametrize("name,change", [
-        ("gat.w", "drop"), ("gat.w", "reshape"), ("extra.w", "add")])
+        ("gat.w", "drop"), ("gat.w", "reshape"), ("extra.w", "add"), ("m.extra.w", "add")])
     def test_params_not_matching_the_config_rejected_on_load(self, tmp_path, name, change):
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         state = tr.init_state(cfg, tcfg, stats, names)
         path = tmp_path / "state.ckpt"
         tr.save_state(state, path)
-        snap = ckpt.load_checkpoint(path)
+        metadata, arrays = ckpt.load_checkpoint(path)
         if change == "drop":
-            for table in (snap.params, snap.moments):
-                for key in (name, f"m.{name}", f"v.{name}"):
-                    table.pop(key, None)
+            for key in (name, f"m.{name}", f"v.{name}"):
+                del arrays[key]
         elif change == "reshape":
-            snap.params[name] = snap.params[name].reshape(-1)
+            arrays[name] = arrays[name].reshape(-1)
         else:
-            snap.params[name] = np.zeros(3)
-        ckpt.save_checkpoint(path, snap.metadata, snap.params, snap.moments)
+            arrays[name] = np.zeros(3)
+        ckpt.save_checkpoint(path, metadata, arrays)
         with pytest.raises(CheckpointError, match=name.replace(".", r"\.")):
             tr.load_state(path)
 
@@ -860,15 +827,16 @@ class TestPersistence:
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         path = tmp_path / "state.ckpt"
         tr.save_state(tr.init_state(cfg, tcfg, stats, names), path)
-        snap = ckpt.load_checkpoint(path)
+        metadata, arrays = ckpt.load_checkpoint(path)
         if value is None:
-            del snap.metadata[key]
+            del metadata[key]
         else:
-            snap.metadata[key] = value
-        ckpt.save_checkpoint(path, snap.metadata, snap.params, snap.moments)
+            metadata[key] = value
+        ckpt.save_checkpoint(path, metadata, arrays)
         with pytest.raises(CheckpointError, match="metadata"):
             tr.load_state(path)
 
+    # table: whether the array is a parameter or one of its moments
     @pytest.mark.parametrize("table, key, value", [
         ("params", "gat.w", np.nan), ("moments", "m.gat.w", np.inf),
         ("moments", "v.gat.w", -1e-300)])
@@ -877,9 +845,9 @@ class TestPersistence:
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         path = tmp_path / "state.ckpt"
         tr.save_state(tr.init_state(cfg, tcfg, stats, names), path)
-        snap = ckpt.load_checkpoint(path)
-        getattr(snap, table)[key].flat[0] = value
-        ckpt.save_checkpoint(path, snap.metadata, snap.params, snap.moments)
+        metadata, arrays = ckpt.load_checkpoint(path)
+        arrays[key].flat[0] = value
+        ckpt.save_checkpoint(path, metadata, arrays)
         with pytest.raises(CheckpointError, match="'gat.w' or its optimizer moments hold"):
             tr.load_state(path)
 
@@ -901,9 +869,9 @@ class TestPersistence:
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         path = tmp_path / "state.ckpt"
         tr.save_state(tr.init_state(cfg, tcfg, stats, names), path)
-        snap = ckpt.load_checkpoint(path)
-        snap.metadata.update({f"trainer.{k}": str(v) for k, v in values.items()})
-        ckpt.save_checkpoint(path, snap.metadata, snap.params, snap.moments)
+        metadata, arrays = ckpt.load_checkpoint(path)
+        metadata.update({f"trainer.{k}": str(v) for k, v in values.items()})
+        ckpt.save_checkpoint(path, metadata, arrays)
         return path
 
     # adam_t = -1 loaded, and fit then stopped in adam_step with a ContractError
@@ -1006,9 +974,9 @@ class TestResume:
         tr.fit(state, train, test, max_epochs=1)
         path = tmp_path / "mid.ckpt"
         tr.save_state(state, path)
-        snap = ckpt.load_checkpoint(path)
-        snap.metadata["trainer.adam_t"] = adam_t
-        ckpt.save_checkpoint(path, snap.metadata, snap.params, snap.moments)
+        metadata, arrays = ckpt.load_checkpoint(path)
+        metadata["trainer.adam_t"] = adam_t
+        ckpt.save_checkpoint(path, metadata, arrays)
         edited = tr.load_state(path)
         out = tmp_path / "out"
         out.mkdir()
