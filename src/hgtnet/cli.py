@@ -149,7 +149,6 @@ def cmd_train(args) -> int:
     per_class = (args.per_class or 40) if args.synth else None
     samples, names = _dataset(per_class, cfg.data_root, cfg.model.image_size, cfg.train.seed)
     model_cfg = dataclasses.replace(cfg.model, num_classes=len(names))
-    os.makedirs(cfg.out_dir, exist_ok=True)
     train_samples, test_samples = _split(samples, cfg.train.seed)
     stats = data.compute_stats(train_samples)
     state = tr.init_state(model_cfg, cfg.train, stats, names)

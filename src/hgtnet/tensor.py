@@ -54,7 +54,7 @@ def keep_freed_memory() -> bool:
     unmaps it on free, so each 224 px training step has the kernel fault in
     and zero the same pages again.  With both thresholds raised, freed
     blocks are reused by the next step and resident memory stays near its
-    peak.  Capping glibc at one arena makes the training shards' worker
+    peak.  Capping glibc at one arena makes the training tasks' worker
     threads reuse that same retained heap instead of each growing its own.
     The settings are process-wide and idempotent.  Returns whether all
     three took effect; off Linux, or when the C library of this process has
@@ -92,7 +92,7 @@ def pin_blas_threads(n: int) -> int | None:
 
     The count is process-wide.  At one thread a GEMM gives the same bits on
     every host, whatever ``OPENBLAS_NUM_THREADS`` says, and it runs on the
-    calling thread, so the training shards' worker threads can use the
+    calling thread, so the training tasks' worker threads can use the
     cores instead.  The BLAS is numpy's bundled scipy-openblas; without its
     ``scipy_openblas_{get,set}_num_threads64_`` symbols (another BLAS, or
     none found) it does nothing and returns None.

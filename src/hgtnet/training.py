@@ -173,32 +173,41 @@ def prepare_batch(samples: list[ImageSample], policy, stats: DatasetStats,
     return Tensor(normalize(np.concatenate([aug, rot]), stats)), labels, rot_labels
 
 
-# Each training step splits its batch into SHARDS contiguous sample shards.
-# Every shard runs its own forward and backward, and the shard gradients are
-# summed in shard order, so the result is the same whether the shards run
-# one after another or on worker threads.
+# A training step whose tasks are too small to thread (``_threaded`` of one
+# sample and its rotated copy is false) splits its batch into SHARDS
+# contiguous sample shards and runs them one after the other; otherwise
+# every sample and its rotated copy is one task.  Every task runs its own
+# forward and backward, and the task gradients are summed in task order, so
+# the result is the same whether the tasks run inline or on worker threads.
 SHARDS = 2
 
 # Tasks run on worker threads only when each one's first convolution writes
 # at least this many values (images x cnn_channels[0] x image_size^2): below
 # it the ops are too short for numpy's release of the interpreter lock to
-# pay for the hand-offs.  A --tiny 32 px shard at batch 16 writes 65k and
-# runs inline; a default-model shard at 64 px and batch 4 writes 262k, and
-# one 224 px eval sample 803k, and both run threaded.
+# pay for the hand-offs.  One --tiny 32 px sample and its copy write 8k, so
+# the tiny model trains in two inline shards; one default-model sample and
+# its copy write 131k at 64 px and 1.6M at 224 px, and one 224 px eval
+# sample 803k, and all three run threaded.
 THREAD_MIN_CONV_OUT = 1 << 17
+
+
+def _threaded(model_cfg: ModelConfig, images: int) -> bool:
+    """Whether a task that forwards ``images`` images is big enough for a
+    worker thread; this alone, never the core count, decides how a training
+    batch is split."""
+    return images * model_cfg.cnn_channels[0] * model_cfg.image_size ** 2 >= THREAD_MIN_CONV_OUT
 
 
 @contextmanager
 def _task_map(model_cfg: ModelConfig, images: int, tasks: int):
     """The ``map`` for ``tasks`` forwards of ``images`` images each: a pool's,
-    with one worker per usable core, when ``THREAD_MIN_CONV_OUT`` says so,
-    else the builtin.  BLAS runs on one thread meanwhile, so no result
-    depends on the host's BLAS thread count; the count is restored on exit."""
+    with one worker per usable core, when ``_threaded`` says so, else the
+    builtin.  BLAS runs on one thread meanwhile, so no result depends on
+    the host's BLAS thread count; the count is restored on exit."""
     T.keep_freed_memory()
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    conv_out = images * model_cfg.cnn_channels[0] * model_cfg.image_size ** 2
-    workers = min(cores, tasks) if conv_out >= THREAD_MIN_CONV_OUT else 1
+    workers = min(cores, tasks) if _threaded(model_cfg, images) else 1
     blas_threads = T.pin_blas_threads(1)
     try:
         if workers > 1:
@@ -218,60 +227,70 @@ def train_epoch(params: dict[str, Tensor], model_cfg: ModelConfig,
     """One pass over a seeded shuffle of the data; returns the per-sample
     mean combined loss and the classification accuracy.
 
-    BLAS runs on one thread meanwhile (``_task_map``), so the parameters do
-    not depend on the host's BLAS thread count."""
+    A model whose one sample and rotated copy are big enough to thread
+    trains one task per sample, on one worker per usable core; a smaller
+    one trains two inline shards per batch (``SHARDS``).  The split
+    depends on the model config alone, and BLAS runs on one thread
+    meanwhile (``_task_map``), so the parameters depend on neither the
+    host's core count nor its BLAS thread count."""
     if not samples:
         raise DataError("cannot train on an empty dataset")
     root = RngStream(seed=train_cfg.seed)
     order = root.derive("shuffle", epoch).shuffle(list(range(len(samples))))
-    images = -(-min(train_cfg.batch_size, len(samples)) // SHARDS) * 2
     total_loss = 0.0
     correct = 0
-    with _task_map(model_cfg, images, SHARDS) as map_shards:
+    with _task_map(model_cfg, 2, min(train_cfg.batch_size, len(samples))) as map_tasks:
         for start in range(0, len(order), train_cfg.batch_size):
             batch = [samples[i] for i in order[start:start + train_cfg.batch_size]]
             loss, hits = _train_step(params, model_cfg, train_cfg, batch, stats,
-                                     policy, adam, root, epoch, map_shards)
+                                     policy, adam, root, epoch, map_tasks)
             total_loss += loss * len(batch)
             correct += hits
     return total_loss / len(samples), correct / len(samples)
 
 
 def _train_step(params, model_cfg, train_cfg, batch, stats, policy, adam, root,
-                epoch, map_shards) -> tuple[float, int]:
+                epoch, map_tasks) -> tuple[float, int]:
     """Forward, backward and Adam on one batch; returns the loss and the
-    number of correct predictions.  ``map_shards`` is ``map`` or a thread
-    pool's ``map``; each shard's graph is freed by its ``T.backward`` walk,
-    record by record, before the shard returns its gradients.  Raises
+    number of correct predictions.  ``map_tasks`` is ``map`` or a thread
+    pool's ``map`` over the batch's tasks (see ``SHARDS``); each task's
+    graph is freed by its ``T.backward`` walk before the task returns its
+    gradients, which are added into ``p.grad`` in task order as the task
+    is yielded, then dropped.  Raises
     ``DivergenceError``, before the Adam step, when the summed gradient's
     norm is above ``MAX_GRAD_NORM`` or not finite."""
     b = len(batch)
-    size = -(-b // SHARDS)
-    shards = [batch[i:i + size] for i in range(0, b, size)]
-    run = lambda shard: _shard_step(params, model_cfg, shard, b, stats, policy, root, epoch)
-    results = list(map_shards(run, shards))
-    for name, p in params.items():
+    size = 1 if _threaded(model_cfg, 2) else -(-b // SHARDS)
+    tasks = [batch[i:i + size] for i in range(0, b, size)]
+    run = lambda task: _shard_step(params, model_cfg, task, b, stats, policy, root, epoch)
+    for p in params.values():
         p.grad = None
-        for _, _, grads in results:
+    loss, hits = 0.0, 0
+    for task_loss, task_hits, grads in map_tasks(run, tasks):
+        loss += task_loss
+        hits += task_hits
+        for name, p in params.items():
             g = grads[name]
             if g is not None:
                 p.grad = g if p.grad is None else p.grad + g
+        del grads  # so the next task does not run beside this one's gradients
     norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad))
                          for p in params.values() if p.grad is not None))
     if not norm <= MAX_GRAD_NORM:
         raise DivergenceError(f"epoch {epoch + 1}: gradient norm {norm:.3g} is above "
                               f"{MAX_GRAD_NORM:.0e}; no checkpoint was written for this epoch")
     adam_step(params, adam, train_cfg)
-    return sum(r[0] for r in results), sum(r[1] for r in results)
+    return loss, hits
 
 
 def _shard_step(params, model_cfg, shard, b, stats, policy, root, epoch):
-    """Forward and backward of one shard of a batch of ``b`` samples on its
-    own views of the parameters; returns the shard's share of the batch
-    loss, its number of correct predictions and its parameter gradients.
+    """Forward and backward of one task (a shard or one sample) of a batch
+    of ``b`` samples on its own views of the parameters; returns the task's
+    share of the batch loss, its number of correct predictions and its
+    parameter gradients.
 
     Each image draws its dropout masks from a stream keyed by its sample,
-    so the masks do not depend on the batch or the shard it lands in."""
+    so the masks do not depend on the batch or the task it lands in."""
     x, labels, rot_labels = prepare_batch(shard, policy, stats, root, epoch)
     n = len(shard)
     rngs = ([root.derive("drop", epoch, s.id) for s in shard]
@@ -459,7 +478,8 @@ def fit(state: TrainerState, train_samples: list[ImageSample],
     the budget or the patience counter is exhausted.
 
     Saves ``best.ckpt`` on every strict test-loss improvement and
-    ``last.ckpt`` after every epoch when ``out_dir`` is given.  Raises
+    ``last.ckpt`` after every epoch when ``out_dir`` is given, creating
+    ``out_dir`` with the first of them.  Raises
     ``DivergenceError`` for an epoch whose train or test loss is above
     ``MAX_EPOCH_LOSS`` or NaN, or one of whose steps fails ``MAX_GRAD_NORM``,
     before that epoch is counted or checkpointed.  Returns the records for
@@ -496,6 +516,10 @@ def fit(state: TrainerState, train_samples: list[ImageSample],
                              train_acc=train_acc, test_loss=test_loss,
                              test_acc=test_acc)
         history.append(record)
+        if out_dir is not None:
+            # made here, so a run that stops before its first checkpoint
+            # leaves no directory behind
+            os.makedirs(out_dir, exist_ok=True)
         if test_loss < state.best_test_loss:
             state.best_test_loss = test_loss
             state.best_epoch = state.epoch

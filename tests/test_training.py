@@ -302,21 +302,24 @@ class TestShardedStep:
     def test_parameters_equal_at_one_and_two_workers(self, monkeypatch):
         samples, stats, cfg, tcfg = _sharded_setup(batch_size=4)
         monkeypatch.setattr(tr, "THREAD_MIN_CONV_OUT", 0)
-        threads = []
+        threads, images = [], []
         forward = tr.model_forward
 
-        def spy(*args, **kwargs):
+        def spy(x, *args, **kwargs):
             threads.append(threading.get_ident())
-            return forward(*args, **kwargs)
+            images.append(x.shape[0])
+            return forward(x, *args, **kwargs)
 
         monkeypatch.setattr(tr, "model_forward", spy)
         runs = {}
         for workers in (1, 2):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
             threads.clear()
+            images.clear()
             runs[workers] = _one_epoch(samples, stats, cfg, tcfg)
             on_main = {t == threading.main_thread().ident for t in threads}
             assert on_main == ({True} if workers == 1 else {False})
+            assert images == [2] * len(samples)  # one task per sample and its copy
         (l1, a1, p1), (l2, a2, p2) = runs[1], runs[2]
         assert (l1, a1) == (l2, a2)
         for name in p1:
@@ -333,6 +336,29 @@ class TestShardedStep:
         # Adam would turn the rounding noise on gradients that are zero in
         # exact arithmetic (attn.bk) into full steps, so compare gradients,
         # relative to the largest gradient entry
+        scale = max(np.abs(p.grad).max() for p in p1.values())
+        for name in p1:
+            assert np.abs(p1[name].grad - p2[name].grad).max() <= 1e-12 * scale, name
+
+    def test_per_sample_tasks_and_two_shards_agree_on_loss_and_gradients(self, monkeypatch):
+        samples, stats, cfg, tcfg = _sharded_setup()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        images = []
+        forward = tr.model_forward
+
+        def spy(x, *args, **kwargs):
+            images.append(x.shape[0])
+            return forward(x, *args, **kwargs)
+
+        monkeypatch.setattr(tr, "model_forward", spy)
+        runs = {}
+        for threshold, split in ((tr.THREAD_MIN_CONV_OUT, [10, 10]), (0, [2] * 10)):
+            monkeypatch.setattr(tr, "THREAD_MIN_CONV_OUT", threshold)
+            images.clear()
+            runs[threshold] = _one_epoch(samples, stats, cfg, tcfg)
+            assert images == split
+        (l1, _, p1), (l2, _, p2) = runs.values()
+        assert l1 == pytest.approx(l2, rel=1e-12, abs=0.0)
         scale = max(np.abs(p.grad).max() for p in p1.values())
         for name in p1:
             assert np.abs(p1[name].grad - p2[name].grad).max() <= 1e-12 * scale, name
@@ -362,7 +388,9 @@ class TestShardedStep:
 
     def test_shard_error_reaches_the_caller_and_blas_threads_are_restored(
             self, monkeypatch):
-        samples, stats, cfg, tcfg = _sharded_setup()
+        # a batch of exactly two tasks, so that both start before the error
+        # comes back
+        samples, stats, cfg, tcfg = _sharded_setup(batch_size=2)
         if T.pin_blas_threads(2) is None:
             pytest.skip("numpy's BLAS has no thread-count symbols")
         monkeypatch.setattr(tr, "THREAD_MIN_CONV_OUT", 0)
@@ -419,6 +447,38 @@ class TestShardedStep:
     def test_traced_peak_of_a_224px_shard_step(self):
         peak = self._traced_peak_of_a_shard_step(224)
         assert peak <= 155.5, f"{peak:.1f} MiB"
+
+    @staticmethod
+    def _traced_peak_of_a_train_step(batch):
+        """tracemalloc's peak, in MiB, over one paper-default ``train_epoch``
+        step of ``batch`` synthetic 64 px samples."""
+        cfg = ModelConfig(image_size=64)
+        samples = data.synth_dataset(2, 64, RngStream(seed=3))[:batch]
+        stats = data.compute_stats(samples)
+        params = init_params(cfg, RngStream(seed=5))
+        adam = tr.init_adam(params)
+        tcfg = tr.TrainConfig(batch_size=batch, seed=5)
+        tracemalloc.start()
+        try:
+            tr.train_epoch(params, cfg, tcfg, samples, stats, data.train_policy(64), adam, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / 2**20
+
+    # one task per sample: the step holds one sample's graph at a time, so
+    # its peak does not grow with the batch (two shards read 26.2 MiB at
+    # batch 2 and 31.7 MiB at batch 8)
+    def test_traced_peak_of_a_64px_train_step_does_not_grow_with_the_batch(
+            self, monkeypatch):
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already traces this session; its peak would "
+                        "count allocations made before the step")
+        # one core, so the tasks run inline and the peak does not depend on
+        # the thread schedule
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        small, large = (self._traced_peak_of_a_train_step(b) for b in (2, 8))
+        assert abs(large - small) <= 0.05 * small, f"{small:.1f} and {large:.1f} MiB"
 
 
 _HOST_RUN = """
