@@ -14,6 +14,7 @@ with a one-line diagnostic and a code identifying the failure class:
     5  checkpoint missing or malformed
     6  training diverged (a non-finite loss, or a gradient norm above
        ``training.MAX_GRAD_NORM``)
+    7  out of memory (an allocation failed)
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ EXIT_DATA = 3
 EXIT_IO = 4
 EXIT_CHECKPOINT = 5
 EXIT_DIVERGED = 6
+EXIT_MEMORY = 7
 
 
 def _write_text(path, text: str) -> None:
@@ -424,6 +426,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

@@ -1,14 +1,13 @@
 """Dataset handling and the training augmentation stack.
 
 Images are H x W x 3 float64 arrays in [0, 1] wrapped in ``ImageSample``.
-Augmentation works on a shard: ``apply_policy`` resizes a list of samples
-and stacks them into one (B, H, W, 3) array, and each transform then runs
-once over that array with one parameter per image.  A transform returns a
-new array (or its input, when no image changes), preserves shape and
-clamps back to [0, 1].  Each image's parameters come from its own
-``RngStream``, all drawn before any pixel work, and each image's pixels go
-through the same arithmetic whatever shard it is in, so a shard is the
-bitwise stack of its images augmented one at a time.
+Each transform takes one (H, W, 3) image and a scalar parameter; it
+returns a new array, preserves shape and clamps back to [0, 1].  Given the
+parameter that changes nothing (no flip, an angle of 0, a factor of 1, a
+hue delta of 0) it returns its input object.  ``apply_policy`` draws
+each image's parameters from that image's own ``RngStream``, augments the
+images one at a time and stacks the views, so an image's view does not
+depend on its batch.
 """
 
 from __future__ import annotations
@@ -56,7 +55,8 @@ class DatasetStats:
 @dataclass(frozen=True)
 class AugmentPolicy:
     """The paper's training stack, which no run setting changes; tests build
-    others, and a one-tap ``blur_kernel`` leaves every pixel unchanged."""
+    others, and a one-tap ``blur_kernel`` leaves every pixel unchanged.  No
+    input from outside the program sets a field, so none is validated."""
     flip_prob: float = 0.5
     max_rotation_deg: float = 15.0
     jitter_brightness: float = 0.2
@@ -68,26 +68,6 @@ class AugmentPolicy:
     blur_kernel: int = 3
     blur_sigma: tuple[float, float] = (0.1, 2.0)
     target_size: tuple[int, int] = (224, 224)
-
-    def __post_init__(self):
-        for name in ("flip_prob", "sharpness_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {p}")
-        for name in ("max_rotation_deg", "jitter_brightness", "jitter_contrast",
-                     "jitter_saturation", "sharpness_factor"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if not 0.0 <= self.jitter_hue <= 0.5:
-            raise ConfigError(f"jitter_hue must be in [0, 0.5], got {self.jitter_hue}")
-        if self.blur_kernel % 2 == 0 or self.blur_kernel < 1:
-            raise ConfigError(f"blur_kernel must be odd and positive, got {self.blur_kernel}")
-        if len(self.blur_sigma) != 2 or not 0 < self.blur_sigma[0] <= self.blur_sigma[1] < np.inf:
-            raise ConfigError(f"blur_sigma must be two finite, positive, ordered numbers "
-                              f"'low,high', got {self.blur_sigma}")
-        th, tw = self.target_size
-        if th < 1 or tw < 1:
-            raise ConfigError(f"target_size must be >= 1, got {self.target_size}")
 
 
 def train_policy(target: int) -> AugmentPolicy:
@@ -158,27 +138,6 @@ def stratified_split(samples: list[ImageSample], test_fraction: float,
     return train, test
 
 
-# ---------------------------------------------------------------------------
-# shards
-# ---------------------------------------------------------------------------
-
-def _on_changed(x: np.ndarray, params, identity, fn) -> np.ndarray:
-    """``fn(images, their_params)`` on the images of shard ``x`` whose
-    parameter is not ``identity``, the parameters shaped (n, 1, 1, 1) to
-    broadcast over the pixels; the other images pass through as they are.
-    A shard that changes throughout goes in whole, with no gather or
-    scatter copy."""
-    params = np.asarray(params)
-    idx = np.flatnonzero(params != identity)
-    if len(idx) == 0:
-        return x
-    if len(idx) == len(x):
-        return fn(x, params.reshape(-1, 1, 1, 1))
-    out = x.copy()
-    out[idx] = fn(x[idx], params[idx].reshape(-1, 1, 1, 1))
-    return out
-
-
 def _reflect(x: np.ndarray, half: int, axis: int) -> np.ndarray:
     """``x`` with ``half`` mirrored rows added at both ends of ``axis``,
     equal to ``np.pad(..., mode="reflect")`` on that axis."""
@@ -221,28 +180,21 @@ def resize_bilinear(img: ImageSample, h: int, w: int) -> ImageSample:
     return img.with_pixels(np.ascontiguousarray(out))
 
 
-def hflip(x: np.ndarray, flips) -> np.ndarray:
-    """Mirror left to right the images of shard ``x`` whose ``flips`` entry
-    is true."""
-    return _on_changed(x, flips, False, lambda imgs, _: np.ascontiguousarray(imgs[:, :, ::-1]))
+def hflip(px: np.ndarray, flip: bool) -> np.ndarray:
+    """Mirror the image left to right when ``flip`` is true."""
+    return np.ascontiguousarray(px[:, ::-1]) if flip else px
 
 
-def rotate(x: np.ndarray, angles_deg) -> np.ndarray:
-    """Rotate each image of shard ``x`` about its center by its angle
-    (positive = clockwise in row/col space), bilinear resampling, zero fill
-    outside the source frame; an angle of exactly 0 leaves the image as it
-    is."""
-    return _on_changed(x, angles_deg, 0.0, _rotate_images)
-
-
-def _rotate_images(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    n, H, W = x.shape[:3]
+def rotate(px: np.ndarray, angle_deg: float) -> np.ndarray:
+    """Rotate the image about its center by ``angle_deg`` (positive =
+    clockwise in row/col space), bilinear resampling, zero fill outside the
+    source frame."""
+    if angle_deg == 0.0:
+        return px
+    H, W = px.shape[:2]
     cy, cx = (H - 1) / 2.0, (W - 1) / 2.0
-    # each image's cos and sin are numpy scalars, as when it is rotated alone:
-    # numpy's vectorised cos and sin need not round the same
-    thetas = [np.deg2rad(a) for a in angles.ravel()]
-    cos_t = np.array([np.cos(t) for t in thetas])[:, None, None]
-    sin_t = np.array([np.sin(t) for t in thetas])[:, None, None]
+    theta = np.deg2rad(angle_deg)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
     yp = np.arange(H)[:, None] - cy
     xp = np.arange(W)[None, :] - cx
     src_r = yp * cos_t - xp * sin_t + cy
@@ -255,16 +207,15 @@ def _rotate_images(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
 
     # a tap outside the source frame is clipped onto the zero border of this
     # copy, so every tap is one flat gather
-    framed = np.zeros((n, H + 2, W + 2, 3))
-    framed[:, 1:-1, 1:-1] = x
+    framed = np.zeros((H + 2, W + 2, 3))
+    framed[1:-1, 1:-1] = px
     framed = framed.reshape(-1, 3)
-    rows = [(np.arange(n) * (H + 2))[:, None, None] + np.clip(r0 + d, 0, H + 1)
-            for d in (1, 2)]
+    rows = [np.clip(r0 + d, 0, H + 1) * (W + 2) for d in (1, 2)]
     cols = [np.clip(c0 + d, 0, W + 1) for d in (1, 2)]
-    out = np.zeros_like(x)
+    out = np.zeros_like(px)
     for dr, dc, weight in ((0, 0, (1 - wr) * (1 - wc)), (0, 1, (1 - wr) * wc),
                            (1, 0, wr * (1 - wc)), (1, 1, wr * wc)):
-        out += weight * np.take(framed, rows[dr] * (W + 2) + cols[dc], axis=0)
+        out += weight * np.take(framed, rows[dr] + cols[dc], axis=0)
     return np.clip(out, 0.0, 1.0)
 
 
@@ -314,40 +265,35 @@ def luma(px: np.ndarray) -> np.ndarray:
     return px @ _LUMA
 
 
-def adjust_brightness(x: np.ndarray, factors) -> np.ndarray:
-    """Scale each image of shard ``x`` by its factor."""
-    return _on_changed(x, factors, 1.0, lambda imgs, f: np.clip(imgs * f, 0.0, 1.0))
+def adjust_brightness(px: np.ndarray, factor: float) -> np.ndarray:
+    """Scale the image by ``factor``."""
+    if factor == 1.0:
+        return px
+    return np.clip(px * factor, 0.0, 1.0)
 
 
-def _contrast(imgs, f):
-    # each image's anchor is the mean luma over its own H x W
-    anchor = luma(imgs).mean(axis=(1, 2))[:, None, None, None]
-    return np.clip(anchor + f * (imgs - anchor), 0.0, 1.0)
+def adjust_contrast(px: np.ndarray, factor: float) -> np.ndarray:
+    """Scale the image's distance from its mean luma by ``factor``."""
+    if factor == 1.0:
+        return px
+    anchor = luma(px).mean()
+    return np.clip(anchor + factor * (px - anchor), 0.0, 1.0)
 
 
-def adjust_contrast(x: np.ndarray, factors) -> np.ndarray:
-    """Scale each image's distance from its mean luma by its factor."""
-    return _on_changed(x, factors, 1.0, _contrast)
+def adjust_saturation(px: np.ndarray, factor: float) -> np.ndarray:
+    """Scale each pixel's distance from its own luma by ``factor``."""
+    if factor == 1.0:
+        return px
+    gray = luma(px)[..., None]
+    return np.clip(gray + factor * (px - gray), 0.0, 1.0)
 
 
-def _saturation(imgs, f):
-    gray = luma(imgs)[..., None]
-    return np.clip(gray + f * (imgs - gray), 0.0, 1.0)
-
-
-def adjust_saturation(x: np.ndarray, factors) -> np.ndarray:
-    """Scale each pixel's distance from its own luma by its image's factor."""
-    return _on_changed(x, factors, 1.0, _saturation)
-
-
-def _hue(imgs, d):
-    h, s, v = rgb_to_hsv(imgs)
-    return np.clip(hsv_to_rgb((h + d[..., 0]) % 1.0, s, v), 0.0, 1.0)
-
-
-def adjust_hue(x: np.ndarray, deltas) -> np.ndarray:
-    """Shift each image's hue by its delta in turns (delta in [-0.5, 0.5])."""
-    return _on_changed(x, deltas, 0.0, _hue)
+def adjust_hue(px: np.ndarray, delta: float) -> np.ndarray:
+    """Shift the image's hue by ``delta`` turns (delta in [-0.5, 0.5])."""
+    if delta == 0.0:
+        return px
+    h, s, v = rgb_to_hsv(px)
+    return np.clip(hsv_to_rgb((h + delta) % 1.0, s, v), 0.0, 1.0)
 
 
 # jitter op name -> (transform, the parameter that leaves an image as it is)
@@ -355,37 +301,31 @@ _JITTER = {"brightness": (adjust_brightness, 1.0), "contrast": (adjust_contrast,
            "saturation": (adjust_saturation, 1.0), "hue": (adjust_hue, 0.0)}
 
 
-def color_jitter(x: np.ndarray, jitters) -> np.ndarray:
-    """``jitters[i]`` lists the (op name, parameter) pairs that image ``i``
-    applies, in its order.  Each position runs as one call per op over the
-    images that apply that op there."""
-    for pos in range(len(_JITTER)):
-        for name, (transform, identity) in _JITTER.items():
-            x = transform(x, [j[pos][1] if j[pos][0] == name else identity for j in jitters])
-    return x
+def color_jitter(px: np.ndarray, jitter) -> np.ndarray:
+    """Apply the image's (op name, parameter) pairs in their order."""
+    for name, value in jitter:
+        px = _JITTER[name][0](px, value)
+    return px
 
 
-def box_smooth3(x: np.ndarray) -> np.ndarray:
-    """3x3 box mean of each image of shard ``x`` with reflected edges, the
-    smoothing behind sharpness."""
-    H, W = x.shape[1:3]
-    padded = _reflect(_reflect(x, 1, 1), 1, 2)
-    out = np.zeros_like(x)
+def box_smooth3(px: np.ndarray) -> np.ndarray:
+    """3x3 box mean with reflected edges, the smoothing behind sharpness."""
+    H, W = px.shape[:2]
+    padded = _reflect(_reflect(px, 1, 0), 1, 1)
+    out = np.zeros_like(px)
     for dr in range(3):
         for dc in range(3):
-            out += padded[:, dr:dr + H, dc:dc + W]
+            out += padded[dr:dr + H, dc:dc + W]
     return out / 9.0
 
 
-def _sharpen(imgs, f):
-    blurred = box_smooth3(imgs)
-    return np.clip(blurred + f * (imgs - blurred), 0.0, 1.0)
-
-
-def sharpen(x: np.ndarray, factors) -> np.ndarray:
-    """Move each image away from its box smoothing by its factor: 0 gives
-    the smoothing, 1 the image itself."""
-    return _on_changed(x, factors, 1.0, _sharpen)
+def sharpen(px: np.ndarray, factor: float) -> np.ndarray:
+    """Move the image away from its box smoothing by ``factor``: 0 gives the
+    smoothing, 1 the image itself."""
+    if factor == 1.0:
+        return px
+    blurred = box_smooth3(px)
+    return np.clip(blurred + factor * (px - blurred), 0.0, 1.0)
 
 
 def gaussian_kernel1d(kernel: int, sigma: float) -> np.ndarray:
@@ -400,16 +340,15 @@ def gaussian_kernel1d(kernel: int, sigma: float) -> np.ndarray:
     return w / w.sum()
 
 
-def gaussian_blur(x: np.ndarray, kernel: int, sigmas) -> np.ndarray:
-    """Separable Gaussian smoothing with reflected edges, each image of shard
-    ``x`` with its own sigma."""
-    w = np.stack([gaussian_kernel1d(kernel, sigma) for sigma in sigmas])
+def gaussian_blur(px: np.ndarray, kernel: int, sigma: float) -> np.ndarray:
+    """Separable Gaussian smoothing with reflected edges."""
+    w = gaussian_kernel1d(kernel, sigma)
     half = kernel // 2
-    H, W = x.shape[1:3]
-    padded = _reflect(x, half, 1)
-    rows = sum(w[:, i, None, None, None] * padded[:, i:i + H] for i in range(kernel))
-    padded = _reflect(rows, half, 2)
-    cols = sum(w[:, i, None, None, None] * padded[:, :, i:i + W] for i in range(kernel))
+    H, W = px.shape[:2]
+    padded = _reflect(px, half, 0)
+    rows = sum(w[i] * padded[i:i + H] for i in range(kernel))
+    padded = _reflect(rows, half, 1)
+    cols = sum(w[i] * padded[:, i:i + W] for i in range(kernel))
     return np.clip(cols, 0.0, 1.0)
 
 
@@ -436,7 +375,7 @@ def compute_stats(train_samples: list[ImageSample]) -> DatasetStats:
 
 
 def normalize(x: np.ndarray, stats: DatasetStats) -> np.ndarray:
-    """Standardize a (B, H, W, 3) shard per channel and lay it out
+    """Standardize a (B, H, W, 3) stack per channel and lay it out
     channel-first as (B, 3, H, W)."""
     out = np.empty((x.shape[0], 3) + x.shape[1:3])
     np.subtract(x.transpose(0, 3, 1, 2), stats.mean[:, None, None], out=out)
@@ -449,15 +388,16 @@ def normalize(x: np.ndarray, stats: DatasetStats) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def rotate90(px: np.ndarray, k: int) -> np.ndarray:
-    """Exact k x 90-degree rotation of (..., H, W, 3) pixels (index
+    """Exact k x 90-degree rotation of an (H, W, 3) image (index
     permutation, no resampling).
 
-    k=1 maps source pixel (r, c) to (c, H-1-r); square images only.
+    k=1 maps source pixel (r, c) to (c, H-1-r); square images only, also
+    at k=0.
     """
-    if px.shape[-3] != px.shape[-2]:
+    if px.shape[0] != px.shape[1]:
         raise ShapeError(f"90-degree rotation needs a square image, got "
-                         f"{px.shape[-3]}x{px.shape[-2]}")
-    return np.ascontiguousarray(np.rot90(px, k=-(k % 4), axes=(-3, -2)))
+                         f"{px.shape[0]}x{px.shape[1]}")
+    return np.ascontiguousarray(np.rot90(px, k=-(k % 4)))
 
 
 # quarter turns, RotNet style: the rotation head predicts one of these classes
@@ -465,16 +405,11 @@ NUM_ROTATIONS = 4
 
 
 def rotation_pretext_sample(x: np.ndarray, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate each image of shard ``x`` by a multiple of 90 degrees drawn
-    uniformly from its stream; returns the rotated shard and the rotation
-    labels in {0, 1, 2, 3}."""
+    """Rotate each image of the stack ``x`` by a multiple of 90 degrees
+    drawn uniformly from its stream; returns the rotated stack and the
+    rotation labels in {0, 1, 2, 3}."""
     labels = np.array([rng.randint(NUM_ROTATIONS) for rng in rngs], dtype=np.int64)
-    out = x.copy()
-    for k in range(1, NUM_ROTATIONS):
-        idx = np.flatnonzero(labels == k)
-        if len(idx):
-            out[idx] = rotate90(x[idx], k)
-    return out, labels
+    return np.stack([rotate90(px, k) for px, k in zip(x, labels)]), labels
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +471,7 @@ def _draw(policy: AugmentPolicy, rng: RngStream) -> _Draws:
     """Take one image's draws in the order its transforms run: flip,
     rotation, the jitter order, one value per enabled jitter op, sharpness,
     blur sigma.  A transform with zero probability or magnitude draws
-    nothing.  No draw depends on pixel values, so all of them can be taken
-    before any pixel work."""
+    nothing."""
     flip = policy.flip_prob != 0.0 and rng.uniform() < policy.flip_prob
     angle = 0.0
     if policy.max_rotation_deg != 0.0:
@@ -559,16 +493,18 @@ def _draw(policy: AugmentPolicy, rng: RngStream) -> _Draws:
 
 def apply_policy(samples: list[ImageSample], policy: AugmentPolicy,
                  rngs: list[RngStream]) -> np.ndarray:
-    """Resize each sample to the policy target and stack them into a
-    (B, H, W, 3) shard, then run the random stack in order: flip, rotation,
-    color jitter, sharpness, blur.  ``rngs[i]`` is sample i's stream, and
+    """Resize each sample to the policy target, run the random stack on it
+    in order (flip, rotation, color jitter, sharpness, blur) and stack the
+    views into a (B, H, W, 3) array.  ``rngs[i]`` is sample i's stream, and
     its draws alone decide what happens to that image, so an image comes out
-    the same in any shard."""
+    the same in any batch."""
     th, tw = policy.target_size
-    x = np.stack([resize_bilinear(s, th, tw).pixels for s in samples])
-    draws = [_draw(policy, rng) for rng in rngs]
-    x = hflip(x, [d.flip for d in draws])
-    x = rotate(x, [d.angle for d in draws])
-    x = color_jitter(x, [d.jitter for d in draws])
-    x = sharpen(x, [d.sharpness for d in draws])
-    return gaussian_blur(x, policy.blur_kernel, [d.sigma for d in draws])
+    views = []
+    for sample, rng in zip(samples, rngs):
+        d = _draw(policy, rng)
+        px = hflip(resize_bilinear(sample, th, tw).pixels, d.flip)
+        px = rotate(px, d.angle)
+        px = color_jitter(px, d.jitter)
+        px = sharpen(px, d.sharpness)
+        views.append(gaussian_blur(px, policy.blur_kernel, d.sigma))
+    return np.stack(views)

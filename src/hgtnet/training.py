@@ -163,9 +163,9 @@ def augment_streams(root_rng: RngStream, epoch: int,
 
 def prepare_batch(samples: list[ImageSample], policy, stats: DatasetStats,
                   root_rng: RngStream, epoch: int) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Augment and normalize a batch as one shard.  The returned tensor
-    stacks the B augmented views followed by B rotated copies; labels cover
-    the originals, rotation labels the copies."""
+    """Augment each sample of a batch, then normalize the stack.  The
+    returned tensor stacks the B augmented views followed by B rotated
+    copies; labels cover the originals, rotation labels the copies."""
     aug = apply_policy(samples, policy, augment_streams(root_rng, epoch, samples))
     labels = np.asarray([s.label for s in samples], dtype=np.int64)
     rot, rot_labels = rotation_pretext_sample(

@@ -1,10 +1,11 @@
-"""The augmentation transforms one image at a time, as the package ran them
-before it augmented whole shards: the reference that the tests hold the
-shard transforms of ``hgtnet.data`` to, byte for byte.
+"""The augmentation transforms one image at a time, written independently
+of the package: the reference that the tests hold the transforms of
+``hgtnet.data`` to, byte for byte.
 
-Nothing in ``src/`` imports this module.  Resize and the Gaussian kernel
-are not reimplemented here: the shard pipeline runs the package's own
-per-image ``resize_bilinear`` and ``gaussian_kernel1d``.
+Nothing in ``src/`` imports this module, and it imports no transform from
+``hgtnet.data`` (tests/test_lint.py checks that).  Resize and the Gaussian
+kernel are not reimplemented here: the pipeline under test runs the
+package's own ``resize_bilinear`` and ``gaussian_kernel1d``.
 """
 
 from __future__ import annotations

@@ -998,6 +998,21 @@ class TestSynthCommand:
         assert names == [f"class{k}" for k in range(5)]
         assert sorted({s.label for s in samples}) == [0, 1, 2, 3, 4]
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 5.2 TiB for an array", ""])
+    def test_out_of_memory_is_one_line_and_exit_7(self, tmp_path, monkeypatch, capsys,
+                                                 message):
+        # synth --image-size 30000 ended in an _ArrayMemoryError traceback, exit 1
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+        monkeypatch.setattr(data, "synth_dataset", no_memory)
+        out = tmp_path / "tree"
+        code = main(["synth", "--out", str(out), "--per-class", "1", "--image-size", "32"])
+        assert code == cli.EXIT_MEMORY == 7
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -127,3 +127,40 @@ def test_dangling_name_scan_resolves_paths_and_skips_keys():
             "`model.image_size` `after.ppm` `tensor.relu(x)` `run.out_dir`")
     assert dangling_names(text, {"model", "data", "tensor"}, {"model.image_size"}) \
         == ["data.gone", "data.x.y"]
+
+
+def package_imports(source: str) -> dict[str, set[str]]:
+    """``{module: names}`` for every ``hgtnet`` module the source imports
+    from, a module imported whole counting as the name ``*``."""
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hgtnet":
+            for alias in node.names:
+                if node.module == "hgtnet":
+                    found.setdefault(f"hgtnet.{alias.name}", set()).add("*")
+                else:
+                    found.setdefault(node.module, set()).add(alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "hgtnet":
+                    found.setdefault(alias.name, set()).add("*")
+    return found
+
+
+def test_augment_reference_imports_no_transform_it_checks():
+    # the reference is the oracle for the package's per-image transforms, so
+    # it may take from hgtnet.data only the types and the two helpers it
+    # shares with the pipeline, never a transform
+    source = (ROOT / "tests" / "augment_reference.py").read_text(encoding="utf-8")
+    imports = package_imports(source)
+    assert imports.get("hgtnet.data") == {"AugmentPolicy", "DatasetStats", "ImageSample",
+                                          "gaussian_kernel1d", "resize_bilinear"}
+    assert "hgtnet" not in imports
+
+
+def test_package_import_scan_sees_whole_modules_and_names():
+    source = ("import numpy\nimport hgtnet.data\nfrom hgtnet import data, rng\n"
+              "from hgtnet.data import hflip as flip, luma\nfrom hgtnet.errors import ShapeError\n")
+    assert package_imports(source) == {"hgtnet.data": {"*", "hflip", "luma"},
+                                       "hgtnet.rng": {"*"},
+                                       "hgtnet.errors": {"ShapeError"}}
