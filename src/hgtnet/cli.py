@@ -39,7 +39,7 @@ from .gradcheck import check_gradients, op_battery
 from .metrics import (build_report, read_predictions, render_report,
                       write_predictions, write_roc)
 from .kvtext import to_kv
-from .model import TINY_PRESET, ModelConfig, init_params, model_forward, tiny_config
+from .model import TINY_PRESET, ModelConfig, check_cap, init_params, model_forward, tiny_config
 from .ppm import from_unit, write_ppm
 from .rng import RngStream
 from .tensor import Tensor
@@ -82,19 +82,8 @@ def _overrides_from_args(args) -> dict[str, str]:
     out: dict[str, str] = {}
     if args.tiny:
         out.update(_TINY_PRESET)
-    mapping = [
-        ("seed", "train.seed"),
-        ("data", "run.data_root"),
-        ("out", "run.out_dir"),
-        ("image_size", "model.image_size"),
-        ("encoder_layers", "model.num_encoder_layers"),
-        ("epochs", "train.max_epochs"),
-        ("batch_size", "train.batch_size"),
-        ("lr", "train.learning_rate"),
-        ("patience", "train.patience"),
-    ]
-    for attr, key in mapping:
-        value = getattr(args, attr)
+    for flag, key, _, _ in _TRAIN_SHORTCUTS:
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
             out[key] = str(value)
     for pair in args.set or []:
@@ -236,8 +225,7 @@ def _model_check(seed: int):
 # so every op a training step records
 CORRUPTIBLE_OPS = ("add", "attention", "concat", "conv2d", "cross_entropy", "dropout",
                    "gelu", "layer_norm", "leaky_relu", "linear", "matmul", "max_pool2d",
-                   "mean", "mul", "relu", "reshape", "softmax", "sum", "take_rows",
-                   "transpose")
+                   "mean", "mul", "reshape", "softmax", "sum", "take_rows", "transpose")
 
 
 def _corrupt_op(name: str) -> None:
@@ -284,6 +272,8 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
+    check_cap(3 * args.image_size ** 2,
+              f"a {args.image_size} x {args.image_size} RGB image would hold {{}} entries")
     samples = data.synth_dataset(num_per_class=args.per_class, size=args.image_size,
                                  rng=RngStream(seed=args.seed))
     for s in samples:
@@ -336,6 +326,20 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
+# train's shortcut flags: (flag, the config key it sets, argparse type, help)
+_TRAIN_SHORTCUTS = (
+    ("--seed", "train.seed", int, "master RNG seed"),
+    ("--out", "run.out_dir", None, "output directory"),
+    ("--data", "run.data_root", None, "dataset root (class dirs of .ppm)"),
+    ("--image-size", "model.image_size", _positive_int, None),
+    ("--encoder-layers", "model.num_encoder_layers", int, None),
+    ("--epochs", "train.max_epochs", int, None),
+    ("--batch-size", "train.batch_size", int, None),
+    ("--lr", "train.learning_rate", float, None),
+    ("--patience", "train.patience", int, None),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hgtnet",
@@ -344,25 +348,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model and write run artifacts")
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override any config key directly")
     p.add_argument("--print-config", action="store_true",
                    help="print the merged config and exit")
-    p.add_argument("--data", default=None, help="dataset root (class dirs of .ppm)")
     p.add_argument("--synth", action="store_true",
                    help="train on the built-in synthetic texture dataset")
     p.add_argument("--per-class", type=_positive_int, default=None,
                    help="synthetic samples per class (with --synth)")
     p.add_argument("--tiny", action="store_true",
                    help="desk-scale preset: 1 encoder layer, 8-dim embeddings")
-    p.add_argument("--image-size", type=_positive_int, default=None)
-    p.add_argument("--encoder-layers", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--patience", type=int, default=None)
+    for flag, _, type_, help_ in _TRAIN_SHORTCUTS:
+        p.add_argument(flag, type=type_, default=None, help=help_)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint and write reports")

@@ -74,7 +74,7 @@ def _sample_coordinates(fn: Callable[[], T.Tensor], param: T.Tensor,
     """Central-difference estimates at ``count`` trustworthy coordinates.
 
     Central differences only estimate a derivative where the loss is smooth
-    across ``[x-h, x+h]``; straddling a relu/max-pool kink silently reports
+    across ``[x-h, x+h]``; straddling a max-pool kink silently reports
     the average of two different slopes.  A straddle is visible without
     consulting the analytic gradient: the forward and backward one-sided
     slopes, computed from the same two evaluations plus the unperturbed
@@ -172,9 +172,6 @@ def op_battery(seed: int) -> list[tuple[str, Callable[[list[T.Tensor]], T.Tensor
     mask[1, :2] = False
     lx, lg, lb = t(4, 5, key="ln-x"), t(5, key="ln-g"), t(5, key="ln-b")
     gx = t(3, 7, key="gelu")
-    # offset away from 0, where relu has its kink
-    rx = T.Tensor(randn(3, 7, key="relu") + 0.2 * np.sign(randn(3, 7, key="relu")),
-                  requires_grad=True)
     kx = t(2, 6, key="leaky")
     cx, cw, cb = t(1, 2, 6, 6, key="conv-x"), t(3, 2, 3, 3, key="conv-w"), t(3, key="conv-b")
     px = T.Tensor(3.0 * randn(1, 2, 4, 4, key="pool"), requires_grad=True)
@@ -200,7 +197,6 @@ def op_battery(seed: int) -> list[tuple[str, Callable[[list[T.Tensor]], T.Tensor
          lambda ps: T.tsum(T.layer_norm(lx, lg, lb) * w(4, 5, key="ln-w")),
          [lx, lg, lb]),
         ("gelu", lambda ps: T.tsum(T.gelu(gx) * w(3, 7, key="g-w")), [gx]),
-        ("relu", lambda ps: T.tsum(T.relu(rx) * w(3, 7, key="r-w")), [rx]),
         ("leaky_relu",
          lambda ps: T.tsum(T.leaky_relu(kx, 0.2) * w(2, 6, key="k-w")), [kx]),
         ("dropout",

@@ -31,6 +31,14 @@ GAT_LEAKY_SLOPE = 0.2
 MAX_PARAMS = 2 ** 27
 
 
+def check_cap(count: int, claim: str) -> None:
+    """Raise ConfigError when ``count`` is above ``MAX_PARAMS``; ``claim``
+    says what the count is, with ``{}`` where the count goes."""
+    if count > MAX_PARAMS:
+        raise ConfigError(f"{claim.format(f'{Decimal(count):.3e}')}; "
+                          f"the limit is {Decimal(MAX_PARAMS):.3e}")
+
+
 @dataclass
 class ModelConfig:
     image_size: int = 224
@@ -74,21 +82,18 @@ class ModelConfig:
                     f"image_size {self.image_size} cannot be halved "
                     f"{len(self.cnn_channels)} times by the CNN pooling chain")
             extent //= 2
-        count = param_count(self)
-        if count > MAX_PARAMS:
-            raise ConfigError(f"the model would have {Decimal(count):.3e} parameters; "
-                              f"the limit is {Decimal(MAX_PARAMS):.3e}")
+        check_cap(param_count(self), "the model would have {} parameters")
         # per-image maps that grow with the token counts, not with the weights:
         # the probabilities each encoder layer and the cross-attention build
         # in the forward and again in the backward, plus the graph adjacency
         # and its attention map
         n = self.num_tokens
-        entries = (self.num_heads * n * (n * self.num_encoder_layers + extent * extent)
-                   + 2 * n * n)
-        if entries > MAX_PARAMS:
-            raise ConfigError(f"the attention maps and graph adjacency would hold "
-                              f"{Decimal(entries):.3e} entries per image; "
-                              f"the limit is {Decimal(MAX_PARAMS):.3e}")
+        check_cap(self.num_heads * n * (n * self.num_encoder_layers + extent * extent)
+                  + 2 * n * n,
+                  "the attention maps and graph adjacency would hold {} entries per image")
+        check_cap((3 + self.cnn_channels[0] + 3 * 3 * 3) * self.image_size ** 2,
+                  "the input, first conv output and its im2col columns would hold "
+                  "{} entries per image")
 
     @property
     def grid_size(self) -> int:
@@ -260,19 +265,18 @@ def transformer_encoder(tokens: Tensor, cfg: ModelConfig, params: dict[str, Tens
 
 def cnn_branch(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
                rngs: list[RngStream] | None = None) -> Tensor:
-    """conv(3x3, pad 1) -> max_pool(2,2) -> relu -> dropout per channel stage.
+    """conv(3x3, pad 1) -> max_pool(2,2) -> dropout per channel stage.
 
-    Pooling before the ReLU gives the same outputs and parameter gradients
-    as the usual conv -> relu -> pool order (ReLU is monotone, and a window
-    whose maximum is <= 0 passes no gradient either way) while the ReLU runs
-    on a quarter of the entries."""
+    ``max_pool2d`` floors its maxima at 0, which gives the same outputs and
+    parameter gradients as the usual conv -> relu -> pool order (ReLU is
+    monotone, and a window whose maximum is <= 0 passes no gradient either
+    way) without a ReLU record or output of its own."""
     if x.shape[-1] != cfg.image_size or x.shape[-2] != cfg.image_size:
         raise ShapeError(f"input {x.shape} does not match image size {cfg.image_size}")
     out = x
     for j in range(len(cfg.cnn_channels)):
         out = T.conv2d(out, params[f"cnn{j}.weight"], params[f"cnn{j}.bias"], padding=1)
         out = T.max_pool2d(out)
-        out = T.relu(out)
         out = T.dropout(out, cfg.dropout_p, rngs)
     return out
 

@@ -15,58 +15,65 @@ import numpy as np
 from .errors import FormatError
 
 
-def _next_token(buf: bytes, pos: int, path: str) -> tuple[bytes, int]:
-    """Scan the next header token, skipping whitespace and # comments."""
-    n = len(buf)
-    while pos < n:
-        c = buf[pos:pos + 1]
+# the most pixels read_ppm accepts: 44.7 M, whose 3 channel values stay
+# within model.MAX_PARAMS (2**27), the image cap of `synth --image-size`
+MAX_PIXELS = 2 ** 27 // 3
+
+
+def _next_token(fh, path: str) -> bytes:
+    """Read the next header token, skipping whitespace and # comments; the
+    byte that ends the token is left unread."""
+    c = fh.peek(1)[:1]
+    while c == b"#" or c.isspace():
         if c == b"#":
-            while pos < n and buf[pos:pos + 1] != b"\n":
-                pos += 1
-        elif c.isspace():
-            pos += 1
+            fh.readline()
         else:
-            break
-    if pos >= n:
+            fh.read(1)
+        c = fh.peek(1)[:1]
+    if not c:
         raise FormatError(f"{path}: truncated PPM header")
-    start = pos
-    while pos < n and not buf[pos:pos + 1].isspace() and buf[pos:pos + 1] != b"#":
-        pos += 1
-    return buf[start:pos], pos
+    token = bytearray()
+    while c and not c.isspace() and c != b"#":
+        token += fh.read(1)
+        c = fh.peek(1)[:1]
+    return bytes(token)
 
 
 def read_ppm(path: str | os.PathLike) -> np.ndarray:
-    """Load a P6 file as an H x W x 3 uint8 array."""
+    """Load a P6 file as an H x W x 3 uint8 array.  The header is read
+    first, so a file whose header names more than ``MAX_PIXELS`` pixels is
+    refused before its payload is read."""
     path = os.fspath(path)
     # unreadable paths surface as OSError; FormatError is for bad content
     with open(path, "rb") as fh:
-        buf = fh.read()
-
-    magic, pos = _next_token(buf, 0, path)
-    # a token that ends at byte 2 started at byte 0: nothing precedes the magic
-    if magic != b"P6" or pos != 2:
-        raise FormatError(f"{path}: not a P6 PPM (the file starts {buf[:8]!r})")
-    fields = []
-    for name in ("width", "height", "maxval"):
-        token, pos = _next_token(buf, pos, path)
-        # bytes.isdigit is ASCII-only; int() alone would also take b"+1" and b"1_0"
-        if not token.isdigit():
-            raise FormatError(f"{path}: {name} {token[:20]!r} is not an ASCII decimal number")
-        try:
-            value = int(token)
-        except ValueError:  # more digits than int() converts
-            raise FormatError(f"{path}: {name} has {len(token)} digits") from None
-        if value <= 0:
-            raise FormatError(f"{path}: {name} must be positive, got {value}")
-        fields.append(value)
-    width, height, maxval = fields
-    if maxval != 255:
-        raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
-    if not buf[pos:pos + 1].isspace():
-        raise FormatError(f"{path}: maxval must be followed by one whitespace byte")
-    pos += 1
-    need = width * height * 3
-    payload = buf[pos:pos + need]
+        magic = _next_token(fh, path)
+        # a token that ends at byte 2 started at byte 0: nothing precedes the magic
+        if magic != b"P6" or fh.tell() != 2:
+            fh.seek(0)
+            raise FormatError(f"{path}: not a P6 PPM (the file starts {fh.read(8)!r})")
+        fields = []
+        for name in ("width", "height", "maxval"):
+            token = _next_token(fh, path)
+            # bytes.isdigit is ASCII-only; int() alone would also take b"+1" and b"1_0"
+            if not token.isdigit():
+                raise FormatError(f"{path}: {name} {token[:20]!r} is not an ASCII decimal number")
+            try:
+                value = int(token)
+            except ValueError:  # more digits than int() converts
+                raise FormatError(f"{path}: {name} has {len(token)} digits") from None
+            if value <= 0:
+                raise FormatError(f"{path}: {name} must be positive, got {value}")
+            fields.append(value)
+        width, height, maxval = fields
+        if maxval != 255:
+            raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
+        if width * height > MAX_PIXELS:
+            raise FormatError(f"{path}: {width} x {height} is {width * height} pixels; "
+                              f"the limit is {MAX_PIXELS}")
+        if not fh.read(1).isspace():
+            raise FormatError(f"{path}: maxval must be followed by one whitespace byte")
+        need = width * height * 3
+        payload = fh.read(need)
     if len(payload) != need:
         raise FormatError(f"{path}: payload has {len(payload)} bytes, expected {need}")
     return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3).copy()

@@ -458,16 +458,10 @@ _GELU_A = 0.044715
 
 
 def activation(x: Tensor, kind: str, slope: float | None = None) -> Tensor:
-    """Elementwise nonlinearity: relu, gelu (tanh form), or leaky_relu with
-    its negative-side ``slope``, which only that kind reads."""
+    """Elementwise nonlinearity: gelu (tanh form), or leaky_relu with its
+    negative-side ``slope``, which only that kind reads."""
     v = x.data
-    if kind == "relu":
-        data = np.maximum(v, 0.0)
-
-        # the output is > 0 exactly where v is, so the record keeps it, not v
-        def backward(g):
-            return (g * (data > 0.0),)
-    elif kind == "gelu":
+    if kind == "gelu":
         # tanh(C * (v + A * v^3)) in one buffer, each step the product or
         # sum that the plain expression takes, so the bits are the same;
         # products, not ``**``: numpy routes v**3 through the slow libm pow
@@ -510,10 +504,6 @@ def activation(x: Tensor, kind: str, slope: float | None = None) -> Tensor:
     else:
         raise ConfigError(f"unknown activation kind {kind!r}")
     return _make(data, kind, (x,), backward)
-
-
-def relu(x: Tensor) -> Tensor:
-    return activation(x, "relu")
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -628,8 +618,10 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
 
 def max_pool2d(x: Tensor) -> Tensor:
     """Maxima of 2 x 2 windows at stride 2 over a B x C x H x W input with
-    even H and W; the gradient routes to the first maximum in row-major
-    window order when values tie.
+    even H and W, floored at 0: a ReLU folded into the pool.  The gradient
+    routes to the first maximum in row-major window order when values tie;
+    a window whose maximum is <= 0 or NaN routes none, as the ReLU's zero
+    slope there would.
 
     A tracked input gets four bool masks, one per window offset, built in
     the forward: each marks the outputs whose first maximum sits at that
@@ -646,11 +638,12 @@ def max_pool2d(x: Tensor) -> Tensor:
     out = v[windows[0]].copy(order="K")
     for win in windows[1:]:
         np.maximum(out, v[win], out=out)
+    np.maximum(out, 0.0, out=out)
     if not x.requires_grad:
         return _make(out, "max_pool2d", (x,), None)
 
     masks = []
-    pending = np.ones(out.shape, dtype=bool)  # outputs whose max is not yet found
+    pending = out > 0.0  # outputs whose positive max is not yet found
     for win in windows:
         hit = np.equal(v[win], out)
         hit &= pending

@@ -11,6 +11,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -910,9 +911,13 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--seed", "12345"]) == 0
 
     def test_corrupted_backward_detected_in_subprocess(self):
+        # the child imports hgtnet from this checkout's src/, as the tests do
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "hgtnet.cli", "gradcheck", "--corrupt", "gelu"],
-            capture_output=True, text=True, timeout=300)
+            capture_output=True, text=True, timeout=300, env=env)
         assert proc.returncode == 1
         assert "gelu" in proc.stdout
         assert "FAIL" in proc.stdout
@@ -1013,6 +1018,14 @@ class TestSynthCommand:
         assert message in err
         assert not out.exists()
 
+    def test_image_size_cap(self, tmp_path, monkeypatch):
+        # 3 x 6688^2 entries fit under 2^27, 3 x 6690^2 do not
+        sizes = []
+        monkeypatch.setattr(data, "synth_dataset", lambda **kw: sizes.append(kw["size"]) or [])
+        for size in (6688, 6690):
+            main(["synth", "--out", str(tmp_path / "tree"), "--image-size", str(size)])
+        assert sizes == [6688]
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -1021,6 +1034,30 @@ class TestSynthCommand:
         fa = sorted(a.rglob("*.ppm"))
         fb = sorted(b.rglob("*.ppm"))
         assert all(x.read_bytes() == y.read_bytes() for x, y in zip(fa, fb))
+
+
+class TestImageSizedProbes:
+    @pytest.mark.parametrize("argv,count", [
+        (["train", "--synth", "--per-class", "2", "--epochs", "1",
+          "--set", "model.image_size=8192", "--set", "model.patch_size=4096",
+          "--set", "model.embed_dim=1", "--set", "model.num_heads=1"], "3.087e+9"),
+        (["synth", "--per-class", "1", "--image-size", "30000"], "2.700e+9")])
+    def test_exit_2_before_anything_image_sized_is_allocated(self, tmp_path, capsys,
+                                                             argv, count):
+        # both ended in a numpy MemoryError traceback before the image cap
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert f"{count} entries" in err
+        assert peak < 1 << 20
+        assert not out.exists()
 
 
 class TestAugmentCommand:

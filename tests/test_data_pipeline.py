@@ -1,5 +1,6 @@
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hgtnet.data import (AugmentPolicy, ImageSample, adjust_brightness, adjust_c
                          rotation_pretext_sample, sharpen, stratified_split, synth_dataset,
                          train_policy)
 from hgtnet.errors import ConfigError, DataError, FormatError, ShapeError
+from hgtnet.model import MAX_PARAMS
 from hgtnet.rng import RngStream
 
 
@@ -82,6 +84,21 @@ class TestPpm:
         path.write_bytes(b"P6 1 1 255#\nabc")
         with pytest.raises(FormatError, match="whitespace"):
             ppm.read_ppm(path)
+
+    def test_pixel_cap_refused_before_the_payload_is_read(self, tmp_path):
+        path = tmp_path / "huge.ppm"
+        path.write_bytes(b"P6\n100000 100000\n255\n" + bytes(1 << 20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="10000000000 pixels"):
+                ppm.read_ppm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 19  # the 1 MiB payload was never read
+
+    def test_pixel_cap_is_the_image_cap_of_synth(self):
+        assert 3 * ppm.MAX_PIXELS <= MAX_PARAMS < 3 * (ppm.MAX_PIXELS + 1)
 
     def test_unit_conversion_round_trip(self):
         arr = np.arange(256, dtype=np.uint8).repeat(3).reshape(-1, 1, 3)[:4]

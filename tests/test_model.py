@@ -94,6 +94,17 @@ class TestModelConfig:
         # the adjacency and the graph attention map
         assert 2 * n * (n + e2) + 2 * n * n <= MAX_PARAMS < 4 * n * (n + e2) + 2 * n * n
 
+    def test_image_arrays_at_the_cap_accepted(self):
+        # one CNN stage of 5 channels: 35 entries per pixel, and a single
+        # token, so only the image arrays come near the cap
+        def config(size):
+            return ModelConfig(image_size=size, patch_size=size, embed_dim=1, num_heads=1,
+                               cnn_channels=(5,))
+        assert 35 * 1958 ** 2 <= MAX_PARAMS < 35 * 1960 ** 2
+        assert config(1958).image_size == 1958
+        with pytest.raises(ConfigError, match="im2col columns"):
+            config(1960)
+
     @pytest.mark.parametrize("name", ["image_size", "patch_size", "embed_dim", "num_heads"])
     def test_zero_extent_rejected(self, name):
         with pytest.raises(ConfigError, match=name):
@@ -300,11 +311,15 @@ class TestCnnBranch:
             T.backward(T.tsum(out * g))
             return out.data, {n: p.grad for n, p in params.items() if n.startswith("cnn")}
 
+        def relu(x):  # max(x, 0), with gradient g where x > 0
+            data = np.maximum(x.data, 0.0)
+            return T._make(data, "relu", (x,), lambda g: (g * (data > 0.0),))
+
         def relu_first(x, cfg, params, rngs):
             out = x
             for j in range(len(cfg.cnn_channels)):
                 out = T.conv2d(out, params[f"cnn{j}.weight"], params[f"cnn{j}.bias"], padding=1)
-                out = T.max_pool2d(T.relu(out))
+                out = T.max_pool2d(relu(out))
                 out = T.dropout(out, cfg.dropout_p, rngs)
             return out
 

@@ -275,10 +275,6 @@ class TestLayerNorm:
 
 
 class TestActivations:
-    def test_relu(self):
-        x = T.Tensor(np.array([-2.0, 0.0, 3.0]))
-        assert np.array_equal(T.relu(x).data, np.array([0.0, 0.0, 3.0]))
-
     def test_gelu_fixed_points(self):
         # gelu(0) = 0; tanh form is odd-symmetric around 0 up to the linear factor
         x = T.Tensor(np.array([0.0]))
@@ -296,14 +292,6 @@ class TestActivations:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             T.activation(T.Tensor(np.ones(2)), "swish")
-
-    def test_relu_gradient_masks_by_the_input_sign_at_zeros_subnormals_and_nan(self):
-        tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
-        v = np.array([-0.0, 0.0, tiny, -tiny, np.nan, 2.0, -3.0])
-        g = np.array([-1.0, 2.0, -3.0, 4.0, 5.0, -6.0, 7.0])
-        (gx,) = T.relu(T.Tensor(v, requires_grad=True)).op_record.backward(g)
-        # bytes, so a -0.0 where g < 0 is told apart from 0.0
-        assert gx.tobytes() == (g * (v > 0)).tobytes()
 
 
 class TestDropout:
@@ -456,31 +444,44 @@ class TestConv2d:
         assert np.array_equal(gw, gw_u) and np.array_equal(gb, gb_u)
 
 
-def _check_pool_against_loop(h, w):
-    # ReLU output: about half the entries are tied zeros
-    rng = RngStream(seed=33)
-    x = np.maximum(rng.derive("x").normal(2 * 3 * h * w).reshape(2, 3, h, w), 0.0)
-    x[0, 0] = 0.0  # whole windows of ties
-    xt = T.Tensor(x, requires_grad=True)
-    out = T.max_pool2d(xt)
-    Ho, Wo = h // 2, w // 2
-    g = rng.derive("g").normal(2 * 3 * Ho * Wo).reshape(2, 3, Ho, Wo)
-    (gx,) = out.op_record.backward(g)
-
-    ref = np.zeros((2, 3, Ho, Wo))
-    ref_gx = np.zeros_like(x)
-    for b in range(2):
-        for c in range(3):
+def _pool_loop(x, g):
+    """The floored 2 x 2 maxima of x and the gradient of sum(out * g), one
+    window at a time: g goes to the window's first maximum when that maximum
+    is > 0, and every other entry gets g * 0, which is -0.0 where g < 0."""
+    B, C, Ho, Wo = g.shape
+    ref, ref_gx = np.zeros(g.shape), np.zeros_like(x)
+    for b in range(B):
+        for c in range(C):
             for i in range(Ho):
                 for j in range(Wo):
                     window = x[b, c, 2 * i:2 * i + 2, 2 * j:2 * j + 2]
-                    first = int(np.argmax(window.reshape(-1)))  # first maximum
-                    ref[b, c, i, j] = window.max()
-                    ref_gx[b, c, 2 * i + first // 2, 2 * j + first % 2] = g[b, c, i, j]
-    assert np.array_equal(out.data, ref)
-    # the backward writes g * 0 off the maxima, which is -0.0 where g < 0, so
-    # zeros are compared by value, not by sign
-    assert np.array_equal(gx, ref_gx)
+                    top = np.maximum(window.max(), 0.0)  # NaN stays NaN
+                    ref[b, c, i, j] = top
+                    ref_gx[b, c, 2 * i:2 * i + 2, 2 * j:2 * j + 2] = g[b, c, i, j] * 0.0
+                    if top > 0.0:
+                        first = int(np.argmax(window.reshape(-1)))  # first maximum
+                        ref_gx[b, c, 2 * i + first // 2, 2 * j + first % 2] = g[b, c, i, j]
+    return ref, ref_gx
+
+
+def _check_pool_against_loop(h, w):
+    rng = RngStream(seed=33)
+    x = rng.derive("x").normal(2 * 3 * h * w).reshape(2, 3, h, w)
+    x[0, 0] = 0.0               # whole windows tied at the floor
+    x[0, 1] = 0.5               # whole windows tied above it
+    x[0, 2, ::2, ::2] = 0.5     # positive ties that start each window
+    x[0, 2, 1::2, 1::2] = 0.5
+    x[1, 0] = -np.abs(x[1, 0])  # windows below the floor
+    x[1, 1, 0, 0] = np.nan      # a NaN window, first and last offset
+    x[1, 1, -1, -1] = np.nan
+    xt = T.Tensor(x, requires_grad=True)
+    out = T.max_pool2d(xt)
+    g = rng.derive("g").normal(2 * 3 * (h // 2) * (w // 2)).reshape(2, 3, h // 2, w // 2)
+    (gx,) = out.op_record.backward(g)
+    ref, ref_gx = _pool_loop(x, g)
+    assert np.array_equal(out.data, ref, equal_nan=True)
+    # bytes, so a -0.0 where g < 0 is told apart from 0.0
+    assert gx.tobytes() == ref_gx.tobytes()
 
 
 class TestMaxPool:
@@ -498,6 +499,29 @@ class TestMaxPool:
             for j in range(3):
                 ref[:, :, i, j] = x[:, :, 2 * i:2 * i + 2, 2 * j:2 * j + 2].max(axis=(2, 3))
         assert np.array_equal(out, ref)
+
+    def test_maxima_are_floored_at_zero(self):
+        x = T.Tensor(np.array([[[[-2.0, -1.0, 0.0, -3.0, 1.0, 3.0],
+                                 [-4.0, -5.0, -0.0, -1.0, 2.0, -1.0]]]]))
+        assert np.array_equal(T.max_pool2d(x).data, [[[[0.0, 0.0, 3.0]]]])
+
+    def test_windows_at_or_below_the_floor_route_no_gradient(self):
+        tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+        tops = np.array([-0.0, 0.0, tiny, -tiny, np.nan, 2.0, -3.0])
+        # each window holds its maximum at a different offset, over three
+        # smaller values
+        x = np.repeat(np.repeat(tops - 1.0, 2)[None, :], 2, axis=0)
+        for k, top in enumerate(tops):
+            x[k % 2, 2 * k + (k // 2) % 2] = top
+        x = x[None, None]
+        g = np.array([-1.0, 2.0, -3.0, 4.0, 5.0, -6.0, 7.0]).reshape(1, 1, 1, 7)
+        out = T.max_pool2d(T.Tensor(x, requires_grad=True))
+        (gx,) = out.op_record.backward(g)
+        ref, ref_gx = _pool_loop(x, g)
+        assert np.array_equal(out.data, ref, equal_nan=True)
+        assert gx.tobytes() == ref_gx.tobytes()
+        # only the windows whose maximum is > 0 route: tiny and 2.0
+        assert np.flatnonzero(gx).tolist() == [5, 24]
 
     def test_window_too_large(self):
         with pytest.raises(ShapeError):
@@ -592,7 +616,7 @@ class TestBackwardContract:
     def test_repeat_backward_raises_naming_the_op_and_keeps_leaf_grads(self):
         x = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
         w = T.Tensor(np.array([3.0, -1.0]), requires_grad=True)
-        loss = T.tsum(T.relu(x * w))
+        loss = T.tsum(T.leaky_relu(x * w, 0.0))
         T.backward(loss)
         grads = x.grad.copy(), w.grad.copy()
         with pytest.raises(ContractError, match="'sum'"):
@@ -601,13 +625,13 @@ class TestBackwardContract:
         h = x * w
         T.backward(T.tsum(h))
         with pytest.raises(ContractError, match="'mul'"):
-            T.backward(T.tsum(T.relu(h) + x))
+            T.backward(T.tsum(T.leaky_relu(h, 0.0) + x))
         assert np.array_equal(x.grad, grads[0] + w.data)
         assert np.array_equal(w.grad, grads[1] + x.data)
 
     def test_interior_values_are_freed_by_the_walk(self):
         x = T.Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True)
-        h = T.relu(x)
+        h = T.leaky_relu(x, 0.0)
         interior = weakref.ref(h.data)
         loss = T.tsum(h * h)
         del h
@@ -621,7 +645,7 @@ class TestBackwardContract:
         x = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
         w = T.Tensor(np.array([3.0, -1.0]), requires_grad=True)
         h = x * w
-        y = T.relu(h)
+        y = T.leaky_relu(h, 0.0)
         loss = T.tsum(y)
         T.backward(loss)
         assert np.array_equal(x.grad, [3.0, 0.0])
@@ -676,7 +700,7 @@ class TestGraphHoldsRecords:
         monkeypatch.setattr(T, "backward", inspect_then_backward)
         tr._shard_step(params, cfg, samples, 2, stats, data.train_policy(64),
                        RngStream(seed=5), 0)
-        assert {"conv2d", "max_pool2d", "relu", "dropout", "add", "layer_norm", "linear",
+        assert {"conv2d", "max_pool2d", "dropout", "add", "layer_norm", "linear",
                 "attention", "gelu", "matmul", "take_rows", "cross_entropy"} <= \
             {record.name for record in walked}
         # the walk released every record it reached
@@ -899,6 +923,8 @@ class TestHeldArrays:
 
         def count_then_backward(loss):
             records = _reachable_records(loss)
+            # the CNN's ReLU is max_pool2d's floor, not a record of its own
+            assert "relu" not in {record.name for record in records}
             for record in records:
                 if record.name == "conv2d":
                     shapes = {a.shape for a in _closure_arrays(record.backward)}
@@ -911,10 +937,9 @@ class TestHeldArrays:
         tr._shard_step(params, cfg, samples, 2, stats, data.train_policy(64),
                        RngStream(seed=5), 0)
         assert "conv2d" in held
-        # 8.53 MiB: linear 2.38, conv2d 2.05 (inputs and weight matrices),
-        # attention 1.33, gelu 1.00, relu 0.88; 14.51 MiB while the tracked
-        # convs kept their columns (conv2d 8.05)
+        # 7.65 MiB: linear 2.38, conv2d 2.05 (inputs and weight matrices),
+        # attention 1.33, gelu 1.00, layer_norm 0.51
         total = sum(held.values()) / 2**20
         top = ", ".join(f"{name} {n / 2**20:.2f}" for name, n in
                         sorted(held.items(), key=lambda kv: -kv[1])[:3])
-        assert total <= 9.2, f"records hold {total:.2f} MiB; most: {top} MiB"
+        assert total <= 8.3, f"records hold {total:.2f} MiB; most: {top} MiB"
