@@ -91,6 +91,9 @@ class ModelConfig:
         check_cap(self.num_heads * n * (n * self.num_encoder_layers + extent * extent)
                   + 2 * n * n,
                   "the attention maps and graph adjacency would hold {} entries per image")
+        # the first conv's forward builds its im2col columns in bands, but
+        # its weight gradient still builds all 27 per pixel at once, so the
+        # cap still counts them
         check_cap((3 + self.cnn_channels[0] + 3 * 3 * 3) * self.image_size ** 2,
                   "the input, first conv output and its im2col columns would hold "
                   "{} entries per image")

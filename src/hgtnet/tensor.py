@@ -17,7 +17,10 @@ walked only once.  Where a saved array would be large and is cheap to
 make again (a convolution's im2col columns, the attention probabilities,
 GELU's tanh), the record keeps the smaller inputs and the backward
 rebuilds the array with the forward's own steps, bit for bit
-(recomputation, Chen et al. 2016).
+(recomputation, Chen et al. 2016).  A convolution builds its columns, and
+their gradient, one band of output rows at a time, where each band keeps
+the whole-width product's bits (``_conv_bands``), and the attention
+backward rebuilds the probabilities one head at a time.
 
 The op set is intentionally small: exactly what the model needs, with
 numpy-style broadcasting supported for add/mul and matmul batch dims.
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -44,6 +48,13 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _M_ARENA_MAX = -8
 _HEAP_RETAIN_BYTES = 1 << 30
+
+# bytes of im2col columns per image that one band of a convolution's
+# output rows builds at a time
+CONV_BAND_BYTES = 2 << 20
+# the most multiply-adds that OpenBLAS's AVX-512 build hands to its
+# small-matrix GEMM kernel instead of its blocked ones
+_SMALL_GEMM_MACS = 100 ** 3
 
 
 def keep_freed_memory() -> bool:
@@ -383,8 +394,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     closed-form backward rebuilds P from them with the forward's own
     steps, less its two reductions, so it gets the same bits (Vaswani et
     al. 2017; recomputation from row statistics and the recurrence as in
-    FlashAttention, Dao et al. 2022, without tiling).  Returns
-    ``(out, P)``.
+    FlashAttention, Dao et al. 2022, tiled by head).  The backward does so
+    one head at a time, so only one head's P and gradient of P exist at
+    once; numpy issues one GEMM per (image, head) either way, so each head
+    runs the same GEMMs as the batched product.  Returns ``(out, P)``, the
+    whole P of the forward.
     """
     if q.ndim != 3 or k.shape != v.shape or k.ndim != 3 or \
             q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
@@ -411,19 +425,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     out = merge(p @ vh, Nq)
 
     def backward(g):
-        # softmax_in_place's steps on the same scores, with its row statistics
-        p = qh @ kh.transpose(0, 1, 3, 2)
-        p -= top
-        np.exp(p, out=p)
-        p /= total
         gh = split(g, Nq)
-        gv = merge(p.transpose(0, 1, 3, 2) @ gh, Nk)
-        gs = gh @ vh.transpose(0, 1, 3, 2)                    # gradient of P
-        gs -= np.einsum("...k,...k->...", gs, p)[..., None]   # row sums, no temporary
-        gs *= p                                               # gradient of Q.K^T
-        gq = merge(gs @ kh, Nq)
+        gq, gk, gv = np.empty((B, Nq, d)), np.empty((B, Nk, d)), np.empty((B, Nk, d))
+        for h in range(heads):
+            cols = slice(h * hd, (h + 1) * hd)
+            # softmax_in_place's steps on this head's scores, with its row
+            # statistics
+            p = qh[:, h] @ kh[:, h].transpose(0, 2, 1)
+            p -= top[:, h]
+            np.exp(p, out=p)
+            p /= total[:, h]
+            gv[:, :, cols] = p.transpose(0, 2, 1) @ gh[:, h]
+            gs = gh[:, h] @ vh[:, h].transpose(0, 2, 1)           # gradient of P
+            gs -= np.einsum("...k,...k->...", gs, p)[..., None]   # row sums, no temporary
+            gs *= p                                               # gradient of Q.K^T
+            gq[:, :, cols] = gs @ kh[:, h]
+            gk[:, :, cols] = gs.transpose(0, 2, 1) @ qh[:, h]
         gq *= scale
-        gk = merge(gs.transpose(0, 1, 3, 2) @ qh, Nk)
         return gq, gk, gv
 
     return _make(out, "attention", (q, k, v), backward), p
@@ -549,11 +567,46 @@ def dropout(x: Tensor, p: float, rngs: Sequence[RngStream] | None) -> Tensor:
     return _make(data, "dropout", (x,), backward)
 
 
+def _conv_bands(images: int, height: int, width: int, filters: int,
+                depth: int) -> list[tuple[int, int]]:
+    """(start, stop) output rows of each band of a convolution whose GEMMs
+    take ``filters`` x ``depth`` weights over ``images`` x ``height`` x
+    ``width`` output columns.  A band builds about ``CONV_BAND_BYTES`` of
+    columns per image, and is cut only where its output keeps the bits of
+    the whole-width product under OpenBLAS's AVX-512 kernels:
+    - those compute a product's last (columns mod 8) columns with narrower
+      kernels, so every band, and the whole product, spans a multiple of 8
+      columns, or there is one band;
+    - a product of at most ``_SMALL_GEMM_MACS`` multiply-adds takes the
+      small-matrix kernel, which sums a deep dot product in one pass where
+      the blocked kernels sum it in slices, so every band does more, and a
+      last band that would not joins the one before it."""
+    per_row = images * width  # GEMM columns per output row
+    if per_row * height % 8:
+        return [(0, height)]
+    rows = max(CONV_BAND_BYTES // (8 * depth * width),
+               _SMALL_GEMM_MACS // (filters * depth * per_row) + 1)
+    unit = 8 // math.gcd(8, per_row)  # rows that span a multiple of 8 columns
+    rows = -(-rows // unit) * unit
+    starts = list(range(0, height, rows))
+    if len(starts) > 1 and filters * depth * per_row * (height - starts[-1]) <= _SMALL_GEMM_MACS:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [height]))
+
+
 def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2D cross-correlation (no kernel flip) with bias.
 
     x: (B, C, H, W), w: (F, C, kH, kW), bias: (F,).  Output extents must be
     exact integers: H' = (H + 2*padding - kH)/stride + 1.
+
+    The forward GEMM, and the input gradient's GEMM and col2im, run in
+    bands of output rows over every image (``_conv_bands``), so only one
+    band's im2col columns or their gradient exist at a time.  Every band
+    spans a multiple of 8 GEMM columns (B x rows x W'), since OpenBLAS's
+    AVX-512 kernels compute a product's last (columns mod 8) columns with
+    other kernels.  The weight gradient is one whole-width product: banding
+    its sum over the output positions would change that sum's order.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input/weight, got {x.shape} and {w.shape}")
@@ -565,6 +618,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         raise ShapeError(f"conv2d bias must have shape ({F},), got {bias.shape}")
     if stride < 1:
         raise ShapeError(f"conv2d stride must be >= 1, got {stride}")
+    if padding < 0:
+        raise ShapeError(f"conv2d padding must be >= 0, got {padding}")
     num_h = H + 2 * padding - kh
     num_w = W + 2 * padding - kw
     if num_h < 0 or num_w < 0 or num_h % stride or num_w % stride:
@@ -575,41 +630,60 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     Hp, Wp = H + 2 * padding, W + 2 * padding
     xd, x_tracked = x.data, x.requires_grad
     K, N = kh * kw * C, B * Hh * Ww
+    bands = _conv_bands(B, Hh, Ww, F, K)
 
-    def im2col():
-        # im2col (Chellapilla et al. 2006) in an offset-major layout: row
-        # (u, v, c) holds input channel c at window offset (u, v) for every
-        # output position (b, i, j), so each offset is one contiguous slab
-        # and the copy below runs along the output width, not the kernel
+    def windows():
+        # (C, B, H', W', kh, kw) view of the padded input
         if padding:
             xp = np.zeros((C, B, Hp, Wp))
             xp[:, :, padding:padding + H, padding:padding + W] = xd.transpose(1, 0, 2, 3)
         else:
             xp = xd.transpose(1, 0, 2, 3)
-        windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-        windows = windows[:, :, ::stride, ::stride]  # (C, B, H', W', kh, kw)
-        return np.ascontiguousarray(windows.transpose(4, 5, 0, 1, 2, 3)).reshape(K, N)
+        view = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+        return view[:, :, ::stride, ::stride]
+
+    def im2col(view, i0, i1):
+        # im2col (Chellapilla et al. 2006) of output rows i0:i1 in an
+        # offset-major layout: row (u, v, c) holds input channel c at window
+        # offset (u, v) for every output position (b, i, j), so each offset
+        # is one contiguous slab and the copy runs along the output width
+        cols = np.ascontiguousarray(view[:, :, i0:i1].transpose(4, 5, 0, 1, 2, 3))
+        return cols.reshape(K, -1)
 
     wmat = w.data.transpose(0, 2, 3, 1).reshape(F, K)
-    out = wmat @ im2col()
-    out += bias.data[:, None]
     # (F, B, H', W') in memory; the next conv reads it without a copy
-    out = out.reshape(F, B, Hh, Ww).transpose(1, 0, 2, 3)
+    if len(bands) == 1:  # the product is the output, with no copy
+        out = wmat @ im2col(windows(), 0, Hh)
+        out += bias.data[:, None]
+        out = out.reshape(F, B, Hh, Ww)
+    else:
+        view = windows()
+        out = np.empty((F, B, Hh, Ww))
+        for i0, i1 in bands:
+            np.add((wmat @ im2col(view, i0, i1)).reshape(F, B, i1 - i0, Ww),
+                   bias.data[:, None, None, None], out=out[:, :, i0:i1])
+    out = out.transpose(1, 0, 2, 3)
 
     # the record keeps the input, not its columns (kh*kw/stride^2 times its
     # size); the backward rebuilds them with the same im2col, bit for bit,
-    # and they are freed once gw has them, before gcols is made
+    # and they are freed once gw has them, before any gcols band is made
     def backward(g):
         g2 = g.transpose(1, 0, 2, 3).reshape(F, N)
         gb = g2.sum(axis=1)
-        gw = (g2 @ im2col().T).reshape(F, kh, kw, C).transpose(0, 3, 1, 2)
+        gw = (g2 @ im2col(windows(), 0, Hh).T).reshape(F, kh, kw, C).transpose(0, 3, 1, 2)
         if not x_tracked:
             return None, gw, gb
-        gcols = (wmat.T @ g2).reshape(kh, kw, C, B, Hh, Ww)
+        g4 = g2.reshape(F, B, Hh, Ww)
         gxp = np.zeros((C, B, Hp, Wp))
-        for u in range(kh):
-            for v in range(kw):
-                gxp[:, :, u:u + stride * Hh:stride, v:v + stride * Ww:stride] += gcols[u, v]
+        # col2im, last band first: every padded entry then takes its (u, v)
+        # terms in the order of one whole-width pass
+        for i0, i1 in reversed(bands):
+            gcols = (wmat.T @ g4[:, :, i0:i1].reshape(F, -1)).reshape(kh, kw, C, B, i1 - i0, Ww)
+            for u in range(kh):
+                top = u + stride * i0
+                for v in range(kw):
+                    gxp[:, :, top:top + stride * (i1 - i0):stride,
+                        v:v + stride * Ww:stride] += gcols[u, v]
         gx = gxp[:, :, padding:padding + H, padding:padding + W].transpose(1, 0, 2, 3)
         return gx, gw, gb
 

@@ -134,6 +134,15 @@ class TestConvPoolGrads:
         x, w, b = _params((1, 3, 7, 7), (2, 3, 3, 3), (2,), seed=22, scale=0.5)
         _assert_grads(lambda ps: T.tsum(T.conv2d(ps[0], ps[1], ps[2], stride=2, padding=1)), [x, w, b])
 
+    def test_conv2d_through_three_bands(self, monkeypatch):
+        # 4 output rows a band over a 12 x 10 output: bands of rows 0-4, 4-8, 8-12
+        monkeypatch.setattr(T, "CONV_BAND_BYTES", 8 * 18 * 10 * 4)
+        monkeypatch.setattr(T, "_SMALL_GEMM_MACS", 0)
+        assert T._conv_bands(1, 12, 10, 3, 18) == [(0, 4), (4, 8), (8, 12)]
+        x, w, b = _params((1, 2, 12, 10), (3, 2, 3, 3), (3,), seed=24, scale=0.5)
+        _assert_grads(lambda ps: T.tsum(T.conv2d(ps[0], ps[1], ps[2], padding=1)
+                                        * T.conv2d(ps[0], ps[1], ps[2], padding=1)), [x, w, b])
+
     def test_max_pool(self):
         (x,) = _params((2, 2, 6, 6), seed=23)
         # well-separated values so the argmax never flips under the probe

@@ -390,6 +390,8 @@ class TestConv2d:
         b = T.Tensor(np.zeros(1))
         with pytest.raises(ShapeError):
             T.conv2d(x, w, b, stride=2)  # (5-2)/2 not integral
+        with pytest.raises(ShapeError, match="padding"):
+            T.conv2d(T.Tensor(np.ones((2, 1, 6, 6))), w, b, padding=-1)
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -800,6 +802,30 @@ def gelu_keeping_t(v, g):
     return 0.5 * v * (1.0 + t), t, g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du)
 
 
+@pytest.fixture
+def one_blas_thread():
+    """BLAS on one thread, as the model's forwards run it: the thread count
+    at which a band of a GEMM is held to the whole product's bits."""
+    previous = T.pin_blas_threads(1)
+    yield
+    if previous is not None:
+        T.pin_blas_threads(previous)
+
+
+# (H, W, B, kernel, stride, padding, output rows a band's budget holds):
+# output widths that are not multiples of 8, each cut into at least 3 bands,
+# the last one shorter than the others; most budgets' rows span no multiple
+# of 8 columns, so the band rounds them up
+_BAND_CASES = {
+    "w10-b1": (20, 10, 1, 3, 1, 1, 6),
+    "w13-b2": (20, 13, 2, 3, 1, 1, 7),
+    "w21-b3": (40, 21, 3, 3, 1, 1, 11),
+    "w11-stride2-b2": (39, 21, 2, 3, 2, 1, 8),
+    "w13-stride2-b1": (79, 25, 1, 3, 2, 1, 13),
+    "w13-patch4-b2": (80, 52, 2, 4, 4, 0, 6),
+}
+
+
 class TestRebuiltInBackward:
     """Arrays that a record rebuilds in its backward instead of keeping:
     the gradients equal, bit for bit, those of a backward that reads the
@@ -838,6 +864,76 @@ class TestRebuiltInBackward:
         assert not any(a.shape == (27, B * Hh * Ww) for a in held)
         assert any(a is x.data for a in held)
 
+    @pytest.mark.parametrize("tracked", [True, False], ids=["tracked", "untracked"])
+    @pytest.mark.parametrize("case", _BAND_CASES.values(), ids=_BAND_CASES.keys())
+    def test_conv2d_in_bands_matches_the_kept_columns_bytes(
+            self, case, tracked, monkeypatch, one_blas_thread):
+        H, W, B, k, stride, padding, rows = case
+        x, w, b = _leaves(71, (B, 3, H, W), (4, 3, k, k), (4,))
+        x.requires_grad = tracked
+        Hh, Ww = (H + 2 * padding - k) // stride + 1, (W + 2 * padding - k) // stride + 1
+        # a budget of ``rows`` output rows a band, and no floor on a band's
+        # GEMM: the whole product here is small-matrix work as well
+        monkeypatch.setattr(T, "CONV_BAND_BYTES", 8 * k * k * 3 * Ww * rows)
+        monkeypatch.setattr(T, "_SMALL_GEMM_MACS", 0)
+        bands = T._conv_bands(B, Hh, Ww, 4, k * k * 3)
+        assert len(bands) >= 3 and bands[-1][1] - bands[-1][0] < bands[0][1] - bands[0][0]
+        assert all((i1 - i0) * B * Ww % 8 == 0 for i0, i1 in bands)
+        out = T.conv2d(x, w, b, stride=stride, padding=padding)
+        g = RngStream(seed=72).normal(out.size).reshape(out.shape)
+        ref, ref_gx, ref_gw, ref_gb = conv2d_keeping_cols(x.data, w.data, b.data,
+                                                          stride, padding, g)
+        gx, gw, gb = out.op_record.backward(g)
+        assert out.data.tobytes() == ref.tobytes()
+        assert gw.tobytes() == ref_gw.tobytes() and gb.tobytes() == ref_gb.tobytes()
+        assert gx is None if not tracked else gx.tobytes() == ref_gx.tobytes()
+        held = _closure_arrays(out.op_record.backward)
+        assert any(a is x.data for a in held)
+        assert not any(a.ndim == 2 and a.shape[0] == k * k * 3 for a in held)
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("c_in,c_out,size", [(3, 16, 224), (16, 32, 112), (32, 64, 56)],
+                             ids=["cnn0-224", "cnn1-112", "cnn2-56"])
+    def test_conv2d_bands_at_the_paper_shapes_match_one_band(
+            self, c_in, c_out, size, batch, monkeypatch, one_blas_thread):
+        x, w, b = _leaves(73, (batch, c_in, size, size), (c_out, c_in, 3, 3), (c_out,))
+        g = RngStream(seed=74).normal(batch * c_out * size * size)
+        g = g.reshape(batch, c_out, size, size)
+
+        def output_and_gradient_bytes():
+            out = T.conv2d(x, w, b, padding=1)
+            return [a.tobytes() for a in (out.data, *out.op_record.backward(g))]
+
+        assert len(T._conv_bands(batch, size, size, c_out, 9 * c_in)) >= 3
+        banded = output_and_gradient_bytes()
+        monkeypatch.setattr(T, "CONV_BAND_BYTES", 1 << 62)
+        assert len(T._conv_bands(batch, size, size, c_out, 9 * c_in)) == 1
+        assert output_and_gradient_bytes() == banded
+
+    # Budgets of one byte, where only the kernel rules cut the bands.  52px:
+    # 4 filters over 64 channels, a product deep enough that OpenBLAS's
+    # AVX-512 blocked kernels sum each 576-term dot product in slices, where
+    # its small-matrix kernel, which a band of a few rows would take, sums
+    # it in one pass; the bands hold 10 rows (9 rounded up to span a
+    # multiple of 8 columns).  21px: 441 columns, whose last one the whole
+    # product computes with a tail kernel, so one band; 3 bands of it give
+    # other output bits
+    @pytest.mark.parametrize("size,c_in,c_out,count", [(52, 64, 4, 5), (21, 32, 64, 1)],
+                             ids=["52px-deep", "21px-tail"])
+    def test_conv2d_bands_cut_by_the_kernel_rules_match_the_kept_columns_bytes(
+            self, size, c_in, c_out, count, monkeypatch, one_blas_thread):
+        x, w, b = _leaves(75, (1, c_in, size, size), (c_out, c_in, 3, 3), (c_out,))
+        monkeypatch.setattr(T, "CONV_BAND_BYTES", 1)
+        bands = T._conv_bands(1, size, size, c_out, 9 * c_in)
+        assert len(bands) == count
+        assert all(c_out * 9 * c_in * size * (i1 - i0) > T._SMALL_GEMM_MACS for i0, i1 in bands)
+        out = T.conv2d(x, w, b, padding=1)
+        g = RngStream(seed=76).normal(out.size).reshape(out.shape)
+        ref, *ref_grads = conv2d_keeping_cols(x.data, w.data, b.data, 1, 1, g)
+        assert out.data.tobytes() == ref.tobytes()
+        for got, want in zip(out.op_record.backward(g), ref_grads):
+            assert got.tobytes() == want.tobytes()
+
     def test_attention_rebuilds_p_on_tied_and_underflowing_rows(self):
         q, k, v = _leaves(69, (2, 3, 4), (2, 5, 4), (2, 5, 4))
         q.data[0] = 0.0          # every score of sample 0 ties
@@ -854,16 +950,16 @@ class TestRebuiltInBackward:
         for got, want in zip(out.op_record.backward(g), ref_grads):
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("nq,nk,heads", [(5, 7, 2), (6, 6, 3)],
-                             ids=["cross", "self"])
-    def test_attention_keeps_no_probabilities(self, nq, nk, heads):
-        q, k, v = _leaves(64, (2, nq, 6), (2, nk, 6), (2, nk, 6))
+    @pytest.mark.parametrize("nq,nk,heads,d", [(5, 7, 2, 6), (6, 6, 3, 6), (5, 9, 4, 8)],
+                             ids=["cross", "self", "cross-4-heads"])
+    def test_attention_keeps_no_probabilities(self, nq, nk, heads, d):
+        q, k, v = _leaves(64, (2, nq, d), (2, nk, d), (2, nk, d))
         out, probs = T.attention(q, k, v, heads)
         g = RngStream(seed=65).normal(out.size).reshape(out.shape)
         ref, ref_p, ref_grads = attention_keeping_p(q.data, k.data, v.data, heads, g)
-        assert np.array_equal(out.data, ref) and np.array_equal(probs, ref_p)
+        assert out.data.tobytes() == ref.tobytes() and probs.tobytes() == ref_p.tobytes()
         for got, want in zip(out.op_record.backward(g), ref_grads):
-            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
         held = _closure_arrays(out.op_record.backward)
         assert not any(a.shape == (2, heads, nq, nk) for a in held)
 

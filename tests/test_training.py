@@ -440,13 +440,37 @@ class TestShardedStep:
         peak = self._traced_peak_of_a_shard_step(64)
         assert peak <= 17.2, f"{peak:.1f} MiB"
 
-    # the paper's scale: 144.1 MiB, against 217.3 MiB when the tracked convs
-    # kept their columns and 294.3 MiB when every record kept its columns,
-    # probabilities and tanh; the peak sits in the backward of the
-    # cross-attention
+    # the paper's scale: 107.2 MiB now that the convs build their columns
+    # and the attention backward rebuilds P in bands and heads, against
+    # 134.3 MiB when the first conv's forward built all its columns at once
+    # and the cross-attention backward tied with it at 133.4, 217.3 MiB when
+    # the tracked convs kept their columns, and 294.3 MiB when every record
+    # kept its columns, probabilities and tanh.  The peak now sits in the
+    # cross-attention's forward, where every record's saved arrays and that
+    # op's probabilities for all heads are alive, with its backward 0.3 MiB
+    # below it
     def test_traced_peak_of_a_224px_shard_step(self):
         peak = self._traced_peak_of_a_shard_step(224)
-        assert peak <= 155.5, f"{peak:.1f} MiB"
+        assert peak <= 120.0, f"{peak:.1f} MiB"
+
+    # one 224 px evaluation forward: 12.7 MiB, in the first conv's forward,
+    # which builds its im2col columns one band of output rows at a time;
+    # 20.0 MiB when it built all 10.3 MiB of them at once
+    def test_traced_peak_of_a_224px_eval_sample(self):
+        cfg = ModelConfig(image_size=224)
+        sample = data.synth_dataset(1, 224, RngStream(seed=3))[0]
+        stats = data.compute_stats([sample])
+        frozen = {name: Tensor(p.data) for name, p in init_params(cfg, RngStream(seed=5)).items()}
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already traces this session; its peak would "
+                        "count allocations made before the forward")
+        tracemalloc.start()
+        try:
+            tr._eval_sample(frozen, cfg, stats, sample)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15.0, f"{peak:.1f} MiB"
 
     @staticmethod
     def _traced_peak_of_a_train_step(batch):
