@@ -52,22 +52,21 @@ class DatasetStats:
                             f"{STD_FLOOR}, got mean {mean.tolist()} and std {std.tolist()}")
 
 
+# The paper's training stack, fixed by the design; the color jitter
+# magnitudes sit beside their transforms in _JITTER.
+FLIP_PROB = 0.5
+MAX_ROTATION_DEG = 15.0
+SHARPNESS_FACTOR = 0.2
+SHARPNESS_PROB = 0.5
+BLUR_KERNEL = 3
+BLUR_SIGMA = (0.1, 2.0)
+
+
 @dataclass(frozen=True)
 class AugmentPolicy:
-    """The paper's training stack, which no run setting changes; tests build
-    others, and a one-tap ``blur_kernel`` leaves every pixel unchanged.  No
-    input from outside the program sets a field, so none is validated."""
-    flip_prob: float = 0.5
-    max_rotation_deg: float = 15.0
-    jitter_brightness: float = 0.2
-    jitter_contrast: float = 0.2
-    jitter_saturation: float = 0.2
-    jitter_hue: float = 0.05
-    sharpness_factor: float = 0.2
-    sharpness_prob: float = 0.5
-    blur_kernel: int = 3
-    blur_sigma: tuple[float, float] = (0.1, 2.0)
-    target_size: tuple[int, int] = (224, 224)
+    """The training stack at an output size; the stack itself is the module
+    constants above."""
+    target_size: tuple[int, int]
 
 
 def train_policy(target: int) -> AugmentPolicy:
@@ -118,7 +117,8 @@ def load_dataset(root) -> tuple[list[ImageSample], list[str]]:
 def stratified_split(samples: list[ImageSample], test_fraction: float,
                      rng: RngStream) -> tuple[list[ImageSample], list[ImageSample]]:
     """Seeded per-class split; each class contributes ~test_fraction of its
-    samples (at least 1 when the fraction is positive)."""
+    samples, and when the fraction is positive at least 1 to each side, so a
+    class of one sample is refused."""
     if not 0.0 <= test_fraction < 1.0:
         raise ConfigError(f"test_fraction must be in [0, 1), got {test_fraction}")
     by_label: dict[int, list[ImageSample]] = {}
@@ -131,6 +131,9 @@ def stratified_split(samples: list[ImageSample], test_fraction: float,
         order = rng.derive("split", label).shuffle(list(range(len(group))))
         n_test = int(round(len(group) * test_fraction))
         if test_fraction > 0:
+            if len(group) < 2:
+                raise DataError(f"class {label} has one sample ({group[0].id}), which "
+                                f"cannot be split between training and test")
             n_test = max(1, min(n_test, len(group) - 1))
         picked = set(order[:n_test])
         for i, s in enumerate(group):
@@ -138,18 +141,16 @@ def stratified_split(samples: list[ImageSample], test_fraction: float,
     return train, test
 
 
-def _reflect(x: np.ndarray, half: int, axis: int) -> np.ndarray:
-    """``x`` with ``half`` mirrored rows added at both ends of ``axis``,
-    equal to ``np.pad(..., mode="reflect")`` on that axis."""
+def _reflect(x: np.ndarray, axis: int) -> np.ndarray:
+    """``x`` with one mirrored row added at both ends of ``axis`` (the
+    half-width of the 3 x 3 box and of the BLUR_KERNEL-tap blur), equal to
+    ``np.pad(..., 1, mode="reflect")`` on that axis, which repeats a lone
+    row."""
     n = x.shape[axis]
-    if half == 0:
-        return x
-    if n <= half:  # too short to mirror once: np.pad's own rules, on indices
-        return np.take(x, np.pad(np.arange(n), half, mode="reflect"), axis=axis)
+    head, tail = (1, n - 2) if n > 1 else (0, 0)
     lead = (slice(None),) * axis
-    head = np.flip(x[lead + (slice(1, half + 1),)], axis)
-    tail = np.flip(x[lead + (slice(n - 1 - half, n - 1),)], axis)
-    return np.concatenate([head, x, tail], axis=axis)
+    return np.concatenate([x[lead + (slice(head, head + 1),)], x,
+                           x[lead + (slice(tail, tail + 1),)]], axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +297,10 @@ def adjust_hue(px: np.ndarray, delta: float) -> np.ndarray:
     return np.clip(hsv_to_rgb((h + delta) % 1.0, s, v), 0.0, 1.0)
 
 
-# jitter op name -> (transform, the parameter that leaves an image as it is)
-_JITTER = {"brightness": (adjust_brightness, 1.0), "contrast": (adjust_contrast, 1.0),
-           "saturation": (adjust_saturation, 1.0), "hue": (adjust_hue, 0.0)}
+# jitter op name -> (transform, magnitude): a factor drawn from
+# [1 - magnitude, 1 + magnitude], or for hue a shift from +-magnitude turns
+_JITTER = {"brightness": (adjust_brightness, 0.2), "contrast": (adjust_contrast, 0.2),
+           "saturation": (adjust_saturation, 0.2), "hue": (adjust_hue, 0.05)}
 
 
 def color_jitter(px: np.ndarray, jitter) -> np.ndarray:
@@ -311,7 +313,7 @@ def color_jitter(px: np.ndarray, jitter) -> np.ndarray:
 def box_smooth3(px: np.ndarray) -> np.ndarray:
     """3x3 box mean with reflected edges, the smoothing behind sharpness."""
     H, W = px.shape[:2]
-    padded = _reflect(_reflect(px, 1, 0), 1, 1)
+    padded = _reflect(_reflect(px, 0), 1)
     out = np.zeros_like(px)
     for dr in range(3):
         for dc in range(3):
@@ -340,15 +342,14 @@ def gaussian_kernel1d(kernel: int, sigma: float) -> np.ndarray:
     return w / w.sum()
 
 
-def gaussian_blur(px: np.ndarray, kernel: int, sigma: float) -> np.ndarray:
-    """Separable Gaussian smoothing with reflected edges."""
-    w = gaussian_kernel1d(kernel, sigma)
-    half = kernel // 2
+def gaussian_blur(px: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable BLUR_KERNEL-tap Gaussian smoothing with reflected edges."""
+    w = gaussian_kernel1d(BLUR_KERNEL, sigma)
     H, W = px.shape[:2]
-    padded = _reflect(px, half, 0)
-    rows = sum(w[i] * padded[i:i + H] for i in range(kernel))
-    padded = _reflect(rows, half, 1)
-    cols = sum(w[i] * padded[:, i:i + W] for i in range(kernel))
+    padded = _reflect(px, 0)
+    rows = sum(w[i] * padded[i:i + H] for i in range(BLUR_KERNEL))
+    padded = _reflect(rows, 1)
+    cols = sum(w[i] * padded[:, i:i + W] for i in range(BLUR_KERNEL))
     return np.clip(cols, 0.0, 1.0)
 
 
@@ -458,8 +459,8 @@ def synth_dataset(num_per_class: int, size: int, rng: RngStream) -> list[ImageSa
 # ---------------------------------------------------------------------------
 
 class _Draws(NamedTuple):
-    """One image's random parameters; a transform that is off, or that its
-    draw turns off, holds the parameter that leaves the image as it is."""
+    """One image's random parameters; a transform that its draw turns off
+    holds the parameter that leaves the image as it is."""
     flip: bool
     angle: float
     jitter: list  # (op name, parameter) pairs in the image's shuffled order
@@ -467,27 +468,18 @@ class _Draws(NamedTuple):
     sigma: float
 
 
-def _draw(policy: AugmentPolicy, rng: RngStream) -> _Draws:
+def _draw(rng: RngStream) -> _Draws:
     """Take one image's draws in the order its transforms run: flip,
-    rotation, the jitter order, one value per enabled jitter op, sharpness,
-    blur sigma.  A transform with zero probability or magnitude draws
-    nothing."""
-    flip = policy.flip_prob != 0.0 and rng.uniform() < policy.flip_prob
-    angle = 0.0
-    if policy.max_rotation_deg != 0.0:
-        angle = (rng.uniform() * 2.0 - 1.0) * policy.max_rotation_deg
+    rotation, the jitter order, one value per jitter op, sharpness, blur
+    sigma."""
+    flip = rng.uniform() < FLIP_PROB
+    angle = (rng.uniform() * 2.0 - 1.0) * MAX_ROTATION_DEG
     jitter = []
     for name in rng.shuffle(list(_JITTER)):
-        magnitude = getattr(policy, f"jitter_{name}")
-        value = _JITTER[name][1]
-        if magnitude > 0:
-            u = rng.uniform() * 2.0 - 1.0
-            value = u * magnitude if name == "hue" else 1.0 + u * magnitude
-        jitter.append((name, value))
-    sharpness = 1.0
-    if policy.sharpness_prob != 0.0 and rng.uniform() < policy.sharpness_prob:
-        sharpness = policy.sharpness_factor
-    lo, hi = policy.blur_sigma
+        u = (rng.uniform() * 2.0 - 1.0) * _JITTER[name][1]
+        jitter.append((name, u if name == "hue" else 1.0 + u))
+    sharpness = SHARPNESS_FACTOR if rng.uniform() < SHARPNESS_PROB else 1.0
+    lo, hi = BLUR_SIGMA
     return _Draws(flip, angle, jitter, sharpness, lo + rng.uniform() * (hi - lo))
 
 
@@ -501,10 +493,10 @@ def apply_policy(samples: list[ImageSample], policy: AugmentPolicy,
     th, tw = policy.target_size
     views = []
     for sample, rng in zip(samples, rngs):
-        d = _draw(policy, rng)
+        d = _draw(rng)
         px = hflip(resize_bilinear(sample, th, tw).pixels, d.flip)
         px = rotate(px, d.angle)
         px = color_jitter(px, d.jitter)
         px = sharpen(px, d.sharpness)
-        views.append(gaussian_blur(px, policy.blur_kernel, d.sigma))
+        views.append(gaussian_blur(px, d.sigma))
     return np.stack(views)

@@ -652,16 +652,11 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
 
     wmat = w.data.transpose(0, 2, 3, 1).reshape(F, K)
     # (F, B, H', W') in memory; the next conv reads it without a copy
-    if len(bands) == 1:  # the product is the output, with no copy
-        out = wmat @ im2col(windows(), 0, Hh)
-        out += bias.data[:, None]
-        out = out.reshape(F, B, Hh, Ww)
-    else:
-        view = windows()
-        out = np.empty((F, B, Hh, Ww))
-        for i0, i1 in bands:
-            np.add((wmat @ im2col(view, i0, i1)).reshape(F, B, i1 - i0, Ww),
-                   bias.data[:, None, None, None], out=out[:, :, i0:i1])
+    view = windows()
+    out = np.empty((F, B, Hh, Ww))
+    for i0, i1 in bands:
+        np.add((wmat @ im2col(view, i0, i1)).reshape(F, B, i1 - i0, Ww),
+               bias.data[:, None, None, None], out=out[:, :, i0:i1])
     out = out.transpose(1, 0, 2, 3)
 
     # the record keeps the input, not its columns (kh*kw/stride^2 times its

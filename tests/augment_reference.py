@@ -5,15 +5,18 @@ of the package: the reference that the tests hold the transforms of
 Nothing in ``src/`` imports this module, and it imports no transform from
 ``hgtnet.data`` (tests/test_lint.py checks that).  Resize and the Gaussian
 kernel are not reimplemented here: the pipeline under test runs the
-package's own ``resize_bilinear`` and ``gaussian_kernel1d``.
+package's own ``resize_bilinear`` and ``gaussian_kernel1d``.  The stack's
+settings are the package's constants, the jitter magnitudes read from
+``_JITTER`` without its transforms.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from hgtnet.data import (AugmentPolicy, DatasetStats, ImageSample, gaussian_kernel1d,
-                         resize_bilinear)
+from hgtnet.data import (_JITTER, BLUR_KERNEL, BLUR_SIGMA, FLIP_PROB, MAX_ROTATION_DEG,
+                         SHARPNESS_FACTOR, SHARPNESS_PROB, AugmentPolicy, DatasetStats,
+                         ImageSample, gaussian_kernel1d, resize_bilinear)
 from hgtnet.errors import ShapeError
 from hgtnet.rng import RngStream
 
@@ -21,7 +24,7 @@ _LUMA = np.array([0.299, 0.587, 0.114])
 
 
 def random_horizontal_flip(img: ImageSample, prob: float, rng: RngStream) -> ImageSample:
-    if prob == 0.0 or rng.uniform() >= prob:
+    if rng.uniform() >= prob:
         return img
     return img.with_pixels(np.ascontiguousarray(img.pixels[:, ::-1, :]))
 
@@ -54,8 +57,6 @@ def rotate_pixels(px: np.ndarray, angle_deg: float) -> np.ndarray:
 
 
 def random_rotation(img: ImageSample, max_deg: float, rng: RngStream) -> ImageSample:
-    if max_deg == 0.0:
-        return img
     return rotate_by_degrees(img, (rng.uniform() * 2.0 - 1.0) * max_deg)
 
 
@@ -135,21 +136,20 @@ def adjust_hue(px: np.ndarray, delta: float) -> np.ndarray:
     return np.clip(hsv_to_rgb(hsv), 0.0, 1.0)
 
 
-def color_jitter(img: ImageSample, policy: AugmentPolicy, rng: RngStream) -> ImageSample:
+def color_jitter(img: ImageSample, rng: RngStream) -> ImageSample:
     """Brightness/contrast/saturation factors from [1-f, 1+f], hue shift from
-    [-f, +f] turns, applied in a randomized order; zero-magnitude transforms
-    are skipped entirely."""
+    [-f, +f] turns, applied in a randomized order."""
     px = img.pixels
     ops = rng.shuffle(["brightness", "contrast", "saturation", "hue"])
     for op in ops:
-        if op == "brightness" and policy.jitter_brightness > 0:
-            px = adjust_brightness(px, 1.0 + (rng.uniform() * 2.0 - 1.0) * policy.jitter_brightness)
-        elif op == "contrast" and policy.jitter_contrast > 0:
-            px = adjust_contrast(px, 1.0 + (rng.uniform() * 2.0 - 1.0) * policy.jitter_contrast)
-        elif op == "saturation" and policy.jitter_saturation > 0:
-            px = adjust_saturation(px, 1.0 + (rng.uniform() * 2.0 - 1.0) * policy.jitter_saturation)
-        elif op == "hue" and policy.jitter_hue > 0:
-            px = adjust_hue(px, (rng.uniform() * 2.0 - 1.0) * policy.jitter_hue)
+        if op == "brightness":
+            px = adjust_brightness(px, 1.0 + (rng.uniform() * 2.0 - 1.0) * _JITTER[op][1])
+        elif op == "contrast":
+            px = adjust_contrast(px, 1.0 + (rng.uniform() * 2.0 - 1.0) * _JITTER[op][1])
+        elif op == "saturation":
+            px = adjust_saturation(px, 1.0 + (rng.uniform() * 2.0 - 1.0) * _JITTER[op][1])
+        else:
+            px = adjust_hue(px, (rng.uniform() * 2.0 - 1.0) * _JITTER[op][1])
     return img if px is img.pixels else img.with_pixels(px)
 
 
@@ -165,7 +165,7 @@ def box_smooth3(px: np.ndarray) -> np.ndarray:
 
 def random_sharpness(img: ImageSample, factor: float, prob: float,
                      rng: RngStream) -> ImageSample:
-    if prob == 0.0 or rng.uniform() >= prob:
+    if rng.uniform() >= prob:
         return img
     if factor == 1.0:
         return img
@@ -173,8 +173,9 @@ def random_sharpness(img: ImageSample, factor: float, prob: float,
     return img.with_pixels(np.clip(blurred + factor * (img.pixels - blurred), 0.0, 1.0))
 
 
-def gaussian_blur(img: ImageSample, kernel: int, sigma: float) -> ImageSample:
-    """Separable Gaussian smoothing with reflected edges."""
+def gaussian_blur(img: ImageSample, sigma: float) -> ImageSample:
+    """Separable BLUR_KERNEL-tap Gaussian smoothing with reflected edges."""
+    kernel = BLUR_KERNEL
     w = gaussian_kernel1d(kernel, sigma)
     half = kernel // 2
     px = img.pixels
@@ -230,9 +231,9 @@ def apply_policy(img: ImageSample, policy: AugmentPolicy, rng: RngStream) -> Ima
     flip, rotation, color jitter, sharpness, blur."""
     th, tw = policy.target_size
     out = resize_bilinear(img, th, tw)
-    out = random_horizontal_flip(out, policy.flip_prob, rng)
-    out = random_rotation(out, policy.max_rotation_deg, rng)
-    out = color_jitter(out, policy, rng)
-    out = random_sharpness(out, policy.sharpness_factor, policy.sharpness_prob, rng)
-    lo, hi = policy.blur_sigma
-    return gaussian_blur(out, policy.blur_kernel, lo + rng.uniform() * (hi - lo))
+    out = random_horizontal_flip(out, FLIP_PROB, rng)
+    out = random_rotation(out, MAX_ROTATION_DEG, rng)
+    out = color_jitter(out, rng)
+    out = random_sharpness(out, SHARPNESS_FACTOR, SHARPNESS_PROB, rng)
+    lo, hi = BLUR_SIGMA
+    return gaussian_blur(out, lo + rng.uniform() * (hi - lo))

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 
+import augment_reference as ref
 from graph_reference import grid_adjacency
 from hgtnet import data
 from hgtnet import tensor as T
@@ -204,13 +205,8 @@ def test_criterion_6a_overfit_one_batch():
         stats = data.compute_stats(samples)
         cfg = tiny_config(32)
         tcfg = tr.TrainConfig(learning_rate=1e-2, seed=11)
-        mild = data.AugmentPolicy(
-            flip_prob=0.0, max_rotation_deg=5.0, jitter_brightness=0.1,
-            jitter_contrast=0.1, jitter_saturation=0.1, jitter_hue=0.02,
-            sharpness_factor=0.0, sharpness_prob=0.0, blur_kernel=1,
-            target_size=(32, 32))
         x, labels, rot_labels = tr.prepare_batch(
-            samples, mild, stats, RngStream(seed=3), epoch=0)
+            samples, data.train_policy(32), stats, RngStream(seed=3), epoch=0)
         params = init_params(cfg, RngStream(seed=11))
         adam = tr.init_adam(params)
         b = len(samples)
@@ -366,7 +362,7 @@ def test_criterion_7_determinism_and_persistence(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_augmentation_invariants():
-    with _criterion(8, "rotation identity, kernel mass, range, degenerate pipeline"):
+    with _criterion(8, "rotation identity, kernel mass, range, reference pipeline"):
         rng = RngStream(seed=21)
         samples = data.synth_dataset(num_per_class=2, size=48, rng=rng)
 
@@ -395,12 +391,12 @@ def test_criterion_8_augmentation_invariants():
         assert out.shape == (25, 32, 32, 3)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
-        # randomness disabled (every transform off) -> exactly resize + normalize
+        # the pipeline equals the independent per-image reference, byte for
+        # byte, and so does its normalization
         stats = data.compute_stats(samples)
-        off = data.AugmentPolicy(flip_prob=0.0, max_rotation_deg=0.0, jitter_brightness=0.0,
-                                 jitter_contrast=0.0, jitter_saturation=0.0, jitter_hue=0.0,
-                                 sharpness_prob=0.0, blur_kernel=1, target_size=(32, 32))
-        plain = data.apply_policy(samples, off, [rng.derive("off", s.id) for s in samples])
-        resized = np.stack([data.resize_bilinear(s, 32, 32).pixels for s in samples])
-        assert np.array_equal(plain, resized)
-        assert np.array_equal(data.normalize(plain, stats), data.normalize(resized, stats))
+        streams = lambda: [rng.derive("ref", s.id) for s in samples]
+        views = data.apply_policy(samples, policy, streams())
+        want = [ref.apply_policy(s, policy, r) for s, r in zip(samples, streams())]
+        assert views.tobytes() == np.stack([img.pixels for img in want]).tobytes()
+        assert data.normalize(views, stats).tobytes() == \
+            np.stack([ref.normalize(img, stats) for img in want]).tobytes()

@@ -320,6 +320,21 @@ class TestTrainCommand:
         code = main(["train", "--data", str(empty), "--out", str(tmp_path / "x")])
         assert code == 3
 
+    def test_class_of_one_image_is_data_error_before_training(self, tmp_path, capsys):
+        # the lone image went to the test split, so its class was never trained
+        tree = tmp_path / "tree"
+        assert main(["synth", "--out", str(tree), "--per-class", "2",
+                     "--image-size", "32", "--seed", "5"]) == 0
+        (tree / "class4" / "0001.ppm").unlink()
+        capsys.readouterr()
+        out = tmp_path / "x"
+        code = main(["train", "--data", str(tree), "--tiny", "--image-size", "32",
+                     "--epochs", "1", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "class 4" in err and "class4/0000.ppm" in err
+        assert not out.exists()
+
     def test_comma_in_class_name_is_data_error_before_training(self, tmp_path, capsys):
         # a checkpoint stores the class names comma-joined
         tree = tmp_path / "tree"

@@ -1,8 +1,8 @@
 """Static checks over the package, the test suite, the benchmark and the
-README: no module imports a name it never uses, every function and class
-that the package defines at module level is read by the package or the
-benchmark, not only by tests, and every package name the README cites
-exists."""
+README: no module imports a name it never uses, every function, class and
+constant that the package defines at module level is read by the package
+or the benchmark, not only by tests, and every package name the README
+cites exists."""
 
 import ast
 import functools
@@ -72,14 +72,25 @@ def names_read(source: str) -> set[str]:
     return read
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement binds: a function's or class's
+    name, or the plain names an assignment stores, except dunders such as
+    ``__all__``, which Python itself reads."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+            and isinstance(n.ctx, ast.Store) and not n.id.startswith("__")]
+
+
 def unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]:
-    """``module: name`` for each module-level function or class of
-    ``modules`` whose name no source in ``readers`` reads."""
+    """``module: name`` for each module-level function, class or assigned
+    name of ``modules`` that no source in ``readers`` reads."""
     read = set().union(*map(names_read, readers))
-    return [f"{module}: {node.name}" for module, source in modules.items()
-            for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name not in read]
+    return [f"{module}: {name}" for module, source in modules.items()
+            for node in ast.parse(source).body for name in defined_names(node)
+            if name not in read]
 
 
 def test_every_package_definition_is_read_outside_the_tests():
@@ -91,6 +102,13 @@ def test_definition_scan_counts_names_attributes_and_from_imports():
     module = "def a(): pass\ndef b(): pass\nclass C: pass\ndef d(): pass\ndef e(): pass\n"
     readers = ["a()\n", "import m\nm.b\n", "from m import C\n", "d = 1\n"]
     assert unread_definitions({"m.py": module}, readers) == ["m.py: d", "m.py: e"]
+
+
+def test_definition_scan_sees_module_level_assignments():
+    module = ("A = 1\nB: int = 2\nC, (D, E) = 3, (4, 5)\nF = G = 6\nH += 7\nI.x = 8\n"
+              "J[0] = 9\n__all__ = []\n")
+    readers = ["print(A, m.B, D)\n", "from m import F\n"]
+    assert unread_definitions({"m.py": module}, readers) == ["m.py: C", "m.py: E", "m.py: G"]
 
 
 def dangling_names(text: str, modules: set[str], skip: set[str]) -> list[str]:
@@ -149,11 +167,15 @@ def package_imports(source: str) -> dict[str, set[str]]:
 
 def test_augment_reference_imports_no_transform_it_checks():
     # the reference is the oracle for the package's per-image transforms, so
-    # it may take from hgtnet.data only the types and the two helpers it
-    # shares with the pipeline, never a transform
+    # it may take from hgtnet.data only the types, the stack's constants (the
+    # jitter magnitudes in _JITTER) and the two helpers it shares with the
+    # pipeline, never a transform
     source = (ROOT / "tests" / "augment_reference.py").read_text(encoding="utf-8")
     imports = package_imports(source)
     assert imports.get("hgtnet.data") == {"AugmentPolicy", "DatasetStats", "ImageSample",
+                                          "BLUR_KERNEL", "BLUR_SIGMA", "FLIP_PROB",
+                                          "MAX_ROTATION_DEG", "SHARPNESS_FACTOR",
+                                          "SHARPNESS_PROB", "_JITTER",
                                           "gaussian_kernel1d", "resize_bilinear"}
     assert "hgtnet" not in imports
 

@@ -25,15 +25,6 @@ from hgtnet.rng import RngStream
 from hgtnet.tensor import Tensor
 
 
-# a mild training policy at 32 px: small jitter and rotation, no flips,
-# sharpness or blur
-MILD_POLICY = data.AugmentPolicy(
-    flip_prob=0.0, max_rotation_deg=5.0,
-    jitter_brightness=0.1, jitter_contrast=0.1, jitter_saturation=0.1, jitter_hue=0.02,
-    sharpness_factor=0.0, sharpness_prob=0.0,
-    blur_kernel=1, target_size=(32, 32))
-
-
 def _synth_setup(per_class=4, seed=7, lr=3e-3, **train_overrides):
     samples = data.synth_dataset(num_per_class=per_class, size=32,
                                  rng=RngStream(seed=seed))
@@ -217,7 +208,7 @@ class TestBatching:
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         batch = train[:4]
         x, labels, rot_labels = tr.prepare_batch(
-            batch, MILD_POLICY, stats, RngStream(seed=2), epoch=0)
+            batch, data.train_policy(32), stats, RngStream(seed=2), epoch=0)
         assert x.shape == (8, 3, 32, 32)
         assert labels.shape == (4,)
         assert set(rot_labels) <= {0, 1, 2, 3}
@@ -249,14 +240,14 @@ class TestBatching:
         subset = samples[:17]
         params = init_params(cfg, RngStream(seed=4))
         adam = tr.init_adam(params)
-        tr.train_epoch(params, cfg, tcfg, subset, stats, MILD_POLICY,
+        tr.train_epoch(params, cfg, tcfg, subset, stats, data.train_policy(32),
                        adam, epoch=0)
         assert adam.t == 3
 
     def test_empty_dataset_rejected(self):
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         with pytest.raises(DataError):
-            tr.train_epoch({}, cfg, tcfg, [], stats, MILD_POLICY,
+            tr.train_epoch({}, cfg, tcfg, [], stats, data.train_policy(32),
                            tr.init_adam({}), 0)
 
 
@@ -293,7 +284,7 @@ def _sharded_setup(dropout_p=0.25, batch_size=10):
 
 def _one_epoch(samples, stats, cfg, tcfg):
     params = init_params(cfg, RngStream(seed=tcfg.seed))
-    loss, acc = tr.train_epoch(params, cfg, tcfg, samples, stats, MILD_POLICY,
+    loss, acc = tr.train_epoch(params, cfg, tcfg, samples, stats, data.train_policy(32),
                                tr.init_adam(params), 0)
     return loss, acc, params
 
@@ -570,7 +561,7 @@ class TestOverfitOneBatch:
         cfg = tiny_config(32)
         tcfg = tr.TrainConfig(learning_rate=1e-2, seed=11)
         x, labels, rot_labels = tr.prepare_batch(
-            samples, MILD_POLICY, stats, RngStream(seed=3), epoch=0)
+            samples, data.train_policy(32), stats, RngStream(seed=3), epoch=0)
         params = init_params(cfg, RngStream(seed=11))
         adam = tr.init_adam(params)
         b = len(samples)
@@ -1108,7 +1099,7 @@ class TestDivergenceGuard:
             raise _AdamReached
 
         monkeypatch.setattr(tr, "adam_step", stop)
-        step = lambda: tr.train_epoch(state.params, cfg, tcfg, train, stats, MILD_POLICY,
+        step = lambda: tr.train_epoch(state.params, cfg, tcfg, train, stats, data.train_policy(32),
                                       state.adam, 0)
         with pytest.raises(_AdamReached):
             step()
@@ -1132,7 +1123,7 @@ class TestDivergenceGuard:
                   for n, p in state.params.items()]
         monkeypatch.setattr(tr, "MAX_GRAD_NORM", 0.0)
         with pytest.raises(DivergenceError):
-            tr.train_epoch(state.params, cfg, tcfg, train, stats, MILD_POLICY, state.adam, 0)
+            tr.train_epoch(state.params, cfg, tcfg, train, stats, data.train_policy(32), state.adam, 0)
         assert state.adam.t == 0
         for (p, m, v), (n, param) in zip(before, state.params.items()):
             assert np.array_equal(p, param.data)
@@ -1144,7 +1135,7 @@ class TestDivergenceGuard:
         state = tr.init_state(cfg, tcfg, stats, names)
         state.params["head.w"].data[0, 0] = np.nan
         with pytest.raises(DivergenceError, match="gradient norm nan"):
-            tr.train_epoch(state.params, cfg, tcfg, train, stats, MILD_POLICY, state.adam, 0)
+            tr.train_epoch(state.params, cfg, tcfg, train, stats, data.train_policy(32), state.adam, 0)
 
 
 class TestHistoryCsv:
