@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import tracemalloc
@@ -420,6 +421,31 @@ class TestGaussianBlur:
         # mass is conserved away from edges (impulse fully interior)
         assert np.isclose(out[..., 0].sum(), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("sigma", [0.1, 1.0, 2.0, 50.0])
+    def test_impulse_reaches_one_pixel_each_way(self, sigma):
+        # the blur is BLUR_KERNEL = 3 taps wide whatever its sigma
+        px = np.zeros((7, 7, 3))
+        px[3, 3] = 1.0
+        out = gaussian_blur(px, sigma)
+        assert out[2:5, 2:5].min() > 0.0
+        outside = np.ones((7, 7), dtype=bool)
+        outside[2:5, 2:5] = False
+        assert not out[outside].any()
+        assert np.isclose(out[..., 0].sum(), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1), (4, 6)])
+    def test_matches_direct_2d_oracle(self, shape):
+        # oracle: the outer product of the 1-D kernel over np.pad's reflected
+        # border, which repeats the lone row of a 1-pixel side
+        px = RngStream(seed=20).uniform(shape[0] * shape[1] * 3).reshape(*shape, 3)
+        w = gaussian_kernel1d(3, 0.8)
+        padded = np.pad(px, ((1, 1), (1, 1), (0, 0)), mode="reflect")
+        oracle = np.zeros_like(px)
+        for r in range(shape[0]):
+            for c in range(shape[1]):
+                oracle[r, c] = np.einsum("i,j,ijk->k", w, w, padded[r:r + 3, c:c + 3])
+        assert np.allclose(gaussian_blur(px, 0.8), oracle, atol=1e-12)
+
 
 class TestStats:
     def test_constant_dataset(self):
@@ -578,6 +604,22 @@ class TestPipeline:
         backward = apply_policy(imgs[::-1], train_policy(16),
                                 [root.derive("aug", im.id) for im in imgs[::-1]])
         assert forward.tobytes() == backward[::-1].tobytes()
+
+    def test_policy_is_its_output_size(self):
+        assert dataclasses.asdict(train_policy(7)) == {"target_size": (7, 7)}
+
+    def test_draws_stay_in_the_stack_ranges(self):
+        rng = RngStream(seed=92)
+        lo, hi = data.BLUR_SIGMA
+        for i in range(2000):
+            d = data._draw(rng.derive("range", i))
+            assert abs(d.angle) <= data.MAX_ROTATION_DEG
+            assert lo <= d.sigma < hi
+            # every jitter op runs once, within its magnitude of its identity
+            assert sorted(name for name, _ in d.jitter) == sorted(data._JITTER)
+            for name, value in d.jitter:
+                identity = 0.0 if name == "hue" else 1.0
+                assert abs(value - identity) <= data._JITTER[name][1]
 
     def test_same_stream_bitwise_reproducible(self):
         img = _random_image(90, 18, 18)
