@@ -12,11 +12,13 @@ Layout (all integers little-endian):
 
 A file of any other version is refused.  Writes go to a temp file and are
 renamed into place, so a crash never leaves a partial checkpoint at the
-target path.
+target path.  A load reads the payload straight into its arrays, so it
+holds about one copy of the arrays, not the file and a copy.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import struct
@@ -32,6 +34,7 @@ MAGIC = b"HGTN"
 FORMAT_VERSION = 2
 ARRAY = "array."  # the header key prefix of an array's extents
 _HEAD = 16        # magic, version and header length
+_CHUNK = 1 << 20  # bytes per read when a load checks the CRC of a whole file
 
 
 def atomic_write(path, write_fn) -> None:
@@ -75,41 +78,87 @@ def save_checkpoint(path, metadata: dict[str, str], arrays: dict[str, np.ndarray
 def load_checkpoint(path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
     """``(metadata, arrays)``: the arrays are writable float64 copies that
     share no memory.  Any file this module would not write, whatever its
-    bytes, raises ``CheckpointError``."""
+    bytes, raises ``CheckpointError``.
+
+    The payload is read straight into the arrays under a running CRC-32, so
+    a load holds the arrays and the header text, not the file as well.  The
+    checks and their messages come in the order of a check of the whole
+    file: magic, version, CRC, header, extents, then an array numpy cannot
+    shape.  So a file whose header does not declare its payload is read
+    again, in chunks, for its CRC before the header's fault is named, and
+    no array is returned before the trailer has matched every byte."""
     path = os.fspath(path)
     try:
         with open(path, "rb") as fh:
-            buf = fh.read()
+            # a pipe cannot be read twice, nor measured before it is read
+            return _read(fh if fh.seekable() else io.BytesIO(fh.read()), path)
     except OSError as exc:
         raise CheckpointError(f"{path}: cannot read checkpoint ({exc})") from None
-    if buf[:4] != MAGIC:
+
+
+def _read(fh, path: str) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(0)
+    head = fh.read(_HEAD)
+    if head[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    version = int.from_bytes(buf[4:8], "little")
+    version = int.from_bytes(head[4:8], "little")
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: checkpoint format version {version} is not supported "
                               f"(only {FORMAT_VERSION} is); retrain to write a version "
                               f"{FORMAT_VERSION} file")
-    if len(buf) < _HEAD + 4 or \
-            zlib.crc32(memoryview(buf)[:-4]) != int.from_bytes(buf[-4:], "little"):
-        raise CheckpointError(f"{path}: CRC-32 mismatch, the file is truncated or corrupt")
-    end = _HEAD + int.from_bytes(buf[8:_HEAD], "little")
+    crc_error = CheckpointError(f"{path}: CRC-32 mismatch, the file is truncated or corrupt")
+    if size < _HEAD + 4:
+        raise crc_error
+    end = _HEAD + int.from_bytes(head[8:], "little")
+    text = fh.read(min(end, size) - _HEAD)
     try:
-        header = parse_kv(buf[_HEAD:end].decode("utf-8"), source=path)
+        header = parse_kv(text.decode("utf-8"), source=path)
         shapes = {k[len(ARRAY):]: get_ints(header, k) for k in header if k.startswith(ARRAY)}
     except (UnicodeDecodeError, ConfigError) as exc:
-        raise CheckpointError(f"{path}: malformed header ({exc})") from None
-    # Python ints: a product of extents can overflow int64
-    sizes = [math.prod(shape) for shape in shapes.values()]
-    if any(min(shape) < 0 for shape in shapes.values()) or \
-            end + 8 * sum(sizes) + 4 != len(buf):
-        raise CheckpointError(f"{path}: the header's array extents do not match the "
-                              f"file's {len(buf)} bytes")
-    arrays = {}
-    for (name, shape), size in zip(shapes.items(), sizes):
+        fault = f"malformed header ({exc})"
+    else:
+        # Python ints: a product of extents can overflow int64
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        fault = None
+        if any(min(shape) < 0 for shape in shapes.values()) or \
+                end + 8 * sum(sizes) + 4 != size:
+            fault = f"the header's array extents do not match the file's {size} bytes"
+    if fault is not None:
+        if not _crc_holds(fh, size):
+            raise crc_error
+        raise CheckpointError(f"{path}: {fault}")
+
+    # the header ends before the trailer, and the arrays fill the bytes between
+    crc = zlib.crc32(text, zlib.crc32(head))
+    arrays, unshaped = {}, None
+    for (name, shape), count in zip(shapes.items(), sizes):
+        flat = np.empty(count, "<f8")
+        if fh.readinto(flat) != flat.nbytes:  # the file shrank under the read
+            raise crc_error
+        crc = zlib.crc32(flat, crc)
         try:
-            arrays[name] = np.frombuffer(buf, "<f8", size, end).reshape(shape).astype(np.float64)
+            arrays[name] = flat.reshape(shape).astype(np.float64, copy=False)
         except ValueError as exc:  # an extent numpy cannot index, beside a zero one
-            raise CheckpointError(f"{path}: array {name!r} has invalid extents "
-                                  f"{shape} ({exc})") from None
-        end += 8 * size
+            if unshaped is None:
+                unshaped = CheckpointError(f"{path}: array {name!r} has invalid extents "
+                                           f"{shape} ({exc})")
+    if crc != int.from_bytes(fh.read(4), "little"):
+        raise crc_error
+    if unshaped is not None:
+        raise unshaped
     return {k: v for k, v in header.items() if not k.startswith(ARRAY)}, arrays
+
+
+def _crc_holds(fh, size: int) -> bool:
+    """Whether the CRC-32 trailer of the ``size``-byte file ``fh`` matches
+    every byte before it, read again in chunks of ``_CHUNK`` bytes."""
+    fh.seek(0)
+    crc, left = 0, size - 4
+    while left:
+        chunk = fh.read(min(left, _CHUNK))
+        if not chunk:
+            return False
+        crc = zlib.crc32(chunk, crc)
+        left -= len(chunk)
+    return crc == int.from_bytes(fh.read(4), "little")

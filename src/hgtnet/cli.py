@@ -221,8 +221,9 @@ def _model_check(seed: int):
     return "model", model_loss, list(params.values())
 
 
-# every op name that the gradcheck battery and the model check record, and
-# so every op a training step records
+# every op name that the gradcheck battery and the model check record: every
+# op a training step records, plus the battery's ``sum`` and ``max_pool2d``
+# (the model's pooled convs run max_pool2d's kernel under ``conv2d``)
 CORRUPTIBLE_OPS = ("add", "attention", "concat", "conv2d", "cross_entropy", "dropout",
                    "gelu", "layer_norm", "leaky_relu", "linear", "matmul", "max_pool2d",
                    "mean", "mul", "reshape", "softmax", "sum", "take_rows", "transpose")
@@ -271,9 +272,12 @@ def cmd_gradcheck(args) -> int:
 # synth / augment
 # ---------------------------------------------------------------------------
 
+def _check_image_cap(size: int) -> None:
+    check_cap(3 * size ** 2, f"a {size} x {size} RGB image would hold {{}} entries")
+
+
 def cmd_synth(args) -> int:
-    check_cap(3 * args.image_size ** 2,
-              f"a {args.image_size} x {args.image_size} RGB image would hold {{}} entries")
+    _check_image_cap(args.image_size)
     samples = data.synth_dataset(num_per_class=args.per_class, size=args.image_size,
                                  rng=RngStream(seed=args.seed))
     for s in samples:
@@ -290,6 +294,7 @@ def cmd_augment(args) -> int:
     of a ``--data`` run with the same seed and image size augments it
     (``after.ppm``): the image is keyed by its ``class_dir/file`` id."""
     size = args.image_size
+    _check_image_cap(size)
     sample = data.read_sample(args.input, label=0)
     resized = data.resize_bilinear(sample, size, size).pixels
     streams = tr.augment_streams(RngStream(seed=args.seed), 0, [sample])

@@ -188,7 +188,7 @@ def op_battery(seed: int) -> list[tuple[str, Callable[[list[T.Tensor]], T.Tensor
          [bm1, bm2]),
         ("linear", lambda ps: T.tsum(T.linear(lx3, lw, lbias) * w(2, 3, 5, key="lin-o")),
          [lx3, lw, lbias]),
-        ("attention", lambda ps: T.tsum(T.attention(aq, ak, av, 2)[0] * w(2, 3, 4, key="att-o")),
+        ("attention", lambda ps: T.tsum(T.attention(aq, ak, av, 2) * w(2, 3, 4, key="att-o")),
          [aq, ak, av]),
         ("softmax", lambda ps: T.tsum(T.softmax(sx) * w(3, 6, key="sm-w")), [sx]),
         ("masked_softmax",
@@ -205,6 +205,9 @@ def op_battery(seed: int) -> list[tuple[str, Callable[[list[T.Tensor]], T.Tensor
         ("conv2d",
          lambda ps: T.tsum(T.conv2d(cx, cw, cb, stride=1, padding=1)
                            * w(1, 3, 6, 6, key="c-w")), [cx, cw, cb]),
+        ("conv2d_pool",
+         lambda ps: T.tsum(T.conv2d(cx, cw, cb, stride=1, padding=1, pool=True)
+                           * w(1, 3, 3, 3, key="cp-w")), [cx, cw, cb]),
         ("max_pool2d",
          lambda ps: T.tsum(T.max_pool2d(px) * w(1, 2, 2, 2, key="p-w")), [px]),
         ("structure",

@@ -5,7 +5,9 @@ rotation-prediction heads.
 
 Parameters live in a flat ``dict[str, Tensor]`` so the optimizer and
 checkpoint code can treat them uniformly.  Attention probability maps can
-be captured through an optional ``capture`` dict for invariant checks.
+be captured through an optional ``capture`` dict for invariant checks; the
+attention op itself never holds every head's map, so a capture rebuilds
+them with ``tensor.attention_probs``.
 """
 
 from __future__ import annotations
@@ -91,9 +93,10 @@ class ModelConfig:
         check_cap(self.num_heads * n * (n * self.num_encoder_layers + extent * extent)
                   + 2 * n * n,
                   "the attention maps and graph adjacency would hold {} entries per image")
-        # the first conv's forward builds its im2col columns in bands, but
-        # its weight gradient still builds all 27 per pixel at once, so the
-        # cap still counts them
+        # the first conv's forward builds its im2col columns and pools its
+        # output in bands, but its backward still builds the output's
+        # gradient and all 27 columns per pixel at once, so the cap still
+        # counts them
         check_cap((3 + self.cnn_channels[0] + 3 * 3 * 3) * self.image_size ** 2,
                   "the input, first conv output and its im2col columns would hold "
                   "{} entries per image")
@@ -239,13 +242,14 @@ def attention(q_tokens: Tensor, kv_tokens: Tensor, heads: int,
               capture: dict | None = None) -> Tensor:
     """Scaled dot-product attention with separate query and key/value token
     sets; ``q_tokens is kv_tokens`` gives self-attention.  ``capture`` keeps
-    P under the prefix without its trailing dot (``enc0.attn``)."""
+    P, rebuilt with the forward's steps, under the prefix without its
+    trailing dot (``enc0.attn``)."""
     q = T.linear(q_tokens, params[prefix + "wq"], params[prefix + "bq"])
     k = T.linear(kv_tokens, params[prefix + "wk"], params[prefix + "bk"])
     v = T.linear(kv_tokens, params[prefix + "wv"], params[prefix + "bv"])
-    ctx, probs = T.attention(q, k, v, heads)   # probs: B x h x Nq x Nk
+    ctx = T.attention(q, k, v, heads)
     if capture is not None:
-        capture[prefix[:-1]] = probs.copy()
+        capture[prefix[:-1]] = T.attention_probs(q, k, heads)   # B x h x Nq x Nk
     return T.linear(ctx, params[prefix + "wo"], params[prefix + "bo"])
 
 
@@ -270,16 +274,19 @@ def cnn_branch(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
                rngs: list[RngStream] | None = None) -> Tensor:
     """conv(3x3, pad 1) -> max_pool(2,2) -> dropout per channel stage.
 
-    ``max_pool2d`` floors its maxima at 0, which gives the same outputs and
-    parameter gradients as the usual conv -> relu -> pool order (ReLU is
-    monotone, and a window whose maximum is <= 0 passes no gradient either
-    way) without a ReLU record or output of its own."""
+    The conv and the pool are one ``conv2d(..., pool=True)`` record, which
+    pools each band of the conv's output as it is made, so no stage builds
+    its full-resolution conv map.  The pool floors its maxima at 0, which
+    gives the same outputs and parameter gradients as the usual conv ->
+    relu -> pool order (ReLU is monotone, and a window whose maximum is
+    <= 0 passes no gradient either way) without a ReLU record or output of
+    its own."""
     if x.shape[-1] != cfg.image_size or x.shape[-2] != cfg.image_size:
         raise ShapeError(f"input {x.shape} does not match image size {cfg.image_size}")
     out = x
     for j in range(len(cfg.cnn_channels)):
-        out = T.conv2d(out, params[f"cnn{j}.weight"], params[f"cnn{j}.bias"], padding=1)
-        out = T.max_pool2d(out)
+        out = T.conv2d(out, params[f"cnn{j}.weight"], params[f"cnn{j}.bias"], padding=1,
+                       pool=True)
         out = T.dropout(out, cfg.dropout_p, rngs)
     return out
 

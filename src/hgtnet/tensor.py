@@ -19,8 +19,10 @@ GELU's tanh), the record keeps the smaller inputs and the backward
 rebuilds the array with the forward's own steps, bit for bit
 (recomputation, Chen et al. 2016).  A convolution builds its columns, and
 their gradient, one band of output rows at a time, where each band keeps
-the whole-width product's bits (``_conv_bands``), and the attention
-backward rebuilds the probabilities one head at a time.
+the whole-width product's bits (``_conv_bands``); a pooled convolution
+pools each band of its output as the band is made, so its full-resolution
+output never exists.  The attention forward builds the probabilities one
+head at a time, and its backward rebuilds them the same way.
 
 The op set is intentionally small: exactly what the model needs, with
 numpy-style broadcasting supported for add/mul and matmul batch dims.
@@ -382,23 +384,54 @@ def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return _make(y, "softmax", (x,), backward)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(B, n, d) -> strided (B, heads, n, d/heads) view."""
+    B, n, d = a.shape
+    return a.reshape(B, n, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def _head_probs(qh: np.ndarray, kh: np.ndarray,
+                h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Head ``h``'s probabilities (B x Nq x Nk) from the split scaled
+    queries and keys, built by ``softmax_in_place``, and its row maxima and
+    sums.  numpy issues one GEMM per (image, head) for a batched product
+    over every head as well, so each head runs the same GEMMs."""
+    p = qh[:, h] @ kh[:, h].transpose(0, 2, 1)
+    top, total = softmax_in_place(p)
+    return p, top, total
+
+
+def _scaled_heads(q: Tensor, k: Tensor,
+                  heads: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """The scale 1/sqrt(d/heads), and the scaled queries and the keys split
+    into heads."""
+    scale = 1.0 / np.sqrt(q.shape[2] // heads)
+    return scale, _split_heads(q.data * scale, heads), _split_heads(k.data, heads)
+
+
+def attention_probs(q: Tensor, k: Tensor, heads: int) -> np.ndarray:
+    """The probabilities P (B x heads x Nq x Nk) of ``attention(q, k, v,
+    heads)``, built with its own steps one head at a time and then stacked,
+    for a caller that inspects them; ``attention`` itself never holds them
+    all."""
+    _, qh, kh = _scaled_heads(q, k, heads)
+    return np.stack([_head_probs(qh, kh, h)[0] for h in range(heads)], axis=1)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention core as one record.
 
     q is B x Nq x d, k and v are B x Nk x d; each head attends over its
     d/heads slice of the features and the heads are merged back into
-    B x Nq x d.  The 1/sqrt(d/heads) scale is folded into q, and
-    ``softmax_in_place`` turns the score buffer into the probabilities P
-    (B x heads x Nq x Nk).  The record keeps the scaled queries, the keys,
-    the values and the softmax's row maxima and sums, not P: the
-    closed-form backward rebuilds P from them with the forward's own
-    steps, less its two reductions, so it gets the same bits (Vaswani et
-    al. 2017; recomputation from row statistics and the recurrence as in
-    FlashAttention, Dao et al. 2022, tiled by head).  The backward does so
-    one head at a time, so only one head's P and gradient of P exist at
-    once; numpy issues one GEMM per (image, head) either way, so each head
-    runs the same GEMMs as the batched product.  Returns ``(out, P)``, the
-    whole P of the forward.
+    B x Nq x d.  The 1/sqrt(d/heads) scale is folded into q.  The forward
+    builds one head's probabilities P (B x Nq x Nk, batched over the
+    images) at a time with ``_head_probs``, so only one head's P exists at
+    once.  The record keeps the scaled queries, the keys, the values and
+    the softmax's row maxima and sums, not P: the closed-form backward
+    rebuilds each head's P from them with the forward's own steps, less
+    its two reductions, so it gets the same bits (Vaswani et al. 2017;
+    recomputation from row statistics as in FlashAttention, Dao et al.
+    2022, tiled by head).  ``attention_probs`` gives a caller the whole P.
     """
     if q.ndim != 3 or k.shape != v.shape or k.ndim != 3 or \
             q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
@@ -409,28 +442,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
     if heads < 1 or d % heads:
         raise ConfigError(f"token width {d} not divisible by {heads} heads")
     hd = d // heads
-    scale = 1.0 / np.sqrt(hd)
+    scale, qh, kh = _scaled_heads(q, k, heads)
+    vh = _split_heads(v.data, heads)
 
-    def split(a, n):  # (B, n, d) -> strided (B, heads, n, hd) view
-        return a.reshape(B, n, heads, hd).transpose(0, 2, 1, 3)
-
-    def merge(a, n):  # (B, heads, n, hd) -> contiguous (B, n, d)
-        return a.transpose(0, 2, 1, 3).reshape(B, n, d)
-
-    qs = q.data * scale
-    qh, kh, vh = split(qs, Nq), split(k.data, Nk), split(v.data, Nk)
-
-    p = qh @ kh.transpose(0, 1, 3, 2)  # B x h x Nq x Nk
-    top, total = softmax_in_place(p)
-    out = merge(p @ vh, Nq)
+    out = np.empty((B, Nq, d))
+    top, total = np.empty((B, heads, Nq, 1)), np.empty((B, heads, Nq, 1))
+    for h in range(heads):
+        p, top[:, h], total[:, h] = _head_probs(qh, kh, h)
+        out[:, :, h * hd:(h + 1) * hd] = p @ vh[:, h]
+        del p  # before the next head's P is made
 
     def backward(g):
-        gh = split(g, Nq)
+        gh = _split_heads(g, heads)
         gq, gk, gv = np.empty((B, Nq, d)), np.empty((B, Nk, d)), np.empty((B, Nk, d))
         for h in range(heads):
             cols = slice(h * hd, (h + 1) * hd)
-            # softmax_in_place's steps on this head's scores, with its row
-            # statistics
+            # _head_probs' steps on this head's scores, with its row statistics
             p = qh[:, h] @ kh[:, h].transpose(0, 2, 1)
             p -= top[:, h]
             np.exp(p, out=p)
@@ -441,10 +468,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.n
             gs *= p                                               # gradient of Q.K^T
             gq[:, :, cols] = gs @ kh[:, h]
             gk[:, :, cols] = gs.transpose(0, 2, 1) @ qh[:, h]
+            del p, gs  # before the next head's are made
         gq *= scale
         return gq, gk, gv
 
-    return _make(out, "attention", (q, k, v), backward), p
+    return _make(out, "attention", (q, k, v), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -572,8 +600,10 @@ def _conv_bands(images: int, height: int, width: int, filters: int,
     """(start, stop) output rows of each band of a convolution whose GEMMs
     take ``filters`` x ``depth`` weights over ``images`` x ``height`` x
     ``width`` output columns.  A band builds about ``CONV_BAND_BYTES`` of
-    columns per image, and is cut only where its output keeps the bits of
-    the whole-width product under OpenBLAS's AVX-512 kernels:
+    columns per image and starts at an even row, so a pooled conv pools
+    each band's 2 x 2 windows on their own.  It is cut only where its
+    output keeps the bits of the whole-width product under OpenBLAS's
+    AVX-512 kernels:
     - those compute a product's last (columns mod 8) columns with narrower
       kernels, so every band, and the whole product, spans a multiple of 8
       columns, or there is one band;
@@ -586,7 +616,8 @@ def _conv_bands(images: int, height: int, width: int, filters: int,
         return [(0, height)]
     rows = max(CONV_BAND_BYTES // (8 * depth * width),
                _SMALL_GEMM_MACS // (filters * depth * per_row) + 1)
-    unit = 8 // math.gcd(8, per_row)  # rows that span a multiple of 8 columns
+    # even rows that span a multiple of 8 columns
+    unit = math.lcm(2, 8 // math.gcd(8, per_row))
     rows = -(-rows // unit) * unit
     starts = list(range(0, height, rows))
     if len(starts) > 1 and filters * depth * per_row * (height - starts[-1]) <= _SMALL_GEMM_MACS:
@@ -594,7 +625,41 @@ def _conv_bands(images: int, height: int, width: int, filters: int,
     return list(zip(starts, starts[1:] + [height]))
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+# one strided view per 2 x 2 window offset, in row-major window order
+_POOL_WINDOWS = tuple((Ellipsis, slice(u, None, 2), slice(v, None, 2))
+                      for u in range(2) for v in range(2))
+
+
+def _pool_into(v: np.ndarray, out: np.ndarray, masks: list[np.ndarray] | None) -> None:
+    """Write the maxima of the 2 x 2 windows at stride 2 over the last two
+    axes of ``v``, floored at 0, into ``out``.  With ``masks`` (four bool
+    arrays shaped like ``out``, one per window offset), mark in each the
+    outputs whose first positive maximum, in row-major window order, sits
+    at that offset; an output whose maximum is <= 0 or NaN is marked in
+    none."""
+    np.copyto(out, v[_POOL_WINDOWS[0]])
+    for win in _POOL_WINDOWS[1:]:
+        np.maximum(out, v[win], out=out)
+    np.maximum(out, 0.0, out=out)
+    if masks is None:
+        return
+    pending = out > 0.0  # outputs whose positive max is not yet found
+    for win, hit in zip(_POOL_WINDOWS, masks):
+        np.equal(v[win], out, out=hit)
+        hit &= pending
+        pending ^= hit
+
+
+def _unpool_into(g: np.ndarray, masks: list[np.ndarray], gx: np.ndarray) -> None:
+    """Route the pool's output gradient ``g`` into ``gx``, shaped like the
+    pool's input: each output's to its marked window offset, zero
+    elsewhere.  The windows tile ``gx``, so every entry is written once."""
+    for win, hit in zip(_POOL_WINDOWS, masks):
+        np.multiply(g, hit, out=gx[win])
+
+
+def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0,
+           pool: bool = False) -> Tensor:
     """2D cross-correlation (no kernel flip) with bias.
 
     x: (B, C, H, W), w: (F, C, kH, kW), bias: (F,).  Output extents must be
@@ -607,6 +672,15 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     AVX-512 kernels compute a product's last (columns mod 8) columns with
     other kernels.  The weight gradient is one whole-width product: banding
     its sum over the output positions would change that sum's order.
+
+    ``pool=True`` (even H' and W') returns ``max_pool2d`` of the conv
+    output, bit for bit, forward and backward, without ever building that
+    output: each band's GEMM output gets its bias and is pooled, with
+    ``max_pool2d``'s kernel, before the next band is made.  When the output
+    is tracked, each band also gets its share of the pool's four
+    first-maximum masks, which the record keeps; the backward routes the
+    gradient through them onto the conv map, then runs the conv's own
+    backward.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input/weight, got {x.shape} and {w.shape}")
@@ -627,6 +701,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
             f"conv2d geometry invalid: input {H}x{W}, kernel {kh}x{kw}, "
             f"stride {stride}, padding {padding} gives non-integer output extent")
     Hh, Ww = num_h // stride + 1, num_w // stride + 1
+    if pool and (Hh % 2 or Ww % 2):
+        raise ShapeError(f"conv2d pool needs even output extents, got {Hh}x{Ww}")
     Hp, Wp = H + 2 * padding, W + 2 * padding
     xd, x_tracked = x.data, x.requires_grad
     K, N = kh * kw * C, B * Hh * Ww
@@ -651,18 +727,37 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         return cols.reshape(K, -1)
 
     wmat = w.data.transpose(0, 2, 3, 1).reshape(F, K)
-    # (F, B, H', W') in memory; the next conv reads it without a copy
+    bias4 = bias.data[:, None, None, None]
+    # (F, B, H', W') in memory, or the pooled (F, B, H'/2, W'/2); the next
+    # conv reads it without a copy
     view = windows()
-    out = np.empty((F, B, Hh, Ww))
+    masks = None
+    if pool:
+        out = np.empty((F, B, Hh // 2, Ww // 2))
+        if x.requires_grad or w.requires_grad or bias.requires_grad:
+            masks = [np.empty(out.shape, dtype=bool) for _ in _POOL_WINDOWS]
+    else:
+        out = np.empty((F, B, Hh, Ww))
     for i0, i1 in bands:
-        np.add((wmat @ im2col(view, i0, i1)).reshape(F, B, i1 - i0, Ww),
-               bias.data[:, None, None, None], out=out[:, :, i0:i1])
+        y = (wmat @ im2col(view, i0, i1)).reshape(F, B, i1 - i0, Ww)
+        if pool:
+            y += bias4
+            rows = (Ellipsis, slice(i0 // 2, i1 // 2), slice(None))
+            _pool_into(y, out[rows], None if masks is None else [m[rows] for m in masks])
+            del y  # before the next band's columns and product are made
+        else:
+            np.add(y, bias4, out=out[:, :, i0:i1])
     out = out.transpose(1, 0, 2, 3)
 
     # the record keeps the input, not its columns (kh*kw/stride^2 times its
     # size); the backward rebuilds them with the same im2col, bit for bit,
     # and they are freed once gw has them, before any gcols band is made
     def backward(g):
+        if pool:
+            # max_pool2d's backward onto the (F, B, H', W') conv map
+            gmap = np.empty((F, B, Hh, Ww))
+            _unpool_into(g.transpose(1, 0, 2, 3), masks, gmap)
+            g = gmap.transpose(1, 0, 2, 3)
         g2 = g.transpose(1, 0, 2, 3).reshape(F, N)
         gb = g2.sum(axis=1)
         gw = (g2 @ im2col(windows(), 0, Hh).T).reshape(F, kh, kw, C).transpose(0, 3, 1, 2)
@@ -690,7 +785,8 @@ def max_pool2d(x: Tensor) -> Tensor:
     even H and W, floored at 0: a ReLU folded into the pool.  The gradient
     routes to the first maximum in row-major window order when values tie;
     a window whose maximum is <= 0 or NaN routes none, as the ReLU's zero
-    slope there would.
+    slope there would.  ``conv2d(..., pool=True)`` runs the same kernel on
+    each band of a conv's output.
 
     A tracked input gets four bool masks, one per window offset, built in
     the forward: each marks the outputs whose first maximum sits at that
@@ -701,33 +797,19 @@ def max_pool2d(x: Tensor) -> Tensor:
         raise ShapeError(f"max_pool2d expects a B x C x H x W input with even H, W >= 2, "
                          f"got {x.shape}")
     v = x.data
-    # one strided view per window offset, in row-major window order
-    windows = [(slice(None), slice(None), slice(u, None, 2), slice(w, None, 2))
-               for u in range(2) for w in range(2)]
-    out = v[windows[0]].copy(order="K")
-    for win in windows[1:]:
-        np.maximum(out, v[win], out=out)
-    np.maximum(out, 0.0, out=out)
-    if not x.requires_grad:
+    out = np.empty_like(v[_POOL_WINDOWS[0]])
+    masks = [np.empty_like(out, dtype=bool) for _ in _POOL_WINDOWS] if x.requires_grad else None
+    _pool_into(v, out, masks)
+    if masks is None:
         return _make(out, "max_pool2d", (x,), None)
-
-    masks = []
-    pending = out > 0.0  # outputs whose positive max is not yet found
-    for win in windows:
-        hit = np.equal(v[win], out)
-        hit &= pending
-        pending ^= hit
-        masks.append(hit)
     # gx takes the input's memory order, as np.empty_like(v) would, so a
     # conv2d output's gradient reaches that conv's backward without a copy
     order = sorted(range(4), key=lambda axis: -v.strides[axis])
     shape = v.shape
 
     def backward(g):
-        # the windows tile the input, so every entry of gx is written once
         gx = np.empty([shape[axis] for axis in order]).transpose(np.argsort(order))
-        for win, hit in zip(windows, masks):
-            np.multiply(g, hit, out=gx[win])
+        _unpool_into(g, masks, gx)
         return (gx,)
 
     return _make(out, "max_pool2d", (x,), backward)

@@ -986,8 +986,9 @@ class TestGradcheckCommand:
             state.params, cfg, state.train_cfg, samples, stats,
             data.train_policy(32), state.adam, 0))
         assert recorded <= set(cli.CORRUPTIBLE_OPS)
-        # the battery's only extra op is the sum that reduces each entry
-        assert set(cli.CORRUPTIBLE_OPS) - recorded == {"sum"}
+        # the battery's only extra ops are the sum that reduces each entry
+        # and max_pool2d, whose kernel the model runs inside its pooled convs
+        assert set(cli.CORRUPTIBLE_OPS) - recorded == {"sum", "max_pool2d"}
 
     def test_corruption_hook_passes_missing_gradients_through(self, monkeypatch):
         # mul's untracked scalar operand gets a None gradient; the hook's
@@ -1145,6 +1146,28 @@ class TestAugmentCommand:
                   "--set", "aug.train.max_rotation_deg=inf", "--out", str(out)])
         assert exc.value.code == 2
         assert "unrecognized arguments: --set" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_image_size_above_the_cap_is_config_error_before_the_input_is_read(
+            self, tmp_path, capsys, monkeypatch):
+        # it read and resized the 48 px input to 40000 px, and ended in an
+        # out-of-memory error (exit 7)
+        img = self._input_image(tmp_path)
+        out = tmp_path / "aug"
+        monkeypatch.setattr(data, "read_sample", lambda *a, **k: pytest.fail("read"))
+        tracemalloc.start()
+        try:
+            code = main(["augment", "--input", str(img), "--image-size", "40000",
+                         "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "a 40000 x 40000 RGB image would hold 4.800e+9 entries" in err
+        assert "limit is" in err
+        assert peak < 1 << 20
         assert not out.exists()
 
     def test_missing_input_is_io_error(self, tmp_path):

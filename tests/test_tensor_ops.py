@@ -8,6 +8,7 @@ checked, values and gradients, against the graph of small ops they replace.
 
 import platform
 import sys
+import tracemalloc
 import types
 import weakref
 
@@ -20,6 +21,7 @@ from hgtnet import training as tr
 from hgtnet.checkpoint import FORMAT_VERSION, load_checkpoint
 from hgtnet.errors import ConfigError, ContractError, ShapeError
 from hgtnet.model import ModelConfig, init_params, param_shapes, tiny_config
+from hgtnet.model import attention as model_attention
 from hgtnet.rng import RngStream
 
 
@@ -122,7 +124,7 @@ class TestAttention:
         q, k, v = _leaves(10 + heads, (2, 3, 8), (2, 5, 8), (2, 5, 8))
         g = T.Tensor(RngStream(seed=4).normal(2 * 3 * 8).reshape(2, 3, 8))
         fused, fused_grads = _value_and_grads(
-            lambda *a: T.attention(*a, heads)[0], [q, k, v], g)
+            lambda *a: T.attention(*a, heads), [q, k, v], g)
         ref, ref_grads = _value_and_grads(
             lambda *a: unfused_attention(*a, heads)[0], [q, k, v], g)
         assert fused.shape == (2, 3, 8)
@@ -130,9 +132,9 @@ class TestAttention:
         for got, want in zip(fused_grads, ref_grads):
             assert got.shape == want.shape and np.allclose(got, want, rtol=0, atol=1e-12)
 
-    def test_returns_output_and_probabilities(self):
+    def test_probabilities_match_the_unfused_graph(self):
         q, k, v = _leaves(20, (1, 2, 4), (1, 3, 4), (1, 3, 4))
-        out, probs = T.attention(q, k, v, 2)
+        out, probs = T.attention(q, k, v, 2), T.attention_probs(q, k, 2)
         ref, ref_probs = unfused_attention(q, k, v, 2)
         assert isinstance(out, T.Tensor) and isinstance(probs, np.ndarray)
         assert np.allclose(out.data, ref.data, rtol=0, atol=1e-12)
@@ -180,7 +182,7 @@ class TestFusedRecords:
         loaded = tr.load_state(path)
         _, _, fused = tr.evaluate(loaded.params, cfg, samples, stats)
         monkeypatch.setattr(T, "linear", unfused_linear)
-        monkeypatch.setattr(T, "attention", unfused_attention)
+        monkeypatch.setattr(T, "attention", lambda *a: unfused_attention(*a)[0])
         _, _, unfused = tr.evaluate(loaded.params, cfg, samples, stats)
         scores = np.array([r.scores for r in fused])
         assert np.allclose(scores, [r.scores for r in unfused], rtol=0, atol=1e-12)
@@ -702,7 +704,7 @@ class TestGraphHoldsRecords:
         monkeypatch.setattr(T, "backward", inspect_then_backward)
         tr._shard_step(params, cfg, samples, 2, stats, data.train_policy(64),
                        RngStream(seed=5), 0)
-        assert {"conv2d", "max_pool2d", "dropout", "add", "layer_norm", "linear",
+        assert {"conv2d", "dropout", "add", "layer_norm", "linear",
                 "attention", "gelu", "matmul", "take_rows", "cross_entropy"} <= \
             {record.name for record in walked}
         # the walk released every record it reached
@@ -939,7 +941,7 @@ class TestRebuiltInBackward:
         q.data[0] = 0.0          # every score of sample 0 ties
         k.data[1, 1] = k.data[1, 0]
         q.data[1] *= 1e3         # score gaps of hundreds: exp underflows to 0
-        out, probs = T.attention(q, k, v, 2)
+        out, probs = T.attention(q, k, v, 2), T.attention_probs(q, k, 2)
         assert (probs[0] == 0.2).all()
         assert np.array_equal(probs[1, ..., 0], probs[1, ..., 1])
         assert (probs[1] == 0.0).any() and (probs[1] == 1.0).any()
@@ -954,7 +956,7 @@ class TestRebuiltInBackward:
                              ids=["cross", "self", "cross-4-heads"])
     def test_attention_keeps_no_probabilities(self, nq, nk, heads, d):
         q, k, v = _leaves(64, (2, nq, d), (2, nk, d), (2, nk, d))
-        out, probs = T.attention(q, k, v, heads)
+        out, probs = T.attention(q, k, v, heads), T.attention_probs(q, k, heads)
         g = RngStream(seed=65).normal(out.size).reshape(out.shape)
         ref, ref_p, ref_grads = attention_keeping_p(q.data, k.data, v.data, heads, g)
         assert out.data.tobytes() == ref.tobytes() and probs.tobytes() == ref_p.tobytes()
@@ -962,6 +964,39 @@ class TestRebuiltInBackward:
             assert got.tobytes() == want.tobytes()
         held = _closure_arrays(out.op_record.backward)
         assert not any(a.shape == (2, heads, nq, nk) for a in held)
+
+    def test_no_array_holds_every_heads_probabilities(self):
+        # P of all 4 heads takes 1 MiB; one head's P and its gradient 0.5
+        B, heads, n, d = 2, 4, 128, 8
+        q, k, v = _leaves(77, (B, n, d), (B, n, d), (B, n, d))
+        g = RngStream(seed=78).normal(B * n * d).reshape(B, n, d)
+        whole_p = B * heads * n * n * 8
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already traces this session")
+        tracemalloc.start()
+        try:
+            out = T.attention(q, k, v, heads)
+            forward = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            out.op_record.backward(g)
+            backward = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forward < whole_p / 2 and backward < whole_p, (forward, backward)
+
+    @pytest.mark.parametrize("heads", [2, 4])
+    def test_model_captures_the_probabilities_the_forward_built(self, heads):
+        params = dict(zip(("attn.wq", "attn.wk", "attn.wv", "attn.wo"),
+                          _leaves(79, *[(8, 8)] * 4)))
+        params.update(zip(("attn.bq", "attn.bk", "attn.bv", "attn.bo"),
+                          _leaves(80, *[(8,)] * 4)))
+        q_tokens, kv_tokens = _leaves(92, (2, 5, 8), (2, 7, 8))
+        capture = {}
+        model_attention(q_tokens, kv_tokens, heads, params, "attn.", capture)
+        q, k, v = (T.linear(t, params[f"attn.w{n}"], params[f"attn.b{n}"]).data
+                   for t, n in ((q_tokens, "q"), (kv_tokens, "k"), (kv_tokens, "v")))
+        _, ref_p, _ = attention_keeping_p(q, k, v, heads, np.zeros((2, 5, 8)))
+        assert capture["attn"].tobytes() == ref_p.tobytes()
 
     def test_gelu_keeps_its_input_not_its_tanh(self):
         (x,) = _leaves(66, (4, 9))
@@ -983,6 +1018,105 @@ class TestRebuiltInBackward:
         (gx,) = out.op_record.backward(g)
         assert out.data.tobytes() == ref.tobytes()
         assert gx.tobytes() == ref_gx.tobytes()
+
+
+def _pooled_conv_matches_conv_then_pool(x, w, b, seed, **conv):
+    """Run ``conv2d(..., pool=True)`` and ``max_pool2d`` over ``conv2d``
+    on the same leaves; assert byte-equal outputs (in the same memory
+    order) and input, weight and bias gradients.  Returns the pooled
+    output."""
+    pooled = T.conv2d(x, w, b, pool=True, **conv)
+    conv_out = T.conv2d(x, w, b, **conv)
+    ref = T.max_pool2d(conv_out)
+    assert pooled.data.tobytes() == ref.data.tobytes()
+    assert [s for s, n in zip(pooled.data.strides, pooled.shape) if n > 1] == \
+        [s for s, n in zip(ref.data.strides, ref.shape) if n > 1]
+    g = RngStream(seed=seed).normal(ref.size).reshape(ref.shape)
+    (g_conv,) = ref.op_record.backward(g)
+    got, want = pooled.op_record.backward(g), conv_out.op_record.backward(g_conv)
+    for a, e in zip(got, want):
+        assert a is None and e is None or a.tobytes() == e.tobytes()
+    return pooled
+
+
+class TestPooledConv:
+    """``conv2d(..., pool=True)`` pools each band of its output as the band
+    is made, with ``max_pool2d``'s kernel; it gives the bytes of
+    ``max_pool2d`` over the plain conv, forward and backward."""
+
+    # the paper's three CNN convs at 224 px; a band of the first one holds
+    # 44 output rows (a 2 MiB budget gives 43, which the even-row rule
+    # rounds up), so no band cut splits a pooling window
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("c_in,c_out,size", [(3, 16, 224), (16, 32, 112), (32, 64, 56)],
+                             ids=["cnn0-224", "cnn1-112", "cnn2-56"])
+    def test_paper_shapes_match_conv_then_pool(self, c_in, c_out, size, batch,
+                                               one_blas_thread):
+        bands = T._conv_bands(batch, size, size, c_out, 9 * c_in)
+        assert len(bands) >= 3 and all(i0 % 2 == 0 for i0, _ in bands)
+        if c_in == 3:
+            assert bands[1][0] == 44
+        x, w, b = _leaves(81, (batch, c_in, size, size), (c_out, c_in, 3, 3), (c_out,))
+        _pooled_conv_matches_conv_then_pool(x, w, b, 82, padding=1)
+
+    @pytest.mark.parametrize("batch,c_out,size", [(16, 4, 32), (4, 16, 64)],
+                             ids=["tiny-32px-b16", "paper-64px-b4"])
+    def test_tiny_and_64px_convs_match_conv_then_pool(self, batch, c_out, size,
+                                                      one_blas_thread):
+        x, w, b = _leaves(83, (batch, 3, size, size), (c_out, 3, 3, 3), (c_out,))
+        _pooled_conv_matches_conv_then_pool(x, w, b, 84, padding=1)
+
+    def test_tied_floored_and_nan_windows_match_conv_then_pool_across_bands(
+            self, monkeypatch):
+        # a 1 x 1 conv of weight 1 and bias 0 gives back its input (-0.0 as
+        # 0.0), in bands of two output rows
+        x = RngStream(seed=85).normal(2 * 8 * 8).reshape(2, 1, 8, 8)
+        x[0, 0, :2] = 0.0                              # windows tied at the floor
+        x[0, 0, 2:4] = 0.5                             # windows tied above it
+        x[0, 0, 4:6, ::2] = x[0, 0, 4:6, 1::2] = 0.25  # ties between the columns
+        x[0, 0, 6:] = -np.abs(x[0, 0, 6:])             # windows below the floor
+        x[1, 0, 0, 0] = x[1, 0, 3, 3] = x[1, 0, 7, 6] = np.nan
+        monkeypatch.setattr(T, "CONV_BAND_BYTES", 8 * 8 * 2)
+        monkeypatch.setattr(T, "_SMALL_GEMM_MACS", 0)
+        assert T._conv_bands(2, 8, 8, 1, 1) == [(0, 2), (2, 4), (4, 6), (6, 8)]
+        x, w, b = T.Tensor(x, requires_grad=True), *_leaves(86, (1, 1, 1, 1), (1,))
+        w.data[...], b.data[...] = 1.0, 0.0
+        pooled = _pooled_conv_matches_conv_then_pool(x, w, b, 87)
+        ref, _ = _pool_loop(x.data, np.zeros(pooled.shape))
+        assert np.array_equal(pooled.data, ref, equal_nan=True)
+        assert np.isnan(pooled.data[1, 0]).sum() == 3 and (pooled.data[0, 0, ::3] == 0).all()
+
+    def test_untracked_conv_builds_no_masks(self, monkeypatch):
+        x = RngStream(seed=88).normal(2 * 3 * 8 * 8).reshape(2, 3, 8, 8)
+        w, b = _leaves(89, (4, 3, 3, 3), (4,))
+        tracked = T.conv2d(T.Tensor(x), w, b, padding=1, pool=True)
+        calls, pool_into = [], T._pool_into
+        monkeypatch.setattr(T, "_pool_into", lambda v, out, masks: calls.append(masks)
+                            or pool_into(v, out, masks))
+        untracked = T.conv2d(T.Tensor(x), T.Tensor(w.data), T.Tensor(b.data), padding=1,
+                             pool=True)
+        assert calls == [None] and untracked.op_record is None
+        assert untracked.data.tobytes() == tracked.data.tobytes()
+
+    def test_record_keeps_input_weights_and_masks_not_the_conv_map(self):
+        x, w, b = _leaves(90, (2, 3, 8, 8), (4, 3, 3, 3), (4,))
+        out = T.conv2d(x, w, b, padding=1, pool=True)
+        held = _closure_arrays(out.op_record.backward)
+        assert any(a is x.data for a in held)
+        # the conv map would be 4 x 2 x 8 x 8; the largest other array is
+        # the 4 x 27 weight matrix
+        assert not any(a.size >= 4 * 2 * 8 * 8 for a in held if a is not x.data)
+        (masks,) = [c.cell_contents for c in out.op_record.backward.__closure__
+                    if isinstance(c.cell_contents, list)
+                    and isinstance(c.cell_contents[0], np.ndarray)]
+        assert len(masks) == 4
+        assert all(m.dtype == bool and m.shape == (4, 2, 4, 4) for m in masks)
+
+    @pytest.mark.parametrize("hw", [(5, 8), (8, 7)])
+    def test_odd_output_extents_rejected(self, hw):
+        x, w, b = _leaves(91, (1, 3) + hw, (4, 3, 3, 3), (4,))
+        with pytest.raises(ShapeError, match="pool needs even"):
+            T.conv2d(x, w, b, padding=1, pool=True)
 
 
 def _held_bytes_by_op(records, skip):

@@ -431,22 +431,26 @@ class TestShardedStep:
         peak = self._traced_peak_of_a_shard_step(64)
         assert peak <= 17.2, f"{peak:.1f} MiB"
 
-    # the paper's scale: 107.2 MiB now that the convs build their columns
-    # and the attention backward rebuilds P in bands and heads, against
+    # the paper's scale: 102.9 MiB now that the attention forward builds P
+    # one head at a time and the CNN convs pool each band as it is made;
+    # 107.2 MiB when the cross-attention's forward held P for all heads,
     # 134.3 MiB when the first conv's forward built all its columns at once
     # and the cross-attention backward tied with it at 133.4, 217.3 MiB when
     # the tracked convs kept their columns, and 294.3 MiB when every record
     # kept its columns, probabilities and tanh.  The peak now sits in the
-    # cross-attention's forward, where every record's saved arrays and that
-    # op's probabilities for all heads are alive, with its backward 0.3 MiB
-    # below it
+    # cross-attention's backward, with the second CNN conv's backward
+    # 1.8 MiB below it
     def test_traced_peak_of_a_224px_shard_step(self):
         peak = self._traced_peak_of_a_shard_step(224)
         assert peak <= 120.0, f"{peak:.1f} MiB"
 
-    # one 224 px evaluation forward: 12.7 MiB, in the first conv's forward,
-    # which builds its im2col columns one band of output rows at a time;
-    # 20.0 MiB when it built all 10.3 MiB of them at once
+    # one 224 px evaluation forward: 7.9 MiB, in the second CNN conv's
+    # forward, now that each CNN conv pools every band of its output as the
+    # band is made and the attention builds P one head at a time; 12.7 MiB
+    # in the first conv's forward when it built its whole 16 x 224 x 224
+    # output for max_pool2d, and the cross-attention held all four heads'
+    # P; 20.0 MiB when the first conv built all 10.3 MiB of its im2col
+    # columns at once
     def test_traced_peak_of_a_224px_eval_sample(self):
         cfg = ModelConfig(image_size=224)
         sample = data.synth_dataset(1, 224, RngStream(seed=3))[0]
@@ -461,7 +465,7 @@ class TestShardedStep:
             peak = tracemalloc.get_traced_memory()[1] / 2**20
         finally:
             tracemalloc.stop()
-        assert peak <= 15.0, f"{peak:.1f} MiB"
+        assert peak <= 8.3, f"{peak:.1f} MiB"
 
     @staticmethod
     def _traced_peak_of_a_train_step(batch):
