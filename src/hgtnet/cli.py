@@ -193,6 +193,8 @@ def cmd_metrics(args) -> int:
     names = args.names.split(",") if args.names else None
     if names is not None and len(names) != k:
         raise ConfigError(f"--names lists {len(names)} classes, records have {k}")
+    if names is not None and "" in names:
+        raise ConfigError(f"--names entry {names.index('') + 1} of {k} is empty")
     report = build_report(records, k, class_names=names)
     sys.stdout.write(render_report(report))
     if args.out:

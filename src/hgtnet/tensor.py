@@ -823,8 +823,11 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every leaf ancestor (a tensor created with
     ``requires_grad=True``) of a scalar loss, and release the graph.
 
-    The walk visits records and leaves, never interior tensors.  Gradients
-    from multiple uses of the same tensor accumulate by summation.
+    The walk visits records, never interior tensors.  Gradients from
+    multiple uses of the same tensor accumulate by summation, into a leaf's
+    ``grad`` as soon as a closure returns each: a leaf reached k times gets
+    ((old + c1) + ...) + ck in the walk's order, and a walk into leaves
+    that already hold gradients holds no second set.
     Interior tensors keep ``grad`` as ``None``: their gradients live only
     until the walk has passed them on to their parents.  Each record's
     ``backward`` attribute is read and called when the walk reaches it, and
@@ -857,28 +860,23 @@ def backward(loss: Tensor) -> None:
             if node.backward is None:
                 raise ContractError(f"backward through a '{node.name}' record that an "
                                     f"earlier backward released; build the graph again")
-            for parent in node.parents:
-                if parent is not None and id(parent) not in seen:
+            for parent in node.parents:  # a leaf is reached by its closures, not ordered
+                if isinstance(parent, OpRecord) and id(parent) not in seen:
                     stack.append((parent, False))
 
     # popping drops the walk's last reference to each node as it is passed
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     while order:
         node = order.pop()
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if isinstance(node, Tensor):
-            # leaf parameter/input: accumulate into the public slot
+        g = grads.pop(id(node))
+        if isinstance(node, Tensor):  # a leaf loss
             node.grad = g if node.grad is None else node.grad + g
             continue
         parents, closure = node.parents, node.backward
         node.parents, node.backward = (), None
         for parent, pg in zip(parents, closure(g)):
-            if parent is None:
-                continue
-            key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + pg
-            else:
-                grads[key] = pg
+            if isinstance(parent, Tensor):
+                parent.grad = pg if parent.grad is None else parent.grad + pg
+            elif parent is not None:
+                key = id(parent)
+                grads[key] = grads[key] + pg if key in grads else pg

@@ -1,8 +1,9 @@
 """Losses, the Adam optimizer, and the training/evaluation loops.
 
 The trainer is deterministic by construction: every random decision comes
-from streams derived as (seed, purpose, epoch[, sample id]), so a run
-can be stopped, checkpointed, and resumed with bitwise-identical results.
+from streams derived as (seed, purpose, epoch[, sample id]), so a run can
+be stopped, checkpointed, and resumed with bitwise-identical results.  A
+step back-propagates the augmented views, then their rotated copies.
 """
 
 from __future__ import annotations
@@ -173,19 +174,14 @@ def prepare_batch(samples: list[ImageSample], policy, stats: DatasetStats,
     return Tensor(normalize(np.concatenate([aug, rot]), stats)), labels, rot_labels
 
 
-# A training step whose tasks are too small to thread (``_threaded`` of one
-# sample and its rotated copy is false) splits its batch into SHARDS
-# contiguous sample shards and runs them one after the other; otherwise
-# every sample and its rotated copy is one task.  Every task runs its own
-# forward and backward, and the task gradients are summed in task order, so
-# the result is the same whether the tasks run inline or on worker threads.
-SHARDS = 2
-
-# Tasks run on worker threads only when each one's first convolution writes
-# at least this many values (images x cnn_channels[0] x image_size^2): below
-# it the ops are too short for numpy's release of the interpreter lock to
-# pay for the hand-offs.  One --tiny 32 px sample and its copy write 8k, so
-# the tiny model trains in two inline shards; one default-model sample and
+# A training step runs one task per sample when such a task is big enough
+# to thread, else the whole batch as one inline task; the task gradients
+# are summed in task order, so the result is the same whether the tasks
+# run inline or on worker threads.  Tasks are threaded only when each one's
+# first convolution writes at least this many values (images x
+# cnn_channels[0] x image_size^2): below it the ops are too short for
+# numpy's release of the interpreter lock to pay for the hand-offs.  One
+# --tiny 32 px sample and its copy write 8k; one default-model sample and
 # its copy write 131k at 64 px and 1.6M at 224 px, and one 224 px eval
 # sample 803k, and all three run threaded.
 THREAD_MIN_CONV_OUT = 1 << 17
@@ -229,7 +225,7 @@ def train_epoch(params: dict[str, Tensor], model_cfg: ModelConfig,
 
     A model whose one sample and rotated copy are big enough to thread
     trains one task per sample, on one worker per usable core; a smaller
-    one trains two inline shards per batch (``SHARDS``).  The split
+    one trains each batch as one inline task.  The split
     depends on the model config alone, and BLAS runs on one thread
     meanwhile (``_task_map``), so the parameters depend on neither the
     host's core count nor its BLAS thread count."""
@@ -253,15 +249,14 @@ def _train_step(params, model_cfg, train_cfg, batch, stats, policy, adam, root,
                 epoch, map_tasks) -> tuple[float, int]:
     """Forward, backward and Adam on one batch; returns the loss and the
     number of correct predictions.  ``map_tasks`` is ``map`` or a thread
-    pool's ``map`` over the batch's tasks (see ``SHARDS``); each task's
-    graph is freed by its ``T.backward`` walk before the task returns its
-    gradients, which are added into ``p.grad`` in task order as the task
-    is yielded, then dropped.  Raises
+    pool's ``map`` over the batch's tasks (see ``THREAD_MIN_CONV_OUT``);
+    each task's graphs are freed by its ``T.backward`` walks before the
+    task returns its gradients, which are added into ``p.grad`` in task
+    order as the task is yielded, then dropped.  Raises
     ``DivergenceError``, before the Adam step, when the summed gradient's
     norm is above ``MAX_GRAD_NORM`` or not finite."""
     b = len(batch)
-    size = 1 if _threaded(model_cfg, 2) else -(-b // SHARDS)
-    tasks = [batch[i:i + size] for i in range(0, b, size)]
+    tasks = [[s] for s in batch] if _threaded(model_cfg, 2) else [batch]
     run = lambda task: _shard_step(params, model_cfg, task, b, stats, policy, root, epoch)
     for p in params.values():
         p.grad = None
@@ -284,24 +279,29 @@ def _train_step(params, model_cfg, train_cfg, batch, stats, policy, adam, root,
 
 
 def _shard_step(params, model_cfg, shard, b, stats, policy, root, epoch):
-    """Forward and backward of one task (a shard or one sample) of a batch
-    of ``b`` samples on its own views of the parameters; returns the task's
-    share of the batch loss, its number of correct predictions and its
-    parameter gradients.
+    """Forwards and backwards of one task (one sample or the batch) of a
+    batch of ``b`` samples on its own views of the parameters; returns the
+    task's share of the batch loss, its number of correct predictions and
+    its parameter gradients.
 
-    Each image draws its dropout masks from a stream keyed by its sample,
-    so the masks do not depend on the batch or the task it lands in."""
+    The views' class CE and the copies' rotation CE read disjoint rows, so
+    each half is forwarded and back-propagated alone, the copies' walk
+    adding into the views' gradients.  Each image draws its dropout masks
+    from a stream keyed by its sample, so the masks do not depend on the
+    batch or the task it lands in."""
     x, labels, rot_labels = prepare_batch(shard, policy, stats, root, epoch)
     n = len(shard)
-    rngs = ([root.derive("drop", epoch, s.id) for s in shard]
-            + [root.derive("drop", epoch, s.id, "rot") for s in shard])
     views = {name: Tensor(p.data, requires_grad=True) for name, p in params.items()}
-    cls, rot = model_forward(x, model_cfg, views, rngs=rngs)
-    cls, rot = T.take_rows(cls, 0, n), T.take_rows(rot, n, 2 * n)  # originals, then copies
-    loss = combined_loss(cls, labels, rot, rot_labels) * (n / b)
-    T.backward(loss)
+    cls, _ = model_forward(Tensor(x.data[:n]), model_cfg, views,
+                           rngs=[root.derive("drop", epoch, s.id) for s in shard])
+    class_loss = cross_entropy(cls, labels) * (n / b)
+    T.backward(class_loss)
     hits = int((np.argmax(cls.data, axis=1) == labels).sum())
-    return loss.item(), hits, {name: v.grad for name, v in views.items()}
+    _, rot = model_forward(Tensor(x.data[n:]), model_cfg, views,
+                           rngs=[root.derive("drop", epoch, s.id, "rot") for s in shard])
+    rot_loss = cross_entropy(rot, rot_labels) * ROTATION_LOSS_WEIGHT * (n / b)
+    T.backward(rot_loss)
+    return class_loss.item() + rot_loss.item(), hits, {name: v.grad for name, v in views.items()}
 
 
 def _eval_sample(frozen, model_cfg, stats, sample) -> tuple[float, PredictionRecord]:

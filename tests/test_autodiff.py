@@ -178,6 +178,35 @@ class TestGraphMechanics:
         T.backward(T.tsum(left * right))
         assert np.allclose(x.grad, 12.0 * x.data, atol=1e-12)
 
+    def test_two_walks_into_the_same_leaves_sum_their_gradients(self):
+        # a training step back-propagates its views, then their rotated
+        # copies, into the same parameter leaves
+        w, b = _params((4, 3), (3,), seed=26)
+        x1, x2 = (T.Tensor(a.data) for a in _params((5, 4), (5, 4), seed=27))
+
+        def walk(x, leaves):
+            T.backward(T.tsum(T.gelu(T.linear(x, *leaves))))
+
+        alone = []
+        for x in (x1, x2):
+            leaves = [T.Tensor(p.data, requires_grad=True) for p in (w, b)]
+            walk(x, leaves)
+            alone.append([p.grad for p in leaves])
+        walk(x1, (w, b))
+        walk(x2, (w, b))
+        for p, c1, c2 in zip((w, b), *alone):
+            assert p.grad.tobytes() == (c1 + c2).tobytes()
+
+    def test_a_leaf_reached_twice_adds_each_gradient_in_turn(self):
+        # the grad of sum(x * x) reaches x twice, as x and x; each is added
+        # into the existing grad as the closure returns it
+        x, old = _params((64,), (64,), seed=28)
+        x.grad = old.data.copy()
+        T.backward(T.tsum(x * x))
+        expected = (old.data + x.data) + x.data
+        assert (expected != old.data + (x.data + x.data)).any()  # the order shows
+        assert x.grad.tobytes() == expected.tobytes()
+
     def test_deep_chain_no_recursion_blowup(self):
         x = T.Tensor(np.array([1.0]), requires_grad=True)
         y = x

@@ -41,13 +41,13 @@ TRAIN_ARGS = ["train", "--synth", "--per-class", "8", "--tiny",
 # what the TRAIN_ARGS run writes: the SHA-256 of its final parameters (bytes
 # in sorted name order), its per-epoch train and test losses, and the
 # SHA-256 of its predictions.csv
-TINY_RUN_PARAMS_SHA256 = "2d4b2af00b1754150315960bbce9a61e267c7aa3a7f3bd44e0f67b7ff3c88a92"
-TINY_RUN_TRAIN_LOSSES = [1.7210075959983828, 1.648000810747242]
-TINY_RUN_TEST_LOSSES = [1.5167721432212826, 1.4534223151484547]
-TINY_RUN_PREDICTIONS_SHA256 = "37f6c07bc4584d493273018c538f83df7533708971cacdd341185817e94113a4"
+TINY_RUN_PARAMS_SHA256 = "5961cd7a80272414e5226d943ddb6ec3a9994978a00f9b85d6edc49be0b710b2"
+TINY_RUN_TRAIN_LOSSES = [1.7210075959983826, 1.6480008107472421]
+TINY_RUN_TEST_LOSSES = [1.5167721432212826, 1.4534223151484549]
+TINY_RUN_PREDICTIONS_SHA256 = "c7dfd4ab368df62a6fe1aa064cce122200fb1e5b45674532eed752e3ecfb01a6"
 # and the SHA-256 of its best.ckpt, so that the checkpoint's bytes change
 # only with a deliberate edit of this pin
-TINY_RUN_BEST_CKPT_SHA256 = "42259ae07df2357f0904d96b0d47f56202574e5ae1ace95b0056ade17263f106"
+TINY_RUN_BEST_CKPT_SHA256 = "62ccc8bf919436d5e37097bd5a4b03942ff6bf7c81abdfd96b3efdb843592c14"
 
 # the bitwise reference: two epochs of the paper-default model on
 # synth_dataset(2, 224, RngStream(seed=5)) at batch 4 and seed 5, then an
@@ -56,8 +56,8 @@ TINY_RUN_BEST_CKPT_SHA256 = "42259ae07df2357f0904d96b0d47f56202574e5ae1ace95b005
 # SHA-256 of the scores (little-endian float64, sample order) and the
 # mean eval loss
 PAPER_RUN_LOSSES = [1.7118245549402686, 1.6106984244885687]
-PAPER_RUN_STATE_SHA256 = "27cf26ffab27cb59bbed2ab5c1ca25c8230691c5531217e7a9a9e76ab8c4085c"
-PAPER_RUN_SCORES_SHA256 = "9d264bff71364546f7eb958373231298098cb22ff9a867e2ccfda6bd335dec64"
+PAPER_RUN_STATE_SHA256 = "b2aad3a9cfa3f3bf7de6f14ac1f273ce71f97552c33a396ccf27d03ded984a09"
+PAPER_RUN_SCORES_SHA256 = "3d912e24f4fc0b4823f7c8356c4de7a78df82e4e7ac8b7f5e3cfb52873e6e2ed"
 PAPER_RUN_EVAL_LOSS = 1.3786518457797226
 
 
@@ -859,6 +859,17 @@ class TestMetricsCommand:
                  if ln.strip() and ln.split()[0] in ("aca", "n", "scc")}
         assert cells == {"aca": "0.95", "n": "0.98", "scc": "0.91"}
 
+    @pytest.mark.parametrize("names, position", [(",,", 1), ("aca,,scc", 2), ("aca,n,", 3)])
+    def test_an_empty_name_is_a_config_error_naming_its_position(
+            self, tmp_path, capsys, names, position):
+        path = tmp_path / "pred.csv"
+        self._write_figure_counts(path)
+        out = tmp_path / "tables"
+        assert main(["metrics", "--predictions", str(path), "--names", names,
+                     "--out", str(out)]) == 2
+        assert f"--names entry {position} of 3 is empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_perfect_predictions_render_ones(self, tmp_path, capsys):
         path = tmp_path / "pred.csv"
         records = [PredictionRecord(f"s{i}", i % 2,
@@ -986,9 +997,11 @@ class TestGradcheckCommand:
             state.params, cfg, state.train_cfg, samples, stats,
             data.train_policy(32), state.adam, 0))
         assert recorded <= set(cli.CORRUPTIBLE_OPS)
-        # the battery's only extra ops are the sum that reduces each entry
-        # and max_pool2d, whose kernel the model runs inside its pooled convs
-        assert set(cli.CORRUPTIBLE_OPS) - recorded == {"sum", "max_pool2d"}
+        # the battery's only extra ops are the sum that reduces each entry,
+        # max_pool2d, whose kernel the model runs inside its pooled convs,
+        # and take_rows, since a step forwards its views and its rotated
+        # copies apart
+        assert set(cli.CORRUPTIBLE_OPS) - recorded == {"sum", "max_pool2d", "take_rows"}
 
     def test_corruption_hook_passes_missing_gradients_through(self, monkeypatch):
         # mul's untracked scalar operand gets a None gradient; the hook's

@@ -688,9 +688,10 @@ class TestGraphHoldsRecords:
         walked = []
         real_backward = T.backward
 
-        def inspect_then_backward(loss):
-            walked.extend(_reachable_records(loss))
-            for record in walked:
+        def inspect_then_backward(loss):  # one walk per loss term
+            records = _reachable_records(loss)
+            walked.extend(records)
+            for record in records:
                 for parent in record.parents:
                     assert parent is None or isinstance(parent, T.OpRecord) or (
                         isinstance(parent, T.Tensor) and parent.requires_grad
@@ -705,7 +706,7 @@ class TestGraphHoldsRecords:
         tr._shard_step(params, cfg, samples, 2, stats, data.train_policy(64),
                        RngStream(seed=5), 0)
         assert {"conv2d", "dropout", "add", "layer_norm", "linear",
-                "attention", "gelu", "matmul", "take_rows", "cross_entropy"} <= \
+                "attention", "gelu", "matmul", "cross_entropy"} <= \
             {record.name for record in walked}
         # the walk released every record it reached
         assert all(r.parents == () and r.backward is None for r in walked)
@@ -1142,14 +1143,14 @@ class TestHeldArrays:
         samples = data.synth_dataset(1, 64, RngStream(seed=3))[:2]
         stats = data.compute_stats(samples)
         params = init_params(cfg, RngStream(seed=5))
-        B = 2 * len(samples)  # the images and their rotated copies
+        B = len(samples)  # a forward takes the images, or their rotated copies
         # the K x N im2col columns of every conv: the patch embed (whose
         # columns have as many entries as the image), then the CNN
         g = cfg.image_size // cfg.patch_size
         cols_shapes = {(3 * cfg.patch_size ** 2, B * g * g)}
         for j, c_in in enumerate((3,) + cfg.cnn_channels[:-1]):
             cols_shapes.add((9 * c_in, B * (cfg.image_size >> j) ** 2))
-        held, real_backward = {}, T.backward
+        walks, real_backward = [], T.backward
 
         def count_then_backward(loss):
             records = _reachable_records(loss)
@@ -1160,16 +1161,18 @@ class TestHeldArrays:
                     shapes = {a.shape for a in _closure_arrays(record.backward)}
                     assert not shapes & cols_shapes, "a conv2d record holds im2col columns"
             # the parameters live on without the graph, so they do not count
-            held.update(_held_bytes_by_op(records, {id(p.data) for p in params.values()}))
+            walks.append(_held_bytes_by_op(records, {id(p.data) for p in params.values()}))
             real_backward(loss)
 
         monkeypatch.setattr(T, "backward", count_then_backward)
         tr._shard_step(params, cfg, samples, 2, stats, data.train_policy(64),
                        RngStream(seed=5), 0)
+        held = max(walks, key=lambda h: sum(h.values()))  # the larger walk
         assert "conv2d" in held
-        # 7.65 MiB: linear 2.38, conv2d 2.05 (inputs and weight matrices),
-        # attention 1.33, gelu 1.00, layer_norm 0.51
+        # 4.48 MiB: conv2d 1.68 (inputs and weight matrices), linear 1.19,
+        # attention 0.67, gelu 0.50, layer_norm 0.25; 7.65 MiB when one walk
+        # took the images and their copies
         total = sum(held.values()) / 2**20
         top = ", ".join(f"{name} {n / 2**20:.2f}" for name, n in
                         sorted(held.items(), key=lambda kv: -kv[1])[:3])
-        assert total <= 8.3, f"records hold {total:.2f} MiB; most: {top} MiB"
+        assert total <= 4.9, f"records hold {total:.2f} MiB; most: {top} MiB"
