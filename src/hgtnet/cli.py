@@ -210,7 +210,7 @@ def cmd_metrics(args) -> int:
 def _model_check(seed: int):
     """(name, build, params) of the tiny model's combined loss on two images."""
     rng = RngStream(seed=seed)
-    model_cfg = tiny_config(32)
+    model_cfg = tiny_config()
     params = init_params(model_cfg, rng.derive("model"))
     batch = Tensor(rng.derive("model-x").normal(2 * 3 * 32 * 32).reshape(2, 3, 32, 32) * 0.3)
     labels = np.array([1, 3])

@@ -330,13 +330,9 @@ def sharpen(px: np.ndarray, factor: float) -> np.ndarray:
     return np.clip(blurred + factor * (px - blurred), 0.0, 1.0)
 
 
-def gaussian_kernel1d(kernel: int, sigma: float) -> np.ndarray:
-    """Sampled Gaussian of odd length ``kernel``, normalized to sum 1."""
-    if kernel % 2 == 0 or kernel < 1:
-        raise ConfigError(f"blur kernel must be odd and positive, got {kernel}")
-    if sigma <= 0:
-        raise ConfigError(f"blur sigma must be positive, got {sigma}")
-    half = kernel // 2
+def gaussian_kernel1d(sigma: float) -> np.ndarray:
+    """Sampled BLUR_KERNEL-tap Gaussian, normalized to sum 1."""
+    half = BLUR_KERNEL // 2
     offsets = np.arange(-half, half + 1, dtype=np.float64)
     w = np.exp(-(offsets**2) / (2.0 * sigma * sigma))
     return w / w.sum()
@@ -344,7 +340,7 @@ def gaussian_kernel1d(kernel: int, sigma: float) -> np.ndarray:
 
 def gaussian_blur(px: np.ndarray, sigma: float) -> np.ndarray:
     """Separable BLUR_KERNEL-tap Gaussian smoothing with reflected edges."""
-    w = gaussian_kernel1d(BLUR_KERNEL, sigma)
+    w = gaussian_kernel1d(sigma)
     H, W = px.shape[:2]
     padded = _reflect(px, 0)
     rows = sum(w[i] * padded[i:i + H] for i in range(BLUR_KERNEL))

@@ -198,7 +198,7 @@ def op_battery(seed: int) -> list[tuple[str, Callable[[list[T.Tensor]], T.Tensor
          [lx, lg, lb]),
         ("gelu", lambda ps: T.tsum(T.gelu(gx) * w(3, 7, key="g-w")), [gx]),
         ("leaky_relu",
-         lambda ps: T.tsum(T.leaky_relu(kx, 0.2) * w(2, 6, key="k-w")), [kx]),
+         lambda ps: T.tsum(T.leaky_relu(kx) * w(2, 6, key="k-w")), [kx]),
         ("dropout",
          lambda ps: T.tsum(T.dropout(dx, 0.4, [drop_rng.derive(i) for i in range(4)])
                            * w(4, 6, key="d-w")), [dx]),
@@ -215,5 +215,5 @@ def op_battery(seed: int) -> list[tuple[str, Callable[[list[T.Tensor]], T.Tensor
                            * w(2, 8, key="s-w")), [tx]),
         ("concat",
          lambda ps: T.tsum(T.concat([ca, cc], axis=1) * w(2, 7, key="cat-w")), [ca, cc]),
-        ("mean", lambda ps: T.tsum(T.tmean(tx * tx, axis=1) * w(2, 4, key="mean-w")), [tx]),
+        ("mean", lambda ps: T.tsum(T.tmean(tx * tx) * w(2, 4, key="mean-w")), [tx]),
     ]

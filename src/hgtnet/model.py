@@ -25,9 +25,6 @@ from .errors import ConfigError, ShapeError
 from .rng import RngStream
 from .tensor import Tensor
 
-# graph attention's LeakyReLU slope, as in GAT (arXiv:1710.10903)
-GAT_LEAKY_SLOPE = 0.2
-
 # the paper default has 1,065,513 parameters; with Adam's two moments each
 # one costs 24 bytes, so the cap keeps a model near 3 GB
 MAX_PARAMS = 2 ** 27
@@ -326,18 +323,18 @@ def graph_attention(nodes: Tensor, adjacency: np.ndarray, params: dict[str, Tens
     h = T.matmul(nodes, params["gat.w"])                             # B x N x d
     src = T.matmul(h, params["gat.a_src"])                           # B x N x 1
     dst = T.transpose(T.matmul(h, params["gat.a_dst"]), (0, 2, 1))   # B x 1 x N
-    scores = T.leaky_relu(src + dst, GAT_LEAKY_SLOPE)                # B x N x N
+    scores = T.leaky_relu(src + dst)                                 # B x N x N
     alpha = T.softmax(scores, mask=adjacency[None, :, :])
     if capture is not None:
         capture["gat.attn"] = alpha.data.copy()
     out = T.matmul(alpha, h)
-    return T.leaky_relu(out, GAT_LEAKY_SLOPE)
+    return T.leaky_relu(out)
 
 
 def global_average_pool(nodes: Tensor) -> Tensor:
     if nodes.shape[1] < 1:
         raise ShapeError("cannot pool over zero tokens")
-    return T.tmean(nodes, axis=1)
+    return T.tmean(nodes)
 
 
 def classify_head(pooled: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
@@ -375,6 +372,6 @@ TINY_PRESET = dict(patch_size=16, embed_dim=8, num_heads=2, num_encoder_layers=1
                    mlp_ratio=2.0, cnn_channels=(4,), dropout_p=0.0)
 
 
-def tiny_config(image_size: int = 32, **overrides) -> ModelConfig:
-    """Small configuration for gradient checks and fast tests."""
-    return ModelConfig(**{**TINY_PRESET, "image_size": image_size, **overrides})
+def tiny_config(**overrides) -> ModelConfig:
+    """Small 32 px configuration for gradient checks and fast tests."""
+    return ModelConfig(**{**TINY_PRESET, "image_size": 32, **overrides})

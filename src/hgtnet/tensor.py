@@ -337,15 +337,15 @@ def tsum(x: Tensor) -> Tensor:
     return _make(x.data.sum(), "sum", (x,), backward)
 
 
-def tmean(x: Tensor, axis: int) -> Tensor:
-    """Mean along one axis, which the output drops."""
+def tmean(x: Tensor) -> Tensor:
+    """Mean along axis 1, which the output drops."""
     x_shape = x.shape
-    count = x_shape[axis]
+    count = x_shape[1]
 
     def backward(g):
-        return (np.broadcast_to(np.expand_dims(g, axis) / count, x_shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, 1) / count, x_shape).copy(),)
 
-    return _make(x.data.mean(axis=axis), "mean", (x,), backward)
+    return _make(x.data.mean(axis=1), "mean", (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +501,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
+# leaky_relu's negative-side slope: graph attention's, as in GAT (arXiv:1710.10903)
+LEAKY_SLOPE = 0.2
 
 
-def activation(x: Tensor, kind: str, slope: float | None = None) -> Tensor:
-    """Elementwise nonlinearity: gelu (tanh form), or leaky_relu with its
-    negative-side ``slope``, which only that kind reads."""
+def activation(x: Tensor, kind: str) -> Tensor:
+    """Elementwise nonlinearity: gelu (tanh form), or leaky_relu with
+    negative-side slope LEAKY_SLOPE."""
     v = x.data
     if kind == "gelu":
         # tanh(C * (v + A * v^3)) in one buffer, each step the product or
@@ -543,10 +545,10 @@ def activation(x: Tensor, kind: str, slope: float | None = None) -> Tensor:
             t *= g
             return (t,)
     elif kind == "leaky_relu":
-        data = np.where(v > 0.0, v, slope * v)
+        data = np.where(v > 0.0, v, LEAKY_SLOPE * v)
 
         def backward(g):
-            return (g * np.where(v > 0.0, 1.0, slope),)
+            return (g * np.where(v > 0.0, 1.0, LEAKY_SLOPE),)
     else:
         raise ConfigError(f"unknown activation kind {kind!r}")
     return _make(data, kind, (x,), backward)
@@ -556,8 +558,8 @@ def gelu(x: Tensor) -> Tensor:
     return activation(x, "gelu")
 
 
-def leaky_relu(x: Tensor, slope: float) -> Tensor:
-    return activation(x, "leaky_relu", slope=slope)
+def leaky_relu(x: Tensor) -> Tensor:
+    return activation(x, "leaky_relu")
 
 
 def dropout(x: Tensor, p: float, rngs: Sequence[RngStream] | None) -> Tensor:

@@ -176,7 +176,7 @@ def random_sharpness(img: ImageSample, factor: float, prob: float,
 def gaussian_blur(img: ImageSample, sigma: float) -> ImageSample:
     """Separable BLUR_KERNEL-tap Gaussian smoothing with reflected edges."""
     kernel = BLUR_KERNEL
-    w = gaussian_kernel1d(kernel, sigma)
+    w = gaussian_kernel1d(sigma)
     half = kernel // 2
     px = img.pixels
     padded = np.pad(px, ((half, half), (0, 0), (0, 0)), mode="reflect")

@@ -62,7 +62,7 @@ def test_criterion_1_gradient_suite():
                 assert err < 1e-4, f"{name} (seed {seed}): {err}"
                 worst_op = max(worst_op, err)
         worst_model = 0.0
-        cfg = tiny_config(32)
+        cfg = tiny_config()
         for seed in range(20):
             rng = RngStream(seed=1000 + seed)
             params = init_params(cfg, rng)
@@ -91,7 +91,7 @@ def test_criterion_1_gradient_suite():
 
 def test_criterion_2_attention_rows_normalized():
     with _criterion(2, "attention row normalization + graph sparsity"):
-        cfg = tiny_config(32)
+        cfg = tiny_config()
         adj = grid_adjacency(cfg.grid_size, cfg.grid_size)
         for trial in range(100):
             rng = RngStream(seed=trial)
@@ -176,7 +176,7 @@ def test_criterion_4_auc_routes_agree():
 
 def test_criterion_5_loss_calibration():
     with _criterion(5, "untrained CE near ln 5; +0.1 ln 4 for uniform rotations"):
-        cfg = tiny_config(32)
+        cfg = tiny_config()
         for seed in (0, 1, 2):
             rng = RngStream(seed=seed)
             params = init_params(cfg, rng)
@@ -203,7 +203,7 @@ def test_criterion_6a_overfit_one_batch():
         samples = data.synth_dataset(num_per_class=7, size=32,
                                      rng=RngStream(seed=5))[:32]
         stats = data.compute_stats(samples)
-        cfg = tiny_config(32)
+        cfg = tiny_config()
         tcfg = tr.TrainConfig(learning_rate=1e-2, seed=11)
         x, labels, rot_labels = tr.prepare_batch(
             samples, data.train_policy(32), stats, RngStream(seed=3), epoch=0)
@@ -235,7 +235,7 @@ def test_criterion_6b_synthetic_run_beats_chance():
         train_samples, test_samples = data.stratified_split(
             samples, 0.1, RngStream(seed=7).derive("split"))
         stats = data.compute_stats(train_samples)
-        cfg = tiny_config(32)
+        cfg = tiny_config()
         tcfg = tr.TrainConfig(learning_rate=3e-3, batch_size=16, max_epochs=15,
                               seed=7)
         state = tr.init_state(cfg, tcfg, stats, [f"class{k}" for k in range(5)])
@@ -271,7 +271,7 @@ def test_criterion_6c_early_stopping_is_exact(monkeypatch, tmp_path):
             raise _ScriptEnd
 
         if state is None:
-            state = tr.init_state(tiny_config(32), tr.TrainConfig(patience=10, max_epochs=100),
+            state = tr.init_state(tiny_config(), tr.TrainConfig(patience=10, max_epochs=100),
                                   stats, [f"class{k}" for k in range(5)])
         with monkeypatch.context() as patch:
             patch.setattr(tr, "train_epoch", lambda *args, **kwargs: (0.0, 0.0))
@@ -311,7 +311,7 @@ def test_criterion_7_determinism_and_persistence(tmp_path):
         train_samples, test_samples = data.stratified_split(
             samples, 0.2, RngStream(seed=3).derive("split"))
         stats = data.compute_stats(train_samples)
-        cfg = tiny_config(32)
+        cfg = tiny_config()
         tcfg = tr.TrainConfig(learning_rate=3e-3, batch_size=8, max_epochs=2,
                               seed=9)
         names = [f"class{k}" for k in range(5)]
@@ -377,11 +377,15 @@ def test_criterion_8_augmentation_invariants():
                     data.rotate90(data.rotate90(s.pixels, k), (4 - k) % 4),
                     s.pixels)
 
-        # Gaussian kernels sum to 1 within 1e-12
+        # the blur's 3-tap Gaussian sums to 1 within 1e-12 and equals the
+        # closed form exp(-k^2 / 2 sigma^2) / sum over k = -1, 0, 1 within 1e-15
+        assert data.BLUR_KERNEL == 3
         for sigma in (0.1, 0.37, 1.0, 2.0, 5.0):
-            for kernel in (3, 5, 9):
-                weights = data.gaussian_kernel1d(kernel, sigma)
-                assert abs(weights.sum() - 1.0) < 1e-12, (sigma, kernel)
+            weights = data.gaussian_kernel1d(sigma)
+            assert abs(weights.sum() - 1.0) < 1e-12, sigma
+            side = math.exp(-1.0 / (2.0 * sigma * sigma))
+            closed = np.array([side, 1.0, side]) / (1.0 + 2.0 * side)
+            assert np.abs(weights - closed).max() < 1e-15, sigma
 
         # every augmented pixel stays inside [0, 1]
         policy = data.train_policy(32)

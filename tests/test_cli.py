@@ -117,7 +117,7 @@ class TestConfigMerge:
 
     def test_tiny_overrides_resolve_to_tiny_config(self):
         args = build_parser().parse_args(["train", "--tiny", "--image-size", "48"])
-        assert cli._resolve(args).model == tiny_config(48)
+        assert cli._resolve(args).model == tiny_config(image_size=48)
 
     def test_print_config_keys(self, capsys):
         assert main(["train", "--print-config"]) == 0
@@ -560,7 +560,7 @@ def tiny_best_ckpt(tmp_path_factory):
 
 
 def _untrained_checkpoint(path):
-    state = tr.init_state(tiny_config(32), tr.TrainConfig(seed=7),
+    state = tr.init_state(tiny_config(), tr.TrainConfig(seed=7),
                           data.DatasetStats(mean=np.full(3, 0.5), std=np.full(3, 0.2)),
                           [f"class{k}" for k in range(5)])
     tr.save_state(state, path)
@@ -988,7 +988,7 @@ class TestGradcheckCommand:
 
     def test_every_op_a_training_step_records_is_corruptible(self):
         # one tiny step with dropout and the rotation term
-        cfg = tiny_config(32, dropout_p=0.1)
+        cfg = tiny_config(dropout_p=0.1)
         samples = data.synth_dataset(1, 32, RngStream(seed=2))
         stats = data.compute_stats(samples)
         state = tr.init_state(cfg, tr.TrainConfig(batch_size=len(samples)), stats,

@@ -1,8 +1,9 @@
 """Static checks over the package, the test suite, the benchmark and the
 README: no module imports a name it never uses, every function, class and
 constant that the package defines at module level is read by the package
-or the benchmark, not only by tests, and every package name the README
-cites exists."""
+or the benchmark, not only by tests, every package name the README cites
+exists, and every function parameter that no package call varies is
+allowed in ``UNVARIED_ALLOWED`` for one of a few fixed reasons."""
 
 import ast
 import functools
@@ -130,7 +131,7 @@ def dangling_names(text: str, modules: set[str], skip: set[str]) -> list[str]:
 def test_readme_cites_only_names_that_exist(tmp_path):
     # dotted keys that are text, not attributes: the run config's keys and
     # the metadata keys of a saved state
-    state = training.init_state(tiny_config(32), training.TrainConfig(),
+    state = training.init_state(tiny_config(), training.TrainConfig(),
                                 data.DatasetStats(mean=np.zeros(3), std=np.ones(3)),
                                 list(data.SYNTH_CLASS_NAMES))
     state.synth_per_class = 1
@@ -145,6 +146,137 @@ def test_dangling_name_scan_resolves_paths_and_skips_keys():
             "`model.image_size` `after.ppm` `tensor.relu(x)` `run.out_dir`")
     assert dangling_names(text, {"model", "data", "tensor"}, {"model.image_size"}) \
         == ["data.gone", "data.x.y"]
+
+
+_UNKNOWN = object()
+
+
+def _name(node: ast.Name | ast.Attribute) -> str:
+    return node.id if isinstance(node, ast.Name) else node.attr
+
+
+def _value(node: ast.expr | None, constants: dict[str, object]) -> object:
+    """The value of a literal, or of a name (plain or dotted) that a module
+    binds at module level to a literal; ``_UNKNOWN`` otherwise."""
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        return constants.get(_name(node), _UNKNOWN)
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return _UNKNOWN
+
+
+def unvaried_parameters(modules: dict[str, str]) -> list[str]:
+    """``module.function(parameter)`` for each parameter of a function in
+    ``modules`` that no call in ``modules`` passes, or that every call
+    passes the same value, an omitted argument passing its default.  A
+    value is a literal, or a module-level name bound to one.  Calls are
+    matched by the called name alone; an ``__init__`` is called by its
+    class's name, and a method's ``self`` is not a parameter.  A function
+    that no call names is skipped, and so is one whose name the modules
+    also read as a value (kept in a table, handed to ``map``), since its
+    other calls are out of sight."""
+    trees = {module.removesuffix(".py"): ast.parse(source) for module, source in modules.items()}
+    constants: dict[str, object] = {}
+    calls: dict[str, list[ast.Call]] = {}
+    as_values: set[str] = set()
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                    and isinstance(node.targets[0], ast.Name):
+                value = _value(node.value, {})
+                if value is not _UNKNOWN:
+                    constants[node.targets[0].id] = value
+        callees = set()
+        for node in ast.walk(tree):  # breadth first: a call comes before its callee
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                callees.add(id(node.func))
+                calls.setdefault(_name(node.func), []).append(node)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in callees \
+                    and isinstance(node.ctx, ast.Load):
+                as_values.add(_name(node))
+    found = []
+    for module, tree in trees.items():
+        owner = {id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            cls = owner.get(id(fn))
+            name = cls if cls and fn.name == "__init__" else fn.name
+            if name not in calls or name in as_values:
+                continue
+            args = fn.args
+            positional = [a.arg for a in [*args.posonlyargs, *args.args]][1 if cls else 0:]
+            defaults = dict(zip(positional[::-1], args.defaults[::-1]))
+            defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults))
+            for index, param in [*enumerate(positional), *((None, a.arg) for a in args.kwonlyargs)]:
+                passed, values = False, set()
+                for call in calls[name]:
+                    given = [k.value for k in call.keywords if k.arg == param] \
+                        + (call.args[index:index + 1] if index is not None else [])
+                    spread = any(isinstance(a, ast.Starred) for a in call.args) \
+                        or any(k.arg is None for k in call.keywords)
+                    passed |= bool(given) or spread
+                    value = _UNKNOWN if spread else _value(given[0], constants) if given \
+                        else _value(defaults.get(param), constants)
+                    values.add(value if value is _UNKNOWN else repr(value))
+                if not passed or (len(values) == 1 and _UNKNOWN not in values):
+                    found.append(f"{module}.{cls + '.' if cls else ''}{fn.name}({param})")
+    return sorted(found)
+
+
+# each parameter that the scan reports, with the one reason it stays; ROADMAP
+# item 1 deletes the "perfbench binds it" ones with their bindings
+UNVARIED_ALLOWED = {
+    "cli.main(argv)": "entry point",
+    "data.stratified_split(test_fraction)": "perfbench binds it",
+    "model.model_forward(capture)": "criterion 2 oracle",
+    "tensor.take_rows(start)": "engine op API",
+    "tensor.take_rows(stop)": "engine op API",
+    "training.evaluate(batch_size)": "perfbench binds it",
+    "training.evaluate(num_threads)": "perfbench binds it",
+    "training.fit(max_epochs)": "perfbench binds it",
+}
+REASONS = re.compile(r"perfbench binds it|engine op API|criterion \d+ oracle|entry point")
+
+
+def allowlist_faults(reported: list[str], allowed: dict[str, str]) -> list[str]:
+    """Where a report and an allowlist disagree: a reported parameter that
+    the list lacks, a listed one that is no longer reported, and a reason
+    outside the fixed set."""
+    return ([f"unlisted: {name}" for name in reported if name not in allowed]
+            + [f"stale: {name}" for name in allowed if name not in reported]
+            + [f"reason: {name}: {why}" for name, why in allowed.items()
+               if not REASONS.fullmatch(why)])
+
+
+def test_every_unvaried_parameter_is_allowed_for_a_reason():
+    reported = unvaried_parameters({p.name: p.read_text(encoding="utf-8") for p in PACKAGE})
+    assert allowlist_faults(reported, UNVARIED_ALLOWED) == []
+
+
+def test_unvaried_scan_resolves_constants_and_defaults():
+    module = ("K = 3\n"
+              "def f(a, b, c, d=1, *, e=2): pass\n"
+              "def g(x): pass\n"
+              "def h(y): pass\n"
+              "class C:\n    def __init__(self, s): pass\n    def m(self, t): pass\n"
+              "def run(v):\n"
+              "    f(v, K, 0, e=2)\n    f(v + 1, 3, 1)\n"
+              "    h(1)\n    table = [h]\n"
+              "    C(5).m(v)\n    C(5).m(K)\n")
+    # b is the constant K = 3 and the literal 3, d is never passed, e is 2
+    # as passed and as default, s is 5 twice; a and t are passed variables,
+    # c two literals; g has no call, and h is also read as a value
+    assert unvaried_parameters({"m.py": module}) \
+        == ["m.C.__init__(s)", "m.f(b)", "m.f(d)", "m.f(e)"]
+
+
+def test_allowlist_faults_name_unlisted_stale_and_unreasoned_entries():
+    allowed = {"m.f(b)": "entry point", "m.f(z)": "criterion 8 oracle", "m.f(d)": "tests use it"}
+    assert allowlist_faults(["m.f(b)", "m.f(d)", "m.f(e)"], allowed) \
+        == ["unlisted: m.f(e)", "stale: m.f(z)", "reason: m.f(d): tests use it"]
 
 
 def package_imports(source: str) -> dict[str, set[str]]:

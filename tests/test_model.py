@@ -9,7 +9,7 @@ from hgtnet import tensor as T
 from hgtnet.data import NUM_ROTATIONS
 from hgtnet.errors import ConfigError, ShapeError
 from hgtnet.gradcheck import check_gradients
-from hgtnet.model import (GAT_LEAKY_SLOPE, MAX_PARAMS, ModelConfig, attention, build_graph,
+from hgtnet.model import (MAX_PARAMS, ModelConfig, attention, build_graph,
                           classify_head, cnn_branch, cross_attention_fuse, global_average_pool,
                           graph_attention, init_params,
                           model_forward, param_count, param_shapes, patch_embed,
@@ -290,7 +290,7 @@ class TestCnnBranch:
 
     @pytest.mark.parametrize("training", [False, True])
     def test_pool_before_relu_matches_relu_before_pool_bitwise(self, training):
-        cfg = tiny_config(16, cnn_channels=(4, 6), dropout_p=0.25)
+        cfg = tiny_config(image_size=16, cnn_channels=(4, 6), dropout_p=0.25)
         params = init_params(cfg, RngStream(seed=36))
         # negative biases and flat image regions: many windows tie at 0 after
         # the ReLU, and many have a maximum <= 0
@@ -427,7 +427,7 @@ class TestGraph:
             assert np.array_equal(adj, grid_adjacency(grid, grid)), grid
 
     def test_model_attends_over_its_token_grid(self, monkeypatch):
-        cfg = tiny_config(48)
+        cfg = tiny_config(image_size=48)
         grids = []
 
         def spy(grid):
@@ -456,7 +456,7 @@ class TestGraphAttention:
         nodes = Tensor(RngStream(seed=51).normal(8).reshape(1, 1, 8))
         out = graph_attention(nodes, np.ones((1, 1), dtype=bool), params)
         h = nodes.data @ params["gat.w"].data
-        expected = np.where(h > 0, h, GAT_LEAKY_SLOPE * h)
+        expected = np.where(h > 0, h, T.LEAKY_SLOPE * h)
         assert np.allclose(out.data, expected, atol=1e-12)
 
     def test_rows_sum_to_one_and_nonedges_zero(self):
@@ -476,7 +476,7 @@ class TestGraphAttention:
         adj = grid_adjacency(1, 3)  # path: 0-1-2 with self loops
         out = graph_attention(nodes, adj, params).data
 
-        slope = GAT_LEAKY_SLOPE
+        slope = T.LEAKY_SLOPE
         h = nodes.data[0] @ params["gat.w"].data
         src = h @ params["gat.a_src"].data[:, 0]
         dst = h @ params["gat.a_dst"].data[:, 0]

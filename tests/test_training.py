@@ -30,7 +30,7 @@ def _synth_setup(per_class=4, seed=7, lr=3e-3, **train_overrides):
                                  rng=RngStream(seed=seed))
     train, test = data.stratified_split(samples, 0.25, RngStream(seed=1))
     stats = data.compute_stats(train)
-    cfg = tiny_config(32)
+    cfg = tiny_config()
     kwargs = dict(learning_rate=lr, batch_size=8, max_epochs=2, seed=11)
     kwargs.update(train_overrides)
     tcfg = tr.TrainConfig(**kwargs)
@@ -277,7 +277,7 @@ class TestEpochDeterminism:
 def _sharded_setup(dropout_p=0.25, batch_size=10):
     samples = data.synth_dataset(num_per_class=2, size=32, rng=RngStream(seed=7))
     stats = data.compute_stats(samples)
-    cfg = tiny_config(32, dropout_p=dropout_p)
+    cfg = tiny_config(dropout_p=dropout_p)
     tcfg = tr.TrainConfig(learning_rate=3e-3, batch_size=batch_size, seed=11)
     return samples, stats, cfg, tcfg
 
@@ -565,7 +565,7 @@ class TestOverfitOneBatch:
         samples = data.synth_dataset(num_per_class=7, size=32,
                                      rng=RngStream(seed=5))[:32]
         stats = data.compute_stats(samples)
-        cfg = tiny_config(32)
+        cfg = tiny_config()
         tcfg = tr.TrainConfig(learning_rate=1e-2, seed=11)
         x, labels, rot_labels = tr.prepare_batch(
             samples, data.train_policy(32), stats, RngStream(seed=3), epoch=0)
@@ -738,7 +738,7 @@ def _script_test_losses(monkeypatch, losses):
 
 def _scripted_state(patience):
     stats = data.DatasetStats(mean=np.full(3, 0.5), std=np.full(3, 0.2))
-    return tr.init_state(tiny_config(32), tr.TrainConfig(patience=patience, max_epochs=100),
+    return tr.init_state(tiny_config(), tr.TrainConfig(patience=patience, max_epochs=100),
                          stats, [f"class{k}" for k in range(5)])
 
 
@@ -1003,7 +1003,7 @@ class TestPersistence:
             tr.load_state(path)
 
     def test_config_kv_round_trip(self):
-        cfg = tiny_config(32, dropout_p=0.25)
+        cfg = tiny_config(dropout_p=0.25)
         assert from_kv(ModelConfig, to_kv(cfg, "model."), "model.") == cfg
         tcfg = tr.TrainConfig(learning_rate=2.5e-3, batch_size=4, seed=99)
         assert from_kv(tr.TrainConfig, to_kv(tcfg, "train."), "train.") == tcfg
