@@ -172,6 +172,7 @@ def op_battery(seed: int) -> list[tuple[str, Callable[[list[T.Tensor]], T.Tensor
     mask[1, :2] = False
     lx, lg, lb = t(4, 5, key="ln-x"), t(5, key="ln-g"), t(5, key="ln-b")
     gx = t(3, 7, key="gelu")
+    glx, glw, glb = t(2, 3, 4, key="gl-x"), t(4, 5, key="gl-w"), t(5, key="gl-b")
     kx = t(2, 6, key="leaky")
     cx, cw, cb = t(1, 2, 6, 6, key="conv-x"), t(3, 2, 3, 3, key="conv-w"), t(3, key="conv-b")
     px = T.Tensor(3.0 * randn(1, 2, 4, 4, key="pool"), requires_grad=True)
@@ -197,6 +198,9 @@ def op_battery(seed: int) -> list[tuple[str, Callable[[list[T.Tensor]], T.Tensor
          lambda ps: T.tsum(T.layer_norm(lx, lg, lb) * w(4, 5, key="ln-w")),
          [lx, lg, lb]),
         ("gelu", lambda ps: T.tsum(T.gelu(gx) * w(3, 7, key="g-w")), [gx]),
+        ("gelu_linear",
+         lambda ps: T.tsum(T.gelu_linear(glx, glw, glb) * w(2, 3, 5, key="gl-o")),
+         [glx, glw, glb]),
         ("leaky_relu",
          lambda ps: T.tsum(T.leaky_relu(kx) * w(2, 6, key="k-w")), [kx]),
         ("dropout",

@@ -261,8 +261,8 @@ def transformer_encoder(tokens: Tensor, cfg: ModelConfig, params: dict[str, Tens
         a = attention(h, h, cfg.num_heads, params, p + "attn.", capture)
         x = x + T.dropout(a, cfg.dropout_p, rngs)
         h = T.layer_norm(x, params[p + "ln2.gamma"], params[p + "ln2.beta"])
-        m = T.gelu(T.linear(h, params[p + "mlp.w1"], params[p + "mlp.b1"]))
-        m = T.linear(m, params[p + "mlp.w2"], params[p + "mlp.b2"])
+        m = T.linear(h, params[p + "mlp.w1"], params[p + "mlp.b1"])
+        m = T.gelu_linear(m, params[p + "mlp.w2"], params[p + "mlp.b2"])
         x = x + T.dropout(m, cfg.dropout_p, rngs)
     return x
 

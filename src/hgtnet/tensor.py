@@ -15,9 +15,11 @@ value's shape.  The walk releases each record once its closure has run, so
 a graph's saved arrays are freed while its backward runs and a graph can be
 walked only once.  Where a saved array would be large and is cheap to
 make again (a convolution's im2col columns, the attention probabilities,
-GELU's tanh), the record keeps the smaller inputs and the backward
-rebuilds the array with the forward's own steps, bit for bit
-(recomputation, Chen et al. 2016).  A convolution builds its columns, and
+GELU's tanh, and in ``gelu_linear`` the GELU output itself), the record
+keeps the smaller inputs and the backward rebuilds the array with the
+forward's own steps, bit for bit (recomputation, Chen et al. 2016); where
+the backward needs only a sign or a pool window's winner, the record keeps
+that, in one byte per entry.  A convolution builds its columns, and
 their gradient, one band of output rows at a time, where each band keeps
 the whole-width product's bits (``_conv_bands``); a pooled convolution
 pools each band of its output as the band is made, so its full-resolution
@@ -262,13 +264,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, "matmul", (a, b), backward)
 
 
+def _check_affine(op: str, x: Tensor, w: Tensor, b: Tensor) -> None:
+    if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"{op} needs (..., din) @ (din, dout) + (dout,), "
+                         f"got {x.shape}, {w.shape}, {b.shape}")
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w + b`` over the last axis of x (..., din), with w
     (din, dout) and b (dout,), as one record.  The weight gradient is one
     2-D product on the (rows, din) view and the bias gradient one row sum."""
-    if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError(f"linear needs (..., din) @ (din, dout) + (dout,), "
-                         f"got {x.shape}, {w.shape}, {b.shape}")
+    _check_affine("linear", x, w, b)
     din, dout = w.shape
     rows = x.data.reshape(-1, din)
     wd, x_shape, x_tracked = w.data, x.shape, x.requires_grad
@@ -505,50 +511,59 @@ _GELU_A = 0.044715
 LEAKY_SLOPE = 0.2
 
 
+def _gelu(v: np.ndarray, slope: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """GELU (tanh form) of ``v``, 0.5 v (1 + t) with t = tanh(C (v + A v^3)),
+    and with ``slope`` its derivative 0.5 (1 + t) + 0.5 v (1 - t^2) du, where
+    du is the derivative of the tanh argument.  t is built once, in one
+    buffer; each step is the product or sum that the plain expression takes,
+    so every caller gets the same bits.  Products, not ``**``: numpy routes
+    v**3 through the slow libm pow."""
+    t = v * v
+    t *= v
+    t *= _GELU_A
+    t += v
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    if slope:
+        s = t * t
+        np.subtract(1.0, s, out=s)
+        second = 0.5 * v
+        second *= s                    # 0.5 v (1 - t^2)
+        du = np.multiply(v, v, out=s)
+        du *= 3.0 * _GELU_A
+        du += 1.0
+        du *= _GELU_C
+        second *= du
+        del s, du
+    t += 1.0
+    value = 0.5 * v
+    value *= t                         # 0.5 v (1 + t)
+    if not slope:
+        return value, None
+    t *= 0.5
+    t += second                        # 0.5 (1 + t) + 0.5 v (1 - t^2) du
+    return value, t
+
+
 def activation(x: Tensor, kind: str) -> Tensor:
     """Elementwise nonlinearity: gelu (tanh form), or leaky_relu with
     negative-side slope LEAKY_SLOPE."""
     v = x.data
     if kind == "gelu":
-        # tanh(C * (v + A * v^3)) in one buffer, each step the product or
-        # sum that the plain expression takes, so the bits are the same;
-        # products, not ``**``: numpy routes v**3 through the slow libm pow
-        def tanh_part():
-            t = v * v
-            t *= v
-            t *= _GELU_A
-            t += v
-            t *= _GELU_C
-            return np.tanh(t, out=t)
+        data, _ = _gelu(v)
 
-        t = tanh_part()
-        t += 1.0
-        data = 0.5 * v
-        data *= t  # 0.5 v (1 + t)
-
-        # the record keeps v only; the backward rebuilds t bit for bit and
-        # builds g (0.5 (1 + t) + 0.5 v (1 - t^2) du) in three buffers
+        # the record keeps v only; the backward rebuilds t bit for bit
         def backward(g):
-            t = tanh_part()
-            s = t * t
-            np.subtract(1.0, s, out=s)
-            second = 0.5 * v
-            second *= s                    # 0.5 v (1 - t^2)
-            du = np.multiply(v, v, out=s)
-            du *= 3.0 * _GELU_A
-            du += 1.0
-            du *= _GELU_C                  # d/dv of the tanh argument
-            second *= du
-            t += 1.0
-            t *= 0.5                       # 0.5 (1 + t)
-            t += second
-            t *= g
-            return (t,)
+            _, slope = _gelu(v, slope=True)
+            slope *= g
+            return (slope,)
     elif kind == "leaky_relu":
-        data = np.where(v > 0.0, v, LEAKY_SLOPE * v)
+        # the record keeps the bool sign mask, an eighth of v's bytes
+        positive = v > 0.0
+        data = np.where(positive, v, LEAKY_SLOPE * v)
 
         def backward(g):
-            return (g * np.where(v > 0.0, 1.0, LEAKY_SLOPE),)
+            return (g * np.where(positive, 1.0, LEAKY_SLOPE),)
     else:
         raise ConfigError(f"unknown activation kind {kind!r}")
     return _make(data, kind, (x,), backward)
@@ -556,6 +571,34 @@ def activation(x: Tensor, kind: str) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     return activation(x, "gelu")
+
+
+def gelu_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``linear(gelu(x), w, b)`` as one record, with the bits of the two.
+
+    The record keeps x and w, not gelu(x): the backward builds GELU's tanh
+    once, as ``gelu``'s backward does, forms gelu(x) from it with the
+    forward's own steps for the weight gradient, and its derivative from the
+    same tanh for the input gradient."""
+    _check_affine("gelu_linear", x, w, b)
+    din, dout = w.shape
+    v, wd, x_tracked = x.data, w.data, x.requires_grad
+    hidden, _ = _gelu(v)
+    out = hidden.reshape(-1, din) @ wd
+    out += b.data
+
+    def backward(g):
+        g2 = g.reshape(-1, dout)
+        hidden, slope = _gelu(v, slope=x_tracked)
+        gw = hidden.reshape(-1, din).T @ g2
+        del hidden
+        gx = None
+        if x_tracked:
+            gx = slope
+            gx *= (g2 @ wd.T).reshape(v.shape)
+        return gx, gw, g2.sum(axis=0)
+
+    return _make(out.reshape(v.shape[:-1] + (dout,)), "gelu_linear", (x, w, b), backward)
 
 
 def leaky_relu(x: Tensor) -> Tensor:
@@ -632,32 +675,38 @@ _POOL_WINDOWS = tuple((Ellipsis, slice(u, None, 2), slice(v, None, 2))
                       for u in range(2) for v in range(2))
 
 
-def _pool_into(v: np.ndarray, out: np.ndarray, masks: list[np.ndarray] | None) -> None:
+# the pool routing's mark for an output that routes no gradient
+_NO_WINNER = len(_POOL_WINDOWS)
+
+
+def _pool_into(v: np.ndarray, out: np.ndarray, route: np.ndarray | None) -> None:
     """Write the maxima of the 2 x 2 windows at stride 2 over the last two
-    axes of ``v``, floored at 0, into ``out``.  With ``masks`` (four bool
-    arrays shaped like ``out``, one per window offset), mark in each the
-    outputs whose first positive maximum, in row-major window order, sits
-    at that offset; an output whose maximum is <= 0 or NaN is marked in
-    none."""
+    axes of ``v``, floored at 0, into ``out``.  With ``route`` (a uint8
+    array shaped like ``out``), write for each output the window offset
+    (0-3, in row-major window order) of its first positive maximum, or
+    ``_NO_WINNER`` when its maximum is <= 0 or NaN."""
     np.copyto(out, v[_POOL_WINDOWS[0]])
     for win in _POOL_WINDOWS[1:]:
         np.maximum(out, v[win], out=out)
     np.maximum(out, 0.0, out=out)
-    if masks is None:
+    if route is None:
         return
+    route.fill(_NO_WINNER)
     pending = out > 0.0  # outputs whose positive max is not yet found
-    for win, hit in zip(_POOL_WINDOWS, masks):
+    hit = np.empty_like(pending)
+    for k, win in enumerate(_POOL_WINDOWS):
         np.equal(v[win], out, out=hit)
         hit &= pending
+        np.copyto(route, k, where=hit)
         pending ^= hit
 
 
-def _unpool_into(g: np.ndarray, masks: list[np.ndarray], gx: np.ndarray) -> None:
+def _unpool_into(g: np.ndarray, route: np.ndarray, gx: np.ndarray) -> None:
     """Route the pool's output gradient ``g`` into ``gx``, shaped like the
-    pool's input: each output's to its marked window offset, zero
+    pool's input: each output's to its routed window offset, zero
     elsewhere.  The windows tile ``gx``, so every entry is written once."""
-    for win, hit in zip(_POOL_WINDOWS, masks):
-        np.multiply(g, hit, out=gx[win])
+    for k, win in enumerate(_POOL_WINDOWS):
+        np.multiply(g, route == k, out=gx[win])
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0,
@@ -679,10 +728,10 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     output, bit for bit, forward and backward, without ever building that
     output: each band's GEMM output gets its bias and is pooled, with
     ``max_pool2d``'s kernel, before the next band is made.  When the output
-    is tracked, each band also gets its share of the pool's four
-    first-maximum masks, which the record keeps; the backward routes the
-    gradient through them onto the conv map, then runs the conv's own
-    backward.
+    is tracked, each band also gets its share of the pool's one-byte
+    routing (the window offset of each output's first positive maximum),
+    which the record keeps; the backward routes the gradient through it
+    onto the conv map, then runs the conv's own backward.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input/weight, got {x.shape} and {w.shape}")
@@ -733,11 +782,11 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     # (F, B, H', W') in memory, or the pooled (F, B, H'/2, W'/2); the next
     # conv reads it without a copy
     view = windows()
-    masks = None
+    route = None
     if pool:
         out = np.empty((F, B, Hh // 2, Ww // 2))
         if x.requires_grad or w.requires_grad or bias.requires_grad:
-            masks = [np.empty(out.shape, dtype=bool) for _ in _POOL_WINDOWS]
+            route = np.empty(out.shape, dtype=np.uint8)
     else:
         out = np.empty((F, B, Hh, Ww))
     for i0, i1 in bands:
@@ -745,7 +794,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         if pool:
             y += bias4
             rows = (Ellipsis, slice(i0 // 2, i1 // 2), slice(None))
-            _pool_into(y, out[rows], None if masks is None else [m[rows] for m in masks])
+            _pool_into(y, out[rows], None if route is None else route[rows])
             del y  # before the next band's columns and product are made
         else:
             np.add(y, bias4, out=out[:, :, i0:i1])
@@ -758,7 +807,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         if pool:
             # max_pool2d's backward onto the (F, B, H', W') conv map
             gmap = np.empty((F, B, Hh, Ww))
-            _unpool_into(g.transpose(1, 0, 2, 3), masks, gmap)
+            _unpool_into(g.transpose(1, 0, 2, 3), route, gmap)
             g = gmap.transpose(1, 0, 2, 3)
         g2 = g.transpose(1, 0, 2, 3).reshape(F, N)
         gb = g2.sum(axis=1)
@@ -790,19 +839,20 @@ def max_pool2d(x: Tensor) -> Tensor:
     slope there would.  ``conv2d(..., pool=True)`` runs the same kernel on
     each band of a conv's output.
 
-    A tracked input gets four bool masks, one per window offset, built in
-    the forward: each marks the outputs whose first maximum sits at that
-    offset.  The record keeps them (an eighth of the input's bytes) instead
-    of the input and output, and the backward is four multiplies.  An
-    untracked input builds no masks."""
+    A tracked input gets a uint8 routing array shaped like the output,
+    built in the forward: the window offset of each output's first
+    positive maximum, or ``_NO_WINNER``.  The record keeps it (a
+    thirty-second of the input's bytes) instead of the input and output,
+    and the backward is four multiplies.  An untracked input builds no
+    routing."""
     if x.ndim != 4 or x.shape[2] < 2 or x.shape[3] < 2 or x.shape[2] % 2 or x.shape[3] % 2:
         raise ShapeError(f"max_pool2d expects a B x C x H x W input with even H, W >= 2, "
                          f"got {x.shape}")
     v = x.data
     out = np.empty_like(v[_POOL_WINDOWS[0]])
-    masks = [np.empty_like(out, dtype=bool) for _ in _POOL_WINDOWS] if x.requires_grad else None
-    _pool_into(v, out, masks)
-    if masks is None:
+    route = np.empty_like(out, dtype=np.uint8) if x.requires_grad else None
+    _pool_into(v, out, route)
+    if route is None:
         return _make(out, "max_pool2d", (x,), None)
     # gx takes the input's memory order, as np.empty_like(v) would, so a
     # conv2d output's gradient reaches that conv's backward without a copy
@@ -811,7 +861,7 @@ def max_pool2d(x: Tensor) -> Tensor:
 
     def backward(g):
         gx = np.empty([shape[axis] for axis in order]).transpose(np.argsort(order))
-        _unpool_into(g, masks, gx)
+        _unpool_into(g, route, gx)
         return (gx,)
 
     return _make(out, "max_pool2d", (x,), backward)

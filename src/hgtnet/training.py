@@ -163,15 +163,18 @@ def augment_streams(root_rng: RngStream, epoch: int,
 
 
 def prepare_batch(samples: list[ImageSample], policy, stats: DatasetStats,
-                  root_rng: RngStream, epoch: int) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """Augment each sample of a batch, then normalize the stack.  The
-    returned tensor stacks the B augmented views followed by B rotated
-    copies; labels cover the originals, rotation labels the copies."""
+                  root_rng: RngStream, epoch: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Augment each sample of a batch and rotate a copy of each view.
+    Returns the B normalized views, their B normalized rotated copies, the
+    samples' labels and the copies' rotation labels.  The views and the
+    copies are two arrays, so a task can drop the views' once their walk
+    ends."""
     aug = apply_policy(samples, policy, augment_streams(root_rng, epoch, samples))
     labels = np.asarray([s.label for s in samples], dtype=np.int64)
     rot, rot_labels = rotation_pretext_sample(
         aug, [root_rng.derive("rot", epoch, s.id) for s in samples])
-    return Tensor(normalize(np.concatenate([aug, rot]), stats)), labels, rot_labels
+    return normalize(aug, stats), normalize(rot, stats), labels, rot_labels
 
 
 # A training step runs one task per sample when such a task is big enough
@@ -289,15 +292,16 @@ def _shard_step(params, model_cfg, shard, b, stats, policy, root, epoch):
     adding into the views' gradients.  Each image draws its dropout masks
     from a stream keyed by its sample, so the masks do not depend on the
     batch or the task it lands in."""
-    x, labels, rot_labels = prepare_batch(shard, policy, stats, root, epoch)
+    x, x_rot, labels, rot_labels = prepare_batch(shard, policy, stats, root, epoch)
     n = len(shard)
     views = {name: Tensor(p.data, requires_grad=True) for name, p in params.items()}
-    cls, _ = model_forward(Tensor(x.data[:n]), model_cfg, views,
+    cls, _ = model_forward(Tensor(x), model_cfg, views,
                            rngs=[root.derive("drop", epoch, s.id) for s in shard])
     class_loss = cross_entropy(cls, labels) * (n / b)
     T.backward(class_loss)
+    del x  # the walk released the records that kept it
     hits = int((np.argmax(cls.data, axis=1) == labels).sum())
-    _, rot = model_forward(Tensor(x.data[n:]), model_cfg, views,
+    _, rot = model_forward(Tensor(x_rot), model_cfg, views,
                            rngs=[root.derive("drop", epoch, s.id, "rot") for s in shard])
     rot_loss = cross_entropy(rot, rot_labels) * ROTATION_LOSS_WEIGHT * (n / b)
     T.backward(rot_loss)

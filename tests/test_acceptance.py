@@ -55,12 +55,15 @@ def _randn(stream, *shape):
 def test_criterion_1_gradient_suite():
     with _criterion(1, "gradient suite vs central differences"):
         start = time.monotonic()
-        worst_op = 0.0
+        worst_op, checked = 0.0, set()
         for seed in range(20):
             for name, build, params in op_battery(seed):
                 err = check_gradients(build, params)
                 assert err < 1e-4, f"{name} (seed {seed}): {err}"
                 worst_op = max(worst_op, err)
+                checked.add(name)
+        # the MLP's fused record, and the two ops it fuses
+        assert {"gelu", "linear", "gelu_linear"} <= checked
         worst_model = 0.0
         cfg = tiny_config()
         for seed in range(20):
@@ -205,8 +208,9 @@ def test_criterion_6a_overfit_one_batch():
         stats = data.compute_stats(samples)
         cfg = tiny_config()
         tcfg = tr.TrainConfig(learning_rate=1e-2, seed=11)
-        x, labels, rot_labels = tr.prepare_batch(
+        views, copies, labels, rot_labels = tr.prepare_batch(
             samples, data.train_policy(32), stats, RngStream(seed=3), epoch=0)
+        x = Tensor(np.concatenate([views, copies]))
         params = init_params(cfg, RngStream(seed=11))
         adam = tr.init_adam(params)
         b = len(samples)

@@ -998,10 +998,11 @@ class TestGradcheckCommand:
             data.train_policy(32), state.adam, 0))
         assert recorded <= set(cli.CORRUPTIBLE_OPS)
         # the battery's only extra ops are the sum that reduces each entry,
-        # max_pool2d, whose kernel the model runs inside its pooled convs,
-        # and take_rows, since a step forwards its views and its rotated
-        # copies apart
-        assert set(cli.CORRUPTIBLE_OPS) - recorded == {"sum", "max_pool2d", "take_rows"}
+        # gelu and max_pool2d, which the model runs only inside gelu_linear
+        # and its pooled convs, and take_rows, since a step forwards its
+        # views and its rotated copies apart
+        assert set(cli.CORRUPTIBLE_OPS) - recorded == {"sum", "gelu", "max_pool2d",
+                                                       "take_rows"}
 
     def test_corruption_hook_passes_missing_gradients_through(self, monkeypatch):
         # mul's untracked scalar operand gets a None gradient; the hook's
@@ -1122,8 +1123,8 @@ class TestAugmentCommand:
 
         # the key is the one prepare_batch uses at epoch 0
         stats = data.compute_stats(samples)
-        x, _, _ = tr.prepare_batch([sample], policy, stats, RngStream(seed=7), epoch=0)
-        assert np.array_equal(x.data[:1], data.normalize(view(sample.id), stats))
+        x, _, _, _ = tr.prepare_batch([sample], policy, stats, RngStream(seed=7), epoch=0)
+        assert np.array_equal(x, data.normalize(view(sample.id), stats))
         after = read_ppm(out / "after.ppm")
         assert np.array_equal(after, from_unit(view(sample.id)[0]))
         assert not np.array_equal(after, from_unit(view("0000.ppm")[0]))

@@ -204,14 +204,19 @@ class TestAdam:
 
 
 class TestBatching:
-    def test_rotation_rows_appended(self):
+    def test_views_and_rotated_copies_are_two_arrays(self):
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         batch = train[:4]
-        x, labels, rot_labels = tr.prepare_batch(
+        x, x_rot, labels, rot_labels = tr.prepare_batch(
             batch, data.train_policy(32), stats, RngStream(seed=2), epoch=0)
-        assert x.shape == (8, 3, 32, 32)
+        assert x.shape == x_rot.shape == (4, 3, 32, 32)
+        # two arrays, not two views of one, so a task can free the views'
+        assert x.base is None and x_rot.base is None
         assert labels.shape == (4,)
         assert set(rot_labels) <= {0, 1, 2, 3}
+        # each copy is its view rotated, normalized like it
+        for view, copy, k in zip(x, x_rot, rot_labels):
+            assert np.array_equal(copy, np.rot90(view, k=-int(k), axes=(1, 2)))
 
     def test_sample_rows_do_not_depend_on_the_shard(self):
         # a sample's normalized view, rotated copy and labels are the same
@@ -222,10 +227,9 @@ class TestBatching:
         target, others = samples[4], samples[:4] + samples[5:]
 
         def rows(shard, i):
-            x, labels, rot_labels = tr.prepare_batch(
+            x, x_rot, labels, rot_labels = tr.prepare_batch(
                 shard, data.train_policy(32), stats, RngStream(seed=2), epoch=1)
-            return [x.data[i].tobytes(), labels[i],
-                    x.data[len(shard) + i].tobytes(), rot_labels[i]]
+            return [x[i].tobytes(), labels[i], x_rot[i].tobytes(), rot_labels[i]]
 
         alone = rows([target], 0)
         for size in (3, 8):
@@ -408,8 +412,11 @@ class TestShardedStep:
         return peak / 2**20
 
     # numpy reports every array to tracemalloc, so these peaks are the same
-    # to 0.01 MiB on every run.  At 64 px: 14.9 MiB now that a step
-    # back-propagates its views and their rotated copies one after the
+    # to 0.01 MiB on every run.  At 64 px: 14.1 MiB now that the records
+    # keep less of what their backward can rebuild (the MLP's GELU output,
+    # four bool pool masks per CNN stage, leaky_relu's float input) and a
+    # task drops its views' input after their walk; 14.9 MiB when a step
+    # first back-propagated its views and their rotated copies one after the
     # other, 15.8 MiB when one walk took both, 15.9 MiB when every conv
     # rebuilt its columns in the backward and GELU worked in place, 19.9 MiB
     # when only the input-side convs did, 23.3 MiB when the convs, the
@@ -418,16 +425,19 @@ class TestShardedStep:
     # record (and a float dropout mask) lived until the step returned
     def test_traced_peak_of_a_64px_shard_step(self):
         peak = self._traced_peak_of_a_shard_step(64)
-        assert peak <= 15.7, f"{peak:.1f} MiB"
+        assert peak <= 14.8, f"{peak:.1f} MiB"
 
-    # one sample, the task of a threaded step: 11.9 MiB; 12.0 MiB when one
-    # walk took the view and its copy, and 16.9 MiB when the copy's walk
-    # held its leaf gradients until it popped each leaf, beside the view's
+    # one sample, the task of a threaded step: 11.5 MiB with the smaller
+    # records; 11.9 MiB before them, 12.0 MiB when one walk took the view
+    # and its copy, and 16.9 MiB when the copy's walk held its leaf
+    # gradients until it popped each leaf, beside the view's
     def test_traced_peak_of_a_one_sample_64px_shard_step(self):
         peak = self._traced_peak_of_a_shard_step(64, count=1)
-        assert peak <= 12.5, f"{peak:.1f} MiB"
+        assert peak <= 12.0, f"{peak:.1f} MiB"
 
-    # the paper's scale: 62.1 MiB now that a step back-propagates its views
+    # the paper's scale: 55.2 MiB now that the records keep less of what
+    # their backward can rebuild and a task drops its views' input after
+    # their walk; 62.2 MiB when a step first back-propagated its views
     # and their rotated copies one after the other; 102.9 MiB when one walk
     # took both, with the attention forward building P one head at a time
     # and the CNN convs pooling each band as it is made;
@@ -435,17 +445,20 @@ class TestShardedStep:
     # 134.3 MiB when the first conv's forward built all its columns at once
     # and the cross-attention backward tied with it at 133.4, 217.3 MiB when
     # the tracked convs kept their columns, and 294.3 MiB when every record
-    # kept its columns, probabilities and tanh.  The peak now sits in an
-    # attention backward of the copies' walk
+    # kept its columns, probabilities and tanh
     def test_traced_peak_of_a_224px_shard_step(self):
         peak = self._traced_peak_of_a_shard_step(224)
-        assert peak <= 65.0, f"{peak:.1f} MiB"
+        assert peak <= 58.0, f"{peak:.1f} MiB"
 
-    # one sample, the task of a threaded paper-scale step: 35.7 MiB; 54.7 MiB
-    # when one walk took the view and its copy
+    # one sample, the task of a threaded paper-scale step: 31.7 MiB, in the
+    # views' walk, in the second CNN conv's whole-width im2col for its
+    # weight gradient (13.8 MiB); 35.7 MiB, in an attention backward of the
+    # copies' walk, before the records kept less and the task dropped its
+    # view's input after its walk; 54.7 MiB when one walk took the view and
+    # its copy
     def test_traced_peak_of_a_one_sample_224px_shard_step(self):
         peak = self._traced_peak_of_a_shard_step(224, count=1)
-        assert peak <= 37.5, f"{peak:.1f} MiB"
+        assert peak <= 33.3, f"{peak:.1f} MiB"
 
     # one 224 px evaluation forward: 7.9 MiB, in the second CNN conv's
     # forward, now that each CNN conv pools every band of its output as the
@@ -480,6 +493,9 @@ class TestShardedStep:
         params = init_params(cfg, RngStream(seed=5))
         adam = tr.init_adam(params)
         tcfg = tr.TrainConfig(batch_size=batch, seed=5)
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already traces this session; its peak would "
+                        "count allocations made before the step")
         tracemalloc.start()
         try:
             tr.train_epoch(params, cfg, tcfg, samples, stats, data.train_policy(64), adam, 0)
@@ -489,18 +505,27 @@ class TestShardedStep:
         return peak / 2**20
 
     # one task per sample: the step holds one sample's graph at a time, so
-    # its peak does not grow with the batch (two shards read 26.2 MiB at
-    # batch 2 and 31.7 MiB at batch 8)
+    # its peak does not grow with the batch: 19.5 MiB at batch 2 and 8 (two
+    # shards read 26.2 MiB at batch 2 and 31.7 MiB at batch 8)
     def test_traced_peak_of_a_64px_train_step_does_not_grow_with_the_batch(
             self, monkeypatch):
-        if tracemalloc.is_tracing():
-            pytest.skip("tracemalloc already traces this session; its peak would "
-                        "count allocations made before the step")
         # one core, so the tasks run inline and the peak does not depend on
         # the thread schedule
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         small, large = (self._traced_peak_of_a_train_step(b) for b in (2, 8))
         assert abs(large - small) <= 0.05 * small, f"{small:.1f} and {large:.1f} MiB"
+
+    # two workers run two tasks at once, so from batch 4 on the step can
+    # hold two running tasks, the summed gradients and the gradients of a
+    # finished task that the main thread is adding in: at most two 8.1 MiB
+    # gradient sets and two 11.5 MiB one-sample tasks, 39.2 MiB.  How close
+    # the peak comes to that depends on the thread schedule: 22.1-22.8 MiB
+    # at batch 2 and 28.8-30.9 MiB at batch 4, 8 and 10, over four runs each
+    def test_traced_peak_of_a_64px_train_step_on_two_workers_holds_two_tasks(
+            self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        peak = self._traced_peak_of_a_train_step(8)
+        assert peak <= 40.0, f"{peak:.1f} MiB"
 
 
 _HOST_RUN = """
@@ -567,8 +592,9 @@ class TestOverfitOneBatch:
         stats = data.compute_stats(samples)
         cfg = tiny_config()
         tcfg = tr.TrainConfig(learning_rate=1e-2, seed=11)
-        x, labels, rot_labels = tr.prepare_batch(
+        views, copies, labels, rot_labels = tr.prepare_batch(
             samples, data.train_policy(32), stats, RngStream(seed=3), epoch=0)
+        x = Tensor(np.concatenate([views, copies]))
         params = init_params(cfg, RngStream(seed=11))
         adam = tr.init_adam(params)
         b = len(samples)
