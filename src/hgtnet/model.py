@@ -91,9 +91,10 @@ class ModelConfig:
                   + 2 * n * n,
                   "the attention maps and graph adjacency would hold {} entries per image")
         # the first conv's forward builds its im2col columns and pools its
-        # output in bands, but its backward still builds the output's
-        # gradient and all 27 columns per pixel at once, so the cap still
-        # counts them
+        # output in bands, but its backward builds the output's gradient at
+        # once, and its weight gradient's columns one window offset at a
+        # time (all 27 per pixel at once for a small image); the cap counts
+        # all 27
         check_cap((3 + self.cnn_channels[0] + 3 * 3 * 3) * self.image_size ** 2,
                   "the input, first conv output and its im2col columns would hold "
                   "{} entries per image")
@@ -350,12 +351,17 @@ def rotation_head(pooled: Tensor, params: dict[str, Tensor]) -> Tensor:
 
 def model_forward(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
                   rngs: list[RngStream] | None = None,
-                  capture: dict | None = None) -> tuple[Tensor, Tensor]:
+                  capture: dict | None = None,
+                  head: str | None = None) -> tuple[Tensor | None, Tensor | None]:
     """Full pass: returns (class logits B x K, rotation logits B x 4).
 
     A pass given ``rngs``, one stream per image (row of x) that all of that
     image's dropout masks are drawn from, is a training pass.  Without them
     dropout is the identity, and the pass is a pure function of (x, params).
+    ``head`` "class" or "rotation" builds only that head, for a loss that
+    reads only its logits, and gives None in the other's place.  The class
+    head's dropout is the last draw of each image's stream, so leaving it
+    out moves no other mask.
     """
     tokens = patch_embed(x, cfg, params)
     enc = transformer_encoder(tokens, cfg, params, rngs, capture)
@@ -363,8 +369,8 @@ def model_forward(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
     fused = cross_attention_fuse(feat, enc, cfg, params, capture)
     nodes = graph_attention(fused, build_graph(cfg.grid_size), params, capture)
     pooled = global_average_pool(nodes)
-    return (classify_head(pooled, cfg, params, rngs),
-            rotation_head(pooled, params))
+    return (None if head == "rotation" else classify_head(pooled, cfg, params, rngs),
+            None if head == "class" else rotation_head(pooled, params))
 
 
 # the desk-scale fields of the --tiny preset; the rest keep their defaults

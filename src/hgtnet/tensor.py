@@ -21,10 +21,12 @@ forward's own steps, bit for bit (recomputation, Chen et al. 2016); where
 the backward needs only a sign or a pool window's winner, the record keeps
 that, in one byte per entry.  A convolution builds its columns, and
 their gradient, one band of output rows at a time, where each band keeps
-the whole-width product's bits (``_conv_bands``); a pooled convolution
-pools each band of its output as the band is made, so its full-resolution
-output never exists.  The attention forward builds the probabilities one
-head at a time, and its backward rebuilds them the same way.
+the whole-width product's bits (``_conv_bands``), and its weight gradient
+one window offset at a time, where each offset's product keeps them
+(``_conv_weight_grad``); a pooled convolution pools each band of its
+output as the band is made, so its full-resolution output never exists.
+The attention forward builds the probabilities one head at a time, and
+its backward rebuilds them the same way.
 
 The op set is intentionally small: exactly what the model needs, with
 numpy-style broadcasting supported for add/mul and matmul batch dims.
@@ -697,7 +699,9 @@ def _pool_into(v: np.ndarray, out: np.ndarray, route: np.ndarray | None) -> None
     for k, win in enumerate(_POOL_WINDOWS):
         np.equal(v[win], out, out=hit)
         hit &= pending
-        np.copyto(route, k, where=hit)
+        # the hits of the offsets are disjoint, so this takes each hit
+        # output from _NO_WINNER to k, faster than a masked copy
+        route -= hit.view(np.uint8) * np.uint8(_NO_WINNER - k)
         pending ^= hit
 
 
@@ -707,6 +711,41 @@ def _unpool_into(g: np.ndarray, route: np.ndarray, gx: np.ndarray) -> None:
     elsewhere.  The windows tile ``gx``, so every entry is written once."""
     for k, win in enumerate(_POOL_WINDOWS):
         np.multiply(g, route == k, out=gx[win])
+
+
+def _im2col(view: np.ndarray) -> np.ndarray:
+    """im2col (Chellapilla et al. 2006) of a convolution's (C, B, rows, W',
+    kh, kw) window view, as (kh*kw*C, B*rows*W') columns in an offset-major
+    layout: row (u, v, c) holds input channel c at window offset (u, v) for
+    every output position (b, i, j), so each offset is one contiguous slab
+    and the copy runs along the output width."""
+    C, _, _, _, kh, kw = view.shape
+    return np.ascontiguousarray(view.transpose(4, 5, 0, 1, 2, 3)).reshape(kh * kw * C, -1)
+
+
+def _conv_weight_grad(g2: np.ndarray, view: np.ndarray) -> np.ndarray:
+    """The (F, kh, kw, C) weight gradient of a convolution from its (F, N)
+    output gradient and its (C, B, H', W', kh, kw) window view.
+
+    Where one window offset's product takes OpenBLAS's blocked kernels
+    (more than ``_SMALL_GEMM_MACS`` multiply-adds), it is kh*kw products
+    ``g2 @ slabᵀ``, one per offset, each over a copy of that offset's
+    C x N slab of the columns (MEC's slice-wise lowering, Cho & Brand
+    2017), so only one slab exists at a time.  Each sums over the same N
+    output positions in the same kernels as the whole-width product, so
+    the bits are that product's.  At or below that size an offset's
+    product would take the small-matrix kernel, which sums in another
+    order than the whole-width product's blocked kernels, so the weight
+    gradient is that one whole-width product."""
+    F, N = g2.shape
+    C, _, _, _, kh, kw = view.shape
+    if F * C * N <= _SMALL_GEMM_MACS:
+        return (g2 @ _im2col(view).T).reshape(F, kh, kw, C)
+    gw = np.empty((F, kh, kw, C))
+    for u in range(kh):
+        for v in range(kw):
+            gw[:, u, v] = g2 @ np.ascontiguousarray(view[..., u, v]).reshape(C, N).T
+    return gw
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0,
@@ -721,8 +760,11 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     band's im2col columns or their gradient exist at a time.  Every band
     spans a multiple of 8 GEMM columns (B x rows x W'), since OpenBLAS's
     AVX-512 kernels compute a product's last (columns mod 8) columns with
-    other kernels.  The weight gradient is one whole-width product: banding
-    its sum over the output positions would change that sum's order.
+    other kernels.  Each band pads only the input rows it reads.  The weight
+    gradient sums over every output position, so it is not banded (that
+    would change the sum's order); above the small-matrix size it is one
+    product per window offset instead (``_conv_weight_grad``), so no
+    whole-width columns exist at once there either.
 
     ``pool=True`` (even H' and W') returns ``max_pool2d`` of the conv
     output, bit for bit, forward and backward, without ever building that
@@ -759,29 +801,25 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     K, N = kh * kw * C, B * Hh * Ww
     bands = _conv_bands(B, Hh, Ww, F, K)
 
-    def windows():
-        # (C, B, H', W', kh, kw) view of the padded input
+    def windows(i0, i1):
+        # (C, B, i1 - i0, W', kh, kw) view of the windows of output rows
+        # i0:i1, over a zero-padded copy of only the input rows they read
+        r0, r1 = stride * i0, stride * (i1 - 1) + kh
         if padding:
-            xp = np.zeros((C, B, Hp, Wp))
-            xp[:, :, padding:padding + H, padding:padding + W] = xd.transpose(1, 0, 2, 3)
+            xp = np.zeros((C, B, r1 - r0, Wp))
+            s0, s1 = max(r0, padding), min(r1, padding + H)
+            if s0 < s1:
+                xp[:, :, s0 - r0:s1 - r0, padding:padding + W] = \
+                    xd[:, :, s0 - padding:s1 - padding].transpose(1, 0, 2, 3)
         else:
-            xp = xd.transpose(1, 0, 2, 3)
+            xp = xd[:, :, r0:r1].transpose(1, 0, 2, 3)
         view = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
         return view[:, :, ::stride, ::stride]
-
-    def im2col(view, i0, i1):
-        # im2col (Chellapilla et al. 2006) of output rows i0:i1 in an
-        # offset-major layout: row (u, v, c) holds input channel c at window
-        # offset (u, v) for every output position (b, i, j), so each offset
-        # is one contiguous slab and the copy runs along the output width
-        cols = np.ascontiguousarray(view[:, :, i0:i1].transpose(4, 5, 0, 1, 2, 3))
-        return cols.reshape(K, -1)
 
     wmat = w.data.transpose(0, 2, 3, 1).reshape(F, K)
     bias4 = bias.data[:, None, None, None]
     # (F, B, H', W') in memory, or the pooled (F, B, H'/2, W'/2); the next
     # conv reads it without a copy
-    view = windows()
     route = None
     if pool:
         out = np.empty((F, B, Hh // 2, Ww // 2))
@@ -790,7 +828,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     else:
         out = np.empty((F, B, Hh, Ww))
     for i0, i1 in bands:
-        y = (wmat @ im2col(view, i0, i1)).reshape(F, B, i1 - i0, Ww)
+        y = (wmat @ _im2col(windows(i0, i1))).reshape(F, B, i1 - i0, Ww)
         if pool:
             y += bias4
             rows = (Ellipsis, slice(i0 // 2, i1 // 2), slice(None))
@@ -801,8 +839,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     out = out.transpose(1, 0, 2, 3)
 
     # the record keeps the input, not its columns (kh*kw/stride^2 times its
-    # size); the backward rebuilds them with the same im2col, bit for bit,
-    # and they are freed once gw has them, before any gcols band is made
+    # size); the backward rebuilds them, or one window offset's slab of them
+    # at a time, with the same copies, bit for bit, and they are freed once
+    # gw has them, before any gcols band is made
     def backward(g):
         if pool:
             # max_pool2d's backward onto the (F, B, H', W') conv map
@@ -811,7 +850,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
             g = gmap.transpose(1, 0, 2, 3)
         g2 = g.transpose(1, 0, 2, 3).reshape(F, N)
         gb = g2.sum(axis=1)
-        gw = (g2 @ im2col(windows(), 0, Hh).T).reshape(F, kh, kw, C).transpose(0, 3, 1, 2)
+        gw = _conv_weight_grad(g2, windows(0, Hh)).transpose(0, 3, 1, 2)
         if not x_tracked:
             return None, gw, gb
         g4 = g2.reshape(F, B, Hh, Ww)

@@ -296,13 +296,14 @@ def _shard_step(params, model_cfg, shard, b, stats, policy, root, epoch):
     n = len(shard)
     views = {name: Tensor(p.data, requires_grad=True) for name, p in params.items()}
     cls, _ = model_forward(Tensor(x), model_cfg, views,
-                           rngs=[root.derive("drop", epoch, s.id) for s in shard])
+                           rngs=[root.derive("drop", epoch, s.id) for s in shard], head="class")
     class_loss = cross_entropy(cls, labels) * (n / b)
     T.backward(class_loss)
     del x  # the walk released the records that kept it
     hits = int((np.argmax(cls.data, axis=1) == labels).sum())
     _, rot = model_forward(Tensor(x_rot), model_cfg, views,
-                           rngs=[root.derive("drop", epoch, s.id, "rot") for s in shard])
+                           rngs=[root.derive("drop", epoch, s.id, "rot") for s in shard],
+                           head="rotation")
     rot_loss = cross_entropy(rot, rot_labels) * ROTATION_LOSS_WEIGHT * (n / b)
     T.backward(rot_loss)
     return class_loss.item() + rot_loss.item(), hits, {name: v.grad for name, v in views.items()}
@@ -312,7 +313,7 @@ def _eval_sample(frozen, model_cfg, stats, sample) -> tuple[float, PredictionRec
     """One sample's loss and record from a forward of that sample alone."""
     size = model_cfg.image_size
     x = Tensor(normalize(resize_bilinear(sample, size, size).pixels[None], stats))
-    cls, _ = model_forward(x, model_cfg, frozen)
+    cls, _ = model_forward(x, model_cfg, frozen, head="class")
     probs, losses = _softmax_nll(cls.data, np.array([sample.label]))
     return float(losses[0]), PredictionRecord(sample_id=sample.id, true_label=sample.label,
                                               scores=tuple(float(v) for v in probs[0]))

@@ -584,6 +584,30 @@ class TestModelForward:
         assert no_rngs[1].data.tobytes() == plain[1].data.tobytes()
         assert dropped[0].data.tobytes() != plain[0].data.tobytes()
 
+    @pytest.mark.parametrize("head", ["class", "rotation"])
+    def test_one_head_builds_only_records_its_logits_reach(self, monkeypatch, head):
+        cfg = tiny_config(dropout_p=0.5)
+        params = init_params(cfg, RngStream(seed=102))
+        x = Tensor(RngStream(seed=103).normal(2 * 3 * 32 * 32).reshape(2, 3, 32, 32))
+
+        def rngs():
+            return [RngStream(seed=104).derive("drop", i) for i in range(2)]
+
+        both = model_forward(x, cfg, params, rngs=rngs())
+        built, make = [], T._make
+        monkeypatch.setattr(T, "_make", lambda *args: built.append(make(*args)) or built[-1])
+        logits = model_forward(x, cfg, params, rngs=rngs(), head=head)
+        kept = 0 if head == "class" else 1
+        assert logits[1 - kept] is None
+        assert logits[kept].data.tobytes() == both[kept].data.tobytes()
+        reached, stack = set(), [logits[kept].op_record]
+        while stack:
+            record = stack.pop()
+            if isinstance(record, T.OpRecord) and id(record) not in reached:
+                reached.add(id(record))
+                stack.extend(record.parents)
+        assert {id(t.op_record) for t in built} == reached
+
     def test_attention_capture_covers_all_three_families(self):
         cfg = tiny_config()
         params = init_params(cfg, RngStream(seed=95))

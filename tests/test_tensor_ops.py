@@ -532,6 +532,29 @@ def _check_pool_against_loop(h, w):
 
 
 class TestMaxPool:
+    def test_routing_on_a_large_map_matches_the_loop(self):
+        # planted ties, signed zeros, windows below the floor and NaNs
+        # over 6144 windows
+        rng = RngStream(seed=98)
+        x = rng.derive("x").normal(2 * 4 * 48 * 64).reshape(2, 4, 48, 64)
+        picks = rng.derive("picks")
+        flat = x.reshape(-1)
+        for value in (0.0, -0.0, np.nan):
+            flat[[picks.randint(flat.size) for _ in range(200)]] = value
+        windows = x.reshape(2, 4, 24, 2, 32, 2)
+        windows[0, 0, :8, 1] = windows[0, 0, :8, 0]            # ties across rows
+        windows[0, 1, :8, :, :, 1] = windows[0, 1, :8, :, :, 0]  # ties across columns
+        windows[0, 2, :8] = 0.75                               # four-way ties
+        windows[0, 3, :8] = -0.0                               # windows of -0.0
+        windows[1, 0, :8] = -np.abs(windows[1, 0, :8])          # windows below the floor
+        xt = T.Tensor(x, requires_grad=True)
+        out = T.max_pool2d(xt)
+        g = rng.derive("g").normal(out.size).reshape(out.shape)
+        (gx,) = out.op_record.backward(g)
+        ref, ref_gx = _pool_loop(x, g)
+        assert np.array_equal(out.data, ref, equal_nan=True)
+        assert gx.tobytes() == ref_gx.tobytes()
+
     def test_basic_2x2(self):
         x = T.Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
         out = T.max_pool2d(x)
@@ -1166,6 +1189,85 @@ class TestPooledConv:
         x, w, b = _leaves(91, (1, 3) + hw, (4, 3, 3, 3), (4,))
         with pytest.raises(ShapeError, match="pool needs even"):
             T.conv2d(x, w, b, padding=1, pool=True)
+
+
+def _window_view(x, k, stride, padding):
+    """The (C, B, H', W', k, k) window view of x that conv2d reads."""
+    xp = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
+    view = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    return view[:, :, ::stride, ::stride]
+
+
+def _whole_width_builds(monkeypatch, x, w, b, **conv):
+    """How many whole-width im2col column arrays (one column per output
+    position) a conv's backward builds for its weight gradient."""
+    out = T.conv2d(x, w, b, **conv)
+    g = RngStream(seed=95).normal(out.size).reshape(out.shape)
+    positions = out.size // out.shape[1] * (4 if conv.get("pool") else 1)
+    widths, im2col = [], T._im2col
+
+    def spy(view):
+        cols = im2col(view)
+        widths.append(cols.shape[1])
+        return cols
+
+    monkeypatch.setattr(T, "_im2col", spy)
+    out.op_record.backward(g)
+    return widths.count(positions)
+
+
+class TestWeightGradientByOffset:
+    """Above the small-matrix size, a conv's weight gradient is one product
+    per window offset, with the whole-width product's bytes."""
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("c_in,c_out,size", [(3, 16, 224), (16, 32, 112), (32, 64, 56)],
+                             ids=["cnn0-224", "cnn1-112", "cnn2-56"])
+    def test_paper_shapes_match_the_whole_width_product(self, c_in, c_out, size, batch,
+                                                        one_blas_thread):
+        rng = RngStream(seed=93)
+        x = rng.derive("x").normal(batch * c_in * size * size).reshape(batch, c_in, size, size)
+        g2 = rng.derive("g").normal(c_out * batch * size * size).reshape(c_out, -1)
+        view = _window_view(x, 3, 1, 1)
+        assert c_out * c_in * g2.shape[1] > T._SMALL_GEMM_MACS  # one offset's product
+        whole = (g2 @ T._im2col(view).T).reshape(c_out, 3, 3, c_in)
+        assert T._conv_weight_grad(g2, view).tobytes() == whole.tobytes()
+
+    # the --tiny conv over an inline batch, the 64 px CNN convs of a
+    # one-sample task and the patch embed keep the whole-width product,
+    # and with it their bits; the 224 px CNN convs do not build it
+    @pytest.mark.parametrize("x_shape,w_shape,conv,whole", [
+        ((16, 3, 32, 32), (4, 3, 3, 3), dict(padding=1, pool=True), 1),
+        ((1, 3, 64, 64), (16, 3, 3, 3), dict(padding=1, pool=True), 1),
+        ((1, 16, 32, 32), (32, 16, 3, 3), dict(padding=1, pool=True), 1),
+        ((1, 32, 16, 16), (64, 32, 3, 3), dict(padding=1, pool=True), 1),
+        ((1, 3, 224, 224), (128, 3, 16, 16), dict(stride=16), 1),
+        ((1, 3, 224, 224), (16, 3, 3, 3), dict(padding=1, pool=True), 0),
+        ((1, 16, 112, 112), (32, 16, 3, 3), dict(padding=1, pool=True), 0),
+        ((1, 32, 56, 56), (64, 32, 3, 3), dict(padding=1, pool=True), 0),
+    ], ids=["tiny-32px-b16", "cnn0-64", "cnn1-32", "cnn2-16", "patch-embed-224",
+            "cnn0-224", "cnn1-112", "cnn2-56"])
+    def test_only_products_above_the_small_matrix_size_go_by_offset(
+            self, monkeypatch, x_shape, w_shape, conv, whole):
+        x, w, b = _leaves(94, x_shape, w_shape, w_shape[:1])
+        assert _whole_width_builds(monkeypatch, x, w, b, **conv) == whole
+
+    # 8.6 MiB, in the col2im after the weight gradient; 18.4 MiB when the
+    # weight gradient built all 144 x 12544 columns at once
+    def test_traced_peak_of_the_second_224px_cnn_conv_backward(self):
+        x, w, b = _leaves(96, (1, 16, 112, 112), (32, 16, 3, 3), (32,))
+        out = T.conv2d(x, w, b, padding=1, pool=True)
+        g = RngStream(seed=97).normal(out.size).reshape(out.shape)
+        columns = 9 * 16 * 112 * 112 * 8 / 2**20  # 13.8 MiB
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc already traces this session")
+        tracemalloc.start()
+        try:
+            out.op_record.backward(g)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9.1 and peak < columns, f"{peak:.1f} MiB"
 
 
 def _held_bytes_by_op(records, skip):
