@@ -92,10 +92,10 @@ class ModelConfig:
                   "the attention maps and graph adjacency would hold {} entries per image")
         # the first conv's forward builds its im2col columns and pools its
         # output in bands, but its backward builds the output's gradient at
-        # once, and its weight gradient's columns one window offset at a
-        # time (all 27 per pixel at once for a small image); the cap counts
-        # all 27
-        check_cap((3 + self.cnn_channels[0] + 3 * 3 * 3) * self.image_size ** 2,
+        # once, and its columns one kernel row's 9 per pixel at a time
+        # wherever the cap binds (all 27 only for an image small enough to
+        # take the whole-width product); the cap counts one row's 9
+        check_cap((3 + self.cnn_channels[0] + 3 * 3) * self.image_size ** 2,
                   "the input, first conv output and its im2col columns would hold "
                   "{} entries per image")
 

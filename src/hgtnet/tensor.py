@@ -19,10 +19,10 @@ GELU's tanh, and in ``gelu_linear`` the GELU output itself), the record
 keeps the smaller inputs and the backward rebuilds the array with the
 forward's own steps, bit for bit (recomputation, Chen et al. 2016); where
 the backward needs only a sign or a pool window's winner, the record keeps
-that, in one byte per entry.  A convolution builds its columns, and
-their gradient, one band of output rows at a time, where each band keeps
-the whole-width product's bits (``_conv_bands``), and its weight gradient
-one window offset at a time, where each offset's product keeps them
+that, in one byte per entry.  A convolution's forward builds its columns
+one band of output rows at a time, where each band keeps the whole-width
+product's bits (``_conv_bands``), and its backward builds both gradients
+one kernel row at a time, where each row's product keeps them
 (``_conv_weight_grad``); a pooled convolution pools each band of its
 output as the band is made, so its full-resolution output never exists.
 The attention forward builds the probabilities one head at a time, and
@@ -644,13 +644,13 @@ def dropout(x: Tensor, p: float, rngs: Sequence[RngStream] | None) -> Tensor:
 
 def _conv_bands(images: int, height: int, width: int, filters: int,
                 depth: int) -> list[tuple[int, int]]:
-    """(start, stop) output rows of each band of a convolution whose GEMMs
-    take ``filters`` x ``depth`` weights over ``images`` x ``height`` x
-    ``width`` output columns.  A band builds about ``CONV_BAND_BYTES`` of
-    columns per image and starts at an even row, so a pooled conv pools
-    each band's 2 x 2 windows on their own.  It is cut only where its
-    output keeps the bits of the whole-width product under OpenBLAS's
-    AVX-512 kernels:
+    """(start, stop) output rows of each band of a convolution's forward,
+    whose GEMMs take ``filters`` x ``depth`` weights over ``images`` x
+    ``height`` x ``width`` output columns.  A band builds about
+    ``CONV_BAND_BYTES`` of columns per image and starts at an even row, so
+    a pooled conv pools each band's 2 x 2 windows on their own.  It is cut
+    only where its output keeps the bits of the whole-width product under
+    OpenBLAS's AVX-512 kernels:
     - those compute a product's last (columns mod 8) columns with narrower
       kernels, so every band, and the whole product, spans a multiple of 8
       columns, or there is one band;
@@ -727,24 +727,22 @@ def _conv_weight_grad(g2: np.ndarray, view: np.ndarray) -> np.ndarray:
     """The (F, kh, kw, C) weight gradient of a convolution from its (F, N)
     output gradient and its (C, B, H', W', kh, kw) window view.
 
-    Where one window offset's product takes OpenBLAS's blocked kernels
-    (more than ``_SMALL_GEMM_MACS`` multiply-adds), it is kh*kw products
-    ``g2 @ slabᵀ``, one per offset, each over a copy of that offset's
-    C x N slab of the columns (MEC's slice-wise lowering, Cho & Brand
+    Where one kernel row's product takes OpenBLAS's blocked kernels (more
+    than ``_SMALL_GEMM_MACS`` multiply-adds), it is kh products
+    ``g2 @ slabᵀ``, one per kernel row u, each over a copy of that row's
+    kw*C x N slab of the columns (MEC's slice-wise lowering, Cho & Brand
     2017), so only one slab exists at a time.  Each sums over the same N
     output positions in the same kernels as the whole-width product, so
-    the bits are that product's.  At or below that size an offset's
-    product would take the small-matrix kernel, which sums in another
-    order than the whole-width product's blocked kernels, so the weight
-    gradient is that one whole-width product."""
+    the bits are that product's.  At or below that size a row's product
+    would take the small-matrix kernel, which sums in another order than
+    the whole-width product's blocked kernels, so the weight gradient is
+    that one whole-width product."""
     F, N = g2.shape
     C, _, _, _, kh, kw = view.shape
-    if F * C * N <= _SMALL_GEMM_MACS:
-        return (g2 @ _im2col(view).T).reshape(F, kh, kw, C)
+    rows = kh if F * kw * C * N <= _SMALL_GEMM_MACS else 1
     gw = np.empty((F, kh, kw, C))
-    for u in range(kh):
-        for v in range(kw):
-            gw[:, u, v] = g2 @ np.ascontiguousarray(view[..., u, v]).reshape(C, N).T
+    for u in range(0, kh, rows):
+        gw[:, u:u + rows] = (g2 @ _im2col(view[..., u:u + rows, :]).T).reshape(F, rows, kw, C)
     return gw
 
 
@@ -755,16 +753,18 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     x: (B, C, H, W), w: (F, C, kH, kW), bias: (F,).  Output extents must be
     exact integers: H' = (H + 2*padding - kH)/stride + 1.
 
-    The forward GEMM, and the input gradient's GEMM and col2im, run in
-    bands of output rows over every image (``_conv_bands``), so only one
-    band's im2col columns or their gradient exist at a time.  Every band
-    spans a multiple of 8 GEMM columns (B x rows x W'), since OpenBLAS's
-    AVX-512 kernels compute a product's last (columns mod 8) columns with
-    other kernels.  Each band pads only the input rows it reads.  The weight
-    gradient sums over every output position, so it is not banded (that
-    would change the sum's order); above the small-matrix size it is one
-    product per window offset instead (``_conv_weight_grad``), so no
-    whole-width columns exist at once there either.
+    The forward GEMM runs in bands of output rows over every image
+    (``_conv_bands``), so only one band's im2col columns exist at a time.
+    Every band spans a multiple of 8 GEMM columns (B x rows x W'), since
+    OpenBLAS's AVX-512 kernels compute a product's last (columns mod 8)
+    columns with other kernels.  Each band pads only the input rows it
+    reads.  The backward walks the kernel's kh rows: for row u, one
+    product over a copy of the row's kw*C x N columns gives ``gw[:, u]``
+    (``_conv_weight_grad``), and one product of the row's kw*C weight
+    columns, transposed, with the output gradient gives the row's
+    input-gradient columns, which col2im adds into the padded input's
+    gradient in (u, v) order, as one whole-width pass would.  Each row's
+    dot products are the whole-width products' own, so no bit moves.
 
     ``pool=True`` (even H' and W') returns ``max_pool2d`` of the conv
     output, bit for bit, forward and backward, without ever building that
@@ -799,7 +799,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     Hp, Wp = H + 2 * padding, W + 2 * padding
     xd, x_tracked = x.data, x.requires_grad
     K, N = kh * kw * C, B * Hh * Ww
-    bands = _conv_bands(B, Hh, Ww, F, K)
 
     def windows(i0, i1):
         # (C, B, i1 - i0, W', kh, kw) view of the windows of output rows
@@ -827,7 +826,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
             route = np.empty(out.shape, dtype=np.uint8)
     else:
         out = np.empty((F, B, Hh, Ww))
-    for i0, i1 in bands:
+    for i0, i1 in _conv_bands(B, Hh, Ww, F, K):
         y = (wmat @ _im2col(windows(i0, i1))).reshape(F, B, i1 - i0, Ww)
         if pool:
             y += bias4
@@ -839,9 +838,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     out = out.transpose(1, 0, 2, 3)
 
     # the record keeps the input, not its columns (kh*kw/stride^2 times its
-    # size); the backward rebuilds them, or one window offset's slab of them
-    # at a time, with the same copies, bit for bit, and they are freed once
-    # gw has them, before any gcols band is made
+    # size); the backward rebuilds one kernel row's slab of them at a time
+    # (or all of them, for a small conv) with the same copies, bit for bit,
+    # and the padded input they read is freed before gxp is made
     def backward(g):
         if pool:
             # max_pool2d's backward onto the (F, B, H', W') conv map
@@ -853,17 +852,16 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         gw = _conv_weight_grad(g2, windows(0, Hh)).transpose(0, 3, 1, 2)
         if not x_tracked:
             return None, gw, gb
-        g4 = g2.reshape(F, B, Hh, Ww)
         gxp = np.zeros((C, B, Hp, Wp))
-        # col2im, last band first: every padded entry then takes its (u, v)
-        # terms in the order of one whole-width pass
-        for i0, i1 in reversed(bands):
-            gcols = (wmat.T @ g4[:, :, i0:i1].reshape(F, -1)).reshape(kh, kw, C, B, i1 - i0, Ww)
-            for u in range(kh):
-                top = u + stride * i0
-                for v in range(kw):
-                    gxp[:, :, top:top + stride * (i1 - i0):stride,
-                        v:v + stride * Ww:stride] += gcols[u, v]
+        # col2im by kernel row, in a whole-width pass's (u, v) order, where
+        # a row's kw*C columns fill whole 4-row tiles of OpenBLAS's AVX2
+        # kernels (a one-row tail there sums in another order), else at once
+        rows = 1 if kw * C % 4 == 0 else kh
+        for u0 in range(0, kh, rows):
+            gcols = (wmat[:, u0 * kw * C:(u0 + rows) * kw * C].T @ g2).reshape(-1, C, B, Hh, Ww)
+            for (u, v), cols in zip(np.ndindex(rows, kw), gcols):
+                gxp[:, :, u0 + u:u0 + u + stride * Hh:stride, v:v + stride * Ww:stride] += cols
+            del gcols, cols  # before the next row's are made
         gx = gxp[:, :, padding:padding + H, padding:padding + W].transpose(1, 0, 2, 3)
         return gx, gw, gb
 

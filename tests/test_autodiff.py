@@ -144,17 +144,19 @@ class TestConvPoolGrads:
                                         * T.conv2d(ps[0], ps[1], ps[2], padding=1)), [x, w, b])
 
     @pytest.mark.parametrize("size,stride,out", [(8, 1, 8), (9, 2, 5)], ids=["pad1", "stride2"])
-    def test_conv2d_weight_gradient_by_offset(self, monkeypatch, size, stride, out):
-        # every product takes the per-offset path, as a 224 px CNN conv's does
+    def test_conv2d_backward_by_kernel_row(self, monkeypatch, size, stride, out):
+        # every product takes the per-row path, as a 224 px CNN conv's does:
+        # no small-matrix floor, and 4 channels, so a row's 12 columns of the
+        # weight matrix fill whole 4-row tiles
         monkeypatch.setattr(T, "_SMALL_GEMM_MACS", 0)
-        calls, by_offset = [], T._conv_weight_grad
+        calls, by_row = [], T._conv_weight_grad
         monkeypatch.setattr(T, "_conv_weight_grad",
-                            lambda g2, view: calls.append(view.shape) or by_offset(g2, view))
-        x, w, b = _params((2, 2, size, size), (3, 2, 3, 3), (3,), seed=25, scale=0.5)
+                            lambda g2, view: calls.append(view.shape) or by_row(g2, view))
+        x, w, b = _params((2, 4, size, size), (3, 4, 3, 3), (3,), seed=25, scale=0.5)
         weight = _params((2, 3, out, out), seed=26)[0].data
         _assert_grads(lambda ps: T.tsum(T.conv2d(ps[0], ps[1], ps[2], stride=stride, padding=1)
                                         * weight), [x, w, b])
-        assert calls == [(2, 2, out, out, 3, 3)]
+        assert calls == [(4, 2, out, out, 3, 3)]
 
     def test_max_pool(self):
         (x,) = _params((2, 2, 6, 6), seed=23)

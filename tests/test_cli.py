@@ -1070,7 +1070,7 @@ class TestImageSizedProbes:
     @pytest.mark.parametrize("argv,count", [
         (["train", "--synth", "--per-class", "2", "--epochs", "1",
           "--set", "model.image_size=8192", "--set", "model.patch_size=4096",
-          "--set", "model.embed_dim=1", "--set", "model.num_heads=1"], "3.087e+9"),
+          "--set", "model.embed_dim=1", "--set", "model.num_heads=1"], "1.879e+9"),
         (["synth", "--per-class", "1", "--image-size", "30000"], "2.700e+9")])
     def test_exit_2_before_anything_image_sized_is_allocated(self, tmp_path, capsys,
                                                              argv, count):

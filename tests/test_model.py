@@ -95,15 +95,15 @@ class TestModelConfig:
         assert 2 * n * (n + e2) + 2 * n * n <= MAX_PARAMS < 4 * n * (n + e2) + 2 * n * n
 
     def test_image_arrays_at_the_cap_accepted(self):
-        # one CNN stage of 5 channels: 35 entries per pixel, and a single
+        # one CNN stage of 5 channels: 17 entries per pixel, and a single
         # token, so only the image arrays come near the cap
         def config(size):
             return ModelConfig(image_size=size, patch_size=size, embed_dim=1, num_heads=1,
                                cnn_channels=(5,))
-        assert 35 * 1958 ** 2 <= MAX_PARAMS < 35 * 1960 ** 2
-        assert config(1958).image_size == 1958
+        assert 17 * 2808 ** 2 <= MAX_PARAMS < 17 * 2810 ** 2
+        assert config(2808).image_size == 2808
         with pytest.raises(ConfigError, match="im2col columns"):
-            config(1960)
+            config(2810)
 
     @pytest.mark.parametrize("name", ["image_size", "patch_size", "embed_dim", "num_heads"])
     def test_zero_extent_rejected(self, name):

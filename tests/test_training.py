@@ -438,70 +438,32 @@ class TestShardedStep:
         return peak / 2**20
 
     # numpy reports every array to tracemalloc, so these peaks are the same
-    # to 0.01 MiB on every run.  At 64 px: 13.8 MiB now that a conv pads
-    # only a band's input rows and, above the small-matrix size, builds its
-    # weight gradient one window offset at a time; 14.1 MiB when the
-    # records first kept less of what their backward can rebuild (the MLP's
-    # GELU output, four bool pool masks per CNN stage, leaky_relu's float
-    # input) and a task dropped its views' input after their walk; 14.9 MiB
-    # when a step first back-propagated its views and their rotated copies
-    # one after the other, 15.8 MiB when one walk took both, 15.9 MiB when every conv
-    # rebuilt its columns in the backward and GELU worked in place, 19.9 MiB
-    # when only the input-side convs did, 23.3 MiB when the convs, the
-    # attention cores and GELU kept their columns, probabilities and tanh,
-    # 29.2 MiB when records held their parent tensors, 42.3 MiB when every
-    # record (and a float dropout mask) lived until the step returned
+    # to 0.01 MiB on every run.  At 64 px: 13.8 MiB, in the second CNN
+    # conv's forward over the rotated copies
     def test_traced_peak_of_a_64px_shard_step(self):
         peak = self._traced_peak_of_a_shard_step(64)
         assert peak <= 14.5, f"{peak:.1f} MiB"
 
-    # one sample, the task of a threaded step: 11.4 MiB with a conv's
-    # padding built by band; 11.5 MiB with the smaller records, 11.9 MiB
-    # before them, 12.0 MiB when one walk took the view and its copy, and
-    # 16.9 MiB when the copy's walk held its leaf gradients until it popped
-    # each leaf, beside the view's
+    # one sample, the task of a threaded step: 11.4 MiB, in the copies'
+    # walk, at an encoder MLP's first linear map
     def test_traced_peak_of_a_one_sample_64px_shard_step(self):
         peak = self._traced_peak_of_a_shard_step(64, count=1)
         assert peak <= 12.0, f"{peak:.1f} MiB"
 
-    # the paper's scale: 51.7 MiB now that each CNN conv's weight gradient
-    # takes one window offset's columns at a time; 55.2 MiB when the records
-    # first kept less of what their backward can rebuild and a task dropped
-    # its views' input after their walk; 62.2 MiB when a step first
-    # back-propagated its views and their rotated copies one after the
-    # other; 102.9 MiB when one walk
-    # took both, with the attention forward building P one head at a time
-    # and the CNN convs pooling each band as it is made;
-    # 107.2 MiB when the cross-attention's forward held P for all heads,
-    # 134.3 MiB when the first conv's forward built all its columns at once
-    # and the cross-attention backward tied with it at 133.4, 217.3 MiB when
-    # the tracked convs kept their columns, and 294.3 MiB when every record
-    # kept its columns, probabilities and tanh
+    # the paper's scale: 51.7 MiB, in the cross-attention's backward in the
+    # copies' walk
     def test_traced_peak_of_a_224px_shard_step(self):
         peak = self._traced_peak_of_a_shard_step(224)
         assert peak <= 54.3, f"{peak:.1f} MiB"
 
     # one sample, the task of a threaded paper-scale step: 30.4 MiB, in the
-    # cross-attention's backward in the copies' walk, now that each CNN
-    # conv's weight gradient takes one window offset's columns at a time;
-    # 31.7 MiB, in the views' walk, in the second CNN conv's whole-width
-    # im2col for its weight gradient (13.8 MiB); 35.7 MiB, in an attention
-    # backward of the copies' walk, before the records kept less and the
-    # task dropped its view's input after its walk; 54.7 MiB when one walk
-    # took the view and its copy
+    # cross-attention's backward in the copies' walk
     def test_traced_peak_of_a_one_sample_224px_shard_step(self):
         peak = self._traced_peak_of_a_shard_step(224, count=1)
         assert peak <= 32.0, f"{peak:.1f} MiB"
 
-    # one 224 px evaluation forward: 6.6 MiB now that each conv band pads
-    # only the input rows it reads; 7.9 MiB, in the second CNN conv's
-    # forward, when it zero-padded a copy of its whole input first, after
-    # each CNN conv began to pool every band of its output as the band is
-    # made and the attention to build P one head at a time; 12.7 MiB
-    # in the first conv's forward when it built its whole 16 x 224 x 224
-    # output for max_pool2d, and the cross-attention held all four heads'
-    # P; 20.0 MiB when the first conv built all 10.3 MiB of its im2col
-    # columns at once
+    # one 224 px evaluation forward: 6.6 MiB, its input included, in the
+    # first CNN conv's forward
     def test_traced_peak_of_a_224px_eval_sample(self):
         cfg = ModelConfig(image_size=224)
         sample = data.synth_dataset(1, 224, RngStream(seed=3))[0]
