@@ -224,14 +224,14 @@ def _model_check(seed: int):
 
 
 # every op name that the gradcheck battery and the model check record: every
-# op a training step records, plus the battery's ``sum``, and ``gelu`` and
-# ``max_pool2d``, which only the battery records: the model's MLP runs GELU
-# inside ``gelu_linear``, and its pooled convs run max_pool2d's kernel under
-# ``conv2d``
+# op a training step records (``patch_linear`` and ``conv2d`` among them),
+# plus the battery's ``sum``, and ``gelu``, ``max_pool2d`` and ``take_rows``,
+# which only the battery records: the MLP runs GELU inside ``gelu_linear``,
+# ``conv2d`` runs max_pool2d's kernel, and the benchmark binds take_rows
 CORRUPTIBLE_OPS = ("add", "attention", "concat", "conv2d", "cross_entropy", "dropout",
                    "gelu", "gelu_linear", "layer_norm", "leaky_relu", "linear", "matmul",
-                   "max_pool2d", "mean", "mul", "reshape", "softmax", "sum", "take_rows",
-                   "transpose")
+                   "max_pool2d", "mean", "mul", "patch_linear", "reshape", "softmax", "sum",
+                   "take_rows", "transpose")
 
 
 def _corrupt_op(name: str) -> None:

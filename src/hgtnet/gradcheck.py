@@ -175,6 +175,8 @@ def op_battery(seed: int) -> list[tuple[str, Callable[[list[T.Tensor]], T.Tensor
     glx, glw, glb = t(2, 3, 4, key="gl-x"), t(4, 5, key="gl-w"), t(5, key="gl-b")
     kx = t(2, 6, key="leaky")
     cx, cw, cb = t(1, 2, 6, 6, key="conv-x"), t(3, 2, 3, 3, key="conv-w"), t(3, key="conv-b")
+    # a non-square image, so a patch order with rows and columns swapped fails
+    ex, ew, eb = t(2, 3, 4, 6, key="patch-x"), t(5, 3, 2, 2, key="patch-w"), t(5, key="patch-b")
     px = T.Tensor(3.0 * randn(1, 2, 4, 4, key="pool"), requires_grad=True)
     tx = t(2, 3, 4, key="struct")
     ca, cc = t(2, 3, key="cat-a"), t(2, 4, key="cat-b")
@@ -206,12 +208,10 @@ def op_battery(seed: int) -> list[tuple[str, Callable[[list[T.Tensor]], T.Tensor
         ("dropout",
          lambda ps: T.tsum(T.dropout(dx, 0.4, [drop_rng.derive(i) for i in range(4)])
                            * w(4, 6, key="d-w")), [dx]),
-        ("conv2d",
-         lambda ps: T.tsum(T.conv2d(cx, cw, cb, stride=1, padding=1)
-                           * w(1, 3, 6, 6, key="c-w")), [cx, cw, cb]),
+        ("patch_linear",
+         lambda ps: T.tsum(T.patch_linear(ex, ew, eb) * w(2, 6, 5, key="pl-w")), [ex, ew, eb]),
         ("conv2d_pool",
-         lambda ps: T.tsum(T.conv2d(cx, cw, cb, stride=1, padding=1, pool=True)
-                           * w(1, 3, 3, 3, key="cp-w")), [cx, cw, cb]),
+         lambda ps: T.tsum(T.conv2d(cx, cw, cb) * w(1, 3, 3, 3, key="cp-w")), [cx, cw, cb]),
         ("max_pool2d",
          lambda ps: T.tsum(T.max_pool2d(px) * w(1, 2, 2, 2, key="p-w")), [px]),
         ("structure",

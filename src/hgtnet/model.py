@@ -221,17 +221,15 @@ def init_params(cfg: ModelConfig, rng: RngStream) -> dict[str, Tensor]:
 # ---------------------------------------------------------------------------
 
 def patch_embed(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor]) -> Tensor:
-    """Non-overlapping patches via a strided convolution, flattened row-major
-    into B x N x d tokens, plus the learned positional embedding."""
+    """Non-overlapping patches projected to B x N x d tokens, in row-major
+    patch order, by one ``tensor.patch_linear`` product, plus the learned
+    positional embedding."""
     if x.ndim != 4 or x.shape[1] != 3:
         raise ShapeError(f"expected B x 3 x H x W input, got {x.shape}")
-    B, _, H, W = x.shape
+    H, W = x.shape[2:]
     if H != cfg.image_size or W != cfg.image_size:
         raise ShapeError(f"input {H}x{W} does not match configured image size {cfg.image_size}")
-    g = cfg.grid_size
-    out = T.conv2d(x, params["patch_embed.weight"], params["patch_embed.bias"],
-                   stride=cfg.patch_size, padding=0)       # B x d x g x g
-    tokens = T.transpose(T.reshape(out, (B, cfg.embed_dim, g * g)), (0, 2, 1))
+    tokens = T.patch_linear(x, params["patch_embed.weight"], params["patch_embed.bias"])
     return tokens + params["pos_embed"]
 
 
@@ -272,9 +270,9 @@ def cnn_branch(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
                rngs: list[RngStream] | None = None) -> Tensor:
     """conv(3x3, pad 1) -> max_pool(2,2) -> dropout per channel stage.
 
-    The conv and the pool are one ``conv2d(..., pool=True)`` record, which
-    pools each band of the conv's output as it is made, so no stage builds
-    its full-resolution conv map.  The pool floors its maxima at 0, which
+    The conv and the pool are one ``conv2d`` record, which pools each band
+    of the conv's output as it is made, so no stage builds its
+    full-resolution conv map.  The pool floors its maxima at 0, which
     gives the same outputs and parameter gradients as the usual conv ->
     relu -> pool order (ReLU is monotone, and a window whose maximum is
     <= 0 passes no gradient either way) without a ReLU record or output of
@@ -283,8 +281,7 @@ def cnn_branch(x: Tensor, cfg: ModelConfig, params: dict[str, Tensor],
         raise ShapeError(f"input {x.shape} does not match image size {cfg.image_size}")
     out = x
     for j in range(len(cfg.cnn_channels)):
-        out = T.conv2d(out, params[f"cnn{j}.weight"], params[f"cnn{j}.bias"], padding=1,
-                       pool=True)
+        out = T.conv2d(out, params[f"cnn{j}.weight"], params[f"cnn{j}.bias"])
         out = T.dropout(out, cfg.dropout_p, rngs)
     return out
 

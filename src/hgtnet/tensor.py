@@ -19,19 +19,20 @@ GELU's tanh, and in ``gelu_linear`` the GELU output itself), the record
 keeps the smaller inputs and the backward rebuilds the array with the
 forward's own steps, bit for bit (recomputation, Chen et al. 2016); where
 the backward needs only a sign or a pool window's winner, the record keeps
-that, in one byte per entry.  A convolution's forward builds its columns
-one band of output rows at a time, where each band keeps the whole-width
-product's bits (``_conv_bands``), and its backward builds both gradients
-one kernel row at a time, where each row's product keeps them
-(``_conv_weight_grad``); a pooled convolution pools each band of its
-output as the band is made, so its full-resolution output never exists.
-The attention forward builds the probabilities one head at a time, and
-its backward rebuilds them the same way.
+that, in one byte per entry.  ``conv2d`` (a CNN stage: conv, then pool)
+builds its columns and pools its output in bands of output rows that
+keep the whole-width product's bits (``_conv_bands``), and its backward
+takes one kernel row at a time, whose products keep them too
+(``_conv_weight_grad``).  ``patch_linear``'s patches do not overlap, so it
+is one product over a reshape of the image.  The attention forward builds
+the probabilities one head at a time, and its backward rebuilds them the
+same way.
 
-The op set is intentionally small: exactly what the model needs, with
-numpy-style broadcasting supported for add/mul and matmul batch dims.
-Ops take ``Tensor`` inputs; only ``add`` and ``mul`` (and so ``+`` and
-``*``) also take a plain number, such as a loss weight.
+The op set is small: the ops a model pass records, plus ``take_rows``,
+``max_pool2d`` and the plain ``gelu``, which none records and which stay
+because the benchmark's tracer binds them by name.  add/mul broadcast as
+numpy does, and matmul over batch dims.  Ops take ``Tensor`` inputs; only
+add and mul (and so ``+`` and ``*``) also take a plain number.
 """
 
 from __future__ import annotations
@@ -648,7 +649,7 @@ def _conv_bands(images: int, height: int, width: int, filters: int,
     whose GEMMs take ``filters`` x ``depth`` weights over ``images`` x
     ``height`` x ``width`` output columns.  A band builds about
     ``CONV_BAND_BYTES`` of columns per image and starts at an even row, so
-    a pooled conv pools each band's 2 x 2 windows on their own.  It is cut
+    each band's 2 x 2 pooling windows are its own.  It is cut
     only where its output keeps the bits of the whole-width product under
     OpenBLAS's AVX-512 kernels:
     - those compute a product's last (columns mod 8) columns with narrower
@@ -746,123 +747,129 @@ def _conv_weight_grad(g2: np.ndarray, view: np.ndarray) -> np.ndarray:
     return gw
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0,
-           pool: bool = False) -> Tensor:
-    """2D cross-correlation (no kernel flip) with bias.
+def patch_linear(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """ViT's linear patch projection (Dosovitskiy et al. 2020) as one
+    record: each non-overlapping P x P patch of the (B, C, H, W) image is
+    mapped by the (d, C, P, P) weight and the (d,) bias to one of the
+    (B, N, d) tokens, the patches in row-major order.  This is a conv at
+    stride P whose im2col columns are a reshape of the image, and the
+    product runs in the conv's orientation, ``wmat @ cols``, whose bits
+    ``linear``'s transposed product would not keep.  The record keeps the
+    image; its backward rebuilds the columns for the weight gradient
+    ``g2 @ colsᵀ``, and the input gradient is the inverse reshape of
+    ``wmatᵀ @ g2``."""
+    if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1] or w.shape[2] != w.shape[3] \
+            or bias.shape != w.shape[:1] or x.shape[2] % w.shape[2] or x.shape[3] % w.shape[2]:
+        raise ShapeError(f"patch_linear needs a (B, C, H, W) image with H and W multiples of "
+                         f"P, a (d, C, P, P) weight and a (d,) bias, got {x.shape}, "
+                         f"{w.shape}, {bias.shape}")
+    B, C, H, W = x.shape
+    F, _, P, _ = w.shape
+    xd, wd, x_tracked = x.data, w.data, x.requires_grad
 
-    x: (B, C, H, W), w: (F, C, kH, kW), bias: (F,).  Output extents must be
-    exact integers: H' = (H + 2*padding - kH)/stride + 1.
+    def columns():  # _im2col of the (C, B, H/P, W/P, P, P) patch view
+        return _im2col(xd.reshape(B, C, H // P, P, W // P, P).transpose(1, 0, 2, 4, 3, 5))
+
+    def wmat():  # (d, P*P*C), columns in the same (u, v, c) order
+        return wd.transpose(0, 2, 3, 1).reshape(F, -1)
+
+    out = wmat() @ columns()
+    out += bias.data[:, None]
+    tokens = np.ascontiguousarray(out.reshape(F, B, -1).transpose(1, 2, 0))
+
+    def backward(g):
+        g2 = g.transpose(2, 0, 1).reshape(F, -1)
+        gw = (g2 @ columns().T).reshape(F, P, P, C).transpose(0, 3, 1, 2)
+        gx = None
+        if x_tracked:
+            gx = (wmat().T @ g2).reshape(P, P, C, B, H // P, W // P)
+            gx = gx.transpose(3, 2, 4, 0, 5, 1).reshape(B, C, H, W)
+        return gx, gw, g2.sum(axis=1)
+
+    return _make(tokens, "patch_linear", (x, w, bias), backward)
+
+
+def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """One CNN stage as one record: a 2D cross-correlation (no kernel flip)
+    with bias, stride 1 and zero padding (k - 1)/2, then the maxima of the
+    conv map's 2 x 2 windows at stride 2, floored at 0 (``max_pool2d``'s
+    kernel; a ReLU folded into the pool).  x: (B, C, H, W) with even H and
+    W, w: (F, C, k, k) with odd k (3 in the model), bias: (F,); the output
+    is (B, F, H/2, W/2), F x B x H/2 x W/2 in memory, as the next conv
+    reads it.
 
     The forward GEMM runs in bands of output rows over every image
-    (``_conv_bands``), so only one band's im2col columns exist at a time.
-    Every band spans a multiple of 8 GEMM columns (B x rows x W'), since
+    (``_conv_bands``), each spanning a multiple of 8 GEMM columns, since
     OpenBLAS's AVX-512 kernels compute a product's last (columns mod 8)
     columns with other kernels.  Each band pads only the input rows it
-    reads.  The backward walks the kernel's kh rows: for row u, one
-    product over a copy of the row's kw*C x N columns gives ``gw[:, u]``
-    (``_conv_weight_grad``), and one product of the row's kw*C weight
-    columns, transposed, with the output gradient gives the row's
-    input-gradient columns, which col2im adds into the padded input's
-    gradient in (u, v) order, as one whole-width pass would.  Each row's
-    dot products are the whole-width products' own, so no bit moves.
-
-    ``pool=True`` (even H' and W') returns ``max_pool2d`` of the conv
-    output, bit for bit, forward and backward, without ever building that
-    output: each band's GEMM output gets its bias and is pooled, with
-    ``max_pool2d``'s kernel, before the next band is made.  When the output
-    is tracked, each band also gets its share of the pool's one-byte
-    routing (the window offset of each output's first positive maximum),
-    which the record keeps; the backward routes the gradient through it
-    onto the conv map, then runs the conv's own backward.
+    reads, gets its bias and is pooled, with its share of the pool's
+    one-byte routing when the output is tracked (each output's winning
+    window offset), before the next band is made, so the conv map never
+    exists.  The backward routes the gradient onto the conv map, then
+    walks the kernel's k rows: for row u, one product over a copy of the
+    row's k*C x N columns gives ``gw[:, u]`` (``_conv_weight_grad``), and
+    one product of the row's k*C weight columns, transposed, with the
+    map's gradient gives the row's input-gradient columns, which col2im
+    adds into the padded input's gradient in (u, v) order.  Each row's dot
+    products are the whole-width products' own, so no bit moves.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input/weight, got {x.shape} and {w.shape}")
     B, C, H, W = x.shape
-    F, Cw, kh, kw = w.shape
-    if C != Cw:
-        raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs weight {w.shape}")
-    if bias.shape != (F,):
-        raise ShapeError(f"conv2d bias must have shape ({F},), got {bias.shape}")
-    if stride < 1:
-        raise ShapeError(f"conv2d stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ShapeError(f"conv2d padding must be >= 0, got {padding}")
-    num_h = H + 2 * padding - kh
-    num_w = W + 2 * padding - kw
-    if num_h < 0 or num_w < 0 or num_h % stride or num_w % stride:
-        raise ShapeError(
-            f"conv2d geometry invalid: input {H}x{W}, kernel {kh}x{kw}, "
-            f"stride {stride}, padding {padding} gives non-integer output extent")
-    Hh, Ww = num_h // stride + 1, num_w // stride + 1
-    if pool and (Hh % 2 or Ww % 2):
-        raise ShapeError(f"conv2d pool needs even output extents, got {Hh}x{Ww}")
-    Hp, Wp = H + 2 * padding, W + 2 * padding
+    F, Cw, k, kw = w.shape
+    if C != Cw or k != kw or k % 2 == 0 or bias.shape != (F,):
+        raise ShapeError(f"conv2d needs an (F, {C}, k, k) weight of odd k and an (F,) bias "
+                         f"for input {x.shape}, got {w.shape} and {bias.shape}")
+    if H < 2 or W < 2 or H % 2 or W % 2:
+        raise ShapeError(f"conv2d pool needs even output extents >= 2, got {H}x{W}")
+    pad = k // 2
     xd, x_tracked = x.data, x.requires_grad
-    K, N = kh * kw * C, B * Hh * Ww
+    K = k * k * C
 
     def windows(i0, i1):
-        # (C, B, i1 - i0, W', kh, kw) view of the windows of output rows
-        # i0:i1, over a zero-padded copy of only the input rows they read
-        r0, r1 = stride * i0, stride * (i1 - 1) + kh
-        if padding:
-            xp = np.zeros((C, B, r1 - r0, Wp))
-            s0, s1 = max(r0, padding), min(r1, padding + H)
-            if s0 < s1:
-                xp[:, :, s0 - r0:s1 - r0, padding:padding + W] = \
-                    xd[:, :, s0 - padding:s1 - padding].transpose(1, 0, 2, 3)
-        else:
-            xp = xd[:, :, r0:r1].transpose(1, 0, 2, 3)
-        view = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-        return view[:, :, ::stride, ::stride]
+        # (C, B, i1 - i0, W, k, k) view of the windows of output rows i0:i1,
+        # over a zero-padded copy of only the input rows they read
+        xp = np.zeros((C, B, i1 - i0 + 2 * pad, W + 2 * pad))
+        r0, r1 = max(i0 - pad, 0), min(i1 + pad, H)
+        xp[:, :, r0 + pad - i0:r1 + pad - i0, pad:pad + W] = xd[:, :, r0:r1].transpose(1, 0, 2, 3)
+        return np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
 
     wmat = w.data.transpose(0, 2, 3, 1).reshape(F, K)
     bias4 = bias.data[:, None, None, None]
-    # (F, B, H', W') in memory, or the pooled (F, B, H'/2, W'/2); the next
-    # conv reads it without a copy
-    route = None
-    if pool:
-        out = np.empty((F, B, Hh // 2, Ww // 2))
-        if x.requires_grad or w.requires_grad or bias.requires_grad:
-            route = np.empty(out.shape, dtype=np.uint8)
-    else:
-        out = np.empty((F, B, Hh, Ww))
-    for i0, i1 in _conv_bands(B, Hh, Ww, F, K):
-        y = (wmat @ _im2col(windows(i0, i1))).reshape(F, B, i1 - i0, Ww)
-        if pool:
-            y += bias4
-            rows = (Ellipsis, slice(i0 // 2, i1 // 2), slice(None))
-            _pool_into(y, out[rows], None if route is None else route[rows])
-            del y  # before the next band's columns and product are made
-        else:
-            np.add(y, bias4, out=out[:, :, i0:i1])
+    out = np.empty((F, B, H // 2, W // 2))
+    tracked = x.requires_grad or w.requires_grad or bias.requires_grad
+    route = np.empty(out.shape, dtype=np.uint8) if tracked else None
+    for i0, i1 in _conv_bands(B, H, W, F, K):
+        y = (wmat @ _im2col(windows(i0, i1))).reshape(F, B, i1 - i0, W)
+        y += bias4
+        rows = (Ellipsis, slice(i0 // 2, i1 // 2), slice(None))
+        _pool_into(y, out[rows], None if route is None else route[rows])
+        del y  # before the next band's columns and product are made
     out = out.transpose(1, 0, 2, 3)
 
-    # the record keeps the input, not its columns (kh*kw/stride^2 times its
-    # size); the backward rebuilds one kernel row's slab of them at a time
-    # (or all of them, for a small conv) with the same copies, bit for bit,
-    # and the padded input they read is freed before gxp is made
+    # the record keeps the input, not its columns (k*k times its size); the
+    # backward rebuilds one kernel row's slab of them at a time (or all of
+    # them, for a small conv) with the same copies, bit for bit, and the
+    # padded input they read is freed before gxp is made
     def backward(g):
-        if pool:
-            # max_pool2d's backward onto the (F, B, H', W') conv map
-            gmap = np.empty((F, B, Hh, Ww))
-            _unpool_into(g.transpose(1, 0, 2, 3), route, gmap)
-            g = gmap.transpose(1, 0, 2, 3)
-        g2 = g.transpose(1, 0, 2, 3).reshape(F, N)
+        gmap = np.empty((F, B, H, W))
+        _unpool_into(g.transpose(1, 0, 2, 3), route, gmap)
+        g2 = gmap.reshape(F, -1)
         gb = g2.sum(axis=1)
-        gw = _conv_weight_grad(g2, windows(0, Hh)).transpose(0, 3, 1, 2)
+        gw = _conv_weight_grad(g2, windows(0, H)).transpose(0, 3, 1, 2)
         if not x_tracked:
             return None, gw, gb
-        gxp = np.zeros((C, B, Hp, Wp))
+        gxp = np.zeros((C, B, H + 2 * pad, W + 2 * pad))
         # col2im by kernel row, in a whole-width pass's (u, v) order, where
-        # a row's kw*C columns fill whole 4-row tiles of OpenBLAS's AVX2
+        # a row's k*C columns fill whole 4-row tiles of OpenBLAS's AVX2
         # kernels (a one-row tail there sums in another order), else at once
-        rows = 1 if kw * C % 4 == 0 else kh
-        for u0 in range(0, kh, rows):
-            gcols = (wmat[:, u0 * kw * C:(u0 + rows) * kw * C].T @ g2).reshape(-1, C, B, Hh, Ww)
-            for (u, v), cols in zip(np.ndindex(rows, kw), gcols):
-                gxp[:, :, u0 + u:u0 + u + stride * Hh:stride, v:v + stride * Ww:stride] += cols
+        rows = 1 if k * C % 4 == 0 else k
+        for u0 in range(0, k, rows):
+            gcols = (wmat[:, u0 * k * C:(u0 + rows) * k * C].T @ g2).reshape(-1, C, B, H, W)
+            for (u, v), cols in zip(np.ndindex(rows, k), gcols):
+                gxp[:, :, u0 + u:u0 + u + H, v:v + W] += cols
             del gcols, cols  # before the next row's are made
-        gx = gxp[:, :, padding:padding + H, padding:padding + W].transpose(1, 0, 2, 3)
+        gx = gxp[:, :, pad:pad + H, pad:pad + W].transpose(1, 0, 2, 3)
         return gx, gw, gb
 
     return _make(out, "conv2d", (x, w, bias), backward)
@@ -873,15 +880,14 @@ def max_pool2d(x: Tensor) -> Tensor:
     even H and W, floored at 0: a ReLU folded into the pool.  The gradient
     routes to the first maximum in row-major window order when values tie;
     a window whose maximum is <= 0 or NaN routes none, as the ReLU's zero
-    slope there would.  ``conv2d(..., pool=True)`` runs the same kernel on
-    each band of a conv's output.
+    slope there would.  ``conv2d`` runs the same kernel on each band of its
+    conv map; no model pass records this op, which stays because the
+    benchmark binds it.
 
     A tracked input gets a uint8 routing array shaped like the output,
-    built in the forward: the window offset of each output's first
-    positive maximum, or ``_NO_WINNER``.  The record keeps it (a
-    thirty-second of the input's bytes) instead of the input and output,
-    and the backward is four multiplies.  An untracked input builds no
-    routing."""
+    built in the forward (the window offset of each output's first positive
+    maximum, or ``_NO_WINNER``), which the record keeps instead of the
+    input and output; the backward is four multiplies."""
     if x.ndim != 4 or x.shape[2] < 2 or x.shape[3] < 2 or x.shape[2] % 2 or x.shape[3] % 2:
         raise ShapeError(f"max_pool2d expects a B x C x H x W input with even H, W >= 2, "
                          f"got {x.shape}")
@@ -891,13 +897,10 @@ def max_pool2d(x: Tensor) -> Tensor:
     _pool_into(v, out, route)
     if route is None:
         return _make(out, "max_pool2d", (x,), None)
-    # gx takes the input's memory order, as np.empty_like(v) would, so a
-    # conv2d output's gradient reaches that conv's backward without a copy
-    order = sorted(range(4), key=lambda axis: -v.strides[axis])
     shape = v.shape
 
     def backward(g):
-        gx = np.empty([shape[axis] for axis in order]).transpose(np.argsort(order))
+        gx = np.empty(shape)
         _unpool_into(g, route, gx)
         return (gx,)
 

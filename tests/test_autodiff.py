@@ -127,12 +127,9 @@ class TestNnOpGrads:
 
 class TestConvPoolGrads:
     def test_conv2d_basic(self):
-        x, w, b = _params((2, 2, 5, 5), (3, 2, 3, 3), (3,), seed=21, scale=0.5)
-        _assert_grads(lambda ps: T.tsum(T.conv2d(ps[0], ps[1], ps[2]) * T.conv2d(ps[0], ps[1], ps[2])), [x, w, b])
-
-    def test_conv2d_stride_padding(self):
-        x, w, b = _params((1, 3, 7, 7), (2, 3, 3, 3), (2,), seed=22, scale=0.5)
-        _assert_grads(lambda ps: T.tsum(T.conv2d(ps[0], ps[1], ps[2], stride=2, padding=1)), [x, w, b])
+        x, w, b = _params((2, 2, 6, 6), (3, 2, 3, 3), (3,), seed=21, scale=0.5)
+        _assert_grads(lambda ps: T.tsum(T.conv2d(ps[0], ps[1], ps[2])
+                                        * T.conv2d(ps[0], ps[1], ps[2])), [x, w, b])
 
     def test_conv2d_through_three_bands(self, monkeypatch):
         # 4 output rows a band over a 12 x 10 output: bands of rows 0-4, 4-8, 8-12
@@ -140,11 +137,10 @@ class TestConvPoolGrads:
         monkeypatch.setattr(T, "_SMALL_GEMM_MACS", 0)
         assert T._conv_bands(1, 12, 10, 3, 18) == [(0, 4), (4, 8), (8, 12)]
         x, w, b = _params((1, 2, 12, 10), (3, 2, 3, 3), (3,), seed=24, scale=0.5)
-        _assert_grads(lambda ps: T.tsum(T.conv2d(ps[0], ps[1], ps[2], padding=1)
-                                        * T.conv2d(ps[0], ps[1], ps[2], padding=1)), [x, w, b])
+        _assert_grads(lambda ps: T.tsum(T.conv2d(ps[0], ps[1], ps[2])
+                                        * T.conv2d(ps[0], ps[1], ps[2])), [x, w, b])
 
-    @pytest.mark.parametrize("size,stride,out", [(8, 1, 8), (9, 2, 5)], ids=["pad1", "stride2"])
-    def test_conv2d_backward_by_kernel_row(self, monkeypatch, size, stride, out):
+    def test_conv2d_backward_by_kernel_row(self, monkeypatch):
         # every product takes the per-row path, as a 224 px CNN conv's does:
         # no small-matrix floor, and 4 channels, so a row's 12 columns of the
         # weight matrix fill whole 4-row tiles
@@ -152,11 +148,16 @@ class TestConvPoolGrads:
         calls, by_row = [], T._conv_weight_grad
         monkeypatch.setattr(T, "_conv_weight_grad",
                             lambda g2, view: calls.append(view.shape) or by_row(g2, view))
-        x, w, b = _params((2, 4, size, size), (3, 4, 3, 3), (3,), seed=25, scale=0.5)
-        weight = _params((2, 3, out, out), seed=26)[0].data
-        _assert_grads(lambda ps: T.tsum(T.conv2d(ps[0], ps[1], ps[2], stride=stride, padding=1)
-                                        * weight), [x, w, b])
-        assert calls == [(4, 2, out, out, 3, 3)]
+        x, w, b = _params((2, 4, 8, 8), (3, 4, 3, 3), (3,), seed=25, scale=0.5)
+        weight = _params((2, 3, 4, 4), seed=26)[0].data
+        _assert_grads(lambda ps: T.tsum(T.conv2d(ps[0], ps[1], ps[2]) * weight), [x, w, b])
+        assert calls == [(4, 2, 8, 8, 3, 3)]
+
+    def test_patch_linear(self):
+        # a non-square image of 2 x 3 patches
+        x, w, b = _params((2, 3, 4, 6), (5, 3, 2, 2), (5,), seed=27)
+        weight = _params((2, 6, 5), seed=28)[0].data
+        _assert_grads(lambda ps: T.tsum(T.patch_linear(ps[0], ps[1], ps[2]) * weight), [x, w, b])
 
     def test_max_pool(self):
         (x,) = _params((2, 2, 6, 6), seed=23)

@@ -312,6 +312,13 @@ def test_augment_reference_imports_no_transform_it_checks():
     assert "hgtnet" not in imports
 
 
+def test_model_reference_imports_only_the_model_config():
+    # the reference is the oracle for the whole model, so it may take from
+    # the package the config that shapes the model, never an op or a block
+    source = (ROOT / "tests" / "model_reference.py").read_text(encoding="utf-8")
+    assert package_imports(source) == {"hgtnet.model": {"ModelConfig"}}
+
+
 def test_package_import_scan_sees_whole_modules_and_names():
     source = ("import numpy\nimport hgtnet.data\nfrom hgtnet import data, rng\n"
               "from hgtnet.data import hflip as flip, luma\nfrom hgtnet.errors import ShapeError\n")

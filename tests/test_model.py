@@ -16,6 +16,8 @@ from hgtnet.model import (MAX_PARAMS, ModelConfig, attention, build_graph,
                           rotation_head, tiny_config, transformer_encoder)
 from hgtnet.rng import RngStream
 from hgtnet.tensor import Tensor
+from model_reference import reference_forward
+from test_tensor_ops import conv2d_keeping_cols
 
 
 def _zero_params(params, keep_gamma=True):
@@ -315,10 +317,15 @@ class TestCnnBranch:
             data = np.maximum(x.data, 0.0)
             return T._make(data, "relu", (x,), lambda g: (g * (data > 0.0),))
 
+        def conv(x, w, b):  # the unpooled 3 x 3 conv, from the kept columns
+            args = (x.data, w.data, b.data, 1, 1)
+            data = conv2d_keeping_cols(*args, np.zeros(x.shape[:1] + b.shape + x.shape[2:]))[0]
+            return T._make(data, "conv", (x, w, b), lambda g: conv2d_keeping_cols(*args, g)[1:])
+
         def relu_first(x, cfg, params, rngs):
             out = x
             for j in range(len(cfg.cnn_channels)):
-                out = T.conv2d(out, params[f"cnn{j}.weight"], params[f"cnn{j}.bias"], padding=1)
+                out = conv(out, params[f"cnn{j}.weight"], params[f"cnn{j}.bias"])
                 out = T.max_pool2d(relu(out))
                 out = T.dropout(out, cfg.dropout_p, rngs)
             return out
@@ -632,3 +639,26 @@ class TestModelForward:
         err = check_gradients(build, list(params.values()), sample_per_param=3,
                               rng=RngStream(seed=101))
         assert err < 1e-3
+
+
+class TestWholeModelReference:
+    """``model_forward``'s eval logits against ``model_reference``'s plain
+    numpy forward, at the scales where the engine's fast paths run."""
+
+    @pytest.mark.parametrize("cfg,batch", [(tiny_config(), 2), (ModelConfig(image_size=64), 2),
+                                           (ModelConfig(), 1)],
+                             ids=["tiny-32px", "default-64px", "default-224px"])
+    def test_eval_logits_match_the_reference(self, cfg, batch):
+        params = init_params(cfg, RngStream(seed=41))
+        # every parameter off its init, so that no zero bias or positional
+        # embedding hides a slip
+        moves = RngStream(seed=42)
+        for name, t in params.items():
+            t.data += 0.05 * moves.derive(name).normal(t.size).reshape(t.shape)
+        size = cfg.image_size
+        x = RngStream(seed=43).normal(batch * 3 * size * size).reshape(batch, 3, size, size)
+        logits = model_forward(Tensor(x), cfg, params)
+        ref = reference_forward(x, cfg, {name: t.data for name, t in params.items()})
+        for got, want in zip(logits, ref):
+            assert got.shape == want.shape
+            assert np.abs(got.data - want).max() <= 1e-12 * np.abs(want).max()

@@ -398,13 +398,14 @@ class TestDropout:
 
 
 class TestConv2d:
-    def test_hand_worked_3x3(self):
-        # single channel, 3x3 input, 2x2 kernel of ones => windowed sums
-        x = T.Tensor(np.arange(9.0).reshape(1, 1, 3, 3))
-        w = T.Tensor(np.ones((1, 1, 2, 2)))
+    def test_hand_worked_4x4(self):
+        # single channel, 3x3 kernel of ones over a zero-padded 4x4 input:
+        # windowed sums, then the maximum of each 2x2 block of them
+        x = T.Tensor(np.arange(16.0).reshape(1, 1, 4, 4))
+        w = T.Tensor(np.ones((1, 1, 3, 3)))
         b = T.Tensor(np.zeros(1))
         out = T.conv2d(x, w, b).data
-        assert np.array_equal(out[0, 0], np.array([[8.0, 12.0], [20.0, 24.0]]))
+        assert np.array_equal(out[0, 0], np.array([[45.0, 54.0], [81.0, 90.0]]))
 
     def test_bias_added(self):
         x = T.Tensor(np.zeros((1, 1, 2, 2)))
@@ -413,68 +414,51 @@ class TestConv2d:
         out = T.conv2d(x, w, b).data
         assert np.allclose(out[0, :, 0, 0], [1.0, 2.0, 3.0])
 
-    def test_stride_and_padding_geometry(self):
-        # (7 + 2 - 3) / 2 + 1 = 4, an exact integer
-        x = T.Tensor(np.ones((2, 3, 7, 7)))
-        w = T.Tensor(np.ones((4, 3, 3, 3)))
-        b = T.Tensor(np.zeros(4))
-        out = T.conv2d(x, w, b, stride=2, padding=1)
-        assert out.shape == (2, 4, 4, 4)
-        # interior outputs see the full 3x3x3 window of ones
-        assert out.data[0, 0, 1, 1] == 27.0
-
     def test_identity_kernel(self):
         rng = RngStream(seed=8)
         x = rng.normal(2 * 1 * 4 * 4).reshape(2, 1, 4, 4)
         w = np.zeros((1, 1, 3, 3))
         w[0, 0, 1, 1] = 1.0
-        out = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(np.zeros(1)), padding=1).data
-        assert np.allclose(out, x)
+        out = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(np.zeros(1))).data
+        assert np.array_equal(out, _pool_loop(x, np.zeros((2, 1, 2, 2)))[0])
 
-    def test_invalid_geometry_raises(self):
-        x = T.Tensor(np.ones((1, 1, 5, 5)))
-        w = T.Tensor(np.ones((1, 1, 2, 2)))
-        b = T.Tensor(np.zeros(1))
-        with pytest.raises(ShapeError):
-            T.conv2d(x, w, b, stride=2)  # (5-2)/2 not integral
-        with pytest.raises(ShapeError, match="padding"):
-            T.conv2d(T.Tensor(np.ones((2, 1, 6, 6))), w, b, padding=-1)
+    @pytest.mark.parametrize("w_shape", [(1, 1, 2, 2), (1, 1, 3, 1), (1, 1, 4, 4)])
+    def test_even_or_non_square_kernel_raises(self, w_shape):
+        with pytest.raises(ShapeError, match="odd k"):
+            T.conv2d(T.Tensor(np.ones((1, 1, 6, 6))), T.Tensor(np.ones(w_shape)),
+                     T.Tensor(np.zeros(1)))
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
             T.conv2d(T.Tensor(np.ones((1, 2, 4, 4))), T.Tensor(np.ones((1, 3, 3, 3))),
                      T.Tensor(np.zeros(1)))
 
-    @pytest.mark.parametrize("hw,k,stride,padding", [(6, 3, 1, 1), (8, 4, 4, 0)],
-                             ids=["3x3-pad1", "patch-embed-4"])
-    def test_forward_and_backward_match_direct_loop(self, hw, k, stride, padding):
+    def test_forward_and_backward_match_direct_loop(self):
         rng = RngStream(seed=31)
-        B, C, F = 2, 3, 4
+        B, C, F, hw = 2, 3, 4, 6
         x = rng.derive("x").normal(B * C * hw * hw).reshape(B, C, hw, hw)
-        w = rng.derive("w").normal(F * C * k * k).reshape(F, C, k, k)
+        w = rng.derive("w").normal(F * C * 3 * 3).reshape(F, C, 3, 3)
         b = rng.derive("b").normal(F)
         xt, wt, bt = (T.Tensor(a, requires_grad=True) for a in (x, w, b))
-        out = T.conv2d(xt, wt, bt, stride=stride, padding=padding)
-        Ho = (hw + 2 * padding - k) // stride + 1
-        g = rng.derive("g").normal(B * F * Ho * Ho).reshape(B, F, Ho, Ho)
+        out = T.conv2d(xt, wt, bt)
+        g = rng.derive("g").normal(B * F * 3 * 3).reshape(B, F, 3, 3)
         gx, gw, gb = out.op_record.backward(g)
 
-        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        ref = np.zeros((B, F, Ho, Ho))
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        conv = np.zeros((B, F, hw, hw))
+        for i in range(hw):
+            for j in range(hw):
+                conv[:, :, i, j] = np.einsum("bcuv,fcuv->bf", xp[:, :, i:i + 3, j:j + 3], w) + b
+        ref, g_conv = _pool_loop(conv, g)
         ref_gxp = np.zeros_like(xp)
         ref_gw = np.zeros_like(w)
-        for i in range(Ho):
-            for j in range(Ho):
-                rows = slice(i * stride, i * stride + k)
-                cols = slice(j * stride, j * stride + k)
-                patch = xp[:, :, rows, cols]
-                ref[:, :, i, j] = np.einsum("bcuv,fcuv->bf", patch, w) + b
-                ref_gxp[:, :, rows, cols] += np.einsum("bf,fcuv->bcuv", g[:, :, i, j], w)
-                ref_gw += np.einsum("bf,bcuv->fcuv", g[:, :, i, j], patch)
-        ref_gx = ref_gxp[:, :, padding:padding + hw, padding:padding + hw]
+        for i in range(hw):
+            for j in range(hw):
+                ref_gxp[:, :, i:i + 3, j:j + 3] += np.einsum("bf,fcuv->bcuv", g_conv[:, :, i, j], w)
+                ref_gw += np.einsum("bf,bcuv->fcuv", g_conv[:, :, i, j], xp[:, :, i:i + 3, j:j + 3])
         # the column layout sums in another order than the loop: float64 slack
-        for got, want in ((out.data, ref), (gx, ref_gx), (gw, ref_gw),
-                          (gb, g.sum(axis=(0, 2, 3)))):
+        for got, want in ((out.data, ref), (gx, ref_gxp[:, :, 1:-1, 1:-1]), (gw, ref_gw),
+                          (gb, g_conv.sum(axis=(0, 2, 3)))):
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -484,9 +468,9 @@ class TestConv2d:
         w = T.Tensor(rng.derive("w").normal(4 * 3 * 3 * 3).reshape(4, 3, 3, 3),
                      requires_grad=True)
         b = T.Tensor(rng.derive("b").normal(4), requires_grad=True)
-        g = rng.derive("g").normal(2 * 4 * 6 * 6).reshape(2, 4, 6, 6)
-        tracked = T.conv2d(T.Tensor(x, requires_grad=True), w, b, padding=1)
-        untracked = T.conv2d(T.Tensor(x), w, b, padding=1)
+        g = rng.derive("g").normal(2 * 4 * 3 * 3).reshape(2, 4, 3, 3)
+        tracked = T.conv2d(T.Tensor(x, requires_grad=True), w, b)
+        untracked = T.conv2d(T.Tensor(x), w, b)
         _, gw, gb = tracked.op_record.backward(g)
         gx_u, gw_u, gb_u = untracked.op_record.backward(g)
         assert gx_u is None
@@ -607,13 +591,6 @@ class TestMaxPool:
         assert untracked.op_record is None and not untracked.requires_grad
         assert tracked.op_record is not None
         assert untracked.data.tobytes() == tracked.data.tobytes()
-
-    def test_gradient_takes_the_input_memory_order(self):
-        # a conv2d output is F x B x H x W in memory; its gradient should be too
-        v = np.arange(48.0).reshape(3, 2, 2, 4).transpose(1, 0, 2, 3)
-        (gx,) = T.max_pool2d(T.Tensor(v, requires_grad=True)).op_record.backward(
-            np.ones((2, 3, 1, 2)))
-        assert gx.strides == v.strides
 
     @pytest.mark.parametrize("shape", [(1, 1, 3, 4), (1, 1, 4, 7), (2, 3, 4), (1, 1, 0, 2)])
     def test_odd_or_empty_extents_rejected(self, shape):
@@ -773,7 +750,7 @@ class TestGraphHoldsRecords:
         monkeypatch.setattr(T, "backward", inspect_then_backward)
         tr._shard_step(params, cfg, samples, 2, stats, data.train_policy(64),
                        RngStream(seed=5), 0)
-        assert {"conv2d", "dropout", "add", "layer_norm", "linear",
+        assert {"patch_linear", "conv2d", "dropout", "add", "layer_norm", "linear",
                 "attention", "gelu_linear", "matmul", "cross_entropy"} <= \
             {record.name for record in walked}
         # the walk released every record it reached
@@ -835,6 +812,19 @@ def conv2d_keeping_cols(x, w, b, stride, padding, g):
     return out.reshape(F, B, Hh, Ww).transpose(1, 0, 2, 3), gx, gw, g2.sum(axis=1)
 
 
+def pooled_conv2d_keeping_cols(x, w, b, g):
+    """``conv2d``'s output and (input, weight, bias) gradients of sum(out *
+    g), from ``conv2d_keeping_cols``'s stride-1 conv, zero-padded to keep
+    its extents, and ``max_pool2d`` over its output.  The output keeps the
+    conv map's F x B memory order."""
+    pad = w.shape[2] // 2
+    map_shape = x.shape[:1] + b.shape + x.shape[2:]
+    conv_map = conv2d_keeping_cols(x, w, b, 1, pad, np.zeros(map_shape))[0]
+    pooled = T.max_pool2d(T.Tensor(conv_map, requires_grad=True))
+    (g_map,) = pooled.op_record.backward(g)
+    return (pooled.data, *conv2d_keeping_cols(x, w, b, 1, pad, g_map)[1:])
+
+
 def attention_keeping_p(q, k, v, heads, g):
     """Output, probabilities and (q, k, v) gradients of the attention core
     with P kept from the forward, as the record kept it before it rebuilt
@@ -883,17 +873,15 @@ def one_blas_thread():
         T.pin_blas_threads(previous)
 
 
-# (H, W, B, kernel, stride, padding, output rows a band's budget holds):
-# output widths that are not multiples of 8, each cut into at least 3 bands,
-# the last one shorter than the others; most budgets' rows span no multiple
-# of 8 columns, so the band rounds them up
+# (H, W, B, output rows a band's budget holds): output widths that are not
+# multiples of 8, each cut into at least 3 bands, the last one shorter than
+# the others; most budgets' rows span no multiple of 8 columns, or are odd,
+# so the band rounds them up
 _BAND_CASES = {
-    "w10-b1": (20, 10, 1, 3, 1, 1, 6),
-    "w13-b2": (20, 13, 2, 3, 1, 1, 7),
-    "w21-b3": (40, 21, 3, 3, 1, 1, 11),
-    "w11-stride2-b2": (39, 21, 2, 3, 2, 1, 8),
-    "w13-stride2-b1": (79, 25, 1, 3, 2, 1, 13),
-    "w13-patch4-b2": (80, 52, 2, 4, 4, 0, 6),
+    "w10-b1": (20, 10, 1, 6),
+    "w14-b2": (20, 14, 2, 7),
+    "w22-b3": (40, 22, 3, 11),
+    "w14-b2-odd-rows": (28, 14, 2, 5),
 }
 
 
@@ -902,65 +890,57 @@ class TestRebuiltInBackward:
     the gradients equal, bit for bit, those of a backward that reads the
     arrays the forward made, and the closure holds no such array."""
 
-    @pytest.mark.parametrize("hw,k,stride,padding", [(10, 3, 1, 1), (12, 4, 4, 0)],
-                             ids=["3x3-pad1", "patch-embed-4"])
-    def test_conv2d_of_an_untracked_input_keeps_the_image_not_its_columns(
-            self, hw, k, stride, padding):
+    def test_conv2d_of_an_untracked_input_keeps_the_image_not_its_columns(self):
         rng = RngStream(seed=61)
-        x = rng.derive("x").normal(2 * 3 * hw * hw).reshape(2, 3, hw, hw)
-        w, b = _leaves(62, (5, 3, k, k), (5,))
-        out = T.conv2d(T.Tensor(x), w, b, stride=stride, padding=padding)
+        x = rng.derive("x").normal(2 * 3 * 10 * 10).reshape(2, 3, 10, 10)
+        w, b = _leaves(62, (5, 3, 3, 3), (5,))
+        out = T.conv2d(T.Tensor(x), w, b)
         g = rng.derive("g").normal(out.size).reshape(out.shape)
-        ref, _, ref_gw, ref_gb = conv2d_keeping_cols(x, w.data, b.data, stride, padding, g)
+        ref, _, ref_gw, ref_gb = pooled_conv2d_keeping_cols(x, w.data, b.data, g)
         gx, gw, gb = out.op_record.backward(g)
         assert gx is None
         assert np.array_equal(out.data, ref)
         assert np.array_equal(gw, ref_gw) and np.array_equal(gb, ref_gb)
         held = _closure_arrays(out.op_record.backward)
-        B, F, Hh, Ww = out.shape
-        assert not any(a.shape == (k * k * 3, B * Hh * Ww) for a in held)
+        assert not any(a.shape == (27, 2 * 10 * 10) for a in held)
         assert any(a is x for a in held)
 
-    @pytest.mark.parametrize("hw,stride", [(10, 1), (9, 2)], ids=["3x3-pad1", "3x3-stride2"])
-    def test_conv2d_of_a_tracked_input_keeps_its_input_not_its_columns(self, hw, stride):
-        x, w, b = _leaves(63, (2, 3, hw, hw), (4, 3, 3, 3), (4,))
-        out = T.conv2d(x, w, b, stride=stride, padding=1)
+    def test_conv2d_of_a_tracked_input_keeps_its_input_not_its_columns(self):
+        x, w, b = _leaves(63, (2, 3, 10, 10), (4, 3, 3, 3), (4,))
+        out = T.conv2d(x, w, b)
         g = RngStream(seed=68).normal(out.size).reshape(out.shape)
-        ref, *ref_grads = conv2d_keeping_cols(x.data, w.data, b.data, stride, 1, g)
+        ref, *ref_grads = pooled_conv2d_keeping_cols(x.data, w.data, b.data, g)
         assert np.array_equal(out.data, ref)
         for got, want in zip(out.op_record.backward(g), ref_grads):
             assert np.array_equal(got, want)
         held = _closure_arrays(out.op_record.backward)
-        B, F, Hh, Ww = out.shape
-        assert not any(a.shape == (27, B * Hh * Ww) for a in held)
+        assert not any(a.shape == (27, 2 * 10 * 10) for a in held)
         assert any(a is x.data for a in held)
 
     @pytest.mark.parametrize("tracked", [True, False], ids=["tracked", "untracked"])
     @pytest.mark.parametrize("case", _BAND_CASES.values(), ids=_BAND_CASES.keys())
     def test_conv2d_in_bands_matches_the_kept_columns_bytes(
             self, case, tracked, monkeypatch, one_blas_thread):
-        H, W, B, k, stride, padding, rows = case
-        x, w, b = _leaves(71, (B, 3, H, W), (4, 3, k, k), (4,))
+        H, W, B, rows = case
+        x, w, b = _leaves(71, (B, 3, H, W), (4, 3, 3, 3), (4,))
         x.requires_grad = tracked
-        Hh, Ww = (H + 2 * padding - k) // stride + 1, (W + 2 * padding - k) // stride + 1
         # a budget of ``rows`` output rows a band, and no floor on a band's
         # GEMM: the whole product here is small-matrix work as well
-        monkeypatch.setattr(T, "CONV_BAND_BYTES", 8 * k * k * 3 * Ww * rows)
+        monkeypatch.setattr(T, "CONV_BAND_BYTES", 8 * 27 * W * rows)
         monkeypatch.setattr(T, "_SMALL_GEMM_MACS", 0)
-        bands = T._conv_bands(B, Hh, Ww, 4, k * k * 3)
+        bands = T._conv_bands(B, H, W, 4, 27)
         assert len(bands) >= 3 and bands[-1][1] - bands[-1][0] < bands[0][1] - bands[0][0]
-        assert all((i1 - i0) * B * Ww % 8 == 0 for i0, i1 in bands)
-        out = T.conv2d(x, w, b, stride=stride, padding=padding)
+        assert all((i1 - i0) * B * W % 8 == 0 and i0 % 2 == 0 for i0, i1 in bands)
+        out = T.conv2d(x, w, b)
         g = RngStream(seed=72).normal(out.size).reshape(out.shape)
-        ref, ref_gx, ref_gw, ref_gb = conv2d_keeping_cols(x.data, w.data, b.data,
-                                                          stride, padding, g)
+        ref, ref_gx, ref_gw, ref_gb = pooled_conv2d_keeping_cols(x.data, w.data, b.data, g)
         gx, gw, gb = out.op_record.backward(g)
         assert out.data.tobytes() == ref.tobytes()
         assert gw.tobytes() == ref_gw.tobytes() and gb.tobytes() == ref_gb.tobytes()
         assert gx is None if not tracked else gx.tobytes() == ref_gx.tobytes()
         held = _closure_arrays(out.op_record.backward)
         assert any(a is x.data for a in held)
-        assert not any(a.ndim == 2 and a.shape[0] == k * k * 3 for a in held)
+        assert not any(a.ndim == 2 and a.shape[0] == 27 for a in held)
 
     @pytest.mark.parametrize("batch", [1, 2])
     @pytest.mark.parametrize("c_in,c_out,size", [(3, 16, 224), (16, 32, 112), (32, 64, 56)],
@@ -968,11 +948,11 @@ class TestRebuiltInBackward:
     def test_conv2d_bands_at_the_paper_shapes_match_one_band(
             self, c_in, c_out, size, batch, monkeypatch, one_blas_thread):
         x, w, b = _leaves(73, (batch, c_in, size, size), (c_out, c_in, 3, 3), (c_out,))
-        g = RngStream(seed=74).normal(batch * c_out * size * size)
-        g = g.reshape(batch, c_out, size, size)
+        g = RngStream(seed=74).normal(batch * c_out * size * size // 4)
+        g = g.reshape(batch, c_out, size // 2, size // 2)
 
         def output_and_gradient_bytes():
-            out = T.conv2d(x, w, b, padding=1)
+            out = T.conv2d(x, w, b)
             return [a.tobytes() for a in (out.data, *out.op_record.backward(g))]
 
         assert len(T._conv_bands(batch, size, size, c_out, 9 * c_in)) >= 3
@@ -986,11 +966,10 @@ class TestRebuiltInBackward:
     # AVX-512 blocked kernels sum each 576-term dot product in slices, where
     # its small-matrix kernel, which a band of a few rows would take, sums
     # it in one pass; the bands hold 10 rows (9 rounded up to span a
-    # multiple of 8 columns).  21px: 441 columns, whose last one the whole
-    # product computes with a tail kernel, so one band; 3 bands of it give
-    # other output bits
-    @pytest.mark.parametrize("size,c_in,c_out,count", [(52, 64, 4, 5), (21, 32, 64, 1)],
-                             ids=["52px-deep", "21px-tail"])
+    # multiple of 8 columns).  22px: 484 columns, whose last four the whole
+    # product computes with a tail kernel, so one band
+    @pytest.mark.parametrize("size,c_in,c_out,count", [(52, 64, 4, 5), (22, 32, 64, 1)],
+                             ids=["52px-deep", "22px-tail"])
     def test_conv2d_bands_cut_by_the_kernel_rules_match_the_kept_columns_bytes(
             self, size, c_in, c_out, count, monkeypatch, one_blas_thread):
         x, w, b = _leaves(75, (1, c_in, size, size), (c_out, c_in, 3, 3), (c_out,))
@@ -998,9 +977,9 @@ class TestRebuiltInBackward:
         bands = T._conv_bands(1, size, size, c_out, 9 * c_in)
         assert len(bands) == count
         assert all(c_out * 9 * c_in * size * (i1 - i0) > T._SMALL_GEMM_MACS for i0, i1 in bands)
-        out = T.conv2d(x, w, b, padding=1)
+        out = T.conv2d(x, w, b)
         g = RngStream(seed=76).normal(out.size).reshape(out.shape)
-        ref, *ref_grads = conv2d_keeping_cols(x.data, w.data, b.data, 1, 1, g)
+        ref, *ref_grads = pooled_conv2d_keeping_cols(x.data, w.data, b.data, g)
         assert out.data.tobytes() == ref.tobytes()
         for got, want in zip(out.op_record.backward(g), ref_grads):
             assert got.tobytes() == want.tobytes()
@@ -1089,29 +1068,25 @@ class TestRebuiltInBackward:
         assert gx.tobytes() == ref_gx.tobytes()
 
 
-def _pooled_conv_matches_conv_then_pool(x, w, b, seed, **conv):
-    """Run ``conv2d(..., pool=True)`` and ``max_pool2d`` over ``conv2d``
-    on the same leaves; assert byte-equal outputs (in the same memory
-    order) and input, weight and bias gradients.  Returns the pooled
-    output."""
-    pooled = T.conv2d(x, w, b, pool=True, **conv)
-    conv_out = T.conv2d(x, w, b, **conv)
-    ref = T.max_pool2d(conv_out)
-    assert pooled.data.tobytes() == ref.data.tobytes()
+def _pooled_conv_matches_the_kept_columns(x, w, b, seed):
+    """Run ``conv2d`` and ``pooled_conv2d_keeping_cols`` on the same leaves;
+    assert byte-equal outputs, in the same memory order, and input, weight
+    and bias gradients.  Returns the output."""
+    pooled = T.conv2d(x, w, b)
+    g = RngStream(seed=seed).normal(pooled.size).reshape(pooled.shape)
+    ref, *ref_grads = pooled_conv2d_keeping_cols(x.data, w.data, b.data, g)
+    assert pooled.data.tobytes() == ref.tobytes()
     assert [s for s, n in zip(pooled.data.strides, pooled.shape) if n > 1] == \
-        [s for s, n in zip(ref.data.strides, ref.shape) if n > 1]
-    g = RngStream(seed=seed).normal(ref.size).reshape(ref.shape)
-    (g_conv,) = ref.op_record.backward(g)
-    got, want = pooled.op_record.backward(g), conv_out.op_record.backward(g_conv)
-    for a, e in zip(got, want):
-        assert a is None and e is None or a.tobytes() == e.tobytes()
+        [s for s, n in zip(ref.strides, ref.shape) if n > 1]
+    for got, want in zip(pooled.op_record.backward(g), ref_grads):
+        assert got.tobytes() == want.tobytes()
     return pooled
 
 
 class TestPooledConv:
-    """``conv2d(..., pool=True)`` pools each band of its output as the band
-    is made, with ``max_pool2d``'s kernel; it gives the bytes of
-    ``max_pool2d`` over the plain conv, forward and backward."""
+    """``conv2d`` pools each band of its output as the band is made, with
+    ``max_pool2d``'s kernel; it gives the bytes of ``max_pool2d`` over the
+    conv of the kept columns, forward and backward."""
 
     # the paper's three CNN convs at 224 px; a band of the first one holds
     # 44 output rows (a 2 MiB budget gives 43, which the even-row rule
@@ -1126,14 +1101,14 @@ class TestPooledConv:
         if c_in == 3:
             assert bands[1][0] == 44
         x, w, b = _leaves(81, (batch, c_in, size, size), (c_out, c_in, 3, 3), (c_out,))
-        _pooled_conv_matches_conv_then_pool(x, w, b, 82, padding=1)
+        _pooled_conv_matches_the_kept_columns(x, w, b, 82)
 
     @pytest.mark.parametrize("batch,c_out,size", [(16, 4, 32), (4, 16, 64)],
                              ids=["tiny-32px-b16", "paper-64px-b4"])
     def test_tiny_and_64px_convs_match_conv_then_pool(self, batch, c_out, size,
                                                       one_blas_thread):
         x, w, b = _leaves(83, (batch, 3, size, size), (c_out, 3, 3, 3), (c_out,))
-        _pooled_conv_matches_conv_then_pool(x, w, b, 84, padding=1)
+        _pooled_conv_matches_the_kept_columns(x, w, b, 84)
 
     def test_tied_floored_and_nan_windows_match_conv_then_pool_across_bands(
             self, monkeypatch):
@@ -1150,7 +1125,7 @@ class TestPooledConv:
         assert T._conv_bands(2, 8, 8, 1, 1) == [(0, 2), (2, 4), (4, 6), (6, 8)]
         x, w, b = T.Tensor(x, requires_grad=True), *_leaves(86, (1, 1, 1, 1), (1,))
         w.data[...], b.data[...] = 1.0, 0.0
-        pooled = _pooled_conv_matches_conv_then_pool(x, w, b, 87)
+        pooled = _pooled_conv_matches_the_kept_columns(x, w, b, 87)
         ref, _ = _pool_loop(x.data, np.zeros(pooled.shape))
         assert np.array_equal(pooled.data, ref, equal_nan=True)
         assert np.isnan(pooled.data[1, 0]).sum() == 3 and (pooled.data[0, 0, ::3] == 0).all()
@@ -1158,18 +1133,17 @@ class TestPooledConv:
     def test_untracked_conv_builds_no_masks(self, monkeypatch):
         x = RngStream(seed=88).normal(2 * 3 * 8 * 8).reshape(2, 3, 8, 8)
         w, b = _leaves(89, (4, 3, 3, 3), (4,))
-        tracked = T.conv2d(T.Tensor(x), w, b, padding=1, pool=True)
+        tracked = T.conv2d(T.Tensor(x), w, b)
         calls, pool_into = [], T._pool_into
         monkeypatch.setattr(T, "_pool_into", lambda v, out, masks: calls.append(masks)
                             or pool_into(v, out, masks))
-        untracked = T.conv2d(T.Tensor(x), T.Tensor(w.data), T.Tensor(b.data), padding=1,
-                             pool=True)
+        untracked = T.conv2d(T.Tensor(x), T.Tensor(w.data), T.Tensor(b.data))
         assert calls == [None] and untracked.op_record is None
         assert untracked.data.tobytes() == tracked.data.tobytes()
 
     def test_record_keeps_input_weights_and_one_routing_array_not_the_conv_map(self):
         x, w, b = _leaves(90, (2, 3, 8, 8), (4, 3, 3, 3), (4,))
-        out = T.conv2d(x, w, b, padding=1, pool=True)
+        out = T.conv2d(x, w, b)
         held = _closure_arrays(out.op_record.backward)
         assert any(a is x.data for a in held)
         # the conv map would be 4 x 2 x 8 x 8; the largest other array is
@@ -1186,20 +1160,19 @@ class TestPooledConv:
         (route,) = _closure_arrays(T.max_pool2d(x).op_record.backward)
         assert route.dtype == np.uint8 and route.shape == (2, 3, 2, 3)
 
-    @pytest.mark.parametrize("hw", [(5, 8), (8, 7)])
+    @pytest.mark.parametrize("hw", [(5, 8), (8, 7), (0, 4)])
     def test_odd_output_extents_rejected(self, hw):
         x, w, b = _leaves(91, (1, 3) + hw, (4, 3, 3, 3), (4,))
         with pytest.raises(ShapeError, match="pool needs even"):
-            T.conv2d(x, w, b, padding=1, pool=True)
+            T.conv2d(x, w, b)
 
 
-def _whole_width_builds(monkeypatch, x, w, b, **conv):
+def _whole_width_builds(monkeypatch, x, w, b):
     """How many whole-width im2col column arrays (every kernel offset's
-    rows, one column per output position) a conv's backward builds for its
-    weight gradient."""
-    out = T.conv2d(x, w, b, **conv)
+    rows, one column per conv map position) a conv's backward builds for
+    its weight gradient."""
+    out = T.conv2d(x, w, b)
     g = RngStream(seed=95).normal(out.size).reshape(out.shape)
-    positions = out.size // out.shape[1] * (4 if conv.get("pool") else 1)
     shapes, im2col = [], T._im2col
 
     def spy(view):
@@ -1209,29 +1182,47 @@ def _whole_width_builds(monkeypatch, x, w, b, **conv):
 
     monkeypatch.setattr(T, "_im2col", spy)
     out.op_record.backward(g)
-    return shapes.count((w.size // w.shape[0], positions))
+    return shapes.count((w.size // w.shape[0], x.size // x.shape[1]))
 
 
-# the child forces OpenBLAS's AVX2 kernels, which the variable selects when
-# the library loads, and checks the paper's 224 px CNN convs on them
-_HASWELL_ROWS = """
-import ctypes, sys
-sys.path.insert(0, sys.argv[1])
-from hgtnet import tensor as T
-from hgtnet.rng import RngStream
-from test_tensor_ops import _leaves, conv2d_keeping_cols
-corename = T._numpy_openblas().scipy_openblas_get_corename64_
-corename.restype = ctypes.c_char_p
-assert corename() == b"Haswell", corename()
+def run_on_haswell_kernels(script):
+    """Run ``script`` in a child Python whose OpenBLAS uses its Haswell
+    (AVX2) kernels, which ``OPENBLAS_CORETYPE`` selects only when the
+    library loads, and assert that the child exits 0.  The child imports
+    ``hgtnet`` from this checkout and can import this directory's modules;
+    before the script it asserts the core that OpenBLAS reports.  Skips
+    where the CPU lacks avx2 or fma, since a forced kernel that the CPU
+    lacks faults."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            words = set(f.read().split())
+    except OSError:
+        words = set()
+    if not {"avx2", "fma"} <= words:
+        pytest.skip("the CPU lacks avx2 or fma, which OpenBLAS's Haswell kernels use")
+    if T._numpy_openblas() is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, here, os.environ.get("PYTHONPATH")])))
+    prelude = ("import ctypes\nfrom hgtnet import tensor as T\n"
+               "corename = T._numpy_openblas().scipy_openblas_get_corename64_\n"
+               "corename.restype = ctypes.c_char_p\n"
+               "assert corename() == b'Haswell', corename()\n")
+    done = subprocess.run([sys.executable, "-c", prelude + script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+# the paper's 224 px CNN convs, at one BLAS thread as the model runs them
+_HASWELL_CONVS = """
+from test_tensor_ops import _leaves, _pooled_conv_matches_the_kept_columns
 T.pin_blas_threads(1)
-for c_in, c_out, size in ((3, 16, 224), (16, 32, 112), (32, 64, 56)):
-    x, w, b = _leaves(98, (1, c_in, size, size), (c_out, c_in, 3, 3), (c_out,))
-    out = T.conv2d(x, w, b, padding=1)
-    g = RngStream(seed=99).normal(out.size).reshape(out.shape)
-    _, ref_gx, ref_gw, _ = conv2d_keeping_cols(x.data, w.data, b.data, 1, 1, g)
-    gx, gw, _ = out.op_record.backward(g)
-    assert gx.tobytes() == ref_gx.tobytes(), ("input gradient", c_in)
-    assert gw.tobytes() == ref_gw.tobytes(), ("weight gradient", c_in)
+for batch in (1, 2):
+    for c_in, c_out, size in ((3, 16, 224), (16, 32, 112), (32, 64, 56)):
+        x, w, b = _leaves(98, (batch, c_in, size, size), (c_out, c_in, 3, 3), (c_out,))
+        _pooled_conv_matches_the_kept_columns(x, w, b, 99)
 """
 
 
@@ -1241,74 +1232,52 @@ class TestBackwardByKernelRow:
     its input-gradient columns (where a row's kw*C weight columns are a
     multiple of 4), with the whole-width products' bytes."""
 
-    # the 64 px cnn1 and cnn2 convs of a one-sample task, the 224 px patch
-    # embed, and the paper's three 224 px CNN convs at batch 1 and 2
-    @pytest.mark.parametrize("x_shape,w_shape,stride,padding", [
-        ((1, 16, 32, 32), (32, 16, 3, 3), 1, 1),
-        ((1, 32, 16, 16), (64, 32, 3, 3), 1, 1),
-        ((1, 3, 224, 224), (128, 3, 16, 16), 16, 0),
-        ((1, 3, 224, 224), (16, 3, 3, 3), 1, 1),
-        ((1, 16, 112, 112), (32, 16, 3, 3), 1, 1),
-        ((1, 32, 56, 56), (64, 32, 3, 3), 1, 1),
-        ((2, 3, 224, 224), (16, 3, 3, 3), 1, 1),
-        ((2, 16, 112, 112), (32, 16, 3, 3), 1, 1),
-        ((2, 32, 56, 56), (64, 32, 3, 3), 1, 1),
-    ], ids=["cnn1-32", "cnn2-16", "patch-embed-224", "cnn0-224-b1", "cnn1-112-b1",
-            "cnn2-56-b1", "cnn0-224-b2", "cnn1-112-b2", "cnn2-56-b2"])
-    def test_row_products_match_the_kept_columns_bytes(self, x_shape, w_shape, stride,
-                                                       padding, one_blas_thread):
+    # the 64 px cnn1 and cnn2 convs of a one-sample task, and the paper's
+    # three 224 px CNN convs at batch 1 and 2
+    @pytest.mark.parametrize("x_shape,w_shape", [
+        ((1, 16, 32, 32), (32, 16, 3, 3)),
+        ((1, 32, 16, 16), (64, 32, 3, 3)),
+        ((1, 3, 224, 224), (16, 3, 3, 3)),
+        ((1, 16, 112, 112), (32, 16, 3, 3)),
+        ((1, 32, 56, 56), (64, 32, 3, 3)),
+        ((2, 3, 224, 224), (16, 3, 3, 3)),
+        ((2, 16, 112, 112), (32, 16, 3, 3)),
+        ((2, 32, 56, 56), (64, 32, 3, 3)),
+    ], ids=["cnn1-32", "cnn2-16", "cnn0-224-b1", "cnn1-112-b1", "cnn2-56-b1", "cnn0-224-b2",
+            "cnn1-112-b2", "cnn2-56-b2"])
+    def test_row_products_match_the_kept_columns_bytes(self, x_shape, w_shape,
+                                                       one_blas_thread):
         x, w, b = _leaves(93, x_shape, w_shape, w_shape[:1])
-        out = T.conv2d(x, w, b, stride=stride, padding=padding)
         F, C, _, kw = w_shape
-        assert F * kw * C * (out.size // F) > T._SMALL_GEMM_MACS  # one row's product
-        g = RngStream(seed=94).normal(out.size).reshape(out.shape)
-        _, ref_gx, ref_gw, _ = conv2d_keeping_cols(x.data, w.data, b.data, stride, padding, g)
-        gx, gw, _ = out.op_record.backward(g)
-        assert gx.tobytes() == ref_gx.tobytes()
-        assert gw.tobytes() == ref_gw.tobytes()
+        assert F * kw * C * (x.size // C) > T._SMALL_GEMM_MACS  # one row's product
+        _pooled_conv_matches_the_kept_columns(x, w, b, 94)
 
     # the --tiny conv over an inline batch and the first 64 px CNN conv of a
     # one-sample task keep the whole-width product, and with it their bits;
     # every other conv the model runs builds no whole-width columns
-    @pytest.mark.parametrize("x_shape,w_shape,conv,whole", [
-        ((16, 3, 32, 32), (4, 3, 3, 3), dict(padding=1, pool=True), 1),
-        ((1, 3, 64, 64), (16, 3, 3, 3), dict(padding=1, pool=True), 1),
-        ((1, 16, 32, 32), (32, 16, 3, 3), dict(padding=1, pool=True), 0),
-        ((1, 32, 16, 16), (64, 32, 3, 3), dict(padding=1, pool=True), 0),
-        ((1, 3, 224, 224), (128, 3, 16, 16), dict(stride=16), 0),
-        ((1, 3, 224, 224), (16, 3, 3, 3), dict(padding=1, pool=True), 0),
-        ((1, 16, 112, 112), (32, 16, 3, 3), dict(padding=1, pool=True), 0),
-        ((1, 32, 56, 56), (64, 32, 3, 3), dict(padding=1, pool=True), 0),
-    ], ids=["tiny-32px-b16", "cnn0-64", "cnn1-32", "cnn2-16", "patch-embed-224",
-            "cnn0-224", "cnn1-112", "cnn2-56"])
+    @pytest.mark.parametrize("x_shape,w_shape,whole", [
+        ((16, 3, 32, 32), (4, 3, 3, 3), 1),
+        ((1, 3, 64, 64), (16, 3, 3, 3), 1),
+        ((1, 16, 32, 32), (32, 16, 3, 3), 0),
+        ((1, 32, 16, 16), (64, 32, 3, 3), 0),
+        ((1, 3, 224, 224), (16, 3, 3, 3), 0),
+        ((1, 16, 112, 112), (32, 16, 3, 3), 0),
+        ((1, 32, 56, 56), (64, 32, 3, 3), 0),
+    ], ids=["tiny-32px-b16", "cnn0-64", "cnn1-32", "cnn2-16", "cnn0-224", "cnn1-112",
+            "cnn2-56"])
     def test_only_products_above_the_small_matrix_size_go_by_row(
-            self, monkeypatch, x_shape, w_shape, conv, whole):
+            self, monkeypatch, x_shape, w_shape, whole):
         x, w, b = _leaves(94, x_shape, w_shape, w_shape[:1])
-        assert _whole_width_builds(monkeypatch, x, w, b, **conv) == whole
+        assert _whole_width_builds(monkeypatch, x, w, b) == whole
 
     def test_row_products_match_the_kept_columns_bytes_on_haswell_kernels(self):
-        try:
-            with open("/proc/cpuinfo") as f:
-                words = set(f.read().split())
-        except OSError:
-            words = set()
-        if not {"avx2", "fma"} <= words:
-            pytest.skip("the CPU lacks avx2 or fma, which OpenBLAS's Haswell kernels use")
-        if T._numpy_openblas() is None:
-            pytest.skip("numpy bundles no OpenBLAS here")
-        here = os.path.dirname(os.path.abspath(__file__))
-        src = os.path.join(os.path.dirname(here), "src")
-        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", _HASWELL_ROWS, here], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
+        run_on_haswell_kernels(_HASWELL_CONVS)
 
     # 9.4 MiB: the conv map's gradient, a padded input or its gradient, and
     # one row's 48 x 12544 columns, against 13.8 MiB of whole-width columns
     def test_traced_peak_of_the_second_224px_cnn_conv_backward(self):
         x, w, b = _leaves(96, (1, 16, 112, 112), (32, 16, 3, 3), (32,))
-        out = T.conv2d(x, w, b, padding=1, pool=True)
+        out = T.conv2d(x, w, b)
         g = RngStream(seed=97).normal(out.size).reshape(out.shape)
         columns = 9 * 16 * 112 * 112 * 8 / 2**20  # 13.8 MiB
         if tracemalloc.is_tracing():
@@ -1320,6 +1289,72 @@ class TestBackwardByKernelRow:
         finally:
             tracemalloc.stop()
         assert peak <= 9.9 and peak < columns, f"{peak:.1f} MiB"
+
+
+def _patch_linear_matches_the_kept_columns(batch, size, d):
+    """Assert that ``patch_linear`` gives, as tokens, the bytes of
+    ``conv2d_keeping_cols`` at stride 16 without padding, forward and
+    backward, and that its record keeps the image, not its columns."""
+    x, w, b = _leaves(35, (batch, 3, size, size), (d, 3, 16, 16), (d,))
+    out = T.patch_linear(x, w, b)
+    g = RngStream(seed=36).normal(out.size).reshape(out.shape)
+    grid = size // 16
+    g_map = g.transpose(0, 2, 1).reshape(batch, d, grid, grid)
+    ref, *ref_grads = conv2d_keeping_cols(x.data, w.data, b.data, 16, 0, g_map)
+    assert out.data.tobytes() == ref.reshape(batch, d, -1).transpose(0, 2, 1).tobytes()
+    for got, want in zip(out.op_record.backward(g), ref_grads):
+        assert got.tobytes() == want.tobytes()
+    held = _closure_arrays(out.op_record.backward)
+    assert any(a is x.data for a in held)
+    assert not any(a.shape == (768, batch * grid * grid) for a in held)
+
+
+# the paper's 224 px patch embedding, at one BLAS thread as the model runs it
+_HASWELL_PATCHES = """
+from test_tensor_ops import _patch_linear_matches_the_kept_columns
+T.pin_blas_threads(1)
+for batch in (1, 2):
+    _patch_linear_matches_the_kept_columns(batch, 224, 128)
+"""
+
+
+class TestPatchLinear:
+    """``patch_linear`` is the conv at stride P without padding, read as
+    tokens: a loop over the patches gives its values, and the conv's kept
+    columns its bytes."""
+
+    def test_matches_a_loop_over_the_patches(self):
+        # a non-square image, so patches taken column by column fail
+        rng = RngStream(seed=37)
+        B, C, H, W, P, d = 2, 3, 8, 12, 4, 5
+        x = rng.derive("x").normal(B * C * H * W).reshape(B, C, H, W)
+        w = rng.derive("w").normal(d * C * P * P).reshape(d, C, P, P)
+        b = rng.derive("b").normal(d)
+        out = T.patch_linear(*(T.Tensor(a, requires_grad=True) for a in (x, w, b)))
+        g = rng.derive("g").normal(out.size).reshape(out.shape)
+        gx, gw, gb = out.op_record.backward(g)
+        ref, ref_gx, ref_gw = np.zeros((B, 6, d)), np.zeros_like(x), np.zeros_like(w)
+        for n, (i, j) in enumerate(np.ndindex(H // P, W // P)):
+            patch = (Ellipsis, slice(i * P, i * P + P), slice(j * P, j * P + P))
+            ref[:, n] = np.einsum("bcuv,fcuv->bf", x[patch], w) + b
+            ref_gx[patch] = np.einsum("bf,fcuv->bcuv", g[:, n], w)
+            ref_gw += np.einsum("bf,bcuv->fcuv", g[:, n], x[patch])
+        for got, want in ((out.data, ref), (gx, ref_gx), (gw, ref_gw), (gb, g.sum(axis=(0, 1)))):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("batch,size,d", [(1, 224, 128), (2, 224, 128), (16, 32, 8)],
+                             ids=["224px-b1", "224px-b2", "tiny-32px-b16"])
+    def test_matches_the_kept_columns_bytes(self, batch, size, d, one_blas_thread):
+        _patch_linear_matches_the_kept_columns(batch, size, d)
+
+    def test_matches_the_kept_columns_bytes_on_haswell_kernels(self):
+        run_on_haswell_kernels(_HASWELL_PATCHES)
+
+    @pytest.mark.parametrize("hw", [(30, 32), (32, 40), (8, 16)])
+    def test_extents_not_a_multiple_of_the_patch_size_raise(self, hw):
+        with pytest.raises(ShapeError, match="multiples of P"):
+            T.patch_linear(T.Tensor(np.ones((1, 3) + hw)), *_leaves(38, (4, 3, 16, 16), (4,)))
 
 
 def _held_bytes_by_op(records, skip):
@@ -1346,8 +1381,8 @@ class TestHeldArrays:
         stats = data.compute_stats(samples)
         params = init_params(cfg, RngStream(seed=5))
         B = len(samples)  # a forward takes the images, or their rotated copies
-        # the K x N im2col columns of every conv: the patch embed (whose
-        # columns have as many entries as the image), then the CNN
+        # the K x N im2col columns of the patch embedding (as many entries
+        # as the image) and of every CNN conv
         g = cfg.image_size // cfg.patch_size
         cols_shapes = {(3 * cfg.patch_size ** 2, B * g * g)}
         for j, c_in in enumerate((3,) + cfg.cnn_channels[:-1]):
@@ -1359,9 +1394,9 @@ class TestHeldArrays:
             # the CNN's ReLU is max_pool2d's floor, not a record of its own
             assert "relu" not in {record.name for record in records}
             for record in records:
-                if record.name == "conv2d":
+                if record.name in ("conv2d", "patch_linear"):
                     shapes = {a.shape for a in _closure_arrays(record.backward)}
-                    assert not shapes & cols_shapes, "a conv2d record holds im2col columns"
+                    assert not shapes & cols_shapes, f"a {record.name} record holds columns"
             # the parameters live on without the graph, so they do not count
             walks.append(_held_bytes_by_op(records, {id(p.data) for p in params.values()}))
             real_backward(loss)
@@ -1371,12 +1406,13 @@ class TestHeldArrays:
                        RngStream(seed=5), 0)
         held = max(walks, key=lambda h: sum(h.values()))  # the larger walk
         assert "conv2d" in held
-        # 3.81 MiB: conv2d 1.55 (inputs, weight matrices and pool routing),
+        # 3.06 MiB: conv2d 0.80 (inputs, weight matrices and pool routing),
         # linear 0.69, attention 0.67, gelu_linear 0.50, layer_norm 0.25;
-        # 4.48 MiB when the MLP's second linear map kept its GELU output and
-        # each pool four bool masks, 7.65 MiB when one walk took the images
-        # and their copies
+        # 3.81 MiB when the patch embedding's record kept its 0.75 MiB
+        # weight matrix, 4.48 MiB when the MLP's second linear map also kept
+        # its GELU output and each pool four bool masks, 7.65 MiB when one
+        # walk took the images and their copies
         total = sum(held.values()) / 2**20
         top = ", ".join(f"{name} {n / 2**20:.2f}" for name, n in
                         sorted(held.items(), key=lambda kv: -kv[1])[:3])
-        assert total <= 4.2, f"records hold {total:.2f} MiB; most: {top} MiB"
+        assert total <= 3.4, f"records hold {total:.2f} MiB; most: {top} MiB"
