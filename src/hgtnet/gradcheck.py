@@ -165,6 +165,7 @@ def op_battery(seed: int) -> list[tuple[str, Callable[[list[T.Tensor]], T.Tensor
     m1, m2 = t(3, 4, key="mm-a"), t(4, 2, key="mm-b")
     bm1, bm2 = t(2, 3, 4, key="bmm-a"), t(2, 4, 2, key="bmm-b")
     lx3, lw, lbias = t(2, 3, 4, key="lin-x"), t(4, 5, key="lin-w"), t(5, key="lin-b")
+    lw0 = t(4, 4, key="lin-w0")  # a projection without a bias feeds the affine map
     aq, ak, av = t(2, 3, 4, key="att-q"), t(2, 5, 4, key="att-k"), t(2, 5, 4, key="att-v")
     sx = t(3, 6, key="softmax")
     mask = np.ones((3, 6), dtype=bool)
@@ -189,8 +190,9 @@ def op_battery(seed: int) -> list[tuple[str, Callable[[list[T.Tensor]], T.Tensor
         ("matmul", lambda ps: T.tsum(T.matmul(m1, m2) * w(3, 2, key="mm-w")), [m1, m2]),
         ("batch_matmul", lambda ps: T.tsum(T.matmul(bm1, bm2) * w(2, 3, 2, key="bmm-w")),
          [bm1, bm2]),
-        ("linear", lambda ps: T.tsum(T.linear(lx3, lw, lbias) * w(2, 3, 5, key="lin-o")),
-         [lx3, lw, lbias]),
+        ("linear",
+         lambda ps: T.tsum(T.linear(T.linear(lx3, lw0), lw, lbias) * w(2, 3, 5, key="lin-o")),
+         [lx3, lw0, lw, lbias]),
         ("attention", lambda ps: T.tsum(T.attention(aq, ak, av, 2) * w(2, 3, 4, key="att-o")),
          [aq, ak, av]),
         ("softmax", lambda ps: T.tsum(T.softmax(sx) * w(3, 6, key="sm-w")), [sx]),

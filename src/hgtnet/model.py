@@ -25,7 +25,7 @@ from .errors import ConfigError, ShapeError
 from .rng import RngStream
 from .tensor import Tensor
 
-# the paper default has 1,065,513 parameters; with Adam's two moments each
+# the paper default has 1,064,873 parameters; with Adam's two moments each
 # one costs 24 bytes, so the cap keeps a model near 3 GB
 MAX_PARAMS = 2 ** 27
 
@@ -142,7 +142,7 @@ def _param_spec(cfg: ModelConfig, encoder_layers: int | None = None
         spec[p + "ln1.beta"] = ((d,), None)
         for name in ("wq", "wk", "wv", "wo"):
             spec[p + "attn." + name] = ((d, d), d)
-        for name in ("bq", "bk", "bv", "bo"):
+        for name in ("bq", "bv", "bo"):
             spec[p + "attn." + name] = ((d,), None)
         spec[p + "ln2.gamma"] = ((d,), "ones")
         spec[p + "ln2.beta"] = ((d,), None)
@@ -161,7 +161,7 @@ def _param_spec(cfg: ModelConfig, encoder_layers: int | None = None
     spec["cross.proj.b"] = ((d,), None)
     for name in ("wq", "wk", "wv", "wo"):
         spec["cross.attn." + name] = ((d, d), d)
-    for name in ("bq", "bk", "bv", "bo"):
+    for name in ("bq", "bv", "bo"):
         spec["cross.attn." + name] = ((d,), None)
     spec["cross.fuse.w"] = ((2 * d, d), 2 * d)
     spec["cross.fuse.b"] = ((d,), None)
@@ -241,7 +241,7 @@ def attention(q_tokens: Tensor, kv_tokens: Tensor, heads: int,
     P, rebuilt with the forward's steps, under the prefix without its
     trailing dot (``enc0.attn``)."""
     q = T.linear(q_tokens, params[prefix + "wq"], params[prefix + "bq"])
-    k = T.linear(kv_tokens, params[prefix + "wk"], params[prefix + "bk"])
+    k = T.linear(kv_tokens, params[prefix + "wk"])
     v = T.linear(kv_tokens, params[prefix + "wv"], params[prefix + "bv"])
     ctx = T.attention(q, k, v, heads)
     if capture is not None:

@@ -28,11 +28,12 @@ is one product over a reshape of the image.  The attention forward builds
 the probabilities one head at a time, and its backward rebuilds them the
 same way.
 
-The op set is small: the ops a model pass records, plus ``take_rows``,
-``max_pool2d`` and the plain ``gelu``, which none records and which stay
-because the benchmark's tracer binds them by name.  add/mul broadcast as
-numpy does, and matmul over batch dims.  Ops take ``Tensor`` inputs; only
-add and mul (and so ``+`` and ``*``) also take a plain number.
+The op set is small: the ops a model pass records, plus ``take_rows`` and
+``max_pool2d``, which none records and which stay because the benchmark's
+tracer binds them by name, and the plain ``gelu``, the bit reference that
+the tests hold ``gelu_linear`` to.  add/mul broadcast as numpy does, and
+matmul over batch dims.  Ops take ``Tensor`` inputs; only add and mul (and
+so ``+`` and ``*``) also take a plain number.
 """
 
 from __future__ import annotations
@@ -267,29 +268,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, "matmul", (a, b), backward)
 
 
-def _check_affine(op: str, x: Tensor, w: Tensor, b: Tensor) -> None:
-    if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+def _check_affine(op: str, x: Tensor, w: Tensor, bias_shape: tuple[int, ...]) -> None:
+    if x.ndim < 1 or w.ndim != 2 or x.shape[-1] != w.shape[0] or bias_shape != w.shape[1:]:
         raise ShapeError(f"{op} needs (..., din) @ (din, dout) + (dout,), "
-                         f"got {x.shape}, {w.shape}, {b.shape}")
+                         f"got {x.shape}, {w.shape}, {bias_shape}")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b`` over the last axis of x (..., din), with w
-    (din, dout) and b (dout,), as one record.  The weight gradient is one
-    2-D product on the (rows, din) view and the bias gradient one row sum."""
-    _check_affine("linear", x, w, b)
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Affine map ``x @ w + b``, or ``x @ w`` without b, over the last axis of
+    x (..., din), with w (din, dout) and b (dout,), as one record.  The weight
+    gradient is one 2-D product on the (rows, din) view, the bias gradient one row sum."""
+    _check_affine("linear", x, w, w.shape[1:] if b is None else b.shape)
     din, dout = w.shape
     rows = x.data.reshape(-1, din)
     wd, x_shape, x_tracked = w.data, x.shape, x.requires_grad
     out = rows @ wd
-    out += b.data
+    if b is not None:
+        out += b.data
 
     def backward(g):
         g2 = g.reshape(-1, dout)
         gx = (g2 @ wd.T).reshape(x_shape) if x_tracked else None
-        return gx, rows.T @ g2, g2.sum(axis=0)
+        return (gx, rows.T @ g2) if b is None else (gx, rows.T @ g2, g2.sum(axis=0))
 
-    return _make(out.reshape(x_shape[:-1] + (dout,)), "linear", (x, w, b), backward)
+    return _make(out.reshape(x_shape[:-1] + (dout,)), "linear",
+                 (x, w) if b is None else (x, w, b), backward)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -583,7 +586,7 @@ def gelu_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     once, as ``gelu``'s backward does, forms gelu(x) from it with the
     forward's own steps for the weight gradient, and its derivative from the
     same tanh for the input gradient."""
-    _check_affine("gelu_linear", x, w, b)
+    _check_affine("gelu_linear", x, w, b.shape)
     din, dout = w.shape
     v, wd, x_tracked = x.data, w.data, x.requires_grad
     hidden, _ = _gelu(v)

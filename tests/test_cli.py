@@ -1,7 +1,8 @@
 """Command-line contracts: artifact sets, exit codes, determinism, and
-config merge precedence.  Commands run in-process via main(argv); the
-corruption self-tests restore ``tensor._make`` afterwards, and one of them
-runs in a subprocess to see the real exit code."""
+config merge precedence.  Commands run in-process via main(argv), except
+the pinned runs, which run in a child process on OpenBLAS's Haswell
+kernels; the corruption self-tests restore ``tensor._make`` afterwards, and
+one of them runs in a subprocess to see the real exit code."""
 
 import argparse
 import csv
@@ -12,12 +13,14 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from haswell_kernels import run_on_haswell_kernels
 from hgtnet import checkpoint as ckpt
 from hgtnet import cli, data
 from hgtnet import tensor as T
@@ -38,26 +41,26 @@ TRAIN_ARGS = ["train", "--synth", "--per-class", "8", "--tiny",
               "--seed", "7"]
 
 
-# what the TRAIN_ARGS run writes: the SHA-256 of its final parameters (bytes
-# in sorted name order), its per-epoch train and test losses, and the
-# SHA-256 of its predictions.csv
-TINY_RUN_PARAMS_SHA256 = "5961cd7a80272414e5226d943ddb6ec3a9994978a00f9b85d6edc49be0b710b2"
+# what the TRAIN_ARGS run writes on OpenBLAS's Haswell (AVX2) kernels: the
+# SHA-256 of its final parameters (bytes in sorted name order), its
+# per-epoch train and test losses, and the SHA-256 of its predictions.csv
+TINY_RUN_PARAMS_SHA256 = "12c4285bc5cf8eeef7603c9387d051eac76039e7839ea71700a4999385f1e3b6"
 TINY_RUN_TRAIN_LOSSES = [1.7210075959983826, 1.6480008107472421]
-TINY_RUN_TEST_LOSSES = [1.5167721432212826, 1.4534223151484549]
-TINY_RUN_PREDICTIONS_SHA256 = "c7dfd4ab368df62a6fe1aa064cce122200fb1e5b45674532eed752e3ecfb01a6"
+TINY_RUN_TEST_LOSSES = [1.5167721432212826, 1.4534223151484547]
+TINY_RUN_PREDICTIONS_SHA256 = "6648624d2718b523093f9bed49ede4372eba3608f68beeea9003cd0bdfa4d752"
 # and the SHA-256 of its best.ckpt, so that the checkpoint's bytes change
 # only with a deliberate edit of this pin
-TINY_RUN_BEST_CKPT_SHA256 = "62ccc8bf919436d5e37097bd5a4b03942ff6bf7c81abdfd96b3efdb843592c14"
+TINY_RUN_BEST_CKPT_SHA256 = "f7504d65477b237d95b890e1c2f2e0747450d876adb7754b69a2711c927efee8"
 
 # the bitwise reference: two epochs of the paper-default model on
 # synth_dataset(2, 224, RngStream(seed=5)) at batch 4 and seed 5, then an
-# evaluate of the same 10 samples.  The pins are the epoch losses, the
-# SHA-256 over each sorted parameter name's parameter, m and v bytes, the
-# SHA-256 of the scores (little-endian float64, sample order) and the
-# mean eval loss
+# evaluate of the same 10 samples, on the Haswell kernels.  The pins are
+# the epoch losses, the SHA-256 over each sorted parameter name's
+# parameter, m and v bytes, the SHA-256 of the scores (little-endian
+# float64, sample order) and the mean eval loss
 PAPER_RUN_LOSSES = [1.7118245549402686, 1.6106984244885687]
-PAPER_RUN_STATE_SHA256 = "b2aad3a9cfa3f3bf7de6f14ac1f273ce71f97552c33a396ccf27d03ded984a09"
-PAPER_RUN_SCORES_SHA256 = "3d912e24f4fc0b4823f7c8356c4de7a78df82e4e7ac8b7f5e3cfb52873e6e2ed"
+PAPER_RUN_STATE_SHA256 = "29fcded48639e4358c54c09c14c805b39c5e8bc5c6fcdf9af9acb7e89781dd41"
+PAPER_RUN_SCORES_SHA256 = "bbb6c4d69384d78b9dc3d96a35f087487b9a245353422fef4d56a9874d0cf091"
 PAPER_RUN_EVAL_LOSS = 1.3786518457797226
 
 
@@ -66,6 +69,65 @@ def _train(tmp_path, sub="run", extra=()):
     code = main(TRAIN_ARGS + ["--out", str(out)] + list(extra))
     assert code == 0
     return out
+
+
+def _run_pinned(call):
+    """Run ``call``, a call of one of this module's pinned workloads, in a
+    child Python on OpenBLAS's Haswell kernels, which the pins were taken
+    on; ``run_on_haswell_kernels`` skips where the CPU lacks them."""
+    previous = T.pin_blas_threads(1)
+    if previous is None:
+        pytest.skip("numpy's BLAS has no thread-count symbols to pin")
+    T.pin_blas_threads(previous)
+    run_on_haswell_kernels(f"import test_cli\ntest_cli.{call}\n")
+
+
+# train_epoch and evaluate both run BLAS on one thread, and evaluate
+# forwards each sample alone, so none of these pinned workloads depends on
+# the host's BLAS thread count or core count
+def tiny_run_matches_its_pinned_bits(tmp):
+    out = _train(Path(tmp))
+    params = tr.load_state(out / "last.ckpt").params
+    digest = hashlib.sha256(b"".join(params[n].data.tobytes()
+                                     for n in sorted(params))).hexdigest()
+    with open(out / "history.csv", encoding="utf-8", newline="") as fh:
+        history = list(csv.DictReader(fh))
+    predictions = hashlib.sha256((out / "predictions.csv").read_bytes()).hexdigest()
+    assert ((digest, [float(r["train_loss"]) for r in history],
+             [float(r["test_loss"]) for r in history], predictions)
+            == (TINY_RUN_PARAMS_SHA256, TINY_RUN_TRAIN_LOSSES, TINY_RUN_TEST_LOSSES,
+                TINY_RUN_PREDICTIONS_SHA256)), (
+        "the tiny run's bits moved: ROADMAP.md's bitwise rule (under 'Open "
+        "items') says when a change may move them, and such a change updates "
+        "this pin")
+
+
+def tiny_run_writes_its_pinned_checkpoint_bytes(tmp):
+    best = (_train(Path(tmp)) / "best.ckpt").read_bytes()
+    assert hashlib.sha256(best).hexdigest() == TINY_RUN_BEST_CKPT_SHA256, (
+        "best.ckpt's bytes moved: a change to the checkpoint format or to the "
+        "tiny run's bits updates this pin")
+
+
+def paper_default_run_matches_its_pinned_bits():
+    samples = data.synth_dataset(2, 224, RngStream(seed=5))
+    stats = data.compute_stats(samples)
+    state = tr.init_state(ModelConfig(), tr.TrainConfig(batch_size=4, seed=5), stats,
+                          [f"class{i}" for i in range(5)])
+    losses = [tr.train_epoch(state.params, state.model_cfg, state.train_cfg, samples,
+                             stats, data.train_policy(224), state.adam, epoch)[0]
+              for epoch in range(2)]
+    tables = ({n: p.data for n, p in state.params.items()}, state.adam.m, state.adam.v)
+    state_digest = hashlib.sha256(b"".join(
+        t[n].tobytes() for n in sorted(state.params) for t in tables)).hexdigest()
+    eval_loss, _, records = tr.evaluate(state.params, state.model_cfg, samples, stats)
+    scores = np.array([r.scores for r in records], dtype="<f8")
+    assert ((losses, state_digest, hashlib.sha256(scores.tobytes()).hexdigest(), eval_loss)
+            == (PAPER_RUN_LOSSES, PAPER_RUN_STATE_SHA256, PAPER_RUN_SCORES_SHA256,
+                PAPER_RUN_EVAL_LOSS)), (
+        "the paper-default run's bits moved: ROADMAP.md's bitwise rule (under "
+        "'Open items') says when a change may move them, and such a change "
+        "updates these pins")
 
 
 class TestConfigMerge:
@@ -233,62 +295,15 @@ class TestTrainCommand:
         for name in ("history.csv", "predictions.csv", "report.txt", "best.ckpt"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
+    # the pins hold on OpenBLAS's Haswell kernels, so the workloads run there
     def test_tiny_run_matches_its_pinned_bits(self, tmp_path):
-        # train_epoch and evaluate both run BLAS on one thread, and evaluate
-        # forwards each sample alone, so none of these depends on the host's
-        # BLAS thread count or core count
-        previous = T.pin_blas_threads(1)
-        if previous is None:
-            pytest.skip("numpy's BLAS has no thread-count symbols to pin")
-        T.pin_blas_threads(previous)
-        out = _train(tmp_path)
-        params = tr.load_state(out / "last.ckpt").params
-        digest = hashlib.sha256(b"".join(params[n].data.tobytes()
-                                         for n in sorted(params))).hexdigest()
-        with open(out / "history.csv", encoding="utf-8", newline="") as fh:
-            history = list(csv.DictReader(fh))
-        predictions = hashlib.sha256((out / "predictions.csv").read_bytes()).hexdigest()
-        assert ((digest, [float(r["train_loss"]) for r in history],
-                 [float(r["test_loss"]) for r in history], predictions)
-                == (TINY_RUN_PARAMS_SHA256, TINY_RUN_TRAIN_LOSSES, TINY_RUN_TEST_LOSSES,
-                    TINY_RUN_PREDICTIONS_SHA256)), (
-            "the tiny run's bits moved: ROADMAP.md's bitwise rule (under 'Open "
-            "items') says when a change may move them, and such a change updates "
-            "this pin")
+        _run_pinned(f"tiny_run_matches_its_pinned_bits({str(tmp_path)!r})")
 
     def test_tiny_run_writes_its_pinned_checkpoint_bytes(self, tmp_path):
-        previous = T.pin_blas_threads(1)
-        if previous is None:
-            pytest.skip("numpy's BLAS has no thread-count symbols to pin")
-        T.pin_blas_threads(previous)
-        best = (_train(tmp_path) / "best.ckpt").read_bytes()
-        assert hashlib.sha256(best).hexdigest() == TINY_RUN_BEST_CKPT_SHA256, (
-            "best.ckpt's bytes moved: a change to the checkpoint format or to the "
-            "tiny run's bits updates this pin")
+        _run_pinned(f"tiny_run_writes_its_pinned_checkpoint_bytes({str(tmp_path)!r})")
 
     def test_paper_default_run_matches_its_pinned_bits(self):
-        previous = T.pin_blas_threads(1)
-        if previous is None:
-            pytest.skip("numpy's BLAS has no thread-count symbols to pin")
-        T.pin_blas_threads(previous)
-        samples = data.synth_dataset(2, 224, RngStream(seed=5))
-        stats = data.compute_stats(samples)
-        state = tr.init_state(ModelConfig(), tr.TrainConfig(batch_size=4, seed=5), stats,
-                              [f"class{i}" for i in range(5)])
-        losses = [tr.train_epoch(state.params, state.model_cfg, state.train_cfg, samples,
-                                 stats, data.train_policy(224), state.adam, epoch)[0]
-                  for epoch in range(2)]
-        tables = ({n: p.data for n, p in state.params.items()}, state.adam.m, state.adam.v)
-        state_digest = hashlib.sha256(b"".join(
-            t[n].tobytes() for n in sorted(state.params) for t in tables)).hexdigest()
-        eval_loss, _, records = tr.evaluate(state.params, state.model_cfg, samples, stats)
-        scores = np.array([r.scores for r in records], dtype="<f8")
-        assert ((losses, state_digest, hashlib.sha256(scores.tobytes()).hexdigest(), eval_loss)
-                == (PAPER_RUN_LOSSES, PAPER_RUN_STATE_SHA256, PAPER_RUN_SCORES_SHA256,
-                    PAPER_RUN_EVAL_LOSS)), (
-            "the paper-default run's bits moved: ROADMAP.md's bitwise rule (under "
-            "'Open items') says when a change may move them, and such a change "
-            "updates these pins")
+        _run_pinned("paper_default_run_matches_its_pinned_bits()")
 
     def test_different_seed_changes_history(self, tmp_path):
         a = _train(tmp_path, "a")

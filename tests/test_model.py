@@ -16,8 +16,19 @@ from hgtnet.model import (MAX_PARAMS, ModelConfig, attention, build_graph,
                           rotation_head, tiny_config, transformer_encoder)
 from hgtnet.rng import RngStream
 from hgtnet.tensor import Tensor
+from hgtnet.training import combined_loss
 from model_reference import reference_forward
 from test_tensor_ops import conv2d_keeping_cols
+
+
+def _moved_off_init(cfg):
+    """Seeded parameters, each moved 0.05 of a normal draw off its init, so
+    that no zero bias, positional embedding or unit gain hides a slip."""
+    params = init_params(cfg, RngStream(seed=41))
+    moves = RngStream(seed=42)
+    for name, t in params.items():
+        t.data += 0.05 * moves.derive(name).normal(t.size).reshape(t.shape)
+    return params
 
 
 def _zero_params(params, keep_gamma=True):
@@ -65,7 +76,8 @@ class TestModelConfig:
         for cfg in (ModelConfig(num_encoder_layers=layers), tiny_config(num_encoder_layers=layers)):
             sizes = [int(np.prod(shape)) for shape in param_shapes(cfg).values()]
             assert param_count(cfg) == sum(sizes)
-        assert param_count(ModelConfig()) == 1_065_513
+        assert param_count(ModelConfig()) == 1_064_873
+        assert not [n for n in param_shapes(ModelConfig()) if n.endswith("attn.bk")]
 
     @pytest.mark.parametrize("kwargs", [
         # 8.4 M parameters, but a 1024^2 x 1024^2 adjacency
@@ -158,10 +170,10 @@ def _attn_params(d, seed, zero_bias=True):
     for i, name in enumerate(("wq", "wk", "wv", "wo")):
         params["attn." + name] = Tensor(rng.derive(name).normal(d * d).reshape(d, d) / np.sqrt(d),
                                         requires_grad=True)
-    for name in ("bq", "bk", "bv", "bo"):
+    for name in ("bq", "bv", "bo"):
         params["attn." + name] = Tensor(np.zeros(d), requires_grad=True)
     if not zero_bias:
-        for name in ("bq", "bk", "bv", "bo"):
+        for name in ("bq", "bv", "bo"):
             params["attn." + name].data[...] = rng.derive(name).normal(d) * 0.1
     return params
 
@@ -202,7 +214,7 @@ class TestSelfAttention:
         out = attention(tokens, tokens, 1, params, "attn.").data
 
         q = x @ params["attn.wq"].data + params["attn.bq"].data
-        k = x @ params["attn.wk"].data + params["attn.bk"].data
+        k = x @ params["attn.wk"].data
         v = x @ params["attn.wv"].data + params["attn.bv"].data
         scores = q[0] @ k[0].T / np.sqrt(d)
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -382,7 +394,7 @@ class TestCrossAttentionFuse:
         kv = (cnn_feat.data.reshape(1, 3, 2).transpose(0, 2, 1)
               @ params["cross.proj.w"].data + params["cross.proj.b"].data)[0]
         q = enc.data[0] @ params["cross.attn.wq"].data + params["cross.attn.bq"].data
-        k = kv @ params["cross.attn.wk"].data + params["cross.attn.bk"].data
+        k = kv @ params["cross.attn.wk"].data
         v = kv @ params["cross.attn.wv"].data + params["cross.attn.bv"].data
         scores = q @ k.T / 2.0  # sqrt(d) = 2
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -642,23 +654,58 @@ class TestModelForward:
 
 
 class TestWholeModelReference:
-    """``model_forward``'s eval logits against ``model_reference``'s plain
-    numpy forward, at the scales where the engine's fast paths run."""
+    """``model_forward``'s logits against ``model_reference``'s plain numpy
+    forward, at the scales where the engine's fast paths run, in eval mode
+    and in training mode."""
+
+    @staticmethod
+    def check(cfg, batch, seed, drop_seed=None):
+        """Both heads' logits of ``batch`` seeded images to 1e-12 of the
+        largest; with ``drop_seed``, in training mode, each side given its
+        own copies of the same dropout streams, of which both must draw
+        every mask."""
+        params = _moved_off_init(cfg)
+        size = cfg.image_size
+        x = RngStream(seed=seed).normal(batch * 3 * size * size).reshape(batch, 3, size, size)
+
+        def streams():
+            return None if drop_seed is None else \
+                [RngStream(seed=drop_seed).derive("drop", i) for i in range(batch)]
+
+        rngs, ref_rngs = streams(), streams()
+        logits = model_forward(Tensor(x), cfg, params, rngs=rngs)
+        ref = reference_forward(x, cfg, {name: t.data for name, t in params.items()}, ref_rngs)
+        if rngs is not None:
+            assert [r.counter for r in rngs] == [r.counter for r in ref_rngs]
+            assert min(r.counter for r in rngs) > 0
+        for got, want in zip(logits, ref):
+            assert got.shape == want.shape
+            assert np.abs(got.data - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("cfg,batch", [(tiny_config(), 2), (ModelConfig(image_size=64), 2),
                                            (ModelConfig(), 1)],
                              ids=["tiny-32px", "default-64px", "default-224px"])
     def test_eval_logits_match_the_reference(self, cfg, batch):
-        params = init_params(cfg, RngStream(seed=41))
-        # every parameter off its init, so that no zero bias or positional
-        # embedding hides a slip
-        moves = RngStream(seed=42)
-        for name, t in params.items():
-            t.data += 0.05 * moves.derive(name).normal(t.size).reshape(t.shape)
-        size = cfg.image_size
-        x = RngStream(seed=43).normal(batch * 3 * size * size).reshape(batch, 3, size, size)
-        logits = model_forward(Tensor(x), cfg, params)
-        ref = reference_forward(x, cfg, {name: t.data for name, t in params.items()})
-        for got, want in zip(logits, ref):
-            assert got.shape == want.shape
-            assert np.abs(got.data - want).max() <= 1e-12 * np.abs(want).max()
+        self.check(cfg, batch, 43)
+
+    # the --tiny preset has no dropout, so its training case sets some
+    @pytest.mark.parametrize("cfg,batch", [(tiny_config(dropout_p=0.3), 2),
+                                           (ModelConfig(image_size=64), 2), (ModelConfig(), 1)],
+                             ids=["tiny-32px", "default-64px", "default-224px"])
+    def test_training_logits_match_the_reference(self, cfg, batch):
+        self.check(cfg, batch, 44, drop_seed=45)
+
+
+def test_no_parameter_block_is_dead():
+    # a block that no output reads, or whose contribution a softmax cancels
+    # (a key bias adds the same q.bk to a query's every score), gets only
+    # rounding noise as its gradient, which Adam would still step on
+    cfg = ModelConfig(image_size=64)
+    params = _moved_off_init(cfg)
+    x = RngStream(seed=46).normal(2 * 3 * 64 * 64).reshape(2, 3, 64, 64)
+    cls, rot = model_forward(Tensor(x), cfg, params)
+    T.backward(combined_loss(cls, [1, 3], rot, [0, 2]))
+    largest = {name: float(np.abs(t.grad).max()) for name, t in params.items()}
+    top = max(largest.values())
+    dead = {name: g / top for name, g in largest.items() if not g > 1e-12 * top}
+    assert not dead, f"blocks whose largest |gradient| is at most 1e-12 of the largest: {dead}"

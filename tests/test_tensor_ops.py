@@ -6,9 +6,7 @@ directly in the test.  The fused ``linear`` and ``attention`` ops are
 checked, values and gradients, against the graph of small ops they replace.
 """
 
-import os
 import platform
-import subprocess
 import sys
 import tracemalloc
 import types
@@ -17,6 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
+from haswell_kernels import run_on_haswell_kernels
 from hgtnet import data
 from hgtnet import tensor as T
 from hgtnet import training as tr
@@ -60,8 +59,9 @@ class TestMatmul:
             T.matmul(T.Tensor(np.ones(3)), T.Tensor(np.ones((3, 2))))
 
 
-def unfused_linear(x, w, b):
-    return T.matmul(x, w) + b
+def unfused_linear(x, w, b=None):
+    y = T.matmul(x, w)
+    return y if b is None else y + b
 
 
 def unfused_attention(q, k, v, heads):
@@ -94,13 +94,15 @@ def _value_and_grads(op, inputs, g):
 
 
 class TestLinear:
+    @pytest.mark.parametrize("biased", [True, False], ids=["bias", "no-bias"])
     @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4)])
-    def test_matches_matmul_plus_add(self, x_shape):
+    def test_matches_matmul_plus_add(self, x_shape, biased):
         x, w, b = _leaves(1, x_shape, (4, 6), (6,))
+        inputs = [x, w, b] if biased else [x, w]
         g = T.Tensor(RngStream(seed=2).normal(int(np.prod(x_shape[:-1])) * 6)
                      .reshape(x_shape[:-1] + (6,)))
-        fused, fused_grads = _value_and_grads(T.linear, [x, w, b], g)
-        ref, ref_grads = _value_and_grads(unfused_linear, [x, w, b], g)
+        fused, fused_grads = _value_and_grads(T.linear, inputs, g)
+        ref, ref_grads = _value_and_grads(unfused_linear, inputs, g)
         assert fused.shape == x_shape[:-1] + (6,)
         assert np.allclose(fused, ref, rtol=0, atol=1e-12)
         for got, want in zip(fused_grads, ref_grads):
@@ -112,6 +114,12 @@ class TestLinear:
         gx, gw, gb = out.op_record.backward(np.ones((3, 2)))
         assert gx is None
         assert np.array_equal(gw, np.full((4, 2), 3.0)) and np.array_equal(gb, [3.0, 3.0])
+
+    def test_without_a_bias_the_record_has_no_bias_parent_or_gradient(self):
+        x, w = _leaves(4, (3, 4), (4, 2))
+        out = T.linear(x, w)
+        assert out.op_record.parents == (x, w)
+        assert len(out.op_record.backward(np.ones((3, 2)))) == 2
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -1036,12 +1044,11 @@ class TestRebuiltInBackward:
     def test_model_captures_the_probabilities_the_forward_built(self, heads):
         params = dict(zip(("attn.wq", "attn.wk", "attn.wv", "attn.wo"),
                           _leaves(79, *[(8, 8)] * 4)))
-        params.update(zip(("attn.bq", "attn.bk", "attn.bv", "attn.bo"),
-                          _leaves(80, *[(8,)] * 4)))
+        params.update(zip(("attn.bq", "attn.bv", "attn.bo"), _leaves(80, *[(8,)] * 3)))
         q_tokens, kv_tokens = _leaves(92, (2, 5, 8), (2, 7, 8))
         capture = {}
         model_attention(q_tokens, kv_tokens, heads, params, "attn.", capture)
-        q, k, v = (T.linear(t, params[f"attn.w{n}"], params[f"attn.b{n}"]).data
+        q, k, v = (T.linear(t, params[f"attn.w{n}"], params.get(f"attn.b{n}")).data
                    for t, n in ((q_tokens, "q"), (kv_tokens, "k"), (kv_tokens, "v")))
         _, ref_p, _ = attention_keeping_p(q, k, v, heads, np.zeros((2, 5, 8)))
         assert capture["attn"].tobytes() == ref_p.tobytes()
@@ -1183,36 +1190,6 @@ def _whole_width_builds(monkeypatch, x, w, b):
     monkeypatch.setattr(T, "_im2col", spy)
     out.op_record.backward(g)
     return shapes.count((w.size // w.shape[0], x.size // x.shape[1]))
-
-
-def run_on_haswell_kernels(script):
-    """Run ``script`` in a child Python whose OpenBLAS uses its Haswell
-    (AVX2) kernels, which ``OPENBLAS_CORETYPE`` selects only when the
-    library loads, and assert that the child exits 0.  The child imports
-    ``hgtnet`` from this checkout and can import this directory's modules;
-    before the script it asserts the core that OpenBLAS reports.  Skips
-    where the CPU lacks avx2 or fma, since a forced kernel that the CPU
-    lacks faults."""
-    try:
-        with open("/proc/cpuinfo") as f:
-            words = set(f.read().split())
-    except OSError:
-        words = set()
-    if not {"avx2", "fma"} <= words:
-        pytest.skip("the CPU lacks avx2 or fma, which OpenBLAS's Haswell kernels use")
-    if T._numpy_openblas() is None:
-        pytest.skip("numpy bundles no OpenBLAS here")
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.join(os.path.dirname(here), "src")
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join(
-        filter(None, [src, here, os.environ.get("PYTHONPATH")])))
-    prelude = ("import ctypes\nfrom hgtnet import tensor as T\n"
-               "corename = T._numpy_openblas().scipy_openblas_get_corename64_\n"
-               "corename.restype = ctypes.c_char_p\n"
-               "assert corename() == b'Haswell', corename()\n")
-    done = subprocess.run([sys.executable, "-c", prelude + script], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
 
 
 # the paper's 224 px CNN convs, at one BLAS thread as the model runs them

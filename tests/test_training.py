@@ -907,7 +907,9 @@ class TestPersistence:
             tr.load_state(path)
 
     @pytest.mark.parametrize("name,change", [
-        ("gat.w", "drop"), ("gat.w", "reshape"), ("extra.w", "add"), ("m.extra.w", "add")])
+        ("gat.w", "drop"), ("gat.w", "reshape"), ("extra.w", "add"), ("m.extra.w", "add"),
+        # the attention key biases, which files written before their removal hold
+        ("enc0.attn.bk", "add"), ("v.cross.attn.bk", "add")])
     def test_params_not_matching_the_config_rejected_on_load(self, tmp_path, name, change):
         samples, train, test, stats, cfg, tcfg, names = _synth_setup()
         state = tr.init_state(cfg, tcfg, stats, names)
